@@ -17,11 +17,8 @@ from .chains import (
 from .schedules import (
     DriftParams,
     Schedule,
-    cyclic_schedule,
-    interpolation_schedule,
     restart_wrap,
     schedule_from_spec,
-    shrinking_state_schedule,
     verify_drift,
 )
 from .dp import (

@@ -13,6 +13,7 @@ tv(a, b) = 0.5 * sum |a_x - b_x|, and between matrices the maximum row TV.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -29,7 +30,10 @@ __all__ = [
     "tv_distance",
     "matrix_tv_distance",
     "ergodicity_coefficient",
+    "ergodicity_coefficients",
     "stationary_distribution",
+    "stationary_stack",
+    "check_stack",
     "is_irreducible",
     "second_eigenvalue_2x2",
     "propagate_marginal",
@@ -46,11 +50,18 @@ class InvariantError(ValueError):
     """A probability object violated its construction invariants."""
 
 
-def _finite_array(values, name):
-    arr = np.array(values, dtype=float)
+def _check_rows(arr: np.ndarray):
+    """Finite entries in [0, 1], every last-axis row summing to 1, within 1e-12."""
     if not np.all(np.isfinite(arr)):
-        raise InvariantError(f"{name} contains non-finite entries")
-    return arr
+        raise InvariantError("non-finite entries")
+    if arr.min() < -ENTRY_TOL or arr.max() > 1.0 + ENTRY_TOL:
+        raise InvariantError(f"entries outside [0,1]: min={arr.min()}, max={arr.max()}")
+    sums = arr.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f" of matrix {at[0]}" if len(at) > 1 else ""
+        raise InvariantError(f"row {at[-1]}{where} sums to {sums[at]!r}, not 1")
 
 
 class Distribution:
@@ -59,13 +70,10 @@ class Distribution:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        arr = _finite_array(probs, "distribution")
+        arr = np.array(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvariantError("distribution must be a non-empty vector")
-        if arr.min() < -ENTRY_TOL or arr.max() > 1.0 + ENTRY_TOL:
-            raise InvariantError(f"entries outside [0,1]: min={arr.min()}, max={arr.max()}")
-        if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
-            raise InvariantError(f"probabilities sum to {arr.sum()!r}, not 1")
+        _check_rows(arr[None])
         arr.flags.writeable = False
         self.probs = arr
 
@@ -86,16 +94,10 @@ class TransitionMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        arr = _finite_array(rows, "transition matrix")
+        arr = np.array(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvariantError(f"expected square matrix, got shape {arr.shape}")
-        if arr.min() < -ENTRY_TOL or arr.max() > 1.0 + ENTRY_TOL:
-            raise InvariantError(f"entries outside [0,1]: min={arr.min()}, max={arr.max()}")
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            x = int(np.argmax(bad))
-            raise InvariantError(f"row {x} sums to {sums[x]!r}, not 1")
+        _check_rows(arr)
         arr.flags.writeable = False
         self.rows = arr
 
@@ -133,15 +135,11 @@ def uniform_distribution(n: int) -> Distribution:
     return Distribution(np.full(n, 1.0 / n))
 
 
-def _tv(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(a - b).sum())
-
-
 def tv_distance(lam: Distribution, mu: Distribution) -> float:
     """Total variation 0.5 * sum |lam_x - mu_x|; symmetric, in [0, 1]."""
     if lam.n != mu.n:
         raise ValueError(f"dimension mismatch: {lam.n} vs {mu.n}")
-    return _tv(lam.probs, mu.probs)
+    return 0.5 * float(np.abs(lam.probs - mu.probs).sum())
 
 
 def matrix_tv_distance(p: TransitionMatrix, q: TransitionMatrix) -> float:
@@ -152,65 +150,83 @@ def matrix_tv_distance(p: TransitionMatrix, q: TransitionMatrix) -> float:
 
 
 def ergodicity_coefficient(p: TransitionMatrix) -> float:
-    """Maximum TV distance between any two rows of p.
+    """Maximum TV distance between any two rows of p (see ergodicity_coefficients)."""
+    return float(ergodicity_coefficients(p.rows[None])[0])
 
-    Computed brute-force over row pairs; cross-checked against the
-    equivalent overlap form 1 - min_{x1,x2} sum_y min(P[x1,y], P[x2,y]),
-    which must agree to 1e-12.
+
+def ergodicity_coefficients(mats: np.ndarray) -> np.ndarray:
+    """Per-matrix maximum row-pair TV distance of a (k, n, n) stack.
+
+    Computed brute-force over row pairs (k n^3 temporaries); cross-checked
+    against the equivalent overlap form 1 - min_{x1,x2} sum_y min(P[x1,y],
+    P[x2,y]), which must agree to 1e-12 for every matrix.
     """
-    rows = p.rows
-    pair_tv = 0.5 * np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-    rho = float(pair_tv.max())
-    overlap = float(1.0 - np.minimum(rows[:, None, :], rows[None, :, :]).sum(axis=2).min())
-    if abs(rho - overlap) > 1e-12:
-        raise ArithmeticError(
-            f"row-pair TV maximum {rho!r} disagrees with overlap form {overlap!r}")
+    rows, others = mats[:, :, None, :], mats[:, None, :, :]
+    rho = (0.5 * np.abs(rows - others).sum(axis=3)).max(axis=(1, 2))
+    overlap = 1.0 - np.minimum(rows, others).sum(axis=3).min(axis=(1, 2))
+    bad = np.abs(rho - overlap) > 1e-12
+    if bad.any():
+        raise ArithmeticError(f"row-pair TV maximum {rho[bad][0]!r} disagrees with "
+                              f"overlap form {overlap[bad][0]!r}")
     return rho
 
 
 def is_irreducible(p: TransitionMatrix) -> bool:
     """True iff the directed graph on positive entries is strongly connected."""
-    adj = p.rows > 0.0
-    return _reaches_all(adj) and _reaches_all(adj.T)
+    return _strongly_connected((p.rows > 0.0).tobytes(), p.n)
 
 
-def _reaches_all(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in np.nonzero(adj[x])[0]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
-    return bool(seen.all())
+@functools.lru_cache(maxsize=1024)
+def _strongly_connected(pattern: bytes, n: int) -> bool:
+    """Whether every state reaches every state along an n x n positivity pattern."""
+    reach = np.frombuffer(pattern, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # reach covers paths of length 2**step
+        reach = (reach.astype(float) @ reach) > 0
+    return bool(reach.all())
+
+
+def check_stack(mats: np.ndarray) -> np.ndarray:
+    """Validate a (k, n, n) stack as TransitionMatrix validates one matrix, and
+    require irreducibility, decided once per distinct positivity pattern."""
+    _check_rows(mats)
+    pos = mats > 0.0
+    changes = np.flatnonzero((pos[1:] != pos[:-1]).any(axis=(1, 2)))
+    for i in (0, *(changes + 1)):  # one check per run of equal patterns, memoized
+        if not _strongly_connected(pos[i].tobytes(), mats.shape[1]):
+            raise InvariantError(f"matrix {i} of the stack is reducible")
+    return mats
 
 
 def stationary_distribution(p: TransitionMatrix, tol: float = 1e-12) -> Distribution:
-    """Unique pi with pi P = pi, by direct linear solve.
-
-    (P^T - I) pi = 0 with the last equation replaced by sum(pi) = 1; one
-    step of iterative refinement; the TV residual of pi P vs pi must come
-    out below tol or this raises.
-    """
+    """Unique pi with pi P = pi: the one-matrix case of stationary_stack."""
     if not is_irreducible(p):
         raise ValueError("transition matrix is reducible; no unique stationary distribution")
-    n = p.n
-    a = p.rows.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+    return Distribution(stationary_stack(p.rows[None], tol)[0])
+
+
+def stationary_stack(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Stationary vectors (k, n) of a stack of irreducible matrices, by direct solve.
+
+    Per matrix: (P^T - I) pi = 0 with the last equation replaced by
+    sum(pi) = 1; one step of iterative refinement; the TV residual of pi P
+    vs pi must come out below tol or this raises.
+    """
+    k, n, _ = mats.shape
+    a = np.swapaxes(mats, 1, 2) - np.eye(n)
+    a[:, -1, :] = 1.0
+    b = np.broadcast_to(np.eye(n)[:, -1:], (k, n, 1))  # e_n: the sum(pi) = 1 row
     try:
         pi = np.linalg.solve(a, b)
         pi = pi + np.linalg.solve(a, b - a @ pi)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular stationary system: {exc}") from exc
-    resid = _tv(pi @ p.rows, pi)
-    if resid > tol:
-        raise ValueError(f"stationary residual {resid!r} exceeds tol {tol!r}")
-    return Distribution(pi)
+    pi = pi[:, :, 0]
+    resid = 0.5 * np.abs((pi[:, None, :] @ mats)[:, 0] - pi).sum(axis=1)
+    bad = ~(resid <= tol)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"stationary residual {resid[bad][0]!r} exceeds tol {tol!r}")
+    _check_rows(pi)
+    return pi
 
 
 def second_eigenvalue_2x2(p: TransitionMatrix) -> float:
@@ -265,10 +281,11 @@ def simulate(schedule, t_max: int, x0: int, seed: int) -> ChainPath:
     states[0] = x0
     uniforms = path_rng(seed).random(t_max)
     x = x0
-    for t in range(1, t_max + 1):
-        cum = np.cumsum(schedule.matrix_at(t).rows[x])
-        x = sample_from_row(cum, uniforms[t - 1])
-        states[t] = x
+    for lo, block in schedule.blocks(1, t_max + 1):
+        cums = np.cumsum(block, axis=2)
+        for t in range(lo, lo + len(block)):
+            x = sample_from_row(cums[t - lo, x], uniforms[t - 1])
+            states[t] = x
     return ChainPath(states=states, seed=int(seed))
 
 

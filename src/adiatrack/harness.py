@@ -228,20 +228,20 @@ def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     return summary
 
 
-def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict | str:
+def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict:
     """Realize one sweep cell's (gamma_p, gamma_pi) as a schedule spec.
 
     gamma_pi = 0 cells reuse the base anchors: constant for gamma_p = inf,
     never-arriving interpolation for gamma_p >= 1, cyclic for gamma_p in
     (0,1).  gamma_pi > 0 cells map to the 3-state shrinking family, which
     couples gamma_p = gamma_pi + 1; anything else has no realizing family
-    and returns a skip reason string.
+    and raises ValueError naming the reason.
     """
     anchors = base_schedule.get("mats")
     if anchors is None:
         anchors = [base_schedule.get("p_start"), base_schedule.get("p_end")]
     if anchors[0] is None or anchors[-1] is None:
-        return "base schedule carries no anchor matrices"
+        raise ValueError("base schedule carries no anchor matrices")
     params = dict(base_schedule["params"])
     if gamma_pi == 0.0:
         params["gamma_pi"] = 0.0
@@ -258,8 +258,8 @@ def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict
         return {"kind": "shrinking-state", "n": 3,
                 "params": {**params, "gamma_p": gamma_p, "gamma_pi": gamma_pi,
                            "c_pi": min(params.get("c_pi", 0.2), 1.0 / 3.0)}}
-    return (f"no schedule family realizes gamma_p={gamma_p} with "
-            f"gamma_pi={gamma_pi} (shrinking family forces gamma_p = gamma_pi + 1)")
+    raise ValueError(f"no schedule family realizes gamma_p={gamma_p} with gamma_pi="
+                     f"{gamma_pi} (shrinking family forces gamma_p = gamma_pi + 1)")
 
 
 def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
@@ -288,9 +288,11 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                 except ValueError as exc:
                     rows.append({**row, "status": f"skipped: {exc}"})
                     continue
-                sched_spec = _cell_schedule(base.schedule, gp, gpi)
-                if isinstance(sched_spec, str):
-                    rows.append({**row, "status": f"skipped: {sched_spec}"})
+                try:  # no family realizes the cell, or its family refuses the constants
+                    sched_spec = _cell_schedule(base.schedule, gp, gpi)
+                    schedules.schedule_from_spec(sched_spec)
+                except ValueError as exc:
+                    rows.append({**row, "status": f"skipped: {exc}"})
                     continue
                 cfg = ExperimentConfig.from_dict({
                     **base.canonical_dict(), "schedule": sched_spec,

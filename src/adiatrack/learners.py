@@ -159,15 +159,13 @@ def sa_step(r_cur: np.ndarray, x_cur: int, f_value: float, alpha_t: float,
 
 
 def materialize(schedule, t_max: int):
-    """Stack P^(1..t_max+1) and row cumsums; index t holds matrix t.
+    """Stack P^(1..t_max+1) and row cumsums; index t holds matrix t (index 0 is zero).
 
     Passing the result to td0_track/q_track lets a multi-seed batch reuse
     one schedule walk; the arrays are read-only inputs thereafter.
     """
-    n = schedule.n
-    mats = np.empty((t_max + 2, n, n))
-    for t in range(1, t_max + 2):
-        mats[t] = schedule.matrix_at(t).rows
+    mats = np.zeros((t_max + 2, schedule.n, schedule.n))
+    mats[1:] = schedule.block(1, t_max + 2)
     return mats, np.cumsum(mats, axis=2)
 
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiatrack.chains import (
     ChainPath,
     Distribution,
     InvariantError,
     TransitionMatrix,
+    check_stack,
     ergodicity_coefficient,
+    ergodicity_coefficients,
     is_irreducible,
     load_matrix,
     matrix_tv_distance,
@@ -16,6 +19,7 @@ from adiatrack.chains import (
     second_eigenvalue_2x2,
     simulate,
     stationary_distribution,
+    stationary_stack,
     tv_distance,
 )
 from adiatrack.schedules import ConstantSchedule
@@ -190,6 +194,45 @@ def test_stationary_rejects_reducible():
 def test_stationary_fixed_point_residual(p):
     pi = stationary_distribution(p, tol=1e-12)
     assert 0.5 * np.abs(pi.probs @ p.rows - pi.probs).sum() <= 1e-12
+
+
+@given(st.lists(matrices(n=3), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_stationary_stack_equals_one_matrix_solve(mats):
+    # the single-matrix direct solve with one refinement step, written out
+    stack = np.array([m.rows for m in mats])
+    pis = stationary_stack(stack)
+    for m, pi in zip(mats, pis):
+        a = m.rows.T - np.eye(3)
+        a[-1, :] = 1.0
+        b = np.array([0.0, 0.0, 1.0])
+        one = np.linalg.solve(a, b)
+        one = one + np.linalg.solve(a, b - a @ one)
+        assert pi.tobytes() == one.tobytes()
+        assert stationary_distribution(m).probs.tobytes() == one.tobytes()
+
+
+@given(st.lists(matrices(n=4), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_ergodicity_coefficients_equal_per_matrix_row_pairs(mats):
+    rhos = ergodicity_coefficients(np.array([m.rows for m in mats]))
+    for m, rho in zip(mats, rhos):
+        rows = m.rows
+        pair_tv = 0.5 * np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+        assert rho == float(pair_tv.max()) == ergodicity_coefficient(m)
+
+
+def test_check_stack_rejects_what_transition_matrix_rejects():
+    good = np.array([P_REF.rows, SWAP.rows, P_REF.rows])
+    assert check_stack(good) is good
+    with pytest.raises(InvariantError, match="matrix 1 of the stack is reducible"):
+        check_stack(np.array([P_REF.rows, np.eye(2), P_REF.rows]))
+    with pytest.raises(InvariantError, match="row 1 of matrix 2"):
+        check_stack(np.array([P_REF.rows, P_REF.rows, [[0.5, 0.5], [0.5, 0.6]]]))
+    with pytest.raises(InvariantError, match="non-finite"):
+        check_stack(np.array([P_REF.rows, [[np.nan, 1.0], [0.5, 0.5]]]))
+    with pytest.raises(InvariantError, match="outside"):
+        check_stack(np.array([[[1.1, -0.1], [0.5, 0.5]]]))
 
 
 # -------------------------------------------------------------- irreducibility

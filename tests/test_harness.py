@@ -206,6 +206,34 @@ def test_sweep_shrinking_cell_runs(tmp_path):
     assert rows[0]["regime"] == "boundary"  # 0.4 <= 3*0.5 blocks adiabatic
 
 
+ACCEPTANCE_ANCHORS = {
+    "kind": "interpolation", "n": 2,
+    "params": {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0},
+    "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.1, 0.9], [0.8, 0.2]]}
+
+
+def test_sweep_records_unconstructible_cell_as_skipped(tmp_path):
+    # the shrinking family refuses c_p = 0.05 at gamma_pi = 0.2: its first
+    # step drifts 0.0552 > 0.05; the cell is skipped, not an error
+    base = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=200)
+    rows = run_sweep({"gamma_p": [1.2], "gamma_alpha": [0.7], "gamma_pi": [0.2]},
+                     base, tmp_path)
+    assert len(rows) == 1
+    assert rows[0]["status"].startswith("skipped: measured drift")
+    assert "exceeds the declared bound" in rows[0]["status"]
+    assert (tmp_path / "sweep.csv").read_text().count("skipped") == 1
+
+
+def test_sweep_still_raises_on_failed_certificate(tmp_path):
+    # constructible cell whose declared floor c_pi = 0.9 fails verify_drift
+    from adiatrack.schedules import DriftCertificateError
+    anchors = {**ACCEPTANCE_ANCHORS,
+               "params": {**ACCEPTANCE_ANCHORS["params"], "c_pi": 0.9}}
+    base = make_config(schedule=anchors, t_max=200)
+    with pytest.raises(DriftCertificateError):
+        run_sweep({"gamma_p": [1.0], "gamma_alpha": [0.6]}, base, tmp_path)
+
+
 # ------------------------------------------------------------------ verify CLI
 
 def test_verify_suite_detects_corrupted_rho(monkeypatch):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adiatrack import schedules
 from adiatrack.chains import TransitionMatrix, ergodicity_coefficient, matrix_tv_distance, stationary_distribution
 from adiatrack.schedules import (
     GAMMA_INF,
@@ -40,7 +43,7 @@ def test_time_index_starts_at_one():
 
 def test_constant_schedule_same_matrix_every_t():
     sched = ConstantSchedule(A)
-    assert sched.matrix_at(1) is sched.matrix_at(123456)
+    np.testing.assert_array_equal(sched.matrix_at(1).rows, sched.matrix_at(123456).rows)
     assert sched.rho_cap == pytest.approx(0.7)
     # default floor is the exact stationary minimum
     assert sched.params.c_pi == pytest.approx(1 / 3, abs=1e-12)
@@ -60,13 +63,13 @@ def test_interpolation_first_increment_matches_certificate():
     sched = InterpolationSchedule(A, FLAT, DriftParams(0.1, 1.0, 0.2, 0.0))
     assert matrix_tv_distance(sched.matrix_at(1), sched.matrix_at(2)) == \
         pytest.approx(0.1, abs=1e-14)
-    assert sched.matrix_at(1) is A
+    np.testing.assert_array_equal(sched.matrix_at(1).rows, A.rows)
 
 
 def test_interpolation_one_step_arrival_clamps():
     sched = InterpolationSchedule(A, FLAT, DriftParams(0.9, 1.0, 0.2, 0.0))
-    assert sched.matrix_at(2) is sched.p_end
-    assert sched.matrix_at(50) is sched.p_end
+    np.testing.assert_array_equal(sched.matrix_at(2).rows, sched.p_end.rows)
+    np.testing.assert_array_equal(sched.matrix_at(50).rows, sched.p_end.rows)
 
 
 def test_interpolation_equal_endpoints_is_constant():
@@ -184,6 +187,15 @@ def test_restart_wrapped_schedule_caps_rho_and_scales_drift():
         assert outer_drift == pytest.approx(ratio * inner_drift, abs=1e-14)
 
 
+def test_restart_wrapped_schedule_rejects_bad_constants():
+    inner = InterpolationSchedule(A, B, DriftParams(0.1, 1.0, 0.25, 0.0))
+    with pytest.raises(ValueError, match="beta"):
+        RestartWrappedSchedule(inner, beta=0.8, beta_hat=0.8, x_restart=0)
+    for x_restart in (-1, 2):
+        with pytest.raises(ValueError, match="restart state"):
+            RestartWrappedSchedule(inner, beta=0.5, beta_hat=0.8, x_restart=x_restart)
+
+
 # --------------------------------------------------------------- verify_drift
 
 def test_verify_drift_constant_passes_any_cp():
@@ -218,11 +230,236 @@ def test_verify_drift_catches_overdeclared_pi_floor():
     assert any(v.bound == "pi floor c_pi" for v in err.value.report.violations)
 
 
-def test_verify_drift_coarsens_stationary_checks_beyond_dense_limit():
+def _decreasing_floor_schedule(c_pi=0.2):
+    # FLAT -> A: pi_min = (0.5 - 0.4w)/(1 - 0.7w) falls strictly as w grows,
+    # and the weight is still below 1 at t = 12,000
+    return InterpolationSchedule(FLAT, A, DriftParams(0.03, 1.0, c_pi, 0.0))
+
+
+def test_verify_drift_checks_stationary_floor_at_every_t():
+    t_max = 12_000
+    sched = _decreasing_floor_schedule()
+    report = verify_drift(sched, t_max=t_max)
+    assert report.pi_checkpoint_count == t_max
+    assert report.pi_argmin_t == t_max
+    assert report.min_scaled_pi_floor == \
+        stationary_distribution(sched.matrix_at(t_max)).min_prob()
+
+
+def test_verify_drift_names_floor_violation_off_the_log_grid():
+    # declare c_pi between pi_min(t*) and pi_min(t* + 1): the first violation
+    # is t* + 1 exactly, a t a logarithmic checkpoint grid beyond 1e4 skips
+    t_star = 10_500
+    probe = _decreasing_floor_schedule()
+    above = stationary_distribution(probe.matrix_at(t_star)).min_prob()
+    below = stationary_distribution(probe.matrix_at(t_star + 1)).min_prob()
+    assert above - below > 1e-7
+    c_pi = 0.5 * (above + below) + schedules._CERT_FUZZ
+    with pytest.raises(DriftCertificateError) as err:
+        verify_drift(_decreasing_floor_schedule(c_pi), t_max=12_000)
+    violation, = err.value.report.violations
+    assert violation.bound == "pi floor c_pi"
+    assert violation.t == t_star + 1
+    assert violation.observed == below
+
+
+def _per_t_report(s, t_max):
+    """The certificate scan as a straight loop over t, one matrix at a time."""
+    params = s.params
+    drift_max, drift_t, rho_max, rho_t, pi_min, pi_t = 0.0, 1, 0.0, 1, math.inf, 1
+    first = {}
+    prev = s.matrix_at(1)
+    for t in range(1, t_max + 1):
+        rho = ergodicity_coefficient(prev)
+        if rho > rho_max:
+            rho_max, rho_t = rho, t
+        if rho > s.rho_cap + 1e-12:
+            first.setdefault("rho_cap", (t, rho, s.rho_cap))
+        floor = stationary_distribution(prev).min_prob()
+        scaled = floor * t ** params.gamma_pi
+        if scaled < pi_min:
+            pi_min, pi_t = scaled, t
+        if scaled < params.c_pi - 1e-9:
+            first.setdefault("pi floor c_pi", (t, floor, params.pi_floor(t)))
+        if t < t_max:
+            nxt = s.matrix_at(t + 1)
+            drift = matrix_tv_distance(nxt, prev)
+            if params.gamma_p == GAMMA_INF:
+                scaled = 0.0 if drift <= 1e-15 else math.inf
+            else:
+                scaled = drift * t ** params.gamma_p
+            if scaled > drift_max:
+                drift_max, drift_t = scaled, t
+            if scaled > params.c_p + 1e-9:
+                first.setdefault("drift c_p", (t, drift, params.drift_bound(t)))
+            prev = nxt
+    violations = [schedules.CertificateViolation(name, *first[name])
+                  for name in ("drift c_p", "pi floor c_pi", "rho_cap") if name in first]
+    return schedules.DriftReport(t_max, drift_max, drift_t, pi_min, pi_t, rho_max, rho_t,
+                                 t_max, violations)
+
+
+def _scan_cases():
+    inner = InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0))
+    cyclic = CyclicSchedule([A, B, FLAT], DriftParams(0.05, 0.7, 0.1, 0.0))
+    # declared constants that the scan must refute, each at its own t
+    refuted = CyclicSchedule([A, B], DriftParams(0.05, 0.3, 0.2, 0.0))
+    refuted.params = DriftParams(0.04, 0.3, 0.3, 0.0)
+    refuted.rho_cap = 0.65
+    return [ConstantSchedule(A), inner, cyclic,
+            ShrinkingStateSchedule(DriftParams(0.2, 1.5, 0.2, 0.5)),
+            RestartWrappedSchedule(cyclic, 0.5, 0.8, 1), refuted]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_verify_drift_report_equals_per_t_loop(case):
+    sched = _scan_cases()[case]
+    t_max = schedules._CHUNK + 300  # crosses a block edge
+    expected = _per_t_report(sched, t_max)
+    try:
+        report = verify_drift(sched, t_max)
+    except DriftCertificateError as exc:
+        report = exc.report
+    assert report == expected
+    assert report.ok == (case != 5)
+
+
+class _Switch(schedules.Schedule):
+    """A for t <= t_switch, B after; declared constant, so the jump must be caught."""
+
+    kind = "switch"
+
+    def __init__(self, t_switch):
+        super().__init__(2, DriftParams(1.0, GAMMA_INF, 0.25, 0.0), 0.7)
+        self.t_switch = t_switch
+
+    def _block(self, t_lo, t_hi):
+        ts = np.arange(t_lo, t_hi)[:, None, None]
+        return np.where(ts <= self.t_switch, A.rows, B.rows)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_verify_drift_catches_jump_at_block_edge(offset):
+    sched = _Switch(schedules._CHUNK + offset)
+    with pytest.raises(DriftCertificateError) as err:
+        verify_drift(sched, schedules._CHUNK + 10)
+    violation, = err.value.report.violations
+    assert (violation.bound, violation.t) == ("drift c_p", sched.t_switch)
+    assert err.value.report == _per_t_report(sched, schedules._CHUNK + 10)
+
+
+# ------------------------------------------------------------ block equivalence
+
+_ARC = {}
+
+
+def _arc(c_p, gamma_p, k):
+    """S_k = sum_{u<=k} c_p/u**gamma_p, accumulated one step at a time."""
+    prefix = _ARC.setdefault((c_p, gamma_p), [0.0])
+    while len(prefix) <= k:
+        u = len(prefix)
+        prefix.append(prefix[-1] + c_p / u ** gamma_p)
+    return prefix[k]
+
+
+def _matrix_formula(s, t):
+    """Each family's P^(t), written out per t with Python scalars."""
+    if s.kind == "constant":
+        return s.p.rows
+    if s.kind == "interpolation":
+        c_p, gamma_p = s.params.c_p, s.params.gamma_p
+        if s.segment_length == 0.0 or gamma_p == GAMMA_INF:
+            return s.p_start.rows
+        w = min(1.0, _arc(c_p, gamma_p, t - 1) / s.segment_length)
+        if w == 0.0:
+            return s.p_start.rows
+        if w == 1.0:
+            return s.p_end.rows
+        return (1.0 - w) * s.p_start.rows + w * s.p_end.rows
+    if s.kind == "cyclic":
+        segs = [(m.rows, nxt.rows, matrix_tv_distance(m, nxt))
+                for m, nxt in zip(s.mats, s.mats[1:] + s.mats[:1])]
+        segs = [seg for seg in segs if seg[2] > 0.0]
+        offsets = np.concatenate([[0.0], np.cumsum([seg[2] for seg in segs])])
+        pos = math.fmod(_arc(s.params.c_p, s.params.gamma_p, t - 1), float(offsets[-1]))
+        j = min(int(np.searchsorted(offsets, pos, side="right")) - 1, len(segs) - 1)
+        a, b, length = segs[j]
+        w = min(max((pos - offsets[j]) / length, 0.0), 1.0)
+        return (1.0 - w) * a + w * b
+    if s.kind == "shrinking-state":
+        m = s.params.c_pi / t ** s.params.gamma_pi
+        h = m / (1.0 - m)
+        return np.array([[0.5, 0.5, 0.0], [0.5, 0.5 - h, h], [0.0, 0.5, 0.5]])
+    ratio = s.beta / s.beta_hat
+    rows = ratio * _matrix_formula(s.inner, t).copy()
+    rows[:, s.x_restart] += 1.0 - ratio
+    return rows
+
+
+@st.composite
+def _families(draw):
+    gamma = draw(st.sampled_from([0.3, 0.7, 1.5]))
+    c_p = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    kind = draw(st.sampled_from(["constant", "interpolation", "cyclic",
+                                 "shrinking-state", "restart-wrapped"]))
+    if kind == "constant":
+        return ConstantSchedule(A)
+    if kind == "shrinking-state":
+        return ShrinkingStateSchedule(DriftParams(0.5, gamma + 1.0, 0.2, gamma))
+    cyclic_gamma = gamma if gamma < 1 else 0.7
+    walk = draw(st.sampled_from([
+        InterpolationSchedule(A, FLAT, DriftParams(c_p, gamma, 0.2, 0.0)),
+        CyclicSchedule([A, B, FLAT], DriftParams(c_p, cyclic_gamma, 0.1, 0.0))]))
+    if kind == "restart-wrapped":
+        return RestartWrappedSchedule(walk, 0.5, 0.8, draw(st.sampled_from([0, 1])))
+    if kind == walk.kind:
+        return walk
+    return InterpolationSchedule(A, B, DriftParams(c_p, gamma, 0.2, 0.0)) \
+        if kind == "interpolation" else \
+        CyclicSchedule([A, B], DriftParams(c_p, cyclic_gamma, 0.2, 0.0))
+
+
+_EDGE = schedules._CHUNK
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=_families(),
+       warm=st.integers(1, 3 * _EDGE),
+       t_lo=st.one_of(st.integers(1, 4 * _EDGE),
+                      st.integers(1, 3).map(lambda k: k * _EDGE)
+                      .flatmap(lambda e: st.integers(e - 5, e + 1))),
+       length=st.integers(1, 300))
+def test_block_equals_per_t_formula(sched, warm, t_lo, length):
+    sched.block(warm, warm + 1)  # grow any cached arc prefix from elsewhere first
+    block = sched.block(t_lo, t_lo + length)
+    assert block.shape == (length, sched.n, sched.n) and block.dtype == np.float64
+    for i, t in enumerate(range(t_lo, t_lo + length)):
+        assert block[i].tobytes() == np.asarray(_matrix_formula(sched, t), float).tobytes(), t
+
+
+def test_block_arc_crosses_chunk_edges_sequentially():
+    # one long block and piecewise blocks give the same bits on both sides of edges
+    sched = CyclicSchedule([A, B], DriftParams(0.05, 0.3, 0.2, 0.0))
+    whole = CyclicSchedule([A, B], DriftParams(0.05, 0.3, 0.2, 0.0)).block(1, 3 * _EDGE + 7)
+    pieces = np.concatenate([blk for _, blk in sched.blocks(1, 3 * _EDGE + 7)])
+    assert whole.tobytes() == pieces.tobytes()
+    assert sched.cycle_length < _arc(0.05, 0.3, 3 * _EDGE)  # the walk wrapped
+
+
+def test_restart_probe_floor_matches_per_t_solves():
+    inner = InterpolationSchedule(A, B, DriftParams(0.05, 0.7, 0.25, 0.3))
+    sched = RestartWrappedSchedule(inner, 0.5, 0.8, 0, probe_horizon=64)
+    floor = min(stationary_distribution(restart_wrap(inner.matrix_at(t), 0.5, 0.8, 0))
+                .min_prob() * t ** 0.3 for t in range(1, 65))
+    assert sched.params.c_pi == 0.999 * floor
+
+
+def test_block_rejects_empty_and_nonpositive_ranges():
     sched = ConstantSchedule(A)
-    report = verify_drift(sched, t_max=3000, pi_dense_limit=100)
-    assert report.pi_checkpoints_coarsened
-    assert report.pi_checkpoint_count < 3000
+    with pytest.raises(ValueError, match="starts at 1"):
+        sched.block(0, 5)
+    with pytest.raises(ValueError, match="non-empty"):
+        sched.block(5, 5)
 
 
 # ----------------------------------------------------------------- json specs
