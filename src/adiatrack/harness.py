@@ -169,19 +169,17 @@ def _exponent_triple(config: ExperimentConfig) -> bounds.ExponentTriple:
 def _run_traces(config: ExperimentConfig):
     schedule, spec, rate, noise = config.build()
     schedules.verify_drift(schedule, t_max=config.t_max)
-    cache = {}
-    mats = learners.materialize(schedule, config.t_max)
+    shared = learners.materialize(schedule, config.t_max)
     traces = []
     for seed in config.seeds:
         if config.learner == "td0":
             trace = learners.td0_track(schedule, spec, rate, noise, config.t_max,
                                        seed, config.checkpoints, x0=config.x0,
-                                       fixed_point_cache=cache, materialized=mats)
+                                       materialized=shared)
         else:
             trace = learners.q_track(schedule, spec, config.n_actions, rate, noise,
                                      config.t_max, seed, config.checkpoints,
-                                     x0=config.x0, fixed_point_cache=cache,
-                                     materialized=mats)
+                                     x0=config.x0, materialized=shared)
         traces.append(trace)
     return schedule, spec, traces
 

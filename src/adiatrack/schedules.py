@@ -422,6 +422,16 @@ class DriftCertificateError(ValueError):
 
 
 _CERT_FUZZ = 1e-9
+# Rounding bound of one measured drift step, in TV, per state.  The scan
+# measures stored float64 matrices, whose step can exceed the exact
+# schedule's by rounding alone: each stored entry (in [0, 1]) comes from its
+# exact formula by a few operations, each off by at most eps/2.  For the
+# blend that is at most 1.5 eps per entry of each matrix (1.5 n eps on the
+# row TV), plus 1.5 eps for the weight increment and n eps for the step's
+# own subtractions and sum: under 4 n eps.  t**gamma_p magnifies it (1.3e-16
+# becomes 1.1e-9 at gamma_p = 2, t = 2917), so it is allowed on the step
+# before scaling, not folded into _CERT_FUZZ.
+_STEP_ROUNDING = 4 * np.finfo(float).eps
 
 
 class _Bound:
@@ -448,8 +458,10 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
       * t**gamma_p * ||P^(t+1) - P^(t)||  <=  c_p   (t < t_max; zero drift when gamma_p=inf)
       * t**gamma_pi * pi^(t)_min          >=  c_pi
       * rho(P^(t))                        <=  rho_cap
-    The scan walks the schedule in fixed-size blocks, steps across block
-    edges included, and solves for the stationary vector at every t.
+    A drift step may exceed c_p/t**gamma_p by the rounding of the stored
+    matrices (_STEP_ROUNDING per state) and no more.  The scan walks the
+    schedule in fixed-size blocks, steps across block edges included, and
+    solves for the stationary vector at every t.
     Raises DriftCertificateError naming the first offending t per bound.
     """
     if t_max < 2:
@@ -463,9 +475,14 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
         walk = block if prev is None else np.concatenate([prev, block])
         prev, d_lo = block[-1:], lo + len(block) - len(walk)  # d_lo: t of walk[0]
         step = 0.5 * np.abs(walk[1:] - walk[:-1]).sum(axis=2).max(axis=1)
-        scaled = (np.where(step <= 1e-15, 0.0, math.inf) if params.gamma_p == GAMMA_INF
-                  else step * _powers(d_lo, d_lo + step.size, params.gamma_p))
-        drift.update(d_lo, scaled, step, scaled > params.c_p + _CERT_FUZZ)
+        if params.gamma_p == GAMMA_INF:
+            scaled = np.where(step <= 1e-15, 0.0, math.inf)
+            bad = scaled > params.c_p + _CERT_FUZZ
+        else:
+            powers = _powers(d_lo, d_lo + step.size, params.gamma_p)
+            scaled = step * powers
+            bad = (step - _STEP_ROUNDING * s.n) * powers > params.c_p + _CERT_FUZZ
+        drift.update(d_lo, scaled, step, bad)
         rhos = chains.ergodicity_coefficients(block)
         rho.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
         pi_min = chains.stationary_stack(block).min(axis=1)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from adiatrack import chains, verify
+from adiatrack import chains, harness, learners, verify
 from adiatrack.cli import main as cli_main
 from adiatrack.harness import (
     SPEC_VERSION,
@@ -104,6 +104,33 @@ def test_summary_carries_regime_and_bound(tmp_path):
                                             "total", "tau", "regime",
                                             "same_rate_as_static"}
     assert summary["bound_report"]["ada3"] == 0.0  # static chain sentinel
+
+
+Q_PRODUCT = [[0.45, 0.45, 0.05, 0.05], [0.1, 0.1, 0.4, 0.4],
+             [0.35, 0.35, 0.15, 0.15], [0.2, 0.2, 0.3, 0.3]]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"schedule": {"kind": "interpolation", "n": 2,
+                  "params": {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0},
+                  "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.1, 0.9], [0.8, 0.2]]},
+     "noise": {"kind": "uniform-iid", "eps_max": 0.2}, "x0": 1},
+    {"schedule": {"kind": "constant", "n": 4, "p": Q_PRODUCT},
+     "reward": {"r": [1.0, 0.0, 0.5, 0.25], "beta": 0.5}, "learner": "q", "n_actions": 2},
+])
+def test_shared_materialization_equals_per_seed_runs(overrides):
+    config = make_config(t_max=2100, **overrides)
+    schedule, spec, traces = harness._run_traces(config)
+    _, _, rate, noise = config.build()
+    for seed, trace in zip(config.seeds, traces):
+        if config.learner == "td0":
+            alone = learners.td0_track(schedule, spec, rate, noise, config.t_max, seed,
+                                       config.checkpoints, x0=config.x0)
+        else:
+            alone = learners.q_track(schedule, spec, config.n_actions, rate, noise,
+                                     config.t_max, seed, config.checkpoints, x0=config.x0)
+        assert (trace.rows, trace.max_abs_value, trace.seed, trace.config) == \
+            (alone.rows, alone.max_abs_value, alone.seed, alone.config)
 
 
 # ---------------------------------------------------------------------- slope

@@ -1,19 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adiatrack.chains import TransitionMatrix, simulate
-from adiatrack.dp import RewardSpec, exact_reward
+from adiatrack.chains import (
+    TransitionMatrix,
+    matrix_tv_distance,
+    path_rng,
+    sample_from_row,
+    simulate,
+    stationary_distribution,
+)
+from adiatrack.dp import RewardSpec, exact_q, exact_reward
 from adiatrack.learners import (
     LearningRate,
     NoiseModel,
     TrackingTrace,
     TraceRow,
     check_boundedness,
+    materialize,
     q_track,
     sa_step,
     td0_track,
 )
-from adiatrack.schedules import ConstantSchedule, DriftParams, InterpolationSchedule
+from adiatrack.schedules import (
+    ConstantSchedule,
+    CyclicSchedule,
+    DriftParams,
+    InterpolationSchedule,
+)
 
 A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
 B = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
@@ -220,6 +235,118 @@ def test_q_track_follows_drifting_product_schedule():
     star = exact_q(sched.matrix_at(3000), spec, 2)
     assert np.isfinite(star).all()
     assert trace.rows[-1].drift_t > 0.0  # schedule still moving at T
+
+
+# ------------------------------------------------ kernel vs a per-step loop
+
+def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0,
+                    table_init):
+    """The tracking recursion as a straight numpy loop, one step at a time.
+
+    n_actions None is TD(0); otherwise Q-learning with the max over the next
+    state's action block.  Returns (rows, max_abs_value).
+    """
+    n = schedule.n
+    cums = np.cumsum(schedule.block(1, t_max + 1), axis=2)
+    uniforms = path_rng(seed).random(t_max)
+    eps = noise.draws(t_max, seed)
+    table = np.zeros(n) if table_init is None else np.array(table_init, dtype=float)
+    max_abs = float(np.abs(table).max())
+    x, rows = x0, []
+    for t in range(1, t_max + 1):
+        xn = sample_from_row(cums[t - 1, x], uniforms[t - 1])
+        if n_actions is None:
+            boot = table[xn]
+        else:
+            sp = xn // n_actions
+            boot = table[sp * n_actions:(sp + 1) * n_actions].max()
+        alpha_t = rate.alpha(t)
+        table[x] = table[x] + alpha_t * (spec.r[x] + spec.beta * boot - table[x]
+                                         + (0.0 if eps is None else eps[t - 1]))
+        max_abs = max(max_abs, abs(table[x]))
+        x = xn
+        if t in cps:
+            mat, nxt = schedule.matrix_at(t), schedule.matrix_at(t + 1)
+            target = (exact_reward(mat, spec) if n_actions is None
+                      else exact_q(mat, spec, n_actions))
+            rows.append(TraceRow(t, float(np.abs(table - target).max()), alpha_t,
+                                 stationary_distribution(mat).min_prob(),
+                                 matrix_tv_distance(nxt, mat)))
+    return rows, max_abs
+
+
+@st.composite
+def _kernel_cases(draw):
+    n_actions = draw(st.sampled_from([None, 1, 2, 3]))
+    n = draw(st.integers(2, 3)) * (n_actions or 1)
+    kind = draw(st.sampled_from(["constant", "interpolation", "cyclic"]))
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=3 * n * n,
+                                 max_size=3 * n * n))).reshape(3, n, n)
+    mats = [TransitionMatrix(m / m.sum(axis=1, keepdims=True)) for m in raw]
+    if kind == "constant":
+        sched = ConstantSchedule(mats[0])
+    elif kind == "interpolation":
+        sched = InterpolationSchedule(mats[0], mats[1], DriftParams(0.05, 0.8, 0.01, 0.0))
+    else:
+        sched = CyclicSchedule(mats, DriftParams(0.05, 0.5, 0.01, 0.0))
+    spec = RewardSpec(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+                      draw(st.sampled_from([0.5, 0.9])))
+    noise = draw(st.sampled_from([ZERO_NOISE, NoiseModel("uniform-iid", 0.3)]))
+    t_max = draw(st.integers(2049, 2300))  # past the 2048-matrix block edge
+    cps = sorted(set(draw(st.lists(st.integers(1, t_max), min_size=1, max_size=6)))
+                 | {2048, 2049, t_max})
+    x0 = draw(st.integers(0, n - 1))
+    table_init = draw(st.none() | st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    return sched, spec, n_actions, noise, t_max, draw(st.integers(0, 2**31)), cps, x0, \
+        table_init
+
+
+@settings(max_examples=25, deadline=None)
+@given(_kernel_cases())
+def test_kernel_equals_per_step_numpy_loop(case):
+    sched, spec, n_actions, noise, t_max, seed, cps, x0, table_init = case
+    kwargs = dict(t_max=t_max, seed=seed, checkpoint_grid=cps, x0=x0,
+                  table_init=table_init)
+    trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions is None
+             else q_track(sched, spec, n_actions, RATE, noise, **kwargs))
+    rows, max_abs = _per_step_track(sched, spec, n_actions, RATE, noise, t_max, seed,
+                                    set(cps), x0, table_init)
+    assert trace.rows == rows  # every TraceRow field, bit for bit
+    assert trace.max_abs_value == max_abs
+
+
+def test_materialized_caches_are_kept_per_spec_learner_and_rate():
+    sched = InterpolationSchedule(_product_chain(), TransitionMatrix(np.full((4, 4), 0.25)),
+                                  DriftParams(0.02, 1.0, 0.05, 0.0))
+    spec_lo = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
+    spec_hi = spec_lo.with_beta(0.9)
+    cps = [10, 100, 400]
+    shared = materialize(sched, 400)
+    runs = [lambda **kw: td0_track(sched, spec_lo, RATE, ZERO_NOISE, 400, 3, cps, **kw),
+            lambda **kw: td0_track(sched, spec_hi, RATE, ZERO_NOISE, 400, 3, cps, **kw),
+            lambda **kw: q_track(sched, spec_lo, 2, RATE, ZERO_NOISE, 400, 3, cps, **kw),
+            lambda **kw: q_track(sched, spec_lo, 1, RATE, ZERO_NOISE, 400, 3, cps, **kw),
+            lambda **kw: td0_track(sched, spec_lo, LearningRate(0.5, 0.8), ZERO_NOISE, 400, 3,
+                                   cps, **kw)]
+    for run in runs + runs[::-1]:  # each order fills the shared cache differently
+        assert run(materialized=shared).rows == run().rows
+    for t in cps:
+        mat = sched.matrix_at(t)
+        for spec, n_actions, want in ((spec_lo, None, exact_reward(mat, spec_lo)),
+                                      (spec_hi, None, exact_reward(mat, spec_hi)),
+                                      (spec_lo, 2, exact_q(mat, spec_lo, 2)),
+                                      (spec_lo, 1, exact_q(mat, spec_lo, 1))):
+            np.testing.assert_array_equal(shared.diagnostics(t, spec, n_actions)[0], want)
+
+
+def test_materialized_walk_must_match_schedule_and_horizon():
+    sched = ConstantSchedule(A)
+    with pytest.raises(ValueError, match="another schedule"):
+        td0_track(sched, SPEC, RATE, ZERO_NOISE, 100, 0, [100],
+                  materialized=materialize(ConstantSchedule(A), 100))
+    with pytest.raises(ValueError, match="shorter horizon"):
+        td0_track(sched, SPEC, RATE, ZERO_NOISE, 100, 0, [100],
+                  materialized=materialize(sched, 99))
 
 
 # --------------------------------------------------------------- boundedness

@@ -348,6 +348,38 @@ def test_verify_drift_catches_jump_at_block_edge(offset):
     assert err.value.report == _per_t_report(sched, schedules._CHUNK + 10)
 
 
+def test_verify_drift_certifies_gamma_p_two_past_rounding_excess():
+    # the stored walk's step at t = 2917 exceeds c_p/t**2 by ~1.3e-16 TV, pure
+    # rounding, which t**2 alone would blow past the 1e-9 fuzz
+    sched = InterpolationSchedule(A, B, DriftParams(0.05, 2.0, 0.25, 0.0))
+    report = verify_drift(sched, 5000)
+    assert report.ok
+    assert report.max_scaled_drift > 0.05 + 1e-9  # the excess is measured, not hidden
+
+
+class _Kicked(InterpolationSchedule):
+    """The gamma_p = 2 walk whose step at t_kick is longer by `kick` in TV."""
+
+    def __init__(self, t_kick, kick):
+        super().__init__(A, B, DriftParams(0.05, 2.0, 0.25, 0.0))
+        self.t_kick, self.kick = t_kick, kick
+
+    def _block(self, t_lo, t_hi):
+        mats = super()._block(t_lo, t_hi)
+        ts = np.arange(t_lo, t_hi)[:, None, None]
+        return np.where(ts > self.t_kick,
+                        mats + self.kick / self.segment_length * (B.rows - A.rows), mats)
+
+
+def test_verify_drift_rejects_true_excess_of_1e12_at_gamma_p_two():
+    sched = _Kicked(3000, 1e-12)
+    with pytest.raises(DriftCertificateError) as err:
+        verify_drift(sched, 5000)
+    violation, = err.value.report.violations
+    assert (violation.bound, violation.t) == ("drift c_p", 3000)
+    assert violation.observed > violation.allowed + 0.9e-12
+
+
 # ------------------------------------------------------------ block equivalence
 
 _ARC = {}
