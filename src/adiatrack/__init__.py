@@ -37,7 +37,6 @@ from .learners import (
     TrackingTrace,
     check_boundedness,
     q_track,
-    sa_step,
     td0_track,
 )
 from .bounds import (

@@ -12,14 +12,13 @@ Conventions shared by every evaluator here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import chains
 from .dp import CheckResult
-
-GAMMA_INF = math.inf
+from .schedules import GAMMA_INF
 
 __all__ = [
     "ExponentTriple",
@@ -142,10 +141,10 @@ def stationarity_gap_bound(phi, rho: float, t_horizon: int, init_gap: float) -> 
 class Thm2Constants:
     """Constants entering the four-term tracking bound.
 
-    The d_* constants are not pinned by the theory (they absorb
-    c_alpha/c_pi/c_p dependences); they default to 1 and only rate
-    exponents are ever asserted on.  r_max_eff plays the value-scale
-    R_max = r_max/(1-beta); k is the fixed-point Lipschitz constant.
+    r_max_eff plays the value scale R_max = r_max/(1-beta); k is the
+    fixed-point Lipschitz constant.  The d_* constants absorb the theory's
+    unpinned dependences on the rate, floor and drift constants; they
+    default to 1 and only rate exponents are ever asserted on.
     """
 
     r_max_eff: float
@@ -155,9 +154,6 @@ class Thm2Constants:
     d_b: float = 1.0
     d_b_prime: float = 1.0
     k: float = 1.0
-    c_alpha: float = 0.5
-    c_pi: float = 0.5
-    c_p: float = 1.0
     delta: float = 0.05
     tau_coeff: float = 4.0
 
@@ -169,14 +165,14 @@ class Thm2Constants:
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
 
-    def to_spec(self) -> dict:
-        return {"r_max_eff": self.r_max_eff, "rho": self.rho, "beta": self.beta,
-                "d_a": self.d_a, "d_b": self.d_b, "d_b_prime": self.d_b_prime,
-                "k": self.k, "c_alpha": self.c_alpha, "c_pi": self.c_pi,
-                "c_p": self.c_p, "delta": self.delta, "tau_coeff": self.tau_coeff}
-
     @staticmethod
     def from_spec(doc: dict) -> "Thm2Constants":
+        unknown = sorted(set(doc) - {f.name for f in fields(Thm2Constants)})
+        missing = [f.name for f in fields(Thm2Constants)
+                   if f.default is MISSING and f.name not in doc]
+        if unknown or missing:
+            raise ValueError(f"bound constants: unknown keys {unknown}, "
+                             f"missing keys {missing}")
         return Thm2Constants(**{k: float(v) for k, v in doc.items()})
 
 
@@ -428,8 +424,7 @@ def noise_envelope_coverage(alpha, pi, eps_max: float, delta: float, tau: int,
     if alpha.size != t_max or pi.size != t_max:
         raise ValueError("alpha and pi must have length t_max")
     envelope = noise_envelope(alpha, pi, eps_max, delta, tau, t_max)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 2])))
-    eps = rng.uniform(-eps_max, eps_max, size=(n_reps, t_max))
+    eps = chains.stream(seed, 2).uniform(-eps_max, eps_max, size=(n_reps, t_max))
     damp = 1.0 - alpha * pi
     e_run = np.zeros(n_reps)
     violated = np.zeros(n_reps, dtype=bool)

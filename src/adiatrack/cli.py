@@ -17,7 +17,7 @@ import sys
 
 from . import bounds, verify
 from .harness import SPEC_VERSION, ExperimentConfig, run_sweep, run_tracking
-from .schedules import DriftCertificateError
+from .schedules import GAMMA_INF, DriftCertificateError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -74,7 +74,11 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = run_sweep(grid, config, args.out)
+    try:
+        rows = run_sweep(grid, config, args.out)
+    except DriftCertificateError as exc:
+        print(f"schedule certificate failed, no simulation run: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps({"spec_version": SPEC_VERSION, "cells": rows}, sort_keys=True))
     return EXIT_OK
 
@@ -87,7 +91,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     try:
-        gamma_p = bounds.GAMMA_INF if args.gamma_p == "inf" else float(args.gamma_p)
+        gamma_p = GAMMA_INF if args.gamma_p == "inf" else float(args.gamma_p)
         exps = bounds.ExponentTriple(gamma_p, args.gamma_alpha, args.gamma_pi)
         if args.constants:
             with open(args.constants) as fh:

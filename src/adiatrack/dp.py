@@ -12,6 +12,7 @@ object.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +117,13 @@ def bellman_f(p: TransitionMatrix, spec: RewardSpec, r_in: np.ndarray) -> np.nda
     return spec.r + spec.beta * (p.rows @ r_in)
 
 
+@functools.lru_cache(maxsize=64)  # value iteration asks once per sweep
 def _state_of_product(nsa: int, n_actions: int) -> np.ndarray:
     if nsa % n_actions != 0:
         raise ValueError(f"product-space size {nsa} not divisible by n_actions={n_actions}")
-    return np.arange(nsa) // n_actions
+    s_of = np.arange(nsa) // n_actions
+    s_of.flags.writeable = False
+    return s_of
 
 
 def bellman_g(p: TransitionMatrix, spec: RewardSpec, q_in: np.ndarray,

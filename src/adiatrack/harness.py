@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -88,10 +88,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        extra = set(doc) - known
+        extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
+        missing = [f.name for f in fields(ExperimentConfig) if f.name not in doc
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         return ExperimentConfig(**doc)
 
     @staticmethod
@@ -151,15 +154,13 @@ def fit_slope(ts, values, t_lo, t_hi) -> SlopeEstimate | None:
 def default_bound_constants(spec: RewardSpec, schedule) -> bounds.Thm2Constants:
     """Constants-of-1 bound inputs with the scales the run actually has."""
     rho = min(max(schedule.rho_cap, 1e-6), 1.0 - 1e-6)
-    return bounds.Thm2Constants(
-        r_max_eff=spec.value_cap, rho=rho, beta=spec.beta,
-        c_alpha=0.5, c_pi=schedule.params.c_pi, c_p=schedule.params.c_p)
+    return bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
 
 
 def _exponent_triple(config: ExperimentConfig) -> bounds.ExponentTriple:
     params = schedules.DriftParams.from_spec(config.schedule["params"]) \
         if "params" in config.schedule else None
-    gamma_p = params.gamma_p if params else bounds.GAMMA_INF
+    gamma_p = params.gamma_p if params else schedules.GAMMA_INF
     gamma_pi = params.gamma_pi if params else 0.0
     return bounds.ExponentTriple(gamma_p=gamma_p,
                                  gamma_alpha=float(config.rate["gamma_alpha"]),
@@ -243,7 +244,7 @@ def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict
     params = dict(base_schedule["params"])
     if gamma_pi == 0.0:
         params["gamma_pi"] = 0.0
-        if gamma_p == bounds.GAMMA_INF:
+        if gamma_p == schedules.GAMMA_INF:
             return {"kind": "constant", "n": base_schedule["n"],
                     "params": {**params, "gamma_p": "inf"}, "p": anchors[0]}
         params["gamma_p"] = gamma_p
@@ -269,7 +270,7 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     Cells are independent; the merged table is sorted by cell key.
     """
     os.makedirs(out_dir, exist_ok=True)
-    gps = [bounds.GAMMA_INF if g == "inf" else float(g) for g in grid["gamma_p"]]
+    gps = [schedules.GAMMA_INF if g == "inf" else float(g) for g in grid["gamma_p"]]
     gas = [float(g) for g in grid["gamma_alpha"]]
     gpis = [float(g) for g in grid.get("gamma_pi", [0.0])]
     rows = []
@@ -277,9 +278,9 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
         for ga in gas:
             for gpi in gpis:
                 # comma-free key: the merged table stays plain CSV
-                key = f"gp={'inf' if gp == bounds.GAMMA_INF else gp}|ga={ga}|gpi={gpi}"
+                key = f"gp={'inf' if gp == schedules.GAMMA_INF else gp}|ga={ga}|gpi={gpi}"
                 row = {"cell": key,
-                       "gamma_p": "inf" if gp == bounds.GAMMA_INF else gp,
+                       "gamma_p": "inf" if gp == schedules.GAMMA_INF else gp,
                        "gamma_alpha": ga, "gamma_pi": gpi}
                 try:
                     exps = bounds.ExponentTriple(gp, ga, gpi)

@@ -1,8 +1,11 @@
 """Asynchronous stochastic-approximation tracking: TD(0) and Q-learning.
 
-One table component updates per step, chosen by the sampled inhomogeneous
-chain; tracking error is the sup-norm distance to the exact fixed point of
-the *current* schedule matrix, solved on demand at checkpoints.
+One table component updates per step, the current state x of the sampled
+inhomogeneous chain: table[x] += alpha_t (r[x] + beta boot - table[x] + eps_t),
+with boot the next state's entry (TD(0)) or the max over its action block
+(Q-learning); every other component is left bit-identical.  Tracking error
+is the sup-norm distance to the exact fixed point of the *current* schedule
+matrix, solved on demand at checkpoints.
 
 Kernel: materialize walks the schedule once per batch; each seed then runs
 a step loop on Python floats only (the row cumsums as one flat list, the
@@ -19,12 +22,12 @@ cell and ahead only from about 20 seeds on, while the Python-float loop
 wins at every seed count.
 
 Determinism contract: a run is a pure function of (schedule, specs, seed).
-The path stream is the same one chains.simulate would use for that seed,
-sampled by the same inverse-CDF loop as chains.sample_from_row; explicit
-noise draws come from a second stream derived from the same seed, so
-zero-noise runs reproduce the bare simulated path exactly.  Batch seeds
-derive as base_seed + index.  Whether a batch shares one materialize walk
-changes no output bit.
+The path uniforms are chains.stream(seed, 0), the stream chains.simulate
+uses, sampled by the same inverse-CDF loop as chains.sample_from_row;
+explicit noise draws are chains.stream(seed, 1), so zero-noise runs
+reproduce the bare simulated path exactly.  Batch seeds derive as
+base_seed + index.  Whether a batch shares one materialize walk changes no
+output bit.
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ __all__ = [
     "NoiseModel",
     "TraceRow",
     "TrackingTrace",
-    "sa_step",
     "td0_track",
     "q_track",
     "check_boundedness",
-    "noise_rng",
 ]
 
 
@@ -96,7 +97,7 @@ class NoiseModel:
     def draws(self, t_max: int, seed: int) -> np.ndarray | None:
         if self.kind == "zero":
             return None
-        return noise_rng(seed).uniform(-self.eps_max, self.eps_max, t_max)
+        return chains.stream(seed, 1).uniform(-self.eps_max, self.eps_max, t_max)
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "eps_max": self.eps_max}
@@ -104,11 +105,6 @@ class NoiseModel:
     @staticmethod
     def from_spec(doc: dict) -> "NoiseModel":
         return NoiseModel(str(doc["kind"]), float(doc.get("eps_max", 0.0)))
-
-
-def noise_rng(seed: int) -> np.random.Generator:
-    """Noise stream for a run; independent of the path stream for the same seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 1])))
 
 
 @dataclass(frozen=True)
@@ -156,21 +152,6 @@ class TrackingTrace:
             for row in self.rows:
                 writer.writerow([row.t, repr(row.sup_error), repr(row.alpha_t),
                                  repr(row.pi_min_t), repr(row.drift_t)])
-
-
-def sa_step(r_cur: np.ndarray, x_cur: int, f_value: float, alpha_t: float,
-            eps_t: float = 0.0) -> np.ndarray:
-    """One asynchronous update: component x_cur moves toward the operator value.
-
-    new[x] = old[x] + alpha_t * (f_value - old[x] + eps_t); every other
-    component is returned bit-identical.  alpha_t = 0 is allowed for test
-    degenerates, otherwise rates live in (0, 1).
-    """
-    if not 0.0 <= alpha_t < 1.0:
-        raise ValueError(f"alpha_t {alpha_t} outside [0, 1)")
-    out = np.array(r_cur, dtype=float)
-    out[x_cur] = out[x_cur] + alpha_t * (f_value - out[x_cur] + eps_t)
-    return out
 
 
 class Materialized:
@@ -238,7 +219,7 @@ def _track(schedule, spec, rate, noise, t_max, seed, checkpoint_grid, x0,
     vmax = table if na == 1 else [max(table[s:s + na]) for s in range(0, n, na)]
     x, rows, n1, cp, draws = x0, [], n - 1, next(cp_iter), noise.draws(t_max, seed)
     for t, u, eps, alpha_t in zip(range(1, t_max + 1),
-                                  chains.path_rng(seed).random(t_max).tolist(),
+                                  chains.stream(seed, 0).random(t_max).tolist(),
                                   [0.0] * t_max if draws is None else draws.tolist(),
                                   m.step_sizes(rate)):
         row = i = (t * n + x) * n  # chains.sample_from_row on the flat cumsums

@@ -82,6 +82,8 @@ class DriftParams:
 
 
 _CHUNK = 2048  # matrices per block in chunked scans
+_SHRINK_DRIFT_CHECK = 10_000  # steps of the shrinking family's construction drift scan
+_RESTART_PROBE = 64  # matrices a restart-wrapped schedule probes for its default c_pi
 
 
 def _powers(t_lo: int, t_hi: int, gamma: float) -> np.ndarray:
@@ -283,13 +285,14 @@ class ShrinkingStateSchedule(Schedule):
 
     Only the middle row moves, so the per-step drift is exactly
     h_t - h_{t+1}; construction scans it against the declared c_p/t^gamma_p
-    and refuses parameter combinations that violate it.  The ergodicity
-    coefficient is exactly 1/2 for all t (h <= 1/2 when c_pi <= 1/3).
+    and refuses parameter combinations that violate it (up to
+    _SHRINK_DRIFT_CHECK steps).  The ergodicity coefficient is exactly 1/2
+    for all t (h <= 1/2 when c_pi <= 1/3).
     """
 
     kind = "shrinking-state"
 
-    def __init__(self, params: DriftParams, drift_check_horizon: int = 10_000):
+    def __init__(self, params: DriftParams):
         if not params.gamma_pi > 0:
             raise ValueError("shrinking-state family needs gamma_pi > 0")
         if not 0 < params.c_pi <= 1.0 / 3.0:
@@ -297,9 +300,9 @@ class ShrinkingStateSchedule(Schedule):
         if params.gamma_p == GAMMA_INF:
             raise ValueError("drifting family cannot declare gamma_p = inf")
         super().__init__(3, params, 0.5)
-        h = self._block(1, drift_check_horizon + 1)[:, 1, 2]
+        h = self._block(1, _SHRINK_DRIFT_CHECK + 1)[:, 1, 2]
         drift = h[:-1] - h[1:]
-        allowed = params.c_p / _powers(1, drift_check_horizon, params.gamma_p)
+        allowed = params.c_p / _powers(1, _SHRINK_DRIFT_CHECK, params.gamma_p)
         bad = drift > allowed + 1e-15
         if bad.any():
             t_bad = int(np.argmax(bad)) + 1
@@ -307,9 +310,6 @@ class ShrinkingStateSchedule(Schedule):
                 f"measured drift {drift[t_bad - 1]!r} at t={t_bad} exceeds the "
                 f"declared bound {allowed[t_bad - 1]!r}")
         self.max_measured_drift_ratio = float((drift / allowed).max())
-
-    def min_mass(self, t: int) -> float:
-        return self.params.pi_floor(t)
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
         m = self.params.c_pi / _powers(t_lo, t_hi, self.params.gamma_pi)
@@ -351,14 +351,14 @@ class RestartWrappedSchedule(Schedule):
     Row scaling makes the drift shrink by exactly beta/beta_hat, and
     rho_cap = beta/beta_hat holds regardless of the inner family.  The
     stationary floor has no comparably clean transfer, so by default c_pi
-    is probed on a short construction scan and certified properly by
-    verify_drift.
+    is probed on the first _RESTART_PROBE matrices and certified properly
+    by verify_drift.
     """
 
     kind = "restart-wrapped"
 
     def __init__(self, inner: Schedule, beta: float, beta_hat: float, x_restart: int,
-                 params: DriftParams | None = None, probe_horizon: int = 64):
+                 params: DriftParams | None = None):
         restart_wrap(inner.matrix_at(1), beta, beta_hat, x_restart)  # checks the constants
         ratio = beta / beta_hat
         self.inner = inner
@@ -367,8 +367,8 @@ class RestartWrappedSchedule(Schedule):
         self.x_restart = int(x_restart)
         if params is None:
             gamma_pi = inner.params.gamma_pi
-            pis = chains.stationary_stack(self.block(1, probe_horizon + 1))
-            floor = float((pis.min(axis=1) * _powers(1, probe_horizon + 1, gamma_pi)).min())
+            pis = chains.stationary_stack(self.block(1, _RESTART_PROBE + 1))
+            floor = float((pis.min(axis=1) * _powers(1, _RESTART_PROBE + 1, gamma_pi)).min())
             params = DriftParams(c_p=ratio * inner.params.c_p,
                                  gamma_p=inner.params.gamma_p,
                                  c_pi=0.999 * floor, gamma_pi=gamma_pi)
@@ -407,7 +407,6 @@ class DriftReport:
     pi_argmin_t: int
     max_rho: float
     rho_argmax_t: int
-    pi_checkpoint_count: int
     violations: list = field(default_factory=list)
 
     @property
@@ -461,7 +460,8 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
     A drift step may exceed c_p/t**gamma_p by the rounding of the stored
     matrices (_STEP_ROUNDING per state) and no more.  The scan walks the
     schedule in fixed-size blocks, steps across block edges included, and
-    solves for the stationary vector at every t.
+    solves for the stationary vector at every t (once per block when every
+    matrix of the block equals its first).
     Raises DriftCertificateError naming the first offending t per bound.
     """
     if t_max < 2:
@@ -483,15 +483,16 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
             scaled = step * powers
             bad = (step - _STEP_ROUNDING * s.n) * powers > params.c_p + _CERT_FUZZ
         drift.update(d_lo, scaled, step, bad)
-        rhos = chains.ergodicity_coefficients(block)
+        distinct = block if (block != block[0]).any() else block[:1]  # one solve if constant
+        rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(block))
         rho.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
-        pi_min = chains.stationary_stack(block).min(axis=1)
+        pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(block))
         scaled = pi_min * _powers(lo, lo + len(block), params.gamma_pi)
         floor.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
 
     violations = [b.violation for b in (drift, floor, rho) if b.violation]
     report = DriftReport(t_max, drift.value, drift.t, floor.value, floor.t, rho.value, rho.t,
-                         pi_checkpoint_count=t_max, violations=violations)
+                         violations)
     if violations:
         raise DriftCertificateError(report)
     return report

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiatrack import chains
+from adiatrack.bounds import noise_envelope_coverage
 from adiatrack.chains import (
     ChainPath,
     Distribution,
@@ -16,12 +18,14 @@ from adiatrack.chains import (
     matrix_tv_distance,
     point_mass,
     propagate_marginal,
+    sample_from_row,
     second_eigenvalue_2x2,
     simulate,
     stationary_distribution,
     stationary_stack,
     tv_distance,
 )
+from adiatrack.learners import NoiseModel
 from adiatrack.schedules import ConstantSchedule
 
 from conftest import distributions, matrices
@@ -299,6 +303,30 @@ def test_simulate_occupation_near_stationary():
 def test_simulate_rejects_bad_start():
     with pytest.raises(ValueError):
         simulate(ConstantSchedule(P_REF), 10, 5, seed=0)
+
+
+def _seed_sequence_stream(seed, k):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, k])))
+
+
+def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
+    # key 0: path uniforms, 1: noise draws, 2: coverage draws, all off one seed
+    seed = 12
+    uniforms = _seed_sequence_stream(seed, 0).random(300)
+    cums = np.cumsum(P_REF.rows, axis=1)
+    states = [0]
+    for u in uniforms:
+        states.append(sample_from_row(cums[states[-1]], u))
+    np.testing.assert_array_equal(simulate(ConstantSchedule(P_REF), 300, 0, seed).states,
+                                  states)
+    np.testing.assert_array_equal(NoiseModel("uniform-iid", 0.3).draws(500, seed),
+                                  _seed_sequence_stream(seed, 1).uniform(-0.3, 0.3, 500))
+    np.testing.assert_array_equal(chains.stream(seed, 2).random(50),
+                                  _seed_sequence_stream(seed, 2).random(50))
+    keys, real = [], chains.stream
+    monkeypatch.setattr(chains, "stream", lambda s, k: keys.append((s, k)) or real(s, k))
+    noise_envelope_coverage(np.full(50, 0.1), np.full(50, 0.5), 1.0, 0.05, 4, 50, 3, seed)
+    assert keys == [(seed, 2)]
 
 
 def test_chainpath_is_frozen_record():

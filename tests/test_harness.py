@@ -339,3 +339,43 @@ def test_cli_sweep_smoke(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["cells"][0]["status"] == "ok"
     assert os.path.exists(tmp_path / "out" / "sweep.csv")
+
+
+def test_cli_sweep_failed_certificate_is_config_error(tmp_path, capsys):
+    # the cell's declared floor c_pi = 0.9 fails verify_drift at t = 1, as in track
+    cfg = {**BASE_CONFIG, "t_max": 200,
+           "schedule": {**ACCEPTANCE_ANCHORS,
+                        "params": {**ACCEPTANCE_ANCHORS["params"], "c_pi": 0.9}}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "grid.json").write_text(json.dumps({"gamma_p": [1.0],
+                                                    "gamma_alpha": [0.6]}))
+    rc = cli_main(["sweep", "--grid", str(tmp_path / "grid.json"),
+                   "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "pi floor c_pi violated at t=1" in err
+
+
+@pytest.mark.parametrize("drop", ["schedule", "reward", "rate"])
+def test_cli_track_config_missing_field_is_config_error(tmp_path, capsys, drop):
+    cfg = {k: v for k, v in BASE_CONFIG.items() if k != drop}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: missing config fields: ['{drop}']\n"
+
+
+@pytest.mark.parametrize("consts, named", [
+    ({"r_max_eff": 1.0, "rho": 0.5}, "missing keys ['beta']"),
+    ({"r_max_eff": 1.0, "rho": 0.5, "beta": 0.5, "c_alpha": 0.5}, "unknown keys ['c_alpha']"),
+])
+def test_cli_bound_malformed_constants_is_config_error(tmp_path, capsys, consts, named):
+    (tmp_path / "consts.json").write_text(json.dumps(consts))
+    rc = cli_main(["bound", "--constants", str(tmp_path / "consts.json"),
+                   "--gamma-p", "1.0", "--gamma-alpha", "0.6", "--gamma-pi", "0",
+                   "--T", "1000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and named in err

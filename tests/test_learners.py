@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from adiatrack.chains import (
     TransitionMatrix,
     matrix_tv_distance,
-    path_rng,
     sample_from_row,
     simulate,
     stationary_distribution,
+    stream,
 )
 from adiatrack.dp import RewardSpec, exact_q, exact_reward
 from adiatrack.learners import (
@@ -20,7 +20,6 @@ from adiatrack.learners import (
     check_boundedness,
     materialize,
     q_track,
-    sa_step,
     td0_track,
 )
 from adiatrack.schedules import (
@@ -40,6 +39,8 @@ ZERO_NOISE = NoiseModel("zero", 0.0)
 def test_learning_rate_validation():
     with pytest.raises(ValueError):
         LearningRate(1.5, 0.6)
+    with pytest.raises(ValueError):  # alpha_t = c_alpha / t**gamma_alpha stays below 1
+        LearningRate(1.0, 0.6)
     with pytest.raises(ValueError):
         LearningRate(0.5, 1.0)
     assert LearningRate(0.5, 0.6).alpha(1) == 0.5
@@ -56,32 +57,34 @@ def test_noise_model_validation_and_bounds():
     assert NoiseModel("zero", 0.0).draws(100, seed=3) is None
 
 
-# -------------------------------------------------------------------- sa_step
-
-def test_sa_step_zero_rate_is_identity():
-    table = np.array([1.0, 2.0, 3.0])
-    out = sa_step(table, 1, f_value=100.0, alpha_t=0.0)
-    np.testing.assert_array_equal(out, table)
-
-
-def test_sa_step_single_component_arithmetic():
-    out = sa_step(np.zeros(2), 0, f_value=1.0, alpha_t=0.1)
-    np.testing.assert_array_equal(out, [0.1, 0.0])
-
-
-def test_sa_step_leaves_other_components_bit_identical():
-    table = np.array([0.1234567890123, -7.5, np.pi])
-    out = sa_step(table, 1, f_value=2.0, alpha_t=0.3, eps_t=0.05)
-    assert out[0] == table[0] and out[2] == table[2]
-    assert out[1] != table[1]
-
-
-def test_sa_step_rejects_rate_of_one():
-    with pytest.raises(ValueError):
-        sa_step(np.zeros(2), 0, 1.0, alpha_t=1.0)
-
-
 # ------------------------------------------------------------------ td0_track
+
+def _update(table, x, f_value, alpha_t, eps_t=0.0):
+    """The documented one-component update, written out: only table[x] moves."""
+    out = np.array(table, dtype=float)
+    out[x] = out[x] + alpha_t * (f_value - out[x] + eps_t)
+    return out
+
+
+@pytest.mark.parametrize("noise", [ZERO_NOISE, NoiseModel("uniform-iid", 0.3)])
+def test_td0_step_moves_only_the_visited_component(noise):
+    # the component offset by 1000 dominates sup_error, so sup_error pins it
+    # bit for bit: the visited one to the update, the others to their start
+    p = TransitionMatrix([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+    spec = RewardSpec([1.0, 0.5, -0.25], 0.5)
+    rate = LearningRate(0.3, 0.5)
+    star = exact_reward(p, spec)
+    xn = simulate(ConstantSchedule(p), 1, 1, seed=4).states[1]
+    eps = 0.0 if noise is ZERO_NOISE else noise.draws(1, 4)[0]
+    for k in range(3):
+        init = np.array([0.1234567890123, -7.5, np.pi])
+        init[k] += 1000.0
+        trace = td0_track(ConstantSchedule(p), spec, rate, noise, t_max=1, seed=4,
+                          checkpoint_grid=[1], x0=1, table_init=init)
+        table = _update(init, 1, spec.r[1] + spec.beta * init[xn], rate.alpha(1), eps)
+        assert table[1] != init[1]
+        assert trace.rows[0].sup_error == np.abs(table - star).max()
+
 
 def test_td0_zero_rewards_zero_error():
     sched = ConstantSchedule(A)
@@ -113,8 +116,7 @@ def _replay_with_simulate_and_sa_step(schedule, spec, rate, noise, t_max, seed, 
     for t in range(1, t_max + 1):
         x, xn = path.states[t - 1], path.states[t]
         f_value = spec.r[x] + spec.beta * table[xn]
-        table = sa_step(table, x, f_value, rate.alpha(t),
-                        0.0 if eps is None else eps[t - 1])
+        table = _update(table, x, f_value, rate.alpha(t), 0.0 if eps is None else eps[t - 1])
         if t in cps:
             star = exact_reward(schedule.matrix_at(t), spec)
             errors.append(float(np.abs(table - star).max()))
@@ -248,7 +250,7 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
     """
     n = schedule.n
     cums = np.cumsum(schedule.block(1, t_max + 1), axis=2)
-    uniforms = path_rng(seed).random(t_max)
+    uniforms = stream(seed, 0).random(t_max)
     eps = noise.draws(t_max, seed)
     table = np.zeros(n) if table_init is None else np.array(table_init, dtype=float)
     max_abs = float(np.abs(table).max())
@@ -386,7 +388,7 @@ def test_adversarial_start_reenters_ball_and_stays():
     reentry = None
     for t in range(1, 30_001):
         x, xn = path.states[t - 1], path.states[t]
-        table = sa_step(table, x, SPEC.r[x] + SPEC.beta * table[xn], RATE.alpha(t))
+        table = _update(table, x, SPEC.r[x] + SPEC.beta * table[xn], RATE.alpha(t))
         norm = np.abs(table).max()
         if reentry is None and norm <= radius:
             reentry = t
