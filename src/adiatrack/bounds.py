@@ -173,7 +173,13 @@ class Thm2Constants:
         if unknown or missing:
             raise ValueError(f"bound constants: unknown keys {unknown}, "
                              f"missing keys {missing}")
-        return Thm2Constants(**{k: float(v) for k, v in doc.items()})
+        values = {}
+        for k, v in doc.items():
+            try:
+                values[k] = float(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"bound constants: {k} must be a number, got {v!r}") from None
+        return Thm2Constants(**values)
 
 
 @dataclass

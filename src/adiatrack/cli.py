@@ -51,36 +51,35 @@ def _build_parser():
     return parser
 
 
-def _cmd_track(args) -> int:
+def _run_config(run) -> int:
+    """Run a track/sweep body: the errors caught here stem from the config,
+    the grid or the paths given, wherever in the run they surface."""
     try:
-        config = ExperimentConfig.from_json(args.config)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        summary = run_tracking(config, args.out)
+        return run()
     except DriftCertificateError as exc:
         print(f"schedule certificate failed, no simulation run: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def _cmd_track(args) -> int:
+    def run():
+        summary = run_tracking(ExperimentConfig.from_json(args.config), args.out)
+        print(json.dumps(summary, sort_keys=True))
+        return EXIT_OK
+    return _run_config(run)
 
 
 def _cmd_sweep(args) -> int:
-    try:
+    def run():
         config = ExperimentConfig.from_json(args.config)
         with open(args.grid) as fh:
             grid = json.load(fh)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         rows = run_sweep(grid, config, args.out)
-    except DriftCertificateError as exc:
-        print(f"schedule certificate failed, no simulation run: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(json.dumps({"spec_version": SPEC_VERSION, "cells": rows}, sort_keys=True))
-    return EXIT_OK
+        print(json.dumps({"spec_version": SPEC_VERSION, "cells": rows}, sort_keys=True))
+        return EXIT_OK
+    return _run_config(run)
 
 
 def _cmd_verify(args) -> int:

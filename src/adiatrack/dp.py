@@ -1,8 +1,8 @@
 """Exact ground truth for the moving fixed points.
 
 Discounted reward functions come from direct linear solves and optimal
-Q-functions from value iteration, so tracking errors are measured against
-machine-precision targets rather than noisy simulation estimates.
+Q-functions from policy iteration, one solve per policy, so tracking errors
+are measured against machine-precision targets, not simulation estimates.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.
@@ -12,7 +12,6 @@ object.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +66,6 @@ class RewardSpec:
     def with_beta(self, beta: float) -> "RewardSpec":
         return RewardSpec(self.r, beta)
 
-    def to_spec(self) -> dict:
-        return {"r": self.r.tolist(), "beta": self.beta}
-
     @staticmethod
     def from_spec(doc: dict) -> "RewardSpec":
         return RewardSpec(np.asarray(doc["r"], dtype=float), float(doc["beta"]))
@@ -117,42 +113,47 @@ def bellman_f(p: TransitionMatrix, spec: RewardSpec, r_in: np.ndarray) -> np.nda
     return spec.r + spec.beta * (p.rows @ r_in)
 
 
-@functools.lru_cache(maxsize=64)  # value iteration asks once per sweep
 def _state_of_product(nsa: int, n_actions: int) -> np.ndarray:
     if nsa % n_actions != 0:
         raise ValueError(f"product-space size {nsa} not divisible by n_actions={n_actions}")
-    s_of = np.arange(nsa) // n_actions
-    s_of.flags.writeable = False
-    return s_of
+    return np.arange(nsa) // n_actions
 
 
 def bellman_g(p: TransitionMatrix, spec: RewardSpec, q_in: np.ndarray,
               n_actions: int) -> np.ndarray:
     """One exact application r + beta E[max_a' Q(next_state, a')] on the product space."""
-    _check_dims(p, spec)
     q_in = np.asarray(q_in, dtype=float)
     if q_in.shape != (p.n,):
         raise ValueError(f"Q vector shape {q_in.shape} does not match n={p.n}")
     s_of = _state_of_product(p.n, n_actions)
-    v = q_in.reshape(-1, n_actions).max(axis=1)
-    return spec.r + spec.beta * (p.rows @ v[s_of])
+    return bellman_f(p, spec, q_in.reshape(-1, n_actions).max(axis=1)[s_of])
+
+
+# Rounding of ||GQ - Q||_inf in units of u max|Q|, u = eps/2: 2 for storing the fixed
+# point, n for P @ v on n pairs, 1 each for beta *, r + and GQ - Q (with the O(u^2) terms).
+_G_ROUNDING = np.finfo(float).eps / 2
 
 
 def exact_q(p: TransitionMatrix, spec: RewardSpec, n_actions: int,
-            tol: float = 1e-10, max_iter: int = 10_000_000) -> np.ndarray:
-    """Value iteration from Q = 0 until the residual certifies sup error <= tol.
-
-    Stops once ||GQ - Q||_inf <= (1-beta) * tol; the contraction then
-    guarantees the returned iterate is within tol of the fixed point.
+            tol: float = 1e-10) -> np.ndarray:
+    """Optimal Q by Howard policy iteration (Puterman 1994, sec. 6.4): from the
+    all-zeros policy pi, solve (I - beta P F_pi) Q = r, F_pi sending pair y to
+    (state(y), pi(state(y))), set pi = argmax Q (lowest action on ties), and
+    stop when pi repeats (an earlier pi if rounding flips tied actions).
+    Raises ArithmeticError unless ||GQ - Q|| <= (1-beta) tol + (n + 5) u max|Q|.
     """
-    q = np.zeros(p.n)
-    threshold = (1.0 - spec.beta) * tol
-    for _ in range(max_iter):
-        gq = bellman_g(p, spec, q, n_actions)
-        if np.abs(gq - q).max() <= threshold:
-            return gq
-        q = gq
-    raise RuntimeError(f"value iteration failed to converge within {max_iter} sweeps")
+    _check_dims(p, spec)
+    eye, s_of = np.eye(p.n), _state_of_product(p.n, n_actions)
+    policy, seen = np.zeros(p.n // n_actions, dtype=int), set()
+    while policy.tobytes() not in seen:
+        seen.add(policy.tobytes())
+        follow = eye[s_of * n_actions + policy[s_of]]  # F_pi
+        q = np.linalg.solve(eye - spec.beta * (p.rows @ follow), spec.r)
+        policy = q.reshape(-1, n_actions).argmax(axis=1)
+    resid = float(np.abs(bellman_g(p, spec, q, n_actions) - q).max())
+    if not resid <= (1.0 - spec.beta) * tol + _G_ROUNDING * (p.n + 5) * np.abs(q).max():
+        raise ArithmeticError(f"policy iteration ends with Bellman residual {resid!r}")
+    return q
 
 
 def check_lipschitz_reward(p: TransitionMatrix, q: TransitionMatrix,

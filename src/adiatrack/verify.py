@@ -1,11 +1,11 @@
 """Randomized and exhaustive property suites behind `adiatrack verify`.
 
 Each suite runs with a fixed master seed (per-case streams derive from it),
-counts violations, and reports the worst margin plus full counterexample
-inputs (matrices verbatim) so a CI failure is reproducible from the report
-alone.  The ergodicity coefficient is always looked up through the chains
-module at call time, so a corrupted implementation is caught rather than
-silently trusted.
+counts violations, and reports the worst margin, overall and per check name,
+plus full counterexample inputs (matrices verbatim) so a CI failure is
+reproducible from the report alone.  The ergodicity coefficient is always
+looked up through the chains module at call time, so a corrupted
+implementation is caught rather than silently trusted.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ class _Recorder:
         self.cases = 0
         self.checks = 0
         self.violations = []
-        self.worst_margin = np.inf
+        self.worst_margin_by_check = {}
 
     def check(self, name, lhs, rhs, tol, inputs=None):
         """Record the inequality lhs <= rhs + tol."""
         self.checks += 1
         margin = rhs + tol - lhs
-        if margin < self.worst_margin:
-            self.worst_margin = margin
+        if margin < self.worst_margin_by_check.get(name, np.inf):
+            self.worst_margin_by_check[name] = margin
         if lhs > rhs + tol:
             entry = {"check": name, "lhs": float(lhs), "rhs": float(rhs),
                      "tol": tol, "case": self.cases}
@@ -54,11 +54,13 @@ class _Recorder:
             self.violations.append(entry)
 
     def report(self):
+        margins = {k: float(v) for k, v in self.worst_margin_by_check.items()}
         return {"suite": self.suite, "master_seed": self.master_seed,
                 "cases": self.cases, "checks": self.checks,
                 "violation_count": len(self.violations),
                 "violations": self.violations[:10],
-                "worst_margin": float(self.worst_margin),
+                "worst_margin": min(margins.values(), default=np.inf),
+                "worst_margin_by_check": margins,
                 "pass": not self.violations,
                 "spec_version": SPEC_VERSION}
 

@@ -129,6 +129,13 @@ def test_tracking_bound_json_shape():
                                   "regime", "same_rate_as_static"}
 
 
+@pytest.mark.parametrize("value", [None, "half", [0.5]])
+def test_constants_from_spec_names_a_non_numeric_key(value):
+    with pytest.raises(ValueError, match="beta must be a number"):
+        Thm2Constants.from_spec({"r_max_eff": 1.0, "rho": 0.5, "beta": value})
+    assert Thm2Constants.from_spec({"r_max_eff": 1, "rho": "0.5", "beta": 0.5}).rho == 0.5
+
+
 def test_exponent_triple_standing_assumptions():
     with pytest.raises(ValueError):
         ExponentTriple(1.0, 0.6, 0.5)  # gamma_alpha + gamma_pi >= 1

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiatrack import dp, verify
 from adiatrack.chains import TransitionMatrix
 from adiatrack.dp import (
     RewardSpec,
@@ -134,9 +137,116 @@ def test_exact_q_matches_backward_induction():
     np.testing.assert_allclose(q, brute, atol=1e-8)
 
 
-def test_exact_q_iteration_cap():
-    with pytest.raises(RuntimeError):
-        exact_q(P_REF, RewardSpec([1.0, 0.0], 0.99), n_actions=1, max_iter=3)
+def best_of_all_policies(p, spec, n_actions):
+    """Independent oracle: the elementwise max of Q^pi over every deterministic
+    policy, each evaluated by a state-level solve of V^pi."""
+    n_states = p.n // n_actions
+    to_state = p.rows.reshape(p.n, n_states, n_actions).sum(axis=2)
+    best = np.full(p.n, -np.inf)
+    for pi in itertools.product(range(n_actions), repeat=n_states):
+        chosen = [s * n_actions + a for s, a in enumerate(pi)]
+        v = np.linalg.solve(np.eye(n_states) - spec.beta * to_state[chosen], spec.r[chosen])
+        best = np.maximum(best, spec.r + spec.beta * (to_state @ v))
+    return best
+
+
+@st.composite
+def product_cases(draw):
+    n_states, n_actions = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    p = draw(matrices(n=n_states * n_actions))
+    r = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(-1, 1),
+                               min_size=p.n, max_size=p.n)))
+    if draw(st.booleans()):  # every action a copy of action 0: ties up to rounding
+        first = np.arange(p.n) // n_actions * n_actions
+        p, r = TransitionMatrix(p.rows[first]), r[first]
+    return p, RewardSpec(r, draw(st.sampled_from([0.5, 0.9, 0.99]))), n_actions
+
+
+@given(product_cases())
+@settings(max_examples=150, deadline=None)
+def test_exact_q_is_the_best_of_all_deterministic_policies(case):
+    p, spec, n_actions = case
+    q = exact_q(p, spec, n_actions, tol=1e-12)
+    np.testing.assert_allclose(q, best_of_all_policies(p, spec, n_actions),
+                               rtol=0, atol=1e-11 * (1 + spec.value_cap))
+
+
+def _solved_policies(monkeypatch, n_actions, perturb=None):
+    """Spy on exact_q's solves; returns the policy each solve evaluated.
+    perturb(k, q) may alter the k-th solution in place."""
+    real, policies = np.linalg.solve, []
+
+    def spy(a, b):
+        mass = np.abs(a - np.eye(len(b))).sum(axis=0)  # only F_pi's columns move
+        policies.append(mass.reshape(-1, n_actions).argmax(axis=1).tolist())
+        q = real(a, b)
+        if perturb:
+            perturb(len(policies), q)
+        return q
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return policies
+
+
+# every pair moves to (0, 0) or (1, 0) with probability 1/2: at beta = 1/2
+# each solve is exact, so actions 1 and 2 of state 0 tie to the bit
+TIED = TransitionMatrix(np.tile([0.5, 0, 0, 0.5, 0, 0], (6, 1)))
+TIED_SPEC = RewardSpec([0.0, 1.0, 1.0, 0.0, 0.0, 0.0], 0.5)
+
+
+def test_exact_q_breaks_ties_by_lowest_action(monkeypatch):
+    policies = _solved_policies(monkeypatch, 3)
+    q = exact_q(TIED, TIED_SPEC, 3)
+    assert policies == [[0, 0], [1, 0]]  # state 0: action 1 of the tied 1 and 2
+    np.testing.assert_array_equal(q, [0.5, 1.5, 1.5, 0.5, 0.5, 0.5])
+
+
+def test_exact_q_stops_at_a_rounding_cycle_between_tied_actions(monkeypatch):
+    # rounding that favours action 2, then 1, then 2 ... of the tied pair
+    def flip(k, q):
+        q[1 + k % 2] += 4e-16
+    policies = _solved_policies(monkeypatch, 3, flip)
+    q = exact_q(TIED, TIED_SPEC, 3, tol=1e-12)
+    assert policies == [[0, 0], [2, 0], [1, 0]]  # [2, 0] repeats: stop
+    np.testing.assert_allclose(q, [0.5, 1.5, 1.5, 0.5, 0.5, 0.5], rtol=0, atol=1e-15)
+
+
+def test_exact_q_raises_when_policies_cycle_without_settling(monkeypatch):
+    def flip(k, q):
+        q[1 + k % 2] += 1e-6  # far beyond rounding: no policy is greedy for its own Q
+    policies = _solved_policies(monkeypatch, 3, flip)
+    with pytest.raises(ArithmeticError, match="Bellman residual"):
+        exact_q(TIED, TIED_SPEC, 3, tol=1e-12)
+    assert policies == [[0, 0], [2, 0], [1, 0]]
+
+
+def test_exact_q_certificate_rejects_an_inexact_solve(monkeypatch):
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) + 1e-9)
+    with pytest.raises(ArithmeticError, match="Bellman residual"):
+        exact_q(P_REF, RewardSpec([1.0, 0.0], 0.99), n_actions=1)
+
+
+def test_exact_q_certifies_where_value_iteration_cycles(monkeypatch):
+    """exact_q calls 113, 196, 389, 917, 953, 2225, 2296 and 2999 of
+    suite_lipschitz(8500, 1500) at the default seed: value iteration started
+    from the solve falls into a float limit cycle there and never meets
+    (1 - beta) * 1e-12.  Policy iteration certifies and returns on each."""
+    calls, real = [], dp.exact_q
+    monkeypatch.setattr(dp, "check_lipschitz_reward",
+                        lambda *a, **k: dp.CheckResult(0.0, 0.0, True))  # draws only
+    monkeypatch.setattr(dp, "exact_q", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+    assert verify.suite_lipschitz(n_reward_cases=8500, n_q_cases=1500)["pass"]
+    for i in (113, 196, 389, 917, 953, 2225, 2296, 2999):
+        (p, spec, n_actions), kw = calls[i]
+        q = real(p, spec, n_actions, **kw)
+        gap = np.abs(bellman_g(p, spec, q, n_actions) - q).max()
+        assert gap <= (1 - spec.beta) * kw["tol"] + (p.n + 5) * 2 ** -53 * np.abs(q).max()
+        threshold, vi = (1 - spec.beta) * kw["tol"], q
+        for _ in range(300):  # still a limit-cycle case for value iteration
+            vi_next = bellman_g(p, spec, vi, n_actions)
+            assert np.abs(vi_next - vi).max() > threshold
+            vi = vi_next
 
 
 # ------------------------------------------------------------------ bellman_g

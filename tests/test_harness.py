@@ -276,6 +276,21 @@ def test_verify_suite_detects_corrupted_rho(monkeypatch):
     assert "p" in report["violations"][0]["inputs"]
 
 
+def test_verify_report_keeps_worst_margin_per_check():
+    rec = verify._Recorder("demo", 0)
+    for name, lhs, rhs in [("a", 1.0, 2.0), ("b", 1.0, 1.5), ("a", 1.0, 1.25)]:
+        rec.check(name, lhs, rhs, 0.0)
+    rec.require("c", True)  # a boolean check has no margin
+    report = rec.report()
+    assert report["worst_margin_by_check"] == {"a": 0.25, "b": 0.5}
+    assert report["worst_margin"] == 0.25
+
+    lip = verify.suite_lipschitz(n_reward_cases=30, n_q_cases=6)
+    by_check = lip["worst_margin_by_check"]
+    assert set(by_check) == {"reward_lipschitz", "q_lipschitz"}
+    assert min(by_check.values()) == lip["worst_margin"]
+
+
 def test_cli_bound_matches_regime(capsys):
     rc = cli_main(["bound", "--gamma-p", "0.3", "--gamma-alpha", "0.6",
                    "--gamma-pi", "0", "--T", "1000"])
@@ -370,12 +385,49 @@ def test_cli_track_config_missing_field_is_config_error(tmp_path, capsys, drop):
 @pytest.mark.parametrize("consts, named", [
     ({"r_max_eff": 1.0, "rho": 0.5}, "missing keys ['beta']"),
     ({"r_max_eff": 1.0, "rho": 0.5, "beta": 0.5, "c_alpha": 0.5}, "unknown keys ['c_alpha']"),
+    ({"r_max_eff": 1.0, "rho": 0.5, "beta": None}, "beta must be a number, got None"),
 ])
 def test_cli_bound_malformed_constants_is_config_error(tmp_path, capsys, consts, named):
     (tmp_path / "consts.json").write_text(json.dumps(consts))
     rc = cli_main(["bound", "--constants", str(tmp_path / "consts.json"),
                    "--gamma-p", "1.0", "--gamma-alpha", "0.6", "--gamma-pi", "0",
                    "--T", "1000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
+
+
+# Each config passes ExperimentConfig.from_dict and fails only inside the run.
+ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
+               "params": {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.1, "gamma_pi": 0.0}}
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"schedule": ROW_SUM_1_1}, "row 0 sums to"),
+    ({"reward": {"r": [1.0, 0.0], "beta": 1.5}}, "beta must lie strictly in (0,1)"),
+    ({"x0": 5}, "x0=5 out of range"),
+])
+def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
+    (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
+    rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("reward, named", [
+    ({"r": [1.0, 0.0], "beta": 1.5}, "beta must lie strictly in (0,1)"),
+    ({"r": [1.0, 0.0, 0.5], "beta": 0.5}, "vs rewards n=3"),
+])
+def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, reward, named):
+    cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, "reward": reward}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "grid.json").write_text(json.dumps({"gamma_p": [1.0],
+                                                    "gamma_alpha": [0.6]}))
+    rc = cli_main(["sweep", "--grid", str(tmp_path / "grid.json"),
+                   "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err

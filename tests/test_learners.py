@@ -207,11 +207,11 @@ def test_q_single_action_matches_td0_step_for_step():
     cps = [1, 10, 100, 1000]
     td = td0_track(sched, SPEC, RATE, ZERO_NOISE, 1000, 31, cps)
     q = q_track(sched, SPEC, 1, RATE, ZERO_NOISE, 1000, 31, cps)
-    # identical recursions: the running table norm agrees bit for bit; the
-    # recorded errors differ only by the value-iteration target tolerance
+    # identical recursions: the running table norm agrees bit for bit, and so
+    # do the errors: with one action, exact_q's one policy solve is exact_reward's
     assert td.max_abs_value == q.max_abs_value
     for a, b in zip(td.rows, q.rows):
-        assert abs(a.sup_error - b.sup_error) <= 1e-9
+        assert a.sup_error == b.sup_error
 
 
 def test_q_track_requires_product_space():
