@@ -173,13 +173,7 @@ class Thm2Constants:
         if unknown or missing:
             raise ValueError(f"bound constants: unknown keys {unknown}, "
                              f"missing keys {missing}")
-        values = {}
-        for k, v in doc.items():
-            try:
-                values[k] = float(v)
-            except (TypeError, ValueError):
-                raise ValueError(f"bound constants: {k} must be a number, got {v!r}") from None
-        return Thm2Constants(**values)
+        return Thm2Constants(**{k: chains.number(doc, k) for k in doc})
 
 
 @dataclass

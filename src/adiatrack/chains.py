@@ -43,6 +43,7 @@ __all__ = [
     "point_mass",
     "uniform_distribution",
     "load_matrix",
+    "number",
 ]
 
 
@@ -292,6 +293,16 @@ def simulate(schedule, t_max: int, x0: int, seed: int) -> ChainPath:
             x = sample_from_row(cums[t - lo, x], uniforms[t - 1])
             states[t] = x
     return ChainPath(states=states, seed=int(seed))
+
+
+def number(doc: dict, key: str, *default) -> float:
+    """doc[key] (or the default, given and the key absent) as a float; a raw
+    JSON null or list raises a ValueError naming the key, not a TypeError."""
+    value = doc.get(key, *default) if default else doc[key]
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
 def load_matrix(path) -> TransitionMatrix:

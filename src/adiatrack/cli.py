@@ -57,7 +57,7 @@ def _run_config(run) -> int:
     try:
         return run()
     except DriftCertificateError as exc:
-        print(f"schedule certificate failed, no simulation run: {exc}", file=sys.stderr)
+        print(f"schedule certificate failed, no trace written: {exc}", file=sys.stderr)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
     return EXIT_CONFIG

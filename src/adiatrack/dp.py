@@ -68,7 +68,7 @@ class RewardSpec:
 
     @staticmethod
     def from_spec(doc: dict) -> "RewardSpec":
-        return RewardSpec(np.asarray(doc["r"], dtype=float), float(doc["beta"]))
+        return RewardSpec(np.asarray(doc["r"], dtype=float), chains.number(doc, "beta"))
 
 
 @dataclass

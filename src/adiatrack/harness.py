@@ -3,8 +3,10 @@
 Reproducibility contract: the config hash is a pure function of the
 canonicalized (key-sorted, resolved) config JSON, per-seed runs derive
 their streams from listed seeds, and every output byte is fixed by
-(config, seed).  verify_drift gates every simulation: no trace is written
-for a schedule whose declared certificate fails its scan.
+(config, seed).  A run walks its schedule once (learners.track): the
+certificate scan, every seed and the checkpoint targets share each block,
+so memory does not grow with the horizon.  The scan gates every output: no
+trace is written for a schedule whose declared certificate fails it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.learner not in ("td0", "q"):
             raise ValueError(f"unknown learner {self.learner!r}")
+        if self.t_max < 2:  # the drift certificate needs one step
+            raise ValueError("t_max must be >= 2")
         if isinstance(self.seeds, dict):
             base, count = int(self.seeds["base"]), int(self.seeds["count"])
             self.seeds = [base + k for k in range(count)]
@@ -169,19 +173,11 @@ def _exponent_triple(config: ExperimentConfig) -> bounds.ExponentTriple:
 
 def _run_traces(config: ExperimentConfig):
     schedule, spec, rate, noise = config.build()
-    schedules.verify_drift(schedule, t_max=config.t_max)
-    shared = learners.materialize(schedule, config.t_max)
-    traces = []
-    for seed in config.seeds:
-        if config.learner == "td0":
-            trace = learners.td0_track(schedule, spec, rate, noise, config.t_max,
-                                       seed, config.checkpoints, x0=config.x0,
-                                       materialized=shared)
-        else:
-            trace = learners.q_track(schedule, spec, config.n_actions, rate, noise,
-                                     config.t_max, seed, config.checkpoints,
-                                     x0=config.x0, materialized=shared)
-        traces.append(trace)
+    n_actions = config.n_actions if config.learner == "q" else None
+    traces, report = learners.track(schedule, spec, rate, noise, config.t_max, config.seeds,
+                                    config.checkpoints, x0=config.x0, n_actions=n_actions)
+    if not report.ok:
+        raise schedules.DriftCertificateError(report)
     return schedule, spec, traces
 
 

@@ -7,13 +7,15 @@ with boot the next state's entry (TD(0)) or the max over its action block
 is the sup-norm distance to the exact fixed point of the *current* schedule
 matrix, solved on demand at checkpoints.
 
-Kernel: materialize walks the schedule once per batch; each seed then runs
-a step loop on Python floats only (the row cumsums as one flat list, the
-step sizes, the seed's uniforms and noise draws as lists, the table as a
-list).  Indexing a list and arithmetic on Python floats cost a fraction of
-indexing an array and arithmetic on numpy scalars, and IEEE arithmetic is
-the same on both, so the loop is several times faster and bit-identical to
-a numpy per-step loop.  Q-learning's bootstrap, the max over the next
+Kernel: materialize walks the schedule once per run, in blocks, with the
+certificate scan; each block advances every seed, on a step loop over
+Python floats only (the block's row cumsums, step sizes, the seed's
+uniforms and noise draws as lists, the table as a list), before the next
+block is made.  Memory is O(block * n^2 + seeds * n).  Indexing a list
+and arithmetic on Python floats cost a fraction of indexing an array and
+arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so
+the loop is several times faster and bit-identical to a numpy per-step
+loop.  Q-learning's bootstrap, the max over the next
 state's action block, is kept per state and recomputed only when the
 updated entry held it, since a builtin max over a fresh slice costs about a
 third of a step.  Advancing all seeds per step as one numpy table was
@@ -25,8 +27,9 @@ Determinism contract: a run is a pure function of (schedule, specs, seed).
 The path uniforms are chains.stream(seed, 0), the stream chains.simulate
 uses, sampled by the same inverse-CDF loop as chains.sample_from_row;
 explicit noise draws are chains.stream(seed, 1), so zero-noise runs
-reproduce the bare simulated path exactly.  Batch seeds derive as
-base_seed + index.  Whether a batch shares one materialize walk changes no
+reproduce the bare simulated path exactly.  Both are drawn block by block,
+which gives the same numbers as one draw of the whole horizon.  Batch
+seeds derive as base_seed + index.  Whether seeds share a walk changes no
 output bit.
 """
 
@@ -37,13 +40,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chains, dp
+from . import chains, dp, schedules
 
 __all__ = [
     "LearningRate",
     "NoiseModel",
     "TraceRow",
     "TrackingTrace",
+    "materialize",
+    "track",
     "td0_track",
     "q_track",
     "check_boundedness",
@@ -71,7 +76,7 @@ class LearningRate:
 
     @staticmethod
     def from_spec(doc: dict) -> "LearningRate":
-        return LearningRate(float(doc["c_alpha"]), float(doc["gamma_alpha"]))
+        return LearningRate(chains.number(doc, "c_alpha"), chains.number(doc, "gamma_alpha"))
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ class NoiseModel:
 
     @staticmethod
     def from_spec(doc: dict) -> "NoiseModel":
-        return NoiseModel(str(doc["kind"]), float(doc.get("eps_max", 0.0)))
+        return NoiseModel(str(doc["kind"]), chains.number(doc, "eps_max", 0.0))
 
 
 @dataclass(frozen=True)
@@ -154,124 +159,128 @@ class TrackingTrace:
                                  repr(row.pi_min_t), repr(row.drift_t)])
 
 
-class Materialized:
-    """What a batch of seeds on one schedule shares: one walk, step sizes, targets.
+def materialize(schedule, t_max: int):
+    """A run's one walk: schedules.certificate_scan of P^(1..t_max+1), with cums.
 
-    mats stacks P^(0..t_max+1) (index t holds matrix t, index 0 is zero) for
-    the checkpoint targets; cums holds every row cumsum in one flat list of
-    Python floats, row x of matrix t starting at (t*n + x)*n.  Step sizes are
-    memoized per rate, and the targets solved at checkpoints per t and per
-    target kind, so seeds share them and specs never do.
+    Yields (lo, block, cums, pi_min, drift, report) per block; cums holds
+    the block's row cumsums in one flat list of Python floats, row x of
+    P^(lo+i) starting at (i*n + x)*n.  P^(t_max+1) serves only the drift at
+    t_max, so the last report is what verify_drift(schedule, t_max) gives.
     """
-
-    def __init__(self, schedule, t_max: int, mats: np.ndarray):
-        self.schedule, self.t_max, self.mats = schedule, int(t_max), mats
-        self.cums = np.cumsum(mats, axis=2).ravel().tolist()
-        self._step_sizes, self._diagnostics = {}, {}
-
-    def step_sizes(self, rate: LearningRate) -> list:
-        """[rate.alpha(t) for t in 1..t_max], computed once per rate."""
-        if rate not in self._step_sizes:
-            self._step_sizes[rate] = [rate.alpha(t) for t in range(1, self.t_max + 1)]
-        return self._step_sizes[rate]
-
-    def diagnostics(self, t: int, spec: dp.RewardSpec, n_actions: int | None):
-        """(target as a list, pi_min, drift) at checkpoint t; n_actions None is TD's."""
-        key = (t, n_actions, float(spec.beta), spec.r.tobytes())
-        if key not in self._diagnostics:
-            mat = chains.TransitionMatrix(self.mats[t])
-            target = (dp.exact_reward(mat, spec) if n_actions is None
-                      else dp.exact_q(mat, spec, n_actions))
-            pi_min = chains.stationary_distribution(mat).min_prob()
-            drift = 0.5 * np.abs(self.mats[t + 1] - self.mats[t]).sum(axis=1).max()
-            self._diagnostics[key] = (target.tolist(), pi_min, float(drift))
-        return self._diagnostics[key]
+    for lo, block, *scanned in schedules.certificate_scan(schedule, t_max, t_max + 2):
+        yield lo, block, np.cumsum(block, axis=2).ravel().tolist(), *scanned
 
 
-def materialize(schedule, t_max: int) -> Materialized:
-    """Walk P^(1..t_max+1) once; td0_track/q_track take the result as `materialized`."""
-    mats = np.zeros((t_max + 2, schedule.n, schedule.n))
-    mats[1:] = schedule.block(1, t_max + 2)
-    return Materialized(schedule, t_max, mats)
+class _Run:
+    """One seed's learner between blocks: table, state, streams, checkpoint errors."""
+
+    def __init__(self, seed: int, table: list, x0: int, na: int, noise: NoiseModel):
+        self.seed, self.table, self.x, self.na = int(seed), list(table), x0, na
+        self.max_abs = max(map(abs, self.table))
+        # the bootstrap: vmax[s] is the max of state s's action block (TD(0): the table itself)
+        self.vmax = self.table if na == 1 else [max(self.table[s:s + na])
+                                                for s in range(0, len(table), na)]
+        self.path = chains.stream(seed, 0)
+        self.noise = None if noise.kind == "zero" else chains.stream(seed, 1)
+        self.eps_max = noise.eps_max
+        self.hits = []  # (t, sup_error, alpha_t) at each checkpoint
+
+    def advance(self, cums: list, alphas: list, targets: list, r_vec: list, beta: float):
+        """Take one block's steps, step j with alphas[j] and matrix j of cums;
+        targets lists (j, t, target) for the block's checkpoints, in order."""
+        k, n, na = len(alphas), len(self.table), self.na
+        us = self.path.random(k).tolist()
+        eps = ([0.0] * k if self.noise is None
+               else self.noise.uniform(-self.eps_max, self.eps_max, k).tolist())
+        table, vmax, x, max_abs, n1 = self.table, self.vmax, self.x, self.max_abs, n - 1
+        cp_iter = iter(targets + [(-1, 0, None)])
+        cp, t_cp, target = next(cp_iter)
+        for j, u, e, alpha_t in zip(range(k), us, eps, alphas):
+            row = i = (j * n + x) * n  # chains.sample_from_row on the flat cumsums
+            last = row + n1
+            while i < last and cums[i] <= u:
+                i += 1
+            xn, old = i - row, table[x]
+            v = table[x] = old + alpha_t * (r_vec[x] + beta * vmax[xn // na] - old + e)
+            if na > 1 and (v > vmax[s := x // na] or old == vmax[s]):  # keep vmax[s] exact
+                vmax[s] = v if v > vmax[s] else max(table[s * na:s * na + na])
+            if v > max_abs or -v > max_abs:
+                max_abs = abs(v)
+            x = xn
+            if j == cp:
+                self.hits.append((t_cp, max(abs(a - b) for a, b in zip(table, target)),
+                                  alpha_t))
+                cp, t_cp, target = next(cp_iter)
+        self.x, self.max_abs = x, max_abs
 
 
-def _resolve_checkpoints(checkpoint_grid, t_max: int):
+def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
+          t_max: int, seeds, checkpoint_grid, x0: int = 0, n_actions: int | None = None,
+          table_init=None):
+    """Traces of every seed from one walk: TD(0) when n_actions is None, else Q-learning.
+
+    Returns (traces, report): report is the DriftReport of the walk's
+    certificate scan over [1, t_max], its violations listed, not raised.
+    """
+    n = schedule.n
+    if n != spec.n:
+        raise ValueError(f"schedule n={n} vs rewards n={spec.n}")
+    if n_actions is not None and n % n_actions != 0:
+        raise ValueError("schedule must live on the (state, action) product space")
+    if not 0 <= x0 < n:
+        raise ValueError(f"x0={x0} out of range")
     cps = sorted({int(t) for t in checkpoint_grid if 1 <= int(t) <= t_max})
     if not cps:
         raise ValueError("checkpoint grid is empty within [1, t_max]")
-    return cps
-
-
-def _track(schedule, spec, rate, noise, t_max, seed, checkpoint_grid, x0,
-           table_init, n_actions, config_echo, materialized):
-    if schedule.n != spec.n:
-        raise ValueError(f"schedule n={schedule.n} vs rewards n={spec.n}")
-    if not 0 <= x0 < schedule.n:
-        raise ValueError(f"x0={x0} out of range")
-    cp_iter = iter(_resolve_checkpoints(checkpoint_grid, t_max) + [0])
-    m = materialize(schedule, t_max) if materialized is None else materialized
-    if m.schedule is not schedule or m.t_max < t_max:
-        raise ValueError("materialized walk belongs to another schedule or a shorter horizon")
-    cums, n, na, r_vec, beta = m.cums, schedule.n, n_actions or 1, spec.r.tolist(), spec.beta
     table = [0.0] * n if table_init is None else np.array(table_init, dtype=float).tolist()
-    max_abs = max(map(abs, table))
-    # the bootstrap: vmax[s] is the max of state s's action block (TD(0): the table itself)
-    vmax = table if na == 1 else [max(table[s:s + na]) for s in range(0, n, na)]
-    x, rows, n1, cp, draws = x0, [], n - 1, next(cp_iter), noise.draws(t_max, seed)
-    for t, u, eps, alpha_t in zip(range(1, t_max + 1),
-                                  chains.stream(seed, 0).random(t_max).tolist(),
-                                  [0.0] * t_max if draws is None else draws.tolist(),
-                                  m.step_sizes(rate)):
-        row = i = (t * n + x) * n  # chains.sample_from_row on the flat cumsums
-        last = row + n1
-        while i < last and cums[i] <= u:
-            i += 1
-        xn, old = i - row, table[x]
-        v = table[x] = old + alpha_t * (r_vec[x] + beta * vmax[xn // na] - old + eps)
-        if na > 1 and (v > vmax[s := x // na] or old == vmax[s]):  # keep vmax[s] exact
-            vmax[s] = v if v > vmax[s] else max(table[s * na:s * na + na])
-        if v > max_abs or -v > max_abs:
-            max_abs = abs(v)
-        x = xn
-        if t == cp:
-            target, pi_min, drift = m.diagnostics(t, spec, n_actions)
-            sup_error = max(abs(a - b) for a, b in zip(table, target))
-            rows.append(TraceRow(t, sup_error, alpha_t, pi_min, drift))
-            cp = next(cp_iter)
-    return TrackingTrace(rows=rows, seed=int(seed), config=config_echo,
-                         max_abs_value=max_abs)
+    runs = [_Run(seed, table, x0, n_actions or 1, noise) for seed in seeds]
+    r_vec, pi_at, drift_at = spec.r.tolist(), {}, {}
+    for lo, block, cums, pi_min, drift, report in materialize(schedule, t_max):
+        hi, d_lo = lo + len(pi_min), max(1, lo - 1)
+        mats = {t: chains.TransitionMatrix(block[t - lo]) for t in cps if lo <= t < hi}
+        targets = [(t - lo, t, (dp.exact_reward(mat, spec) if n_actions is None
+                                else dp.exact_q(mat, spec, n_actions)).tolist())
+                   for t, mat in mats.items()]
+        alphas = [rate.alpha(t) for t in range(lo, hi)]
+        for run in runs:
+            run.advance(cums, alphas, targets, r_vec, spec.beta)
+        pi_at.update((t, float(pi_min[t - lo])) for t in mats)
+        drift_at.update((t, float(drift[t - d_lo])) for t in cps
+                        if d_lo <= t < d_lo + len(drift))
+    echo = {"learner": "td0" if n_actions is None else "q", "t_max": int(t_max),
+            "x0": int(x0), "rate": rate.to_spec(), "noise": noise.to_spec()}
+    if n_actions is not None:
+        echo["n_actions"] = int(n_actions)
+    return [TrackingTrace(rows=[TraceRow(t, err, alpha_t, pi_at[t], drift_at[t])
+                                for t, err, alpha_t in run.hits],
+                          seed=run.seed, config=dict(echo), max_abs_value=run.max_abs)
+            for run in runs], report
 
 
 def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
               t_max: int, seed: int, checkpoint_grid, x0: int = 0,
-              table_init=None, materialized: Materialized | None = None) -> TrackingTrace:
-    """Track the discounted reward of the drifting chain with TD(0).
+              table_init=None) -> TrackingTrace:
+    """Track the discounted reward of the drifting chain with TD(0): one seed of track.
 
     The sampled next state supplies the bootstrap (realized operator value
     plus its implicit martingale noise); the table starts at zero unless a
     test overrides table_init.
     """
-    echo = {"learner": "td0", "t_max": int(t_max), "x0": int(x0),
-            "rate": rate.to_spec(), "noise": noise.to_spec()}
-    return _track(schedule, spec, rate, noise, t_max, seed, checkpoint_grid, x0,
-                  table_init, None, echo, materialized)
+    return track(schedule, spec, rate, noise, t_max, [seed], checkpoint_grid, x0, None,
+                 table_init)[0][0]
 
 
 def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
             noise: NoiseModel, t_max: int, seed: int, checkpoint_grid, x0: int = 0,
-            table_init=None, materialized: Materialized | None = None) -> TrackingTrace:
-    """Q-learning on the product-space chain; only the visited (s,a) cell moves.
+            table_init=None) -> TrackingTrace:
+    """Q-learning on the product-space chain, one seed of track; only the
+    visited (s,a) cell moves.
 
     The bootstrap is the max over the next state's action block; ties have
     one value, so the order of the max cannot change a replay.
     """
-    if schedule.n % n_actions != 0:
-        raise ValueError("schedule must live on the (state, action) product space")
-    echo = {"learner": "q", "t_max": int(t_max), "x0": int(x0),
-            "n_actions": int(n_actions), "rate": rate.to_spec(),
-            "noise": noise.to_spec()}
-    return _track(schedule, spec, rate, noise, t_max, seed, checkpoint_grid, x0,
-                  table_init, int(n_actions), echo, materialized)
+    return track(schedule, spec, rate, noise, t_max, [seed], checkpoint_grid, x0,
+                 int(n_actions), table_init)[0][0]
 
 
 def check_boundedness(trace: TrackingTrace, f_max: float, eps_max: float,

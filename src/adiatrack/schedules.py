@@ -39,6 +39,7 @@ __all__ = [
     "RestartWrappedSchedule",
     "restart_wrap",
     "verify_drift",
+    "certificate_scan",
     "DriftReport",
     "DriftCertificateError",
     "schedule_from_spec",
@@ -76,9 +77,9 @@ class DriftParams:
 
     @staticmethod
     def from_spec(doc: dict) -> "DriftParams":
-        gp = doc["gamma_p"]
-        gp = GAMMA_INF if gp == "inf" else float(gp)
-        return DriftParams(float(doc["c_p"]), gp, float(doc["c_pi"]), float(doc["gamma_pi"]))
+        # float("inf") is GAMMA_INF, so the "inf" encoding needs no case of its own
+        keys = ("c_p", "gamma_p", "c_pi", "gamma_pi")
+        return DriftParams(*(chains.number(doc, k) for k in keys))
 
 
 _CHUNK = 2048  # matrices per block in chunked scans
@@ -140,24 +141,31 @@ def _blend(a: np.ndarray, b: np.ndarray, w) -> np.ndarray:
 class _ArcWalk(Schedule):
     """A walk advancing TV arc c_p/u**gamma_p at step u (rate fixed at construction).
 
-    The arc prefix S_k is cached and grown by chunks; the carried S_m leads
-    each growth's cumsum, so every S_k is the sequential sum bit for bit.
+    The arc prefix S_k is kept at every _CHUNK-th k, plus the last span
+    summed, so memory does not grow with the horizon: a request outside
+    that span is summed on from the mark at or below k_lo to the end of its
+    chunk at least.  The carried mark leads each cumsum, so every S_k is the
+    sequential sum bit for bit, whatever was asked for before.
     """
 
     def __init__(self, n: int, params: DriftParams, rho_cap: float):
         super().__init__(n, params, rho_cap)
         self._rate = (params.c_p, params.gamma_p)
-        self._prefix = np.zeros(1)
+        self._marks = [0.0]  # S_k at k = 0, _CHUNK, 2 _CHUNK, ...
+        self._span = (0, np.zeros(1))  # (k0, S_k for k in [k0, k0 + size))
 
     def _arc(self, k_lo: int, k_hi: int) -> np.ndarray:
         """S_k for k in [k_lo, k_hi)."""
-        m = self._prefix.size - 1
-        if k_hi - 1 > m:
-            top = max(k_hi - 1, m + _CHUNK)
+        start, arc = self._span
+        if not start <= k_lo < k_hi <= start + arc.size:
+            j = min(k_lo // _CHUNK, len(self._marks) - 1)
+            start, top = j * _CHUNK, max(k_hi, (k_lo // _CHUNK + 1) * _CHUNK + 1)
             c_p, gamma_p = self._rate
-            steps = np.concatenate([self._prefix[-1:], c_p / _powers(m + 1, top + 1, gamma_p)])
-            self._prefix = np.concatenate([self._prefix, np.cumsum(steps)[1:]])
-        return self._prefix[k_lo:k_hi]
+            arc = np.cumsum(np.concatenate([self._marks[j:j + 1],
+                                            c_p / _powers(start + 1, top, gamma_p)]))
+            self._marks.extend(arc[len(self._marks) * _CHUNK - start::_CHUNK].tolist())
+            self._span = (start, arc)
+        return arc[k_lo - start:k_hi - start]
 
 
 class ConstantSchedule(Schedule):
@@ -408,6 +416,8 @@ class DriftReport:
     max_rho: float
     rho_argmax_t: int
     violations: list = field(default_factory=list)
+    # first t where the rounding allowance covers the whole certified step
+    drift_vacuous_from_t: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -441,6 +451,8 @@ class _Bound:
         self.violation = None
 
     def update(self, t_lo: int, scores: np.ndarray, observed: np.ndarray, bad: np.ndarray):
+        if not scores.size:
+            return
         i = int(np.argmax(self.sign * scores))
         if self.sign * scores[i] > self.sign * self.value:
             self.value, self.t = float(scores[i]), t_lo + i
@@ -450,31 +462,46 @@ class _Bound:
                                                   self.allowed(t_lo + i))
 
 
-def verify_drift(s: Schedule, t_max: int) -> DriftReport:
-    """Scan-certify a schedule's declared (c_p, gamma_p, c_pi, gamma_pi, rho_cap).
+def _drift_vacuous_from(params: DriftParams, n: int, t_max: int) -> int | None:
+    """First t <= t_max with _STEP_ROUNDING * n >= drift_bound(t), else None:
+    from there on a step twice the certified one passes.  The float root is
+    settled against drift_bound itself, which falls with t."""
+    allowance, gamma_p = _STEP_ROUNDING * n, params.gamma_p
+    if gamma_p == GAMMA_INF or params.drift_bound(t_max) > allowance:
+        return None
+    t = max(1, math.ceil((params.c_p / allowance) ** (1 / gamma_p)) - 2) if gamma_p else 1
+    while params.drift_bound(t) > allowance:
+        t += 1
+    return t
+
+
+def certificate_scan(s: Schedule, t_max: int, t_hi: int):
+    """Walk P^(1..t_hi-1) in blocks, scanning the declared certificate over [1, t_max].
 
     Checks, at every t in [1, t_max]:
       * t**gamma_p * ||P^(t+1) - P^(t)||  <=  c_p   (t < t_max; zero drift when gamma_p=inf)
       * t**gamma_pi * pi^(t)_min          >=  c_pi
       * rho(P^(t))                        <=  rho_cap
     A drift step may exceed c_p/t**gamma_p by the rounding of the stored
-    matrices (_STEP_ROUNDING per state) and no more.  The scan walks the
-    schedule in fixed-size blocks, steps across block edges included, and
-    solves for the stationary vector at every t (once per block when every
-    matrix of the block equals its first).
-    Raises DriftCertificateError naming the first offending t per bound.
+    matrices (_STEP_ROUNDING per state) and no more.  Matrices past t_max
+    enter no bound.  Yields (lo, block, pi_min, drift, report) per block:
+    pi_min[i] is pi^(lo+i)_min, for t <= t_max only; drift[i] is
+    ||P^(t+1) - P^(t)|| at t = max(1, lo - 1) + i, the step into the block
+    from the previous one first; report is the DriftReport of the scan so
+    far, its violations listed, not raised.  The stationary vectors are
+    solved once per block when every matrix of the block equals its first.
     """
-    if t_max < 2:
-        raise ValueError("t_max must be >= 2")
     params = s.params
-    drift = _Bound("drift c_p", 0.0, 1.0, params.drift_bound)
-    floor = _Bound("pi floor c_pi", math.inf, -1.0, params.pi_floor)
-    rho = _Bound("rho_cap", 0.0, 1.0, lambda t: s.rho_cap)
+    drift_b = _Bound("drift c_p", 0.0, 1.0, params.drift_bound)
+    floor_b = _Bound("pi floor c_pi", math.inf, -1.0, params.pi_floor)
+    rho_b = _Bound("rho_cap", 0.0, 1.0, lambda t: s.rho_cap)
+    vacuous = _drift_vacuous_from(params, s.n, t_max)
     prev = None  # last matrix of the previous block
-    for lo, block in s.blocks(1, t_max + 1):
+    for lo, block in s.blocks(1, t_hi):
         walk = block if prev is None else np.concatenate([prev, block])
         prev, d_lo = block[-1:], lo + len(block) - len(walk)  # d_lo: t of walk[0]
-        step = 0.5 * np.abs(walk[1:] - walk[:-1]).sum(axis=2).max(axis=1)
+        drift = 0.5 * np.abs(walk[1:] - walk[:-1]).sum(axis=2).max(axis=1)
+        step = drift[:max(0, t_max - d_lo)]
         if params.gamma_p == GAMMA_INF:
             scaled = np.where(step <= 1e-15, 0.0, math.inf)
             bad = scaled > params.c_p + _CERT_FUZZ
@@ -482,18 +509,29 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
             powers = _powers(d_lo, d_lo + step.size, params.gamma_p)
             scaled = step * powers
             bad = (step - _STEP_ROUNDING * s.n) * powers > params.c_p + _CERT_FUZZ
-        drift.update(d_lo, scaled, step, bad)
-        distinct = block if (block != block[0]).any() else block[:1]  # one solve if constant
-        rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(block))
-        rho.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
-        pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(block))
-        scaled = pi_min * _powers(lo, lo + len(block), params.gamma_pi)
-        floor.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
+        drift_b.update(d_lo, scaled, step, bad)
+        head, pi_min = block[:max(0, t_max + 1 - lo)], np.empty(0)
+        if head.size:
+            distinct = head if (head != head[0]).any() else head[:1]  # one solve if constant
+            rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(head))
+            rho_b.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
+            pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(head))
+            scaled = pi_min * _powers(lo, lo + len(head), params.gamma_pi)
+            floor_b.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
+        yield lo, block, pi_min, drift, DriftReport(
+            t_max, drift_b.value, drift_b.t, floor_b.value, floor_b.t, rho_b.value, rho_b.t,
+            [b.violation for b in (drift_b, floor_b, rho_b) if b.violation], vacuous)
 
-    violations = [b.violation for b in (drift, floor, rho) if b.violation]
-    report = DriftReport(t_max, drift.value, drift.t, floor.value, floor.t, rho.value, rho.t,
-                         violations)
-    if violations:
+
+def verify_drift(s: Schedule, t_max: int) -> DriftReport:
+    """Scan-certify a schedule's declared (c_p, gamma_p, c_pi, gamma_pi, rho_cap)
+    over [1, t_max] (certificate_scan); raises DriftCertificateError naming
+    the first offending t per bound."""
+    if t_max < 2:
+        raise ValueError("t_max must be >= 2")
+    for *_, report in certificate_scan(s, t_max, t_max + 1):
+        pass
+    if not report.ok:
         raise DriftCertificateError(report)
     return report
 
@@ -516,5 +554,5 @@ def schedule_from_spec(doc: dict) -> Schedule:
         return ShrinkingStateSchedule(params)
     # restart-wrapped
     inner = schedule_from_spec(doc["inner"])
-    return RestartWrappedSchedule(inner, float(doc["beta"]), float(doc["beta_hat"]),
-                                  int(doc["x_restart"]), params)
+    return RestartWrappedSchedule(inner, chains.number(doc, "beta"),
+                                  chains.number(doc, "beta_hat"), int(doc["x_restart"]), params)

@@ -87,14 +87,35 @@ def test_rerun_is_byte_identical(tmp_path):
     assert s1 == s2
 
 
+ACCEPTANCE_ANCHORS = {
+    "kind": "interpolation", "n": 2,
+    "params": {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0},
+    "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.1, 0.9], [0.8, 0.2]]}
+
+
 def test_tracking_aborts_on_bad_certificate(tmp_path):
-    from adiatrack.schedules import DriftCertificateError
-    config = make_config(schedule={
-        "kind": "constant", "n": 2, "p": [[0.9, 0.1], [0.2, 0.8]],
-        "params": {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.9, "gamma_pi": 0.0}})
-    with pytest.raises(DriftCertificateError):
-        run_tracking(config, tmp_path)
-    assert not list(tmp_path.iterdir())  # no trace file was written
+    from adiatrack.schedules import _CHUNK, DriftCertificateError, verify_drift
+    # Each report's extreme sits at the horizon's end, where P^(t_max+1),
+    # walked for the last drift_t, must not enter it.  pi_min falls along
+    # flat -> A and breaks the floor 0.47 on the way.
+    floor = {"kind": "interpolation", "n": 2,
+             "params": {"c_p": 0.03, "gamma_p": 1.0, "c_pi": 0.47, "gamma_pi": 0.0},
+             "p_start": [[0.5, 0.5], [0.5, 0.5]], "p_end": [[0.9, 0.1], [0.2, 0.8]]}
+    # restart wrapping scales the inner drift 0.05/t by 0.5/0.8: 0.03125/t, whose
+    # declared scaling t**1.5 grows with t and breaks c_p = 0.02 from t = 1
+    drift = {"kind": "restart-wrapped", "n": 2, "inner": ACCEPTANCE_ANCHORS, "beta": 0.5,
+             "beta_hat": 0.8, "x_restart": 0,
+             "params": {"c_p": 0.02, "gamma_p": 1.5, "c_pi": 0.1, "gamma_pi": 0.0}}
+    for schedule, bound in ((floor, "pi floor c_pi"), (drift, "drift c_p")):
+        # t_max = _CHUNK: the walk's last block holds P^(t_max+1) alone
+        config = make_config(schedule=schedule, t_max=_CHUNK)
+        with pytest.raises(DriftCertificateError) as err:
+            run_tracking(config, tmp_path / "out")
+        with pytest.raises(DriftCertificateError) as scanned:
+            verify_drift(config.build()[0], config.t_max)
+        assert err.value.report == scanned.value.report  # every field
+        assert [v.bound for v in err.value.report.violations] == [bound]
+        assert not list(tmp_path.iterdir())  # no trace file was written
 
 
 def test_summary_carries_regime_and_bound(tmp_path):
@@ -131,6 +152,24 @@ def test_shared_materialization_equals_per_seed_runs(overrides):
                                      config.t_max, seed, config.checkpoints, x0=config.x0)
         assert (trace.rows, trace.max_abs_value, trace.seed, trace.config) == \
             (alone.rows, alone.max_abs_value, alone.seed, alone.config)
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    import tracemalloc
+
+    from adiatrack.schedules import _CHUNK
+
+    def peak(t_max):
+        config = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=t_max, seeds=[101])
+        tracemalloc.start()
+        try:
+            harness._run_traces(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2 * _CHUNK)  # fills the one-time caches (memoized checks, lazy imports)
+    assert peak(8 * _CHUNK) - peak(2 * _CHUNK) < 1_000_000
 
 
 # ---------------------------------------------------------------------- slope
@@ -231,12 +270,6 @@ def test_sweep_shrinking_cell_runs(tmp_path):
                      base, tmp_path)
     assert rows[0]["status"] == "ok"
     assert rows[0]["regime"] == "boundary"  # 0.4 <= 3*0.5 blocks adiabatic
-
-
-ACCEPTANCE_ANCHORS = {
-    "kind": "interpolation", "n": 2,
-    "params": {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0},
-    "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.1, 0.9], [0.8, 0.2]]}
 
 
 def test_sweep_records_unconstructible_cell_as_skipped(tmp_path):
@@ -406,6 +439,8 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"schedule": ROW_SUM_1_1}, "row 0 sums to"),
     ({"reward": {"r": [1.0, 0.0], "beta": 1.5}}, "beta must lie strictly in (0,1)"),
     ({"x0": 5}, "x0=5 out of range"),
+    ({"reward": {"r": [1.0, 0.0], "beta": None}}, "beta must be a number, got None"),
+    ({"rate": {"c_alpha": None, "gamma_alpha": 0.6}}, "c_alpha must be a number, got None"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))

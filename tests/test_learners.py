@@ -18,7 +18,6 @@ from adiatrack.learners import (
     TrackingTrace,
     TraceRow,
     check_boundedness,
-    materialize,
     q_track,
     td0_track,
 )
@@ -317,38 +316,24 @@ def test_kernel_equals_per_step_numpy_loop(case):
     assert trace.max_abs_value == max_abs
 
 
-def test_materialized_caches_are_kept_per_spec_learner_and_rate():
+@pytest.mark.parametrize("n_actions", [None, 2])
+@pytest.mark.parametrize("t_max", [10_007, 3 * 2048])
+def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max):
+    # several blocks: each seed's uniforms and noise, drawn block by block, must
+    # continue one stream, and the checkpoints at the edges see the right matrix;
+    # at t_max = 3 * 2048 the walk's last block holds P^(t_max+1) alone
     sched = InterpolationSchedule(_product_chain(), TransitionMatrix(np.full((4, 4), 0.25)),
                                   DriftParams(0.02, 1.0, 0.05, 0.0))
-    spec_lo = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
-    spec_hi = spec_lo.with_beta(0.9)
-    cps = [10, 100, 400]
-    shared = materialize(sched, 400)
-    runs = [lambda **kw: td0_track(sched, spec_lo, RATE, ZERO_NOISE, 400, 3, cps, **kw),
-            lambda **kw: td0_track(sched, spec_hi, RATE, ZERO_NOISE, 400, 3, cps, **kw),
-            lambda **kw: q_track(sched, spec_lo, 2, RATE, ZERO_NOISE, 400, 3, cps, **kw),
-            lambda **kw: q_track(sched, spec_lo, 1, RATE, ZERO_NOISE, 400, 3, cps, **kw),
-            lambda **kw: td0_track(sched, spec_lo, LearningRate(0.5, 0.8), ZERO_NOISE, 400, 3,
-                                   cps, **kw)]
-    for run in runs + runs[::-1]:  # each order fills the shared cache differently
-        assert run(materialized=shared).rows == run().rows
-    for t in cps:
-        mat = sched.matrix_at(t)
-        for spec, n_actions, want in ((spec_lo, None, exact_reward(mat, spec_lo)),
-                                      (spec_hi, None, exact_reward(mat, spec_hi)),
-                                      (spec_lo, 2, exact_q(mat, spec_lo, 2)),
-                                      (spec_lo, 1, exact_q(mat, spec_lo, 1))):
-            np.testing.assert_array_equal(shared.diagnostics(t, spec, n_actions)[0], want)
-
-
-def test_materialized_walk_must_match_schedule_and_horizon():
-    sched = ConstantSchedule(A)
-    with pytest.raises(ValueError, match="another schedule"):
-        td0_track(sched, SPEC, RATE, ZERO_NOISE, 100, 0, [100],
-                  materialized=materialize(ConstantSchedule(A), 100))
-    with pytest.raises(ValueError, match="shorter horizon"):
-        td0_track(sched, SPEC, RATE, ZERO_NOISE, 100, 0, [100],
-                  materialized=materialize(sched, 99))
+    spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
+    noise = NoiseModel("uniform-iid", 0.3)
+    cps = [1, 2047, 2048, 2049, 6000, t_max]
+    kwargs = dict(t_max=t_max, seed=5, checkpoint_grid=cps, x0=3)
+    trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions is None
+             else q_track(sched, spec, n_actions, RATE, noise, **kwargs))
+    rows, max_abs = _per_step_track(sched, spec, n_actions, RATE, noise, t_max, 5,
+                                    set(cps), 3, None)
+    assert trace.rows == rows
+    assert trace.max_abs_value == max_abs
 
 
 # --------------------------------------------------------------- boundedness

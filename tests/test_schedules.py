@@ -388,6 +388,20 @@ def test_verify_drift_rejects_true_excess_of_1e12_at_gamma_p_two():
     assert violation.observed > violation.allowed + 0.9e-12
 
 
+def test_drift_report_names_where_the_rounding_allowance_takes_over():
+    # at gamma_p = 10, c_p/t**gamma_p falls below the allowance 4 n eps (n = 2) at t = 23:
+    # a step twice the certified one passes from there on
+    params = DriftParams(0.05, 10.0, 0.25, 0.0)
+    sched = InterpolationSchedule(A, B, params)
+    allowance = schedules._STEP_ROUNDING * 2
+    assert verify_drift(sched, 100).drift_vacuous_from_t == 23
+    assert params.drift_bound(23) <= allowance < params.drift_bound(22)
+    assert verify_drift(sched, 22).drift_vacuous_from_t is None  # past the horizon
+    slow = InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0))
+    assert verify_drift(slow, 5000).drift_vacuous_from_t is None
+    assert verify_drift(ConstantSchedule(A), 100).drift_vacuous_from_t is None  # gamma_p inf
+
+
 # ------------------------------------------------------------ block equivalence
 
 _ARC = {}
