@@ -29,6 +29,7 @@ __all__ = [
     "InvariantError",
     "tv_distance",
     "matrix_tv_distance",
+    "matrix_tv_distances",
     "ergodicity_coefficient",
     "ergodicity_coefficients",
     "stationary_distribution",
@@ -44,6 +45,7 @@ __all__ = [
     "uniform_distribution",
     "load_matrix",
     "number",
+    "integer",
 ]
 
 
@@ -147,7 +149,12 @@ def matrix_tv_distance(p: TransitionMatrix, q: TransitionMatrix) -> float:
     """Maximum over rows of the row-wise total variation distance."""
     if p.n != q.n:
         raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    return float(0.5 * np.abs(p.rows - q.rows).sum(axis=1).max())
+    return float(matrix_tv_distances(p.rows[None], q.rows[None])[0])
+
+
+def matrix_tv_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """matrix_tv_distance of each pair of two (k, n, n) stacks."""
+    return 0.5 * np.abs(p - q).sum(axis=2).max(axis=1)
 
 
 def ergodicity_coefficient(p: TransitionMatrix) -> float:
@@ -303,6 +310,19 @@ def number(doc: dict, key: str, *default) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def integer(doc: dict, key: str, *default) -> int:
+    """doc[key] (or the default, given and the key absent) as an int; a raw
+    JSON null, list, string or non-integral number raises a ValueError naming
+    the key, not a TypeError."""
+    value = doc.get(key, *default) if default else doc[key]
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def load_matrix(path) -> TransitionMatrix:

@@ -3,6 +3,9 @@
 Discounted reward functions come from direct linear solves and optimal
 Q-functions from policy iteration, one solve per policy, so tracking errors
 are measured against machine-precision targets, not simulation estimates.
+The reward solves and the reward Lipschitz and restart checks take stacks:
+(k, n, n) matrices with (k, n) rewards and (k,) discounts, solved in one
+call; the one-matrix functions are their k = 1 calls.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.
@@ -18,18 +21,21 @@ import numpy as np
 
 from . import chains
 from .chains import TransitionMatrix
-from .schedules import restart_wrap
+from .schedules import restart_wraps
 
 __all__ = [
     "RewardSpec",
     "CheckResult",
     "exact_reward",
+    "exact_rewards",
     "bellman_f",
     "exact_q",
     "bellman_g",
     "check_lipschitz_reward",
+    "check_lipschitz_rewards",
     "check_lipschitz_q",
     "check_restart_identity",
+    "check_restart_identities",
     "reward_lipschitz_constant",
 ]
 
@@ -43,10 +49,9 @@ class RewardSpec:
 
     def __post_init__(self):
         arr = np.array(self.r, dtype=float)
-        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        if arr.ndim != 1:
             raise ValueError("rewards must be a finite vector")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie strictly in (0,1), got {self.beta}")
+        _check_rewards(arr[None], np.array([self.beta]))
         arr.flags.writeable = False
         object.__setattr__(self, "r", arr)
 
@@ -69,6 +74,15 @@ class RewardSpec:
     @staticmethod
     def from_spec(doc: dict) -> "RewardSpec":
         return RewardSpec(np.asarray(doc["r"], dtype=float), chains.number(doc, "beta"))
+
+
+def _check_rewards(r: np.ndarray, beta: np.ndarray):
+    """The RewardSpec contract for (k, n) rewards and their (k,) discounts."""
+    if not np.all(np.isfinite(r)):
+        raise ValueError("rewards must be a finite vector")
+    bad = ~((0.0 < beta) & (beta < 1.0))  # NaN fails too
+    if bad.any():
+        raise ValueError(f"beta must lie strictly in (0,1), got {beta[bad][0]}")
 
 
 @dataclass
@@ -95,12 +109,24 @@ def _check_dims(p: TransitionMatrix, spec: RewardSpec):
 
 
 def exact_reward(p: TransitionMatrix, spec: RewardSpec) -> np.ndarray:
-    """Solve (I - beta P) R = r directly; always solvable for beta < 1."""
+    """Solve (I - beta P) R = r directly: the one-matrix call of exact_rewards."""
     _check_dims(p, spec)
-    solution = np.linalg.solve(np.eye(p.n) - spec.beta * p.rows, spec.r)
-    resid = np.abs(solution - (spec.r + spec.beta * p.rows @ solution)).max()
-    if resid > 1e-10 * (1.0 + np.abs(solution).max()):
-        raise ArithmeticError(f"fixed-point residual {resid!r} too large")
+    return exact_rewards(p.rows[None], spec.r[None], np.array([spec.beta]))[0]
+
+
+def exact_rewards(mats: np.ndarray, r: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Solve (I - beta_i P_i) R_i = r_i for a (k, n, n) stack in one call; (k, n).
+
+    Always solvable for beta < 1.  Raises ArithmeticError unless every
+    ||r_i + beta_i P_i R_i - R_i||_inf <= 1e-10 (1 + max|R_i|).
+    """
+    scaled = beta[:, None, None] * mats
+    solution = np.linalg.solve(np.eye(mats.shape[1]) - scaled, r[:, :, None])
+    resid = np.abs(solution - (r[:, :, None] + scaled @ solution)).max(axis=(1, 2))
+    solution = solution[:, :, 0]
+    bad = ~(resid <= 1e-10 * (1.0 + np.abs(solution).max(axis=1)))  # NaN fails too
+    if bad.any():
+        raise ArithmeticError(f"fixed-point residual {resid[bad][0]!r} too large")
     return solution
 
 
@@ -158,15 +184,32 @@ def exact_q(p: TransitionMatrix, spec: RewardSpec, n_actions: int,
 
 def check_lipschitz_reward(p: TransitionMatrix, q: TransitionMatrix,
                            spec: RewardSpec, slack: float = 1e-10) -> CheckResult:
-    """||R(.;P) - R(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q||.
+    """||R(.;P) - R(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q||: the one-pair
+    call of check_lipschitz_rewards.
 
     Holds for one-signed rewards: the TV-metered right side pairs each
     zero-mass row difference with the reward span, which equals r_max only
     when rewards do not change sign.
     """
-    lhs = float(np.abs(exact_reward(p, spec) - exact_reward(q, spec)).max())
-    rhs = reward_lipschitz_constant(spec) * chains.matrix_tv_distance(p, q)
+    _check_dims(p, spec)
+    _check_dims(q, spec)
+    (lhs,), (rhs,) = (side.tolist() for side in check_lipschitz_rewards(
+        p.rows[None], q.rows[None], spec.r[None], np.array([spec.beta])))
     return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
+
+
+def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
+                            beta: np.ndarray) -> tuple:
+    """Both sides (lhs, rhs), each (k,), of check_lipschitz_reward's bound for
+    each pair of (k, n, n) stacks p, q with rewards r (k, n) and discounts
+    beta (k,).  Validates the stacks as TransitionMatrix and RewardSpec do.
+    """
+    chains._check_rows(p)
+    chains._check_rows(q)
+    _check_rewards(r, beta)
+    lhs = np.abs(exact_rewards(p, r, beta) - exact_rewards(q, r, beta)).max(axis=1)
+    rhs = beta * np.abs(r).max(axis=1) / (1.0 - beta) ** 2 * chains.matrix_tv_distances(p, q)
+    return lhs, rhs
 
 
 def check_lipschitz_q(p: TransitionMatrix, q: TransitionMatrix, spec: RewardSpec,
@@ -186,15 +229,31 @@ def check_restart_identity(p: TransitionMatrix, spec: RewardSpec, beta_hat: floa
 
     The identity couples the restart state to the evaluation state, so the
     value comparison is at component x_restart.  Also asserts the wrapped
-    matrix's ergodicity coefficient <= beta/beta_hat + 1e-12.
+    matrix's ergodicity coefficient <= beta/beta_hat + 1e-12.  The one-matrix
+    call of check_restart_identities.
     """
-    beta = spec.beta
-    wrapped = restart_wrap(p, beta, beta_hat, x_restart)
-    lhs = float(exact_reward(wrapped, spec.with_beta(beta_hat))[x_restart])
-    rhs = float((1.0 - beta) / (1.0 - beta_hat) * exact_reward(p, spec)[x_restart])
-    rho = chains.ergodicity_coefficient(wrapped)
-    rho_bound = beta / beta_hat
+    _check_dims(p, spec)
+    (lhs,), (rhs,), (rho,), (rho_bound,) = (side.tolist() for side in check_restart_identities(
+        p.rows[None], spec.r[None], np.array([spec.beta]), np.array([beta_hat]),
+        np.array([x_restart])))
     rho_ok = rho <= rho_bound + 1e-12
     return CheckResult(lhs=lhs, rhs=rhs,
                        passed=(abs(lhs - rhs) <= slack) and rho_ok,
                        detail={"rho": rho, "rho_bound": rho_bound, "rho_ok": rho_ok})
+
+
+def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
+                             beta_hat: np.ndarray, x_restart: np.ndarray) -> tuple:
+    """check_restart_identity's quantities (lhs, rhs, rho, rho_bound), each (k,),
+    for a (k, n, n) stack with rewards r (k, n) and per-matrix beta, beta_hat
+    and x_restart (k,).  Validates the stack as TransitionMatrix, RewardSpec
+    and restart_wrap do, and the wrapped rows as TransitionMatrix does.
+    """
+    chains._check_rows(p)
+    _check_rewards(r, beta)
+    wrapped = restart_wraps(p, beta, beta_hat, x_restart)
+    chains._check_rows(wrapped)
+    at = np.arange(len(p)), x_restart
+    lhs = exact_rewards(wrapped, r, beta_hat)[at]
+    rhs = (1.0 - beta) / (1.0 - beta_hat) * exact_rewards(p, r, beta)[at]
+    return lhs, rhs, chains.ergodicity_coefficients(wrapped), beta / beta_hat

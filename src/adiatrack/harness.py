@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import bounds, learners, schedules
+from . import bounds, chains, learners, schedules
 from .dp import RewardSpec
 from .learners import LearningRate, NoiseModel
 
@@ -46,6 +46,12 @@ def log_checkpoints(t_max: int, per_decade: int = 8) -> list:
     grid = {int(round(10 ** e)) for e in np.linspace(0.0, math.log10(t_max), k + 1)}
     grid.add(t_max)
     return sorted(t for t in grid if 1 <= t <= t_max)
+
+
+def _read_list(values: list, name: str, read) -> list:
+    """Each entry of a JSON list through read (chains.number or chains.integer),
+    named name[i] in its error."""
+    return [read({f"{name}[{i}]": v}, f"{name}[{i}]") for i, v in enumerate(values)]
 
 
 def canonical_json(doc) -> str:
@@ -75,20 +81,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.learner not in ("td0", "q"):
             raise ValueError(f"unknown learner {self.learner!r}")
+        for name in ("t_max", "x0", "n_actions"):
+            setattr(self, name, chains.integer(vars(self), name))
         if self.t_max < 2:  # the drift certificate needs one step
             raise ValueError("t_max must be >= 2")
         if isinstance(self.seeds, dict):
-            base, count = int(self.seeds["base"]), int(self.seeds["count"])
+            base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
             self.seeds = [base + k for k in range(count)]
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = _read_list(self.seeds, "seeds", chains.integer)
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
         if isinstance(self.checkpoints, dict):
-            self.checkpoints = log_checkpoints(self.t_max,
-                                               int(self.checkpoints["per_decade"]))
+            self.checkpoints = log_checkpoints(
+                self.t_max, chains.integer(self.checkpoints, "per_decade"))
         if not self.checkpoints:
             self.checkpoints = log_checkpoints(self.t_max)
-        self.checkpoints = sorted({int(t) for t in self.checkpoints})
+        self.checkpoints = sorted(set(_read_list(self.checkpoints, "checkpoints",
+                                                   chains.integer)))
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -266,9 +275,9 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     Cells are independent; the merged table is sorted by cell key.
     """
     os.makedirs(out_dir, exist_ok=True)
-    gps = [schedules.GAMMA_INF if g == "inf" else float(g) for g in grid["gamma_p"]]
-    gas = [float(g) for g in grid["gamma_alpha"]]
-    gpis = [float(g) for g in grid.get("gamma_pi", [0.0])]
+    gps = _read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
+    gas = _read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
+    gpis = _read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
     rows = []
     for gp in gps:
         for ga in gas:

@@ -5,7 +5,8 @@ inhomogeneous chain: table[x] += alpha_t (r[x] + beta boot - table[x] + eps_t),
 with boot the next state's entry (TD(0)) or the max over its action block
 (Q-learning); every other component is left bit-identical.  Tracking error
 is the sup-norm distance to the exact fixed point of the *current* schedule
-matrix, solved on demand at checkpoints.
+matrix, solved at checkpoints: a block's TD(0) targets in one stacked
+solve, Q-learning's one policy iteration per checkpoint.
 
 Kernel: materialize walks the schedule once per run, in blocks, with the
 certificate scan; each block advances every seed, on a step loop over
@@ -237,14 +238,16 @@ def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
     r_vec, pi_at, drift_at = spec.r.tolist(), {}, {}
     for lo, block, cums, pi_min, drift, report in materialize(schedule, t_max):
         hi, d_lo = lo + len(pi_min), max(1, lo - 1)
-        mats = {t: chains.TransitionMatrix(block[t - lo]) for t in cps if lo <= t < hi}
-        targets = [(t - lo, t, (dp.exact_reward(mat, spec) if n_actions is None
-                                else dp.exact_q(mat, spec, n_actions)).tolist())
-                   for t, mat in mats.items()]
+        at = [t for t in cps if lo <= t < hi]
+        mats, k = block[[t - lo for t in at]], len(at)
+        solved = (dp.exact_rewards(mats, np.tile(spec.r, (k, 1)), np.full(k, spec.beta))
+                  if n_actions is None
+                  else [dp.exact_q(chains.TransitionMatrix(m), spec, n_actions) for m in mats])
+        targets = [(t - lo, t, target.tolist()) for t, target in zip(at, solved)]
         alphas = [rate.alpha(t) for t in range(lo, hi)]
         for run in runs:
             run.advance(cums, alphas, targets, r_vec, spec.beta)
-        pi_at.update((t, float(pi_min[t - lo])) for t in mats)
+        pi_at.update((t, float(pi_min[t - lo])) for t in at)
         drift_at.update((t, float(drift[t - d_lo])) for t in cps
                         if d_lo <= t < d_lo + len(drift))
     echo = {"learner": "td0" if n_actions is None else "q", "t_max": int(t_max),

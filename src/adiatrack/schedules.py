@@ -38,6 +38,7 @@ __all__ = [
     "ShrinkingStateSchedule",
     "RestartWrappedSchedule",
     "restart_wrap",
+    "restart_wraps",
     "verify_drift",
     "certificate_scan",
     "DriftReport",
@@ -339,15 +340,30 @@ def restart_wrap(p: TransitionMatrix, beta: float, beta_hat: float,
     which forces every row-pair overlap >= 1 - beta/beta_hat and hence an
     ergodicity coefficient <= beta/beta_hat.
     """
-    if not 0 < beta < beta_hat < 1:
-        raise ValueError(f"need 0 < beta < beta_hat < 1, got beta={beta}, beta_hat={beta_hat}")
-    if not 0 <= x_restart < p.n:
-        raise ValueError(f"restart state {x_restart} out of range")
-    return TransitionMatrix(_wrap_rows(p.rows, beta / beta_hat, x_restart))
+    return TransitionMatrix(restart_wraps(p.rows[None], np.array([beta]), np.array([beta_hat]),
+                                          np.array([x_restart]))[0])
+
+
+def restart_wraps(mats: np.ndarray, beta: np.ndarray, beta_hat: np.ndarray,
+                  x_restart: np.ndarray) -> np.ndarray:
+    """restart_wrap of each matrix of a (k, n, n) stack, matrix i with its own
+    beta[i], beta_hat[i] and x_restart[i]; the caller validates the rows."""
+    bad = ~((0 < beta) & (beta < beta_hat) & (beta_hat < 1))
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"need 0 < beta < beta_hat < 1, got beta={beta[i]}, "
+                         f"beta_hat={beta_hat[i]}")
+    bad = ~((0 <= x_restart) & (x_restart < mats.shape[1]))
+    if bad.any():
+        raise ValueError(f"restart state {x_restart[np.argmax(bad)]} out of range")
+    ratio = beta / beta_hat
+    out = ratio[:, None, None] * mats
+    out[np.arange(len(out)), :, x_restart] += (1.0 - ratio)[:, None]
+    return out
 
 
 def _wrap_rows(rows: np.ndarray, ratio: float, x_restart: int) -> np.ndarray:
-    """ratio * rows plus mass 1 - ratio on column x_restart, for one matrix or a stack."""
+    """restart_wraps' mixing with one ratio and x_restart for a whole block."""
     out = ratio * rows
     out[..., x_restart] += 1.0 - ratio
     return out

@@ -3,7 +3,12 @@
 Each suite runs with a fixed master seed (per-case streams derive from it),
 counts violations, and reports the worst margin, overall and per check name,
 plus full counterexample inputs (matrices verbatim) so a CI failure is
-reproducible from the report alone.  The ergodicity coefficient is always
+reproducible from the report alone; a check builds its inputs only when it
+fails.  The Lipschitz (reward) and restart suites draw every case first, in
+the order of a per-case loop, then validate and solve the cases of each
+matrix size as one stack (dp.check_lipschitz_rewards,
+dp.check_restart_identities) and record the checks in case order, so the
+report equals the per-case loop's.  The ergodicity coefficient is always
 looked up through the chains module at call time, so a corrupted
 implementation is caught rather than silently trusted.
 """
@@ -33,7 +38,8 @@ class _Recorder:
         self.worst_margin_by_check = {}
 
     def check(self, name, lhs, rhs, tol, inputs=None):
-        """Record the inequality lhs <= rhs + tol."""
+        """Record the inequality lhs <= rhs + tol; inputs() builds the
+        counterexample inputs, called only on a violation."""
         self.checks += 1
         margin = rhs + tol - lhs
         if margin < self.worst_margin_by_check.get(name, np.inf):
@@ -42,7 +48,7 @@ class _Recorder:
             entry = {"check": name, "lhs": float(lhs), "rhs": float(rhs),
                      "tol": tol, "case": self.cases}
             if inputs:
-                entry["inputs"] = inputs
+                entry["inputs"] = inputs()
             self.violations.append(entry)
 
     def require(self, name, condition, inputs=None):
@@ -50,7 +56,7 @@ class _Recorder:
         if not condition:
             entry = {"check": name, "case": self.cases}
             if inputs:
-                entry["inputs"] = inputs
+                entry["inputs"] = inputs()
             self.violations.append(entry)
 
     def report(self):
@@ -67,6 +73,11 @@ class _Recorder:
 
 def random_transition_matrix(rng, n) -> TransitionMatrix:
     """Dense positive random rows (hence irreducible), varied skew."""
+    return TransitionMatrix(_random_rows(rng, n))
+
+
+def _random_rows(rng, n) -> np.ndarray:
+    """The rows of random_transition_matrix, from the same draws, unvalidated."""
     style = rng.integers(3)
     raw = rng.random((n, n))
     if style == 1:
@@ -74,7 +85,21 @@ def random_transition_matrix(rng, n) -> TransitionMatrix:
     elif style == 2:
         cycle = np.eye(n)[(np.arange(n) + 1) % n]  # cycle backbone, still dense
         raw = 0.2 * raw + 0.8 * cycle + 1e-3
-    return TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _by_size(cases, check):
+    """check(*stacks) on the cases of each matrix size at once; its per-case
+    outputs as tuples of floats, in case order.  A case is a tuple whose
+    first entry is its matrix; column j of a size's cases is stack j."""
+    out, sizes = [None] * len(cases), {}
+    for i, case in enumerate(cases):
+        sizes.setdefault(len(case[0]), []).append(i)
+    for idx in sizes.values():
+        stacks = [np.array([cases[i][j] for i in idx]) for j in range(len(cases[idx[0]]))]
+        for i, row in zip(idx, zip(*(side.tolist() for side in check(*stacks)))):
+            out[i] = row
+    return out
 
 
 def random_distribution(rng, n) -> Distribution:
@@ -99,7 +124,9 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
         q = random_transition_matrix(rng, n)
         rho_p = chains.ergodicity_coefficient(p)
         rho_q = chains.ergodicity_coefficient(q)
-        inputs = {"p": p.rows.tolist(), "q": q.rows.tolist()}
+
+        def inputs():
+            return {"p": p.rows.tolist(), "q": q.rows.tolist()}
 
         prod = TransitionMatrix(p.rows @ q.rows)
         rec.check("submultiplicative", chains.ergodicity_coefficient(prod),
@@ -127,7 +154,7 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
         rec.cases += 1
         p = random_transition_matrix(rng2, 2)
         rec.check("second_eigenvalue", abs(chains.second_eigenvalue_2x2(p)),
-                  chains.ergodicity_coefficient(p), tol, {"p": p.rows.tolist()})
+                  chains.ergodicity_coefficient(p), tol, lambda: {"p": p.rows.tolist()})
     return rec.report()
 
 
@@ -204,7 +231,7 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, t_values=None,
                     bound = bounds.stationarity_gap_bound(
                         phi, rho_last, t, chains.tv_distance(lam, pi_last))
                     rec.check("stationarity_gap_dominance", gap, bound, tol,
-                              {**inputs, "x": x})
+                              lambda: {**inputs, "x": x})
             mu_uni = chains.uniform_distribution(n)
             mu_pow = mu_uni.probs @ ref_pow
             for x in range(n):
@@ -212,7 +239,7 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, t_values=None,
                 gap = 0.5 * np.abs(marg[x] - mu_pow).sum()
                 bound = bounds.homogeneous_comparison_bound(lam, mu_uni, ref_first, mats)
                 rec.check("homogeneous_comparison_dominance", gap, bound, tol,
-                          {**inputs, "x": x})
+                          lambda: {**inputs, "x": x})
 
     if limit_behavior:
         # gap-vs-horizon is cycle-phase dependent; this instance's decade
@@ -236,10 +263,10 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, t_values=None,
                     phi, chains.ergodicity_coefficient(p_last), t,
                     0.5 * np.abs(np.array([1.0, 0.0]) - pi_last.probs).sum())
                 rec.check("limit_gap_below_bound", gaps[t], bound, tol,
-                          {"T": t, "family": "cyclic"})
+                          lambda: {"T": t, "family": "cyclic"})
         rec.require("limit_gap_strictly_decreasing",
                     gaps[100] > gaps[1000] > gaps[10_000],
-                    {"gaps": {str(k): float(v) for k, v in gaps.items()}})
+                    lambda: {"gaps": {str(k): float(v) for k, v in gaps.items()}})
     return rec.report()
 
 
@@ -257,8 +284,8 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
         t_hi = int(rng.integers(s, t_horizon))
         direct = float((np.arange(s, t_hi + 1, dtype=float) ** -gamma).sum())
         lo, hi = bounds.power_sum_bounds(s, t_hi, gamma)
-        rec.check("power_sum_lower", lo, direct, tol, {"gamma": gamma, "s": s, "t": t_hi})
-        rec.check("power_sum_upper", direct, hi, tol, {"gamma": gamma, "s": s, "t": t_hi})
+        rec.check("power_sum_lower", lo, direct, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
+        rec.check("power_sum_upper", direct, hi, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
 
         c_a = float(rng.uniform(0.05, 0.95))
         g_a = float(rng.uniform(0.05, 0.95))
@@ -268,8 +295,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
         else:
             b_seq = np.sort(rng.random(t_horizon))[::-1]
         res = bounds.decaying_sum_check(a_seq, b_seq, t_horizon, slack=tol)
-        rec.check("decaying_sum", res.lhs, res.rhs, tol,
-                  {"c_a": c_a, "gamma_a": g_a})
+        rec.check("decaying_sum", res.lhs, res.rhs, tol, lambda: {"c_a": c_a, "gamma_a": g_a})
 
         c_big = float(rng.uniform(0.1, 3.0))
         g_big = float(rng.uniform(0.0, 1.5))
@@ -278,7 +304,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
         coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=tol)
         rec.require("recursion_coefficients_growth",
                     np.isfinite((np.abs(coeffs) * ts ** g_big).max()),
-                    {"c_A": c_big, "gamma_A": g_big})
+                    lambda: {"c_A": c_big, "gamma_A": g_big})
 
         z0 = float(rng.uniform(0.0, 2.0))
         a_rec = rng.uniform(0.01, 0.99, t_horizon)
@@ -291,7 +317,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
             if abs(z - closed[n_]) > tol * (1.0 + abs(z)):
                 ok = False
                 break
-        rec.require("recursion_unroll_identity", ok, {"z0": z0})
+        rec.require("recursion_unroll_identity", ok, lambda: {"z0": z0})
         slackened = z0
         ok = True
         for n_ in range(t_horizon):  # <= version stays below the closed form
@@ -299,7 +325,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
             if slackened > closed[n_] + tol:
                 ok = False
                 break
-        rec.require("recursion_unroll_dominates", ok, {"z0": z0})
+        rec.require("recursion_unroll_dominates", ok, lambda: {"z0": z0})
 
         # any z staying under its own unrolled expansion (with the damped
         # alpha_t * beta * z_{t-1} feedback folded in as a source term) is
@@ -318,7 +344,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
                 ok = False
                 break
             z_prev = z_t
-        rec.require("dominating_sequence", ok, {"beta": beta, "z0": z0})
+        rec.require("dominating_sequence", ok, lambda: {"beta": beta, "z0": z0})
     return rec.report()
 
 
@@ -330,21 +356,23 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500,
     product-space pairs; beta drawn from {0.5, 0.9, 0.99}.  Rewards are
     non-negative: the TV-metered Lipschitz constant pairs a zero-mass row
     difference with the reward span, so one-signed rewards are the bound's
-    domain (signed rewards break it by up to a factor of two).
+    domain (signed rewards break it by up to a factor of two).  Q cases
+    stay one solve per case: policy iteration takes its own number of
+    rounds on each.
     """
     rec = _Recorder("lipschitz", master_seed)
     rng = chains.stream(master_seed, 5)
     betas = [0.5, 0.9, 0.99]
+    cases = []
     for i in range(n_reward_cases):
-        rec.cases += 1
         n = int(rng.integers(2, 7))
-        p = random_transition_matrix(rng, n)
-        q = random_transition_matrix(rng, n)
-        spec = dp.RewardSpec(rng.uniform(0, 1, n), betas[i % 3])
-        res = dp.check_lipschitz_reward(p, q, spec, slack=tol)
-        rec.check("reward_lipschitz", res.lhs, res.rhs, tol,
-                  {"p": p.rows.tolist(), "q": q.rows.tolist(),
-                   "r": spec.r.tolist(), "beta": spec.beta})
+        cases.append((_random_rows(rng, n), _random_rows(rng, n), rng.uniform(0, 1, n),
+                      betas[i % 3]))
+    sides = _by_size(cases, dp.check_lipschitz_rewards)
+    for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
+        rec.cases += 1
+        rec.check("reward_lipschitz", lhs, rhs, tol,
+                  lambda: {"p": p.tolist(), "q": q.tolist(), "r": r.tolist(), "beta": beta})
     for i in range(n_q_cases):
         rec.cases += 1
         n_s = int(rng.integers(2, 4))
@@ -355,8 +383,8 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500,
         spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
         res = dp.check_lipschitz_q(p, q, spec, n_a, slack=tol, tol=1e-12)
         rec.check("q_lipschitz", res.lhs, res.rhs, tol,
-                  {"p": p.rows.tolist(), "q": q.rows.tolist(),
-                   "r": spec.r.tolist(), "beta": spec.beta, "n_actions": n_a})
+                  lambda: {"p": p.rows.tolist(), "q": q.rows.tolist(),
+                           "r": spec.r.tolist(), "beta": spec.beta, "n_actions": n_a})
     return rec.report()
 
 
@@ -366,21 +394,24 @@ def suite_restart(n_cases=1000, master_seed=DEFAULT_MASTER_SEED,
     beta/beta_hat ergodicity cap, on randomized instances."""
     rec = _Recorder("restart", master_seed)
     rng = chains.stream(master_seed, 6)
+    cases = []
     for _ in range(n_cases):
-        rec.cases += 1
         n = int(rng.integers(2, 6))
-        p = random_transition_matrix(rng, n)
+        p = _random_rows(rng, n)
         beta = float(rng.uniform(0.2, 0.9))
         beta_hat = beta + (1.0 - beta) * float(rng.uniform(0.2, 0.9))
         x_restart = int(rng.integers(n))
-        spec = dp.RewardSpec(rng.uniform(-1, 1, n), beta)
-        res = dp.check_restart_identity(p, spec, beta_hat, x_restart, slack=value_tol)
-        inputs = {"p": p.rows.tolist(), "r": spec.r.tolist(), "beta": beta,
-                  "beta_hat": beta_hat, "x_restart": x_restart}
-        rec.check("restart_value_identity", abs(res.lhs - res.rhs), 0.0,
-                  value_tol, inputs)
-        rec.check("restart_rho_cap", res.detail["rho"], res.detail["rho_bound"],
-                  rho_tol, inputs)
+        r = rng.uniform(-1, 1, n)  # drawn last, as the rewards of a per-case loop
+        cases.append((p, r, beta, beta_hat, x_restart))
+    sides = _by_size(cases, dp.check_restart_identities)
+    for (p, r, beta, beta_hat, x_restart), (lhs, rhs, rho, rho_bound) in zip(cases, sides):
+        rec.cases += 1
+
+        def inputs():
+            return {"p": p.tolist(), "r": r.tolist(), "beta": beta,
+                    "beta_hat": beta_hat, "x_restart": x_restart}
+        rec.check("restart_value_identity", abs(lhs - rhs), 0.0, value_tol, inputs)
+        rec.check("restart_rho_cap", rho, rho_bound, rho_tol, inputs)
     return rec.report()
 
 
@@ -412,7 +443,7 @@ def suite_mixing(master_seed=DEFAULT_MASTER_SEED, t_horizon=4096, tol=1e-12):
             rec.cases += 1
             res = bounds.conditional_mixing_check(fam, t, t_horizon, rho, slack=tol)
             rec.check("conditional_mixing", res.lhs, res.rhs, tol,
-                      {"family": name, "t": t, "tau": res.detail["tau"]})
+                      lambda: {"family": name, "t": t, "tau": res.detail["tau"]})
     return rec.report()
 
 
@@ -428,8 +459,8 @@ def suite_coverage(n_reps=500, master_seed=DEFAULT_MASTER_SEED, t_max=1000,
                                          seed=master_seed)
     rec.cases = n_reps
     rec.check("envelope_coverage", res.violation_fraction, res.threshold, 0.0,
-              {"delta": delta, "tau": tau, "n_reps": n_reps,
-               "n_violating": res.n_violating})
+              lambda: {"delta": delta, "tau": tau, "n_reps": n_reps,
+                       "n_violating": res.n_violating})
     return rec.report()
 
 

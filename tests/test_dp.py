@@ -95,6 +95,27 @@ def test_exact_reward_respects_value_cap(p, beta):
     assert np.abs(exact_reward(p, spec)).max() <= spec.value_cap + 1e-12
 
 
+def test_exact_rewards_equals_per_matrix_exact_reward(rng):
+    betas = np.array([0.5, 0.9, 0.99])[np.arange(9) % 3]
+    for n in range(2, 7):
+        raw = rng.random((9, n, n))
+        mats = raw / raw.sum(axis=2, keepdims=True)
+        r = rng.uniform(-1, 1, (9, n))
+        np.testing.assert_array_equal(
+            dp.exact_rewards(mats, r, betas),
+            [exact_reward(TransitionMatrix(m), RewardSpec(ri, b))
+             for m, ri, b in zip(mats, r, betas)])
+
+
+@pytest.mark.parametrize("error", [1e-9, np.nan])
+def test_exact_rewards_certificate_rejects_an_inexact_solve(monkeypatch, error):
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) + error)
+    with pytest.raises(ArithmeticError, match="fixed-point residual"):
+        dp.exact_rewards(np.stack([P_REF.rows, FLAT.rows]), np.array([[1.0, 0.0], [0.0, 0.0]]),
+                         np.array([0.5, 0.5]))
+
+
 # ------------------------------------------------------------------ bellman_f
 
 def test_bellman_f_fixed_point_and_zero_input():

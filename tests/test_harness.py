@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from adiatrack import chains, harness, learners, verify
+from adiatrack import chains, dp, harness, learners, verify
 from adiatrack.cli import main as cli_main
 from adiatrack.harness import (
     SPEC_VERSION,
@@ -309,6 +309,94 @@ def test_verify_suite_detects_corrupted_rho(monkeypatch):
     assert "p" in report["violations"][0]["inputs"]
 
 
+def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
+    """suite_lipschitz as a per-case loop: a validated draw and one dp check per case."""
+    rec = verify._Recorder("lipschitz", master_seed)
+    rng = chains.stream(master_seed, 5)
+    betas = [0.5, 0.9, 0.99]
+    for i in range(n_reward_cases):
+        rec.cases += 1
+        n = int(rng.integers(2, 7))
+        p = verify.random_transition_matrix(rng, n)
+        q = verify.random_transition_matrix(rng, n)
+        spec = dp.RewardSpec(rng.uniform(0, 1, n), betas[i % 3])
+        res = dp.check_lipschitz_reward(p, q, spec, slack=tol)
+        rec.check("reward_lipschitz", res.lhs, res.rhs, tol)
+    for i in range(n_q_cases):
+        rec.cases += 1
+        nsa = 2 * int(rng.integers(2, 4))
+        p = verify.random_transition_matrix(rng, nsa)
+        q = verify.random_transition_matrix(rng, nsa)
+        spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
+        res = dp.check_lipschitz_q(p, q, spec, 2, slack=tol, tol=1e-12)
+        rec.check("q_lipschitz", res.lhs, res.rhs, tol)
+    return rec.report()
+
+
+def _per_case_restart(n_cases, master_seed, value_tol=1e-8, rho_tol=1e-12):
+    """suite_restart as a per-case loop: a validated draw and one dp check per case."""
+    rec = verify._Recorder("restart", master_seed)
+    rng = chains.stream(master_seed, 6)
+    for _ in range(n_cases):
+        rec.cases += 1
+        n = int(rng.integers(2, 6))
+        p = verify.random_transition_matrix(rng, n)
+        beta = float(rng.uniform(0.2, 0.9))
+        beta_hat = beta + (1.0 - beta) * float(rng.uniform(0.2, 0.9))
+        x_restart = int(rng.integers(n))
+        spec = dp.RewardSpec(rng.uniform(-1, 1, n), beta)
+        res = dp.check_restart_identity(p, spec, beta_hat, x_restart, slack=value_tol)
+        rec.check("restart_value_identity", abs(res.lhs - res.rhs), 0.0, value_tol)
+        rec.check("restart_rho_cap", res.detail["rho"], res.detail["rho_bound"], rho_tol)
+    return rec.report()
+
+
+@pytest.mark.parametrize("master_seed", [verify.DEFAULT_MASTER_SEED, 7, 11])
+def test_stacked_fixed_point_suites_equal_per_case_loops(monkeypatch, master_seed):
+    checks, record = [], verify._Recorder.check
+
+    def logged(rec, name, lhs, rhs, tol, inputs=None):  # every check, in order
+        checks.append((rec.cases, name, lhs, rhs))
+        record(rec, name, lhs, rhs, tol, inputs)
+
+    monkeypatch.setattr(verify._Recorder, "check", logged)
+    for suite, per_case in [(lambda: verify.suite_lipschitz(90, 12, master_seed=master_seed),
+                             lambda: _per_case_lipschitz(90, 12, master_seed)),
+                            (lambda: verify.suite_restart(60, master_seed=master_seed),
+                             lambda: _per_case_restart(60, master_seed))]:
+        report, stacked = canonical_json(suite()), checks.copy()
+        checks.clear()
+        assert report == canonical_json(per_case())
+        assert stacked == checks
+        checks.clear()
+
+
+def test_restart_suite_detects_corrupted_rho(monkeypatch):
+    true_rhos = chains.ergodicity_coefficients
+    monkeypatch.setattr(chains, "ergodicity_coefficients", lambda mats: 2.0 * true_rhos(mats))
+    report = verify.suite_restart(n_cases=50)
+    assert not report["pass"]
+    first = report["violations"][0]
+    assert first["check"] == "restart_rho_cap"
+    inputs = first["inputs"]  # reproduces the case through the one-matrix check
+    res = dp.check_restart_identity(chains.TransitionMatrix(inputs["p"]),
+                                    dp.RewardSpec(inputs["r"], inputs["beta"]),
+                                    inputs["beta_hat"], inputs["x_restart"])
+    assert not res.passed and not res.detail["rho_ok"]
+    assert (res.detail["rho"], res.detail["rho_bound"]) == (first["lhs"], first["rhs"])
+
+
+def test_verify_builds_counterexample_inputs_only_on_a_violation():
+    built = []
+    rec = verify._Recorder("demo", 0)
+    rec.check("a", 1.0, 2.0, 0.0, lambda: built.append("a") or {"x": 1})
+    rec.require("b", True, lambda: built.append("b") or {"x": 2})
+    rec.check("c", 3.0, 2.0, 0.0, lambda: built.append("c") or {"x": 3})
+    rec.require("d", False, lambda: built.append("d") or {"x": 4})
+    assert built == ["c", "d"]
+    assert [v["inputs"] for v in rec.report()["violations"]] == [{"x": 3}, {"x": 4}]
+
+
 def test_verify_report_keeps_worst_margin_per_check():
     rec = verify._Recorder("demo", 0)
     for name, lhs, rhs in [("a", 1.0, 2.0), ("b", 1.0, 1.5), ("a", 1.0, 1.25)]:
@@ -441,6 +529,10 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"x0": 5}, "x0=5 out of range"),
     ({"reward": {"r": [1.0, 0.0], "beta": None}}, "beta must be a number, got None"),
     ({"rate": {"c_alpha": None, "gamma_alpha": 0.6}}, "c_alpha must be a number, got None"),
+    ({"t_max": None}, "t_max must be an integer, got None"),
+    ({"x0": None}, "x0 must be an integer, got None"),
+    ({"seeds": [101, None]}, "seeds[1] must be an integer, got None"),
+    ({"checkpoints": {"per_decade": 2.5}}, "per_decade must be an integer, got 2.5"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -451,15 +543,23 @@ def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, chang
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
 
 
-@pytest.mark.parametrize("reward, named", [
-    ({"r": [1.0, 0.0], "beta": 1.5}, "beta must lie strictly in (0,1)"),
-    ({"r": [1.0, 0.0, 0.5], "beta": 0.5}, "vs rewards n=3"),
+SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
+
+
+@pytest.mark.parametrize("reward, grid, named", [
+    pytest.param({"r": [1.0, 0.0], "beta": 1.5}, SWEEP_GRID, "beta must lie strictly in (0,1)",
+                 id="reward0-beta must lie strictly in (0,1)"),
+    pytest.param({"r": [1.0, 0.0, 0.5], "beta": 0.5}, SWEEP_GRID, "vs rewards n=3",
+                 id="reward1-vs rewards n=3"),
+    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_p": [None]},
+                 "gamma_p[0] must be a number, got None", id="grid-gamma_p-null"),
+    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_pi": [0.0, None]},
+                 "gamma_pi[1] must be a number, got None", id="grid-gamma_pi-null"),
 ])
-def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, reward, named):
+def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, reward, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, "reward": reward}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    (tmp_path / "grid.json").write_text(json.dumps({"gamma_p": [1.0],
-                                                    "gamma_alpha": [0.6]}))
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
     rc = cli_main(["sweep", "--grid", str(tmp_path / "grid.json"),
                    "--config", str(tmp_path / "cfg.json"),
                    "--out", str(tmp_path / "out")])
