@@ -2,7 +2,6 @@
 mixing-bound and tracking-bound verification at desk scale."""
 
 from .chains import (
-    ChainPath,
     Distribution,
     TransitionMatrix,
     ergodicity_coefficient,

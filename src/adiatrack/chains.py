@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ ENTRY_TOL = 1e-12
 __all__ = [
     "Distribution",
     "TransitionMatrix",
-    "ChainPath",
     "InvariantError",
     "tv_distance",
     "matrix_tv_distance",
@@ -40,7 +38,7 @@ __all__ = [
     "propagate_marginal",
     "simulate",
     "stream",
-    "sample_from_row",
+    "next_states",
     "point_mass",
     "uniform_distribution",
     "load_matrix",
@@ -110,22 +108,6 @@ class TransitionMatrix:
 
     def __repr__(self):
         return f"TransitionMatrix({self.rows.tolist()})"
-
-
-@dataclass(frozen=True)
-class ChainPath:
-    """A sampled trajectory: states[t] is the state after t transitions."""
-
-    states: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.states, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "states", arr)
-
-    def __len__(self):
-        return self.states.size
 
 
 def point_mass(n: int, x: int) -> Distribution:
@@ -271,16 +253,25 @@ def stream(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(k)])))
 
 
-def sample_from_row(row_cumsum: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw: first index whose cumulative mass exceeds u."""
-    i, last = 0, row_cumsum.size - 1
-    while i < last and row_cumsum[i] <= u:
-        i += 1
-    return i
+def next_states(cums: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of a block: entry (j, x) is the first index whose
+    cumulative mass in row x of cums[j] (k, n, n) exceeds us[j], else n - 1.
+
+    A column at or below u keeps the search going, so a cumsum left
+    non-monotone by a -1e-12 entry gives the index a left-to-right scan
+    gives.  One pass per column over (k, n) slices.
+    """
+    searching = np.ones(cums.shape[:2], dtype=bool)
+    out = np.zeros(cums.shape[:2], dtype=np.int64)
+    for i in range(cums.shape[2] - 1):
+        searching &= cums[:, :, i] <= us[:, None]
+        out += searching
+    return out
 
 
-def simulate(schedule, t_max: int, x0: int, seed: int) -> ChainPath:
-    """Sample a path of length t_max + 1; transition t uses schedule matrix t.
+def simulate(schedule, t_max: int, x0: int, seed: int) -> np.ndarray:
+    """Sample a read-only path of t_max + 1 states; states[t] is the state
+    after t transitions, transition t using schedule matrix t.
 
     One uniform draw per step from the path's own seeded stream, so equal
     (schedule, seed, t_max, x0) reproduce the identical path.
@@ -291,15 +282,14 @@ def simulate(schedule, t_max: int, x0: int, seed: int) -> ChainPath:
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     states = np.empty(t_max + 1, dtype=np.int64)
-    states[0] = x0
+    states[0] = x = x0
     uniforms = stream(seed, 0).random(t_max)
-    x = x0
     for lo, block in schedule.blocks(1, t_max + 1):
-        cums = np.cumsum(block, axis=2)
-        for t in range(lo, lo + len(block)):
-            x = sample_from_row(cums[t - lo, x], uniforms[t - 1])
-            states[t] = x
-    return ChainPath(states=states, seed=int(seed))
+        nxt = next_states(np.cumsum(block, axis=2), uniforms[lo - 1:lo - 1 + len(block)])
+        for t, row in enumerate(nxt.tolist(), lo):
+            x = states[t] = row[x]
+    states.flags.writeable = False
+    return states
 
 
 def number(doc: dict, key: str, *default) -> float:

@@ -9,10 +9,11 @@ matrix, solved at checkpoints: a block's TD(0) targets in one stacked
 solve, Q-learning's one policy iteration per checkpoint.
 
 Kernel: materialize walks the schedule once per run, in blocks, with the
-certificate scan; each block advances every seed, on a step loop over
-Python floats only (the block's row cumsums, step sizes, the seed's
-uniforms and noise draws as lists, the table as a list), before the next
-block is made.  Memory is O(block * n^2 + seeds * n).  Indexing a list
+certificate scan and the row cumsums; each block advances every seed before
+the next block is made.  Per seed and block, chains.next_states draws the
+block's successor table in one numpy pass, and the step loop runs on Python
+floats only (the successor table, step sizes and noise draws as lists, the
+table as a list).  Memory is O(block * n^2 + seeds * n).  Indexing a list
 and arithmetic on Python floats cost a fraction of indexing an array and
 arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so
 the loop is several times faster and bit-identical to a numpy per-step
@@ -25,8 +26,8 @@ cell and ahead only from about 20 seeds on, while the Python-float loop
 wins at every seed count.
 
 Determinism contract: a run is a pure function of (schedule, specs, seed).
-The path uniforms are chains.stream(seed, 0), the stream chains.simulate
-uses, sampled by the same inverse-CDF loop as chains.sample_from_row;
+The path uniforms are chains.stream(seed, 0), drawn into states by
+chains.next_states, the stream and the sampler chains.simulate uses;
 explicit noise draws are chains.stream(seed, 1), so zero-noise runs
 reproduce the bare simulated path exactly.  Both are drawn block by block,
 which gives the same numbers as one draw of the whole horizon.  Batch
@@ -163,13 +164,14 @@ class TrackingTrace:
 def materialize(schedule, t_max: int):
     """A run's one walk: schedules.certificate_scan of P^(1..t_max+1), with cums.
 
-    Yields (lo, block, cums, pi_min, drift, report) per block; cums holds
-    the block's row cumsums in one flat list of Python floats, row x of
-    P^(lo+i) starting at (i*n + x)*n.  P^(t_max+1) serves only the drift at
-    t_max, so the last report is what verify_drift(schedule, t_max) gives.
+    Yields (lo, block, cums, pi_min, drift, report) per block; cums is the
+    block's (k, n, n) stack of row cumsums, chains.next_states' input.
+    P^(t_max+1) serves only the drift at t_max, so the last block has one
+    matrix more than steps, and the last report is what
+    verify_drift(schedule, t_max) gives.
     """
     for lo, block, *scanned in schedules.certificate_scan(schedule, t_max, t_max + 2):
-        yield lo, block, np.cumsum(block, axis=2).ravel().tolist(), *scanned
+        yield lo, block, np.cumsum(block, axis=2), *scanned
 
 
 class _Run:
@@ -186,22 +188,20 @@ class _Run:
         self.eps_max = noise.eps_max
         self.hits = []  # (t, sup_error, alpha_t) at each checkpoint
 
-    def advance(self, cums: list, alphas: list, targets: list, r_vec: list, beta: float):
+    def advance(self, cums: np.ndarray, alphas: list, targets: list, r_vec: list,
+                beta: float):
         """Take one block's steps, step j with alphas[j] and matrix j of cums;
         targets lists (j, t, target) for the block's checkpoints, in order."""
-        k, n, na = len(alphas), len(self.table), self.na
-        us = self.path.random(k).tolist()
+        k, na = len(alphas), self.na
+        # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
+        nxt = chains.next_states(cums[:k], self.path.random(k)).T.tolist()
         eps = ([0.0] * k if self.noise is None
                else self.noise.uniform(-self.eps_max, self.eps_max, k).tolist())
-        table, vmax, x, max_abs, n1 = self.table, self.vmax, self.x, self.max_abs, n - 1
+        table, vmax, x, max_abs = self.table, self.vmax, self.x, self.max_abs
         cp_iter = iter(targets + [(-1, 0, None)])
         cp, t_cp, target = next(cp_iter)
-        for j, u, e, alpha_t in zip(range(k), us, eps, alphas):
-            row = i = (j * n + x) * n  # chains.sample_from_row on the flat cumsums
-            last = row + n1
-            while i < last and cums[i] <= u:
-                i += 1
-            xn, old = i - row, table[x]
+        for j, e, alpha_t in zip(range(k), eps, alphas):
+            xn, old = nxt[x][j], table[x]
             v = table[x] = old + alpha_t * (r_vec[x] + beta * vmax[xn // na] - old + e)
             if na > 1 and (v > vmax[s := x // na] or old == vmax[s]):  # keep vmax[s] exact
                 vmax[s] = v if v > vmax[s] else max(table[s * na:s * na + na])

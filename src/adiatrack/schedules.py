@@ -107,11 +107,18 @@ class Schedule:
         self.rho_cap = float(rho_cap)
 
     def block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        """P^(t) for t in [t_lo, t_hi) as a validated (k, n, n) float64 array."""
+        """P^(t) for t in [t_lo, t_hi) as a validated (k, n, n) float64 array.
+
+        A read-only block is a view of matrices that were validated and
+        checked irreducible at construction, and is handed back as is;
+        every writeable block, computed for the request, passes
+        chains.check_stack.
+        """
         if not 1 <= t_lo < t_hi:
             raise ValueError(f"schedule time index starts at 1 and a block is non-empty, "
                              f"got [{t_lo}, {t_hi})")
-        return chains.check_stack(self._block(int(t_lo), int(t_hi)))
+        mats = self._block(int(t_lo), int(t_hi))
+        return chains.check_stack(mats) if mats.flags.writeable else mats
 
     def blocks(self, t_lo: int, t_hi: int):
         """Yield (t, block) pieces of at most _CHUNK matrices covering [t_lo, t_hi)."""
@@ -181,7 +188,7 @@ class ConstantSchedule(Schedule):
         self.p = p
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        return np.broadcast_to(self.p.rows, (t_hi - t_lo, self.n, self.n)).copy()
+        return np.broadcast_to(self.p.rows, (t_hi - t_lo, self.n, self.n))
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
@@ -267,7 +274,7 @@ class CyclicSchedule(_ArcWalk):
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
         if not self._lengths.size:
-            return np.broadcast_to(self.mats[0].rows, (t_hi - t_lo, self.n, self.n)).copy()
+            return np.broadcast_to(self.mats[0].rows, (t_hi - t_lo, self.n, self.n))
         pos = np.fmod(self._arc(t_lo - 1, t_hi - 1), self.cycle_length)
         j = np.minimum(np.searchsorted(self._offsets, pos, side="right") - 1,
                        self._lengths.size - 1)
@@ -362,13 +369,6 @@ def restart_wraps(mats: np.ndarray, beta: np.ndarray, beta_hat: np.ndarray,
     return out
 
 
-def _wrap_rows(rows: np.ndarray, ratio: float, x_restart: int) -> np.ndarray:
-    """restart_wraps' mixing with one ratio and x_restart for a whole block."""
-    out = ratio * rows
-    out[..., x_restart] += 1.0 - ratio
-    return out
-
-
 class RestartWrappedSchedule(Schedule):
     """Applies restart_wrap to every matrix of an inner schedule.
 
@@ -399,8 +399,9 @@ class RestartWrappedSchedule(Schedule):
         super().__init__(inner.n, params, ratio)
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        return _wrap_rows(self.inner.block(t_lo, t_hi), self.beta / self.beta_hat,
-                          self.x_restart)
+        k = t_hi - t_lo
+        return restart_wraps(self.inner.block(t_lo, t_hi), np.full(k, self.beta),
+                             np.full(k, self.beta_hat), np.full(k, self.x_restart))
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),

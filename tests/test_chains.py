@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from adiatrack import chains
 from adiatrack.bounds import noise_envelope_coverage
 from adiatrack.chains import (
-    ChainPath,
     Distribution,
     InvariantError,
     TransitionMatrix,
@@ -16,9 +15,9 @@ from adiatrack.chains import (
     is_irreducible,
     load_matrix,
     matrix_tv_distance,
+    next_states,
     point_mass,
     propagate_marginal,
-    sample_from_row,
     second_eigenvalue_2x2,
     simulate,
     stationary_distribution,
@@ -274,12 +273,12 @@ def test_propagate_dimension_mismatch():
 
 def test_simulate_permutation_path():
     path = simulate(ConstantSchedule(SWAP), t_max=4, x0=0, seed=1)
-    np.testing.assert_array_equal(path.states, [0, 1, 0, 1, 0])
+    np.testing.assert_array_equal(path, [0, 1, 0, 1, 0])
 
 
 def test_simulate_zero_steps():
     path = simulate(ConstantSchedule(P_REF), t_max=0, x0=1, seed=1)
-    np.testing.assert_array_equal(path.states, [1])
+    np.testing.assert_array_equal(path, [1])
 
 
 def test_simulate_deterministic_in_seed():
@@ -287,8 +286,8 @@ def test_simulate_deterministic_in_seed():
     a = simulate(sched, 500, 0, seed=42)
     b = simulate(sched, 500, 0, seed=42)
     c = simulate(sched, 500, 0, seed=43)
-    np.testing.assert_array_equal(a.states, b.states)
-    assert (a.states != c.states).any()
+    np.testing.assert_array_equal(a, b)
+    assert (a != c).any()
 
 
 def test_simulate_occupation_near_stationary():
@@ -296,7 +295,7 @@ def test_simulate_occupation_near_stationary():
     sched = ConstantSchedule(P_REF)
     for seed in (11, 12, 13):
         path = simulate(sched, 100_000, 0, seed=seed)
-        occ = (path.states == 0).mean()
+        occ = (path == 0).mean()
         assert abs(occ - 2 / 3) < 0.02
 
 
@@ -309,6 +308,14 @@ def _seed_sequence_stream(seed, k):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, k])))
 
 
+def _sample_from_row(row_cumsum, u):
+    """Inverse-CDF draw on one row: first index whose cumulative mass exceeds u."""
+    i, last = 0, row_cumsum.size - 1
+    while i < last and row_cumsum[i] <= u:
+        i += 1
+    return i
+
+
 def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
     # key 0: path uniforms, 1: noise draws, 2: coverage draws, all off one seed
     seed = 12
@@ -316,8 +323,8 @@ def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
     cums = np.cumsum(P_REF.rows, axis=1)
     states = [0]
     for u in uniforms:
-        states.append(sample_from_row(cums[states[-1]], u))
-    np.testing.assert_array_equal(simulate(ConstantSchedule(P_REF), 300, 0, seed).states,
+        states.append(_sample_from_row(cums[states[-1]], u))
+    np.testing.assert_array_equal(simulate(ConstantSchedule(P_REF), 300, 0, seed),
                                   states)
     np.testing.assert_array_equal(NoiseModel("uniform-iid", 0.3).draws(500, seed),
                                   _seed_sequence_stream(seed, 1).uniform(-0.3, 0.3, 500))
@@ -329,10 +336,44 @@ def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
     assert keys == [(seed, 2)]
 
 
-def test_chainpath_is_frozen_record():
-    path = ChainPath(states=np.array([0, 1]), seed=9)
-    assert len(path) == 2
-    assert path.seed == 9
+def test_simulate_path_is_read_only_int64():
+    path = simulate(ConstantSchedule(P_REF), 5, 0, seed=3)
+    assert path.dtype == np.int64 and path.shape == (6,)
+    with pytest.raises(ValueError):
+        path[1] = 0
+
+
+def _per_row(cums, us):
+    return [[_sample_from_row(row, u) for row in mat] for mat, u in zip(cums, us)]
+
+
+def test_next_states_equals_per_row_loop():
+    rng = np.random.default_rng(17)
+    for n in range(2, 7):
+        raw = rng.random((300, n, n)) * (rng.random((300, n, n)) < 0.7)  # zero columns
+        raw[raw.sum(axis=2) == 0.0] = 1.0
+        cums = np.cumsum(raw / raw.sum(axis=2, keepdims=True), axis=2)
+        us = rng.random(300)
+        hit = rng.integers(0, n, (2, 100))  # u exactly at a cumsum value
+        us[:100] = cums[np.arange(100), hit[0], hit[1]]
+        out = next_states(cums, us)
+        assert out.dtype == np.int64 and out.shape == (300, n)
+        np.testing.assert_array_equal(out, _per_row(cums, us))
+    edges = [
+        ([0.3, 0.2, -1e-12, 0.5 + 1e-12], 0.5 - 0.5e-12),  # non-monotone cumsum
+        ([0.3, 0.2, -1e-12, 0.5 + 1e-12], 0.5),
+        ([0.25, 0.25, 0.5], 0.5),  # u exactly at a cumsum value
+        ([0.25, 0.25, 0.5], 0.25),
+        ([0.5, 0.5 - 1e-12], 1.0 - 0.5e-12),  # u above the row's total
+        ([0.25, 0.25, 0.5 - 1e-12], 1.0 - 0.5e-12),
+        ([0.0, 0.0, 1.0], 0.0),  # zero columns
+        ([0.5, 0.0, 0.0, 0.5], 0.5),
+        ([1.0, 0.0, 0.0], 0.999),
+    ]
+    for row, u in edges:
+        cums = np.cumsum(np.tile(row, (len(row), 1)), axis=1)[None]
+        np.testing.assert_array_equal(next_states(cums, np.array([u])),
+                                      _per_row(cums, [u]))
 
 
 @pytest.mark.parametrize("rows,t_max", [
@@ -348,7 +389,7 @@ def test_empirical_frequencies_match_exact_marginal(rows, t_max):
                                [sched.matrix_at(t) for t in range(1, t_max + 1)])
     counts = np.zeros(n)
     for i in range(n_paths):
-        counts[simulate(sched, t_max, 0, seed=1000 + i).states[-1]] += 1
+        counts[simulate(sched, t_max, 0, seed=1000 + i)[-1]] += 1
     np.testing.assert_allclose(counts / n_paths, exact.probs, atol=0.01)
 
 

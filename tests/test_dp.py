@@ -254,8 +254,8 @@ def test_exact_q_certifies_where_value_iteration_cycles(monkeypatch):
     from the solve falls into a float limit cycle there and never meets
     (1 - beta) * 1e-12.  Policy iteration certifies and returns on each."""
     calls, real = [], dp.exact_q
-    monkeypatch.setattr(dp, "check_lipschitz_reward",
-                        lambda *a, **k: dp.CheckResult(0.0, 0.0, True))  # draws only
+    monkeypatch.setattr(dp, "check_lipschitz_rewards",
+                        lambda p, *a: (np.zeros(len(p)), np.zeros(len(p))))  # draws only
     monkeypatch.setattr(dp, "exact_q", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
     assert verify.suite_lipschitz(n_reward_cases=8500, n_q_cases=1500)["pass"]
     for i in (113, 196, 389, 917, 953, 2225, 2296, 2999):

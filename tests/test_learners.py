@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from adiatrack.chains import (
     TransitionMatrix,
     matrix_tv_distance,
-    sample_from_row,
     simulate,
     stationary_distribution,
     stream,
@@ -73,7 +72,7 @@ def test_td0_step_moves_only_the_visited_component(noise):
     spec = RewardSpec([1.0, 0.5, -0.25], 0.5)
     rate = LearningRate(0.3, 0.5)
     star = exact_reward(p, spec)
-    xn = simulate(ConstantSchedule(p), 1, 1, seed=4).states[1]
+    xn = simulate(ConstantSchedule(p), 1, 1, seed=4)[1]
     eps = 0.0 if noise is ZERO_NOISE else noise.draws(1, 4)[0]
     for k in range(3):
         init = np.array([0.1234567890123, -7.5, np.pi])
@@ -113,7 +112,7 @@ def _replay_with_simulate_and_sa_step(schedule, spec, rate, noise, t_max, seed, 
     table = np.zeros(spec.n)
     errors = []
     for t in range(1, t_max + 1):
-        x, xn = path.states[t - 1], path.states[t]
+        x, xn = path[t - 1], path[t]
         f_value = spec.r[x] + spec.beta * table[xn]
         table = _update(table, x, f_value, rate.alpha(t), 0.0 if eps is None else eps[t - 1])
         if t in cps:
@@ -240,6 +239,14 @@ def test_q_track_follows_drifting_product_schedule():
 
 # ------------------------------------------------ kernel vs a per-step loop
 
+def _sample_from_row(row_cumsum, u):
+    """Inverse-CDF draw on one row: first index whose cumulative mass exceeds u."""
+    i, last = 0, row_cumsum.size - 1
+    while i < last and row_cumsum[i] <= u:
+        i += 1
+    return i
+
+
 def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0,
                     table_init):
     """The tracking recursion as a straight numpy loop, one step at a time.
@@ -255,7 +262,7 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
     max_abs = float(np.abs(table).max())
     x, rows = x0, []
     for t in range(1, t_max + 1):
-        xn = sample_from_row(cums[t - 1, x], uniforms[t - 1])
+        xn = _sample_from_row(cums[t - 1, x], uniforms[t - 1])
         if n_actions is None:
             boot = table[xn]
         else:
@@ -372,7 +379,7 @@ def test_adversarial_start_reenters_ball_and_stays():
     table = np.array([10.0, -10.0])
     reentry = None
     for t in range(1, 30_001):
-        x, xn = path.states[t - 1], path.states[t]
+        x, xn = path[t - 1], path[t]
         table = _update(table, x, SPEC.r[x] + SPEC.beta * table[xn], RATE.alpha(t))
         norm = np.abs(table).max()
         if reentry is None and norm <= radius:

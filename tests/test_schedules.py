@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiatrack import schedules
-from adiatrack.chains import TransitionMatrix, ergodicity_coefficient, matrix_tv_distance, stationary_distribution
+from adiatrack.chains import (
+    InvariantError,
+    TransitionMatrix,
+    ergodicity_coefficient,
+    matrix_tv_distance,
+    stationary_distribution,
+)
 from adiatrack.schedules import (
     GAMMA_INF,
     ConstantSchedule,
@@ -515,6 +521,39 @@ def test_block_rejects_empty_and_nonpositive_ranges():
     with pytest.raises(ValueError, match="non-empty"):
         sched.block(5, 5)
 
+
+
+@pytest.mark.parametrize("sched", [ConstantSchedule(A), CyclicSchedule([A, A], DriftParams(
+    0.05, 0.5, 0.25, 0.0))], ids=["constant", "degenerate-cyclic"])
+def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
+    for lo, block in sched.blocks(1, _EDGE + 7):
+        assert not block.flags.writeable
+        for i, mat in enumerate(block):
+            assert mat.tobytes() == sched.matrix_at(lo + i).rows.tobytes()
+    with pytest.raises(ValueError):
+        sched.block(1, 3)[0, 0, 0] = 0.5
+
+
+def _corrupted(base):
+    """A family whose computed blocks carry one row summing to 1 + 1e-9."""
+
+    class Corrupted(base):
+        def _block(self, t_lo, t_hi):
+            mats = super()._block(t_lo, t_hi).copy()
+            mats[-1, 0, 0] += 1e-9
+            return mats
+
+    return Corrupted
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _corrupted(ConstantSchedule)(A),
+    lambda: _corrupted(InterpolationSchedule)(A, B, DriftParams(0.05, 1.0, 0.25, 0.0)),
+], ids=["constant", "interpolation"])
+def test_computed_block_is_still_checked(make):
+    sched = make()
+    with pytest.raises(InvariantError, match="row 0 of matrix 4"):
+        sched.block(1, 6)
 
 # ----------------------------------------------------------------- json specs
 
