@@ -257,13 +257,11 @@ def power_sum_bounds(s: int, t: int, gamma: float):
 def decaying_sum_check(a, b, t_horizon: int, slack: float = 1e-12) -> CheckResult:
     """Check sum_t a_t b_t prod_{s>t} (1-a_s) <= b_{T/2} + e^{-sum_{t>=T/2} a_t} sum_{t<=T/2} a_t b_t.
 
-    a_t in (0,1), b_t positive decreasing; both given for t = 1..T (arrays or
-    callables).  The left side is evaluated by direct recursion.
+    a_t in (0,1), b_t positive decreasing; both arrays over t = 1..T.  The
+    left side is evaluated by direct recursion.
     """
-    a_arr = np.array([a(t) for t in range(1, t_horizon + 1)] if callable(a) else a,
-                     dtype=float)
-    b_arr = np.array([b(t) for t in range(1, t_horizon + 1)] if callable(b) else b,
-                     dtype=float)
+    a_arr = np.asarray(a, dtype=float)
+    b_arr = np.asarray(b, dtype=float)
     if a_arr.size != t_horizon or b_arr.size != t_horizon:
         raise ValueError("need sequences of length t_horizon")
     if not ((a_arr > 0) & (a_arr < 1)).all():
@@ -332,12 +330,7 @@ def dominating_sequence(z0_tilde: float, alpha, beta: float, c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if alpha.shape != c.shape or alpha.ndim != 1:
         raise ValueError("alpha and c must be equal-length vectors")
-    out = np.empty(alpha.size)
-    acc = float(z0_tilde)
-    for t in range(alpha.size):
-        acc = (1.0 - alpha[t] * (1.0 - beta)) * acc + c[t]
-        out[t] = acc
-    return out
+    return unroll_recursion(z0_tilde, alpha * (1.0 - beta), c)
 
 
 def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float,
@@ -358,11 +351,11 @@ def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float,
     if not tau <= t <= t_horizon:
         raise ValueError(f"need tau={tau} <= t <= T={t_horizon}")
 
-    n = schedule.n
-    marginals = np.eye(n)  # row x = conditional law started from point mass e_x
-    for u in range(t - tau + 1, t + 1):
-        marginals = marginals @ schedule.matrix_at(u).rows
-    pi = chains.stationary_distribution(schedule.matrix_at(t)).probs
+    window = schedule.block(t - tau + 1, t + 1)  # P^(t-tau+1..t), validated
+    marginals = np.eye(schedule.n)  # row x = conditional law started from point mass e_x
+    for mat in window:
+        marginals = marginals @ mat
+    pi = chains.stationary_stack(window[-1:])[0]
     lhs = float(0.5 * np.abs(marginals - pi).sum(axis=1).max())
 
     params = schedule.params

@@ -52,11 +52,15 @@ class InvariantError(ValueError):
 
 
 def _check_rows(arr: np.ndarray):
-    """Finite entries in [0, 1], every last-axis row summing to 1, within 1e-12."""
-    if not np.all(np.isfinite(arr)):
-        raise InvariantError("non-finite entries")
-    if arr.min() < -ENTRY_TOL or arr.max() > 1.0 + ENTRY_TOL:
-        raise InvariantError(f"entries outside [0,1]: min={arr.min()}, max={arr.max()}")
+    """Finite entries in [0, 1], every last-axis row summing to 1, within 1e-12.
+
+    The negated range test fails on NaN and +-inf too, so finiteness is
+    looked at only to name the failure."""
+    lo, hi = arr.min(), arr.max()
+    if not (lo >= -ENTRY_TOL and hi <= 1.0 + ENTRY_TOL):
+        if not np.all(np.isfinite(arr)):
+            raise InvariantError("non-finite entries")
+        raise InvariantError(f"entries outside [0,1]: min={lo}, max={hi}")
     sums = arr.sum(axis=-1)
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if bad.any():

@@ -68,9 +68,6 @@ class RewardSpec:
         """Geometric-series bound r_max / (1 - beta) on any discounted value."""
         return self.r_max / (1.0 - self.beta)
 
-    def with_beta(self, beta: float) -> "RewardSpec":
-        return RewardSpec(self.r, beta)
-
     @staticmethod
     def from_spec(doc: dict) -> "RewardSpec":
         return RewardSpec(np.asarray(doc["r"], dtype=float), chains.number(doc, "beta"))

@@ -170,16 +170,6 @@ def default_bound_constants(spec: RewardSpec, schedule) -> bounds.Thm2Constants:
     return bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
 
 
-def _exponent_triple(config: ExperimentConfig) -> bounds.ExponentTriple:
-    params = schedules.DriftParams.from_spec(config.schedule["params"]) \
-        if "params" in config.schedule else None
-    gamma_p = params.gamma_p if params else schedules.GAMMA_INF
-    gamma_pi = params.gamma_pi if params else 0.0
-    return bounds.ExponentTriple(gamma_p=gamma_p,
-                                 gamma_alpha=float(config.rate["gamma_alpha"]),
-                                 gamma_pi=gamma_pi)
-
-
 def _run_traces(config: ExperimentConfig):
     schedule, spec, rate, noise = config.build()
     n_actions = config.n_actions if config.learner == "q" else None
@@ -195,7 +185,8 @@ def _summary(config: ExperimentConfig, schedule, spec, traces) -> dict:
     med = np.median(errs, axis=0)
     q1 = np.quantile(errs, 0.25, axis=0)
     q3 = np.quantile(errs, 0.75, axis=0)
-    exps = _exponent_triple(config)
+    exps = bounds.ExponentTriple(schedule.params.gamma_p, float(config.rate["gamma_alpha"]),
+                                 schedule.params.gamma_pi)
     label = bounds.classify_regime(exps)
     report = bounds.tracking_error_bound(default_bound_constants(spec, schedule),
                                          exps, config.t_max)

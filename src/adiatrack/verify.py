@@ -4,13 +4,15 @@ Each suite runs with a fixed master seed (per-case streams derive from it),
 counts violations, and reports the worst margin, overall and per check name,
 plus full counterexample inputs (matrices verbatim) so a CI failure is
 reproducible from the report alone; a check builds its inputs only when it
-fails.  The Lipschitz (reward) and restart suites draw every case first, in
-the order of a per-case loop, then validate and solve the cases of each
-matrix size as one stack (dp.check_lipschitz_rewards,
-dp.check_restart_identities) and record the checks in case order, so the
-report equals the per-case loop's.  The ergodicity coefficient is always
-looked up through the chains module at call time, so a corrupted
-implementation is caught rather than silently trusted.
+fails.  The prop1 pair, Lipschitz (reward) and restart suites draw every
+case first, in the order of a per-case loop, then validate and evaluate the
+cases of each matrix size as one stack (_prop1_pairs,
+dp.check_lipschitz_rewards, dp.check_restart_identities) and record the
+checks in case order, so the report equals the per-case loop's.  The thm1
+and mixing suites read each schedule as blocks of matrices, never one t at
+a time.  The ergodicity coefficient is always looked up through the chains
+module at call time, so a corrupted implementation is caught rather than
+silently trusted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from . import bounds, chains, dp, schedules
-from .chains import Distribution, TransitionMatrix
+from .chains import TransitionMatrix
 from .harness import SPEC_VERSION
 
 __all__ = ["SUITES", "run_suite"]
@@ -102,9 +104,29 @@ def _by_size(cases, check):
     return out
 
 
-def random_distribution(rng, n) -> Distribution:
-    raw = rng.random(n) + 1e-12
-    return Distribution(raw / raw.sum())
+def _prop1_pairs(p, q, lam, mu):
+    """The pair checks of suite_prop1 on (k, n, n) stacks p, q and (k, n)
+    stacks lam, mu, each input and product validated as its per-case object
+    would be.  Per case: rho(p), rho(pq), rho(p) rho(q), the TV of lam p and
+    mu p, rho(p) tv(lam, mu), |rho(p) - overlap form|, and where
+    rho(p) < 1 - 1e-6 the stationary gap of p and 0.7 p + 0.3 q with its
+    perturbation bound (NaN elsewhere)."""
+    prod, lam_p, mu_p = p @ q, (lam[:, None] @ p)[:, 0], (mu[:, None] @ p)[:, 0]
+    for arr in (p, q, prod, lam, mu, lam_p, mu_p):
+        chains._check_rows(arr)
+    rho_p = chains.ergodicity_coefficients(p)
+    rho_q = chains.ergodicity_coefficients(q)
+    overlap = 1.0 - np.minimum(p[:, :, None], p[:, None]).sum(3).min(axis=(1, 2))
+    gap, bound = np.full((2, len(p)), np.nan)
+    solve = rho_p < 1.0 - 1e-6
+    if solve.any():
+        base, pert = p[solve], 0.7 * p[solve] + 0.3 * q[solve]
+        pis = [chains.stationary_stack(chains.check_stack(m)) for m in (base, pert)]
+        gap[solve] = 0.5 * np.abs(pis[0] - pis[1]).sum(axis=1)
+        bound[solve] = chains.matrix_tv_distances(base, pert) / (1.0 - rho_p[solve])
+    return (rho_p, chains.ergodicity_coefficients(prod), rho_p * rho_q,
+            0.5 * np.abs(lam_p - mu_p).sum(axis=1),
+            rho_p * (0.5 * np.abs(lam - mu).sum(axis=1)), np.abs(rho_p - overlap), gap, bound)
 
 
 def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
@@ -112,42 +134,29 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
 
     Per pair (n in 2..6): sub-multiplicativity over products, contraction of
     TV under right multiplication, agreement of the row-pair and overlap
-    forms, and the stationary perturbation bound.  Plus, on random 2x2
-    matrices, |second eigenvalue| <= rho.
+    forms, and the stationary perturbation bound, on the pairs of each size
+    as one stack (_prop1_pairs).  Plus, on random 2x2 matrices, |second
+    eigenvalue| <= rho, one matrix at a time.
     """
     rec = _Recorder("prop1", master_seed)
     rng = chains.stream(master_seed, 1)
+    cases = []
     for _ in range(n_cases):
-        rec.cases += 1
         n = int(rng.integers(2, 7))
-        p = random_transition_matrix(rng, n)
-        q = random_transition_matrix(rng, n)
-        rho_p = chains.ergodicity_coefficient(p)
-        rho_q = chains.ergodicity_coefficient(q)
+        p, q = _random_rows(rng, n), _random_rows(rng, n)
+        lam, mu = rng.random(n) + 1e-12, rng.random(n) + 1e-12
+        cases.append((p, q, lam / lam.sum(), mu / mu.sum()))
+    for (p, q, *_), sides in zip(cases, _by_size(cases, _prop1_pairs)):
+        rec.cases += 1
+        rho_p, rho_prod, rho_pq, tv_after, tv_bound, form_gap, gap, bound = sides
 
         def inputs():
-            return {"p": p.rows.tolist(), "q": q.rows.tolist()}
-
-        prod = TransitionMatrix(p.rows @ q.rows)
-        rec.check("submultiplicative", chains.ergodicity_coefficient(prod),
-                  rho_p * rho_q, tol, inputs)
-
-        lam = random_distribution(rng, n)
-        mu = random_distribution(rng, n)
-        rec.check("tv_contraction",
-                  chains.tv_distance(Distribution(lam.probs @ p.rows),
-                                     Distribution(mu.probs @ p.rows)),
-                  rho_p * chains.tv_distance(lam, mu), tol, inputs)
-
-        overlap = 1.0 - np.minimum(p.rows[:, None, :], p.rows[None, :, :]).sum(2).min()
-        rec.check("row_pair_vs_overlap_form", abs(rho_p - overlap), 0.0, tol, inputs)
-
+            return {"p": p.tolist(), "q": q.tolist()}
+        rec.check("submultiplicative", rho_prod, rho_pq, tol, inputs)
+        rec.check("tv_contraction", tv_after, tv_bound, tol, inputs)
+        rec.check("row_pair_vs_overlap_form", form_gap, 0.0, tol, inputs)
         if rho_p < 1.0 - 1e-6:
-            pert = TransitionMatrix(0.7 * p.rows + 0.3 * q.rows)
-            gap = chains.tv_distance(chains.stationary_distribution(p),
-                                     chains.stationary_distribution(pert))
-            rec.check("stationary_perturbation", gap,
-                      chains.matrix_tv_distance(p, pert) / (1.0 - rho_p), tol, inputs)
+            rec.check("stationary_perturbation", gap, bound, tol, inputs)
 
     rng2 = chains.stream(master_seed, 2)
     for _ in range(n_cases):
@@ -194,35 +203,36 @@ def backward_drift_phi(params):
     return phi
 
 
-def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, t_values=None,
-               dominance=True, limit_behavior=True):
+THM1_HORIZONS = [2 ** k for k in range(1, 10)]  # T in {2, 4, ..., 512}
+
+
+def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
+               limit_behavior=True):
     """Dominance of the comparison and stationarity-gap bounds on exact marginals.
 
-    For every schedule family, horizons T in {2,4,...,512} and every
+    For every schedule family, horizons T in THM1_HORIZONS and every
     point-mass start: the exact inhomogeneous marginal gap (computed by
     matrix propagation and direct stationary solves) must not exceed the
     bound evaluators.  Also the non-convergent cyclic family's gap at
     T = 1e2, 1e3, 1e4 must decrease strictly to witness the limit behavior.
+    Each family's matrices are read once, as one block over the horizon.
     """
     rec = _Recorder("thm1", master_seed)
-    t_values = t_values or [2 ** k for k in range(1, 10)]
     for fam in scan_families() if dominance else []:
         n = fam.n
         phi = backward_drift_phi(fam.params)
-        ref_first = fam.matrix_at(1)
-        t_set = set(t_values)
+        mats = [TransitionMatrix(m) for m in fam.block(1, THM1_HORIZONS[-1] + 1)]
+        ref_first = mats[0]
         ref_pow = np.eye(n)  # P_ref^t, for the homogeneous comparison target
         marg = np.eye(n)     # row x: exact marginal started from point mass e_x
-        for t in range(1, max(t_values) + 1):
-            marg = marg @ fam.matrix_at(t).rows
+        for t, mat in enumerate(mats, 1):
+            marg = marg @ mat.rows
             ref_pow = ref_pow @ ref_first.rows
-            if t not in t_set:
+            if t not in THM1_HORIZONS:
                 continue
             rec.cases += 1
-            p_last = fam.matrix_at(t)
-            rho_last = chains.ergodicity_coefficient(p_last)
-            pi_last = chains.stationary_distribution(p_last)
-            mats = [fam.matrix_at(u) for u in range(1, t + 1)]
+            rho_last = chains.ergodicity_coefficient(mat)
+            pi_last = chains.stationary_distribution(mat)
             inputs = {"family": fam.kind, "n": n, "T": t}
             if rho_last < 1.0:
                 for x in range(n):
@@ -237,7 +247,7 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, t_values=None,
             for x in range(n):
                 lam = chains.point_mass(n, x)
                 gap = 0.5 * np.abs(marg[x] - mu_pow).sum()
-                bound = bounds.homogeneous_comparison_bound(lam, mu_uni, ref_first, mats)
+                bound = bounds.homogeneous_comparison_bound(lam, mu_uni, ref_first, mats[:t])
                 rec.check("homogeneous_comparison_dominance", gap, bound, tol,
                           lambda: {**inputs, "x": x})
 
@@ -252,11 +262,11 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, t_values=None,
         gaps = {}
         marg = np.zeros(2)
         marg[0] = 1.0
-        for t in range(1, 10_000 + 1):
-            marg = marg @ cyc.matrix_at(t).rows
+        for t, mat in enumerate(cyc.block(1, 10_000 + 1), 1):
+            marg = marg @ mat
             if t in (100, 1000, 10_000):
                 rec.cases += 1
-                p_last = cyc.matrix_at(t)
+                p_last = TransitionMatrix(mat)
                 pi_last = chains.stationary_distribution(p_last)
                 gaps[t] = 0.5 * np.abs(marg - pi_last.probs).sum()
                 bound = bounds.stationarity_gap_bound(

@@ -22,11 +22,17 @@ from adiatrack.bounds import (
     tracking_error_bound,
     unroll_recursion,
 )
-from adiatrack.chains import Distribution, TransitionMatrix
-from adiatrack.schedules import ConstantSchedule, DriftParams, InterpolationSchedule
+from adiatrack.chains import Distribution, TransitionMatrix, stationary_distribution
+from adiatrack.schedules import (
+    ConstantSchedule,
+    CyclicSchedule,
+    DriftParams,
+    InterpolationSchedule,
+)
 
 A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
 FLAT = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+SWAP_ISH = TransitionMatrix([[0.3, 0.7], [0.6, 0.4]])
 
 
 # ------------------------------------------------- homogeneous comparison bound
@@ -325,6 +331,27 @@ def test_conditional_mixing_drifting_schedule():
     tau = math.ceil(8 * math.log(t_hor) / abs(math.log(rho)))
     for t in (tau, 2 * tau, t_hor):
         assert conditional_mixing_check(sched, t, t_hor, rho).passed
+
+
+def _per_t_mixing_lhs(sched, t, tau):
+    """The worst conditional gap of conditional_mixing_check, one matrix_at per step."""
+    marginals = np.eye(sched.n)
+    for u in range(t - tau + 1, t + 1):
+        marginals = marginals @ sched.matrix_at(u).rows
+    pi = stationary_distribution(sched.matrix_at(t)).probs
+    return float(0.5 * np.abs(marginals - pi).sum(axis=1).max())
+
+
+def test_conditional_mixing_window_equals_per_t_walk():
+    scheds = [InterpolationSchedule(A, FLAT, DriftParams(0.05, 1.0, 0.25, 0.0)),
+              CyclicSchedule([A, SWAP_ISH], DriftParams(0.1, 0.7, 0.1, 0.0))]
+    t_hor, rho = 1024, 0.8
+    tau = math.ceil(8 * math.log(t_hor) / abs(math.log(rho)))
+    for sched in scheds:
+        for t in (tau, tau + 1, 300, 777, t_hor):
+            res = conditional_mixing_check(sched, t, t_hor, rho)
+            assert res.lhs == _per_t_mixing_lhs(sched, t, tau)
+            assert res.detail == {"tau": tau, "t": t}
 
 
 # ---------------------------------------------------------------- noise envelope

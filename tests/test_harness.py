@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from adiatrack import chains, dp, harness, learners, verify
+from adiatrack import bounds, chains, dp, harness, learners, schedules, verify
 from adiatrack.cli import main as cli_main
 from adiatrack.harness import (
     SPEC_VERSION,
@@ -351,15 +351,141 @@ def _per_case_restart(n_cases, master_seed, value_tol=1e-8, rho_tol=1e-12):
     return rec.report()
 
 
-@pytest.mark.parametrize("master_seed", [verify.DEFAULT_MASTER_SEED, 7, 11])
-def test_stacked_fixed_point_suites_equal_per_case_loops(monkeypatch, master_seed):
+def _per_case_prop1(n_cases, master_seed, tol=1e-10):
+    """suite_prop1 as a per-case loop: validated objects and one-matrix calls per case."""
+    rec = verify._Recorder("prop1", master_seed)
+    rng = chains.stream(master_seed, 1)
+
+    def random_distribution(n):
+        raw = rng.random(n) + 1e-12
+        return chains.Distribution(raw / raw.sum())
+
+    for _ in range(n_cases):
+        rec.cases += 1
+        n = int(rng.integers(2, 7))
+        p = verify.random_transition_matrix(rng, n)
+        q = verify.random_transition_matrix(rng, n)
+        rho_p = chains.ergodicity_coefficient(p)
+        rho_q = chains.ergodicity_coefficient(q)
+        prod = chains.TransitionMatrix(p.rows @ q.rows)
+        rec.check("submultiplicative", chains.ergodicity_coefficient(prod), rho_p * rho_q, tol)
+        lam, mu = random_distribution(n), random_distribution(n)
+        rec.check("tv_contraction",
+                  chains.tv_distance(chains.Distribution(lam.probs @ p.rows),
+                                     chains.Distribution(mu.probs @ p.rows)),
+                  rho_p * chains.tv_distance(lam, mu), tol)
+        overlap = 1.0 - np.minimum(p.rows[:, None, :], p.rows[None, :, :]).sum(2).min()
+        rec.check("row_pair_vs_overlap_form", abs(rho_p - overlap), 0.0, tol)
+        if rho_p < 1.0 - 1e-6:
+            pert = chains.TransitionMatrix(0.7 * p.rows + 0.3 * q.rows)
+            gap = chains.tv_distance(chains.stationary_distribution(p),
+                                     chains.stationary_distribution(pert))
+            rec.check("stationary_perturbation", gap,
+                      chains.matrix_tv_distance(p, pert) / (1.0 - rho_p), tol)
+    rng2 = chains.stream(master_seed, 2)
+    for _ in range(n_cases):
+        rec.cases += 1
+        p = verify.random_transition_matrix(rng2, 2)
+        rec.check("second_eigenvalue", abs(chains.second_eigenvalue_2x2(p)),
+                  chains.ergodicity_coefficient(p), tol)
+    return rec.report()
+
+
+def _log_checks(monkeypatch) -> list:
+    """Every (case, name, lhs, rhs) any recorder checks from here on, in order."""
     checks, record = [], verify._Recorder.check
 
-    def logged(rec, name, lhs, rhs, tol, inputs=None):  # every check, in order
+    def logged(rec, name, lhs, rhs, tol, inputs=None):
         checks.append((rec.cases, name, lhs, rhs))
         record(rec, name, lhs, rhs, tol, inputs)
 
     monkeypatch.setattr(verify._Recorder, "check", logged)
+    return checks
+
+
+@pytest.mark.parametrize("master_seed", [verify.DEFAULT_MASTER_SEED, 7, 11])
+def test_stacked_prop1_equals_per_case_loop(monkeypatch, master_seed):
+    checks = _log_checks(monkeypatch)
+    report, stacked = canonical_json(verify.suite_prop1(400, master_seed=master_seed)), checks.copy()
+    checks.clear()
+    assert report == canonical_json(_per_case_prop1(400, master_seed))
+    assert stacked == checks
+    assert {name for _, name, _, _ in checks} == {
+        "submultiplicative", "tv_contraction", "row_pair_vs_overlap_form",
+        "stationary_perturbation", "second_eigenvalue"}
+
+
+def test_prop1_pair_checks_catch_a_corrupted_stack_rho(monkeypatch):
+    true_rhos = chains.ergodicity_coefficients
+    monkeypatch.setattr(chains, "ergodicity_coefficients", lambda mats: 0.5 * true_rhos(mats))
+    report = verify.suite_prop1(n_cases=50)
+    assert not report["pass"]
+    first = report["violations"][0]
+    assert first["check"] == "tv_contraction" and first["case"] == 1
+    rng = chains.stream(verify.DEFAULT_MASTER_SEED, 1)  # redraw case 1
+    n = int(rng.integers(2, 7))
+    p, q = verify._random_rows(rng, n), verify._random_rows(rng, n)
+    lam, mu = rng.random(n) + 1e-12, rng.random(n) + 1e-12
+    lam, mu = lam / lam.sum(), mu / mu.sum()
+    assert first["inputs"] == {"p": p.tolist(), "q": q.tolist()}
+    rho_p = true_rhos(p[None])[0]
+    assert first["lhs"] == pytest.approx(0.5 * np.abs(lam @ p - mu @ p).sum(), rel=1e-12)
+    assert first["rhs"] == pytest.approx(0.5 * rho_p * 0.5 * np.abs(lam - mu).sum(), rel=1e-12)
+
+
+def _per_t_thm1(master_seed, tol=1e-10):
+    """suite_thm1 as a per-t walk: one validated matrix_at call per step."""
+    rec = verify._Recorder("thm1", master_seed)
+    for fam in verify.scan_families():
+        n, phi, mats = fam.n, verify.backward_drift_phi(fam.params), []
+        marg, ref_pow = np.eye(n), np.eye(n)
+        for t in range(1, verify.THM1_HORIZONS[-1] + 1):
+            mats.append(fam.matrix_at(t))
+            marg, ref_pow = marg @ mats[-1].rows, ref_pow @ mats[0].rows
+            if t not in verify.THM1_HORIZONS:
+                continue
+            rec.cases += 1
+            rho, pi = chains.ergodicity_coefficient(mats[-1]), chains.stationary_distribution(mats[-1])
+            for x in range(n) if rho < 1.0 else []:
+                rec.check("stationarity_gap_dominance", 0.5 * np.abs(marg[x] - pi.probs).sum(),
+                          bounds.stationarity_gap_bound(
+                              phi, rho, t, chains.tv_distance(chains.point_mass(n, x), pi)), tol)
+            mu = chains.uniform_distribution(n)
+            for x in range(n):
+                rec.check("homogeneous_comparison_dominance",
+                          0.5 * np.abs(marg[x] - mu.probs @ ref_pow).sum(),
+                          bounds.homogeneous_comparison_bound(chains.point_mass(n, x), mu,
+                                                              mats[0], mats), tol)
+    cyc = schedules.CyclicSchedule(
+        [chains.TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]),
+         chains.TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])],
+        schedules.DriftParams(0.3, 0.7, 0.2, 0.0))
+    phi, marg, gaps = verify.backward_drift_phi(cyc.params), np.array([1.0, 0.0]), {}
+    for t in range(1, 10_001):
+        p = cyc.matrix_at(t)
+        marg = marg @ p.rows
+        if t in (100, 1000, 10_000):
+            rec.cases += 1
+            pi = chains.stationary_distribution(p)
+            gaps[t] = 0.5 * np.abs(marg - pi.probs).sum()
+            rec.check("limit_gap_below_bound", gaps[t], bounds.stationarity_gap_bound(
+                phi, chains.ergodicity_coefficient(p), t,
+                0.5 * np.abs(np.array([1.0, 0.0]) - pi.probs).sum()), tol)
+    rec.require("limit_gap_strictly_decreasing", gaps[100] > gaps[1000] > gaps[10_000])
+    return rec.report()
+
+
+def test_block_thm1_equals_per_t_walk(monkeypatch):
+    checks = _log_checks(monkeypatch)
+    report, block = canonical_json(verify.suite_thm1()), checks.copy()
+    checks.clear()
+    assert report == canonical_json(_per_t_thm1(verify.DEFAULT_MASTER_SEED))
+    assert block == checks
+
+
+@pytest.mark.parametrize("master_seed", [verify.DEFAULT_MASTER_SEED, 7, 11])
+def test_stacked_fixed_point_suites_equal_per_case_loops(monkeypatch, master_seed):
+    checks = _log_checks(monkeypatch)
     for suite, per_case in [(lambda: verify.suite_lipschitz(90, 12, master_seed=master_seed),
                              lambda: _per_case_lipschitz(90, 12, master_seed)),
                             (lambda: verify.suite_restart(60, master_seed=master_seed),
