@@ -56,11 +56,11 @@ class ExponentTriple:
     def __post_init__(self):
         if not 0 < self.gamma_alpha < 1:
             raise ValueError("gamma_alpha must lie in (0, 1)")
-        if self.gamma_pi < 0:
+        if not self.gamma_pi >= 0:  # NaN fails too
             raise ValueError("gamma_pi must be non-negative")
         if not self.gamma_alpha + self.gamma_pi < 1:
             raise ValueError("need gamma_alpha + gamma_pi < 1")
-        if self.gamma_p < 0:
+        if not self.gamma_p >= 0:
             raise ValueError("gamma_p must be non-negative (inf allowed)")
 
 

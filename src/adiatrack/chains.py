@@ -12,9 +12,7 @@ tv(a, b) = 0.5 * sum |a_x - b_x|, and between matrices the maximum row TV.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 
 import numpy as np
 
@@ -41,7 +39,6 @@ __all__ = [
     "next_states",
     "point_mass",
     "uniform_distribution",
-    "load_matrix",
     "number",
     "integer",
 ]
@@ -318,17 +315,3 @@ def integer(doc: dict, key: str, *default) -> int:
         pass
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
-
-def load_matrix(path) -> TransitionMatrix:
-    """Read a transition matrix from JSON {"n":…, "rows":[[…]]} or CSV."""
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            doc = json.load(fh)
-        rows = doc["rows"]
-        if "n" in doc and int(doc["n"]) != len(rows):
-            raise InvariantError(f"declared n={doc['n']} but {len(rows)} rows present")
-        return TransitionMatrix(rows)
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    return TransitionMatrix(rows)

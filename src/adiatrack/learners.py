@@ -10,20 +10,20 @@ solve, Q-learning's one policy iteration per checkpoint.
 
 Kernel: materialize walks the schedule once per run, in blocks, with the
 certificate scan and the row cumsums; each block advances every seed before
-the next block is made.  Per seed and block, chains.next_states draws the
-block's successor table in one numpy pass, and the step loop runs on Python
-floats only (the successor table, step sizes and noise draws as lists, the
-table as a list).  Memory is O(block * n^2 + seeds * n).  Indexing a list
-and arithmetic on Python floats cost a fraction of indexing an array and
-arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so
-the loop is several times faster and bit-identical to a numpy per-step
-loop.  Q-learning's bootstrap, the max over the next
-state's action block, is kept per state and recomputed only when the
-updated entry held it, since a builtin max over a fresh slice costs about a
-third of a step.  Advancing all seeds per step as one numpy table was
-measured too: bit-identical, but slower (0.7x) at the four seeds of a sweep
-cell and ahead only from about 20 seeds on, while the Python-float loop
-wins at every seed count.
+the next block is made, and its drift and pi floor are those of its own
+steps.  Per seed and block, chains.next_states draws the block's successor
+table in one numpy pass, and the step loop runs on Python floats only (the
+successor table, step sizes and noise draws as lists, the table as a list).
+Memory is O(block * n^2 + seeds * n).  Indexing a list and arithmetic on
+Python floats cost a fraction of indexing an array and arithmetic on numpy
+scalars, and IEEE arithmetic is the same on both, so the loop is several
+times faster and bit-identical to a numpy per-step loop.  Q-learning's
+bootstrap, the max over the next state's action block, is kept per state
+and recomputed only when the updated entry held it, since a builtin max
+over a fresh slice costs about a third of a step.  Advancing all seeds per
+step as one numpy table was measured too: bit-identical, but slower (0.7x)
+at the four seeds of a sweep cell and ahead only from about 20 seeds on,
+while the Python-float loop wins at every seed count.
 
 Determinism contract: a run is a pure function of (schedule, specs, seed).
 The path uniforms are chains.stream(seed, 0), drawn into states by
@@ -165,13 +165,13 @@ def materialize(schedule, t_max: int):
     """A run's one walk: schedules.certificate_scan of P^(1..t_max+1), with cums.
 
     Yields (lo, block, cums, pi_min, drift, report) per block; cums is the
-    block's (k, n, n) stack of row cumsums, chains.next_states' input.
-    P^(t_max+1) serves only the drift at t_max, so the last block has one
-    matrix more than steps, and the last report is what
+    (k, n, n) stack of row cumsums of the block's k step matrices
+    P^(lo..lo+k-1), chains.next_states' input (the block's last matrix is
+    the next block's first), and the last report is what
     verify_drift(schedule, t_max) gives.
     """
-    for lo, block, *scanned in schedules.certificate_scan(schedule, t_max, t_max + 2):
-        yield lo, block, np.cumsum(block, axis=2), *scanned
+    for lo, block, *scanned in schedules.certificate_scan(schedule, t_max):
+        yield lo, block, np.cumsum(block[:-1], axis=2), *scanned
 
 
 class _Run:
@@ -194,7 +194,7 @@ class _Run:
         targets lists (j, t, target) for the block's checkpoints, in order."""
         k, na = len(alphas), self.na
         # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
-        nxt = chains.next_states(cums[:k], self.path.random(k)).T.tolist()
+        nxt = chains.next_states(cums, self.path.random(k)).T.tolist()
         eps = ([0.0] * k if self.noise is None
                else self.noise.uniform(-self.eps_max, self.eps_max, k).tolist())
         table, vmax, x, max_abs = self.table, self.vmax, self.x, self.max_abs
@@ -237,7 +237,7 @@ def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
     runs = [_Run(seed, table, x0, n_actions or 1, noise) for seed in seeds]
     r_vec, pi_at, drift_at = spec.r.tolist(), {}, {}
     for lo, block, cums, pi_min, drift, report in materialize(schedule, t_max):
-        hi, d_lo = lo + len(pi_min), max(1, lo - 1)
+        hi = lo + len(pi_min)
         at = [t for t in cps if lo <= t < hi]
         mats, k = block[[t - lo for t in at]], len(at)
         solved = (dp.exact_rewards(mats, np.tile(spec.r, (k, 1)), np.full(k, spec.beta))
@@ -248,8 +248,7 @@ def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
         for run in runs:
             run.advance(cums, alphas, targets, r_vec, spec.beta)
         pi_at.update((t, float(pi_min[t - lo])) for t in at)
-        drift_at.update((t, float(drift[t - d_lo])) for t in cps
-                        if d_lo <= t < d_lo + len(drift))
+        drift_at.update((t, float(drift[t - lo])) for t in at)
     echo = {"learner": "td0" if n_actions is None else "q", "t_max": int(t_max),
             "x0": int(x0), "rate": rate.to_spec(), "noise": noise.to_spec()}
     if n_actions is not None:

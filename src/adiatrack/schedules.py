@@ -10,10 +10,11 @@ the cheap cases.
 
 A family produces its matrices as validated (k, n, n) blocks of
 P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t) is the k = 1 case.
-Drift is metered in matrix-TV arc length along convex segments between
-anchor matrices: TV is exactly linear there, so the certificates are exact
-rather than estimated.  Time indexing starts at t = 1 (the power laws
-divide by t).
+The constant, interpolation and cyclic families are one walk along a path
+of anchor matrices (_ArcWalk), its drift metered in matrix-TV arc length
+along the convex segments between anchors: TV is exactly linear there, so
+the certificates are exact rather than estimated.  Time indexing starts at
+t = 1 (the power laws divide by t).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class DriftParams:
             raise ValueError("c_p must be positive")
         if not (0 < self.c_pi <= 1):
             raise ValueError("c_pi must lie in (0, 1]")
-        if self.gamma_p < 0 or self.gamma_pi < 0:
+        if not (self.gamma_p >= 0 and self.gamma_pi >= 0):  # NaN fails too
             raise ValueError("drift exponents must be non-negative")
 
     def drift_bound(self, t: int) -> float:
@@ -147,7 +148,15 @@ def _blend(a: np.ndarray, b: np.ndarray, w) -> np.ndarray:
 
 
 class _ArcWalk(Schedule):
-    """A walk advancing TV arc c_p/u**gamma_p at step u (rate fixed at construction).
+    """Convex walk along a path of anchor matrices, advancing TV arc
+    c_p/u**gamma_p at step u (rate fixed at construction).
+
+    P^(t) sits at arc S_{t-1} = sum_{u<t} c_p/u**gamma_p along the path: on
+    the segment from anchor a to anchor b, (1 - w) a + w b, with w the
+    share of the segment's TV length covered.  Segments of zero length are
+    skipped.  An open path stops at its last anchor; a closed path wraps
+    around.  A path with no segment of positive length, or gamma_p = inf,
+    is its first anchor at every t.
 
     The arc prefix S_k is kept at every _CHUNK-th k, plus the last span
     summed, so memory does not grow with the horizon: a request outside
@@ -156,8 +165,26 @@ class _ArcWalk(Schedule):
     sequential sum bit for bit, whatever was asked for before.
     """
 
-    def __init__(self, n: int, params: DriftParams, rho_cap: float):
-        super().__init__(n, params, rho_cap)
+    def __init__(self, anchors: list, params: DriftParams, closed: bool):
+        n = anchors[0].n
+        for i, m in enumerate(anchors):
+            if m.n != n:
+                raise ValueError("anchor matrices must share a dimension")
+            _require_irreducible(m.rows, f"anchor matrix {i}")
+        segs = []  # (start, end, TV length) of every segment of positive length
+        nxt = anchors[1:] + anchors[:1] if closed else anchors[1:]
+        for i, (a, b) in enumerate(zip(anchors, nxt)):
+            length = matrix_tv_distance(a, b)
+            if length > 0.0:
+                _require_irreducible(_blend(a.rows, b.rows, 0.5),
+                                     f"blend of anchor matrices {i},{(i + 1) % len(anchors)}")
+                segs.append((a.rows, b.rows, length))
+        super().__init__(n, params, max(chains.ergodicity_coefficient(m) for m in anchors))
+        self._first, self._closed = anchors[0].rows, closed
+        starts, ends, lengths = zip(*segs) if segs else ((), (), ())
+        self._starts, self._ends = np.array(starts), np.array(ends)
+        self._lengths = np.array(lengths, dtype=float)
+        self._offsets = np.concatenate([[0.0], np.cumsum(self._lengths)])
         self._rate = (params.c_p, params.gamma_p)
         self._marks = [0.0]  # S_k at k = 0, _CHUNK, 2 _CHUNK, ...
         self._span = (0, np.zeros(1))  # (k0, S_k for k in [k0, k0 + size))
@@ -175,20 +202,29 @@ class _ArcWalk(Schedule):
             self._span = (start, arc)
         return arc[k_lo - start:k_hi - start]
 
+    def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
+        if not self._lengths.size or self._rate[1] == GAMMA_INF:
+            return np.broadcast_to(self._first, (t_hi - t_lo, self.n, self.n))
+        pos = self._arc(t_lo - 1, t_hi - 1)
+        if self._closed:
+            pos = np.fmod(pos, self._offsets[-1])
+        j = np.minimum(np.searchsorted(self._offsets, pos, side="right") - 1,
+                       self._lengths.size - 1)
+        w = np.clip((pos - self._offsets[j]) / self._lengths[j], 0.0, 1.0)
+        return _blend(np.take(self._starts, j, axis=0), np.take(self._ends, j, axis=0), w)
 
-class ConstantSchedule(Schedule):
+
+class ConstantSchedule(_ArcWalk):
+    """The one-anchor path: p at every t."""
+
     kind = "constant"
 
     def __init__(self, p: TransitionMatrix, params: DriftParams | None = None):
-        _require_irreducible(p.rows, "constant schedule matrix")
-        if params is None:
+        if params is None:  # zero drift and the exact stationary floor
             pi_min = chains.stationary_distribution(p).min_prob()
             params = DriftParams(c_p=1.0, gamma_p=GAMMA_INF, c_pi=pi_min, gamma_pi=0.0)
-        super().__init__(p.n, params, chains.ergodicity_coefficient(p))
+        super().__init__([p], params, closed=False)
         self.p = p
-
-    def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        return np.broadcast_to(self.p.rows, (t_hi - t_lo, self.n, self.n))
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
@@ -196,7 +232,7 @@ class ConstantSchedule(Schedule):
 
 
 class InterpolationSchedule(_ArcWalk):
-    """Convex walk from p_start toward p_end, advancing TV arc c_p/t^gamma_p.
+    """The open path from p_start to p_end, advancing TV arc c_p/t^gamma_p.
 
     P^(t) = (1-w_t) p_start + w_t p_end with w_1 = 0 and the weight
     advancing by drift_bound(t)/D per step, clamped at 1; D is the TV
@@ -208,24 +244,10 @@ class InterpolationSchedule(_ArcWalk):
 
     def __init__(self, p_start: TransitionMatrix, p_end: TransitionMatrix,
                  params: DriftParams):
-        if p_start.n != p_end.n:
-            raise ValueError("endpoint dimension mismatch")
-        _require_irreducible(p_start.rows, "p_start")
-        _require_irreducible(p_end.rows, "p_end")
-        _require_irreducible(_blend(p_start.rows, p_end.rows, 0.5), "midpoint blend")
-        rho_cap = max(chains.ergodicity_coefficient(p_start),
-                      chains.ergodicity_coefficient(p_end))
-        super().__init__(p_start.n, params, rho_cap)
+        super().__init__([p_start, p_end], params, closed=False)
         self.p_start = p_start
         self.p_end = p_end
         self.segment_length = matrix_tv_distance(p_start, p_end)
-
-    def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        if self.segment_length == 0.0 or self._rate[1] == GAMMA_INF:
-            w = np.zeros(t_hi - t_lo)
-        else:
-            w = np.minimum(1.0, self._arc(t_lo - 1, t_hi - 1) / self.segment_length)
-        return _blend(self.p_start.rows, self.p_end.rows, w)
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
@@ -234,7 +256,7 @@ class InterpolationSchedule(_ArcWalk):
 
 
 class CyclicSchedule(_ArcWalk):
-    """Endless convex walk around a cycle of anchor matrices.
+    """Endless walk around the closed path of a cycle of anchor matrices.
 
     Advances TV arc length c_p/t^gamma_p per step; gamma_p must lie in
     (0, 1) so the total arc diverges (the cycle is traversed forever) while
@@ -251,35 +273,9 @@ class CyclicSchedule(_ArcWalk):
         if not 0 < params.gamma_p < 1:
             raise ValueError("cyclic schedule needs gamma_p in (0, 1); "
                              "outside that the cycle stalls or degenerates")
-        n = mats[0].n
-        for i, m in enumerate(mats):
-            if m.n != n:
-                raise ValueError("cycle matrices must share a dimension")
-            _require_irreducible(m.rows, f"cycle matrix {i}")
-        segs = []  # (start, end, TV length) of every non-degenerate segment
-        for i, m in enumerate(mats):
-            nxt = mats[(i + 1) % len(mats)]
-            length = matrix_tv_distance(m, nxt)
-            if length > 0.0:
-                _require_irreducible(_blend(m.rows, nxt.rows, 0.5),
-                                     f"blend of cycle matrices {i},{(i + 1) % len(mats)}")
-                segs.append((m.rows, nxt.rows, length))
-        super().__init__(n, params, max(chains.ergodicity_coefficient(m) for m in mats))
+        super().__init__(mats, params, closed=True)
         self.mats = mats
-        starts, ends, lengths = zip(*segs) if segs else ((), (), ())
-        self._starts, self._ends = np.array(starts), np.array(ends)
-        self._lengths = np.array(lengths, dtype=float)
-        self._offsets = np.concatenate([[0.0], np.cumsum(self._lengths)])
         self.cycle_length = float(self._offsets[-1])
-
-    def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        if not self._lengths.size:
-            return np.broadcast_to(self.mats[0].rows, (t_hi - t_lo, self.n, self.n))
-        pos = np.fmod(self._arc(t_lo - 1, t_hi - 1), self.cycle_length)
-        j = np.minimum(np.searchsorted(self._offsets, pos, side="right") - 1,
-                       self._lengths.size - 1)
-        w = np.clip((pos - self._offsets[j]) / self._lengths[j], 0.0, 1.0)
-        return _blend(self._starts[j], self._ends[j], w)
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
@@ -492,49 +488,48 @@ def _drift_vacuous_from(params: DriftParams, n: int, t_max: int) -> int | None:
     return t
 
 
-def certificate_scan(s: Schedule, t_max: int, t_hi: int):
-    """Walk P^(1..t_hi-1) in blocks, scanning the declared certificate over [1, t_max].
+def certificate_scan(s: Schedule, t_max: int):
+    """Walk P^(1..t_max+1) in blocks, scanning the declared certificate over [1, t_max].
 
     Checks, at every t in [1, t_max]:
       * t**gamma_p * ||P^(t+1) - P^(t)||  <=  c_p   (t < t_max; zero drift when gamma_p=inf)
       * t**gamma_pi * pi^(t)_min          >=  c_pi
       * rho(P^(t))                        <=  rho_cap
     A drift step may exceed c_p/t**gamma_p by the rounding of the stored
-    matrices (_STEP_ROUNDING per state) and no more.  Matrices past t_max
-    enter no bound.  Yields (lo, block, pi_min, drift, report) per block:
-    pi_min[i] is pi^(lo+i)_min, for t <= t_max only; drift[i] is
-    ||P^(t+1) - P^(t)|| at t = max(1, lo - 1) + i, the step into the block
-    from the previous one first; report is the DriftReport of the scan so
-    far, its violations listed, not raised.  The stationary vectors are
-    solved once per block when every matrix of the block equals its first.
+    matrices (_STEP_ROUNDING per state) and no more.  Yields (lo, block,
+    pi_min, drift, report) per block: block is P^(lo..hi), hi <= t_max + 1,
+    whose last matrix is also the next block's first; pi_min[i] is
+    pi^(t)_min and drift[i] is ||P^(t+1) - P^(t)||, both at t = lo + i for
+    t < hi; report is the DriftReport of the scan so far, its violations
+    listed, not raised.  P^(t_max+1) serves only the drift at t_max, which
+    enters no bound.  The stationary vectors are solved once per block when
+    every matrix of the block equals its first.
     """
     params = s.params
     drift_b = _Bound("drift c_p", 0.0, 1.0, params.drift_bound)
     floor_b = _Bound("pi floor c_pi", math.inf, -1.0, params.pi_floor)
     rho_b = _Bound("rho_cap", 0.0, 1.0, lambda t: s.rho_cap)
     vacuous = _drift_vacuous_from(params, s.n, t_max)
-    prev = None  # last matrix of the previous block
-    for lo, block in s.blocks(1, t_hi):
-        walk = block if prev is None else np.concatenate([prev, block])
-        prev, d_lo = block[-1:], lo + len(block) - len(walk)  # d_lo: t of walk[0]
-        drift = 0.5 * np.abs(walk[1:] - walk[:-1]).sum(axis=2).max(axis=1)
-        step = drift[:max(0, t_max - d_lo)]
+    for lo in range(1, t_max + 1, _CHUNK):
+        hi = min(lo + _CHUNK, t_max + 1)
+        block = s.block(lo, hi + 1)
+        head = block[:-1]
+        drift = chains.matrix_tv_distances(head, block[1:])
+        step = drift[:t_max - lo]
         if params.gamma_p == GAMMA_INF:
             scaled = np.where(step <= 1e-15, 0.0, math.inf)
             bad = scaled > params.c_p + _CERT_FUZZ
         else:
-            powers = _powers(d_lo, d_lo + step.size, params.gamma_p)
+            powers = _powers(lo, lo + step.size, params.gamma_p)
             scaled = step * powers
             bad = (step - _STEP_ROUNDING * s.n) * powers > params.c_p + _CERT_FUZZ
-        drift_b.update(d_lo, scaled, step, bad)
-        head, pi_min = block[:max(0, t_max + 1 - lo)], np.empty(0)
-        if head.size:
-            distinct = head if (head != head[0]).any() else head[:1]  # one solve if constant
-            rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(head))
-            rho_b.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
-            pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(head))
-            scaled = pi_min * _powers(lo, lo + len(head), params.gamma_pi)
-            floor_b.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
+        drift_b.update(lo, scaled, step, bad)
+        distinct = head if (head != head[0]).any() else head[:1]  # one solve if constant
+        rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(head))
+        rho_b.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
+        pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(head))
+        scaled = pi_min * _powers(lo, hi, params.gamma_pi)
+        floor_b.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
         yield lo, block, pi_min, drift, DriftReport(
             t_max, drift_b.value, drift_b.t, floor_b.value, floor_b.t, rho_b.value, rho_b.t,
             [b.violation for b in (drift_b, floor_b, rho_b) if b.violation], vacuous)
@@ -546,7 +541,7 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
     the first offending t per bound."""
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    for *_, report in certificate_scan(s, t_max, t_max + 1):
+    for *_, report in certificate_scan(s, t_max):
         pass
     if not report.ok:
         raise DriftCertificateError(report)

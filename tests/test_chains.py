@@ -13,7 +13,6 @@ from adiatrack.chains import (
     ergodicity_coefficient,
     ergodicity_coefficients,
     is_irreducible,
-    load_matrix,
     matrix_tv_distance,
     next_states,
     point_mass,
@@ -391,25 +390,3 @@ def test_empirical_frequencies_match_exact_marginal(rows, t_max):
     for i in range(n_paths):
         counts[simulate(sched, t_max, 0, seed=1000 + i)[-1]] += 1
     np.testing.assert_allclose(counts / n_paths, exact.probs, atol=0.01)
-
-
-# --------------------------------------------------------------------- file io
-
-def test_load_matrix_json_and_csv(tmp_path):
-    jpath = tmp_path / "m.json"
-    jpath.write_text('{"n": 2, "rows": [[0.9, 0.1], [0.2, 0.8]]}')
-    np.testing.assert_array_equal(load_matrix(jpath).rows, P_REF.rows)
-
-    cpath = tmp_path / "m.csv"
-    cpath.write_text("0.9,0.1\n0.2,0.8\n")
-    np.testing.assert_array_equal(load_matrix(cpath).rows, P_REF.rows)
-
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"n": 3, "rows": [[0.9, 0.1], [0.2, 0.8]]}')
-    with pytest.raises(InvariantError):
-        load_matrix(bad)
-
-    invalid = tmp_path / "inv.csv"
-    invalid.write_text("0.9,0.2\n0.2,0.8\n")
-    with pytest.raises(InvariantError):
-        load_matrix(invalid)

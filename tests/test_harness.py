@@ -433,6 +433,22 @@ def test_prop1_pair_checks_catch_a_corrupted_stack_rho(monkeypatch):
     assert first["rhs"] == pytest.approx(0.5 * rho_p * 0.5 * np.abs(lam - mu).sum(), rel=1e-12)
 
 
+def test_prop1_pair_checks_reject_a_row_off_by_1e9(monkeypatch):
+    true_rows, calls = verify._random_rows, []
+
+    def one_bad_case(rng, n):
+        rows = true_rows(rng, n)
+        calls.append(n)
+        if len(calls) == 1:  # the case's p: rho(p) = 1, so no stationary solve checks it
+            rows = np.eye(n)
+            rows[1, 0] = 1e-9  # row 1 sums to 1 + 1e-9
+        return rows
+
+    monkeypatch.setattr(verify, "_random_rows", one_bad_case)
+    with pytest.raises(chains.InvariantError, match="sums to"):
+        verify.suite_prop1(n_cases=1)
+
+
 def _per_t_thm1(master_seed, tol=1e-10):
     """suite_thm1 as a per-t walk: one validated matrix_at call per step."""
     rec = verify._Recorder("thm1", master_seed)
@@ -572,6 +588,31 @@ def test_cli_track_and_exit_codes(tmp_path, capsys):
         "params": {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.9, "gamma_pi": 0.0}}}))
     rc = cli_main(["track", "--config", str(bad), "--out", str(tmp_path / "out3")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("exponent", ["gamma_p", "gamma_pi"])
+def test_cli_track_nan_exponent_is_config_error(tmp_path, capsys, exponent):
+    params = {**ACCEPTANCE_ANCHORS["params"], exponent: "nan"}
+    cfg = {**BASE_CONFIG, "t_max": 200, "schedule": {**ACCEPTANCE_ANCHORS, "params": params}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: drift exponents must be non-negative\n"
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("flag, named", [
+    ("--gamma-p", "gamma_p must be non-negative (inf allowed)"),
+    ("--gamma-pi", "gamma_pi must be non-negative"),
+], ids=["gamma-p", "gamma-pi"])
+def test_cli_bound_nan_exponent_is_config_error(capsys, flag, named):
+    args = {"--gamma-p": "1.0", "--gamma-alpha": "0.6", "--gamma-pi": "0", "--T": "1000",
+            flag: "nan"}
+    rc = cli_main(["bound", *(word for item in args.items() for word in item)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {named}\n"
 
 
 def test_cli_verify_exit_codes(monkeypatch, capsys):

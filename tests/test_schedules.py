@@ -523,8 +523,12 @@ def test_block_rejects_empty_and_nonpositive_ranges():
 
 
 
-@pytest.mark.parametrize("sched", [ConstantSchedule(A), CyclicSchedule([A, A], DriftParams(
-    0.05, 0.5, 0.25, 0.0))], ids=["constant", "degenerate-cyclic"])
+@pytest.mark.parametrize("sched", [
+    ConstantSchedule(A),
+    CyclicSchedule([A, A], DriftParams(0.05, 0.5, 0.25, 0.0)),
+    InterpolationSchedule(A, B, DriftParams(0.05, GAMMA_INF, 0.25, 0.0)),
+    InterpolationSchedule(A, A, DriftParams(0.05, 0.5, 0.25, 0.0)),
+], ids=["constant", "degenerate-cyclic", "gamma-p-inf-interpolation", "A-to-A-interpolation"])
 def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
     for lo, block in sched.blocks(1, _EDGE + 7):
         assert not block.flags.writeable
@@ -532,6 +536,24 @@ def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
             assert mat.tobytes() == sched.matrix_at(lo + i).rows.tobytes()
     with pytest.raises(ValueError):
         sched.block(1, 3)[0, 0, 0] = 0.5
+
+
+@pytest.mark.parametrize("sched", [
+    InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0)),
+    CyclicSchedule([A, B, FLAT], DriftParams(0.05, 0.7, 0.1, 0.0)),
+], ids=["interpolation", "cyclic"])
+def test_scan_blocks_share_their_edge_matrix(sched):
+    t_max = 2 * _EDGE  # walks P^(1..2 * _EDGE + 1): two full blocks and no trailing one
+    scanned = list(schedules.certificate_scan(sched, t_max))
+    assert [lo for lo, *_ in scanned] == [1, _EDGE + 1]
+    for (lo, block, pi_min, drift, _), after in zip(scanned, scanned[1:] + [None]):
+        assert len(pi_min) == len(drift) == len(block) - 1
+        if after is not None:
+            assert after[0] == lo + len(drift)
+            assert after[1][0].tobytes() == block[-1].tobytes()
+        for i, t in enumerate(range(lo, lo + len(drift))):
+            assert drift[i] == matrix_tv_distance(sched.matrix_at(t), sched.matrix_at(t + 1)), t
+    assert lo + len(drift) == t_max + 1
 
 
 def _corrupted(base):
