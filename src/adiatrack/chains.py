@@ -275,7 +275,10 @@ def simulate(schedule, t_max: int, x0: int, seed: int) -> np.ndarray:
     after t transitions, transition t using schedule matrix t.
 
     One uniform draw per step from the path's own seeded stream, so equal
-    (schedule, seed, t_max, x0) reproduce the identical path.
+    (schedule, seed, t_max, x0) reproduce the identical path.  Steps read
+    each block of the schedule's walk (Schedule.blocks) but its last
+    matrix; the uniforms are drawn for the whole horizon at once, which
+    keeps this an independent reference for the learners' block-wise draws.
     """
     n = schedule.n
     if not 0 <= x0 < n:
@@ -286,7 +289,7 @@ def simulate(schedule, t_max: int, x0: int, seed: int) -> np.ndarray:
     states[0] = x = x0
     uniforms = stream(seed, 0).random(t_max)
     for lo, block in schedule.blocks(1, t_max + 1):
-        nxt = next_states(np.cumsum(block, axis=2), uniforms[lo - 1:lo - 1 + len(block)])
+        nxt = next_states(np.cumsum(block[:-1], axis=2), uniforms[lo - 1:lo + len(block) - 2])
         for t, row in enumerate(nxt.tolist(), lo):
             x = states[t] = row[x]
     states.flags.writeable = False

@@ -3,10 +3,12 @@
 Reproducibility contract: the config hash is a pure function of the
 canonicalized (key-sorted, resolved) config JSON, per-seed runs derive
 their streams from listed seeds, and every output byte is fixed by
-(config, seed).  A run walks its schedule once (learners.track): the
-certificate scan, every seed and the checkpoint targets share each block,
-so memory does not grow with the horizon.  The scan gates every output: no
-trace is written for a schedule whose declared certificate fails it.
+(config, seed).  The certificate gates the run: schedules.verify_drift
+scans the schedule's declared certificate first, and a failing one raises
+before the learners take a step, so no trace is written for it.  The run
+then walks its schedule once (learners.track): every seed and the
+checkpoint targets share each block, so memory does not grow with the
+horizon.
 """
 
 from __future__ import annotations
@@ -172,11 +174,10 @@ def default_bound_constants(spec: RewardSpec, schedule) -> bounds.Thm2Constants:
 
 def _run_traces(config: ExperimentConfig):
     schedule, spec, rate, noise = config.build()
+    schedules.verify_drift(schedule, config.t_max)  # raises before the first step
     n_actions = config.n_actions if config.learner == "q" else None
-    traces, report = learners.track(schedule, spec, rate, noise, config.t_max, config.seeds,
-                                    config.checkpoints, x0=config.x0, n_actions=n_actions)
-    if not report.ok:
-        raise schedules.DriftCertificateError(report)
+    traces = learners.track(schedule, spec, rate, noise, config.t_max, config.seeds,
+                            config.checkpoints, x0=config.x0, n_actions=n_actions)
     return schedule, spec, traces
 
 

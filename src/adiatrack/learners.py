@@ -8,12 +8,13 @@ is the sup-norm distance to the exact fixed point of the *current* schedule
 matrix, solved at checkpoints: a block's TD(0) targets in one stacked
 solve, Q-learning's one policy iteration per checkpoint.
 
-Kernel: materialize walks the schedule once per run, in blocks, with the
-certificate scan and the row cumsums; each block advances every seed before
-the next block is made, and its drift and pi floor are those of its own
-steps.  Per seed and block, chains.next_states draws the block's successor
-table in one numpy pass, and the step loop runs on Python floats only (the
-successor table, step sizes and noise draws as lists, the table as a list).
+Kernel: materialize walks the schedule once per run (Schedule.blocks),
+yielding each block with the row cumsums of its step matrices, and each
+block advances every seed before the next is made.  No certificate is
+scanned here: a trace row's pi floor and drift are solved at its
+checkpoint only.  Per seed and block, chains.next_states draws the block's
+successor table in one numpy pass, and the step loop runs on Python floats
+only (the successor table, step sizes and noise draws as lists, the table).
 Memory is O(block * n^2 + seeds * n).  Indexing a list and arithmetic on
 Python floats cost a fraction of indexing an array and arithmetic on numpy
 scalars, and IEEE arithmetic is the same on both, so the loop is several
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chains, dp, schedules
+from . import chains, dp
 
 __all__ = [
     "LearningRate",
@@ -96,7 +97,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("zero", "uniform-iid"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.eps_max < 0:
+        if not self.eps_max >= 0:  # NaN fails too
             raise ValueError("eps_max must be non-negative")
         if self.kind == "uniform-iid" and self.eps_max == 0.0:
             raise ValueError("uniform-iid noise needs eps_max > 0")
@@ -162,16 +163,15 @@ class TrackingTrace:
 
 
 def materialize(schedule, t_max: int):
-    """A run's one walk: schedules.certificate_scan of P^(1..t_max+1), with cums.
+    """A run's one walk: Schedule.blocks of P^(1..t_max+1), with cums.
 
-    Yields (lo, block, cums, pi_min, drift, report) per block; cums is the
-    (k, n, n) stack of row cumsums of the block's k step matrices
-    P^(lo..lo+k-1), chains.next_states' input (the block's last matrix is
-    the next block's first), and the last report is what
-    verify_drift(schedule, t_max) gives.
+    Yields (lo, block, cums) per block: block is P^(lo..hi), whose last
+    matrix is also the next block's first, and cums the (k, n, n) stack of
+    row cumsums of its k = hi - lo step matrices P^(lo..hi-1),
+    chains.next_states' input.
     """
-    for lo, block, *scanned in schedules.certificate_scan(schedule, t_max):
-        yield lo, block, np.cumsum(block[:-1], axis=2), *scanned
+    for lo, block in schedule.blocks(1, t_max + 1):
+        yield lo, block, np.cumsum(block[:-1], axis=2)
 
 
 class _Run:
@@ -220,8 +220,8 @@ def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
           table_init=None):
     """Traces of every seed from one walk: TD(0) when n_actions is None, else Q-learning.
 
-    Returns (traces, report): report is the DriftReport of the walk's
-    certificate scan over [1, t_max], its violations listed, not raised.
+    Scans no certificate (schedules.verify_drift does): an uncertified
+    schedule is tracked all the same.
     """
     n = schedule.n
     if n != spec.n:
@@ -235,9 +235,9 @@ def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
         raise ValueError("checkpoint grid is empty within [1, t_max]")
     table = [0.0] * n if table_init is None else np.array(table_init, dtype=float).tolist()
     runs = [_Run(seed, table, x0, n_actions or 1, noise) for seed in seeds]
-    r_vec, pi_at, drift_at = spec.r.tolist(), {}, {}
-    for lo, block, cums, pi_min, drift, report in materialize(schedule, t_max):
-        hi = lo + len(pi_min)
+    r_vec, diagnostics = spec.r.tolist(), {}
+    for lo, block, cums in materialize(schedule, t_max):
+        hi = lo + len(cums)
         at = [t for t in cps if lo <= t < hi]
         mats, k = block[[t - lo for t in at]], len(at)
         solved = (dp.exact_rewards(mats, np.tile(spec.r, (k, 1)), np.full(k, spec.beta))
@@ -247,16 +247,18 @@ def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
         alphas = [rate.alpha(t) for t in range(lo, hi)]
         for run in runs:
             run.advance(cums, alphas, targets, r_vec, spec.beta)
-        pi_at.update((t, float(pi_min[t - lo])) for t in at)
-        drift_at.update((t, float(drift[t - lo])) for t in at)
+        if at:  # pi floor and drift at the block's checkpoints: P^(t) and P^(t+1)
+            pi_min = chains.stationary_stack(mats).min(axis=1)
+            drift = chains.matrix_tv_distances(mats, block[[t - lo + 1 for t in at]])
+            diagnostics.update(zip(at, zip(pi_min.tolist(), drift.tolist())))
     echo = {"learner": "td0" if n_actions is None else "q", "t_max": int(t_max),
             "x0": int(x0), "rate": rate.to_spec(), "noise": noise.to_spec()}
     if n_actions is not None:
         echo["n_actions"] = int(n_actions)
-    return [TrackingTrace(rows=[TraceRow(t, err, alpha_t, pi_at[t], drift_at[t])
+    return [TrackingTrace(rows=[TraceRow(t, err, alpha_t, *diagnostics[t])
                                 for t, err, alpha_t in run.hits],
                           seed=run.seed, config=dict(echo), max_abs_value=run.max_abs)
-            for run in runs], report
+            for run in runs]
 
 
 def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
@@ -269,7 +271,7 @@ def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseMod
     test overrides table_init.
     """
     return track(schedule, spec, rate, noise, t_max, [seed], checkpoint_grid, x0, None,
-                 table_init)[0][0]
+                 table_init)[0]
 
 
 def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
@@ -282,7 +284,7 @@ def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
     one value, so the order of the max cannot change a replay.
     """
     return track(schedule, spec, rate, noise, t_max, [seed], checkpoint_grid, x0,
-                 int(n_actions), table_init)[0][0]
+                 int(n_actions), table_init)[0]
 
 
 def check_boundedness(trace: TrackingTrace, f_max: float, eps_max: float,

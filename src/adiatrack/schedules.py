@@ -10,6 +10,9 @@ the cheap cases.
 
 A family produces its matrices as validated (k, n, n) blocks of
 P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t) is the k = 1 case.
+Schedule.blocks is the one walk over a horizon, blocks of at most _CHUNK
+steps each ending on the next one's first matrix; verify_drift is the one
+certificate scan, a single pass over that walk.
 The constant, interpolation and cyclic families are one walk along a path
 of anchor matrices (_ArcWalk), its drift metered in matrix-TV arc length
 along the convex segments between anchors: TV is exactly linear there, so
@@ -41,7 +44,6 @@ __all__ = [
     "restart_wrap",
     "restart_wraps",
     "verify_drift",
-    "certificate_scan",
     "DriftReport",
     "DriftCertificateError",
     "schedule_from_spec",
@@ -84,7 +86,7 @@ class DriftParams:
         return DriftParams(*(chains.number(doc, k) for k in keys))
 
 
-_CHUNK = 2048  # matrices per block in chunked scans
+_CHUNK = 2048  # steps per block of the walk (Schedule.blocks)
 _SHRINK_DRIFT_CHECK = 10_000  # steps of the shrinking family's construction drift scan
 _RESTART_PROBE = 64  # matrices a restart-wrapped schedule probes for its default c_pi
 
@@ -122,9 +124,11 @@ class Schedule:
         return chains.check_stack(mats) if mats.flags.writeable else mats
 
     def blocks(self, t_lo: int, t_hi: int):
-        """Yield (t, block) pieces of at most _CHUNK matrices covering [t_lo, t_hi)."""
+        """The walk of P^(t_lo..t_hi): yield (lo, P^(lo..hi)) with hi = min(lo +
+        _CHUNK, t_hi) for lo = t_lo, t_lo + _CHUNK, ... below t_hi, so each
+        block's last matrix is the next block's first."""
         for lo in range(t_lo, t_hi, _CHUNK):
-            yield lo, self.block(lo, min(lo + _CHUNK, t_hi))
+            yield lo, self.block(lo, min(lo + _CHUNK, t_hi) + 1)
 
     def matrix_at(self, t: int) -> TransitionMatrix:
         return TransitionMatrix(self.block(t, t + 1)[0])
@@ -208,6 +212,9 @@ class _ArcWalk(Schedule):
         pos = self._arc(t_lo - 1, t_hi - 1)
         if self._closed:
             pos = np.fmod(pos, self._offsets[-1])
+        if self._lengths.size == 1:  # no segment lookup: _offsets[0] is 0.0
+            return _blend(self._starts[0], self._ends[0],
+                          np.clip(pos / self._lengths[0], 0.0, 1.0))
         j = np.minimum(np.searchsorted(self._offsets, pos, side="right") - 1,
                        self._lengths.size - 1)
         w = np.clip((pos - self._offsets[j]) / self._lengths[j], 0.0, 1.0)
@@ -488,34 +495,28 @@ def _drift_vacuous_from(params: DriftParams, n: int, t_max: int) -> int | None:
     return t
 
 
-def certificate_scan(s: Schedule, t_max: int):
-    """Walk P^(1..t_max+1) in blocks, scanning the declared certificate over [1, t_max].
+def verify_drift(s: Schedule, t_max: int) -> DriftReport:
+    """Scan-certify a schedule's declared (c_p, gamma_p, c_pi, gamma_pi, rho_cap)
+    over [1, t_max], walking P^(1..t_max+1) in blocks (Schedule.blocks).
 
     Checks, at every t in [1, t_max]:
       * t**gamma_p * ||P^(t+1) - P^(t)||  <=  c_p   (t < t_max; zero drift when gamma_p=inf)
       * t**gamma_pi * pi^(t)_min          >=  c_pi
       * rho(P^(t))                        <=  rho_cap
     A drift step may exceed c_p/t**gamma_p by the rounding of the stored
-    matrices (_STEP_ROUNDING per state) and no more.  Yields (lo, block,
-    pi_min, drift, report) per block: block is P^(lo..hi), hi <= t_max + 1,
-    whose last matrix is also the next block's first; pi_min[i] is
-    pi^(t)_min and drift[i] is ||P^(t+1) - P^(t)||, both at t = lo + i for
-    t < hi; report is the DriftReport of the scan so far, its violations
-    listed, not raised.  P^(t_max+1) serves only the drift at t_max, which
-    enters no bound.  The stationary vectors are solved once per block when
-    every matrix of the block equals its first.
+    matrices (_STEP_ROUNDING per state) and no more.  P^(t_max+1) enters
+    no bound.  A block whose matrices all equal its first is solved once.
+    Raises DriftCertificateError naming the first offending t per bound.
     """
+    if t_max < 2:
+        raise ValueError("t_max must be >= 2")
     params = s.params
     drift_b = _Bound("drift c_p", 0.0, 1.0, params.drift_bound)
     floor_b = _Bound("pi floor c_pi", math.inf, -1.0, params.pi_floor)
     rho_b = _Bound("rho_cap", 0.0, 1.0, lambda t: s.rho_cap)
-    vacuous = _drift_vacuous_from(params, s.n, t_max)
-    for lo in range(1, t_max + 1, _CHUNK):
-        hi = min(lo + _CHUNK, t_max + 1)
-        block = s.block(lo, hi + 1)
+    for lo, block in s.blocks(1, t_max + 1):
         head = block[:-1]
-        drift = chains.matrix_tv_distances(head, block[1:])
-        step = drift[:t_max - lo]
+        step = chains.matrix_tv_distances(head, block[1:])[:t_max - lo]
         if params.gamma_p == GAMMA_INF:
             scaled = np.where(step <= 1e-15, 0.0, math.inf)
             bad = scaled > params.c_p + _CERT_FUZZ
@@ -528,21 +529,12 @@ def certificate_scan(s: Schedule, t_max: int):
         rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(head))
         rho_b.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
         pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(head))
-        scaled = pi_min * _powers(lo, hi, params.gamma_pi)
+        scaled = pi_min * _powers(lo, lo + len(head), params.gamma_pi)
         floor_b.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
-        yield lo, block, pi_min, drift, DriftReport(
-            t_max, drift_b.value, drift_b.t, floor_b.value, floor_b.t, rho_b.value, rho_b.t,
-            [b.violation for b in (drift_b, floor_b, rho_b) if b.violation], vacuous)
-
-
-def verify_drift(s: Schedule, t_max: int) -> DriftReport:
-    """Scan-certify a schedule's declared (c_p, gamma_p, c_pi, gamma_pi, rho_cap)
-    over [1, t_max] (certificate_scan); raises DriftCertificateError naming
-    the first offending t per bound."""
-    if t_max < 2:
-        raise ValueError("t_max must be >= 2")
-    for *_, report in certificate_scan(s, t_max):
-        pass
+    report = DriftReport(t_max, drift_b.value, drift_b.t, floor_b.value, floor_b.t,
+                         rho_b.value, rho_b.t,
+                         [b.violation for b in (drift_b, floor_b, rho_b) if b.violation],
+                         _drift_vacuous_from(params, s.n, t_max))
     if not report.ok:
         raise DriftCertificateError(report)
     return report

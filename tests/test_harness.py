@@ -93,8 +93,12 @@ ACCEPTANCE_ANCHORS = {
     "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.1, 0.9], [0.8, 0.2]]}
 
 
-def test_tracking_aborts_on_bad_certificate(tmp_path):
+def test_tracking_aborts_on_bad_certificate(tmp_path, monkeypatch):
     from adiatrack.schedules import _CHUNK, DriftCertificateError, verify_drift
+    steps = []  # one entry per block a learner takes: none, the scan gates the run
+    advance = learners._Run.advance
+    monkeypatch.setattr(learners._Run, "advance",
+                        lambda run, *args: steps.append(1) or advance(run, *args))
     # Each report's extreme sits at the horizon's end, where P^(t_max+1),
     # walked for the last drift_t, must not enter it.  pi_min falls along
     # flat -> A and breaks the floor 0.47 on the way.
@@ -116,6 +120,7 @@ def test_tracking_aborts_on_bad_certificate(tmp_path):
         assert err.value.report == scanned.value.report  # every field
         assert [v.bound for v in err.value.report.violations] == [bound]
         assert not list(tmp_path.iterdir())  # no trace file was written
+        assert not steps  # the learners never stepped
 
 
 def test_summary_carries_regime_and_bound(tmp_path):
@@ -600,6 +605,18 @@ def test_cli_track_nan_exponent_is_config_error(tmp_path, capsys, exponent):
     assert rc == 2
     assert capsys.readouterr().err == "config error: drift exponents must be non-negative\n"
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("kind", ["uniform-iid", "zero"])
+def test_cli_track_nan_eps_max_is_config_error(tmp_path, capsys, kind):
+    cfg = {**BASE_CONFIG, "t_max": 200, "noise": {"kind": kind, "eps_max": "nan"}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "config error: eps_max must be non-negative\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, named", [

@@ -21,6 +21,7 @@ from adiatrack.learners import (
     td0_track,
 )
 from adiatrack.schedules import (
+    _CHUNK,
     ConstantSchedule,
     CyclicSchedule,
     DriftParams,
@@ -148,16 +149,19 @@ def test_td0_seeds_differ():
 
 
 def test_trace_diagnostics_at_checkpoints():
-    sched = InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0))
-    trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, 100, 3, [10, 100])
-    from adiatrack.chains import matrix_tv_distance, stationary_distribution
-    for row in trace.rows:
-        assert row.alpha_t == RATE.alpha(row.t)
-        assert row.pi_min_t == pytest.approx(
-            stationary_distribution(sched.matrix_at(row.t)).min_prob(), abs=1e-12)
-        assert row.drift_t == pytest.approx(
-            matrix_tv_distance(sched.matrix_at(row.t + 1), sched.matrix_at(row.t)),
-            abs=1e-12)
+    # checkpoints on both sides of a block edge, and at t_max = 2 _CHUNK + 1,
+    # whose P^(t_max+1) closes a one-step block of its own
+    t_max = 2 * _CHUNK + 1
+    cps = [10, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1, t_max]
+    for sched in (InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0)),
+                  CyclicSchedule([A, B], DriftParams(0.05, 0.5, 0.25, 0.0))):
+        trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, t_max, 3, cps)
+        assert trace.checkpoint_ts().tolist() == cps
+        for row in trace.rows:
+            assert row.alpha_t == RATE.alpha(row.t)
+            assert row.pi_min_t == stationary_distribution(sched.matrix_at(row.t)).min_prob()
+            assert row.drift_t == matrix_tv_distance(sched.matrix_at(row.t + 1),
+                                                     sched.matrix_at(row.t))
 
 
 def test_tracking_trace_rejects_unordered_checkpoints():

@@ -501,7 +501,7 @@ def test_block_arc_crosses_chunk_edges_sequentially():
     # one long block and piecewise blocks give the same bits on both sides of edges
     sched = CyclicSchedule([A, B], DriftParams(0.05, 0.3, 0.2, 0.0))
     whole = CyclicSchedule([A, B], DriftParams(0.05, 0.3, 0.2, 0.0)).block(1, 3 * _EDGE + 7)
-    pieces = np.concatenate([blk for _, blk in sched.blocks(1, 3 * _EDGE + 7)])
+    pieces = np.concatenate([blk[:-1] for _, blk in sched.blocks(1, 3 * _EDGE + 7)])
     assert whole.tobytes() == pieces.tobytes()
     assert sched.cycle_length < _arc(0.05, 0.3, 3 * _EDGE)  # the walk wrapped
 
@@ -542,18 +542,17 @@ def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
     InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0)),
     CyclicSchedule([A, B, FLAT], DriftParams(0.05, 0.7, 0.1, 0.0)),
 ], ids=["interpolation", "cyclic"])
-def test_scan_blocks_share_their_edge_matrix(sched):
+def test_walk_blocks_share_their_edge_matrix(sched):
     t_max = 2 * _EDGE  # walks P^(1..2 * _EDGE + 1): two full blocks and no trailing one
-    scanned = list(schedules.certificate_scan(sched, t_max))
-    assert [lo for lo, *_ in scanned] == [1, _EDGE + 1]
-    for (lo, block, pi_min, drift, _), after in zip(scanned, scanned[1:] + [None]):
-        assert len(pi_min) == len(drift) == len(block) - 1
+    walked = list(sched.blocks(1, t_max + 1))
+    assert [lo for lo, _ in walked] == [1, _EDGE + 1]
+    for (lo, block), after in zip(walked, walked[1:] + [None]):
         if after is not None:
-            assert after[0] == lo + len(drift)
+            assert after[0] == lo + len(block) - 1
             assert after[1][0].tobytes() == block[-1].tobytes()
-        for i, t in enumerate(range(lo, lo + len(drift))):
-            assert drift[i] == matrix_tv_distance(sched.matrix_at(t), sched.matrix_at(t + 1)), t
-    assert lo + len(drift) == t_max + 1
+        for i, mat in enumerate(block):
+            assert mat.tobytes() == sched.matrix_at(lo + i).rows.tobytes(), lo + i
+    assert lo + len(block) - 1 == t_max + 1
 
 
 def _corrupted(base):
