@@ -7,6 +7,8 @@ Conventions shared by every evaluator here:
   * gamma_p = inf is the static-chain sentinel: drift-driven terms vanish
     exactly instead of needing a separate caller code path
   * horizons written T/2 floor for odd T
+  * every damped recursion z <- m z + c runs through the one step-major
+    _linear_scan; the lemma oracles also take (k, T) stacks, one case a row
 """
 
 from __future__ import annotations
@@ -257,80 +259,86 @@ def power_sum_bounds(s: int, t: int, gamma: float):
 def decaying_sum_check(a, b, t_horizon: int, slack: float = 1e-12) -> CheckResult:
     """Check sum_t a_t b_t prod_{s>t} (1-a_s) <= b_{T/2} + e^{-sum_{t>=T/2} a_t} sum_{t<=T/2} a_t b_t.
 
-    a_t in (0,1), b_t positive decreasing; both arrays over t = 1..T.  The
-    left side is evaluated by direct recursion.
+    a_t in (0,1), b_t positive decreasing; both arrays over t = 1..T, or
+    (k, T) stacks with one lhs, rhs and pass flag per row.  The left side is
+    evaluated by direct recursion.
     """
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if a_arr.size != t_horizon or b_arr.size != t_horizon:
-        raise ValueError("need sequences of length t_horizon")
+    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a_arr.shape != b_arr.shape or a_arr.shape[-1:] != (t_horizon,) or a_arr.ndim > 2:
+        raise ValueError("need sequences (or (k, T) stacks) of length t_horizon")
     if not ((a_arr > 0) & (a_arr < 1)).all():
         raise ValueError("a_t must lie in (0, 1)")
     if (b_arr < 0).any() or (np.diff(b_arr) > 0).any():
         raise ValueError("b_t must be non-negative and decreasing")
-    lhs = 0.0
-    for t in range(t_horizon):  # lhs_{k+1} = (1 - a_{k+1}) lhs_k + a b
-        lhs = (1.0 - a_arr[t]) * lhs + a_arr[t] * b_arr[t]
+    lhs = _linear_scan(0.0, 1.0 - a_arr, a_arr * b_arr)[..., -1]  # (1 - a) lhs + a b
     half = max(t_horizon // 2, 1)
-    rhs = b_arr[half - 1] + math.exp(-a_arr[half - 1:].sum()) * (
-        a_arr[:half] * b_arr[:half]).sum()
-    return CheckResult(lhs=float(lhs), rhs=float(rhs),
-                       passed=lhs <= rhs + slack)
+    # math.exp per row: np.exp differs from it in the last ulp on some inputs
+    tail = np.vectorize(math.exp, otypes=[float])(-a_arr[..., half - 1:].sum(axis=-1))
+    rhs = b_arr[..., half - 1] + tail * (a_arr[..., :half] * b_arr[..., :half]).sum(axis=-1)
+    if a_arr.ndim == 1:
+        lhs, rhs = float(lhs), float(rhs)
+    return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
 
 
 def recursion_coefficients(a_big, alpha, verify_tol: float = 1e-10) -> np.ndarray:
     """Invert A_T = sum_t a_t alpha_t prod_{s>t}(1-alpha_s): return the a_t.
 
-    a_t = (A_t - A_{t-1})/alpha_t + A_{t-1} with A_0 = 0; the reconstruction
-    identity is re-verified at every horizon to verify_tol before returning.
+    a_t = (A_t - A_{t-1})/alpha_t + A_{t-1} with A_0 = 0, along the last axis
+    of vectors or (k, T) stacks; the reconstruction identity is re-verified
+    at every horizon to verify_tol before returning.
     """
-    a_big = np.asarray(a_big, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if a_big.shape != alpha.shape or a_big.ndim != 1:
-        raise ValueError("A and alpha must be equal-length vectors")
+    a_big, alpha = np.asarray(a_big, dtype=float), np.asarray(alpha, dtype=float)
+    if a_big.shape != alpha.shape or a_big.ndim not in (1, 2):
+        raise ValueError("A and alpha must be equal-length vectors or (k, T) stacks")
     if (alpha <= 0).any():
         raise ValueError("alpha_t must be positive")
-    prev = np.concatenate([[0.0], a_big[:-1]])
+    prev = np.concatenate([np.zeros_like(a_big[..., :1]), a_big[..., :-1]], axis=-1)
     coeffs = (a_big - prev) / alpha + prev
-    recon = 0.0
-    for t in range(a_big.size):  # rebuild A_T through the product recursion
-        recon = (1.0 - alpha[t]) * recon + alpha[t] * coeffs[t]
-        if abs(recon - a_big[t]) > verify_tol:
-            raise ArithmeticError(
-                f"reconstruction drifted to {abs(recon - a_big[t])!r} at t={t + 1}")
+    drift = np.abs(_linear_scan(0.0, 1.0 - alpha, alpha * coeffs) - a_big)
+    bad = np.argwhere(drift > verify_tol)
+    if bad.size:  # row-major: the first row that drifts, at its first t
+        row = f" of row {bad[0][0]}" if a_big.ndim == 2 else ""
+        raise ArithmeticError(f"reconstruction drifted to {drift[tuple(bad[0])]!r} "
+                              f"at t={bad[0][-1] + 1}{row}")
     return coeffs
 
 
-def unroll_recursion(z0: float, a, c) -> np.ndarray:
+def _linear_scan(z0, m, c) -> np.ndarray:
+    """z_1..z_N of z_{n+1} = m_n z_n + c_n along the last axis of c: the one
+    per-step recursion of this module.  Leading axes are independent rows,
+    z0 is a scalar or one start per row, and m broadcasts against c.
+    Step-major, so a (k, N) stack costs N vector steps."""
+    c, z = np.asarray(c, dtype=float), np.asarray(z0, dtype=float)
+    out = np.empty(c.shape[::-1])
+    for n, (m_n, c_n) in enumerate(zip(np.asarray(m).T, c.T, strict=True)):
+        z = m_n * z + c_n
+        out[n] = z
+    return out.T
+
+
+def unroll_recursion(z0, a, c) -> np.ndarray:
     """Closed-form unroll of z_{n+1} = (1 - a_n) z_n + c_n.
 
     Returns [z_1, ..., z_N]: z_{n+1} = z_0 prod(1-a_k) + sum_j c_j prod_{k>j}(1-a_k).
     When the recursion holds with <= instead of =, the same expression is an
-    upper bound.
+    upper bound.  a and c may be (k, N) stacks, with z0 a scalar or one
+    start per row.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if a.shape != c.shape or a.ndim != 1:
-        raise ValueError("a and c must be equal-length vectors")
-    out = np.empty(a.size)
-    acc = float(z0)
-    for n in range(a.size):
-        acc = acc * (1.0 - a[n]) + c[n]
-        out[n] = acc
-    return out
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    if a.shape != c.shape or a.ndim not in (1, 2):
+        raise ValueError("a and c must be equal-length vectors or (k, N) stacks")
+    return _linear_scan(z0, 1.0 - a, c)
 
 
-def dominating_sequence(z0_tilde: float, alpha, beta: float, c) -> np.ndarray:
+def dominating_sequence(z0_tilde, alpha, beta, c) -> np.ndarray:
     """The dominating recursion z~_{t+1} = (1 - alpha_t (1-beta)) z~_t + c_t.
 
     Any positive sequence satisfying the unrolled inequality with an extra
-    beta z_s feedback term stays below this one (given z~_0 >= z_0).
+    beta z_s feedback term stays below this one (given z~_0 >= z_0).  For
+    (k, T) stacks, z0_tilde and beta are scalars or one value per row.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if alpha.shape != c.shape or alpha.ndim != 1:
-        raise ValueError("alpha and c must be equal-length vectors")
-    return unroll_recursion(z0_tilde, alpha * (1.0 - beta), c)
+    damping = np.asarray(alpha, dtype=float) * (1.0 - np.asarray(beta, dtype=float))[..., None]
+    return unroll_recursion(z0_tilde, damping, c)
 
 
 def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float,
@@ -377,12 +385,9 @@ def noise_envelope(alpha: np.ndarray, pi: np.ndarray, eps_max: float, delta: flo
     z_t = sqrt(2 tau [sum_{s<=t} eps_max^2 alpha_s^2 prod_{u>s}(1-alpha_u pi_u)^2]
                 log(2 T tau / delta)).
     """
-    damp_sq = (1.0 - alpha * pi) ** 2
-    s_run = np.empty(t_max)
-    acc = 0.0
-    for t in range(t_max):
-        acc = acc * damp_sq[t] + alpha[t] ** 2
-        s_run[t] = acc
+    # scalar squares: the vector alpha ** 2 is x * x, not pow(x, 2), in the last ulp
+    s_run = _linear_scan(0.0, (1.0 - alpha * pi)[:t_max] ** 2,
+                         [x ** 2 for x in alpha[:t_max].tolist()])
     log_term = math.log(2.0 * t_max * tau / delta)
     return eps_max * np.sqrt(2.0 * tau * s_run * log_term)
 
@@ -418,15 +423,9 @@ def noise_envelope_coverage(alpha, pi, eps_max: float, delta: float, tau: int,
         raise ValueError("alpha and pi must have length t_max")
     envelope = noise_envelope(alpha, pi, eps_max, delta, tau, t_max)
     eps = chains.stream(seed, 2).uniform(-eps_max, eps_max, size=(n_reps, t_max))
-    damp = 1.0 - alpha * pi
-    e_run = np.zeros(n_reps)
-    violated = np.zeros(n_reps, dtype=bool)
-    for t in range(tau - 1, t_max):  # 0-based index of step t+1
-        if t == tau - 1:
-            e_run = alpha[t] * eps[:, t]
-        else:
-            e_run = damp[t] * e_run + alpha[t] * eps[:, t]
-        violated |= np.abs(e_run) > envelope[t]
+    lo = tau - 1  # 0-based index of step tau, where E starts from 0
+    e_run = _linear_scan(0.0, 1.0 - alpha[lo:] * pi[lo:], alpha[lo:] * eps[:, lo:])
+    violated = (np.abs(e_run) > envelope[lo:]).any(axis=1)
     frac = float(violated.mean())
     threshold = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / n_reps)
     return CoverageResult(violation_fraction=frac, threshold=float(threshold),

@@ -87,12 +87,16 @@ class ExperimentConfig:
             setattr(self, name, chains.integer(vars(self), name))
         if self.t_max < 2:  # the drift certificate needs one step
             raise ValueError("t_max must be >= 2")
+        if self.n_actions < 1:
+            raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
         if isinstance(self.seeds, dict):
             base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
             self.seeds = [base + k for k in range(count)]
         self.seeds = _read_list(self.seeds, "seeds", chains.integer)
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
+        if len(set(self.seeds)) < len(self.seeds):  # one CSV per seed
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if isinstance(self.checkpoints, dict):
             self.checkpoints = log_checkpoints(
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))

@@ -4,15 +4,16 @@ Each suite runs with a fixed master seed (per-case streams derive from it),
 counts violations, and reports the worst margin, overall and per check name,
 plus full counterexample inputs (matrices verbatim) so a CI failure is
 reproducible from the report alone; a check builds its inputs only when it
-fails.  The prop1 pair, Lipschitz (reward) and restart suites draw every
-case first, in the order of a per-case loop, then validate and evaluate the
-cases of each matrix size as one stack (_prop1_pairs,
-dp.check_lipschitz_rewards, dp.check_restart_identities) and record the
-checks in case order, so the report equals the per-case loop's.  The thm1
-and mixing suites read each schedule as blocks of matrices, never one t at
-a time.  The ergodicity coefficient is always looked up through the chains
-module at call time, so a corrupted implementation is caught rather than
-silently trusted.
+fails.  Every randomized suite draws all its cases first, in the order of
+a per-case loop, then evaluates them as stacks and records the checks in
+case order, so the report equals the per-case loop's: prop1 per matrix
+size (_prop1_pairs) and its 2x2 eigenvalue cases as one stack, Lipschitz
+(reward) and restart per matrix size (dp.check_lipschitz_rewards,
+dp.check_restart_identities), and lemmas with each bounds oracle on one
+(cases, T) stack.  The thm1 and mixing suites read each schedule as blocks
+of matrices, never one t at a time.  The ergodicity coefficient is always
+looked up through the chains module at call time, so a corrupted
+implementation is caught rather than silently trusted.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
     Per pair (n in 2..6): sub-multiplicativity over products, contraction of
     TV under right multiplication, agreement of the row-pair and overlap
     forms, and the stationary perturbation bound, on the pairs of each size
-    as one stack (_prop1_pairs).  Plus, on random 2x2 matrices, |second
-    eigenvalue| <= rho, one matrix at a time.
+    as one stack (_prop1_pairs).  Plus, on random 2x2 matrices drawn as one
+    stack, |second eigenvalue| <= rho.
     """
     rec = _Recorder("prop1", master_seed)
     rng = chains.stream(master_seed, 1)
@@ -159,11 +160,12 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
             rec.check("stationary_perturbation", gap, bound, tol, inputs)
 
     rng2 = chains.stream(master_seed, 2)
-    for _ in range(n_cases):
+    twos = np.array([_random_rows(rng2, 2) for _ in range(n_cases)])
+    chains._check_rows(twos)
+    lam2 = np.abs(twos[:, 0, 0] + twos[:, 1, 1] - 1.0)  # the non-unit eigenvalue
+    for p, lhs, rhs in zip(twos, lam2.tolist(), chains.ergodicity_coefficients(twos).tolist()):
         rec.cases += 1
-        p = random_transition_matrix(rng2, 2)
-        rec.check("second_eigenvalue", abs(chains.second_eigenvalue_2x2(p)),
-                  chains.ergodicity_coefficient(p), tol, lambda: {"p": p.rows.tolist()})
+        rec.check("second_eigenvalue", lhs, rhs, tol, lambda: {"p": p.tolist()})
     return rec.report()
 
 
@@ -282,79 +284,73 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
 
 def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
                  t_horizon=1000):
-    """Sequence-lemma oracles on randomized power-law inputs."""
+    """Sequence-lemma oracles on randomized power-law inputs.
+
+    Every case is drawn first, in the order of a per-case loop, the feedback
+    recursion's per-step draws included (they depend on no data).  Each
+    bounds oracle then runs once on the (cases, T) stack, and the suite's
+    own check recursions run as T vector steps over all cases.
+    """
     rec = _Recorder("lemmas", master_seed)
     rng = chains.stream(master_seed, 4)
+    ts = np.arange(1, t_horizon + 1, dtype=float)
+    cases, stacks = [], []
     for _ in range(n_cases):
-        rec.cases += 1
-        ts = np.arange(1, t_horizon + 1, dtype=float)
-
         gamma = float(rng.choice([0.3, 0.5, 0.7, 1.0, 1.3, 2.0]))
         s = int(rng.integers(1, t_horizon // 2))
         t_hi = int(rng.integers(s, t_horizon))
-        direct = float((np.arange(s, t_hi + 1, dtype=float) ** -gamma).sum())
-        lo, hi = bounds.power_sum_bounds(s, t_hi, gamma)
-        rec.check("power_sum_lower", lo, direct, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
-        rec.check("power_sum_upper", direct, hi, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
-
-        c_a = float(rng.uniform(0.05, 0.95))
-        g_a = float(rng.uniform(0.05, 0.95))
-        a_seq = c_a / ts ** g_a
+        c_a, g_a = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
         if rng.integers(2):
             b_seq = float(rng.uniform(0.1, 3.0)) / ts ** float(rng.uniform(0.0, 1.5))
         else:
             b_seq = np.sort(rng.random(t_horizon))[::-1]
-        res = bounds.decaying_sum_check(a_seq, b_seq, t_horizon, slack=tol)
-        rec.check("decaying_sum", res.lhs, res.rhs, tol, lambda: {"c_a": c_a, "gamma_a": g_a})
-
-        c_big = float(rng.uniform(0.1, 3.0))
-        g_big = float(rng.uniform(0.0, 1.5))
-        a_big = c_big / ts ** g_big
+        c_big, g_big = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 1.5))
         alpha = c_a / ts ** float(rng.uniform(0.05, 1.0))
-        coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=tol)
-        rec.require("recursion_coefficients_growth",
-                    np.isfinite((np.abs(coeffs) * ts ** g_big).max()),
-                    lambda: {"c_A": c_big, "gamma_A": g_big})
-
         z0 = float(rng.uniform(0.0, 2.0))
-        a_rec = rng.uniform(0.01, 0.99, t_horizon)
-        c_rec = rng.uniform(0.0, 1.0, t_horizon)
-        closed = bounds.unroll_recursion(z0, a_rec, c_rec)
-        z = z0
-        ok = True
-        for n_ in range(t_horizon):  # exact iterate must match the closed form
-            z = z * (1.0 - a_rec[n_]) + c_rec[n_]
-            if abs(z - closed[n_]) > tol * (1.0 + abs(z)):
-                ok = False
-                break
-        rec.require("recursion_unroll_identity", ok, lambda: {"z0": z0})
-        slackened = z0
-        ok = True
-        for n_ in range(t_horizon):  # <= version stays below the closed form
-            slackened = slackened * (1.0 - a_rec[n_]) + c_rec[n_] * 0.7
-            if slackened > closed[n_] + tol:
-                ok = False
-                break
-        rec.require("recursion_unroll_dominates", ok, lambda: {"z0": z0})
-
-        # any z staying under its own unrolled expansion (with the damped
-        # alpha_t * beta * z_{t-1} feedback folded in as a source term) is
-        # dominated by the linear (1 - alpha (1-beta)) recursion
+        a_rec, c_rec = rng.uniform(0.01, 0.99, t_horizon), rng.uniform(0.0, 1.0, t_horizon)
         beta = float(rng.uniform(0.1, 0.9))
-        alpha_z = rng.uniform(0.01, 0.5, t_horizon)
-        c_z = rng.uniform(0.0, 0.5, t_horizon)
-        tilde = bounds.dominating_sequence(z0, alpha_z, beta, c_z)
-        w = z0
-        z_prev = z0
-        ok = True
-        for k in range(t_horizon):
-            w = (1.0 - alpha_z[k]) * w + alpha_z[k] * beta * z_prev + c_z[k]
-            z_t = w if rng.integers(4) == 0 else float(rng.random()) * w
-            if z_t > tilde[k] + tol:
-                ok = False
-                break
-            z_prev = z_t
-        rec.require("dominating_sequence", ok, lambda: {"beta": beta, "z0": z0})
+        alpha_z, c_z = rng.uniform(0.01, 0.5, t_horizon), rng.uniform(0.0, 0.5, t_horizon)
+        # the share of its unrolled bound the feedback z takes at each step
+        shrink = [1.0 if rng.integers(4) == 0 else rng.random() for _ in range(t_horizon)]
+        cases.append((gamma, s, t_hi, c_a, g_a, c_big, g_big, z0, beta))
+        stacks.append((c_a / ts ** g_a, b_seq, c_big / ts ** g_big, alpha, a_rec, c_rec,
+                       alpha_z, c_z, shrink))
+    a_seq, b_seq, a_big, alpha, a_rec, c_rec, alpha_z, c_z, shrink = map(np.array, zip(*stacks))
+    g_big, z0, beta = np.array([case[-3:] for case in cases]).T
+
+    decaying = bounds.decaying_sum_check(a_seq, b_seq, t_horizon, slack=tol)
+    coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=tol)
+    growth_ok = np.isfinite((np.abs(coeffs) * ts ** g_big[:, None]).max(axis=1))
+    closed = bounds.unroll_recursion(z0, a_rec, c_rec)
+    tilde = bounds.dominating_sequence(z0, alpha_z, beta, c_z)
+    # per case: the exact iterate leaves the closed form, the <= version
+    # rises above it, the feedback z rises above the dominating recursion
+    bad = np.zeros((3, n_cases), dtype=bool)
+    z = slackened = w = z_prev = z0
+    for k in range(t_horizon):
+        z = z * (1.0 - a_rec[:, k]) + c_rec[:, k]
+        bad[0] |= np.abs(z - closed[:, k]) > tol * (1.0 + np.abs(z))
+        slackened = slackened * (1.0 - a_rec[:, k]) + c_rec[:, k] * 0.7
+        bad[1] |= slackened > closed[:, k] + tol
+        w = (1.0 - alpha_z[:, k]) * w + alpha_z[:, k] * beta * z_prev + c_z[:, k]
+        z_prev = shrink[:, k] * w
+        bad[2] |= z_prev > tilde[:, k] + tol
+
+    sides = zip(decaying.lhs.tolist(), decaying.rhs.tolist(), growth_ok.tolist(),
+                *(~bad).tolist())
+    for (gamma, s, t_hi, c_a, g_a, c_big, g_big, z0, beta), (
+            lhs, rhs, growth, unrolled, dominated, feedback) in zip(cases, sides):
+        rec.cases += 1
+        direct = float((np.arange(s, t_hi + 1, dtype=float) ** -gamma).sum())
+        lo, hi = bounds.power_sum_bounds(s, t_hi, gamma)
+        rec.check("power_sum_lower", lo, direct, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
+        rec.check("power_sum_upper", direct, hi, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
+        rec.check("decaying_sum", lhs, rhs, tol, lambda: {"c_a": c_a, "gamma_a": g_a})
+        rec.require("recursion_coefficients_growth", growth,
+                    lambda: {"c_A": c_big, "gamma_A": g_big})
+        rec.require("recursion_unroll_identity", unrolled, lambda: {"z0": z0})
+        rec.require("recursion_unroll_dominates", dominated, lambda: {"z0": z0})
+        rec.require("dominating_sequence", feedback, lambda: {"beta": beta, "z0": z0})
     return rec.report()
 
 

@@ -22,6 +22,7 @@ from adiatrack.bounds import (
     tracking_error_bound,
     unroll_recursion,
 )
+from adiatrack import bounds, chains
 from adiatrack.chains import Distribution, TransitionMatrix, stationary_distribution
 from adiatrack.schedules import (
     ConstantSchedule,
@@ -276,6 +277,11 @@ def test_unroll_recursion_matches_direct_iteration(seed):
     for k in range(n):
         z = z * (1 - a[k]) + c[k]
         assert abs(z - closed[k]) <= 1e-10 * (1 + abs(z))
+    starts, a_k = rng.uniform(0, 3, 3), rng.uniform(0.01, 0.99, (3, n))
+    c_k = rng.uniform(0, 1, (3, n))
+    rows = unroll_recursion(starts, a_k, c_k)  # a (k, N) stack is k one-row calls, bit for bit
+    for i in range(3):
+        np.testing.assert_array_equal(rows[i], unroll_recursion(float(starts[i]), a_k[i], c_k[i]))
 
 
 @given(st.integers(0, 10 ** 6))
@@ -295,6 +301,30 @@ def test_dominating_sequence_dominates(seed):
         z_t = float(rng.random()) * w
         assert z_t <= tilde[k] + 1e-10
         z_prev = z_t
+
+
+def test_lemma_oracle_stacks_equal_row_calls():
+    rng = np.random.default_rng(3)
+    ts = np.arange(1, 101, dtype=float)
+    a = 0.5 / ts ** rng.uniform(0.1, 0.9, (4, 1))
+    b = np.sort(rng.random((4, 100)))[:, ::-1]
+    beta, z0 = rng.uniform(0.1, 0.9, 4), rng.uniform(0, 2, 4)
+    stacked = (decaying_sum_check(a, b, 100), recursion_coefficients(b, a),
+               dominating_sequence(z0, a, beta, b))
+    for i in range(4):
+        row = decaying_sum_check(a[i], b[i], 100)
+        assert (row.lhs, row.rhs, row.passed) == (stacked[0].lhs[i], stacked[0].rhs[i],
+                                                  stacked[0].passed[i])
+        np.testing.assert_array_equal(stacked[1][i], recursion_coefficients(b[i], a[i]))
+        np.testing.assert_array_equal(stacked[2][i],
+                                      dominating_sequence(float(z0[i]), a[i], float(beta[i]), b[i]))
+
+
+def test_recursion_coefficients_names_the_drifting_row():
+    alpha = np.full((2, 50), 0.3)
+    a_big = np.array([np.zeros(50), 2.0 / np.arange(1, 51) ** 0.7])  # row 0 rebuilds exactly
+    with pytest.raises(ArithmeticError, match=r"at t=\d+ of row 1$"):
+        recursion_coefficients(a_big, alpha, verify_tol=0.0)  # any rounding is drift
 
 
 # -------------------------------------------------------- conditional mixing
@@ -363,6 +393,38 @@ def test_noise_envelope_monotone_in_delta():
     wide = noise_envelope(alpha, pi, 1.0, delta=0.01, tau=4, t_max=100)
     narrow = noise_envelope(alpha, pi, 1.0, delta=0.2, tau=4, t_max=100)
     assert (wide > narrow).all()
+
+
+def test_scanned_recursions_equal_their_scalar_loops():
+    # the per-step loops that _linear_scan replaced, kept as the reference
+    ts = np.arange(1, 1001, dtype=float)
+    alpha, pi, tau = 0.5 / ts ** 0.6, np.full(1000, 0.5), 4
+    damp_sq, acc, s_run = (1.0 - alpha * pi) ** 2, 0.0, np.empty(1000)
+    for t in range(1000):
+        acc = acc * damp_sq[t] + alpha[t] ** 2
+        s_run[t] = acc
+    env = np.sqrt(2.0 * tau * s_run * math.log(2.0 * 1000 * tau / 0.05))
+    np.testing.assert_array_equal(noise_envelope(alpha, pi, 1.0, 0.05, tau, 1000), env)
+
+    eps = chains.stream(7, 2).uniform(-1.0, 1.0, size=(200, 1000))
+    e_run, runs = alpha[tau - 1] * eps[:, tau - 1], []
+    for t in range(tau - 1, 1000):
+        if t > tau - 1:
+            e_run = (1.0 - alpha * pi)[t] * e_run + alpha[t] * eps[:, t]
+        runs.append(e_run)
+    lo = tau - 1  # noise_envelope_coverage's scan, whose envelope it never leaves here
+    np.testing.assert_array_equal(
+        bounds._linear_scan(0.0, 1.0 - alpha[lo:] * pi[lo:], alpha[lo:] * eps[:, lo:]),
+        np.array(runs).T)
+    violated = (np.abs(np.array(runs)) > env[lo:, None]).any(axis=0)
+    res = noise_envelope_coverage(alpha, pi, 1.0, 0.05, tau, 1000, n_reps=200, seed=7)
+    assert res.n_violating == violated.sum()
+
+    b = 2.0 / ts ** 0.8
+    lhs = 0.0
+    for t in range(1000):
+        lhs = (1.0 - alpha[t]) * lhs + alpha[t] * b[t]
+    assert decaying_sum_check(alpha, b, 1000).lhs == lhs
 
 
 def test_coverage_zero_noise_never_violates():

@@ -302,16 +302,21 @@ def test_sweep_still_raises_on_failed_certificate(tmp_path):
 # ------------------------------------------------------------------ verify CLI
 
 def test_verify_suite_detects_corrupted_rho(monkeypatch):
-    true_rho = chains.ergodicity_coefficient
+    true_rhos, n_cases = chains.ergodicity_coefficients, 150
 
-    def corrupted(p):
-        return 0.5 * true_rho(p)
+    def corrupted(mats):  # halved on the 2x2 eigenvalue stack only, so its checks fail first
+        return 0.5 * true_rhos(mats) if mats.shape == (n_cases, 2, 2) else true_rhos(mats)
 
-    monkeypatch.setattr(chains, "ergodicity_coefficient", corrupted)
-    report = verify.suite_prop1(n_cases=150)
+    monkeypatch.setattr(chains, "ergodicity_coefficients", corrupted)
+    report = verify.suite_prop1(n_cases=n_cases)
     assert not report["pass"]
-    # counterexample inputs are reported verbatim
-    assert "p" in report["violations"][0]["inputs"]
+    first = report["violations"][0]
+    assert first["check"] == "second_eigenvalue"
+    rng2 = chains.stream(verify.DEFAULT_MASTER_SEED, 2)  # redraw the 2x2 cases up to this one
+    p = [verify._random_rows(rng2, 2) for _ in range(first["case"] - n_cases)][-1]
+    assert first["inputs"] == {"p": p.tolist()}  # counterexample inputs reported verbatim
+    assert (first["lhs"], first["rhs"]) == (abs(p[0, 0] + p[1, 1] - 1.0),
+                                            0.5 * true_rhos(p[None])[0])
 
 
 def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
@@ -397,14 +402,20 @@ def _per_case_prop1(n_cases, master_seed, tol=1e-10):
 
 
 def _log_checks(monkeypatch) -> list:
-    """Every (case, name, lhs, rhs) any recorder checks from here on, in order."""
-    checks, record = [], verify._Recorder.check
+    """Every (case, name, lhs, rhs) any recorder checks and every (case, name,
+    bool) it requires from here on, in order."""
+    checks, record, require = [], verify._Recorder.check, verify._Recorder.require
 
     def logged(rec, name, lhs, rhs, tol, inputs=None):
         checks.append((rec.cases, name, lhs, rhs))
         record(rec, name, lhs, rhs, tol, inputs)
 
+    def logged_require(rec, name, condition, inputs=None):
+        checks.append((rec.cases, name, bool(condition)))
+        require(rec, name, condition, inputs)
+
     monkeypatch.setattr(verify._Recorder, "check", logged)
+    monkeypatch.setattr(verify._Recorder, "require", logged_require)
     return checks
 
 
@@ -502,6 +513,103 @@ def test_block_thm1_equals_per_t_walk(monkeypatch):
     checks.clear()
     assert report == canonical_json(_per_t_thm1(verify.DEFAULT_MASTER_SEED))
     assert block == checks
+
+
+def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
+    """suite_lemmas as a per-case loop: each oracle called on one case, scalar
+    check recursions that stop drawing at a case's first feedback violation."""
+    rec = verify._Recorder("lemmas", master_seed)
+    rng = chains.stream(master_seed, 4)
+    for _ in range(n_cases):
+        rec.cases += 1
+        ts = np.arange(1, t_horizon + 1, dtype=float)
+
+        gamma = float(rng.choice([0.3, 0.5, 0.7, 1.0, 1.3, 2.0]))
+        s = int(rng.integers(1, t_horizon // 2))
+        t_hi = int(rng.integers(s, t_horizon))
+        direct = float((np.arange(s, t_hi + 1, dtype=float) ** -gamma).sum())
+        lo, hi = bounds.power_sum_bounds(s, t_hi, gamma)
+        rec.check("power_sum_lower", lo, direct, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
+        rec.check("power_sum_upper", direct, hi, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
+
+        c_a = float(rng.uniform(0.05, 0.95))
+        g_a = float(rng.uniform(0.05, 0.95))
+        a_seq = c_a / ts ** g_a
+        if rng.integers(2):
+            b_seq = float(rng.uniform(0.1, 3.0)) / ts ** float(rng.uniform(0.0, 1.5))
+        else:
+            b_seq = np.sort(rng.random(t_horizon))[::-1]
+        res = bounds.decaying_sum_check(a_seq, b_seq, t_horizon, slack=tol)
+        rec.check("decaying_sum", res.lhs, res.rhs, tol, lambda: {"c_a": c_a, "gamma_a": g_a})
+
+        c_big = float(rng.uniform(0.1, 3.0))
+        g_big = float(rng.uniform(0.0, 1.5))
+        a_big = c_big / ts ** g_big
+        alpha = c_a / ts ** float(rng.uniform(0.05, 1.0))
+        coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=tol)
+        rec.require("recursion_coefficients_growth",
+                    np.isfinite((np.abs(coeffs) * ts ** g_big).max()),
+                    lambda: {"c_A": c_big, "gamma_A": g_big})
+
+        z0 = float(rng.uniform(0.0, 2.0))
+        a_rec = rng.uniform(0.01, 0.99, t_horizon)
+        c_rec = rng.uniform(0.0, 1.0, t_horizon)
+        closed = bounds.unroll_recursion(z0, a_rec, c_rec)
+        z = z0
+        ok = True
+        for n_ in range(t_horizon):  # exact iterate must match the closed form
+            z = z * (1.0 - a_rec[n_]) + c_rec[n_]
+            if abs(z - closed[n_]) > tol * (1.0 + abs(z)):
+                ok = False
+                break
+        rec.require("recursion_unroll_identity", ok, lambda: {"z0": z0})
+        slackened = z0
+        ok = True
+        for n_ in range(t_horizon):  # <= version stays below the closed form
+            slackened = slackened * (1.0 - a_rec[n_]) + c_rec[n_] * 0.7
+            if slackened > closed[n_] + tol:
+                ok = False
+                break
+        rec.require("recursion_unroll_dominates", ok, lambda: {"z0": z0})
+
+        beta = float(rng.uniform(0.1, 0.9))
+        alpha_z = rng.uniform(0.01, 0.5, t_horizon)
+        c_z = rng.uniform(0.0, 0.5, t_horizon)
+        tilde = bounds.dominating_sequence(z0, alpha_z, beta, c_z)
+        w = z0
+        z_prev = z0
+        ok = True
+        for k in range(t_horizon):
+            w = (1.0 - alpha_z[k]) * w + alpha_z[k] * beta * z_prev + c_z[k]
+            z_t = w if rng.integers(4) == 0 else float(rng.random()) * w
+            if z_t > tilde[k] + tol:
+                ok = False
+                break
+            z_prev = z_t
+        rec.require("dominating_sequence", ok, lambda: {"beta": beta, "z0": z0})
+    return rec.report()
+
+
+@pytest.mark.parametrize("master_seed", [verify.DEFAULT_MASTER_SEED, 7, 11])
+def test_stacked_lemmas_equals_per_case_loop(monkeypatch, master_seed):
+    checks = _log_checks(monkeypatch)
+    report, stacked = canonical_json(verify.suite_lemmas(40, master_seed=master_seed)), checks.copy()
+    checks.clear()
+    assert report == canonical_json(_per_case_lemmas(40, master_seed))
+    assert stacked == checks
+    assert len(checks) == 40 * 7
+
+
+@pytest.mark.parametrize("oracle, mutate, caught", [
+    ("dominating_sequence", lambda out: 0.5 * out, "dominating_sequence"),
+    ("unroll_recursion", lambda out: out + 1e-6, "recursion_unroll_identity"),
+], ids=["dominating_sequence-halved", "unroll_recursion-shifted"])
+def test_lemmas_suite_catches_a_mutated_oracle(monkeypatch, oracle, mutate, caught):
+    true_oracle = getattr(bounds, oracle)
+    monkeypatch.setattr(bounds, oracle, lambda *args: mutate(true_oracle(*args)))
+    report = verify.suite_lemmas(n_cases=5)
+    assert not report["pass"]
+    assert report["violations"][0]["check"] == caught
 
 
 @pytest.mark.parametrize("master_seed", [verify.DEFAULT_MASTER_SEED, 7, 11])
@@ -702,7 +810,7 @@ def test_cli_bound_malformed_constants_is_config_error(tmp_path, capsys, consts,
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
 
 
-# Each config passes ExperimentConfig.from_dict and fails only inside the run.
+# Each config fails inside the CLI's run body: in ExperimentConfig.from_dict or later.
 ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
                "params": {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.1, "gamma_pi": 0.0}}
 
@@ -717,6 +825,9 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"x0": None}, "x0 must be an integer, got None"),
     ({"seeds": [101, None]}, "seeds[1] must be an integer, got None"),
     ({"checkpoints": {"per_decade": 2.5}}, "per_decade must be an integer, got 2.5"),
+    ({"learner": "q", "n_actions": 0}, "n_actions must be >= 1, got 0"),
+    ({"learner": "q", "n_actions": -1}, "n_actions must be >= 1, got -1"),
+    ({"seeds": [1, 1]}, "seeds must be distinct, got [1, 1]"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -725,6 +836,7 @@ def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, chang
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "out").exists()
 
 
 SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
