@@ -6,7 +6,8 @@ Conventions shared by every evaluator here:
     reject rho >= 1 (the bounds go vacuous there)
   * gamma_p = inf is the static-chain sentinel: drift-driven terms vanish
     exactly instead of needing a separate caller code path
-  * horizons written T/2 floor for odd T
+  * horizons written T/2 floor for odd T; the Theorem 1 evaluators take
+    arrays and give one bound per start
   * every damped recursion z <- m z + c runs through the one step-major
     _linear_scan; the lemma oracles also take (k, T) stacks, one case a row
 """
@@ -97,46 +98,50 @@ def classify_regime(exps: ExponentTriple) -> RegimeLabel:
     )
 
 
-def homogeneous_comparison_bound(lam: chains.Distribution, mu: chains.Distribution,
-                                 p_ref: chains.TransitionMatrix, mats) -> float:
-    """Upper bound on || lam P^(1)...P^(T) - mu P_ref^T ||.
+def homogeneous_comparison_bound(lam, mu, p_ref, block):
+    """Upper bound on || lam P^(1)...P^(T) - mu P_ref^T ||, per start.
 
-    ||lam - mu|| rho(P_ref)^T + sum_t ||P^(t) - P_ref|| rho(P_ref)^(T-t),
-    evaluated exactly from the supplied matrices.
+    ||lam - mu|| rho(P_ref)^T + sum_t ||P^(t) - P_ref|| rho(P_ref)^(T-t), from
+    the (T, n, n) block P^(1..T), for one (n,) start lam or each row of an
+    (m, n) stack; the sum runs in Python floats, so a row's bound is its
+    one-row call's bit for bit.
     """
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one schedule matrix")
-    rho = chains.ergodicity_coefficient(p_ref)
-    big_t = len(mats)
-    total = chains.tv_distance(lam, mu) * rho ** big_t
-    for t, mat in enumerate(mats, start=1):
-        total += chains.matrix_tv_distance(mat, p_ref) * rho ** (big_t - t)
-    return float(total)
+    lam, mu, p_ref, block = (np.asarray(a, dtype=float) for a in (lam, mu, p_ref, block))
+    if block.ndim != 3 or not len(block):
+        raise ValueError("need a non-empty (T, n, n) block of schedule matrices")
+    for arr in (lam, mu, p_ref, block):
+        chains._check_rows(np.atleast_2d(arr))
+    rho = float(chains.ergodicity_coefficients(p_ref[None])[0])
+    total = 0.5 * np.abs(lam - mu).sum(axis=-1) * rho ** len(block)
+    for t, d_t in enumerate(chains.matrix_tv_distances(block, p_ref[None]).tolist(), 1):
+        total = total + d_t * rho ** (len(block) - t)
+    return float(total) if lam.ndim == 1 else total
 
 
-def stationarity_gap_bound(phi, rho: float, t_horizon: int, init_gap: float) -> float:
+def stationarity_gap_bound(phi, rho: float, t_horizon: int, init_gap):
     """Upper bound on the TV gap between the inhomogeneous marginal at T and
     the stationary distribution of the current matrix.
 
-    phi(t) must dominate the backward per-step drift ||P^(t) - P^(t-1)|| and
-    be positive (or zero) decreasing.  The bound is
+    The sequence phi(1..T/2) must dominate the backward per-step drift
+    ||P^(t) - P^(t-1)|| and be positive (or zero) decreasing.  The bound is
 
         phi(T/2) rho/(1-rho)^2 + rho^(T/2+1)/(1-rho) * sum_{t<=T/2} phi(t)
         + init_gap * rho^T
 
-    with T/2 floored for odd T.  rho >= 1 is rejected (vacuous bound).
+    with T/2 floored for odd T; init_gap is a float or an (m,) array, one
+    bound per entry.  rho >= 1 is rejected (vacuous bound).
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if t_horizon < 2:
         raise ValueError("t_horizon must be >= 2")
-    phi_fn = phi if callable(phi) else (lambda t, seq=list(phi): seq[t - 1])
     half = t_horizon // 2
-    phi_sum = sum(phi_fn(t) for t in range(1, half + 1))
-    return float(phi_fn(half) * rho / (1.0 - rho) ** 2
-                 + rho ** (half + 1) / (1.0 - rho) * phi_sum
-                 + init_gap * rho ** t_horizon)
+    phi = list(phi[:half])
+    if len(phi) < half:
+        raise ValueError(f"need phi(1..{half}), got {len(phi)} values")
+    bound = (phi[-1] * rho / (1.0 - rho) ** 2 + rho ** (half + 1) / (1.0 - rho) * sum(phi)
+             + init_gap * rho ** t_horizon)
+    return bound if np.ndim(bound) else float(bound)
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,7 @@ class Thm2Constants:
 
     @staticmethod
     def from_spec(doc: dict) -> "Thm2Constants":
+        doc = chains._json_object(doc, "bound constants")
         unknown = sorted(set(doc) - {f.name for f in fields(Thm2Constants)})
         missing = [f.name for f in fields(Thm2Constants)
                    if f.default is MISSING and f.name not in doc]

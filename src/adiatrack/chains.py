@@ -37,8 +37,6 @@ __all__ = [
     "simulate",
     "stream",
     "next_states",
-    "point_mass",
-    "uniform_distribution",
     "number",
     "integer",
 ]
@@ -109,16 +107,6 @@ class TransitionMatrix:
 
     def __repr__(self):
         return f"TransitionMatrix({self.rows.tolist()})"
-
-
-def point_mass(n: int, x: int) -> Distribution:
-    probs = np.zeros(n)
-    probs[x] = 1.0
-    return Distribution(probs)
-
-
-def uniform_distribution(n: int) -> Distribution:
-    return Distribution(np.full(n, 1.0 / n))
 
 
 def tv_distance(lam: Distribution, mu: Distribution) -> float:
@@ -294,6 +282,13 @@ def simulate(schedule, t_max: int, x0: int, seed: int) -> np.ndarray:
             x = states[t] = row[x]
     states.flags.writeable = False
     return states
+
+
+def _json_object(value, name: str) -> dict:
+    """value, where the JSON object name is read; else a ValueError naming it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
 
 
 def number(doc: dict, key: str, *default) -> float:

@@ -15,13 +15,20 @@ import argparse
 import json
 import sys
 
-from . import bounds, verify
+from . import bounds, chains, verify
 from .harness import SPEC_VERSION, ExperimentConfig, run_sweep, run_tracking
 from .schedules import GAMMA_INF, DriftCertificateError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+
+
+def _seed(text: str) -> int:
+    """A master seed: a non-negative integer, as the suites' streams take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser():
@@ -39,7 +46,7 @@ def _build_parser():
 
     ver = sub.add_parser("verify", help="run a named property suite")
     ver.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    ver.add_argument("--master-seed", type=int, default=verify.DEFAULT_MASTER_SEED)
+    ver.add_argument("--master-seed", type=_seed, default=verify.DEFAULT_MASTER_SEED)
 
     bound = sub.add_parser("bound", help="evaluate the tracking-error bound")
     bound.add_argument("--constants", help="JSON file of constants", default=None)
@@ -75,7 +82,7 @@ def _cmd_sweep(args) -> int:
     def run():
         config = ExperimentConfig.from_json(args.config)
         with open(args.grid) as fh:
-            grid = json.load(fh)
+            grid = chains._json_object(json.load(fh), "grid")
         rows = run_sweep(grid, config, args.out)
         print(json.dumps({"spec_version": SPEC_VERSION, "cells": rows}, sort_keys=True))
         return EXIT_OK

@@ -52,7 +52,9 @@ def log_checkpoints(t_max: int, per_decade: int = 8) -> list:
 
 def _read_list(values: list, name: str, read) -> list:
     """Each entry of a JSON list through read (chains.number or chains.integer),
-    named name[i] in its error."""
+    named name[i] in its error; anything but a list is rejected by name."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list, got {values!r}")
     return [read({f"{name}[{i}]": v}, f"{name}[{i}]") for i, v in enumerate(values)]
 
 
@@ -81,6 +83,9 @@ class ExperimentConfig:
     x0: int = 0
 
     def __post_init__(self):
+        for name in ("schedule", "reward", "rate", "noise"):
+            chains._json_object(getattr(self, name), name)
+        chains._json_object(self.schedule.get("params", {}), "params")  # sweep cells read it too
         if self.learner not in ("td0", "q"):
             raise ValueError(f"unknown learner {self.learner!r}")
         for name in ("t_max", "x0", "n_actions"):
@@ -97,6 +102,9 @@ class ExperimentConfig:
             raise ValueError("seed list must be non-empty")
         if len(set(self.seeds)) < len(self.seeds):  # one CSV per seed
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        for i, seed in enumerate(self.seeds):
+            if seed < 0:  # a stream's SeedSequence takes none
+                raise ValueError(f"seeds[{i}] must be non-negative, got {seed}")
         if isinstance(self.checkpoints, dict):
             self.checkpoints = log_checkpoints(
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))
@@ -119,7 +127,7 @@ class ExperimentConfig:
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+            return ExperimentConfig.from_dict(chains._json_object(json.load(fh), "config"))
 
     def canonical_dict(self) -> dict:
         return {"schedule": self.schedule, "reward": self.reward, "rate": self.rate,
@@ -270,10 +278,10 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     with no realizing schedule family are recorded as skipped, not errors.
     Cells are independent; the merged table is sorted by cell key.
     """
-    os.makedirs(out_dir, exist_ok=True)
     gps = _read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = _read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = _read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for gp in gps:
         for ga in gas:

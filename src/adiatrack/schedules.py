@@ -82,7 +82,7 @@ class DriftParams:
     @staticmethod
     def from_spec(doc: dict) -> "DriftParams":
         # float("inf") is GAMMA_INF, so the "inf" encoding needs no case of its own
-        keys = ("c_p", "gamma_p", "c_pi", "gamma_pi")
+        doc, keys = chains._json_object(doc, "params"), ("c_p", "gamma_p", "c_pi", "gamma_pi")
         return DriftParams(*(chains.number(doc, k) for k in keys))
 
 
@@ -212,9 +212,6 @@ class _ArcWalk(Schedule):
         pos = self._arc(t_lo - 1, t_hi - 1)
         if self._closed:
             pos = np.fmod(pos, self._offsets[-1])
-        if self._lengths.size == 1:  # no segment lookup: _offsets[0] is 0.0
-            return _blend(self._starts[0], self._ends[0],
-                          np.clip(pos / self._lengths[0], 0.0, 1.0))
         j = np.minimum(np.searchsorted(self._offsets, pos, side="right") - 1,
                        self._lengths.size - 1)
         w = np.clip((pos - self._offsets[j]) / self._lengths[j], 0.0, 1.0)
@@ -542,7 +539,7 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
 
 def schedule_from_spec(doc: dict) -> Schedule:
     """Build a schedule from its JSON spec (see each family's to_spec)."""
-    kind = doc["kind"]
+    kind = chains._json_object(doc, "schedule")["kind"]
     if kind == "constant":
         params = DriftParams.from_spec(doc["params"]) if "params" in doc else None
         return ConstantSchedule(TransitionMatrix(doc["p"]), params)

@@ -11,9 +11,10 @@ size (_prop1_pairs) and its 2x2 eigenvalue cases as one stack, Lipschitz
 (reward) and restart per matrix size (dp.check_lipschitz_rewards,
 dp.check_restart_identities), and lemmas with each bounds oracle on one
 (cases, T) stack.  The thm1 and mixing suites read each schedule as blocks
-of matrices, never one t at a time.  The ergodicity coefficient is always
-looked up through the chains module at call time, so a corrupted
-implementation is caught rather than silently trusted.
+of matrices, never one t at a time, and thm1 evaluates every start of a
+horizon as one row of the bounds evaluators' stacked calls.  The ergodicity
+coefficient is always looked up through the chains module at call time, so
+a corrupted implementation is caught rather than silently trusted.
 """
 
 from __future__ import annotations
@@ -169,40 +170,35 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
     return rec.report()
 
 
+# the two-state anchors of the scan families and of thm1's limit check
+_A2 = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
+_B2 = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
+
+
 def scan_families():
     """The schedule-family instances every dominance scan walks (n <= 4)."""
     rng = chains.stream(7, 3)  # the same anchors whatever the master seed
-    a2 = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-    b2 = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
     a3 = random_transition_matrix(rng, 3)
     b3 = random_transition_matrix(rng, 3)
     a4 = random_transition_matrix(rng, 4)
     b4 = random_transition_matrix(rng, 4)
-    fams = [
-        schedules.ConstantSchedule(a2),
+    return [
+        schedules.ConstantSchedule(_A2),
         schedules.ConstantSchedule(a4),
         schedules.InterpolationSchedule(
-            a2, b2, schedules.DriftParams(0.05, 1.0, 0.2, 0.0)),
+            _A2, _B2, schedules.DriftParams(0.05, 1.0, 0.2, 0.0)),
         schedules.InterpolationSchedule(
             a3, b3, schedules.DriftParams(0.1, 0.8, 0.05, 0.0)),
         schedules.InterpolationSchedule(
             a4, b4, schedules.DriftParams(0.1, 1.2, 0.05, 0.0)),
-        schedules.CyclicSchedule([a2, b2], schedules.DriftParams(0.1, 0.7, 0.2, 0.0)),
+        schedules.CyclicSchedule([_A2, _B2], schedules.DriftParams(0.1, 0.7, 0.2, 0.0)),
         schedules.CyclicSchedule([a3, b3], schedules.DriftParams(0.15, 0.5, 0.05, 0.0)),
         schedules.ShrinkingStateSchedule(schedules.DriftParams(0.2, 1.5, 0.2, 0.5)),
         schedules.RestartWrappedSchedule(
             schedules.InterpolationSchedule(
-                a2, b2, schedules.DriftParams(0.05, 1.0, 0.2, 0.0)),
+                _A2, _B2, schedules.DriftParams(0.05, 1.0, 0.2, 0.0)),
             beta=0.5, beta_hat=0.8, x_restart=0),
     ]
-    return fams
-
-
-def backward_drift_phi(params):
-    """phi(t) >= ||P^(t) - P^(t-1)||: the certificate shifted one step back."""
-    def phi(t):
-        return params.drift_bound(max(t - 1, 1))
-    return phi
 
 
 THM1_HORIZONS = [2 ** k for k in range(1, 10)]  # T in {2, 4, ..., 512}
@@ -212,68 +208,58 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
                limit_behavior=True):
     """Dominance of the comparison and stationarity-gap bounds on exact marginals.
 
-    For every schedule family, horizons T in THM1_HORIZONS and every
-    point-mass start: the exact inhomogeneous marginal gap (computed by
-    matrix propagation and direct stationary solves) must not exceed the
-    bound evaluators.  Also the non-convergent cyclic family's gap at
-    T = 1e2, 1e3, 1e4 must decrease strictly to witness the limit behavior.
-    Each family's matrices are read once, as one block over the horizon.
+    For every schedule family (one block each), horizons T in THM1_HORIZONS
+    and every point-mass start (one row of the stacked evaluator calls), the
+    exact marginal gap (matrix propagation, direct stationary solves) must
+    not exceed the bounds, with phi(t) = drift_bound(max(t - 1, 1)).  The
+    non-convergent cyclic family's gap at T = 1e2, 1e3, 1e4 must decrease
+    strictly to witness the limit behavior.
     """
     rec = _Recorder("thm1", master_seed)
     for fam in scan_families() if dominance else []:
-        n = fam.n
-        phi = backward_drift_phi(fam.params)
-        mats = [TransitionMatrix(m) for m in fam.block(1, THM1_HORIZONS[-1] + 1)]
-        ref_first = mats[0]
-        ref_pow = np.eye(n)  # P_ref^t, for the homogeneous comparison target
-        marg = np.eye(n)     # row x: exact marginal started from point mass e_x
-        for t, mat in enumerate(mats, 1):
-            marg = marg @ mat.rows
-            ref_pow = ref_pow @ ref_first.rows
+        n, t_hi = fam.n, THM1_HORIZONS[-1]
+        phi = [fam.params.drift_bound(max(t - 1, 1)) for t in range(1, t_hi // 2 + 1)]
+        block = fam.block(1, t_hi + 1)
+        starts, mu = np.eye(n), np.full(n, 1.0 / n)
+        marg = ref_pow = starts  # row x of marg: the exact marginal from e_x; P_ref^t
+        for t, mat in enumerate(block, 1):
+            marg = marg @ mat
+            ref_pow = ref_pow @ block[0]
             if t not in THM1_HORIZONS:
                 continue
             rec.cases += 1
-            rho_last = chains.ergodicity_coefficient(mat)
-            pi_last = chains.stationary_distribution(mat)
+            rho_last = float(chains.ergodicity_coefficients(block[t - 1:t])[0])
+            pi_last = chains.stationary_stack(block[t - 1:t])[0]
             inputs = {"family": fam.kind, "n": n, "T": t}
             if rho_last < 1.0:
-                for x in range(n):
-                    lam = chains.point_mass(n, x)
-                    gap = 0.5 * np.abs(marg[x] - pi_last.probs).sum()
-                    bound = bounds.stationarity_gap_bound(
-                        phi, rho_last, t, chains.tv_distance(lam, pi_last))
+                init_gaps = 0.5 * np.abs(starts - pi_last).sum(axis=1)
+                sides = zip(0.5 * np.abs(marg - pi_last).sum(axis=1),
+                            bounds.stationarity_gap_bound(phi, rho_last, t, init_gaps))
+                for x, (gap, bound) in enumerate(sides):
                     rec.check("stationarity_gap_dominance", gap, bound, tol,
                               lambda: {**inputs, "x": x})
-            mu_uni = chains.uniform_distribution(n)
-            mu_pow = mu_uni.probs @ ref_pow
-            for x in range(n):
-                lam = chains.point_mass(n, x)
-                gap = 0.5 * np.abs(marg[x] - mu_pow).sum()
-                bound = bounds.homogeneous_comparison_bound(lam, mu_uni, ref_first, mats[:t])
+            sides = zip(0.5 * np.abs(marg - mu @ ref_pow).sum(axis=1),
+                        bounds.homogeneous_comparison_bound(starts, mu, block[0], block[:t]))
+            for x, (gap, bound) in enumerate(sides):
                 rec.check("homogeneous_comparison_dominance", gap, bound, tol,
                           lambda: {**inputs, "x": x})
 
     if limit_behavior:
         # gap-vs-horizon is cycle-phase dependent; this instance's decade
         # gaps decrease with wide margins (see the scan in the notes)
-        a2 = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-        b2 = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
-        cyc = schedules.CyclicSchedule([a2, b2],
-                                       schedules.DriftParams(0.3, 0.7, 0.2, 0.0))
-        phi = backward_drift_phi(cyc.params)
-        gaps = {}
-        marg = np.zeros(2)
-        marg[0] = 1.0
-        for t, mat in enumerate(cyc.block(1, 10_000 + 1), 1):
+        cyc = schedules.CyclicSchedule([_A2, _B2], schedules.DriftParams(0.3, 0.7, 0.2, 0.0))
+        phi = [cyc.params.drift_bound(max(t - 1, 1)) for t in range(1, 5_001)]
+        block = cyc.block(1, 10_000 + 1)
+        gaps, marg = {}, np.array([1.0, 0.0])
+        for t, mat in enumerate(block, 1):
             marg = marg @ mat
             if t in (100, 1000, 10_000):
                 rec.cases += 1
-                p_last = TransitionMatrix(mat)
-                pi_last = chains.stationary_distribution(p_last)
-                gaps[t] = 0.5 * np.abs(marg - pi_last.probs).sum()
+                pi_last = chains.stationary_stack(block[t - 1:t])[0]
+                gaps[t] = 0.5 * np.abs(marg - pi_last).sum()
                 bound = bounds.stationarity_gap_bound(
-                    phi, chains.ergodicity_coefficient(p_last), t,
-                    0.5 * np.abs(np.array([1.0, 0.0]) - pi_last.probs).sum())
+                    phi, float(chains.ergodicity_coefficients(block[t - 1:t])[0]), t,
+                    0.5 * np.abs(np.array([1.0, 0.0]) - pi_last).sum())
                 rec.check("limit_gap_below_bound", gaps[t], bound, tol,
                           lambda: {"T": t, "family": "cyclic"})
         rec.require("limit_gap_strictly_decreasing",

@@ -23,7 +23,7 @@ from adiatrack.bounds import (
     unroll_recursion,
 )
 from adiatrack import bounds, chains
-from adiatrack.chains import Distribution, TransitionMatrix, stationary_distribution
+from adiatrack.chains import TransitionMatrix, stationary_distribution
 from adiatrack.schedules import (
     ConstantSchedule,
     CyclicSchedule,
@@ -39,59 +39,94 @@ SWAP_ISH = TransitionMatrix([[0.3, 0.7], [0.6, 0.4]])
 # ------------------------------------------------- homogeneous comparison bound
 
 def test_comparison_bound_vanishes_when_nothing_differs():
-    lam = Distribution([0.3, 0.7])
-    assert homogeneous_comparison_bound(lam, lam, A, [A, A, A]) == 0.0
+    lam = np.array([0.3, 0.7])
+    assert homogeneous_comparison_bound(lam, lam, A.rows, np.stack([A.rows] * 3)) == 0.0
 
 
 def test_comparison_bound_reduces_to_initial_term():
-    lam, mu = Distribution([0.3, 0.7]), Distribution([0.6, 0.4])
-    got = homogeneous_comparison_bound(lam, mu, A, [A] * 5)
+    lam, mu = np.array([0.3, 0.7]), np.array([0.6, 0.4])
+    got = homogeneous_comparison_bound(lam, mu, A.rows, np.stack([A.rows] * 5))
     assert got == pytest.approx(0.3 * 0.7 ** 5, abs=1e-15)
 
 
 def test_comparison_bound_two_matrix_hand_value():
-    # T=2 with mats (FLAT, A) against reference A:
+    # T=2 with mats (FLAT, A) against reference A, from the starts e_0 and e_1:
     #   ||lam-mu|| rho^2 + ||FLAT-A|| rho^1 + ||A-A|| rho^0
-    lam, mu = Distribution([1.0, 0.0]), Distribution([0.5, 0.5])
+    mu = np.array([0.5, 0.5])
     hand = 0.5 * 0.7 ** 2 + 0.4 * 0.7 + 0.0
-    got = homogeneous_comparison_bound(lam, mu, A, [FLAT, A])
-    assert got == pytest.approx(hand, abs=1e-14)
+    got = homogeneous_comparison_bound(np.eye(2), mu, A.rows, np.stack([FLAT.rows, A.rows]))
+    assert got.shape == (2,)
+    np.testing.assert_allclose(got, [hand, hand], rtol=0, atol=1e-14)
 
 
 def test_comparison_bound_needs_matrices():
     with pytest.raises(ValueError):
-        homogeneous_comparison_bound(Distribution([1, 0]), Distribution([1, 0]), A, [])
+        homogeneous_comparison_bound(np.array([1.0, 0.0]), np.array([1.0, 0.0]), A.rows,
+                                     np.empty((0, 2, 2)))
+    with pytest.raises(chains.InvariantError, match="row 1 of matrix 0 sums to"):
+        homogeneous_comparison_bound(np.array([1.0, 0.0]), np.array([1.0, 0.0]), A.rows,
+                                     np.array([[[0.5, 0.5], [0.5, 0.6]]]))
+    with pytest.raises(chains.InvariantError, match="row 0 sums to"):
+        homogeneous_comparison_bound(np.array([0.6, 0.6]), np.array([1.0, 0.0]), A.rows,
+                                     A.rows[None])
+
+
+def test_bound_stacks_equal_row_calls():
+    # an (m, n) stack of starts gives the m one-row bounds bit for bit
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4):
+        rows = rng.random((n + 1, n))
+        starts = rows / rows.sum(axis=1, keepdims=True)
+        block = rng.random((17, n, n)) + 0.1
+        block /= block.sum(axis=2, keepdims=True)
+        mu = np.full(n, 1.0 / n)
+        stacked = homogeneous_comparison_bound(starts, mu, block[0], block)
+        assert stacked.tolist() == [homogeneous_comparison_bound(lam, mu, block[0], block)
+                                    for lam in starts]
+        gaps = 0.5 * np.abs(starts - mu).sum(axis=1)
+        phi = (0.3 / np.arange(1, 9)).tolist()
+        stacked = stationarity_gap_bound(phi, 0.6, 17, gaps)
+        assert stacked.shape == (n + 1,)
+        assert stacked.tolist() == [stationarity_gap_bound(phi, 0.6, 17, g) for g in gaps.tolist()]
 
 
 # ---------------------------------------------------- stationarity gap bound
 
+HARMONIC = [1.0, 1 / 2, 1 / 3, 1 / 4]  # phi_t = 1/t
+
+
 def test_gap_bound_zero_drift_zero_init():
-    assert stationarity_gap_bound(lambda t: 0.0, 0.5, 8, 0.0) == 0.0
+    assert stationarity_gap_bound([0.0] * 4, 0.5, 8, 0.0) == 0.0
 
 
 def test_gap_bound_hand_value():
     # phi_t = 1/t, rho = 0.5, T = 4, init gap 1:
     # 0.5*(0.5/0.25) + 0.5^3/0.5*(1+0.5) + 0.5^4 = 1 + 0.375 + 0.0625
-    got = stationarity_gap_bound(lambda t: 1.0 / t, 0.5, 4, 1.0)
+    got = stationarity_gap_bound(HARMONIC, 0.5, 4, 1.0)
     assert got == pytest.approx(1.4375, abs=1e-15)
 
 
 def test_gap_bound_odd_horizon_floors():
     # T=5 floors to the same half-horizon pieces; only the initial-gap
     # term sees the extra rho power
-    even = stationarity_gap_bound(lambda t: 1.0 / t, 0.5, 4, 1.0)
-    odd = stationarity_gap_bound(lambda t: 1.0 / t, 0.5, 5, 1.0)
+    even = stationarity_gap_bound(HARMONIC, 0.5, 4, 1.0)
+    odd = stationarity_gap_bound(HARMONIC, 0.5, 5, 1.0)
     assert odd == pytest.approx(even - 0.5 ** 4 + 0.5 ** 5, abs=1e-15)
 
 
 def test_gap_bound_accepts_sequence_input():
-    seq = [1.0, 0.5, 1 / 3, 0.25]
-    assert stationarity_gap_bound(seq, 0.5, 4, 1.0) == pytest.approx(1.4375, abs=1e-15)
+    # phi reads its first T/2 entries, from a list or an array; init_gap may
+    # be one value per start
+    assert stationarity_gap_bound(np.array(HARMONIC), 0.5, 4, 1.0) == 1.4375
+    got = stationarity_gap_bound(HARMONIC, 0.5, 4, np.array([1.0, 0.0]))
+    np.testing.assert_allclose(got, [1.4375, 1.375], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="need phi"):
+        stationarity_gap_bound(HARMONIC, 0.5, 10, 1.0)
 
 
 def test_gap_bound_rejects_rho_one():
     with pytest.raises(ValueError):
-        stationarity_gap_bound(lambda t: 0.0, 1.0, 4, 0.0)
+        stationarity_gap_bound([0.0] * 2, 1.0, 4, 0.0)
 
 
 # ------------------------------------------------------- tracking error bound

@@ -15,7 +15,6 @@ from adiatrack.chains import (
     is_irreducible,
     matrix_tv_distance,
     next_states,
-    point_mass,
     propagate_marginal,
     second_eigenvalue_2x2,
     simulate,
@@ -254,7 +253,7 @@ def test_propagate_empty_fold_is_identity():
 
 
 def test_propagate_period_two_permutation():
-    out = propagate_marginal(point_mass(2, 0), [SWAP, SWAP])
+    out = propagate_marginal(Distribution([1.0, 0.0]), [SWAP, SWAP])
     np.testing.assert_allclose(out.probs, [1.0, 0.0], atol=1e-15)
 
 
@@ -265,7 +264,7 @@ def test_propagate_single_step():
 
 def test_propagate_dimension_mismatch():
     with pytest.raises(ValueError):
-        propagate_marginal(point_mass(3, 0), [P_REF])
+        propagate_marginal(Distribution([1.0, 0.0, 0.0]), [P_REF])
 
 
 # ------------------------------------------------------------------ simulation
@@ -384,7 +383,7 @@ def test_empirical_frequencies_match_exact_marginal(rows, t_max):
     # 1e5 seeded paths, chi-squared-free: per-state frequency within 0.01
     sched = ConstantSchedule(TransitionMatrix(rows))
     n, n_paths = sched.n, 100_000
-    exact = propagate_marginal(point_mass(n, 0),
+    exact = propagate_marginal(Distribution(np.eye(n)[0]),
                                [sched.matrix_at(t) for t in range(1, t_max + 1)])
     counts = np.zeros(n)
     for i in range(n_paths):

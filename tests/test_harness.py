@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -466,11 +467,17 @@ def test_prop1_pair_checks_reject_a_row_off_by_1e9(monkeypatch):
 
 
 def _per_t_thm1(master_seed, tol=1e-10):
-    """suite_thm1 as a per-t walk: one validated matrix_at call per step."""
+    """suite_thm1 as a per-t walk: one validated matrix_at call per step, and
+    both bounds evaluated straight-line per start, in the evaluators' order."""
+    def gap_bound(params, rho, t, init_gap):
+        phi = [params.drift_bound(max(s - 1, 1)) for s in range(1, t // 2 + 1)]
+        return (phi[-1] * rho / (1.0 - rho) ** 2 + rho ** (t // 2 + 1) / (1.0 - rho) * sum(phi)
+                + init_gap * rho ** t)
+
     rec = verify._Recorder("thm1", master_seed)
     for fam in verify.scan_families():
-        n, phi, mats = fam.n, verify.backward_drift_phi(fam.params), []
-        marg, ref_pow = np.eye(n), np.eye(n)
+        n, mats = fam.n, []
+        marg, ref_pow, mu = np.eye(n), np.eye(n), np.full(n, 1.0 / n)
         for t in range(1, verify.THM1_HORIZONS[-1] + 1):
             mats.append(fam.matrix_at(t))
             marg, ref_pow = marg @ mats[-1].rows, ref_pow @ mats[0].rows
@@ -479,20 +486,21 @@ def _per_t_thm1(master_seed, tol=1e-10):
             rec.cases += 1
             rho, pi = chains.ergodicity_coefficient(mats[-1]), chains.stationary_distribution(mats[-1])
             for x in range(n) if rho < 1.0 else []:
+                init_gap = 0.5 * float(np.abs(np.eye(n)[x] - pi.probs).sum())
                 rec.check("stationarity_gap_dominance", 0.5 * np.abs(marg[x] - pi.probs).sum(),
-                          bounds.stationarity_gap_bound(
-                              phi, rho, t, chains.tv_distance(chains.point_mass(n, x), pi)), tol)
-            mu = chains.uniform_distribution(n)
+                          gap_bound(fam.params, rho, t, init_gap), tol)
+            rho_ref = chains.ergodicity_coefficient(mats[0])
             for x in range(n):
+                bound = 0.5 * float(np.abs(np.eye(n)[x] - mu).sum()) * rho_ref ** t
+                for s, mat in enumerate(mats, 1):
+                    bound += chains.matrix_tv_distance(mat, mats[0]) * rho_ref ** (t - s)
                 rec.check("homogeneous_comparison_dominance",
-                          0.5 * np.abs(marg[x] - mu.probs @ ref_pow).sum(),
-                          bounds.homogeneous_comparison_bound(chains.point_mass(n, x), mu,
-                                                              mats[0], mats), tol)
+                          0.5 * np.abs(marg[x] - mu @ ref_pow).sum(), bound, tol)
     cyc = schedules.CyclicSchedule(
         [chains.TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]),
          chains.TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])],
         schedules.DriftParams(0.3, 0.7, 0.2, 0.0))
-    phi, marg, gaps = verify.backward_drift_phi(cyc.params), np.array([1.0, 0.0]), {}
+    marg, gaps = np.array([1.0, 0.0]), {}
     for t in range(1, 10_001):
         p = cyc.matrix_at(t)
         marg = marg @ p.rows
@@ -500,8 +508,8 @@ def _per_t_thm1(master_seed, tol=1e-10):
             rec.cases += 1
             pi = chains.stationary_distribution(p)
             gaps[t] = 0.5 * np.abs(marg - pi.probs).sum()
-            rec.check("limit_gap_below_bound", gaps[t], bounds.stationarity_gap_bound(
-                phi, chains.ergodicity_coefficient(p), t,
+            rec.check("limit_gap_below_bound", gaps[t], gap_bound(
+                cyc.params, chains.ergodicity_coefficient(p), t,
                 0.5 * np.abs(np.array([1.0, 0.0]) - pi.probs).sum()), tol)
     rec.require("limit_gap_strictly_decreasing", gaps[100] > gaps[1000] > gaps[10_000])
     return rec.report()
@@ -513,6 +521,41 @@ def test_block_thm1_equals_per_t_walk(monkeypatch):
     checks.clear()
     assert report == canonical_json(_per_t_thm1(verify.DEFAULT_MASTER_SEED))
     assert block == checks
+
+
+@pytest.mark.parametrize("suite, digest", [
+    ("thm1", "2b4121c5d47e73d6efa4b61187c68cc39b217fbeadf8c1449f120452d5db637b"),
+    ("mixing", "13c4c05623d3bd6a61018517cddb640e70333f376bc54bec7be9f5d9c4ad3229"),
+])
+def test_block_suite_reports_keep_their_bytes(suite, digest):
+    # sha256 of the canonical default-seed report, as the per-start evaluators
+    # gave it; the digests assume the numpy pinned in CI
+    report = canonical_json(verify.run_suite(suite))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_thm1_builds_no_per_matrix_objects(monkeypatch):
+    # every start of a horizon is one row of the stacked evaluators: no
+    # one-matrix TV and no TransitionMatrix per step of the block
+    fams = verify.scan_families()  # anchors are built before counting starts
+    monkeypatch.setattr(verify, "scan_families", lambda: fams)
+    counts = {"matrix_tv_distance": 0, "TransitionMatrix": 0}
+    true_tv, true_init = chains.matrix_tv_distance, chains.TransitionMatrix.__init__
+
+    def counting_tv(p, q):
+        counts["matrix_tv_distance"] += 1
+        return true_tv(p, q)
+
+    def counting_init(self, rows):
+        counts["TransitionMatrix"] += 1
+        true_init(self, rows)
+
+    monkeypatch.setattr(chains, "matrix_tv_distance", counting_tv)
+    monkeypatch.setattr(chains.TransitionMatrix, "__init__", counting_init)
+    assert verify.suite_thm1(limit_behavior=False)["pass"]
+    assert counts == {"matrix_tv_distance": 0, "TransitionMatrix": 0}
+    assert verify.suite_thm1(dominance=False)["pass"]
+    assert counts["matrix_tv_distance"] == 0
 
 
 def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
@@ -750,6 +793,15 @@ def test_cli_verify_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suite", ["prop1", "thm1"])
+def test_cli_verify_negative_master_seed_is_usage_error(capsys, suite):
+    # argparse rejects it (exit 2) before a suite draws, not a stream's ValueError (exit 1)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--suite", suite, "--master-seed", "-1"])
+    assert exc.value.code == 2
+    assert "--master-seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
 def test_cli_sweep_smoke(tmp_path, capsys):
     cfg = {**BASE_CONFIG, "t_max": 300,
            "schedule": {"kind": "interpolation", "n": 2,
@@ -799,6 +851,7 @@ def test_cli_track_config_missing_field_is_config_error(tmp_path, capsys, drop):
     ({"r_max_eff": 1.0, "rho": 0.5}, "missing keys ['beta']"),
     ({"r_max_eff": 1.0, "rho": 0.5, "beta": 0.5, "c_alpha": 0.5}, "unknown keys ['c_alpha']"),
     ({"r_max_eff": 1.0, "rho": 0.5, "beta": None}, "beta must be a number, got None"),
+    ([0.5], "bound constants must be an object, got [0.5]"),
 ])
 def test_cli_bound_malformed_constants_is_config_error(tmp_path, capsys, consts, named):
     (tmp_path / "consts.json").write_text(json.dumps(consts))
@@ -828,6 +881,12 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"learner": "q", "n_actions": 0}, "n_actions must be >= 1, got 0"),
     ({"learner": "q", "n_actions": -1}, "n_actions must be >= 1, got -1"),
     ({"seeds": [1, 1]}, "seeds must be distinct, got [1, 1]"),
+    ({"seeds": 5}, "seeds must be a list, got 5"),
+    ({"checkpoints": 7}, "checkpoints must be a list, got 7"),
+    ({"rate": [0.5]}, "rate must be an object, got [0.5]"),
+    ({"schedule": "constant"}, "schedule must be an object, got 'constant'"),
+    ({"schedule": {**ACCEPTANCE_ANCHORS, "params": None}}, "params must be an object, got None"),
+    ({"seeds": [-1]}, "seeds[0] must be non-negative, got -1"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -851,6 +910,12 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
                  "gamma_p[0] must be a number, got None", id="grid-gamma_p-null"),
     pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_pi": [0.0, None]},
                  "gamma_pi[1] must be a number, got None", id="grid-gamma_pi-null"),
+    pytest.param(BASE_CONFIG["reward"], [1, 2], "grid must be an object, got [1, 2]",
+                 id="grid-not-an-object"),
+    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_p": 1.0},
+                 "gamma_p must be a list, got 1.0", id="grid-gamma_p-not-a-list"),
+    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_pi": None},
+                 "gamma_pi must be a list, got None", id="grid-gamma_pi-list-null"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, reward, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, "reward": reward}
