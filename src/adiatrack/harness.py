@@ -8,7 +8,9 @@ scans the schedule's declared certificate first, and a failing one raises
 before the learners take a step, so no trace is written for it.  The run
 then walks its schedule once (learners.track): every seed and the
 checkpoint targets share each block, so memory does not grow with the
-horizon.
+horizon.  A sweep builds, scans and walks each distinct cell schedule once
+and advances every cell of it at its own rate; whether cells share a walk
+changes no output bit.
 """
 
 from __future__ import annotations
@@ -184,13 +186,17 @@ def default_bound_constants(spec: RewardSpec, schedule) -> bounds.Thm2Constants:
     return bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
 
 
+def _track(config: ExperimentConfig, schedule, spec: RewardSpec, rates, noise: NoiseModel):
+    """learners.track of config's seeds at each rate, one list of traces per rate."""
+    n_actions = config.n_actions if config.learner == "q" else None
+    return learners.track(schedule, spec, rates, noise, config.t_max, config.seeds,
+                          config.checkpoints, x0=config.x0, n_actions=n_actions)
+
+
 def _run_traces(config: ExperimentConfig):
     schedule, spec, rate, noise = config.build()
     schedules.verify_drift(schedule, config.t_max)  # raises before the first step
-    n_actions = config.n_actions if config.learner == "q" else None
-    traces = learners.track(schedule, spec, rate, noise, config.t_max, config.seeds,
-                            config.checkpoints, x0=config.x0, n_actions=n_actions)
-    return schedule, spec, traces
+    return schedule, spec, _track(config, schedule, spec, [rate], noise)[0]
 
 
 def _summary(config: ExperimentConfig, schedule, spec, traces) -> dict:
@@ -223,9 +229,8 @@ def _summary(config: ExperimentConfig, schedule, spec, traces) -> dict:
     }
 
 
-def run_tracking(config: ExperimentConfig, out_dir) -> dict:
-    """Run all seeds, write one CSV per seed plus a summary JSON; return the summary."""
-    schedule, spec, traces = _run_traces(config)
+def _write_run(config: ExperimentConfig, schedule, spec, traces, out_dir) -> dict:
+    """Write one CSV per seed plus the summary JSON of a run; return the summary."""
     os.makedirs(out_dir, exist_ok=True)
     chash = config.config_hash()
     for trace in traces:
@@ -234,6 +239,11 @@ def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     with open(os.path.join(out_dir, f"summary_{chash}.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return summary
+
+
+def run_tracking(config: ExperimentConfig, out_dir) -> dict:
+    """Run all seeds, write one CSV per seed plus a summary JSON; return the summary."""
+    return _write_run(config, *_run_traces(config), out_dir)
 
 
 def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict:
@@ -276,13 +286,16 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     grid: {"gamma_p": [...], "gamma_alpha": [...], "gamma_pi": [...]}, with
     "inf" accepted in gamma_p.  Cells violating standing assumptions or
     with no realizing schedule family are recorded as skipped, not errors.
-    Cells are independent; the merged table is sorted by cell key.
+    Cells with the same schedule spec share one build, one certificate scan
+    and one walk (learners.track at every cell's rate); each cell's files
+    are those run_tracking writes for it.  Every certificate is scanned
+    before the first learner step, so a failing one raises with no cell
+    written.  The merged table is sorted by cell key.
     """
     gps = _read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = _read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = _read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
+    rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, exps, cell config)])
     for gp in gps:
         for ga in gas:
             for gpi in gpis:
@@ -298,21 +311,34 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                     continue
                 try:  # no family realizes the cell, or its family refuses the constants
                     sched_spec = _cell_schedule(base.schedule, gp, gpi)
-                    schedules.schedule_from_spec(sched_spec)
+                    # json.dumps, not canonical_json: a NaN constant is the family's to refuse
+                    spec_key = json.dumps(sched_spec, sort_keys=True)
+                    schedule = (groups[spec_key][0] if spec_key in groups
+                                else schedules.schedule_from_spec(sched_spec))
                 except ValueError as exc:
                     rows.append({**row, "status": f"skipped: {exc}"})
                     continue
                 cfg = ExperimentConfig.from_dict({
                     **base.canonical_dict(), "schedule": sched_spec,
                     "rate": {**base.rate, "gamma_alpha": ga}})
-                summary = run_tracking(cfg, os.path.join(out_dir, cfg.config_hash()))
-                label = bounds.classify_regime(exps)
-                slope = summary["slope"]
-                rows.append({**row, "status": "ok", "regime": label.regime,
-                             "same_rate_as_static": label.same_rate_as_static,
-                             "final_median_error": summary["final_median_error"],
-                             "slope": slope["slope"] if slope else "",
-                             "config_hash": summary["config_hash"]})
+                groups.setdefault(spec_key, (schedule, []))[1].append((row, exps, cfg))
+    if groups:  # read before the scans, as each cell's build() reads them
+        spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
+    for schedule, _ in groups.values():
+        schedules.verify_drift(schedule, base.t_max)  # raises before any cell is written
+    os.makedirs(out_dir, exist_ok=True)
+    for schedule, cells in groups.values():
+        rates = [LearningRate.from_spec(cfg.rate) for _, _, cfg in cells]
+        for (row, exps, cfg), traces in zip(cells, _track(base, schedule, spec, rates, noise)):
+            summary = _write_run(cfg, schedule, spec, traces,
+                                 os.path.join(out_dir, cfg.config_hash()))
+            label = bounds.classify_regime(exps)
+            slope = summary["slope"]
+            rows.append({**row, "status": "ok", "regime": label.regime,
+                         "same_rate_as_static": label.same_rate_as_static,
+                         "final_median_error": summary["final_median_error"],
+                         "slope": slope["slope"] if slope else "",
+                         "config_hash": summary["config_hash"]})
     rows.sort(key=lambda r: r["cell"])
     columns = ["cell", "gamma_p", "gamma_alpha", "gamma_pi", "status", "regime",
                "same_rate_as_static", "final_median_error", "slope", "config_hash"]

@@ -8,14 +8,17 @@ is the sup-norm distance to the exact fixed point of the *current* schedule
 matrix, solved at checkpoints: a block's TD(0) targets in one stacked
 solve, Q-learning's one policy iteration per checkpoint.
 
-Kernel: materialize walks the schedule once per run (Schedule.blocks),
-yielding each block with the row cumsums of its step matrices, and each
-block advances every seed before the next is made.  No certificate is
-scanned here: a trace row's pi floor and drift are solved at its
-checkpoint only.  Per seed and block, chains.next_states draws the block's
-successor table in one numpy pass, and the step loop runs on Python floats
-only (the successor table, step sizes and noise draws as lists, the table).
-Memory is O(block * n^2 + seeds * n).  Indexing a list and arithmetic on
+Kernel: materialize walks the schedule once per call of track
+(Schedule.blocks), yielding each block with the row cumsums of its step
+matrices, and each block advances every (rate, seed) run before the next
+is made; a sweep's cells of one schedule are one call, one rate each.  No
+certificate is scanned here: a trace row's pi floor and drift are solved
+at its checkpoint only, once per block for every rate.  Per seed and
+block, chains.next_states draws the block's successor table in one numpy
+pass, and that table and the seed's noise draws are read by every rate's
+run of the seed.  The step loop runs on Python floats only (the successor
+table, step sizes and noise draws as lists, the table).  Memory is
+O(block * n^2 + rates * seeds * n).  Indexing a list and arithmetic on
 Python floats cost a fraction of indexing an array and arithmetic on numpy
 scalars, and IEEE arithmetic is the same on both, so the loop is several
 times faster and bit-identical to a numpy per-step loop.  Q-learning's
@@ -32,8 +35,8 @@ chains.next_states, the stream and the sampler chains.simulate uses;
 explicit noise draws are chains.stream(seed, 1), so zero-noise runs
 reproduce the bare simulated path exactly.  Both are drawn block by block,
 which gives the same numbers as one draw of the whole horizon.  Batch
-seeds derive as base_seed + index.  Whether seeds share a walk changes no
-output bit.
+seeds derive as base_seed + index.  Whether seeds, rates or sweep cells
+share a walk changes no output bit.
 """
 
 from __future__ import annotations
@@ -175,32 +178,26 @@ def materialize(schedule, t_max: int):
 
 
 class _Run:
-    """One seed's learner between blocks: table, state, streams, checkpoint errors."""
+    """One (rate, seed) learner between blocks: table, state, checkpoint errors."""
 
-    def __init__(self, seed: int, table: list, x0: int, na: int, noise: NoiseModel):
+    def __init__(self, seed: int, table: list, x0: int, na: int):
         self.seed, self.table, self.x, self.na = int(seed), list(table), x0, na
         self.max_abs = max(map(abs, self.table))
         # the bootstrap: vmax[s] is the max of state s's action block (TD(0): the table itself)
         self.vmax = self.table if na == 1 else [max(self.table[s:s + na])
                                                 for s in range(0, len(table), na)]
-        self.path = chains.stream(seed, 0)
-        self.noise = None if noise.kind == "zero" else chains.stream(seed, 1)
-        self.eps_max = noise.eps_max
         self.hits = []  # (t, sup_error, alpha_t) at each checkpoint
 
-    def advance(self, cums: np.ndarray, alphas: list, targets: list, r_vec: list,
+    def advance(self, nxt: list, eps: list, alphas: list, targets: list, r_vec: list,
                 beta: float):
-        """Take one block's steps, step j with alphas[j] and matrix j of cums;
-        targets lists (j, t, target) for the block's checkpoints, in order."""
-        k, na = len(alphas), self.na
-        # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
-        nxt = chains.next_states(cums, self.path.random(k)).T.tolist()
-        eps = ([0.0] * k if self.noise is None
-               else self.noise.uniform(-self.eps_max, self.eps_max, k).tolist())
+        """Take one block's steps, step j with alphas[j], noise eps[j] and
+        successor nxt[x][j] of state x; targets lists (j, t, target) for the
+        block's checkpoints, in order."""
+        na = self.na
         table, vmax, x, max_abs = self.table, self.vmax, self.x, self.max_abs
         cp_iter = iter(targets + [(-1, 0, None)])
         cp, t_cp, target = next(cp_iter)
-        for j, e, alpha_t in zip(range(k), eps, alphas):
+        for j, e, alpha_t in zip(range(len(alphas)), eps, alphas):
             xn, old = nxt[x][j], table[x]
             v = table[x] = old + alpha_t * (r_vec[x] + beta * vmax[xn // na] - old + e)
             if na > 1 and (v > vmax[s := x // na] or old == vmax[s]):  # keep vmax[s] exact
@@ -215,13 +212,14 @@ class _Run:
         self.x, self.max_abs = x, max_abs
 
 
-def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
-          t_max: int, seeds, checkpoint_grid, x0: int = 0, n_actions: int | None = None,
-          table_init=None):
-    """Traces of every seed from one walk: TD(0) when n_actions is None, else Q-learning.
+def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, seeds,
+          checkpoint_grid, x0: int = 0, n_actions: int | None = None, table_init=None):
+    """Traces of every (rate, seed) from one walk, one list of seed traces per
+    rate: TD(0) when n_actions is None, else Q-learning.
 
-    Scans no certificate (schedules.verify_drift does): an uncertified
-    schedule is tracked all the same.
+    A seed's path and noise draws are made once per block and read by every
+    rate's run of that seed.  Scans no certificate (schedules.verify_drift
+    does): an uncertified schedule is tracked all the same.
     """
     n = schedule.n
     if n != spec.n:
@@ -234,31 +232,41 @@ def track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
     if not cps:
         raise ValueError("checkpoint grid is empty within [1, t_max]")
     table = [0.0] * n if table_init is None else np.array(table_init, dtype=float).tolist()
-    runs = [_Run(seed, table, x0, n_actions or 1, noise) for seed in seeds]
+    runs = [[_Run(seed, table, x0, n_actions or 1) for seed in seeds] for _ in rates]
+    streams = [(chains.stream(seed, 0), None if noise.kind == "zero" else chains.stream(seed, 1))
+               for seed in seeds]
     r_vec, diagnostics = spec.r.tolist(), {}
     for lo, block, cums in materialize(schedule, t_max):
-        hi = lo + len(cums)
-        at = [t for t in cps if lo <= t < hi]
-        mats, k = block[[t - lo for t in at]], len(at)
-        solved = (dp.exact_rewards(mats, np.tile(spec.r, (k, 1)), np.full(k, spec.beta))
+        k = len(cums)
+        at = [t for t in cps if lo <= t < lo + k]
+        mats = block[[t - lo for t in at]]
+        solved = (dp.exact_rewards(mats, np.tile(spec.r, (len(at), 1)),
+                                   np.full(len(at), spec.beta))
                   if n_actions is None
                   else [dp.exact_q(chains.TransitionMatrix(m), spec, n_actions) for m in mats])
         targets = [(t - lo, t, target.tolist()) for t, target in zip(at, solved)]
-        alphas = [rate.alpha(t) for t in range(lo, hi)]
-        for run in runs:
-            run.advance(cums, alphas, targets, r_vec, spec.beta)
+        alphas = [[rate.alpha(t) for t in range(lo, lo + k)] for rate in rates]
+        for i, (path, noise_stream) in enumerate(streams):
+            # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
+            nxt = chains.next_states(cums, path.random(k)).T.tolist()
+            eps = ([0.0] * k if noise_stream is None
+                   else noise_stream.uniform(-noise.eps_max, noise.eps_max, k).tolist())
+            for rate_runs, rate_alphas in zip(runs, alphas):
+                rate_runs[i].advance(nxt, eps, rate_alphas, targets, r_vec, spec.beta)
         if at:  # pi floor and drift at the block's checkpoints: P^(t) and P^(t+1)
             pi_min = chains.stationary_stack(mats).min(axis=1)
             drift = chains.matrix_tv_distances(mats, block[[t - lo + 1 for t in at]])
             diagnostics.update(zip(at, zip(pi_min.tolist(), drift.tolist())))
     echo = {"learner": "td0" if n_actions is None else "q", "t_max": int(t_max),
-            "x0": int(x0), "rate": rate.to_spec(), "noise": noise.to_spec()}
+            "x0": int(x0), "noise": noise.to_spec()}
     if n_actions is not None:
         echo["n_actions"] = int(n_actions)
-    return [TrackingTrace(rows=[TraceRow(t, err, alpha_t, *diagnostics[t])
-                                for t, err, alpha_t in run.hits],
-                          seed=run.seed, config=dict(echo), max_abs_value=run.max_abs)
-            for run in runs]
+    return [[TrackingTrace(rows=[TraceRow(t, err, alpha_t, *diagnostics[t])
+                                 for t, err, alpha_t in run.hits],
+                           seed=run.seed, config={**echo, "rate": rate.to_spec()},
+                           max_abs_value=run.max_abs)
+             for run in rate_runs]
+            for rate, rate_runs in zip(rates, runs)]
 
 
 def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
@@ -270,8 +278,8 @@ def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseMod
     plus its implicit martingale noise); the table starts at zero unless a
     test overrides table_init.
     """
-    return track(schedule, spec, rate, noise, t_max, [seed], checkpoint_grid, x0, None,
-                 table_init)[0]
+    return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0, None,
+                 table_init)[0][0]
 
 
 def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
@@ -283,8 +291,8 @@ def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
     The bootstrap is the max over the next state's action block; ties have
     one value, so the order of the max cannot change a replay.
     """
-    return track(schedule, spec, rate, noise, t_max, [seed], checkpoint_grid, x0,
-                 int(n_actions), table_init)[0]
+    return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0,
+                 int(n_actions), table_init)[0][0]
 
 
 def check_boundedness(trace: TrackingTrace, f_max: float, eps_max: float,

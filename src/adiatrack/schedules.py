@@ -93,7 +93,10 @@ _RESTART_PROBE = 64  # matrices a restart-wrapped schedule probes for its defaul
 
 def _powers(t_lo: int, t_hi: int, gamma: float) -> np.ndarray:
     """t**gamma for t in [t_lo, t_hi) by Python's scalar power, which numpy's
-    vectorised power does not match in the last ulp on some inputs."""
+    vectorised power does not match in the last ulp on some inputs; at
+    gamma 0 and 1, where both are exact, by numpy's."""
+    if gamma in (0.0, 1.0):
+        return np.arange(t_lo, t_hi, dtype=float) ** gamma
     return np.fromiter((t ** gamma for t in range(t_lo, t_hi)), float, t_hi - t_lo)
 
 
@@ -251,7 +254,7 @@ class InterpolationSchedule(_ArcWalk):
         super().__init__([p_start, p_end], params, closed=False)
         self.p_start = p_start
         self.p_end = p_end
-        self.segment_length = matrix_tv_distance(p_start, p_end)
+        self.segment_length = float(self._offsets[-1])  # 0.0 for equal endpoints
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
@@ -550,10 +553,14 @@ def schedule_from_spec(doc: dict) -> Schedule:
         return InterpolationSchedule(TransitionMatrix(doc["p_start"]),
                                      TransitionMatrix(doc["p_end"]), params)
     if kind == "cyclic":
-        return CyclicSchedule([TransitionMatrix(m) for m in doc["mats"]], params)
+        mats = doc["mats"]
+        if not isinstance(mats, list):
+            raise ValueError(f"mats must be a list, got {mats!r}")
+        return CyclicSchedule([TransitionMatrix(m) for m in mats], params)
     if kind == "shrinking-state":
         return ShrinkingStateSchedule(params)
     # restart-wrapped
     inner = schedule_from_spec(doc["inner"])
     return RestartWrappedSchedule(inner, chains.number(doc, "beta"),
-                                  chains.number(doc, "beta_hat"), int(doc["x_restart"]), params)
+                                  chains.number(doc, "beta_hat"),
+                                  chains.integer(doc, "x_restart"), params)

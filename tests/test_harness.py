@@ -290,14 +290,56 @@ def test_sweep_records_unconstructible_cell_as_skipped(tmp_path):
     assert (tmp_path / "sweep.csv").read_text().count("skipped") == 1
 
 
-def test_sweep_still_raises_on_failed_certificate(tmp_path):
+def test_sweep_cells_equal_their_own_runs(tmp_path):
+    # two schedules at two rates each: a group's cells share its walk and its
+    # path and noise draws, and every file of a cell is the one run_tracking
+    # writes for that cell's config on its own
+    base = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=2500, x0=1,
+                       noise={"kind": "uniform-iid", "eps_max": 0.2})
+    rows = run_sweep({"gamma_p": [1.0, 0.3], "gamma_alpha": [0.6, 0.8]}, base,
+                     tmp_path / "sweep")
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    for row in rows:
+        chash = row["config_hash"]
+        cell = tmp_path / "sweep" / chash
+        doc = json.loads((cell / f"summary_{chash}.json").read_text())["config"]
+        assert doc["rate"]["gamma_alpha"] == row["gamma_alpha"]
+        summary = run_tracking(ExperimentConfig.from_dict(doc), tmp_path / "alone" / chash)
+        assert summary["config_hash"] == chash
+        names = sorted(os.listdir(cell))
+        assert names == sorted(os.listdir(tmp_path / "alone" / chash))
+        assert len(names) == len(base.seeds) + 1
+        for name in names:
+            assert (cell / name).read_bytes() == (tmp_path / "alone" / chash / name).read_bytes()
+
+
+def test_sweep_still_raises_on_failed_certificate(tmp_path, monkeypatch):
     # constructible cell whose declared floor c_pi = 0.9 fails verify_drift
     from adiatrack.schedules import DriftCertificateError
     anchors = {**ACCEPTANCE_ANCHORS,
                "params": {**ACCEPTANCE_ANCHORS["params"], "c_pi": 0.9}}
     base = make_config(schedule=anchors, t_max=200)
     with pytest.raises(DriftCertificateError):
-        run_sweep({"gamma_p": [1.0], "gamma_alpha": [0.6]}, base, tmp_path)
+        run_sweep({"gamma_p": [1.0], "gamma_alpha": [0.6]}, base, tmp_path / "one")
+    # a grid whose first schedule, the constant A (pi_min 1/3), keeps the floor
+    # c_pi = 0.3 while the path from A to a chain of pi_min 1/11 breaks it: every
+    # schedule is scanned before a learner steps, so no cell and no table is written
+    steps = []
+    advance = learners._Run.advance
+    monkeypatch.setattr(learners._Run, "advance",
+                        lambda run, *args: steps.append(1) or advance(run, *args))
+    anchors = {**ACCEPTANCE_ANCHORS, "p_end": [[0.95, 0.05], [0.5, 0.5]],
+               "params": {**ACCEPTANCE_ANCHORS["params"], "c_pi": 0.3}}
+    base = make_config(schedule=anchors, t_max=2000)
+    with pytest.raises(DriftCertificateError) as err:
+        run_sweep({"gamma_p": ["inf", 1.0], "gamma_alpha": [0.6, 0.8]}, base,
+                  tmp_path / "grid")
+    assert [v.bound for v in err.value.report.violations] == ["pi floor c_pi"]
+    assert err.value.report.violations[0].t > 1
+    assert not (tmp_path / "one").exists() and not (tmp_path / "grid").exists()
+    assert not steps
+    rows = run_sweep({"gamma_p": ["inf"], "gamma_alpha": [0.6, 0.8]}, base, tmp_path / "ok")
+    assert [r["status"] for r in rows] == ["ok", "ok"]  # the constant cells pass alone
 
 
 # ------------------------------------------------------------------ verify CLI
@@ -887,6 +929,12 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"schedule": "constant"}, "schedule must be an object, got 'constant'"),
     ({"schedule": {**ACCEPTANCE_ANCHORS, "params": None}}, "params must be an object, got None"),
     ({"seeds": [-1]}, "seeds[0] must be non-negative, got -1"),
+    ({"schedule": {"kind": "cyclic", "n": 2, "params": {**ACCEPTANCE_ANCHORS["params"],
+                                                        "gamma_p": 0.3}, "mats": 5}},
+     "mats must be a list, got 5"),
+    ({"schedule": {"kind": "restart-wrapped", "n": 2, "inner": ACCEPTANCE_ANCHORS,
+                   "params": ACCEPTANCE_ANCHORS["params"], "beta": 0.5, "beta_hat": 0.8,
+                   "x_restart": None}}, "x_restart must be an integer, got None"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))

@@ -19,6 +19,7 @@ from adiatrack.learners import (
     check_boundedness,
     q_track,
     td0_track,
+    track,
 )
 from adiatrack.schedules import (
     _CHUNK,
@@ -345,6 +346,27 @@ def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max):
                                     set(cps), 3, None)
     assert trace.rows == rows
     assert trace.max_abs_value == max_abs
+
+
+@pytest.mark.parametrize("n_actions", [None, 2])
+def test_track_at_two_rates_equals_two_one_rate_calls(n_actions):
+    # every rate's run of a seed reads that seed's one set of path and noise
+    # draws per block: sharing them changes no bit of any trace
+    sched = InterpolationSchedule(_product_chain(), TransitionMatrix(np.full((4, 4), 0.25)),
+                                  DriftParams(0.02, 1.0, 0.05, 0.0))
+    spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
+    noise = NoiseModel("uniform-iid", 0.3)
+    rates, seeds, cps = [RATE, LearningRate(0.3, 0.8)], [5, 6, 7], [1, 2048, 2049, 4500]
+
+    def fields(traces):
+        return [(t.rows, t.max_abs_value, t.seed, t.config) for t in traces]
+
+    shared = track(sched, spec, rates, noise, 4500, seeds, cps, x0=3, n_actions=n_actions)
+    assert len(shared) == 2 and fields(shared[0]) != fields(shared[1])
+    for rate, traces in zip(rates, shared):
+        alone, = track(sched, spec, [rate], noise, 4500, seeds, cps, x0=3,
+                       n_actions=n_actions)
+        assert fields(traces) == fields(alone)
 
 
 # --------------------------------------------------------------- boundedness
