@@ -3,14 +3,18 @@
 Reproducibility contract: the config hash is a pure function of the
 canonicalized (key-sorted, resolved) config JSON, per-seed runs derive
 their streams from listed seeds, and every output byte is fixed by
-(config, seed).  The certificate gates the run: schedules.verify_drift
-scans the schedule's declared certificate first, and a failing one raises
-before the learners take a step, so no trace is written for it.  The run
-then walks its schedule once (learners.track): every seed and the
-checkpoint targets share each block, so memory does not grow with the
-horizon.  A sweep builds, scans and walks each distinct cell schedule once
-and advances every cell of it at its own rate; whether cells share a walk
-changes no output bit.
+(config, seed).  One runner, _run, serves a run (run_tracking: one group
+of one cell) and a sweep (run_sweep: one group per distinct cell
+schedule, holding its grid cells).  It reads every input before the first
+scan: the reward, the noise, each cell's rate, and each group's schedule
+against the rewards, x0, n_actions and the checkpoints
+(learners._checked_grid, the checks learners.track makes).  Then the
+certificate gates the run: schedules.verify_drift scans every group's
+declared certificate, and a failing one raises before the learners take a
+step, so no trace is written for it.  Each group then walks its schedule
+once (learners.track at all its rates): every seed, rate and checkpoint
+target shares each block, so memory does not grow with the horizon, and
+whether cells share a walk changes no output bit.
 """
 
 from __future__ import annotations
@@ -186,19 +190,6 @@ def default_bound_constants(spec: RewardSpec, schedule) -> bounds.Thm2Constants:
     return bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
 
 
-def _track(config: ExperimentConfig, schedule, spec: RewardSpec, rates, noise: NoiseModel):
-    """learners.track of config's seeds at each rate, one list of traces per rate."""
-    n_actions = config.n_actions if config.learner == "q" else None
-    return learners.track(schedule, spec, rates, noise, config.t_max, config.seeds,
-                          config.checkpoints, x0=config.x0, n_actions=n_actions)
-
-
-def _run_traces(config: ExperimentConfig):
-    schedule, spec, rate, noise = config.build()
-    schedules.verify_drift(schedule, config.t_max)  # raises before the first step
-    return schedule, spec, _track(config, schedule, spec, [rate], noise)[0]
-
-
 def _summary(config: ExperimentConfig, schedule, spec, traces) -> dict:
     errs = np.stack([t.errors() for t in traces])  # seeds x checkpoints
     med = np.median(errs, axis=0)
@@ -241,9 +232,34 @@ def _write_run(config: ExperimentConfig, schedule, spec, traces, out_dir) -> dic
     return summary
 
 
+def _run(base: ExperimentConfig, groups: list) -> list:
+    """Run groups [(schedule, [(cell config, out_dir)])], one walk per group
+    at its cells' rates, and write each cell (_write_run); return the
+    summaries in order.  Cell configs differ from base only in rate and in
+    the schedule spec their group's schedule was built from.  Every input is
+    checked before the first scan and every scan made before the first
+    step, so a bad input or a failing certificate raises with nothing written.
+    """
+    spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
+    rates = [[LearningRate.from_spec(cfg.rate) for cfg, _ in cells] for _, cells in groups]
+    n_actions = base.n_actions if base.learner == "q" else None
+    for schedule, _ in groups:
+        learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0, n_actions)
+    for schedule, _ in groups:
+        schedules.verify_drift(schedule, base.t_max)
+    summaries = []
+    for (schedule, cells), group_rates in zip(groups, rates):
+        traces = learners.track(schedule, spec, group_rates, noise, base.t_max, base.seeds,
+                                base.checkpoints, x0=base.x0, n_actions=n_actions)
+        summaries += [_write_run(cfg, schedule, spec, cell_traces, out_dir)
+                      for (cfg, out_dir), cell_traces in zip(cells, traces)]
+    return summaries
+
+
 def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     """Run all seeds, write one CSV per seed plus a summary JSON; return the summary."""
-    return _write_run(config, *_run_traces(config), out_dir)
+    schedule = schedules.schedule_from_spec(config.schedule)
+    return _run(config, [(schedule, [(config, out_dir)])])[0]
 
 
 def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict:
@@ -286,16 +302,20 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     grid: {"gamma_p": [...], "gamma_alpha": [...], "gamma_pi": [...]}, with
     "inf" accepted in gamma_p.  Cells violating standing assumptions or
     with no realizing schedule family are recorded as skipped, not errors.
-    Cells with the same schedule spec share one build, one certificate scan
-    and one walk (learners.track at every cell's rate); each cell's files
-    are those run_tracking writes for it.  Every certificate is scanned
-    before the first learner step, so a failing one raises with no cell
-    written.  The merged table is sorted by cell key.
+    Cells with the same schedule spec are one group of _run: one build, one
+    certificate scan and one walk at every cell's rate; each cell's files
+    are those run_tracking writes for it.  A bad input or a failing
+    certificate raises before out_dir is made; the merged table, sorted by
+    cell key, is written last.
     """
     gps = _read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = _read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = _read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
-    rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, exps, cell config)])
+    # the gamma_pi = 0 cells copy the base's n and anchors: a mismatch is the base's error
+    first = (base.schedule.get("mats") or [base.schedule.get("p_start")])[0]
+    if isinstance(first, list) and len(first) != chains.integer(base.schedule, "n"):
+        raise ValueError(f"schedule spec n={base.schedule['n']} vs its {len(first)}-state matrices")
+    rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, cell config)])
     for gp in gps:
         for ga in gas:
             for gpi in gpis:
@@ -304,12 +324,10 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                 row = {"cell": key,
                        "gamma_p": "inf" if gp == schedules.GAMMA_INF else gp,
                        "gamma_alpha": ga, "gamma_pi": gpi}
+                # a standing assumption fails, no family realizes the cell, or
+                # its family refuses the constants
                 try:
-                    exps = bounds.ExponentTriple(gp, ga, gpi)
-                except ValueError as exc:
-                    rows.append({**row, "status": f"skipped: {exc}"})
-                    continue
-                try:  # no family realizes the cell, or its family refuses the constants
+                    bounds.ExponentTriple(gp, ga, gpi)
                     sched_spec = _cell_schedule(base.schedule, gp, gpi)
                     # json.dumps, not canonical_json: a NaN constant is the family's to refuse
                     spec_key = json.dumps(sched_spec, sort_keys=True)
@@ -321,27 +339,22 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                 cfg = ExperimentConfig.from_dict({
                     **base.canonical_dict(), "schedule": sched_spec,
                     "rate": {**base.rate, "gamma_alpha": ga}})
-                groups.setdefault(spec_key, (schedule, []))[1].append((row, exps, cfg))
-    if groups:  # read before the scans, as each cell's build() reads them
-        spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
-    for schedule, _ in groups.values():
-        schedules.verify_drift(schedule, base.t_max)  # raises before any cell is written
-    os.makedirs(out_dir, exist_ok=True)
-    for schedule, cells in groups.values():
-        rates = [LearningRate.from_spec(cfg.rate) for _, _, cfg in cells]
-        for (row, exps, cfg), traces in zip(cells, _track(base, schedule, spec, rates, noise)):
-            summary = _write_run(cfg, schedule, spec, traces,
-                                 os.path.join(out_dir, cfg.config_hash()))
-            label = bounds.classify_regime(exps)
-            slope = summary["slope"]
-            rows.append({**row, "status": "ok", "regime": label.regime,
-                         "same_rate_as_static": label.same_rate_as_static,
-                         "final_median_error": summary["final_median_error"],
-                         "slope": slope["slope"] if slope else "",
-                         "config_hash": summary["config_hash"]})
+                groups.setdefault(spec_key, (schedule, []))[1].append((row, cfg))
+    summaries = _run(base, [(schedule, [(cfg, os.path.join(out_dir, cfg.config_hash()))
+                                        for _, cfg in cells])
+                            for schedule, cells in groups.values()])
+    ok_rows = [row for _, cells in groups.values() for row, _ in cells]
+    for row, summary in zip(ok_rows, summaries):
+        slope = summary["slope"]
+        rows.append({**row, "status": "ok", "regime": summary["regime"],
+                     "same_rate_as_static": summary["same_rate_as_static"],
+                     "final_median_error": summary["final_median_error"],
+                     "slope": slope["slope"] if slope else "",
+                     "config_hash": summary["config_hash"]})
     rows.sort(key=lambda r: r["cell"])
     columns = ["cell", "gamma_p", "gamma_alpha", "gamma_pi", "status", "regime",
                "same_rate_as_static", "final_median_error", "slope", "config_hash"]
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:

@@ -8,15 +8,17 @@ is the sup-norm distance to the exact fixed point of the *current* schedule
 matrix, solved at checkpoints: a block's TD(0) targets in one stacked
 solve, Q-learning's one policy iteration per checkpoint.
 
-Kernel: materialize walks the schedule once per call of track
-(Schedule.blocks), yielding each block with the row cumsums of its step
-matrices, and each block advances every (rate, seed) run before the next
-is made; a sweep's cells of one schedule are one call, one rate each.  No
-certificate is scanned here: a trace row's pi floor and drift are solved
-at its checkpoint only, once per block for every rate.  Per seed and
-block, chains.next_states draws the block's successor table in one numpy
-pass, and that table and the seed's noise draws are read by every rate's
-run of the seed.  The step loop runs on Python floats only (the successor
+Kernel: track first checks its inputs (_checked_grid: the schedule's size
+against the rewards and n_actions, x0, and a checkpoint in [1, t_max]),
+then materialize walks the schedule once per call (Schedule.blocks),
+yielding each block with the row cumsums of its step matrices, and each
+block advances every (rate, seed) run before the next is made; a sweep's
+cells of one schedule are one call, one rate each.  No certificate is
+scanned here: a trace row's pi floor and drift are solved at its
+checkpoint only, once per block for every rate.  Per seed and block,
+chains.next_states draws the block's successor table in one numpy pass,
+and that table and the seed's noise draws are read by every rate's run
+of the seed.  The step loop runs on Python floats only (the successor
 table, step sizes and noise draws as lists, the table).  Memory is
 O(block * n^2 + rates * seeds * n).  Indexing a list and arithmetic on
 Python floats cost a fraction of indexing an array and arithmetic on numpy
@@ -42,7 +44,7 @@ share a walk changes no output bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +79,6 @@ class LearningRate:
     def alpha(self, t: int) -> float:
         return self.c_alpha / t ** self.gamma_alpha
 
-    def to_spec(self) -> dict:
-        return {"c_alpha": self.c_alpha, "gamma_alpha": self.gamma_alpha}
-
     @staticmethod
     def from_spec(doc: dict) -> "LearningRate":
         return LearningRate(chains.number(doc, "c_alpha"), chains.number(doc, "gamma_alpha"))
@@ -110,9 +109,6 @@ class NoiseModel:
             return None
         return chains.stream(seed, 1).uniform(-self.eps_max, self.eps_max, t_max)
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "eps_max": self.eps_max}
-
     @staticmethod
     def from_spec(doc: dict) -> "NoiseModel":
         return NoiseModel(str(doc["kind"]), chains.number(doc, "eps_max", 0.0))
@@ -133,7 +129,6 @@ class TrackingTrace:
 
     rows: list
     seed: int
-    config: dict = field(default_factory=dict)
     max_abs_value: float = 0.0
 
     CSV_COLUMNS = ("t", "sup_error", "alpha_t", "pi_min_t", "drift_t")
@@ -212,15 +207,11 @@ class _Run:
         self.x, self.max_abs = x, max_abs
 
 
-def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, seeds,
-          checkpoint_grid, x0: int = 0, n_actions: int | None = None, table_init=None):
-    """Traces of every (rate, seed) from one walk, one list of seed traces per
-    rate: TD(0) when n_actions is None, else Q-learning.
-
-    A seed's path and noise draws are made once per block and read by every
-    rate's run of that seed.  Scans no certificate (schedules.verify_drift
-    does): an uncertified schedule is tracked all the same.
-    """
+def _checked_grid(schedule, spec: dp.RewardSpec, t_max: int, checkpoint_grid, x0: int,
+                  n_actions: int | None) -> list:
+    """The checks track makes before its walk, on the schedule's size against
+    the rewards and n_actions, on x0 and on the grid; returns the grid's
+    points in [1, t_max], sorted, of which there must be one."""
     n = schedule.n
     if n != spec.n:
         raise ValueError(f"schedule n={n} vs rewards n={spec.n}")
@@ -231,7 +222,23 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
     cps = sorted({int(t) for t in checkpoint_grid if 1 <= int(t) <= t_max})
     if not cps:
         raise ValueError("checkpoint grid is empty within [1, t_max]")
-    table = [0.0] * n if table_init is None else np.array(table_init, dtype=float).tolist()
+    return cps
+
+
+def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, seeds,
+          checkpoint_grid, x0: int = 0, n_actions: int | None = None, table_init=None):
+    """Traces of every (rate, seed) from one walk, one list of seed traces per
+    rate: TD(0) when n_actions is None, else Q-learning.
+
+    A seed's path and noise draws are made once per block and read by every
+    rate's run of that seed.  Its inputs are checked first (_checked_grid,
+    which a harness run calls before its certificate scans).  Scans no
+    certificate (schedules.verify_drift does): an uncertified schedule is
+    tracked all the same.
+    """
+    cps = _checked_grid(schedule, spec, t_max, checkpoint_grid, x0, n_actions)
+    table = ([0.0] * schedule.n if table_init is None
+             else np.array(table_init, dtype=float).tolist())
     runs = [[_Run(seed, table, x0, n_actions or 1) for seed in seeds] for _ in rates]
     streams = [(chains.stream(seed, 0), None if noise.kind == "zero" else chains.stream(seed, 1))
                for seed in seeds]
@@ -257,16 +264,11 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
             pi_min = chains.stationary_stack(mats).min(axis=1)
             drift = chains.matrix_tv_distances(mats, block[[t - lo + 1 for t in at]])
             diagnostics.update(zip(at, zip(pi_min.tolist(), drift.tolist())))
-    echo = {"learner": "td0" if n_actions is None else "q", "t_max": int(t_max),
-            "x0": int(x0), "noise": noise.to_spec()}
-    if n_actions is not None:
-        echo["n_actions"] = int(n_actions)
     return [[TrackingTrace(rows=[TraceRow(t, err, alpha_t, *diagnostics[t])
                                  for t, err, alpha_t in run.hits],
-                           seed=run.seed, config={**echo, "rate": rate.to_spec()},
-                           max_abs_value=run.max_abs)
+                           seed=run.seed, max_abs_value=run.max_abs)
              for run in rate_runs]
-            for rate, rate_runs in zip(rates, runs)]
+            for rate_runs in runs]
 
 
 def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,

@@ -75,10 +75,6 @@ class DriftParams:
     def pi_floor(self, t: int) -> float:
         return self.c_pi / t ** self.gamma_pi
 
-    def to_spec(self) -> dict:
-        gp = "inf" if self.gamma_p == GAMMA_INF else self.gamma_p
-        return {"c_p": self.c_p, "gamma_p": gp, "c_pi": self.c_pi, "gamma_pi": self.gamma_pi}
-
     @staticmethod
     def from_spec(doc: dict) -> "DriftParams":
         # float("inf") is GAMMA_INF, so the "inf" encoding needs no case of its own
@@ -137,9 +133,6 @@ class Schedule:
         return TransitionMatrix(self.block(t, t + 1)[0])
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_spec(self) -> dict:
         raise NotImplementedError
 
 
@@ -233,10 +226,6 @@ class ConstantSchedule(_ArcWalk):
         super().__init__([p], params, closed=False)
         self.p = p
 
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
-                "p": self.p.rows.tolist()}
-
 
 class InterpolationSchedule(_ArcWalk):
     """The open path from p_start to p_end, advancing TV arc c_p/t^gamma_p.
@@ -255,11 +244,6 @@ class InterpolationSchedule(_ArcWalk):
         self.p_start = p_start
         self.p_end = p_end
         self.segment_length = float(self._offsets[-1])  # 0.0 for equal endpoints
-
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
-                "p_start": self.p_start.rows.tolist(),
-                "p_end": self.p_end.rows.tolist()}
 
 
 class CyclicSchedule(_ArcWalk):
@@ -283,10 +267,6 @@ class CyclicSchedule(_ArcWalk):
         super().__init__(mats, params, closed=True)
         self.mats = mats
         self.cycle_length = float(self._offsets[-1])
-
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
-                "mats": [m.rows.tolist() for m in self.mats]}
 
 
 class ShrinkingStateSchedule(Schedule):
@@ -337,9 +317,6 @@ class ShrinkingStateSchedule(Schedule):
         mats[:, 1, 1] -= h
         mats[:, 1, 2] = h
         return mats
-
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "params": self.params.to_spec()}
 
 
 def restart_wrap(p: TransitionMatrix, beta: float, beta_hat: float,
@@ -405,11 +382,6 @@ class RestartWrappedSchedule(Schedule):
         k = t_hi - t_lo
         return restart_wraps(self.inner.block(t_lo, t_hi), np.full(k, self.beta),
                              np.full(k, self.beta_hat), np.full(k, self.x_restart))
-
-    def to_spec(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "params": self.params.to_spec(),
-                "inner": self.inner.to_spec(), "beta": self.beta,
-                "beta_hat": self.beta_hat, "x_restart": self.x_restart}
 
 
 @dataclass(frozen=True)
@@ -541,26 +513,36 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
 
 
 def schedule_from_spec(doc: dict) -> Schedule:
-    """Build a schedule from its JSON spec (see each family's to_spec)."""
+    """Build a schedule from its JSON spec: {"kind", "n", "params"} and the
+    family's own keys ("p" for constant, whose params are optional;
+    "p_start", "p_end" for interpolation; "mats" for cyclic; none for
+    shrinking-state; "inner", "beta", "beta_hat", "x_restart" for
+    restart-wrapped).  Gamma values may be "inf"; an "n" that differs from
+    the built schedule's raises."""
     kind = chains._json_object(doc, "schedule")["kind"]
-    if kind == "constant":
-        params = DriftParams.from_spec(doc["params"]) if "params" in doc else None
-        return ConstantSchedule(TransitionMatrix(doc["p"]), params)
-    if kind not in ("interpolation", "cyclic", "shrinking-state", "restart-wrapped"):
+    if kind not in ("constant", "interpolation", "cyclic", "shrinking-state",
+                    "restart-wrapped"):
         raise ValueError(f"unknown schedule kind {kind!r}")
-    params = DriftParams.from_spec(doc["params"])
-    if kind == "interpolation":
-        return InterpolationSchedule(TransitionMatrix(doc["p_start"]),
-                                     TransitionMatrix(doc["p_end"]), params)
-    if kind == "cyclic":
+    params = (DriftParams.from_spec(doc["params"])
+              if kind != "constant" or "params" in doc else None)
+    if kind == "constant":
+        schedule = ConstantSchedule(TransitionMatrix(doc["p"]), params)
+    elif kind == "interpolation":
+        schedule = InterpolationSchedule(TransitionMatrix(doc["p_start"]),
+                                         TransitionMatrix(doc["p_end"]), params)
+    elif kind == "cyclic":
         mats = doc["mats"]
         if not isinstance(mats, list):
             raise ValueError(f"mats must be a list, got {mats!r}")
-        return CyclicSchedule([TransitionMatrix(m) for m in mats], params)
-    if kind == "shrinking-state":
-        return ShrinkingStateSchedule(params)
-    # restart-wrapped
-    inner = schedule_from_spec(doc["inner"])
-    return RestartWrappedSchedule(inner, chains.number(doc, "beta"),
-                                  chains.number(doc, "beta_hat"),
-                                  chains.integer(doc, "x_restart"), params)
+        schedule = CyclicSchedule([TransitionMatrix(m) for m in mats], params)
+    elif kind == "shrinking-state":
+        schedule = ShrinkingStateSchedule(params)
+    else:
+        schedule = RestartWrappedSchedule(schedule_from_spec(doc["inner"]),
+                                          chains.number(doc, "beta"),
+                                          chains.number(doc, "beta_hat"),
+                                          chains.integer(doc, "x_restart"), params)
+    n = chains.integer(doc, "n", schedule.n)
+    if n != schedule.n:
+        raise ValueError(f"schedule spec n={n} vs its {schedule.n}-state matrices")
+    return schedule

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from adiatrack import bounds, chains, dp, harness, learners, schedules, verify
+from adiatrack import bounds, chains, dp, learners, schedules, verify
 from adiatrack.cli import main as cli_main
 from adiatrack.harness import (
     SPEC_VERSION,
@@ -145,10 +145,14 @@ Q_PRODUCT = [[0.45, 0.45, 0.05, 0.05], [0.1, 0.1, 0.4, 0.4],
     {"schedule": {"kind": "constant", "n": 4, "p": Q_PRODUCT},
      "reward": {"r": [1.0, 0.0, 0.5, 0.25], "beta": 0.5}, "learner": "q", "n_actions": 2},
 ])
-def test_shared_materialization_equals_per_seed_runs(overrides):
+def test_shared_materialization_equals_per_seed_runs(overrides, tmp_path, monkeypatch):
     config = make_config(t_max=2100, **overrides)
-    schedule, spec, traces = harness._run_traces(config)
-    _, _, rate, noise = config.build()
+    runs, track = [], learners.track  # what the run's one learners.track call returns
+    monkeypatch.setattr(learners, "track",
+                        lambda *a, **kw: runs.append(track(*a, **kw)) or runs[-1])
+    run_tracking(config, tmp_path)
+    (traces,), = runs
+    schedule, spec, rate, noise = config.build()
     for seed, trace in zip(config.seeds, traces):
         if config.learner == "td0":
             alone = learners.td0_track(schedule, spec, rate, noise, config.t_max, seed,
@@ -156,11 +160,11 @@ def test_shared_materialization_equals_per_seed_runs(overrides):
         else:
             alone = learners.q_track(schedule, spec, config.n_actions, rate, noise,
                                      config.t_max, seed, config.checkpoints, x0=config.x0)
-        assert (trace.rows, trace.max_abs_value, trace.seed, trace.config) == \
-            (alone.rows, alone.max_abs_value, alone.seed, alone.config)
+        assert (trace.rows, trace.max_abs_value, trace.seed) == \
+            (alone.rows, alone.max_abs_value, alone.seed)
 
 
-def test_run_memory_does_not_grow_with_the_horizon():
+def test_run_memory_does_not_grow_with_the_horizon(tmp_path):
     import tracemalloc
 
     from adiatrack.schedules import _CHUNK
@@ -169,7 +173,7 @@ def test_run_memory_does_not_grow_with_the_horizon():
         config = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=t_max, seeds=[101])
         tracemalloc.start()
         try:
-            harness._run_traces(config)
+            run_tracking(config, tmp_path / str(t_max))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -935,6 +939,10 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"schedule": {"kind": "restart-wrapped", "n": 2, "inner": ACCEPTANCE_ANCHORS,
                    "params": ACCEPTANCE_ANCHORS["params"], "beta": 0.5, "beta_hat": 0.8,
                    "x_restart": None}}, "x_restart must be an integer, got None"),
+    ({"checkpoints": [10**7]}, "checkpoint grid is empty within [1, t_max]"),
+    ({"schedule": {**BASE_CONFIG["schedule"], "n": 7}}, "schedule spec n=7 vs its 2-state"),
+    ({"rate": {"c_alpha": 1.5, "gamma_alpha": 0.6}}, "c_alpha must lie in (0, 1)"),
+    ({"reward": {"r": [1.0, 0.0, 0.5], "beta": 0.5}}, "vs rewards n=3"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -949,24 +957,28 @@ def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, chang
 SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
 
 
-@pytest.mark.parametrize("reward, grid, named", [
-    pytest.param({"r": [1.0, 0.0], "beta": 1.5}, SWEEP_GRID, "beta must lie strictly in (0,1)",
-                 id="reward0-beta must lie strictly in (0,1)"),
-    pytest.param({"r": [1.0, 0.0, 0.5], "beta": 0.5}, SWEEP_GRID, "vs rewards n=3",
+@pytest.mark.parametrize("change, grid, named", [
+    pytest.param({"reward": {"r": [1.0, 0.0], "beta": 1.5}}, SWEEP_GRID,
+                 "beta must lie strictly in (0,1)", id="reward0-beta must lie strictly in (0,1)"),
+    pytest.param({"reward": {"r": [1.0, 0.0, 0.5], "beta": 0.5}}, SWEEP_GRID, "vs rewards n=3",
                  id="reward1-vs rewards n=3"),
-    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_p": [None]},
+    pytest.param({}, {**SWEEP_GRID, "gamma_p": [None]},
                  "gamma_p[0] must be a number, got None", id="grid-gamma_p-null"),
-    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_pi": [0.0, None]},
+    pytest.param({}, {**SWEEP_GRID, "gamma_pi": [0.0, None]},
                  "gamma_pi[1] must be a number, got None", id="grid-gamma_pi-null"),
-    pytest.param(BASE_CONFIG["reward"], [1, 2], "grid must be an object, got [1, 2]",
-                 id="grid-not-an-object"),
-    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_p": 1.0},
-                 "gamma_p must be a list, got 1.0", id="grid-gamma_p-not-a-list"),
-    pytest.param(BASE_CONFIG["reward"], {**SWEEP_GRID, "gamma_pi": None},
-                 "gamma_pi must be a list, got None", id="grid-gamma_pi-list-null"),
+    pytest.param({}, [1, 2], "grid must be an object, got [1, 2]", id="grid-not-an-object"),
+    pytest.param({}, {**SWEEP_GRID, "gamma_p": 1.0}, "gamma_p must be a list, got 1.0",
+                 id="grid-gamma_p-not-a-list"),
+    pytest.param({}, {**SWEEP_GRID, "gamma_pi": None}, "gamma_pi must be a list, got None",
+                 id="grid-gamma_pi-list-null"),
+    pytest.param({"rate": {"c_alpha": 1.5, "gamma_alpha": 0.6}}, SWEEP_GRID,
+                 "c_alpha must lie in (0, 1)", id="rate-c_alpha-1.5"),
+    pytest.param({"x0": 5}, SWEEP_GRID, "x0=5 out of range", id="x0-5"),
+    pytest.param({"checkpoints": [10**7]}, SWEEP_GRID,
+                 "checkpoint grid is empty within [1, t_max]", id="checkpoints-1e7"),
 ])
-def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, reward, grid, named):
-    cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, "reward": reward}
+def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
+    cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     (tmp_path / "grid.json").write_text(json.dumps(grid))
     rc = cli_main(["sweep", "--grid", str(tmp_path / "grid.json"),
@@ -975,3 +987,32 @@ def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, rewar
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["track", "sweep"])
+@pytest.mark.parametrize("change, named", [
+    ({"rate": {"c_alpha": 1.5, "gamma_alpha": 0.6}}, "c_alpha must lie in (0, 1)"),
+    ({"x0": 5}, "x0=5 out of range"),
+    ({"reward": {"r": [1.0, 0.0, 0.5], "beta": 0.5}}, "vs rewards n=3"),
+    ({"checkpoints": [10**7]}, "checkpoint grid is empty within [1, t_max]"),
+    ({"schedule": {**ACCEPTANCE_ANCHORS, "n": 7}}, "schedule spec n=7 vs its 2-state"),
+], ids=["c_alpha-1.5", "x0-5", "reward-size-3", "checkpoints-1e7", "schedule-n-7"])
+def test_cli_config_error_raises_before_the_certificate_scan(tmp_path, capsys, monkeypatch,
+                                                               command, change, named):
+    def scan(schedule, t_max):
+        raise AssertionError("verify_drift was called")
+
+    monkeypatch.setattr(schedules, "verify_drift", scan)
+    (tmp_path / "grid.json").write_text(json.dumps(SWEEP_GRID))
+    args = [command, "--out", str(tmp_path / "out"), "--config", str(tmp_path / "cfg.json")]
+    args += ["--grid", str(tmp_path / "grid.json")] if command == "sweep" else []
+    cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    with pytest.raises(AssertionError, match="verify_drift was called"):
+        cli_main(args)  # the valid config reaches the scan
+    (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **change}))
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "out").exists()

@@ -359,7 +359,7 @@ def test_track_at_two_rates_equals_two_one_rate_calls(n_actions):
     rates, seeds, cps = [RATE, LearningRate(0.3, 0.8)], [5, 6, 7], [1, 2048, 2049, 4500]
 
     def fields(traces):
-        return [(t.rows, t.max_abs_value, t.seed, t.config) for t in traces]
+        return [(t.rows, t.max_abs_value, t.seed) for t in traces]
 
     shared = track(sched, spec, rates, noise, 4500, seeds, cps, x0=3, n_actions=n_actions)
     assert len(shared) == 2 and fields(shared[0]) != fields(shared[1])

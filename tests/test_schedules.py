@@ -578,28 +578,50 @@ def test_computed_block_is_still_checked(make):
 
 # ----------------------------------------------------------------- json specs
 
-def test_schedule_spec_roundtrip_all_kinds():
+def test_schedule_from_spec_builds_every_kind():
+    a, b = A.rows.tolist(), B.rows.tolist()
+    interp = {"kind": "interpolation", "n": 2,
+              "params": {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0},
+              "p_start": a, "p_end": b}
     inner = InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0))
-    originals = [
-        ConstantSchedule(A),
-        inner,
-        CyclicSchedule([A, B], DriftParams(0.1, 0.7, 0.2, 0.0)),
-        ShrinkingStateSchedule(DriftParams(0.2, 1.5, 0.2, 0.5)),
-        RestartWrappedSchedule(inner, 0.5, 0.8, 0),
+    wrap_params = {"c_p": 0.04, "gamma_p": 1.0, "c_pi": 0.1, "gamma_pi": 0.0}
+    cases = [
+        ({"kind": "constant", "n": 2, "p": a}, ConstantSchedule(A)),
+        (interp, inner),
+        ({"kind": "cyclic", "n": 2, "mats": [a, b],
+          "params": {"c_p": 0.1, "gamma_p": 0.7, "c_pi": 0.2, "gamma_pi": 0.0}},
+         CyclicSchedule([A, B], DriftParams(0.1, 0.7, 0.2, 0.0))),
+        ({"kind": "shrinking-state", "n": 3,
+          "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}},
+         ShrinkingStateSchedule(DriftParams(0.2, 1.5, 0.2, 0.5))),
+        ({"kind": "restart-wrapped", "n": 2, "inner": interp, "beta": 0.5, "beta_hat": 0.8,
+          "x_restart": 0, "params": wrap_params},
+         RestartWrappedSchedule(inner, 0.5, 0.8, 0, DriftParams(0.04, 1.0, 0.1, 0.0))),
     ]
-    for sched in originals:
-        clone = schedule_from_spec(sched.to_spec())
-        assert clone.kind == sched.kind
+    for spec, sched in cases:
+        built = schedule_from_spec(spec)
+        assert (type(built), built.kind, built.n, built.params, built.rho_cap) == \
+            (type(sched), sched.kind, sched.n, sched.params, sched.rho_cap)
         for t in (1, 2, 13, 400):
-            np.testing.assert_array_equal(clone.matrix_at(t).rows,
-                                          sched.matrix_at(t).rows)
+            np.testing.assert_array_equal(built.matrix_at(t).rows, sched.matrix_at(t).rows)
 
 
 def test_gamma_inf_json_encoding():
-    spec = ConstantSchedule(A).to_spec()
-    assert spec["params"]["gamma_p"] == "inf"
-    clone = schedule_from_spec(spec)
-    assert clone.params.gamma_p == math.inf
+    params = {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.3, "gamma_pi": 0.0}
+    built = schedule_from_spec({"kind": "constant", "n": 2, "p": A.rows.tolist(),
+                                "params": params})
+    assert built.params == DriftParams(1.0, math.inf, 0.3, 0.0)
+    assert built.params.gamma_p == math.inf and built.params.drift_bound(7) == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant", "n": 7, "p": A.rows.tolist()},
+    {"kind": "shrinking-state", "n": 2,
+     "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}},
+], ids=["constant", "shrinking-state"])
+def test_schedule_spec_n_must_match_its_matrices(spec):
+    with pytest.raises(ValueError, match=f"schedule spec n={spec['n']} vs its"):
+        schedule_from_spec(spec)
 
 
 def test_unknown_kind_rejected():
