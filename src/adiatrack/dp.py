@@ -3,9 +3,10 @@
 Discounted reward functions come from direct linear solves and optimal
 Q-functions from policy iteration, one solve per policy, so tracking errors
 are measured against machine-precision targets, not simulation estimates.
-The reward solves and the reward Lipschitz and restart checks take stacks:
-(k, n, n) matrices with (k, n) rewards and (k,) discounts, solved in one
-call; the one-matrix functions are their k = 1 calls.
+The fixed-point solves, the Bellman operator G and the Lipschitz and
+restart checks take stacks: (k, n, n) matrices with (k, n) rewards and (k,)
+discounts, solved in one call (policy iteration: one solve per round over
+the rows still iterating); the one-matrix functions are their k = 1 calls.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.
@@ -142,14 +143,17 @@ def _state_of_product(nsa: int, n_actions: int) -> np.ndarray:
     return np.arange(nsa) // n_actions
 
 
-def bellman_g(p: TransitionMatrix, spec: RewardSpec, q_in: np.ndarray,
+def bellman_g(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, q: np.ndarray,
               n_actions: int) -> np.ndarray:
-    """One exact application r + beta E[max_a' Q(next_state, a')] on the product space."""
-    q_in = np.asarray(q_in, dtype=float)
-    if q_in.shape != (p.n,):
-        raise ValueError(f"Q vector shape {q_in.shape} does not match n={p.n}")
-    s_of = _state_of_product(p.n, n_actions)
-    return bellman_f(p, spec, q_in.reshape(-1, n_actions).max(axis=1)[s_of])
+    """One exact application r_i + beta_i E[max_a' Q_i(next_state, a')] on the
+    product space for each of a (k, N, N) stack with rewards r (k, N),
+    discounts beta (k,) and Q-tables q (k, N); (k, N)."""
+    k, n = r.shape
+    q = np.asarray(q, dtype=float)
+    if q.shape != (k, n):
+        raise ValueError(f"Q table shape {q.shape} does not match ({k}, {n})")
+    v = q.reshape(k, n // n_actions, n_actions).max(axis=2)[:, _state_of_product(n, n_actions)]
+    return r + beta[:, None] * (mats @ v[:, :, None])[:, :, 0]
 
 
 # Rounding of ||GQ - Q||_inf in units of u max|Q|, u = eps/2: 2 for storing the fixed
@@ -157,25 +161,34 @@ def bellman_g(p: TransitionMatrix, spec: RewardSpec, q_in: np.ndarray,
 _G_ROUNDING = np.finfo(float).eps / 2
 
 
-def exact_q(p: TransitionMatrix, spec: RewardSpec, n_actions: int,
+def exact_q(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, n_actions: int,
             tol: float = 1e-10) -> np.ndarray:
-    """Optimal Q by Howard policy iteration (Puterman 1994, sec. 6.4): from the
-    all-zeros policy pi, solve (I - beta P F_pi) Q = r, F_pi sending pair y to
-    (state(y), pi(state(y))), set pi = argmax Q (lowest action on ties), and
-    stop when pi repeats (an earlier pi if rounding flips tied actions).
-    Raises ArithmeticError unless ||GQ - Q|| <= (1-beta) tol + (n + 5) u max|Q|.
+    """Optimal Q (k, N) of a (k, N, N) product-space stack with rewards r (k, N)
+    and discounts beta (k,), by Howard policy iteration (Puterman 1994, sec.
+    6.4) per row: from the all-zeros policy pi, solve (I - beta P F_pi) Q = r,
+    F_pi sending pair y to (state(y), pi(state(y))), set pi = argmax Q (lowest
+    action on ties), and stop the row when pi repeats (an earlier pi if
+    rounding flips tied actions); a round is one solve of the rows still
+    iterating.  Raises ArithmeticError unless every row has
+    ||GQ - Q|| <= (1-beta) tol + (N + 5) u max|Q|.
     """
-    _check_dims(p, spec)
-    eye, s_of = np.eye(p.n), _state_of_product(p.n, n_actions)
-    policy, seen = np.zeros(p.n // n_actions, dtype=int), set()
-    while policy.tobytes() not in seen:
-        seen.add(policy.tobytes())
-        follow = eye[s_of * n_actions + policy[s_of]]  # F_pi
-        q = np.linalg.solve(eye - spec.beta * (p.rows @ follow), spec.r)
-        policy = q.reshape(-1, n_actions).argmax(axis=1)
-    resid = float(np.abs(bellman_g(p, spec, q, n_actions) - q).max())
-    if not resid <= (1.0 - spec.beta) * tol + _G_ROUNDING * (p.n + 5) * np.abs(q).max():
-        raise ArithmeticError(f"policy iteration ends with Bellman residual {resid!r}")
+    k, n = r.shape
+    eye, s_of = np.eye(n), _state_of_product(n, n_actions)
+    policies, q, seen = np.zeros((k, n // n_actions), dtype=int), np.empty((k, n)), []
+    live = np.arange(k)
+    while live.size:
+        seen.append(policies.copy())
+        follow = eye[s_of * n_actions + policies[live][:, s_of]]  # F_pi of each live row
+        q[live] = np.linalg.solve(eye - beta[live, None, None] * (mats[live] @ follow),
+                                  r[live, :, None])[:, :, 0]
+        policies[live] = q[live].reshape(live.size, n // n_actions, n_actions).argmax(axis=2)
+        live = live[~(np.array(seen)[:, live] == policies[live]).all(axis=2).any(axis=0)]
+    resid = np.abs(bellman_g(mats, r, beta, q, n_actions) - q).max(axis=1)
+    bound = (1.0 - beta) * tol + _G_ROUNDING * (n + 5) * np.abs(q).max(axis=1)
+    bad = ~(resid <= bound)  # NaN fails too
+    if bad.any():
+        raise ArithmeticError(
+            f"policy iteration ends with Bellman residual {float(resid[bad][0])!r}")
     return q
 
 
@@ -209,14 +222,17 @@ def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
     return lhs, rhs
 
 
-def check_lipschitz_q(p: TransitionMatrix, q: TransitionMatrix, spec: RewardSpec,
-                      n_actions: int, slack: float = 1e-10,
-                      tol: float = 1e-12) -> CheckResult:
-    """Same Lipschitz bound for optimal Q-functions on the product space."""
-    lhs = float(np.abs(exact_q(p, spec, n_actions, tol=tol)
-                       - exact_q(q, spec, n_actions, tol=tol)).max())
-    rhs = reward_lipschitz_constant(spec) * chains.matrix_tv_distance(p, q)
-    return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
+def check_lipschitz_q(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndarray,
+                      n_actions: int, tol: float = 1e-12) -> tuple:
+    """The same two sides for optimal Q-functions (exact_q at tol) on
+    product-space stacks; validates as check_lipschitz_rewards does."""
+    chains._check_rows(p)
+    chains._check_rows(q)
+    _check_rewards(r, beta)
+    star_p, star_q = exact_q(p, r, beta, n_actions, tol), exact_q(q, r, beta, n_actions, tol)
+    lhs = np.abs(star_p - star_q).max(axis=1)
+    rhs = beta * np.abs(r).max(axis=1) / (1.0 - beta) ** 2 * chains.matrix_tv_distances(p, q)
+    return lhs, rhs
 
 
 def check_restart_identity(p: TransitionMatrix, spec: RewardSpec, beta_hat: float,

@@ -19,6 +19,7 @@ whether cells share a walk changes no output bit.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -232,19 +233,32 @@ def _write_run(config: ExperimentConfig, schedule, spec, traces, out_dir) -> dic
     return summary
 
 
+def _check_out_dir(out_dir):
+    """Raise NotADirectoryError, as making out_dir would, unless the nearest
+    existing ancestor of out_dir is a directory; creates nothing."""
+    path = missing = os.path.normpath(out_dir)
+    while not os.path.exists(path):
+        missing, path = path, os.path.dirname(path) or os.curdir
+    if not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
+
+
 def _run(base: ExperimentConfig, groups: list) -> list:
     """Run groups [(schedule, [(cell config, out_dir)])], one walk per group
     at its cells' rates, and write each cell (_write_run); return the
     summaries in order.  Cell configs differ from base only in rate and in
-    the schedule spec their group's schedule was built from.  Every input is
-    checked before the first scan and every scan made before the first
-    step, so a bad input or a failing certificate raises with nothing written.
+    the schedule spec their group's schedule was built from.  Every input,
+    out dirs included (_check_out_dir), is checked before the first scan and
+    every scan made before the first step, so a bad input or a failing
+    certificate raises with nothing written.
     """
     spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
     rates = [[LearningRate.from_spec(cfg.rate) for cfg, _ in cells] for _, cells in groups]
     n_actions = base.n_actions if base.learner == "q" else None
-    for schedule, _ in groups:
+    for schedule, cells in groups:
         learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0, n_actions)
+        for _, out_dir in cells:
+            _check_out_dir(out_dir)
     for schedule, _ in groups:
         schedules.verify_drift(schedule, base.t_max)
     summaries = []
@@ -274,7 +288,7 @@ def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict
     anchors = base_schedule.get("mats")
     if anchors is None:
         anchors = [base_schedule.get("p_start"), base_schedule.get("p_end")]
-    if anchors[0] is None or anchors[-1] is None:
+    if not anchors or anchors[0] is None or anchors[-1] is None:
         raise ValueError("base schedule carries no anchor matrices")
     params = dict(base_schedule["params"])
     if gamma_pi == 0.0:
@@ -311,8 +325,11 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     gps = _read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = _read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = _read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
-    # the gamma_pi = 0 cells copy the base's n and anchors: a mismatch is the base's error
-    first = (base.schedule.get("mats") or [base.schedule.get("p_start")])[0]
+    # the gamma_pi = 0 cells copy the base's n and anchors: a bad one is the base's error
+    mats = base.schedule.get("mats")
+    if mats is not None and not isinstance(mats, list):
+        raise ValueError(f"mats must be a list, got {mats!r}")  # as the cyclic family says
+    first = (mats or [base.schedule.get("p_start")])[0]
     if isinstance(first, list) and len(first) != chains.integer(base.schedule, "n"):
         raise ValueError(f"schedule spec n={base.schedule['n']} vs its {len(first)}-state matrices")
     rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, cell config)])

@@ -5,8 +5,8 @@ inhomogeneous chain: table[x] += alpha_t (r[x] + beta boot - table[x] + eps_t),
 with boot the next state's entry (TD(0)) or the max over its action block
 (Q-learning); every other component is left bit-identical.  Tracking error
 is the sup-norm distance to the exact fixed point of the *current* schedule
-matrix, solved at checkpoints: a block's TD(0) targets in one stacked
-solve, Q-learning's one policy iteration per checkpoint.
+matrix, solved at checkpoints: a block's targets in one stacked call
+(dp.exact_rewards for TD(0), dp.exact_q's policy iteration for Q-learning).
 
 Kernel: track first checks its inputs (_checked_grid: the schedule's size
 against the rewards and n_actions, x0, and a checkpoint in [1, t_max]),
@@ -247,10 +247,9 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
         k = len(cums)
         at = [t for t in cps if lo <= t < lo + k]
         mats = block[[t - lo for t in at]]
-        solved = (dp.exact_rewards(mats, np.tile(spec.r, (len(at), 1)),
-                                   np.full(len(at), spec.beta))
-                  if n_actions is None
-                  else [dp.exact_q(chains.TransitionMatrix(m), spec, n_actions) for m in mats])
+        r, beta = np.tile(spec.r, (len(at), 1)), np.full(len(at), spec.beta)
+        solved = (dp.exact_rewards(mats, r, beta) if n_actions is None
+                  else dp.exact_q(mats, r, beta, n_actions))
         targets = [(t - lo, t, target.tolist()) for t, target in zip(at, solved)]
         alphas = [[rate.alpha(t) for t in range(lo, lo + k)] for rate in rates]
         for i, (path, noise_stream) in enumerate(streams):

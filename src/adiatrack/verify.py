@@ -8,7 +8,8 @@ fails.  Every randomized suite draws all its cases first, in the order of
 a per-case loop, then evaluates them as stacks and records the checks in
 case order, so the report equals the per-case loop's: prop1 per matrix
 size (_prop1_pairs) and its 2x2 eigenvalue cases as one stack, Lipschitz
-(reward) and restart per matrix size (dp.check_lipschitz_rewards,
+(reward and optimal Q) and restart per matrix size
+(dp.check_lipschitz_rewards, dp.check_lipschitz_q,
 dp.check_restart_identities), and lemmas with each bounds oracle on one
 (cases, T) stack.  The thm1 and mixing suites read each schedule as blocks
 of matrices, never one t at a time, and thm1 evaluates every start of a
@@ -348,9 +349,7 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500,
     product-space pairs; beta drawn from {0.5, 0.9, 0.99}.  Rewards are
     non-negative: the TV-metered Lipschitz constant pairs a zero-mass row
     difference with the reward span, so one-signed rewards are the bound's
-    domain (signed rewards break it by up to a factor of two).  Q cases
-    stay one solve per case: policy iteration takes its own number of
-    rounds on each.
+    domain (signed rewards break it by up to a factor of two).
     """
     rec = _Recorder("lipschitz", master_seed)
     rng = chains.stream(master_seed, 5)
@@ -365,18 +364,17 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500,
         rec.cases += 1
         rec.check("reward_lipschitz", lhs, rhs, tol,
                   lambda: {"p": p.tolist(), "q": q.tolist(), "r": r.tolist(), "beta": beta})
+    cases = []
     for i in range(n_q_cases):
+        nsa = 2 * int(rng.integers(2, 4))  # 2 or 3 states, 2 actions each
+        cases.append((_random_rows(rng, nsa), _random_rows(rng, nsa),
+                      rng.uniform(0, 1, nsa), betas[i % 3]))
+    sides = _by_size(cases, lambda *stacks: dp.check_lipschitz_q(*stacks, 2, tol=1e-12))
+    for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
-        n_s = int(rng.integers(2, 4))
-        n_a = 2
-        nsa = n_s * n_a
-        p = random_transition_matrix(rng, nsa)
-        q = random_transition_matrix(rng, nsa)
-        spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
-        res = dp.check_lipschitz_q(p, q, spec, n_a, slack=tol, tol=1e-12)
-        rec.check("q_lipschitz", res.lhs, res.rhs, tol,
-                  lambda: {"p": p.rows.tolist(), "q": q.rows.tolist(),
-                           "r": spec.r.tolist(), "beta": spec.beta, "n_actions": n_a})
+        rec.check("q_lipschitz", lhs, rhs, tol,
+                  lambda: {"p": p.tolist(), "q": q.tolist(), "r": r.tolist(), "beta": beta,
+                           "n_actions": 2})
     return rec.report()
 
 

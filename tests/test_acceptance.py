@@ -93,7 +93,8 @@ def test_criterion_05_operator_contraction():
             p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
             spec = RewardSpec(rng.uniform(-1, 1, 6), beta)
             a, b = rng.uniform(-5, 5, 6), rng.uniform(-5, 5, 6)
-            gap = np.abs(bellman_g(p, spec, a, 2) - bellman_g(p, spec, b, 2)).max()
+            one = p.rows[None], spec.r[None], np.array([spec.beta])  # k = 1 stacks
+            gap = np.abs(bellman_g(*one, a[None], 2) - bellman_g(*one, b[None], 2)).max()
         if gap > beta * np.abs(a - b).max() + 1e-12:
             violations += 1
     elapsed = time.monotonic() - started

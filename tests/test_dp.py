@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiatrack import dp, verify
+from adiatrack import chains, dp, verify
 from adiatrack.chains import TransitionMatrix
 from adiatrack.dp import (
     RewardSpec,
@@ -33,6 +33,17 @@ def truncated_series(p, spec, horizon):
         term = spec.beta * (p.rows @ term)
         total = total + term
     return total
+
+
+def exact_q1(p, spec, n_actions, **kw):
+    """exact_q at k = 1: the stack of p alone."""
+    return exact_q(p.rows[None], spec.r[None], np.array([spec.beta]), n_actions, **kw)[0]
+
+
+def bellman_g1(p, spec, q_in, n_actions):
+    """bellman_g at k = 1."""
+    return bellman_g(p.rows[None], spec.r[None], np.array([spec.beta]),
+                     np.asarray(q_in, dtype=float)[None], n_actions)[0]
 
 
 def backward_induction_q(p, spec, n_actions, horizon):
@@ -139,12 +150,12 @@ def test_bellman_f_is_beta_contraction(p, beta):
 
 def test_exact_q_zero_rewards():
     np.testing.assert_array_equal(
-        exact_q(P_REF, RewardSpec([0.0, 0.0], 0.5), n_actions=1), [0.0, 0.0])
+        exact_q1(P_REF, RewardSpec([0.0, 0.0], 0.5), n_actions=1), [0.0, 0.0])
 
 
 def test_exact_q_single_action_collapses_to_reward():
     spec = RewardSpec([1.0, 0.0], 0.5)
-    q = exact_q(P_REF, spec, n_actions=1)
+    q = exact_q1(P_REF, spec, n_actions=1)
     np.testing.assert_allclose(q, exact_reward(P_REF, spec), atol=1e-9)
 
 
@@ -153,7 +164,7 @@ def test_exact_q_matches_backward_induction():
     raw = rng.random((4, 4))
     p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
-    q = exact_q(p, spec, n_actions=2)
+    q = exact_q1(p, spec, n_actions=2)
     brute = backward_induction_q(p, spec, n_actions=2, horizon=60)
     np.testing.assert_allclose(q, brute, atol=1e-8)
 
@@ -187,22 +198,23 @@ def product_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_exact_q_is_the_best_of_all_deterministic_policies(case):
     p, spec, n_actions = case
-    q = exact_q(p, spec, n_actions, tol=1e-12)
+    q = exact_q1(p, spec, n_actions, tol=1e-12)
     np.testing.assert_allclose(q, best_of_all_policies(p, spec, n_actions),
                                rtol=0, atol=1e-11 * (1 + spec.value_cap))
 
 
 def _solved_policies(monkeypatch, n_actions, perturb=None):
-    """Spy on exact_q's solves; returns the policy each solve evaluated.
-    perturb(k, q) may alter the k-th solution in place."""
+    """Spy on exact_q's solves; returns the policy each solve evaluated for
+    the first row of its stack.  perturb(k, q) may alter that row of the k-th
+    solution in place."""
     real, policies = np.linalg.solve, []
 
     def spy(a, b):
-        mass = np.abs(a - np.eye(len(b))).sum(axis=0)  # only F_pi's columns move
+        mass = np.abs(a[0] - np.eye(len(b[0]))).sum(axis=0)  # only F_pi's columns move
         policies.append(mass.reshape(-1, n_actions).argmax(axis=1).tolist())
         q = real(a, b)
         if perturb:
-            perturb(len(policies), q)
+            perturb(len(policies), q[0, :, 0])
         return q
 
     monkeypatch.setattr(np.linalg, "solve", spy)
@@ -217,7 +229,7 @@ TIED_SPEC = RewardSpec([0.0, 1.0, 1.0, 0.0, 0.0, 0.0], 0.5)
 
 def test_exact_q_breaks_ties_by_lowest_action(monkeypatch):
     policies = _solved_policies(monkeypatch, 3)
-    q = exact_q(TIED, TIED_SPEC, 3)
+    q = exact_q1(TIED, TIED_SPEC, 3)
     assert policies == [[0, 0], [1, 0]]  # state 0: action 1 of the tied 1 and 2
     np.testing.assert_array_equal(q, [0.5, 1.5, 1.5, 0.5, 0.5, 0.5])
 
@@ -227,7 +239,7 @@ def test_exact_q_stops_at_a_rounding_cycle_between_tied_actions(monkeypatch):
     def flip(k, q):
         q[1 + k % 2] += 4e-16
     policies = _solved_policies(monkeypatch, 3, flip)
-    q = exact_q(TIED, TIED_SPEC, 3, tol=1e-12)
+    q = exact_q1(TIED, TIED_SPEC, 3, tol=1e-12)
     assert policies == [[0, 0], [2, 0], [1, 0]]  # [2, 0] repeats: stop
     np.testing.assert_allclose(q, [0.5, 1.5, 1.5, 0.5, 0.5, 0.5], rtol=0, atol=1e-15)
 
@@ -237,7 +249,7 @@ def test_exact_q_raises_when_policies_cycle_without_settling(monkeypatch):
         q[1 + k % 2] += 1e-6  # far beyond rounding: no policy is greedy for its own Q
     policies = _solved_policies(monkeypatch, 3, flip)
     with pytest.raises(ArithmeticError, match="Bellman residual"):
-        exact_q(TIED, TIED_SPEC, 3, tol=1e-12)
+        exact_q1(TIED, TIED_SPEC, 3, tol=1e-12)
     assert policies == [[0, 0], [2, 0], [1, 0]]
 
 
@@ -245,29 +257,90 @@ def test_exact_q_certificate_rejects_an_inexact_solve(monkeypatch):
     real = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) + 1e-9)
     with pytest.raises(ArithmeticError, match="Bellman residual"):
-        exact_q(P_REF, RewardSpec([1.0, 0.0], 0.99), n_actions=1)
+        exact_q1(P_REF, RewardSpec([1.0, 0.0], 0.99), n_actions=1)
 
 
 def test_exact_q_certifies_where_value_iteration_cycles(monkeypatch):
-    """exact_q calls 113, 196, 389, 917, 953, 2225, 2296 and 2999 of
-    suite_lipschitz(8500, 1500) at the default seed: value iteration started
-    from the solve falls into a float limit cycle there and never meets
-    (1 - beta) * 1e-12.  Policy iteration certifies and returns on each."""
-    calls, real = [], dp.exact_q
+    """exact_q calls 113, 196, 389, 917, 953, 2225, 2296 and 2999 of a
+    per-case suite_lipschitz(8500, 1500) at the default seed (call i is Q
+    case i // 2, side i % 2): value iteration started from the solve falls
+    into a float limit cycle there and never meets (1 - beta) * 1e-12.
+    Policy iteration certifies and returns on each."""
     monkeypatch.setattr(dp, "check_lipschitz_rewards",
                         lambda p, *a: (np.zeros(len(p)), np.zeros(len(p))))  # draws only
-    monkeypatch.setattr(dp, "exact_q", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
     assert verify.suite_lipschitz(n_reward_cases=8500, n_q_cases=1500)["pass"]
+    rng, betas, cases = chains.stream(verify.DEFAULT_MASTER_SEED, 5), [0.5, 0.9, 0.99], []
+    for _ in range(8500):  # the reward cases' draws
+        n = int(rng.integers(2, 7))
+        verify._random_rows(rng, n), verify._random_rows(rng, n), rng.uniform(0, 1, n)
+    for k in range(1500):  # the Q cases' draws, as the suite makes them
+        nsa = 2 * int(rng.integers(2, 4))
+        sides = verify.random_transition_matrix(rng, nsa), verify.random_transition_matrix(rng, nsa)
+        cases.append((sides, RewardSpec(rng.uniform(0, 1, nsa), betas[k % 3])))
+    n_actions, kw = 2, {"tol": 1e-12}
     for i in (113, 196, 389, 917, 953, 2225, 2296, 2999):
-        (p, spec, n_actions), kw = calls[i]
-        q = real(p, spec, n_actions, **kw)
-        gap = np.abs(bellman_g(p, spec, q, n_actions) - q).max()
+        sides, spec = cases[i // 2]
+        p = sides[i % 2]
+        q = exact_q1(p, spec, n_actions, **kw)
+        gap = np.abs(bellman_g1(p, spec, q, n_actions) - q).max()
         assert gap <= (1 - spec.beta) * kw["tol"] + (p.n + 5) * 2 ** -53 * np.abs(q).max()
         threshold, vi = (1 - spec.beta) * kw["tol"], q
         for _ in range(300):  # still a limit-cycle case for value iteration
-            vi_next = bellman_g(p, spec, vi, n_actions)
+            vi_next = bellman_g1(p, spec, vi, n_actions)
             assert np.abs(vi_next - vi).max() > threshold
             vi = vi_next
+
+
+def test_exact_q_stack_equals_each_rows_own_call(monkeypatch):
+    # rows that stop after different numbers of rounds share each stack's
+    # solves; every row equals its k = 1 call bit for bit
+    rng = np.random.default_rng(16)
+    betas = [0.5, 0.9, 0.99] * 4
+    groups = [  # (rows, rewards, discounts, n_actions)
+        ([TIED.rows] + [verify._random_rows(rng, 6) for _ in range(11)],
+         [TIED_SPEC.r] + [rng.uniform(0, 1, 6) for _ in range(11)], betas, 3),
+        ([P_REF.rows, FLAT.rows, verify._random_rows(rng, 2)],
+         [[1.0, 0.0], [0.0, 1.0], [0.5, 0.25]], [0.9, 0.5, 0.99], 1),
+        ([verify._random_rows(rng, 4) for _ in range(12)],
+         [rng.uniform(0, 1, 4) for _ in range(12)], betas, 2),
+        ([verify._random_rows(rng, 6) for _ in range(12)],
+         [rng.uniform(0, 1, 6) for _ in range(12)], betas, 2),
+    ]
+    real, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or real(a, b))
+    for rows, r, beta, n_actions in groups:
+        mats, r, beta = np.array(rows), np.array(r), np.array(beta)
+        solves.clear()
+        stacked = exact_q(mats, r, beta, n_actions, tol=1e-12)
+        live, rounds = list(solves), []
+        for i in range(len(mats)):
+            solves.clear()
+            one = exact_q(mats[i:i + 1], r[i:i + 1], beta[i:i + 1], n_actions, tol=1e-12)
+            assert one.tobytes() == stacked[i:i + 1].tobytes()
+            rounds.append(len(solves))
+        # round j solves the rows that need more than j rounds, in one call
+        assert live == [sum(n > j for n in rounds) for j in range(max(rounds))]
+        assert (len(set(rounds)) > 1) == (n_actions > 1)  # one round at one action
+
+
+def test_exact_q_of_an_empty_stack_is_empty():
+    out = exact_q(np.zeros((0, 4, 4)), np.zeros((0, 4)), np.zeros(0), 2)
+    assert out.shape == (0, 4)
+
+
+def test_exact_q_cycling_row_raises_inside_a_mixed_stack(monkeypatch):
+    # row 1: action 0 pays in every state, so its first policy is greedy and
+    # it stops after one round, certified on its own
+    mats = np.stack([TIED.rows, TIED.rows])
+    r, beta = np.array([TIED_SPEC.r, [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]), np.array([0.5, 0.5])
+    exact_q(mats[1:], r[1:], beta[1:], 3, tol=1e-12)
+
+    def flip(k, q):
+        q[1 + k % 2] += 1e-6  # row 0 (TIED) only: no policy is greedy for its own Q
+    policies = _solved_policies(monkeypatch, 3, flip)
+    with pytest.raises(ArithmeticError, match="Bellman residual"):
+        exact_q(mats, r, beta, 3, tol=1e-12)
+    assert policies == [[0, 0], [2, 0], [1, 0]]
 
 
 # ------------------------------------------------------------------ bellman_g
@@ -277,9 +350,9 @@ def test_bellman_g_fixed_point_and_zero_input():
     raw = rng.random((4, 4))
     p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
-    star = exact_q(p, spec, n_actions=2)
-    np.testing.assert_allclose(bellman_g(p, spec, star, 2), star, atol=1e-9)
-    np.testing.assert_array_equal(bellman_g(p, spec, np.zeros(4), 2), spec.r)
+    star = exact_q1(p, spec, n_actions=2)
+    np.testing.assert_allclose(bellman_g1(p, spec, star, 2), star, atol=1e-9)
+    np.testing.assert_array_equal(bellman_g1(p, spec, np.zeros(4), 2), spec.r)
 
 
 @given(matrices(n=4), st.floats(0.1, 0.95))
@@ -288,7 +361,7 @@ def test_bellman_g_is_beta_contraction(p, beta):
     rng = np.random.default_rng(8)
     spec = RewardSpec(rng.uniform(-1, 1, 4), beta)
     a, b = rng.uniform(-5, 5, 4), rng.uniform(-5, 5, 4)
-    gap = np.abs(bellman_g(p, spec, a, 2) - bellman_g(p, spec, b, 2)).max()
+    gap = np.abs(bellman_g1(p, spec, a, 2) - bellman_g1(p, spec, b, 2)).max()
     assert gap <= beta * np.abs(a - b).max() + 1e-12
 
 
@@ -339,7 +412,9 @@ def test_lipschitz_q_random_sweep(rng):
         p = TransitionMatrix(raw1 / raw1.sum(axis=1, keepdims=True))
         q = TransitionMatrix(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(0, 1, 4), 0.9)
-        assert check_lipschitz_q(p, q, spec, n_actions=2).passed
+        (lhs,), (rhs,) = check_lipschitz_q(p.rows[None], q.rows[None], spec.r[None],
+                                           np.array([spec.beta]), n_actions=2)
+        assert lhs <= rhs + 1e-10  # the one-pair check's default slack
 
 
 # ------------------------------------------------------------ restart identity

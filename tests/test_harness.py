@@ -385,8 +385,9 @@ def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
         p = verify.random_transition_matrix(rng, nsa)
         q = verify.random_transition_matrix(rng, nsa)
         spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
-        res = dp.check_lipschitz_q(p, q, spec, 2, slack=tol, tol=1e-12)
-        rec.check("q_lipschitz", res.lhs, res.rhs, tol)
+        (lhs,), (rhs,) = dp.check_lipschitz_q(p.rows[None], q.rows[None], spec.r[None],
+                                              np.array([spec.beta]), 2, tol=1e-12)
+        rec.check("q_lipschitz", lhs, rhs, tol)
     return rec.report()
 
 
@@ -572,6 +573,7 @@ def test_block_thm1_equals_per_t_walk(monkeypatch):
 @pytest.mark.parametrize("suite, digest", [
     ("thm1", "2b4121c5d47e73d6efa4b61187c68cc39b217fbeadf8c1449f120452d5db637b"),
     ("mixing", "13c4c05623d3bd6a61018517cddb640e70333f376bc54bec7be9f5d9c4ad3229"),
+    ("lipschitz", "efb032a3db26f07d0b2b108a27701f27ab5f30a8480b49a06700fbdbdcaedd1e"),
 ])
 def test_block_suite_reports_keep_their_bytes(suite, digest):
     # sha256 of the canonical default-seed report, as the per-start evaluators
@@ -713,6 +715,15 @@ def test_stacked_fixed_point_suites_equal_per_case_loops(monkeypatch, master_see
         assert report == canonical_json(per_case())
         assert stacked == checks
         checks.clear()
+
+
+def test_lipschitz_suite_checks_each_matrix_size_in_one_call(monkeypatch):
+    sizes, real = [], dp.check_lipschitz_q
+    monkeypatch.setattr(dp, "check_lipschitz_q",
+                        lambda p, *a, **k: sizes.append(p.shape) or real(p, *a, **k))
+    assert verify.suite_lipschitz(n_reward_cases=30, n_q_cases=40)["pass"]
+    assert sorted(shape[1] for shape in sizes) == [4, 6]  # 2 or 3 states, 2 actions
+    assert sum(shape[0] for shape in sizes) == 40
 
 
 def test_restart_suite_detects_corrupted_rho(monkeypatch):
@@ -976,6 +987,9 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
     pytest.param({"x0": 5}, SWEEP_GRID, "x0=5 out of range", id="x0-5"),
     pytest.param({"checkpoints": [10**7]}, SWEEP_GRID,
                  "checkpoint grid is empty within [1, t_max]", id="checkpoints-1e7"),
+    pytest.param({"schedule": {"kind": "cyclic", "n": 2, "params": {
+        **ACCEPTANCE_ANCHORS["params"], "gamma_p": 0.3}, "mats": 5}}, SWEEP_GRID,
+                 "mats must be a list, got 5", id="schedule-mats-5"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
@@ -991,28 +1005,31 @@ def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, chang
 
 
 @pytest.mark.parametrize("command", ["track", "sweep"])
-@pytest.mark.parametrize("change, named", [
-    ({"rate": {"c_alpha": 1.5, "gamma_alpha": 0.6}}, "c_alpha must lie in (0, 1)"),
-    ({"x0": 5}, "x0=5 out of range"),
-    ({"reward": {"r": [1.0, 0.0, 0.5], "beta": 0.5}}, "vs rewards n=3"),
-    ({"checkpoints": [10**7]}, "checkpoint grid is empty within [1, t_max]"),
-    ({"schedule": {**ACCEPTANCE_ANCHORS, "n": 7}}, "schedule spec n=7 vs its 2-state"),
-], ids=["c_alpha-1.5", "x0-5", "reward-size-3", "checkpoints-1e7", "schedule-n-7"])
+@pytest.mark.parametrize("change, out, named", [
+    ({"rate": {"c_alpha": 1.5, "gamma_alpha": 0.6}}, "out", "c_alpha must lie in (0, 1)"),
+    ({"x0": 5}, "out", "x0=5 out of range"),
+    ({"reward": {"r": [1.0, 0.0, 0.5], "beta": 0.5}}, "out", "vs rewards n=3"),
+    ({"checkpoints": [10**7]}, "out", "checkpoint grid is empty within [1, t_max]"),
+    ({"schedule": {**ACCEPTANCE_ANCHORS, "n": 7}}, "out", "schedule spec n=7 vs its 2-state"),
+    ({}, "afile/out", "Not a directory"),
+], ids=["c_alpha-1.5", "x0-5", "reward-size-3", "checkpoints-1e7", "schedule-n-7",
+        "out-under-a-file"])
 def test_cli_config_error_raises_before_the_certificate_scan(tmp_path, capsys, monkeypatch,
-                                                               command, change, named):
+                                                               command, change, out, named):
     def scan(schedule, t_max):
         raise AssertionError("verify_drift was called")
 
     monkeypatch.setattr(schedules, "verify_drift", scan)
     (tmp_path / "grid.json").write_text(json.dumps(SWEEP_GRID))
-    args = [command, "--out", str(tmp_path / "out"), "--config", str(tmp_path / "cfg.json")]
+    (tmp_path / "afile").write_text("")
+    args = [command, "--config", str(tmp_path / "cfg.json")]
     args += ["--grid", str(tmp_path / "grid.json")] if command == "sweep" else []
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     with pytest.raises(AssertionError, match="verify_drift was called"):
-        cli_main(args)  # the valid config reaches the scan
+        cli_main(args + ["--out", str(tmp_path / "out")])  # the valid config reaches the scan
     (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **change}))
-    assert cli_main(args) == 2
+    assert cli_main(args + ["--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and (tmp_path / "afile").is_file()

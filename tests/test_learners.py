@@ -10,6 +10,7 @@ from adiatrack.chains import (
     stationary_distribution,
     stream,
 )
+from adiatrack import dp
 from adiatrack.dp import RewardSpec, exact_q, exact_reward
 from adiatrack.learners import (
     LearningRate,
@@ -17,6 +18,7 @@ from adiatrack.learners import (
     TrackingTrace,
     TraceRow,
     check_boundedness,
+    materialize,
     q_track,
     td0_track,
     track,
@@ -236,8 +238,7 @@ def test_q_track_follows_drifting_product_schedule():
     assert [row.t for row in trace.rows] == cps
     assert trace.rows[-1].sup_error < trace.rows[0].sup_error
     assert trace.max_abs_value <= spec.r_max / (1 - spec.beta) + 1e-9
-    from adiatrack.dp import exact_q
-    star = exact_q(sched.matrix_at(3000), spec, 2)
+    star = exact_q(sched.matrix_at(3000).rows[None], spec.r[None], np.array([spec.beta]), 2)[0]
     assert np.isfinite(star).all()
     assert trace.rows[-1].drift_t > 0.0  # schedule still moving at T
 
@@ -281,7 +282,8 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
         if t in cps:
             mat, nxt = schedule.matrix_at(t), schedule.matrix_at(t + 1)
             target = (exact_reward(mat, spec) if n_actions is None
-                      else exact_q(mat, spec, n_actions))
+                      else exact_q(mat.rows[None], spec.r[None], np.array([spec.beta]),
+                                   n_actions)[0])
             rows.append(TraceRow(t, float(np.abs(table - target).max()), alpha_t,
                                  stationary_distribution(mat).min_prob(),
                                  matrix_tv_distance(nxt, mat)))
@@ -367,6 +369,21 @@ def test_track_at_two_rates_equals_two_one_rate_calls(n_actions):
         alone, = track(sched, spec, [rate], noise, 4500, seeds, cps, x0=3,
                        n_actions=n_actions)
         assert fields(traces) == fields(alone)
+
+
+def test_track_solves_each_blocks_q_targets_in_one_call(monkeypatch):
+    # one dp.exact_q call per block of the walk, on the stack of that block's
+    # checkpoint matrices; a block with no checkpoint passes an empty stack
+    sched = InterpolationSchedule(_product_chain(), TransitionMatrix(np.full((4, 4), 0.25)),
+                                  DriftParams(0.02, 1.0, 0.05, 0.0))
+    spec, cps, t_max = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5), [1, 2, 2047, 6000], 3 * 2048
+    calls, real = [], dp.exact_q
+    monkeypatch.setattr(dp, "exact_q", lambda mats, *a, **k: calls.append(len(mats))
+                        or real(mats, *a, **k))
+    track(sched, spec, [RATE], ZERO_NOISE, t_max, [5], cps, n_actions=2)
+    per_block = [sum(lo <= t < lo + len(cums) for t in cps)
+                 for lo, _, cums in materialize(sched, t_max)]
+    assert calls == per_block and 0 in per_block and sum(per_block) == len(cps)
 
 
 # --------------------------------------------------------------- boundedness
