@@ -5,28 +5,19 @@ from .chains import (
     Distribution,
     TransitionMatrix,
     ergodicity_coefficient,
-    is_irreducible,
-    matrix_tv_distance,
-    propagate_marginal,
-    second_eigenvalue_2x2,
     simulate,
     stationary_distribution,
-    tv_distance,
 )
 from .schedules import (
     DriftParams,
     Schedule,
-    restart_wrap,
     schedule_from_spec,
     verify_drift,
 )
 from .dp import (
     RewardSpec,
-    bellman_f,
     bellman_g,
     check_lipschitz_q,
-    check_lipschitz_reward,
-    check_restart_identity,
     exact_q,
     exact_reward,
 )

@@ -8,6 +8,13 @@ rounding.
 
 The unsubscripted distance between distributions is total variation,
 tv(a, b) = 0.5 * sum |a_x - b_x|, and between matrices the maximum row TV.
+
+The primitives take (k, n, n) stacks of matrices.  Two one-matrix classes
+remain, Distribution and TransitionMatrix: configs and anchor matrices are
+parsed into them, and a Distribution is what stationary_distribution
+returns.  stationary_distribution and ergodicity_coefficient are the k = 1
+calls of stationary_stack and ergodicity_coefficients; they stay while the
+benchmark tracer (perfbench/tracer.py) times them by name.
 """
 
 from __future__ import annotations
@@ -23,17 +30,12 @@ __all__ = [
     "Distribution",
     "TransitionMatrix",
     "InvariantError",
-    "tv_distance",
-    "matrix_tv_distance",
     "matrix_tv_distances",
     "ergodicity_coefficient",
     "ergodicity_coefficients",
     "stationary_distribution",
     "stationary_stack",
     "check_stack",
-    "is_irreducible",
-    "second_eigenvalue_2x2",
-    "propagate_marginal",
     "simulate",
     "stream",
     "next_states",
@@ -109,22 +111,8 @@ class TransitionMatrix:
         return f"TransitionMatrix({self.rows.tolist()})"
 
 
-def tv_distance(lam: Distribution, mu: Distribution) -> float:
-    """Total variation 0.5 * sum |lam_x - mu_x|; symmetric, in [0, 1]."""
-    if lam.n != mu.n:
-        raise ValueError(f"dimension mismatch: {lam.n} vs {mu.n}")
-    return 0.5 * float(np.abs(lam.probs - mu.probs).sum())
-
-
-def matrix_tv_distance(p: TransitionMatrix, q: TransitionMatrix) -> float:
-    """Maximum over rows of the row-wise total variation distance."""
-    if p.n != q.n:
-        raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    return float(matrix_tv_distances(p.rows[None], q.rows[None])[0])
-
-
 def matrix_tv_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """matrix_tv_distance of each pair of two (k, n, n) stacks."""
+    """Maximum row TV distance of each pair of two (k, n, n) stacks."""
     return 0.5 * np.abs(p - q).sum(axis=2).max(axis=1)
 
 
@@ -150,11 +138,6 @@ def ergodicity_coefficients(mats: np.ndarray) -> np.ndarray:
     return rho
 
 
-def is_irreducible(p: TransitionMatrix) -> bool:
-    """True iff the directed graph on positive entries is strongly connected."""
-    return _strongly_connected((p.rows > 0.0).tobytes(), p.n)
-
-
 @functools.lru_cache(maxsize=1024)
 def _strongly_connected(pattern: bytes, n: int) -> bool:
     """Whether every state reaches every state along an n x n positivity pattern."""
@@ -178,7 +161,7 @@ def check_stack(mats: np.ndarray) -> np.ndarray:
 
 def stationary_distribution(p: TransitionMatrix, tol: float = 1e-12) -> Distribution:
     """Unique pi with pi P = pi: the one-matrix case of stationary_stack."""
-    if not is_irreducible(p):
+    if not _strongly_connected((p.rows > 0.0).tobytes(), p.n):
         raise ValueError("transition matrix is reducible; no unique stationary distribution")
     return Distribution(stationary_stack(p.rows[None], tol)[0])
 
@@ -206,30 +189,6 @@ def stationary_stack(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"stationary residual {resid[bad][0]!r} exceeds tol {tol!r}")
     _check_rows(pi)
     return pi
-
-
-def second_eigenvalue_2x2(p: TransitionMatrix) -> float:
-    """The non-unit eigenvalue trace(P) - 1 of a 2x2 stochastic matrix."""
-    if p.n != 2:
-        raise ValueError(f"analytic second eigenvalue needs n=2, got n={p.n}")
-    return float(p.rows[0, 0] + p.rows[1, 1] - 1.0)
-
-
-def propagate_marginal(lam0: Distribution, mats) -> Distribution:
-    """Exact left fold lam0 * P1 * ... * PT, renormalized once at the end.
-
-    The float drift |sum - 1| accumulated over the fold must stay below
-    1e-9 before renormalization.
-    """
-    v = lam0.probs.copy()
-    for m in mats:
-        if m.n != v.size:
-            raise ValueError(f"dimension mismatch: {v.size} vs {m.n}")
-        v = v @ m.rows
-    drift = abs(v.sum() - 1.0)
-    if drift >= 1e-9:
-        raise ArithmeticError(f"marginal drifted from the simplex by {drift!r}")
-    return Distribution(v / v.sum())
 
 
 def stream(seed: int, k: int) -> np.random.Generator:
@@ -293,21 +252,24 @@ def _json_object(value, name: str) -> dict:
 
 def number(doc: dict, key: str, *default) -> float:
     """doc[key] (or the default, given and the key absent) as a float; a raw
-    JSON null or list raises a ValueError naming the key, not a TypeError."""
+    JSON null, list or boolean raises a ValueError naming the key, not a
+    TypeError or a silent 0/1."""
     value = doc.get(key, *default) if default else doc[key]
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+        pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def integer(doc: dict, key: str, *default) -> int:
     """doc[key] (or the default, given and the key absent) as an int; a raw
-    JSON null, list, string or non-integral number raises a ValueError naming
-    the key, not a TypeError."""
+    JSON null, list, string, boolean or non-integral number raises a ValueError
+    naming the key, not a TypeError or a silent 0/1."""
     value = doc.get(key, *default) if default else doc[key]
     try:
-        if value == int(value):
+        if not isinstance(value, bool) and value == int(value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -6,7 +6,10 @@ are measured against machine-precision targets, not simulation estimates.
 The fixed-point solves, the Bellman operator G and the Lipschitz and
 restart checks take stacks: (k, n, n) matrices with (k, n) rewards and (k,)
 discounts, solved in one call (policy iteration: one solve per round over
-the rows still iterating); the one-matrix functions are their k = 1 calls.
+the rows still iterating).  A one-matrix question is a k = 1 call; the TD
+operator r + beta P v is G with one action per state.  exact_reward, the
+k = 1 call of exact_rewards, stays while the benchmark tracer
+(perfbench/tracer.py) times it by name.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.
@@ -29,15 +32,11 @@ __all__ = [
     "CheckResult",
     "exact_reward",
     "exact_rewards",
-    "bellman_f",
     "exact_q",
     "bellman_g",
-    "check_lipschitz_reward",
     "check_lipschitz_rewards",
     "check_lipschitz_q",
-    "check_restart_identity",
     "check_restart_identities",
-    "reward_lipschitz_constant",
 ]
 
 
@@ -96,19 +95,10 @@ class CheckResult:
         return {"lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
 
 
-def reward_lipschitz_constant(spec: RewardSpec) -> float:
-    """beta * r_max / (1-beta)^2: how fast fixed points move per unit matrix TV."""
-    return spec.beta * spec.r_max / (1.0 - spec.beta) ** 2
-
-
-def _check_dims(p: TransitionMatrix, spec: RewardSpec):
-    if p.n != spec.n:
-        raise ValueError(f"dimension mismatch: matrix n={p.n}, rewards n={spec.n}")
-
-
 def exact_reward(p: TransitionMatrix, spec: RewardSpec) -> np.ndarray:
     """Solve (I - beta P) R = r directly: the one-matrix call of exact_rewards."""
-    _check_dims(p, spec)
+    if p.n != spec.n:
+        raise ValueError(f"dimension mismatch: matrix n={p.n}, rewards n={spec.n}")
     return exact_rewards(p.rows[None], spec.r[None], np.array([spec.beta]))[0]
 
 
@@ -126,15 +116,6 @@ def exact_rewards(mats: np.ndarray, r: np.ndarray, beta: np.ndarray) -> np.ndarr
     if bad.any():
         raise ArithmeticError(f"fixed-point residual {resid[bad][0]!r} too large")
     return solution
-
-
-def bellman_f(p: TransitionMatrix, spec: RewardSpec, r_in: np.ndarray) -> np.ndarray:
-    """One exact application r + beta P r_in."""
-    _check_dims(p, spec)
-    r_in = np.asarray(r_in, dtype=float)
-    if r_in.shape != (p.n,):
-        raise ValueError(f"value vector shape {r_in.shape} does not match n={p.n}")
-    return spec.r + spec.beta * (p.rows @ r_in)
 
 
 def _state_of_product(nsa: int, n_actions: int) -> np.ndarray:
@@ -192,27 +173,16 @@ def exact_q(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, n_actions: int,
     return q
 
 
-def check_lipschitz_reward(p: TransitionMatrix, q: TransitionMatrix,
-                           spec: RewardSpec, slack: float = 1e-10) -> CheckResult:
-    """||R(.;P) - R(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q||: the one-pair
-    call of check_lipschitz_rewards.
+def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
+                            beta: np.ndarray) -> tuple:
+    """Both sides (lhs, rhs), each (k,), of
+    ||R(.;P) - R(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q|| for each pair
+    of (k, n, n) stacks p, q with rewards r (k, n) and discounts beta (k,).
+    Validates the stacks as TransitionMatrix and RewardSpec do.
 
     Holds for one-signed rewards: the TV-metered right side pairs each
     zero-mass row difference with the reward span, which equals r_max only
     when rewards do not change sign.
-    """
-    _check_dims(p, spec)
-    _check_dims(q, spec)
-    (lhs,), (rhs,) = (side.tolist() for side in check_lipschitz_rewards(
-        p.rows[None], q.rows[None], spec.r[None], np.array([spec.beta])))
-    return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
-
-
-def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
-                            beta: np.ndarray) -> tuple:
-    """Both sides (lhs, rhs), each (k,), of check_lipschitz_reward's bound for
-    each pair of (k, n, n) stacks p, q with rewards r (k, n) and discounts
-    beta (k,).  Validates the stacks as TransitionMatrix and RewardSpec do.
     """
     chains._check_rows(p)
     chains._check_rows(q)
@@ -235,32 +205,19 @@ def check_lipschitz_q(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndar
     return lhs, rhs
 
 
-def check_restart_identity(p: TransitionMatrix, spec: RewardSpec, beta_hat: float,
-                           x_restart: int, slack: float = 1e-8) -> CheckResult:
-    """Restart construction: wrap p so rho drops below beta/beta_hat while the
-    discounted value at the restart state rescales by (1-beta)/(1-beta_hat).
-
-    The identity couples the restart state to the evaluation state, so the
-    value comparison is at component x_restart.  Also asserts the wrapped
-    matrix's ergodicity coefficient <= beta/beta_hat + 1e-12.  The one-matrix
-    call of check_restart_identities.
-    """
-    _check_dims(p, spec)
-    (lhs,), (rhs,), (rho,), (rho_bound,) = (side.tolist() for side in check_restart_identities(
-        p.rows[None], spec.r[None], np.array([spec.beta]), np.array([beta_hat]),
-        np.array([x_restart])))
-    rho_ok = rho <= rho_bound + 1e-12
-    return CheckResult(lhs=lhs, rhs=rhs,
-                       passed=(abs(lhs - rhs) <= slack) and rho_ok,
-                       detail={"rho": rho, "rho_bound": rho_bound, "rho_ok": rho_ok})
-
-
 def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
                              beta_hat: np.ndarray, x_restart: np.ndarray) -> tuple:
-    """check_restart_identity's quantities (lhs, rhs, rho, rho_bound), each (k,),
-    for a (k, n, n) stack with rewards r (k, n) and per-matrix beta, beta_hat
-    and x_restart (k,).  Validates the stack as TransitionMatrix, RewardSpec
-    and restart_wrap do, and the wrapped rows as TransitionMatrix does.
+    """Restart construction: wrap each matrix P (restart_wraps) so rho drops
+    below beta/beta_hat while the discounted value at the restart state
+    rescales by (1-beta)/(1-beta_hat).
+
+    For a (k, n, n) stack with rewards r (k, n) and per-matrix beta, beta_hat
+    and x_restart (k,), returns (lhs, rhs, rho, rho_bound), each (k,): the
+    wrapped value and the rescaled value at x_restart (the identity couples
+    the restart state to the evaluation state), the wrapped matrix's
+    ergodicity coefficient and beta/beta_hat.  Validates the stack as
+    TransitionMatrix, RewardSpec and restart_wraps do, and the wrapped rows
+    as TransitionMatrix does.
     """
     chains._check_rows(p)
     _check_rewards(r, beta)

@@ -9,7 +9,9 @@ at every t of the horizon by verify_drift; construction-time checks catch
 the cheap cases.
 
 A family produces its matrices as validated (k, n, n) blocks of
-P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t) is the k = 1 case.
+P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as a
+TransitionMatrix, stays while the benchmark tracer (perfbench/tracer.py)
+times it by name.  The restart construction, restart_wraps, acts on stacks.
 Schedule.blocks is the one walk over a horizon, blocks of at most _CHUNK
 steps each ending on the next one's first matrix; verify_drift is the one
 certificate scan, a single pass over that walk.
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chains
-from .chains import TransitionMatrix, matrix_tv_distance
+from .chains import TransitionMatrix
 
 GAMMA_INF = math.inf
 
@@ -41,7 +43,6 @@ __all__ = [
     "CyclicSchedule",
     "ShrinkingStateSchedule",
     "RestartWrappedSchedule",
-    "restart_wrap",
     "restart_wraps",
     "verify_drift",
     "DriftReport",
@@ -137,7 +138,7 @@ class Schedule:
 
 
 def _require_irreducible(rows: np.ndarray, what: str):
-    if not chains.is_irreducible(TransitionMatrix(rows)):
+    if not chains._strongly_connected((rows > 0.0).tobytes(), len(rows)):
         raise ValueError(f"{what} is reducible")
 
 
@@ -171,14 +172,14 @@ class _ArcWalk(Schedule):
             if m.n != n:
                 raise ValueError("anchor matrices must share a dimension")
             _require_irreducible(m.rows, f"anchor matrix {i}")
+        rows = np.array([m.rows for m in anchors])
+        nxt = np.roll(rows, -1, axis=0) if closed else rows[1:]
         segs = []  # (start, end, TV length) of every segment of positive length
-        nxt = anchors[1:] + anchors[:1] if closed else anchors[1:]
-        for i, (a, b) in enumerate(zip(anchors, nxt)):
-            length = matrix_tv_distance(a, b)
+        for i, length in enumerate(chains.matrix_tv_distances(rows[:len(nxt)], nxt).tolist()):
             if length > 0.0:
-                _require_irreducible(_blend(a.rows, b.rows, 0.5),
+                _require_irreducible(_blend(rows[i], nxt[i], 0.5),
                                      f"blend of anchor matrices {i},{(i + 1) % len(anchors)}")
-                segs.append((a.rows, b.rows, length))
+                segs.append((rows[i], nxt[i], length))
         super().__init__(n, params, max(chains.ergodicity_coefficient(m) for m in anchors))
         self._first, self._closed = anchors[0].rows, closed
         starts, ends, lengths = zip(*segs) if segs else ((), (), ())
@@ -319,22 +320,15 @@ class ShrinkingStateSchedule(Schedule):
         return mats
 
 
-def restart_wrap(p: TransitionMatrix, beta: float, beta_hat: float,
-                 x_restart: int) -> TransitionMatrix:
-    """Mix p with a deterministic jump to x_restart.
-
-    P~ = (beta/beta_hat) p + (1 - beta/beta_hat) * (all mass to x_restart),
-    which forces every row-pair overlap >= 1 - beta/beta_hat and hence an
-    ergodicity coefficient <= beta/beta_hat.
-    """
-    return TransitionMatrix(restart_wraps(p.rows[None], np.array([beta]), np.array([beta_hat]),
-                                          np.array([x_restart]))[0])
-
-
 def restart_wraps(mats: np.ndarray, beta: np.ndarray, beta_hat: np.ndarray,
                   x_restart: np.ndarray) -> np.ndarray:
-    """restart_wrap of each matrix of a (k, n, n) stack, matrix i with its own
-    beta[i], beta_hat[i] and x_restart[i]; the caller validates the rows."""
+    """Mix each matrix P of a (k, n, n) stack with a deterministic jump to
+    x_restart, matrix i with its own beta[i], beta_hat[i] and x_restart[i].
+
+    P~ = (beta/beta_hat) P + (1 - beta/beta_hat) * (all mass to x_restart),
+    which forces every row-pair overlap >= 1 - beta/beta_hat and hence an
+    ergodicity coefficient <= beta/beta_hat.  The caller validates the rows.
+    """
     bad = ~((0 < beta) & (beta < beta_hat) & (beta_hat < 1))
     if bad.any():
         i = np.argmax(bad)
@@ -350,7 +344,7 @@ def restart_wraps(mats: np.ndarray, beta: np.ndarray, beta_hat: np.ndarray,
 
 
 class RestartWrappedSchedule(Schedule):
-    """Applies restart_wrap to every matrix of an inner schedule.
+    """Applies restart_wraps to every matrix of an inner schedule.
 
     Row scaling makes the drift shrink by exactly beta/beta_hat, and
     rho_cap = beta/beta_hat holds regardless of the inner family.  The
@@ -363,7 +357,8 @@ class RestartWrappedSchedule(Schedule):
 
     def __init__(self, inner: Schedule, beta: float, beta_hat: float, x_restart: int,
                  params: DriftParams | None = None):
-        restart_wrap(inner.matrix_at(1), beta, beta_hat, x_restart)  # checks the constants
+        restart_wraps(inner.block(1, 2), np.array([beta]), np.array([beta_hat]),
+                      np.array([x_restart]))  # checks the constants
         ratio = beta / beta_hat
         self.inner = inner
         self.beta = float(beta)

@@ -5,9 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from adiatrack.chains import Distribution, TransitionMatrix
+from adiatrack.chains import Distribution, TransitionMatrix, matrix_tv_distances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def matrix_tv(p, q):
+    """Maximum row TV of two TransitionMatrix objects: matrix_tv_distances at k = 1."""
+    return float(matrix_tv_distances(p.rows[None], q.rows[None])[0])
+
+
+def tv(lam, mu):
+    """TV of two Distribution objects: matrix_tv_distances of their one-row
+    matrices at k = 1."""
+    return float(matrix_tv_distances(lam.probs[None, None], mu.probs[None, None])[0])
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 
 from adiatrack import verify
 from adiatrack.chains import TransitionMatrix
-from adiatrack.dp import RewardSpec, bellman_f, bellman_g
+from adiatrack.dp import RewardSpec, bellman_g
 from adiatrack.harness import ExperimentConfig, fit_slope, run_tracking
 from adiatrack.learners import LearningRate, NoiseModel, td0_track
 from adiatrack.schedules import ConstantSchedule
@@ -81,20 +81,15 @@ def test_criterion_05_operator_contraction():
     violations = 0
     for i in range(10_000):
         beta = betas[i % 3]
-        if i % 2 == 0:
-            n = int(rng.integers(2, 6))
-            raw = rng.random((n, n))
-            p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
-            spec = RewardSpec(rng.uniform(-1, 1, n), beta)
-            a, b = rng.uniform(-5, 5, n), rng.uniform(-5, 5, n)
-            gap = np.abs(bellman_f(p, spec, a) - bellman_f(p, spec, b)).max()
-        else:
-            raw = rng.random((6, 6))
-            p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
-            spec = RewardSpec(rng.uniform(-1, 1, 6), beta)
-            a, b = rng.uniform(-5, 5, 6), rng.uniform(-5, 5, 6)
-            one = p.rows[None], spec.r[None], np.array([spec.beta])  # k = 1 stacks
-            gap = np.abs(bellman_g(*one, a[None], 2) - bellman_g(*one, b[None], 2)).max()
+        # even i: the TD operator F, which is G with one action per state
+        n, n_actions = (int(rng.integers(2, 6)), 1) if i % 2 == 0 else (6, 2)
+        raw = rng.random((n, n))
+        p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+        spec = RewardSpec(rng.uniform(-1, 1, n), beta)
+        a, b = rng.uniform(-5, 5, n), rng.uniform(-5, 5, n)
+        one = p.rows[None], spec.r[None], np.array([spec.beta])  # k = 1 stacks
+        gap = np.abs(bellman_g(*one, a[None], n_actions)
+                     - bellman_g(*one, b[None], n_actions)).max()
         if gap > beta * np.abs(a - b).max() + 1e-12:
             violations += 1
     elapsed = time.monotonic() - started

@@ -12,23 +12,35 @@ from adiatrack.chains import (
     check_stack,
     ergodicity_coefficient,
     ergodicity_coefficients,
-    is_irreducible,
-    matrix_tv_distance,
     next_states,
-    propagate_marginal,
-    second_eigenvalue_2x2,
     simulate,
     stationary_distribution,
     stationary_stack,
-    tv_distance,
 )
 from adiatrack.learners import NoiseModel
 from adiatrack.schedules import ConstantSchedule
 
-from conftest import distributions, matrices
+from conftest import distributions, matrices, matrix_tv, tv
 
 P_REF = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
 SWAP = TransitionMatrix([[0.0, 1.0], [1.0, 0.0]])
+
+
+def second_eigenvalue(p):
+    """The non-unit eigenvalue trace(P) - 1 of a 2x2 stochastic matrix, as
+    suite_prop1 reads it off its stack."""
+    return float(p.rows[0, 0] + p.rows[1, 1] - 1.0)
+
+
+def exact_marginal(lam0, mats):
+    """Exact left fold lam0 P1 ... PT over a (T, n, n) stack, renormalized once
+    at the end; the float drift |sum - 1| of the fold must stay below 1e-9."""
+    v = np.array(lam0, dtype=float)
+    for m in mats:
+        v = v @ m
+    drift = abs(v.sum() - 1.0)
+    assert drift < 1e-9, f"marginal drifted from the simplex by {drift!r}"
+    return v / v.sum()
 
 
 # ---------------------------------------------------------------- invariants
@@ -57,29 +69,24 @@ def test_matrix_rejects_non_square():
 
 def test_tv_identical_is_zero():
     d = Distribution([0.5, 0.5])
-    assert tv_distance(d, d) == 0.0
+    assert tv(d, d) == 0.0
 
 
 def test_tv_disjoint_is_one():
-    assert tv_distance(Distribution([1, 0]), Distribution([0, 1])) == 1.0
+    assert tv(Distribution([1, 0]), Distribution([0, 1])) == 1.0
 
 
 def test_tv_half_sum_example():
     # 0.5 * (|0.5-0.9| + |0.5-0.1|) = 0.4
-    assert tv_distance(Distribution([0.5, 0.5]), Distribution([0.9, 0.1])) == pytest.approx(0.4, abs=1e-15)
-
-
-def test_tv_dimension_mismatch():
-    with pytest.raises(ValueError):
-        tv_distance(Distribution([1.0]), Distribution([0.5, 0.5]))
+    assert tv(Distribution([0.5, 0.5]), Distribution([0.9, 0.1])) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_matrix_tv_examples():
-    assert matrix_tv_distance(P_REF, P_REF) == 0.0
+    assert matrix_tv(P_REF, P_REF) == 0.0
     ident = TransitionMatrix(np.eye(2))
-    assert matrix_tv_distance(ident, SWAP) == 1.0
+    assert matrix_tv(ident, SWAP) == 1.0
     q = TransitionMatrix([[0.8, 0.2], [0.2, 0.8]])
-    assert matrix_tv_distance(P_REF, q) == pytest.approx(0.1, abs=1e-15)
+    assert matrix_tv(P_REF, q) == pytest.approx(0.1, abs=1e-15)
 
 
 @given(matrices(max_n=5), matrices(max_n=5))
@@ -87,9 +94,9 @@ def test_matrix_tv_examples():
 def test_matrix_tv_symmetric_unit_interval(p, q):
     if p.n != q.n:
         return
-    d = matrix_tv_distance(p, q)
+    d = matrix_tv(p, q)
     assert 0.0 <= d <= 1.0
-    assert d == matrix_tv_distance(q, p)
+    assert d == matrix_tv(q, p)
 
 
 # ------------------------------------------------------ ergodicity coefficient
@@ -134,15 +141,14 @@ def test_rho_submultiplicative(p, q):
 @given(matrices(n=3), distributions(3), distributions(3))
 @settings(max_examples=80, deadline=None)
 def test_rho_contracts_tv(p, lam, mu):
-    pushed = tv_distance(Distribution(lam.probs @ p.rows),
-                         Distribution(mu.probs @ p.rows))
-    assert pushed <= ergodicity_coefficient(p) * tv_distance(lam, mu) + 1e-12
+    pushed = tv(Distribution(lam.probs @ p.rows), Distribution(mu.probs @ p.rows))
+    assert pushed <= ergodicity_coefficient(p) * tv(lam, mu) + 1e-12
 
 
 @given(matrices(n=2))
 @settings(max_examples=80, deadline=None)
 def test_second_eigenvalue_below_rho(p):
-    assert abs(second_eigenvalue_2x2(p)) <= ergodicity_coefficient(p) + 1e-12
+    assert abs(second_eigenvalue(p)) <= ergodicity_coefficient(p) + 1e-12
 
 
 @given(matrices(n=3), matrices(n=3))
@@ -152,19 +158,19 @@ def test_stationary_perturbation_bound(p, q):
     if rho >= 1.0 - 1e-9:
         return
     pert = TransitionMatrix(0.8 * p.rows + 0.2 * q.rows)
-    gap = tv_distance(stationary_distribution(p), stationary_distribution(pert))
-    assert gap <= matrix_tv_distance(p, pert) / (1.0 - rho) + 1e-10
+    gap = tv(stationary_distribution(p), stationary_distribution(pert))
+    assert gap <= matrix_tv(p, pert) / (1.0 - rho) + 1e-10
 
 
 # --------------------------------------------------------------- eigenvalues
 
 def test_second_eigenvalue_examples():
-    assert second_eigenvalue_2x2(P_REF) == pytest.approx(0.7, abs=1e-15)
-    assert second_eigenvalue_2x2(SWAP) == -1.0
-    assert second_eigenvalue_2x2(TransitionMatrix([[0.3, 0.7], [0.3, 0.7]])) == \
+    for m in (P_REF, SWAP):  # trace - 1 is the eigenvalue numpy finds besides 1
+        assert min(abs(np.linalg.eigvals(m.rows) - second_eigenvalue(m))) <= 1e-12
+    assert second_eigenvalue(P_REF) == pytest.approx(0.7, abs=1e-15)
+    assert second_eigenvalue(SWAP) == -1.0
+    assert second_eigenvalue(TransitionMatrix([[0.3, 0.7], [0.3, 0.7]])) == \
         pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        second_eigenvalue_2x2(TransitionMatrix(np.eye(3)))
 
 
 # ---------------------------------------------------------------- stationary
@@ -239,32 +245,23 @@ def test_check_stack_rejects_what_transition_matrix_rejects():
 # -------------------------------------------------------------- irreducibility
 
 def test_irreducibility_examples():
-    assert is_irreducible(SWAP)
-    assert not is_irreducible(TransitionMatrix(np.eye(2)))
-    assert not is_irreducible(TransitionMatrix([[0.5, 0.5], [0.0, 1.0]]))
+    # check_stack at k = 1 decides irreducibility
+    check_stack(SWAP.rows[None])  # irreducible: returns without raising
+    for p in (np.eye(2), [[0.5, 0.5], [0.0, 1.0]]):
+        with pytest.raises(InvariantError, match="reducible"):
+            check_stack(TransitionMatrix(p).rows[None])
 
 
 # ----------------------------------------------------------------- propagation
 
-def test_propagate_empty_fold_is_identity():
-    lam = Distribution([0.25, 0.75])
-    out = propagate_marginal(lam, [])
-    np.testing.assert_array_equal(out.probs, lam.probs)
-
-
 def test_propagate_period_two_permutation():
-    out = propagate_marginal(Distribution([1.0, 0.0]), [SWAP, SWAP])
-    np.testing.assert_allclose(out.probs, [1.0, 0.0], atol=1e-15)
+    out = exact_marginal([1.0, 0.0], np.array([SWAP.rows, SWAP.rows]))
+    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
 
 def test_propagate_single_step():
-    out = propagate_marginal(Distribution([1.0, 0.0]), [P_REF])
-    np.testing.assert_allclose(out.probs, [0.9, 0.1], atol=1e-15)
-
-
-def test_propagate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        propagate_marginal(Distribution([1.0, 0.0, 0.0]), [P_REF])
+    out = exact_marginal([1.0, 0.0], P_REF.rows[None])
+    np.testing.assert_allclose(out, [0.9, 0.1], atol=1e-15)
 
 
 # ------------------------------------------------------------------ simulation
@@ -383,9 +380,8 @@ def test_empirical_frequencies_match_exact_marginal(rows, t_max):
     # 1e5 seeded paths, chi-squared-free: per-state frequency within 0.01
     sched = ConstantSchedule(TransitionMatrix(rows))
     n, n_paths = sched.n, 100_000
-    exact = propagate_marginal(Distribution(np.eye(n)[0]),
-                               [sched.matrix_at(t) for t in range(1, t_max + 1)])
+    exact = exact_marginal(np.eye(n)[0], sched.block(1, t_max + 1))
     counts = np.zeros(n)
     for i in range(n_paths):
         counts[simulate(sched, t_max, 0, seed=1000 + i)[-1]] += 1
-    np.testing.assert_allclose(counts / n_paths, exact.probs, atol=0.01)
+    np.testing.assert_allclose(counts / n_paths, exact, atol=0.01)

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from adiatrack import chains, dp, verify
 from adiatrack.chains import TransitionMatrix
 from adiatrack.dp import (
+    CheckResult,
     RewardSpec,
-    bellman_f,
     bellman_g,
     check_lipschitz_q,
-    check_lipschitz_reward,
-    check_restart_identity,
+    check_lipschitz_rewards,
+    check_restart_identities,
     exact_q,
     exact_reward,
-    reward_lipschitz_constant,
 )
 
 from conftest import matrices
@@ -41,9 +40,27 @@ def exact_q1(p, spec, n_actions, **kw):
 
 
 def bellman_g1(p, spec, q_in, n_actions):
-    """bellman_g at k = 1."""
+    """bellman_g at k = 1; at n_actions = 1 it is the TD operator r + beta P q_in."""
     return bellman_g(p.rows[None], spec.r[None], np.array([spec.beta]),
                      np.asarray(q_in, dtype=float)[None], n_actions)[0]
+
+
+def lipschitz_reward1(p, q, spec, slack=1e-10):
+    """check_lipschitz_rewards at k = 1, with lhs <= rhs + slack as its verdict."""
+    (lhs,), (rhs,) = (side.tolist() for side in check_lipschitz_rewards(
+        p.rows[None], q.rows[None], spec.r[None], np.array([spec.beta])))
+    return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
+
+
+def restart_identity1(p, spec, beta_hat, x_restart, slack=1e-8):
+    """check_restart_identities at k = 1: passed when both sides agree within
+    slack and the wrapped rho is at most beta/beta_hat + 1e-12."""
+    (lhs,), (rhs,), (rho,), (rho_bound,) = (side.tolist() for side in check_restart_identities(
+        p.rows[None], spec.r[None], np.array([spec.beta]), np.array([beta_hat]),
+        np.array([x_restart])))
+    rho_ok = rho <= rho_bound + 1e-12
+    return CheckResult(lhs=lhs, rhs=rhs, passed=abs(lhs - rhs) <= slack and rho_ok,
+                       detail={"rho": rho, "rho_bound": rho_bound, "rho_ok": rho_ok})
 
 
 def backward_induction_q(p, spec, n_actions, horizon):
@@ -127,13 +144,13 @@ def test_exact_rewards_certificate_rejects_an_inexact_solve(monkeypatch, error):
                          np.array([0.5, 0.5]))
 
 
-# ------------------------------------------------------------------ bellman_f
+# ------------------------------------------- the TD operator F (G at one action)
 
 def test_bellman_f_fixed_point_and_zero_input():
     spec = RewardSpec([1.0, 0.0], 0.5)
     star = exact_reward(P_REF, spec)
-    np.testing.assert_allclose(bellman_f(P_REF, spec, star), star, atol=1e-12)
-    np.testing.assert_array_equal(bellman_f(P_REF, spec, np.zeros(2)), spec.r)
+    np.testing.assert_allclose(bellman_g1(P_REF, spec, star, 1), star, atol=1e-12)
+    np.testing.assert_array_equal(bellman_g1(P_REF, spec, np.zeros(2), 1), spec.r)
 
 
 @given(matrices(n=3), st.floats(0.1, 0.95))
@@ -142,7 +159,7 @@ def test_bellman_f_is_beta_contraction(p, beta):
     rng = np.random.default_rng(5)
     spec = RewardSpec(rng.uniform(-1, 1, 3), beta)
     a, b = rng.uniform(-5, 5, 3), rng.uniform(-5, 5, 3)
-    gap = np.abs(bellman_f(p, spec, a) - bellman_f(p, spec, b)).max()
+    gap = np.abs(bellman_g1(p, spec, a, 1) - bellman_g1(p, spec, b, 1)).max()
     assert gap <= beta * np.abs(a - b).max() + 1e-12
 
 
@@ -369,13 +386,8 @@ def test_bellman_g_is_beta_contraction(p, beta):
 
 def test_lipschitz_reward_identical_matrices():
     spec = RewardSpec([1.0, 0.0], 0.9)
-    res = check_lipschitz_reward(P_REF, P_REF, spec)
+    res = lipschitz_reward1(P_REF, P_REF, spec)
     assert res.passed and res.lhs == 0.0 and res.rhs == 0.0
-
-
-def test_lipschitz_constant_value():
-    spec = RewardSpec([1.0, 0.0], 0.5)
-    assert reward_lipschitz_constant(spec) == pytest.approx(0.5 / 0.25)
 
 
 def test_lipschitz_reward_random_sweep(rng):
@@ -386,7 +398,7 @@ def test_lipschitz_reward_random_sweep(rng):
         p = TransitionMatrix(raw1 / raw1.sum(axis=1, keepdims=True))
         q = TransitionMatrix(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(0, 1, n), float(rng.choice([0.5, 0.9])))
-        assert check_lipschitz_reward(p, q, spec).passed
+        assert lipschitz_reward1(p, q, spec).passed
 
 
 def test_lipschitz_reward_signed_rewards_need_factor_two():
@@ -399,7 +411,7 @@ def test_lipschitz_reward_signed_rewards_need_factor_two():
         p = TransitionMatrix(raw1 / raw1.sum(axis=1, keepdims=True))
         q = TransitionMatrix(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(-1, 1, 2), 0.5)
-        res = check_lipschitz_reward(p, q, spec)
+        res = lipschitz_reward1(p, q, spec)
         if res.rhs > 0:
             worst = max(worst, res.lhs / res.rhs)
         assert res.lhs <= 2 * res.rhs + 1e-10
@@ -420,14 +432,14 @@ def test_lipschitz_q_random_sweep(rng):
 # ------------------------------------------------------------ restart identity
 
 def test_restart_identity_zero_rewards():
-    res = check_restart_identity(P_REF, RewardSpec([0.0, 0.0], 0.5), 0.8, 0)
+    res = restart_identity1(P_REF, RewardSpec([0.0, 0.0], 0.5), 0.8, 0)
     assert res.passed and res.lhs == 0.0 and res.rhs == 0.0
 
 
 def test_restart_identity_swap_example():
     swap = TransitionMatrix([[0, 1], [1, 0]])
     spec = RewardSpec([1.0, 0.0], 0.5)
-    res = check_restart_identity(swap, spec, beta_hat=0.8, x_restart=0)
+    res = restart_identity1(swap, spec, beta_hat=0.8, x_restart=0)
     assert res.passed
     # both sides equal 10/3 at the restart state; rho exactly beta/beta_hat
     assert res.lhs == pytest.approx(10 / 3, abs=1e-12)
@@ -443,17 +455,17 @@ def test_restart_identity_random_sweep(rng):
         beta = float(rng.uniform(0.2, 0.9))
         beta_hat = beta + (1 - beta) * float(rng.uniform(0.2, 0.9))
         spec = RewardSpec(rng.uniform(-1, 1, n), beta)
-        res = check_restart_identity(p, spec, beta_hat, int(rng.integers(n)))
+        res = restart_identity1(p, spec, beta_hat, int(rng.integers(n)))
         assert res.passed
         assert res.detail["rho"] <= beta / beta_hat + 1e-12
 
 
 def test_restart_identity_rejects_bad_discounts():
     with pytest.raises(ValueError):
-        check_restart_identity(P_REF, RewardSpec([1.0, 0.0], 0.5), 0.4, 0)
+        restart_identity1(P_REF, RewardSpec([1.0, 0.0], 0.5), 0.4, 0)
 
 
 def test_check_result_json_shape():
-    res = check_lipschitz_reward(P_REF, FLAT, RewardSpec([1.0, 0.0], 0.5))
+    res = lipschitz_reward1(P_REF, FLAT, RewardSpec([1.0, 0.0], 0.5))
     doc = res.to_json()
     assert set(doc) == {"lhs", "rhs", "pass"}

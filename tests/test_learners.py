@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from adiatrack.chains import (
     TransitionMatrix,
-    matrix_tv_distance,
     simulate,
     stationary_distribution,
     stream,
@@ -30,6 +29,8 @@ from adiatrack.schedules import (
     DriftParams,
     InterpolationSchedule,
 )
+
+from conftest import matrix_tv
 
 A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
 B = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
@@ -163,8 +164,7 @@ def test_trace_diagnostics_at_checkpoints():
         for row in trace.rows:
             assert row.alpha_t == RATE.alpha(row.t)
             assert row.pi_min_t == stationary_distribution(sched.matrix_at(row.t)).min_prob()
-            assert row.drift_t == matrix_tv_distance(sched.matrix_at(row.t + 1),
-                                                     sched.matrix_at(row.t))
+            assert row.drift_t == matrix_tv(sched.matrix_at(row.t + 1), sched.matrix_at(row.t))
 
 
 def test_tracking_trace_rejects_unordered_checkpoints():
@@ -286,7 +286,7 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
                                    n_actions)[0])
             rows.append(TraceRow(t, float(np.abs(table - target).max()), alpha_t,
                                  stationary_distribution(mat).min_prob(),
-                                 matrix_tv_distance(nxt, mat)))
+                                 matrix_tv(nxt, mat)))
     return rows, max_abs
 
 

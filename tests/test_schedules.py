@@ -10,7 +10,6 @@ from adiatrack.chains import (
     InvariantError,
     TransitionMatrix,
     ergodicity_coefficient,
-    matrix_tv_distance,
     stationary_distribution,
 )
 from adiatrack.schedules import (
@@ -22,14 +21,22 @@ from adiatrack.schedules import (
     InterpolationSchedule,
     RestartWrappedSchedule,
     ShrinkingStateSchedule,
-    restart_wrap,
+    restart_wraps,
     schedule_from_spec,
     verify_drift,
 )
 
+from conftest import matrix_tv
+
 A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
 B = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
 FLAT = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+
+
+def restart_wrap1(p, beta, beta_hat, x_restart):
+    """restart_wraps at k = 1, validated as a TransitionMatrix."""
+    return TransitionMatrix(restart_wraps(p.rows[None], np.array([beta]), np.array([beta_hat]),
+                                          np.array([x_restart]))[0])
 
 
 def test_drift_params_validation():
@@ -67,7 +74,7 @@ def test_matrix_at_is_pure():
 def test_interpolation_first_increment_matches_certificate():
     # segment length 0.4; first step moves exactly c_p/1 = 0.1
     sched = InterpolationSchedule(A, FLAT, DriftParams(0.1, 1.0, 0.2, 0.0))
-    assert matrix_tv_distance(sched.matrix_at(1), sched.matrix_at(2)) == \
+    assert matrix_tv(sched.matrix_at(1), sched.matrix_at(2)) == \
         pytest.approx(0.1, abs=1e-14)
     np.testing.assert_array_equal(sched.matrix_at(1).rows, A.rows)
 
@@ -81,7 +88,7 @@ def test_interpolation_one_step_arrival_clamps():
 def test_interpolation_equal_endpoints_is_constant():
     sched = InterpolationSchedule(A, A, DriftParams(0.1, 1.0, 0.2, 0.0))
     for t in (1, 2, 9, 100):
-        assert matrix_tv_distance(sched.matrix_at(t), A) == 0.0
+        assert matrix_tv(sched.matrix_at(t), A) == 0.0
 
 
 def test_interpolation_rejects_reducible_endpoint():
@@ -95,7 +102,7 @@ def test_interpolation_rejects_reducible_endpoint():
 def test_cyclic_identical_matrices_degenerates_to_constant():
     sched = CyclicSchedule([A, A], DriftParams(0.1, 0.7, 0.2, 0.0))
     for t in (1, 5, 1000):
-        assert matrix_tv_distance(sched.matrix_at(t), A) == 0.0
+        assert matrix_tv(sched.matrix_at(t), A) == 0.0
 
 
 def test_cyclic_rejects_gamma_p_at_least_one():
@@ -109,20 +116,20 @@ def test_cyclic_drift_certificate_and_window_bound():
     prev = sched.matrix_at(1)
     for t in range(1, 2000):
         nxt = sched.matrix_at(t + 1)
-        assert matrix_tv_distance(nxt, prev) <= params.drift_bound(t) + 1e-12
+        assert matrix_tv(nxt, prev) <= params.drift_bound(t) + 1e-12
         prev = nxt
     # window version: matrices k steps apart differ by at most the summed bounds
     for t in (3, 50, 700):
         k = 10
         window = sum(params.drift_bound(u) for u in range(t, t + k))
-        assert matrix_tv_distance(sched.matrix_at(t), sched.matrix_at(t + k)) <= window + 1e-12
+        assert matrix_tv(sched.matrix_at(t), sched.matrix_at(t + k)) <= window + 1e-12
 
 
 def test_cyclic_does_not_converge():
     sched = CyclicSchedule([A, B], DriftParams(0.1, 0.7, 0.2, 0.0))
-    diameter = matrix_tv_distance(A, B)
+    diameter = matrix_tv(A, B)
     snapshots = [sched.matrix_at(t) for t in range(1, 10_001, 250)]
-    spread = max(matrix_tv_distance(p, q)
+    spread = max(matrix_tv(p, q)
                  for i, p in enumerate(snapshots) for q in snapshots[i + 1:])
     assert spread >= diameter / 2
 
@@ -150,7 +157,7 @@ def test_shrinking_measured_drift_below_declared():
     assert sched.max_measured_drift_ratio <= 1.0
     params = sched.params
     for t in (1, 2, 10, 500, 9_999):
-        drift = matrix_tv_distance(sched.matrix_at(t + 1), sched.matrix_at(t))
+        drift = matrix_tv(sched.matrix_at(t + 1), sched.matrix_at(t))
         assert drift <= params.drift_bound(t) + 1e-15
 
 
@@ -168,7 +175,7 @@ def test_shrinking_requires_positive_gamma_pi():
 
 def test_restart_wrap_example_matrix():
     swap = TransitionMatrix([[0, 1], [1, 0]])
-    wrapped = restart_wrap(swap, beta=0.5, beta_hat=0.8, x_restart=0)
+    wrapped = restart_wrap1(swap, beta=0.5, beta_hat=0.8, x_restart=0)
     np.testing.assert_allclose(wrapped.rows, [[0.375, 0.625], [1.0, 0.0]], atol=1e-15)
     assert ergodicity_coefficient(wrapped) == pytest.approx(0.625, abs=1e-15)
 
@@ -176,9 +183,9 @@ def test_restart_wrap_example_matrix():
 def test_restart_wrap_rejects_bad_discounts():
     swap = TransitionMatrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
-        restart_wrap(swap, beta=0.8, beta_hat=0.8, x_restart=0)
+        restart_wrap1(swap, beta=0.8, beta_hat=0.8, x_restart=0)
     with pytest.raises(ValueError):
-        restart_wrap(swap, beta=0.9, beta_hat=0.8, x_restart=0)
+        restart_wrap1(swap, beta=0.9, beta_hat=0.8, x_restart=0)
 
 
 def test_restart_wrapped_schedule_caps_rho_and_scales_drift():
@@ -188,8 +195,8 @@ def test_restart_wrapped_schedule_caps_rho_and_scales_drift():
     assert sched.rho_cap == pytest.approx(ratio)
     for t in (1, 2, 7, 40):
         assert ergodicity_coefficient(sched.matrix_at(t)) <= ratio + 1e-12
-        inner_drift = matrix_tv_distance(inner.matrix_at(t + 1), inner.matrix_at(t))
-        outer_drift = matrix_tv_distance(sched.matrix_at(t + 1), sched.matrix_at(t))
+        inner_drift = matrix_tv(inner.matrix_at(t + 1), inner.matrix_at(t))
+        outer_drift = matrix_tv(sched.matrix_at(t + 1), sched.matrix_at(t))
         assert outer_drift == pytest.approx(ratio * inner_drift, abs=1e-14)
 
 
@@ -288,7 +295,7 @@ def _per_t_report(s, t_max):
             first.setdefault("pi floor c_pi", (t, floor, params.pi_floor(t)))
         if t < t_max:
             nxt = s.matrix_at(t + 1)
-            drift = matrix_tv_distance(nxt, prev)
+            drift = matrix_tv(nxt, prev)
             if params.gamma_p == GAMMA_INF:
                 scaled = 0.0 if drift <= 1e-15 else math.inf
             else:
@@ -437,7 +444,7 @@ def _matrix_formula(s, t):
             return s.p_end.rows
         return (1.0 - w) * s.p_start.rows + w * s.p_end.rows
     if s.kind == "cyclic":
-        segs = [(m.rows, nxt.rows, matrix_tv_distance(m, nxt))
+        segs = [(m.rows, nxt.rows, matrix_tv(m, nxt))
                 for m, nxt in zip(s.mats, s.mats[1:] + s.mats[:1])]
         segs = [seg for seg in segs if seg[2] > 0.0]
         offsets = np.concatenate([[0.0], np.cumsum([seg[2] for seg in segs])])
@@ -509,7 +516,7 @@ def test_block_arc_crosses_chunk_edges_sequentially():
 def test_restart_probe_floor_matches_per_t_solves():
     inner = InterpolationSchedule(A, B, DriftParams(0.05, 0.7, 0.25, 0.3))
     sched = RestartWrappedSchedule(inner, 0.5, 0.8, 0)
-    floor = min(stationary_distribution(restart_wrap(inner.matrix_at(t), 0.5, 0.8, 0))
+    floor = min(stationary_distribution(restart_wrap1(inner.matrix_at(t), 0.5, 0.8, 0))
                 .min_prob() * t ** 0.3 for t in range(1, 65))
     assert sched.params.c_pi == 0.999 * floor
 
