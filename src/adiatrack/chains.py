@@ -112,7 +112,11 @@ class TransitionMatrix:
 
 
 def matrix_tv_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Maximum row TV distance of each pair of two (k, n, n) stacks."""
+    """Maximum row TV distance of each pair of two (k, n, n) stacks; a (1, n, n)
+    stack pairs with every matrix of the other.  Matrices of different shapes
+    raise a ValueError, where broadcasting would compare unrelated entries."""
+    if p.shape[-2:] != q.shape[-2:]:
+        raise ValueError(f"dimension mismatch: {p.shape[-2:]} vs {q.shape[-2:]} matrices")
     return 0.5 * np.abs(p - q).sum(axis=2).max(axis=1)
 
 
@@ -247,6 +251,38 @@ def _json_object(value, name: str) -> dict:
     """value, where the JSON object name is read; else a ValueError naming it."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _known_keys(doc: dict, name: str, keys) -> dict:
+    """doc, the JSON object name is read from, if it holds no key outside keys;
+    else a ValueError naming the unknown ones, so a misspelt key is not
+    silently passed over for a default."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {unknown}")
+    return doc
+
+
+def _read_list(values: list, name: str, read, depth: int = 1) -> list:
+    """Each entry of a JSON list through read (number, integer or
+    _json_number), named name[i] in its error; at depth 2 each entry is such a
+    list itself (a matrix's rows, named name[i][j]), and so on.  Anything but
+    a list where one belongs is rejected by name."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    if depth > 1:
+        return [_read_list(v, f"{name}[{i}]", read, depth - 1) for i, v in enumerate(values)]
+    return [read({f"{name}[{i}]": v}, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
+def _json_number(doc: dict, key: str):
+    """doc[key] if it is a JSON number; a boolean, string or null raises a
+    ValueError naming the key.  Matrix and reward entries are read so, where
+    number would take a numeric string (as gamma_p takes "inf")."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     return value
 
 

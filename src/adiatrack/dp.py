@@ -70,7 +70,9 @@ class RewardSpec:
 
     @staticmethod
     def from_spec(doc: dict) -> "RewardSpec":
-        return RewardSpec(np.asarray(doc["r"], dtype=float), chains.number(doc, "beta"))
+        doc = chains._known_keys(doc, "reward", ("r", "beta"))
+        r = chains._read_list(doc["r"], "r", chains._json_number)
+        return RewardSpec(np.asarray(r, dtype=float), chains.number(doc, "beta"))
 
 
 def _check_rewards(r: np.ndarray, beta: np.ndarray):

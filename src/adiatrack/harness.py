@@ -57,14 +57,6 @@ def log_checkpoints(t_max: int, per_decade: int = 8) -> list:
     return sorted(t for t in grid if 1 <= t <= t_max)
 
 
-def _read_list(values: list, name: str, read) -> list:
-    """Each entry of a JSON list through read (chains.number or chains.integer),
-    named name[i] in its error; anything but a list is rejected by name."""
-    if not isinstance(values, list):
-        raise ValueError(f"{name} must be a list, got {values!r}")
-    return [read({f"{name}[{i}]": v}, f"{name}[{i}]") for i, v in enumerate(values)]
-
-
 def canonical_json(doc) -> str:
     """Key-sorted, compact JSON; floats keep their shortest round-trip repr."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -92,7 +84,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("schedule", "reward", "rate", "noise"):
             chains._json_object(getattr(self, name), name)
-        chains._json_object(self.schedule.get("params", {}), "params")  # sweep cells read it too
+        # a sweep's cells copy it into their own specs: a bad key is the base's error
+        chains._known_keys(chains._json_object(self.schedule.get("params", {}), "params"),
+                           "params", schedules._PARAM_KEYS)
         if self.learner not in ("td0", "q"):
             raise ValueError(f"unknown learner {self.learner!r}")
         for name in ("t_max", "x0", "n_actions"):
@@ -104,7 +98,7 @@ class ExperimentConfig:
         if isinstance(self.seeds, dict):
             base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
             self.seeds = [base + k for k in range(count)]
-        self.seeds = _read_list(self.seeds, "seeds", chains.integer)
+        self.seeds = chains._read_list(self.seeds, "seeds", chains.integer)
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
         if len(set(self.seeds)) < len(self.seeds):  # one CSV per seed
@@ -117,14 +111,12 @@ class ExperimentConfig:
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))
         if not self.checkpoints:
             self.checkpoints = log_checkpoints(self.t_max)
-        self.checkpoints = sorted(set(_read_list(self.checkpoints, "checkpoints",
-                                                   chains.integer)))
+        self.checkpoints = sorted(set(chains._read_list(self.checkpoints, "checkpoints",
+                                                          chains.integer)))
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        extra = set(doc) - {f.name for f in fields(ExperimentConfig)}
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
+        chains._known_keys(doc, "config", [f.name for f in fields(ExperimentConfig)])
         missing = [f.name for f in fields(ExperimentConfig) if f.name not in doc
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
@@ -322,9 +314,9 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     certificate raises before out_dir is made; the merged table, sorted by
     cell key, is written last.
     """
-    gps = _read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
-    gas = _read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
-    gpis = _read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
+    gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
+    gas = chains._read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
+    gpis = chains._read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
     # the gamma_pi = 0 cells copy the base's n and anchors: a bad one is the base's error
     mats = base.schedule.get("mats")
     if mats is not None and not isinstance(mats, list):

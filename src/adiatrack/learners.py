@@ -81,6 +81,7 @@ class LearningRate:
 
     @staticmethod
     def from_spec(doc: dict) -> "LearningRate":
+        doc = chains._known_keys(doc, "rate", ("c_alpha", "gamma_alpha"))
         return LearningRate(chains.number(doc, "c_alpha"), chains.number(doc, "gamma_alpha"))
 
 
@@ -111,6 +112,7 @@ class NoiseModel:
 
     @staticmethod
     def from_spec(doc: dict) -> "NoiseModel":
+        doc = chains._known_keys(doc, "noise", ("kind", "eps_max"))
         return NoiseModel(str(doc["kind"]), chains.number(doc, "eps_max", 0.0))
 
 

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+_PARAM_KEYS = ("c_p", "gamma_p", "c_pi", "gamma_pi")  # a spec's "params", in DriftParams order
+
+
 @dataclass(frozen=True)
 class DriftParams:
     """Certificate constants: drift c_p/t^gamma_p, floor c_pi/t^gamma_pi."""
@@ -79,8 +82,8 @@ class DriftParams:
     @staticmethod
     def from_spec(doc: dict) -> "DriftParams":
         # float("inf") is GAMMA_INF, so the "inf" encoding needs no case of its own
-        doc, keys = chains._json_object(doc, "params"), ("c_p", "gamma_p", "c_pi", "gamma_pi")
-        return DriftParams(*(chains.number(doc, k) for k in keys))
+        doc = chains._known_keys(chains._json_object(doc, "params"), "params", _PARAM_KEYS)
+        return DriftParams(*(chains.number(doc, k) for k in _PARAM_KEYS))
 
 
 _CHUNK = 2048  # steps per block of the walk (Schedule.blocks)
@@ -507,28 +510,36 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
     return report
 
 
+# each family's own spec keys, besides "kind", "n" and "params"
+_SPEC_KEYS = {"constant": ("p",), "interpolation": ("p_start", "p_end"), "cyclic": ("mats",),
+              "shrinking-state": (), "restart-wrapped": ("inner", "beta", "beta_hat", "x_restart")}
+
+
 def schedule_from_spec(doc: dict) -> Schedule:
     """Build a schedule from its JSON spec: {"kind", "n", "params"} and the
-    family's own keys ("p" for constant, whose params are optional;
-    "p_start", "p_end" for interpolation; "mats" for cyclic; none for
-    shrinking-state; "inner", "beta", "beta_hat", "x_restart" for
-    restart-wrapped).  Gamma values may be "inf"; an "n" that differs from
-    the built schedule's raises."""
+    family's own keys (_SPEC_KEYS: "p" for constant, whose params are
+    optional; "p_start", "p_end" for interpolation; "mats" for cyclic; none
+    for shrinking-state; "inner", "beta", "beta_hat", "x_restart" for
+    restart-wrapped).  Gamma values may be "inf"; any other key, a matrix
+    entry that is not a JSON number, or an "n" that differs from the built
+    schedule's raises."""
     kind = chains._json_object(doc, "schedule")["kind"]
-    if kind not in ("constant", "interpolation", "cyclic", "shrinking-state",
-                    "restart-wrapped"):
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ValueError(f"unknown schedule kind {kind!r}")
+    chains._known_keys(doc, "schedule", ("kind", "n", "params", *_SPEC_KEYS[kind]))
+
+    def matrix(rows, name):
+        return TransitionMatrix(chains._read_list(rows, name, chains._json_number, 2))
+
     params = (DriftParams.from_spec(doc["params"])
               if kind != "constant" or "params" in doc else None)
     if kind == "constant":
-        schedule = ConstantSchedule(TransitionMatrix(doc["p"]), params)
+        schedule = ConstantSchedule(matrix(doc["p"], "p"), params)
     elif kind == "interpolation":
-        schedule = InterpolationSchedule(TransitionMatrix(doc["p_start"]),
-                                         TransitionMatrix(doc["p_end"]), params)
+        schedule = InterpolationSchedule(matrix(doc["p_start"], "p_start"),
+                                         matrix(doc["p_end"], "p_end"), params)
     elif kind == "cyclic":
-        mats = doc["mats"]
-        if not isinstance(mats, list):
-            raise ValueError(f"mats must be a list, got {mats!r}")
+        mats = chains._read_list(doc["mats"], "mats", chains._json_number, 3)
         schedule = CyclicSchedule([TransitionMatrix(m) for m in mats], params)
     elif kind == "shrinking-state":
         schedule = ShrinkingStateSchedule(params)

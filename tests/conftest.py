@@ -23,7 +23,8 @@ def tv(lam, mu):
 
 @pytest.fixture(scope="session")
 def reference():
-    """Frozen outputs of scripts/reference_recursion.py."""
+    """Frozen outputs of scripts/reference_recursion.py, the driver over the one
+    reference recursion perfbench/reference.py, plus its hand-frozen thresholds."""
     with open(os.path.join(FIXTURES, "tracking_reference.json")) as fh:
         return json.load(fh)
 
@@ -59,8 +60,10 @@ def rng():
 
 # ---------------------------------------------------------------------------
 # Session-scoped tracking runs shared by the learners invariants and the
-# acceptance criteria.  Constants mirror scripts/reference_recursion.py; the
-# thresholds asserted against them are frozen in tracking_reference.json.
+# acceptance criteria.  Constants mirror scripts/reference_recursion.py, which
+# runs them through the one reference recursion (perfbench/reference.py); the
+# medians and thresholds asserted against them are frozen in
+# tracking_reference.json.
 
 A_ROWS = [[0.9, 0.1], [0.2, 0.8]]
 B_ROWS = [[0.1, 0.9], [0.8, 0.2]]

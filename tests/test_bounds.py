@@ -71,6 +71,12 @@ def test_comparison_bound_needs_matrices():
                                      A.rows[None])
 
 
+def test_comparison_bound_reference_of_another_size_raises():
+    # broadcast against the 2-state block, the 1-state reference would read 0.5
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        homogeneous_comparison_bound([1.0, 0.0], [1.0], [[1.0]], np.stack([A.rows] * 5))
+
+
 def test_bound_stacks_equal_row_calls():
     # an (m, n) stack of starts gives the m one-row bounds bit for bit
     rng = np.random.default_rng(3)

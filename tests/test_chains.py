@@ -99,6 +99,21 @@ def test_matrix_tv_symmetric_unit_interval(p, q):
     assert d == matrix_tv(q, p)
 
 
+def test_matrix_tv_of_different_matrix_shapes_raises():
+    # broadcasting a 1-state against a 2-state one-row stack would read [0.5]
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(1, 1\) vs \(1, 2\) matrices"):
+        chains.matrix_tv_distances(np.ones((1, 1, 1)), np.full((1, 1, 2), 0.5))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        chains.matrix_tv_distances(np.stack([P_REF.rows] * 3), np.eye(3)[None])
+
+
+def test_matrix_tv_one_matrix_pairs_with_every_matrix_of_a_stack():
+    stack = np.stack([P_REF.rows, SWAP.rows, np.eye(2)])
+    got = chains.matrix_tv_distances(stack, np.eye(2)[None])
+    assert got.tolist() == [matrix_tv(TransitionMatrix(m), TransitionMatrix(np.eye(2)))
+                            for m in stack]
+
+
 # ------------------------------------------------------ ergodicity coefficient
 
 def test_rho_identity_and_rank_one():

@@ -84,6 +84,19 @@ def test_reward_spec_validation():
     assert spec.value_cap == 4.0
 
 
+# booleans, strings and unknown keys: test_harness's CLI config-error cases
+@pytest.mark.parametrize("doc, named", [
+    ({"r": [1.0, None], "beta": 0.5}, "r[1] must be a number, got None"),
+    ({"r": 1.0, "beta": 0.5}, "r must be a list, got 1.0"),
+])
+def test_reward_spec_from_spec_reads_a_list_of_json_numbers(doc, named):
+    with pytest.raises(ValueError) as err:
+        RewardSpec.from_spec(doc)
+    assert str(err.value) == named
+    spec = RewardSpec.from_spec({"r": [1, 0.5], "beta": 0.5})
+    assert spec.r.tolist() == [1.0, 0.5] and spec.beta == 0.5
+
+
 # -------------------------------------------------------------- exact_reward
 
 def test_exact_reward_zero_rewards():

@@ -958,6 +958,32 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"seeds": [True, False]}, "seeds[0] must be an integer, got True"),
     ({"n_actions": True}, "n_actions must be an integer, got True"),
     ({"rate": {"c_alpha": 0.5, "gamma_alpha": True}}, "gamma_alpha must be a number, got True"),
+    # entries of arrays are JSON numbers too: not booleans, not strings
+    ({"reward": {"r": [True, False], "beta": 0.5}}, "r[0] must be a number, got True"),
+    ({"reward": {"r": ["1", "0"], "beta": 0.5}}, "r[0] must be a number, got '1'"),
+    ({"schedule": {**BASE_CONFIG["schedule"], "p": [[0.5, 0.5], [True, False]]}},
+     "p[1][0] must be a number, got True"),
+    ({"schedule": {**BASE_CONFIG["schedule"], "p": [["0.9", "0.1"], [0.2, 0.8]]}},
+     "p[0][0] must be a number, got '0.9'"),
+    ({"schedule": {**ACCEPTANCE_ANCHORS, "p_start": [[0.9, 0.1], [0.2, True]]}},
+     "p_start[1][1] must be a number, got True"),
+    ({"schedule": {**ACCEPTANCE_ANCHORS, "p_end": [["0.1", 0.9], [0.8, 0.2]]}},
+     "p_end[0][0] must be a number, got '0.1'"),
+    ({"schedule": {"kind": "cyclic", "n": 2, "params": {**ACCEPTANCE_ANCHORS["params"],
+                                                        "gamma_p": 0.3},
+                   "mats": [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [False, True]]]}},
+     "mats[1][1][0] must be a number, got False"),
+    # nested objects refuse keys they do not read, as the top level does
+    ({"schedule": {**BASE_CONFIG["schedule"],
+                   "parms": {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.1, "gamma_pi": 0.0}}},
+     "unknown schedule fields: ['parms']"),
+    ({"schedule": {**ACCEPTANCE_ANCHORS,
+                   "params": {**ACCEPTANCE_ANCHORS["params"], "c_pii": 0.1}}},
+     "unknown params fields: ['c_pii']"),
+    ({"reward": {"r": [1.0, 0.0], "beta": 0.5, "bta": 0.9}}, "unknown reward fields: ['bta']"),
+    ({"rate": {"c_alpha": 0.5, "gamma_alpha": 0.6, "gama_alpha": 0.8}},
+     "unknown rate fields: ['gama_alpha']"),
+    ({"noise": {"kind": "zero", "eps": 0.1}}, "unknown noise fields: ['eps']"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -995,6 +1021,11 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
         **ACCEPTANCE_ANCHORS["params"], "gamma_p": 0.3}, "mats": 5}}, SWEEP_GRID,
                  "mats must be a list, got 5", id="schedule-mats-5"),
     pytest.param({"x0": True}, SWEEP_GRID, "x0 must be an integer, got True", id="x0-true"),
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS,
+                               "params": {**ACCEPTANCE_ANCHORS["params"], "c_pii": 0.1}}},
+                 SWEEP_GRID, "unknown params fields: ['c_pii']", id="params-typo"),
+    pytest.param({"reward": {"r": [1.0, "0"], "beta": 0.5}}, SWEEP_GRID,
+                 "r[1] must be a number, got '0'", id="reward-string-entry"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}

@@ -631,6 +631,52 @@ def test_schedule_spec_n_must_match_its_matrices(spec):
         schedule_from_spec(spec)
 
 
+SPEC_PARAMS = {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0}
+INTERP_SPEC = {"kind": "interpolation", "n": 2, "params": SPEC_PARAMS,
+               "p_start": A.rows.tolist(), "p_end": B.rows.tolist()}
+
+
+# a constant schedule's misspelt "params", matrix entries that are booleans
+# or strings: test_harness's CLI config-error cases
+@pytest.mark.parametrize("spec, named", [
+    ({**INTERP_SPEC, "mats": [A.rows.tolist()]}, "unknown schedule fields: ['mats']"),
+    ({"kind": "cyclic", "n": 2, "params": {**SPEC_PARAMS, "gamma_p": 0.5},
+      "mats": [A.rows.tolist(), B.rows.tolist()], "p": A.rows.tolist()},
+     "unknown schedule fields: ['p']"),
+    ({"kind": "shrinking-state", "n": 3, "x_restart": 0,
+      "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}},
+     "unknown schedule fields: ['x_restart']"),
+    ({"kind": "restart-wrapped", "n": 2, "inner": INTERP_SPEC, "beta": 0.5, "beta_hat": 0.8,
+      "x_restart": 0, "params": SPEC_PARAMS, "beta_hatt": 0.9},
+     "unknown schedule fields: ['beta_hatt']"),
+    ({"kind": "restart-wrapped", "n": 2, "inner": {**INTERP_SPEC, "p_ende": []}, "beta": 0.5,
+      "beta_hat": 0.8, "x_restart": 0, "params": SPEC_PARAMS},
+     "unknown schedule fields: ['p_ende']"),
+    ({**INTERP_SPEC, "params": {**SPEC_PARAMS, "c_pii": 0.3, "gama_p": 1.0}},
+     "unknown params fields: ['c_pii', 'gama_p']"),
+])
+def test_schedule_spec_refuses_keys_it_does_not_read(spec, named):
+    with pytest.raises(ValueError) as err:
+        schedule_from_spec(spec)
+    assert str(err.value) == named
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "constant", "n": 2, "p": [0.5, 0.5]}, "p[0] must be a list, got 0.5"),
+    ({**INTERP_SPEC, "p_end": [[0.1, 0.9], [0.8, None]]},
+     "p_end[1][1] must be a number, got None"),
+    ({"kind": "cyclic", "n": 2, "params": {**SPEC_PARAMS, "gamma_p": 0.5},
+      "mats": [A.rows.tolist(), [0.1, 0.9]]}, "mats[1][0] must be a list, got 0.1"),
+])
+def test_schedule_spec_matrices_are_lists_of_json_number_rows(spec, named):
+    with pytest.raises(ValueError) as err:
+        schedule_from_spec(spec)
+    assert str(err.value) == named
+    # JSON integers are numbers
+    built = schedule_from_spec({"kind": "constant", "n": 2, "p": [[0.5, 0.5], [1, 0]]})
+    assert built.matrix_at(1).rows.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown schedule kind"):
         schedule_from_spec({"kind": "mystery"})
