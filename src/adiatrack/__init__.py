@@ -2,8 +2,6 @@
 mixing-bound and tracking-bound verification at desk scale."""
 
 from .chains import (
-    Distribution,
-    TransitionMatrix,
     ergodicity_coefficient,
     simulate,
     stationary_distribution,

@@ -109,6 +109,10 @@ def homogeneous_comparison_bound(lam, mu, p_ref, block):
     lam, mu, p_ref, block = (np.asarray(a, dtype=float) for a in (lam, mu, p_ref, block))
     if block.ndim != 3 or not len(block):
         raise ValueError("need a non-empty (T, n, n) block of schedule matrices")
+    n = block.shape[2]  # broadcasting would pair unrelated states
+    if lam.shape[-1:] != (n,) or mu.shape != (n,) or p_ref.shape != (n, n):
+        raise ValueError(f"dimension mismatch: lam {lam.shape}, mu {mu.shape} and p_ref "
+                         f"{p_ref.shape} vs a block of {n}-state matrices")
     for arr in (lam, mu, p_ref, block):
         chains._check_rows(np.atleast_2d(arr))
     rho = float(chains.ergodicity_coefficients(p_ref[None])[0])

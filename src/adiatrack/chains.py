@@ -1,19 +1,17 @@
 """Finite-state probability primitives.
 
-Distributions and row-stochastic matrices are validated at construction and
-never silently repaired: a row sum off by more than 1e-12 is a bug in the
-caller (usually a schedule), not something to renormalize away.  All
-probability arithmetic is 64-bit float; the stated tolerances absorb
-rounding.
+A distribution is a float64 (n,) array and a transition matrix a float64
+(n, n) array; the primitives take (k, n, n) stacks of them.  Rows are
+validated (_check_rows, check_stack) and never silently repaired: a row sum
+off by more than 1e-12 is a bug in the caller (usually a schedule), not
+something to renormalize away.  All probability arithmetic is 64-bit
+float; the stated tolerances absorb rounding.
 
 The unsubscripted distance between distributions is total variation,
 tv(a, b) = 0.5 * sum |a_x - b_x|, and between matrices the maximum row TV.
 
-The primitives take (k, n, n) stacks of matrices.  Two one-matrix classes
-remain, Distribution and TransitionMatrix: configs and anchor matrices are
-parsed into them, and a Distribution is what stationary_distribution
-returns.  stationary_distribution and ergodicity_coefficient are the k = 1
-calls of stationary_stack and ergodicity_coefficients; they stay while the
+stationary_distribution and ergodicity_coefficient are the k = 1 calls of
+stationary_stack and ergodicity_coefficients; they stay while the
 benchmark tracer (perfbench/tracer.py) times them by name.
 """
 
@@ -27,8 +25,6 @@ ROW_SUM_TOL = 1e-12
 ENTRY_TOL = 1e-12
 
 __all__ = [
-    "Distribution",
-    "TransitionMatrix",
     "InvariantError",
     "matrix_tv_distances",
     "ergodicity_coefficient",
@@ -45,7 +41,7 @@ __all__ = [
 
 
 class InvariantError(ValueError):
-    """A probability object violated its construction invariants."""
+    """A probability vector or matrix violated its invariants."""
 
 
 def _check_rows(arr: np.ndarray):
@@ -66,51 +62,6 @@ def _check_rows(arr: np.ndarray):
         raise InvariantError(f"row {at[-1]}{where} sums to {sums[at]!r}, not 1")
 
 
-class Distribution:
-    """Probability vector: entries in [0, 1], summing to 1 within 1e-12."""
-
-    __slots__ = ("probs",)
-
-    def __init__(self, probs):
-        arr = np.array(probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvariantError("distribution must be a non-empty vector")
-        _check_rows(arr[None])
-        arr.flags.writeable = False
-        self.probs = arr
-
-    @property
-    def n(self) -> int:
-        return self.probs.size
-
-    def min_prob(self) -> float:
-        return float(self.probs.min())
-
-    def __repr__(self):
-        return f"Distribution({self.probs.tolist()})"
-
-
-class TransitionMatrix:
-    """Row-stochastic n x n matrix: rows are Distributions within 1e-12."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        arr = np.array(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise InvariantError(f"expected square matrix, got shape {arr.shape}")
-        _check_rows(arr)
-        arr.flags.writeable = False
-        self.rows = arr
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    def __repr__(self):
-        return f"TransitionMatrix({self.rows.tolist()})"
-
-
 def matrix_tv_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Maximum row TV distance of each pair of two (k, n, n) stacks; a (1, n, n)
     stack pairs with every matrix of the other.  Matrices of different shapes
@@ -120,9 +71,9 @@ def matrix_tv_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(p - q).sum(axis=2).max(axis=1)
 
 
-def ergodicity_coefficient(p: TransitionMatrix) -> float:
-    """Maximum TV distance between any two rows of p (see ergodicity_coefficients)."""
-    return float(ergodicity_coefficients(p.rows[None])[0])
+def ergodicity_coefficient(p: np.ndarray) -> float:
+    """Maximum TV distance between any two rows of an (n, n) p (see ergodicity_coefficients)."""
+    return float(ergodicity_coefficients(p[None])[0])
 
 
 def ergodicity_coefficients(mats: np.ndarray) -> np.ndarray:
@@ -152,8 +103,8 @@ def _strongly_connected(pattern: bytes, n: int) -> bool:
 
 
 def check_stack(mats: np.ndarray) -> np.ndarray:
-    """Validate a (k, n, n) stack as TransitionMatrix validates one matrix, and
-    require irreducibility, decided once per distinct positivity pattern."""
+    """Validate the rows of a (k, n, n) stack (_check_rows) and require
+    irreducibility, decided once per distinct positivity pattern."""
     _check_rows(mats)
     pos = mats > 0.0
     changes = np.flatnonzero((pos[1:] != pos[:-1]).any(axis=(1, 2)))
@@ -163,11 +114,11 @@ def check_stack(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def stationary_distribution(p: TransitionMatrix, tol: float = 1e-12) -> Distribution:
-    """Unique pi with pi P = pi: the one-matrix case of stationary_stack."""
-    if not _strongly_connected((p.rows > 0.0).tobytes(), p.n):
+def stationary_distribution(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Unique pi with pi P = pi of an (n, n) p: the one-matrix case of stationary_stack."""
+    if not _strongly_connected((p > 0.0).tobytes(), len(p)):
         raise ValueError("transition matrix is reducible; no unique stationary distribution")
-    return Distribution(stationary_stack(p.rows[None], tol)[0])
+    return stationary_stack(p[None], tol)[0]
 
 
 def stationary_stack(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:

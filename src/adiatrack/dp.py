@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chains
-from .chains import TransitionMatrix
 from .schedules import restart_wraps
 
 __all__ = [
@@ -97,11 +96,11 @@ class CheckResult:
         return {"lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
 
 
-def exact_reward(p: TransitionMatrix, spec: RewardSpec) -> np.ndarray:
-    """Solve (I - beta P) R = r directly: the one-matrix call of exact_rewards."""
-    if p.n != spec.n:
-        raise ValueError(f"dimension mismatch: matrix n={p.n}, rewards n={spec.n}")
-    return exact_rewards(p.rows[None], spec.r[None], np.array([spec.beta]))[0]
+def exact_reward(p: np.ndarray, spec: RewardSpec) -> np.ndarray:
+    """Solve (I - beta P) R = r directly for an (n, n) p: the one-matrix call of exact_rewards."""
+    if len(p) != spec.n:
+        raise ValueError(f"dimension mismatch: matrix n={len(p)}, rewards n={spec.n}")
+    return exact_rewards(p[None], spec.r[None], np.array([spec.beta]))[0]
 
 
 def exact_rewards(mats: np.ndarray, r: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -180,7 +179,7 @@ def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
     """Both sides (lhs, rhs), each (k,), of
     ||R(.;P) - R(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q|| for each pair
     of (k, n, n) stacks p, q with rewards r (k, n) and discounts beta (k,).
-    Validates the stacks as TransitionMatrix and RewardSpec do.
+    Validates the stacks' rows (chains._check_rows) and the rewards as RewardSpec does.
 
     Holds for one-signed rewards: the TV-metered right side pairs each
     zero-mass row difference with the reward span, which equals r_max only
@@ -217,9 +216,9 @@ def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
     and x_restart (k,), returns (lhs, rhs, rho, rho_bound), each (k,): the
     wrapped value and the rescaled value at x_restart (the identity couples
     the restart state to the evaluation state), the wrapped matrix's
-    ergodicity coefficient and beta/beta_hat.  Validates the stack as
-    TransitionMatrix, RewardSpec and restart_wraps do, and the wrapped rows
-    as TransitionMatrix does.
+    ergodicity coefficient and beta/beta_hat.  Validates the stack's rows
+    (chains._check_rows), the rewards as RewardSpec does, the constants as
+    restart_wraps does, and the wrapped rows.
     """
     chains._check_rows(p)
     _check_rewards(r, beta)

@@ -317,6 +317,9 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = chains._read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = chains._read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
+    # cells copy only the base's n, anchors and params, so any other key would be
+    # dropped unread: refuse it by name (the base itself is not built)
+    schedules._spec_kind(base.schedule)
     # the gamma_pi = 0 cells copy the base's n and anchors: a bad one is the base's error
     mats = base.schedule.get("mats")
     if mats is not None and not isinstance(mats, list):

@@ -8,9 +8,9 @@ a constant sequence (zero drift).  Certificates are declared, then checked
 at every t of the horizon by verify_drift; construction-time checks catch
 the cheap cases.
 
-A family produces its matrices as validated (k, n, n) blocks of
-P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as a
-TransitionMatrix, stays while the benchmark tracer (perfbench/tracer.py)
+A family produces its matrices as validated (k, n, n) float64 blocks of
+P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as an
+(n, n) array, stays while the benchmark tracer (perfbench/tracer.py)
 times it by name.  The restart construction, restart_wraps, acts on stacks.
 Schedule.blocks is the one walk over a horizon, blocks of at most _CHUNK
 steps each ending on the next one's first matrix; verify_drift is the one
@@ -18,7 +18,8 @@ certificate scan, a single pass over that walk.
 The constant, interpolation and cyclic families are one walk along a path
 of anchor matrices (_ArcWalk), its drift metered in matrix-TV arc length
 along the convex segments between anchors: TV is exactly linear there, so
-the certificates are exact rather than estimated.  Time indexing starts at
+the certificates are exact rather than estimated; its constructor is where
+every matrix enters the program, validated once.  Time indexing starts at
 t = 1 (the power laws divide by t).
 """
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chains
-from .chains import TransitionMatrix
 
 GAMMA_INF = math.inf
 
@@ -133,8 +133,8 @@ class Schedule:
         for lo in range(t_lo, t_hi, _CHUNK):
             yield lo, self.block(lo, min(lo + _CHUNK, t_hi) + 1)
 
-    def matrix_at(self, t: int) -> TransitionMatrix:
-        return TransitionMatrix(self.block(t, t + 1)[0])
+    def matrix_at(self, t: int) -> np.ndarray:
+        return self.block(t, t + 1)[0]
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
         raise NotImplementedError
@@ -162,6 +162,10 @@ class _ArcWalk(Schedule):
     around.  A path with no segment of positive length, or gamma_p = inf,
     is its first anchor at every t.
 
+    Each anchor, an array-like, is validated here (square, one shared size,
+    chains._check_rows, irreducible) and kept in one read-only stack, which
+    the path that cannot move hands back unchecked.
+
     The arc prefix S_k is kept at every _CHUNK-th k, plus the last span
     summed, so memory does not grow with the horizon: a request outside
     that span is summed on from the mark at or below k_lo to the end of its
@@ -170,12 +174,16 @@ class _ArcWalk(Schedule):
     """
 
     def __init__(self, anchors: list, params: DriftParams, closed: bool):
-        n = anchors[0].n
-        for i, m in enumerate(anchors):
-            if m.n != n:
+        mats = [np.array(m, dtype=float) for m in anchors]
+        for i, m in enumerate(mats):
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+                raise chains.InvariantError(f"expected square matrix, got shape {m.shape}")
+            if m.shape != mats[0].shape:
                 raise ValueError("anchor matrices must share a dimension")
-            _require_irreducible(m.rows, f"anchor matrix {i}")
-        rows = np.array([m.rows for m in anchors])
+            chains._check_rows(m)
+            _require_irreducible(m, f"anchor matrix {i}")
+        rows = np.array(mats)
+        rows.flags.writeable = False
         nxt = np.roll(rows, -1, axis=0) if closed else rows[1:]
         segs = []  # (start, end, TV length) of every segment of positive length
         for i, length in enumerate(chains.matrix_tv_distances(rows[:len(nxt)], nxt).tolist()):
@@ -183,8 +191,8 @@ class _ArcWalk(Schedule):
                 _require_irreducible(_blend(rows[i], nxt[i], 0.5),
                                      f"blend of anchor matrices {i},{(i + 1) % len(anchors)}")
                 segs.append((rows[i], nxt[i], length))
-        super().__init__(n, params, max(chains.ergodicity_coefficient(m) for m in anchors))
-        self._first, self._closed = anchors[0].rows, closed
+        super().__init__(len(rows[0]), params, max(map(chains.ergodicity_coefficient, rows)))
+        self._anchors, self._closed = rows, closed
         starts, ends, lengths = zip(*segs) if segs else ((), (), ())
         self._starts, self._ends = np.array(starts), np.array(ends)
         self._lengths = np.array(lengths, dtype=float)
@@ -208,7 +216,7 @@ class _ArcWalk(Schedule):
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
         if not self._lengths.size or self._rate[1] == GAMMA_INF:
-            return np.broadcast_to(self._first, (t_hi - t_lo, self.n, self.n))
+            return np.broadcast_to(self._anchors[0], (t_hi - t_lo, self.n, self.n))
         pos = self._arc(t_lo - 1, t_hi - 1)
         if self._closed:
             pos = np.fmod(pos, self._offsets[-1])
@@ -223,12 +231,13 @@ class ConstantSchedule(_ArcWalk):
 
     kind = "constant"
 
-    def __init__(self, p: TransitionMatrix, params: DriftParams | None = None):
+    def __init__(self, p, params: DriftParams | None = None):
+        # p is validated as an anchor before its default floor is solved from it
+        super().__init__([p], params or DriftParams(1.0, GAMMA_INF, 1.0, 0.0), closed=False)
+        self.p = self._anchors[0]
         if params is None:  # zero drift and the exact stationary floor
-            pi_min = chains.stationary_distribution(p).min_prob()
-            params = DriftParams(c_p=1.0, gamma_p=GAMMA_INF, c_pi=pi_min, gamma_pi=0.0)
-        super().__init__([p], params, closed=False)
-        self.p = p
+            pi_min = float(chains.stationary_distribution(self.p).min())
+            self.params = DriftParams(c_p=1.0, gamma_p=GAMMA_INF, c_pi=pi_min, gamma_pi=0.0)
 
 
 class InterpolationSchedule(_ArcWalk):
@@ -242,11 +251,9 @@ class InterpolationSchedule(_ArcWalk):
 
     kind = "interpolation"
 
-    def __init__(self, p_start: TransitionMatrix, p_end: TransitionMatrix,
-                 params: DriftParams):
+    def __init__(self, p_start, p_end, params: DriftParams):
         super().__init__([p_start, p_end], params, closed=False)
-        self.p_start = p_start
-        self.p_end = p_end
+        self.p_start, self.p_end = self._anchors
         self.segment_length = float(self._offsets[-1])  # 0.0 for equal endpoints
 
 
@@ -269,7 +276,7 @@ class CyclicSchedule(_ArcWalk):
             raise ValueError("cyclic schedule needs gamma_p in (0, 1); "
                              "outside that the cycle stalls or degenerates")
         super().__init__(mats, params, closed=True)
-        self.mats = mats
+        self.mats = self._anchors
         self.cycle_length = float(self._offsets[-1])
 
 
@@ -515,6 +522,16 @@ _SPEC_KEYS = {"constant": ("p",), "interpolation": ("p_start", "p_end"), "cyclic
               "shrinking-state": (), "restart-wrapped": ("inner", "beta", "beta_hat", "x_restart")}
 
 
+def _spec_kind(doc: dict) -> str:
+    """The kind of schedule spec doc, once it names a family and holds no key
+    besides "kind", "n", "params" and the family's own (_SPEC_KEYS)."""
+    kind = chains._json_object(doc, "schedule")["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    chains._known_keys(doc, "schedule", ("kind", "n", "params", *_SPEC_KEYS[kind]))
+    return kind
+
+
 def schedule_from_spec(doc: dict) -> Schedule:
     """Build a schedule from its JSON spec: {"kind", "n", "params"} and the
     family's own keys (_SPEC_KEYS: "p" for constant, whose params are
@@ -523,24 +540,19 @@ def schedule_from_spec(doc: dict) -> Schedule:
     restart-wrapped).  Gamma values may be "inf"; any other key, a matrix
     entry that is not a JSON number, or an "n" that differs from the built
     schedule's raises."""
-    kind = chains._json_object(doc, "schedule")["kind"]
-    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    chains._known_keys(doc, "schedule", ("kind", "n", "params", *_SPEC_KEYS[kind]))
-
-    def matrix(rows, name):
-        return TransitionMatrix(chains._read_list(rows, name, chains._json_number, 2))
-
+    kind = _spec_kind(doc)
     params = (DriftParams.from_spec(doc["params"])
               if kind != "constant" or "params" in doc else None)
     if kind == "constant":
-        schedule = ConstantSchedule(matrix(doc["p"], "p"), params)
+        schedule = ConstantSchedule(chains._read_list(doc["p"], "p", chains._json_number, 2),
+                                    params)
     elif kind == "interpolation":
-        schedule = InterpolationSchedule(matrix(doc["p_start"], "p_start"),
-                                         matrix(doc["p_end"], "p_end"), params)
+        schedule = InterpolationSchedule(
+            *(chains._read_list(doc[k], k, chains._json_number, 2) for k in ("p_start", "p_end")),
+            params)
     elif kind == "cyclic":
-        mats = chains._read_list(doc["mats"], "mats", chains._json_number, 3)
-        schedule = CyclicSchedule([TransitionMatrix(m) for m in mats], params)
+        schedule = CyclicSchedule(chains._read_list(doc["mats"], "mats", chains._json_number, 3),
+                                  params)
     elif kind == "shrinking-state":
         schedule = ShrinkingStateSchedule(params)
     else:

@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from . import bounds, chains, dp, schedules
-from .chains import TransitionMatrix
 from .harness import SPEC_VERSION
 
 __all__ = ["SUITES", "run_suite"]
@@ -76,13 +75,9 @@ class _Recorder:
                 "spec_version": SPEC_VERSION}
 
 
-def random_transition_matrix(rng, n) -> TransitionMatrix:
-    """Dense positive random rows (hence irreducible), varied skew."""
-    return TransitionMatrix(_random_rows(rng, n))
-
-
 def _random_rows(rng, n) -> np.ndarray:
-    """The rows of random_transition_matrix, from the same draws, unvalidated."""
+    """A random (n, n) transition matrix, unvalidated: dense positive rows
+    (hence irreducible), varied skew."""
     style = rng.integers(3)
     raw = rng.random((n, n))
     if style == 1:
@@ -172,17 +167,14 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
 
 
 # the two-state anchors of the scan families and of thm1's limit check
-_A2 = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-_B2 = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
+_A2 = [[0.9, 0.1], [0.2, 0.8]]
+_B2 = [[0.1, 0.9], [0.8, 0.2]]
 
 
 def scan_families():
     """The schedule-family instances every dominance scan walks (n <= 4)."""
     rng = chains.stream(7, 3)  # the same anchors whatever the master seed
-    a3 = random_transition_matrix(rng, 3)
-    b3 = random_transition_matrix(rng, 3)
-    a4 = random_transition_matrix(rng, 4)
-    b4 = random_transition_matrix(rng, 4)
+    a3, b3, a4, b4 = (_random_rows(rng, n) for n in (3, 3, 4, 4))
     return [
         schedules.ConstantSchedule(_A2),
         schedules.ConstantSchedule(a4),
@@ -419,8 +411,8 @@ def suite_mixing(master_seed=DEFAULT_MASTER_SEED, t_horizon=4096, tol=1e-12):
     schedules: worst-case propagated gap vs the closed-form right side, at
     log-spaced t across [tau, T]."""
     rec = _Recorder("mixing", master_seed)
-    a3 = TransitionMatrix([[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]])
-    b3 = TransitionMatrix([[0.3, 0.4, 0.3], [0.4, 0.3, 0.3], [0.25, 0.35, 0.4]])
+    a3 = [[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]]
+    b3 = [[0.3, 0.4, 0.3], [0.4, 0.3, 0.3], [0.25, 0.35, 0.4]]
     fams = [
         ("interpolation", schedules.InterpolationSchedule(
             a3, b3, schedules.DriftParams(0.05, 1.0, 0.1, 0.0))),

@@ -5,20 +5,28 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from adiatrack.chains import Distribution, TransitionMatrix, matrix_tv_distances
+from adiatrack.chains import _check_rows, matrix_tv_distances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def matrix_tv(p, q):
-    """Maximum row TV of two TransitionMatrix objects: matrix_tv_distances at k = 1."""
-    return float(matrix_tv_distances(p.rows[None], q.rows[None])[0])
+    """Maximum row TV of two (n, n) matrices: matrix_tv_distances at k = 1."""
+    return float(matrix_tv_distances(p[None], q[None])[0])
 
 
 def tv(lam, mu):
-    """TV of two Distribution objects: matrix_tv_distances of their one-row
+    """TV of two (n,) distributions: matrix_tv_distances of their one-row
     matrices at k = 1."""
-    return float(matrix_tv_distances(lam.probs[None, None], mu.probs[None, None])[0])
+    return float(matrix_tv_distances(lam[None, None], mu[None, None])[0])
+
+
+def stochastic(rows):
+    """rows as a float64 array whose last-axis rows are validated
+    (chains._check_rows): a transition matrix, a distribution or a stack."""
+    arr = np.array(rows, dtype=float)
+    _check_rows(arr)
+    return arr
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +47,7 @@ def matrices(n=None, min_n=2, max_n=6):
         raw = np.array(draw(st.lists(
             st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size),
             min_size=size, max_size=size)))
-        return TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+        return stochastic(raw / raw.sum(axis=1, keepdims=True))
 
     return build()
 
@@ -48,7 +56,7 @@ def distributions(n):
     @st.composite
     def build(draw):
         raw = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
-        return Distribution(raw / raw.sum())
+        return stochastic(raw / raw.sum())
 
     return build()
 

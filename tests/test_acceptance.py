@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from adiatrack import verify
-from adiatrack.chains import TransitionMatrix
 from adiatrack.dp import RewardSpec, bellman_g
 from adiatrack.harness import ExperimentConfig, fit_slope, run_tracking
 from adiatrack.learners import LearningRate, NoiseModel, td0_track
@@ -22,6 +21,7 @@ from conftest import (
     adiabatic_config_dict,
     diabatic_config_dict,
     static_td_config_dict,
+    stochastic,
 )
 
 
@@ -85,10 +85,10 @@ def test_criterion_05_operator_contraction():
         # even i: the TD operator F, which is G with one action per state
         n, n_actions = (int(rng.integers(2, 6)), 1) if i % 2 == 0 else (6, 2)
         raw = rng.random((n, n))
-        p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+        p = stochastic(raw / raw.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(-1, 1, n), beta)
         a, b = rng.uniform(-5, 5, n), rng.uniform(-5, 5, n)
-        one = p.rows[None], spec.r[None], np.array([spec.beta])  # k = 1 stacks
+        one = p[None], spec.r[None], np.array([spec.beta])  # k = 1 stacks
         gap = np.abs(bellman_g(*one, a[None], n_actions)
                      - bellman_g(*one, b[None], n_actions)).max()
         if gap > beta * np.abs(a - b).max() + 1e-12:
@@ -134,7 +134,7 @@ def test_criterion_09_iterate_boundedness(static_td_run, adiabatic_run,
     worst = {name: run[1]["max_abs_value"] for name, run in runs.items()}
     ok = all(v <= ball for v in worst.values())
 
-    noise_sched = ConstantSchedule(TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]))
+    noise_sched = ConstantSchedule([[0.9, 0.1], [0.2, 0.8]])
     noise_ball = (1.0 + 0.5) / (1.0 - 0.5) + 1e-9
     for seed in range(5):
         trace = td0_track(noise_sched, RewardSpec([1.0, 0.0], 0.5),

@@ -23,7 +23,7 @@ from adiatrack.bounds import (
     unroll_recursion,
 )
 from adiatrack import bounds, chains
-from adiatrack.chains import TransitionMatrix, stationary_distribution
+from adiatrack.chains import stationary_distribution
 from adiatrack.schedules import (
     ConstantSchedule,
     CyclicSchedule,
@@ -31,21 +31,21 @@ from adiatrack.schedules import (
     InterpolationSchedule,
 )
 
-A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-FLAT = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
-SWAP_ISH = TransitionMatrix([[0.3, 0.7], [0.6, 0.4]])
+A = np.array([[0.9, 0.1], [0.2, 0.8]])
+FLAT = np.array([[0.5, 0.5], [0.5, 0.5]])
+SWAP_ISH = np.array([[0.3, 0.7], [0.6, 0.4]])
 
 
 # ------------------------------------------------- homogeneous comparison bound
 
 def test_comparison_bound_vanishes_when_nothing_differs():
     lam = np.array([0.3, 0.7])
-    assert homogeneous_comparison_bound(lam, lam, A.rows, np.stack([A.rows] * 3)) == 0.0
+    assert homogeneous_comparison_bound(lam, lam, A, np.stack([A] * 3)) == 0.0
 
 
 def test_comparison_bound_reduces_to_initial_term():
     lam, mu = np.array([0.3, 0.7]), np.array([0.6, 0.4])
-    got = homogeneous_comparison_bound(lam, mu, A.rows, np.stack([A.rows] * 5))
+    got = homogeneous_comparison_bound(lam, mu, A, np.stack([A] * 5))
     assert got == pytest.approx(0.3 * 0.7 ** 5, abs=1e-15)
 
 
@@ -54,27 +54,32 @@ def test_comparison_bound_two_matrix_hand_value():
     #   ||lam-mu|| rho^2 + ||FLAT-A|| rho^1 + ||A-A|| rho^0
     mu = np.array([0.5, 0.5])
     hand = 0.5 * 0.7 ** 2 + 0.4 * 0.7 + 0.0
-    got = homogeneous_comparison_bound(np.eye(2), mu, A.rows, np.stack([FLAT.rows, A.rows]))
+    got = homogeneous_comparison_bound(np.eye(2), mu, A, np.stack([FLAT, A]))
     assert got.shape == (2,)
     np.testing.assert_allclose(got, [hand, hand], rtol=0, atol=1e-14)
 
 
 def test_comparison_bound_needs_matrices():
     with pytest.raises(ValueError):
-        homogeneous_comparison_bound(np.array([1.0, 0.0]), np.array([1.0, 0.0]), A.rows,
+        homogeneous_comparison_bound(np.array([1.0, 0.0]), np.array([1.0, 0.0]), A,
                                      np.empty((0, 2, 2)))
     with pytest.raises(chains.InvariantError, match="row 1 of matrix 0 sums to"):
-        homogeneous_comparison_bound(np.array([1.0, 0.0]), np.array([1.0, 0.0]), A.rows,
+        homogeneous_comparison_bound(np.array([1.0, 0.0]), np.array([1.0, 0.0]), A,
                                      np.array([[[0.5, 0.5], [0.5, 0.6]]]))
     with pytest.raises(chains.InvariantError, match="row 0 sums to"):
-        homogeneous_comparison_bound(np.array([0.6, 0.6]), np.array([1.0, 0.0]), A.rows,
-                                     A.rows[None])
+        homogeneous_comparison_bound(np.array([0.6, 0.6]), np.array([1.0, 0.0]), A,
+                                     A[None])
 
 
 def test_comparison_bound_reference_of_another_size_raises():
     # broadcast against the 2-state block, the 1-state reference would read 0.5
     with pytest.raises(ValueError, match="dimension mismatch"):
-        homogeneous_comparison_bound([1.0, 0.0], [1.0], [[1.0]], np.stack([A.rows] * 5))
+        homogeneous_comparison_bound([1.0, 0.0], [1.0], [[1.0]], np.stack([A] * 5))
+    # and against the 2-state start, a 1-state mu would read 0.1715
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        homogeneous_comparison_bound([1.0, 0.0], [1.0], A, np.stack([A] * 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        homogeneous_comparison_bound(np.eye(3), [0.5, 0.5], A, np.stack([A] * 3))
 
 
 def test_bound_stacks_equal_row_calls():
@@ -408,8 +413,8 @@ def _per_t_mixing_lhs(sched, t, tau):
     """The worst conditional gap of conditional_mixing_check, one matrix_at per step."""
     marginals = np.eye(sched.n)
     for u in range(t - tau + 1, t + 1):
-        marginals = marginals @ sched.matrix_at(u).rows
-    pi = stationary_distribution(sched.matrix_at(t)).probs
+        marginals = marginals @ sched.matrix_at(u)
+    pi = stationary_distribution(sched.matrix_at(t))
     return float(0.5 * np.abs(marginals - pi).sum(axis=1).max())
 
 

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from adiatrack import chains
 from adiatrack.bounds import noise_envelope_coverage
+from adiatrack.bounds import homogeneous_comparison_bound
 from adiatrack.chains import (
-    Distribution,
     InvariantError,
-    TransitionMatrix,
     check_stack,
     ergodicity_coefficient,
     ergodicity_coefficients,
@@ -20,16 +19,16 @@ from adiatrack.chains import (
 from adiatrack.learners import NoiseModel
 from adiatrack.schedules import ConstantSchedule
 
-from conftest import distributions, matrices, matrix_tv, tv
+from conftest import distributions, matrices, matrix_tv, stochastic, tv
 
-P_REF = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-SWAP = TransitionMatrix([[0.0, 1.0], [1.0, 0.0]])
+P_REF = stochastic([[0.9, 0.1], [0.2, 0.8]])
+SWAP = stochastic([[0.0, 1.0], [1.0, 0.0]])
 
 
 def second_eigenvalue(p):
     """The non-unit eigenvalue trace(P) - 1 of a 2x2 stochastic matrix, as
     suite_prop1 reads it off its stack."""
-    return float(p.rows[0, 0] + p.rows[1, 1] - 1.0)
+    return float(p[0, 0] + p[1, 1] - 1.0)
 
 
 def exact_marginal(lam0, mats):
@@ -45,54 +44,57 @@ def exact_marginal(lam0, mats):
 
 # ---------------------------------------------------------------- invariants
 
+# a distribution enters as the start lam of the comparison bound, a matrix
+# as a schedule's anchor
+
 def test_distribution_rejects_bad_sum():
     with pytest.raises(InvariantError):
-        Distribution([0.5, 0.4])
+        homogeneous_comparison_bound([0.5, 0.4], [0.5, 0.5], P_REF, P_REF[None])
 
 
 def test_distribution_rejects_negative_entry():
     with pytest.raises(InvariantError):
-        Distribution([1.1, -0.1])
+        homogeneous_comparison_bound([1.1, -0.1], [0.5, 0.5], P_REF, P_REF[None])
 
 
 def test_matrix_rejects_bad_row_and_never_renormalizes():
     with pytest.raises(InvariantError, match="row 1"):
-        TransitionMatrix([[0.5, 0.5], [0.6, 0.5]])
+        ConstantSchedule([[0.5, 0.5], [0.6, 0.5]])
 
 
 def test_matrix_rejects_non_square():
     with pytest.raises(InvariantError):
-        TransitionMatrix([[0.5, 0.5]])
+        ConstantSchedule([[0.5, 0.5]])
 
 
 # -------------------------------------------------------------- tv distances
 
 def test_tv_identical_is_zero():
-    d = Distribution([0.5, 0.5])
+    d = stochastic([0.5, 0.5])
     assert tv(d, d) == 0.0
 
 
 def test_tv_disjoint_is_one():
-    assert tv(Distribution([1, 0]), Distribution([0, 1])) == 1.0
+    assert tv(stochastic([1, 0]), stochastic([0, 1])) == 1.0
 
 
 def test_tv_half_sum_example():
     # 0.5 * (|0.5-0.9| + |0.5-0.1|) = 0.4
-    assert tv(Distribution([0.5, 0.5]), Distribution([0.9, 0.1])) == pytest.approx(0.4, abs=1e-15)
+    assert tv(stochastic([0.5, 0.5]), stochastic([0.9, 0.1])) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_matrix_tv_examples():
     assert matrix_tv(P_REF, P_REF) == 0.0
-    ident = TransitionMatrix(np.eye(2))
+    ident = stochastic(np.eye(2))
     assert matrix_tv(ident, SWAP) == 1.0
-    q = TransitionMatrix([[0.8, 0.2], [0.2, 0.8]])
+    q = stochastic([[0.8, 0.2], [0.2, 0.8]])
     assert matrix_tv(P_REF, q) == pytest.approx(0.1, abs=1e-15)
 
 
 @given(matrices(max_n=5), matrices(max_n=5))
 @settings(max_examples=60, deadline=None)
 def test_matrix_tv_symmetric_unit_interval(p, q):
-    if p.n != q.n:
+    if len(p) != len(q):
         return
     d = matrix_tv(p, q)
     assert 0.0 <= d <= 1.0
@@ -104,21 +106,21 @@ def test_matrix_tv_of_different_matrix_shapes_raises():
     with pytest.raises(ValueError, match=r"dimension mismatch: \(1, 1\) vs \(1, 2\) matrices"):
         chains.matrix_tv_distances(np.ones((1, 1, 1)), np.full((1, 1, 2), 0.5))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        chains.matrix_tv_distances(np.stack([P_REF.rows] * 3), np.eye(3)[None])
+        chains.matrix_tv_distances(np.stack([P_REF] * 3), np.eye(3)[None])
 
 
 def test_matrix_tv_one_matrix_pairs_with_every_matrix_of_a_stack():
-    stack = np.stack([P_REF.rows, SWAP.rows, np.eye(2)])
+    stack = np.stack([P_REF, SWAP, np.eye(2)])
     got = chains.matrix_tv_distances(stack, np.eye(2)[None])
-    assert got.tolist() == [matrix_tv(TransitionMatrix(m), TransitionMatrix(np.eye(2)))
+    assert got.tolist() == [matrix_tv(m, np.eye(2))
                             for m in stack]
 
 
 # ------------------------------------------------------ ergodicity coefficient
 
 def test_rho_identity_and_rank_one():
-    assert ergodicity_coefficient(TransitionMatrix(np.eye(2))) == 1.0
-    rank1 = TransitionMatrix([[0.3, 0.7], [0.3, 0.7]])
+    assert ergodicity_coefficient(stochastic(np.eye(2))) == 1.0
+    rank1 = stochastic([[0.3, 0.7], [0.3, 0.7]])
     assert ergodicity_coefficient(rank1) == 0.0
 
 
@@ -129,9 +131,9 @@ def test_rho_row_pair_example():
 def _rho_brute(p):
     # independent re-derivation: explicit loop over unordered row pairs
     best = 0.0
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            best = max(best, 0.5 * abs(p.rows[i] - p.rows[j]).sum())
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            best = max(best, 0.5 * abs(p[i] - p[j]).sum())
     return best
 
 
@@ -140,15 +142,15 @@ def _rho_brute(p):
 def test_rho_matches_bruteforce_and_overlap(p):
     rho = ergodicity_coefficient(p)
     assert rho == pytest.approx(_rho_brute(p), abs=1e-12)
-    overlap = 1.0 - min(np.minimum(p.rows[i], p.rows[j]).sum()
-                        for i in range(p.n) for j in range(p.n) if i != j)
+    overlap = 1.0 - min(np.minimum(p[i], p[j]).sum()
+                        for i in range(len(p)) for j in range(len(p)) if i != j)
     assert rho == pytest.approx(overlap, abs=1e-12)
 
 
 @given(matrices(n=4), matrices(n=4))
 @settings(max_examples=80, deadline=None)
 def test_rho_submultiplicative(p, q):
-    prod = TransitionMatrix(p.rows @ q.rows)
+    prod = stochastic(p @ q)
     assert ergodicity_coefficient(prod) <= \
         ergodicity_coefficient(p) * ergodicity_coefficient(q) + 1e-12
 
@@ -156,7 +158,7 @@ def test_rho_submultiplicative(p, q):
 @given(matrices(n=3), distributions(3), distributions(3))
 @settings(max_examples=80, deadline=None)
 def test_rho_contracts_tv(p, lam, mu):
-    pushed = tv(Distribution(lam.probs @ p.rows), Distribution(mu.probs @ p.rows))
+    pushed = tv(stochastic(lam @ p), stochastic(mu @ p))
     assert pushed <= ergodicity_coefficient(p) * tv(lam, mu) + 1e-12
 
 
@@ -172,7 +174,7 @@ def test_stationary_perturbation_bound(p, q):
     rho = ergodicity_coefficient(p)
     if rho >= 1.0 - 1e-9:
         return
-    pert = TransitionMatrix(0.8 * p.rows + 0.2 * q.rows)
+    pert = stochastic(0.8 * p + 0.2 * q)
     gap = tv(stationary_distribution(p), stationary_distribution(pert))
     assert gap <= matrix_tv(p, pert) / (1.0 - rho) + 1e-10
 
@@ -181,10 +183,10 @@ def test_stationary_perturbation_bound(p, q):
 
 def test_second_eigenvalue_examples():
     for m in (P_REF, SWAP):  # trace - 1 is the eigenvalue numpy finds besides 1
-        assert min(abs(np.linalg.eigvals(m.rows) - second_eigenvalue(m))) <= 1e-12
+        assert min(abs(np.linalg.eigvals(m) - second_eigenvalue(m))) <= 1e-12
     assert second_eigenvalue(P_REF) == pytest.approx(0.7, abs=1e-15)
     assert second_eigenvalue(SWAP) == -1.0
-    assert second_eigenvalue(TransitionMatrix([[0.3, 0.7], [0.3, 0.7]])) == \
+    assert second_eigenvalue(stochastic([[0.3, 0.7], [0.3, 0.7]])) == \
         pytest.approx(0.0, abs=1e-15)
 
 
@@ -192,67 +194,66 @@ def test_second_eigenvalue_examples():
 
 def test_stationary_rank_one_returns_common_row():
     q = [0.3, 0.2, 0.5]
-    p = TransitionMatrix([q, q, q])
-    np.testing.assert_allclose(stationary_distribution(p).probs, q, atol=1e-13)
+    p = stochastic([q, q, q])
+    np.testing.assert_allclose(stationary_distribution(p), q, atol=1e-13)
 
 
 def test_stationary_two_thirds_one_third():
-    np.testing.assert_allclose(stationary_distribution(P_REF).probs,
+    np.testing.assert_allclose(stationary_distribution(P_REF),
                                [2 / 3, 1 / 3], atol=1e-13)
 
 
 def test_stationary_symmetric_swap():
-    np.testing.assert_allclose(stationary_distribution(SWAP).probs,
+    np.testing.assert_allclose(stationary_distribution(SWAP),
                                [0.5, 0.5], atol=1e-13)
 
 
 def test_stationary_rejects_reducible():
     with pytest.raises(ValueError, match="reducible"):
-        stationary_distribution(TransitionMatrix(np.eye(2)))
+        stationary_distribution(stochastic(np.eye(2)))
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_stationary_fixed_point_residual(p):
     pi = stationary_distribution(p, tol=1e-12)
-    assert 0.5 * np.abs(pi.probs @ p.rows - pi.probs).sum() <= 1e-12
+    assert 0.5 * np.abs(pi @ p - pi).sum() <= 1e-12
 
 
 @given(st.lists(matrices(n=3), min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_stationary_stack_equals_one_matrix_solve(mats):
     # the single-matrix direct solve with one refinement step, written out
-    stack = np.array([m.rows for m in mats])
+    stack = np.array(mats)
     pis = stationary_stack(stack)
     for m, pi in zip(mats, pis):
-        a = m.rows.T - np.eye(3)
+        a = m.T - np.eye(3)
         a[-1, :] = 1.0
         b = np.array([0.0, 0.0, 1.0])
         one = np.linalg.solve(a, b)
         one = one + np.linalg.solve(a, b - a @ one)
         assert pi.tobytes() == one.tobytes()
-        assert stationary_distribution(m).probs.tobytes() == one.tobytes()
+        assert stationary_distribution(m).tobytes() == one.tobytes()
 
 
 @given(st.lists(matrices(n=4), min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_ergodicity_coefficients_equal_per_matrix_row_pairs(mats):
-    rhos = ergodicity_coefficients(np.array([m.rows for m in mats]))
+    rhos = ergodicity_coefficients(np.array(mats))
     for m, rho in zip(mats, rhos):
-        rows = m.rows
-        pair_tv = 0.5 * np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+        pair_tv = 0.5 * np.abs(m[:, None, :] - m[None, :, :]).sum(axis=2)
         assert rho == float(pair_tv.max()) == ergodicity_coefficient(m)
 
 
 def test_check_stack_rejects_what_transition_matrix_rejects():
-    good = np.array([P_REF.rows, SWAP.rows, P_REF.rows])
+    good = np.array([P_REF, SWAP, P_REF])
     assert check_stack(good) is good
     with pytest.raises(InvariantError, match="matrix 1 of the stack is reducible"):
-        check_stack(np.array([P_REF.rows, np.eye(2), P_REF.rows]))
+        check_stack(np.array([P_REF, np.eye(2), P_REF]))
     with pytest.raises(InvariantError, match="row 1 of matrix 2"):
-        check_stack(np.array([P_REF.rows, P_REF.rows, [[0.5, 0.5], [0.5, 0.6]]]))
+        check_stack(np.array([P_REF, P_REF, [[0.5, 0.5], [0.5, 0.6]]]))
     with pytest.raises(InvariantError, match="non-finite"):
-        check_stack(np.array([P_REF.rows, [[np.nan, 1.0], [0.5, 0.5]]]))
+        check_stack(np.array([P_REF, [[np.nan, 1.0], [0.5, 0.5]]]))
     with pytest.raises(InvariantError, match="outside"):
         check_stack(np.array([[[1.1, -0.1], [0.5, 0.5]]]))
 
@@ -261,21 +262,21 @@ def test_check_stack_rejects_what_transition_matrix_rejects():
 
 def test_irreducibility_examples():
     # check_stack at k = 1 decides irreducibility
-    check_stack(SWAP.rows[None])  # irreducible: returns without raising
+    check_stack(SWAP[None])  # irreducible: returns without raising
     for p in (np.eye(2), [[0.5, 0.5], [0.0, 1.0]]):
         with pytest.raises(InvariantError, match="reducible"):
-            check_stack(TransitionMatrix(p).rows[None])
+            check_stack(stochastic(p)[None])
 
 
 # ----------------------------------------------------------------- propagation
 
 def test_propagate_period_two_permutation():
-    out = exact_marginal([1.0, 0.0], np.array([SWAP.rows, SWAP.rows]))
+    out = exact_marginal([1.0, 0.0], np.array([SWAP, SWAP]))
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
 
 def test_propagate_single_step():
-    out = exact_marginal([1.0, 0.0], P_REF.rows[None])
+    out = exact_marginal([1.0, 0.0], P_REF[None])
     np.testing.assert_allclose(out, [0.9, 0.1], atol=1e-15)
 
 
@@ -330,7 +331,7 @@ def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
     # key 0: path uniforms, 1: noise draws, 2: coverage draws, all off one seed
     seed = 12
     uniforms = _seed_sequence_stream(seed, 0).random(300)
-    cums = np.cumsum(P_REF.rows, axis=1)
+    cums = np.cumsum(P_REF, axis=1)
     states = [0]
     for u in uniforms:
         states.append(_sample_from_row(cums[states[-1]], u))
@@ -393,7 +394,7 @@ def test_next_states_equals_per_row_loop():
 ])
 def test_empirical_frequencies_match_exact_marginal(rows, t_max):
     # 1e5 seeded paths, chi-squared-free: per-state frequency within 0.01
-    sched = ConstantSchedule(TransitionMatrix(rows))
+    sched = ConstantSchedule(rows)
     n, n_paths = sched.n, 100_000
     exact = exact_marginal(np.eye(n)[0], sched.block(1, t_max + 1))
     counts = np.zeros(n)

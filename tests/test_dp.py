@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiatrack import chains, dp, verify
-from adiatrack.chains import TransitionMatrix
 from adiatrack.dp import (
     CheckResult,
     RewardSpec,
@@ -18,10 +17,10 @@ from adiatrack.dp import (
     exact_reward,
 )
 
-from conftest import matrices
+from conftest import matrices, stochastic
 
-P_REF = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-FLAT = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+P_REF = np.array([[0.9, 0.1], [0.2, 0.8]])
+FLAT = np.array([[0.5, 0.5], [0.5, 0.5]])
 
 
 def truncated_series(p, spec, horizon):
@@ -29,26 +28,26 @@ def truncated_series(p, spec, horizon):
     term = spec.r.copy()
     total = term.copy()
     for _ in range(horizon):
-        term = spec.beta * (p.rows @ term)
+        term = spec.beta * (p @ term)
         total = total + term
     return total
 
 
 def exact_q1(p, spec, n_actions, **kw):
     """exact_q at k = 1: the stack of p alone."""
-    return exact_q(p.rows[None], spec.r[None], np.array([spec.beta]), n_actions, **kw)[0]
+    return exact_q(p[None], spec.r[None], np.array([spec.beta]), n_actions, **kw)[0]
 
 
 def bellman_g1(p, spec, q_in, n_actions):
     """bellman_g at k = 1; at n_actions = 1 it is the TD operator r + beta P q_in."""
-    return bellman_g(p.rows[None], spec.r[None], np.array([spec.beta]),
+    return bellman_g(p[None], spec.r[None], np.array([spec.beta]),
                      np.asarray(q_in, dtype=float)[None], n_actions)[0]
 
 
 def lipschitz_reward1(p, q, spec, slack=1e-10):
     """check_lipschitz_rewards at k = 1, with lhs <= rhs + slack as its verdict."""
     (lhs,), (rhs,) = (side.tolist() for side in check_lipschitz_rewards(
-        p.rows[None], q.rows[None], spec.r[None], np.array([spec.beta])))
+        p[None], q[None], spec.r[None], np.array([spec.beta])))
     return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
 
 
@@ -56,7 +55,7 @@ def restart_identity1(p, spec, beta_hat, x_restart, slack=1e-8):
     """check_restart_identities at k = 1: passed when both sides agree within
     slack and the wrapped rho is at most beta/beta_hat + 1e-12."""
     (lhs,), (rhs,), (rho,), (rho_bound,) = (side.tolist() for side in check_restart_identities(
-        p.rows[None], spec.r[None], np.array([spec.beta]), np.array([beta_hat]),
+        p[None], spec.r[None], np.array([spec.beta]), np.array([beta_hat]),
         np.array([x_restart])))
     rho_ok = rho <= rho_bound + 1e-12
     return CheckResult(lhs=lhs, rhs=rhs, passed=abs(lhs - rhs) <= slack and rho_ok,
@@ -65,12 +64,12 @@ def restart_identity1(p, spec, beta_hat, x_restart, slack=1e-8):
 
 def backward_induction_q(p, spec, n_actions, horizon):
     """Independent oracle: finite-horizon dynamic program, Q_H = 0."""
-    n_states = p.n // n_actions
-    q = np.zeros(p.n)
+    n_states = len(p) // n_actions
+    q = np.zeros(len(p))
     for _ in range(horizon):
         v = q.reshape(n_states, n_actions).max(axis=1)
-        v_prod = v[np.arange(p.n) // n_actions]
-        q = spec.r + spec.beta * (p.rows @ v_prod)
+        v_prod = v[np.arange(len(p)) // n_actions]
+        q = spec.r + spec.beta * (p @ v_prod)
     return q
 
 
@@ -121,7 +120,7 @@ def test_exact_reward_tiny_discount_near_rewards():
 @settings(max_examples=60, deadline=None)
 def test_exact_reward_matches_truncated_series(p, beta):
     rng = np.random.default_rng(3)
-    spec = RewardSpec(rng.uniform(-1, 1, p.n), beta)
+    spec = RewardSpec(rng.uniform(-1, 1, len(p)), beta)
     horizon = 60
     tail = beta ** (horizon + 1) * spec.r_max / (1 - beta)
     assert np.abs(exact_reward(p, spec) - truncated_series(p, spec, horizon)).max() \
@@ -132,7 +131,7 @@ def test_exact_reward_matches_truncated_series(p, beta):
 @settings(max_examples=60, deadline=None)
 def test_exact_reward_respects_value_cap(p, beta):
     rng = np.random.default_rng(4)
-    spec = RewardSpec(rng.uniform(-1, 1, p.n), beta)
+    spec = RewardSpec(rng.uniform(-1, 1, len(p)), beta)
     assert np.abs(exact_reward(p, spec)).max() <= spec.value_cap + 1e-12
 
 
@@ -144,7 +143,7 @@ def test_exact_rewards_equals_per_matrix_exact_reward(rng):
         r = rng.uniform(-1, 1, (9, n))
         np.testing.assert_array_equal(
             dp.exact_rewards(mats, r, betas),
-            [exact_reward(TransitionMatrix(m), RewardSpec(ri, b))
+            [exact_reward(stochastic(m), RewardSpec(ri, b))
              for m, ri, b in zip(mats, r, betas)])
 
 
@@ -153,7 +152,7 @@ def test_exact_rewards_certificate_rejects_an_inexact_solve(monkeypatch, error):
     real = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) + error)
     with pytest.raises(ArithmeticError, match="fixed-point residual"):
-        dp.exact_rewards(np.stack([P_REF.rows, FLAT.rows]), np.array([[1.0, 0.0], [0.0, 0.0]]),
+        dp.exact_rewards(np.stack([P_REF, FLAT]), np.array([[1.0, 0.0], [0.0, 0.0]]),
                          np.array([0.5, 0.5]))
 
 
@@ -192,7 +191,7 @@ def test_exact_q_single_action_collapses_to_reward():
 def test_exact_q_matches_backward_induction():
     rng = np.random.default_rng(6)
     raw = rng.random((4, 4))
-    p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+    p = stochastic(raw / raw.sum(axis=1, keepdims=True))
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
     q = exact_q1(p, spec, n_actions=2)
     brute = backward_induction_q(p, spec, n_actions=2, horizon=60)
@@ -202,9 +201,9 @@ def test_exact_q_matches_backward_induction():
 def best_of_all_policies(p, spec, n_actions):
     """Independent oracle: the elementwise max of Q^pi over every deterministic
     policy, each evaluated by a state-level solve of V^pi."""
-    n_states = p.n // n_actions
-    to_state = p.rows.reshape(p.n, n_states, n_actions).sum(axis=2)
-    best = np.full(p.n, -np.inf)
+    n_states = len(p) // n_actions
+    to_state = p.reshape(len(p), n_states, n_actions).sum(axis=2)
+    best = np.full(len(p), -np.inf)
     for pi in itertools.product(range(n_actions), repeat=n_states):
         chosen = [s * n_actions + a for s, a in enumerate(pi)]
         v = np.linalg.solve(np.eye(n_states) - spec.beta * to_state[chosen], spec.r[chosen])
@@ -217,10 +216,10 @@ def product_cases(draw):
     n_states, n_actions = draw(st.integers(2, 3)), draw(st.integers(1, 3))
     p = draw(matrices(n=n_states * n_actions))
     r = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(-1, 1),
-                               min_size=p.n, max_size=p.n)))
+                               min_size=len(p), max_size=len(p))))
     if draw(st.booleans()):  # every action a copy of action 0: ties up to rounding
-        first = np.arange(p.n) // n_actions * n_actions
-        p, r = TransitionMatrix(p.rows[first]), r[first]
+        first = np.arange(len(p)) // n_actions * n_actions
+        p, r = stochastic(p[first]), r[first]
     return p, RewardSpec(r, draw(st.sampled_from([0.5, 0.9, 0.99]))), n_actions
 
 
@@ -253,7 +252,7 @@ def _solved_policies(monkeypatch, n_actions, perturb=None):
 
 # every pair moves to (0, 0) or (1, 0) with probability 1/2: at beta = 1/2
 # each solve is exact, so actions 1 and 2 of state 0 tie to the bit
-TIED = TransitionMatrix(np.tile([0.5, 0, 0, 0.5, 0, 0], (6, 1)))
+TIED = np.tile([0.5, 0, 0, 0.5, 0, 0], (6, 1))
 TIED_SPEC = RewardSpec([0.0, 1.0, 1.0, 0.0, 0.0, 0.0], 0.5)
 
 
@@ -305,7 +304,7 @@ def test_exact_q_certifies_where_value_iteration_cycles(monkeypatch):
         verify._random_rows(rng, n), verify._random_rows(rng, n), rng.uniform(0, 1, n)
     for k in range(1500):  # the Q cases' draws, as the suite makes them
         nsa = 2 * int(rng.integers(2, 4))
-        sides = verify.random_transition_matrix(rng, nsa), verify.random_transition_matrix(rng, nsa)
+        sides = verify._random_rows(rng, nsa), verify._random_rows(rng, nsa)
         cases.append((sides, RewardSpec(rng.uniform(0, 1, nsa), betas[k % 3])))
     n_actions, kw = 2, {"tol": 1e-12}
     for i in (113, 196, 389, 917, 953, 2225, 2296, 2999):
@@ -313,7 +312,7 @@ def test_exact_q_certifies_where_value_iteration_cycles(monkeypatch):
         p = sides[i % 2]
         q = exact_q1(p, spec, n_actions, **kw)
         gap = np.abs(bellman_g1(p, spec, q, n_actions) - q).max()
-        assert gap <= (1 - spec.beta) * kw["tol"] + (p.n + 5) * 2 ** -53 * np.abs(q).max()
+        assert gap <= (1 - spec.beta) * kw["tol"] + (len(p) + 5) * 2 ** -53 * np.abs(q).max()
         threshold, vi = (1 - spec.beta) * kw["tol"], q
         for _ in range(300):  # still a limit-cycle case for value iteration
             vi_next = bellman_g1(p, spec, vi, n_actions)
@@ -327,9 +326,9 @@ def test_exact_q_stack_equals_each_rows_own_call(monkeypatch):
     rng = np.random.default_rng(16)
     betas = [0.5, 0.9, 0.99] * 4
     groups = [  # (rows, rewards, discounts, n_actions)
-        ([TIED.rows] + [verify._random_rows(rng, 6) for _ in range(11)],
+        ([TIED] + [verify._random_rows(rng, 6) for _ in range(11)],
          [TIED_SPEC.r] + [rng.uniform(0, 1, 6) for _ in range(11)], betas, 3),
-        ([P_REF.rows, FLAT.rows, verify._random_rows(rng, 2)],
+        ([P_REF, FLAT, verify._random_rows(rng, 2)],
          [[1.0, 0.0], [0.0, 1.0], [0.5, 0.25]], [0.9, 0.5, 0.99], 1),
         ([verify._random_rows(rng, 4) for _ in range(12)],
          [rng.uniform(0, 1, 4) for _ in range(12)], betas, 2),
@@ -361,7 +360,7 @@ def test_exact_q_of_an_empty_stack_is_empty():
 def test_exact_q_cycling_row_raises_inside_a_mixed_stack(monkeypatch):
     # row 1: action 0 pays in every state, so its first policy is greedy and
     # it stops after one round, certified on its own
-    mats = np.stack([TIED.rows, TIED.rows])
+    mats = np.stack([TIED, TIED])
     r, beta = np.array([TIED_SPEC.r, [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]), np.array([0.5, 0.5])
     exact_q(mats[1:], r[1:], beta[1:], 3, tol=1e-12)
 
@@ -378,7 +377,7 @@ def test_exact_q_cycling_row_raises_inside_a_mixed_stack(monkeypatch):
 def test_bellman_g_fixed_point_and_zero_input():
     rng = np.random.default_rng(7)
     raw = rng.random((4, 4))
-    p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+    p = stochastic(raw / raw.sum(axis=1, keepdims=True))
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
     star = exact_q1(p, spec, n_actions=2)
     np.testing.assert_allclose(bellman_g1(p, spec, star, 2), star, atol=1e-9)
@@ -408,8 +407,8 @@ def test_lipschitz_reward_random_sweep(rng):
     for _ in range(300):
         n = int(rng.integers(2, 5))
         raw1, raw2 = rng.random((n, n)), rng.random((n, n))
-        p = TransitionMatrix(raw1 / raw1.sum(axis=1, keepdims=True))
-        q = TransitionMatrix(raw2 / raw2.sum(axis=1, keepdims=True))
+        p = stochastic(raw1 / raw1.sum(axis=1, keepdims=True))
+        q = stochastic(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(0, 1, n), float(rng.choice([0.5, 0.9])))
         assert lipschitz_reward1(p, q, spec).passed
 
@@ -421,8 +420,8 @@ def test_lipschitz_reward_signed_rewards_need_factor_two():
     worst = 0.0
     for _ in range(4000):
         raw1, raw2 = rng.random((2, 2)), rng.random((2, 2))
-        p = TransitionMatrix(raw1 / raw1.sum(axis=1, keepdims=True))
-        q = TransitionMatrix(raw2 / raw2.sum(axis=1, keepdims=True))
+        p = stochastic(raw1 / raw1.sum(axis=1, keepdims=True))
+        q = stochastic(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(-1, 1, 2), 0.5)
         res = lipschitz_reward1(p, q, spec)
         if res.rhs > 0:
@@ -434,10 +433,10 @@ def test_lipschitz_reward_signed_rewards_need_factor_two():
 def test_lipschitz_q_random_sweep(rng):
     for _ in range(60):
         raw1, raw2 = rng.random((4, 4)), rng.random((4, 4))
-        p = TransitionMatrix(raw1 / raw1.sum(axis=1, keepdims=True))
-        q = TransitionMatrix(raw2 / raw2.sum(axis=1, keepdims=True))
+        p = stochastic(raw1 / raw1.sum(axis=1, keepdims=True))
+        q = stochastic(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(0, 1, 4), 0.9)
-        (lhs,), (rhs,) = check_lipschitz_q(p.rows[None], q.rows[None], spec.r[None],
+        (lhs,), (rhs,) = check_lipschitz_q(p[None], q[None], spec.r[None],
                                            np.array([spec.beta]), n_actions=2)
         assert lhs <= rhs + 1e-10  # the one-pair check's default slack
 
@@ -450,7 +449,7 @@ def test_restart_identity_zero_rewards():
 
 
 def test_restart_identity_swap_example():
-    swap = TransitionMatrix([[0, 1], [1, 0]])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = RewardSpec([1.0, 0.0], 0.5)
     res = restart_identity1(swap, spec, beta_hat=0.8, x_restart=0)
     assert res.passed
@@ -464,7 +463,7 @@ def test_restart_identity_random_sweep(rng):
     for _ in range(150):
         n = int(rng.integers(2, 5))
         raw = rng.random((n, n))
-        p = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+        p = stochastic(raw / raw.sum(axis=1, keepdims=True))
         beta = float(rng.uniform(0.2, 0.9))
         beta_hat = beta + (1 - beta) * float(rng.uniform(0.2, 0.9))
         spec = RewardSpec(rng.uniform(-1, 1, n), beta)

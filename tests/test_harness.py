@@ -17,7 +17,7 @@ from adiatrack.harness import (
     run_tracking,
 )
 
-from conftest import matrix_tv, tv
+from conftest import matrix_tv, stochastic, tv
 
 BASE_CONFIG = {
     "schedule": {"kind": "constant", "n": 2, "p": [[0.9, 0.1], [0.2, 0.8]]},
@@ -376,19 +376,19 @@ def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
     for i in range(n_reward_cases):
         rec.cases += 1
         n = int(rng.integers(2, 7))
-        p = verify.random_transition_matrix(rng, n)
-        q = verify.random_transition_matrix(rng, n)
+        p = stochastic(verify._random_rows(rng, n))
+        q = stochastic(verify._random_rows(rng, n))
         spec = dp.RewardSpec(rng.uniform(0, 1, n), betas[i % 3])
-        (lhs,), (rhs,) = dp.check_lipschitz_rewards(p.rows[None], q.rows[None], spec.r[None],
+        (lhs,), (rhs,) = dp.check_lipschitz_rewards(p[None], q[None], spec.r[None],
                                                     np.array([spec.beta]))
         rec.check("reward_lipschitz", lhs, rhs, tol)
     for i in range(n_q_cases):
         rec.cases += 1
         nsa = 2 * int(rng.integers(2, 4))
-        p = verify.random_transition_matrix(rng, nsa)
-        q = verify.random_transition_matrix(rng, nsa)
+        p = stochastic(verify._random_rows(rng, nsa))
+        q = stochastic(verify._random_rows(rng, nsa))
         spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
-        (lhs,), (rhs,) = dp.check_lipschitz_q(p.rows[None], q.rows[None], spec.r[None],
+        (lhs,), (rhs,) = dp.check_lipschitz_q(p[None], q[None], spec.r[None],
                                               np.array([spec.beta]), 2, tol=1e-12)
         rec.check("q_lipschitz", lhs, rhs, tol)
     return rec.report()
@@ -401,13 +401,13 @@ def _per_case_restart(n_cases, master_seed, value_tol=1e-8, rho_tol=1e-12):
     for _ in range(n_cases):
         rec.cases += 1
         n = int(rng.integers(2, 6))
-        p = verify.random_transition_matrix(rng, n)
+        p = stochastic(verify._random_rows(rng, n))
         beta = float(rng.uniform(0.2, 0.9))
         beta_hat = beta + (1.0 - beta) * float(rng.uniform(0.2, 0.9))
         x_restart = int(rng.integers(n))
         spec = dp.RewardSpec(rng.uniform(-1, 1, n), beta)
         (lhs,), (rhs,), (rho,), (rho_bound,) = dp.check_restart_identities(
-            p.rows[None], spec.r[None], np.array([beta]), np.array([beta_hat]),
+            p[None], spec.r[None], np.array([beta]), np.array([beta_hat]),
             np.array([x_restart]))
         rec.check("restart_value_identity", abs(lhs - rhs), 0.0, value_tol)
         rec.check("restart_rho_cap", rho, rho_bound, rho_tol)
@@ -415,39 +415,39 @@ def _per_case_restart(n_cases, master_seed, value_tol=1e-8, rho_tol=1e-12):
 
 
 def _per_case_prop1(n_cases, master_seed, tol=1e-10):
-    """suite_prop1 as a per-case loop: validated objects and k = 1 calls per case."""
+    """suite_prop1 as a per-case loop: validated draws, products and pushed
+    vectors (stochastic) and k = 1 calls per case."""
     rec = verify._Recorder("prop1", master_seed)
     rng = chains.stream(master_seed, 1)
 
     def random_distribution(n):
         raw = rng.random(n) + 1e-12
-        return chains.Distribution(raw / raw.sum())
+        return stochastic(raw / raw.sum())
 
     for _ in range(n_cases):
         rec.cases += 1
         n = int(rng.integers(2, 7))
-        p = verify.random_transition_matrix(rng, n)
-        q = verify.random_transition_matrix(rng, n)
+        p = stochastic(verify._random_rows(rng, n))
+        q = stochastic(verify._random_rows(rng, n))
         rho_p = chains.ergodicity_coefficient(p)
         rho_q = chains.ergodicity_coefficient(q)
-        prod = chains.TransitionMatrix(p.rows @ q.rows)
+        prod = stochastic(p @ q)
         rec.check("submultiplicative", chains.ergodicity_coefficient(prod), rho_p * rho_q, tol)
         lam, mu = random_distribution(n), random_distribution(n)
         rec.check("tv_contraction",
-                  tv(chains.Distribution(lam.probs @ p.rows),
-                     chains.Distribution(mu.probs @ p.rows)),
+                  tv(stochastic(lam @ p), stochastic(mu @ p)),
                   rho_p * tv(lam, mu), tol)
-        overlap = 1.0 - np.minimum(p.rows[:, None, :], p.rows[None, :, :]).sum(2).min()
+        overlap = 1.0 - np.minimum(p[:, None, :], p[None, :, :]).sum(2).min()
         rec.check("row_pair_vs_overlap_form", abs(rho_p - overlap), 0.0, tol)
         if rho_p < 1.0 - 1e-6:
-            pert = chains.TransitionMatrix(0.7 * p.rows + 0.3 * q.rows)
+            pert = stochastic(0.7 * p + 0.3 * q)
             gap = tv(chains.stationary_distribution(p), chains.stationary_distribution(pert))
             rec.check("stationary_perturbation", gap, matrix_tv(p, pert) / (1.0 - rho_p), tol)
     rng2 = chains.stream(master_seed, 2)
     for _ in range(n_cases):
         rec.cases += 1
-        p = verify.random_transition_matrix(rng2, 2)
-        second = float(p.rows[0, 0] + p.rows[1, 1] - 1.0)  # the non-unit eigenvalue
+        p = stochastic(verify._random_rows(rng2, 2))
+        second = float(p[0, 0] + p[1, 1] - 1.0)  # the non-unit eigenvalue
         rec.check("second_eigenvalue", abs(second), chains.ergodicity_coefficient(p), tol)
     return rec.report()
 
@@ -530,14 +530,14 @@ def _per_t_thm1(master_seed, tol=1e-10):
         marg, ref_pow, mu = np.eye(n), np.eye(n), np.full(n, 1.0 / n)
         for t in range(1, verify.THM1_HORIZONS[-1] + 1):
             mats.append(fam.matrix_at(t))
-            marg, ref_pow = marg @ mats[-1].rows, ref_pow @ mats[0].rows
+            marg, ref_pow = marg @ mats[-1], ref_pow @ mats[0]
             if t not in verify.THM1_HORIZONS:
                 continue
             rec.cases += 1
             rho, pi = chains.ergodicity_coefficient(mats[-1]), chains.stationary_distribution(mats[-1])
             for x in range(n) if rho < 1.0 else []:
-                init_gap = 0.5 * float(np.abs(np.eye(n)[x] - pi.probs).sum())
-                rec.check("stationarity_gap_dominance", 0.5 * np.abs(marg[x] - pi.probs).sum(),
+                init_gap = 0.5 * float(np.abs(np.eye(n)[x] - pi).sum())
+                rec.check("stationarity_gap_dominance", 0.5 * np.abs(marg[x] - pi).sum(),
                           gap_bound(fam.params, rho, t, init_gap), tol)
             rho_ref = chains.ergodicity_coefficient(mats[0])
             for x in range(n):
@@ -547,20 +547,19 @@ def _per_t_thm1(master_seed, tol=1e-10):
                 rec.check("homogeneous_comparison_dominance",
                           0.5 * np.abs(marg[x] - mu @ ref_pow).sum(), bound, tol)
     cyc = schedules.CyclicSchedule(
-        [chains.TransitionMatrix([[0.9, 0.1], [0.2, 0.8]]),
-         chains.TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])],
+        [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.8, 0.2]]],
         schedules.DriftParams(0.3, 0.7, 0.2, 0.0))
     marg, gaps = np.array([1.0, 0.0]), {}
     for t in range(1, 10_001):
         p = cyc.matrix_at(t)
-        marg = marg @ p.rows
+        marg = marg @ p
         if t in (100, 1000, 10_000):
             rec.cases += 1
             pi = chains.stationary_distribution(p)
-            gaps[t] = 0.5 * np.abs(marg - pi.probs).sum()
+            gaps[t] = 0.5 * np.abs(marg - pi).sum()
             rec.check("limit_gap_below_bound", gaps[t], gap_bound(
                 cyc.params, chains.ergodicity_coefficient(p), t,
-                0.5 * np.abs(np.array([1.0, 0.0]) - pi.probs).sum()), tol)
+                0.5 * np.abs(np.array([1.0, 0.0]) - pi).sum()), tol)
     rec.require("limit_gap_strictly_decreasing", gaps[100] > gaps[1000] > gaps[10_000])
     return rec.report()
 
@@ -587,24 +586,6 @@ def test_block_suite_reports_keep_their_bytes(suite, digest):
     # code was refactored onto stacks; the digests assume the numpy pinned in CI
     report = canonical_json(verify.run_suite(suite))
     assert hashlib.sha256(report.encode()).hexdigest() == digest
-
-
-def test_thm1_builds_no_per_matrix_objects(monkeypatch):
-    # every start of a horizon is one row of the stacked evaluators: no
-    # TransitionMatrix per step of the block
-    fams = verify.scan_families()  # anchors are built before counting starts
-    monkeypatch.setattr(verify, "scan_families", lambda: fams)
-    counts = {"TransitionMatrix": 0}
-    true_init = chains.TransitionMatrix.__init__
-
-    def counting_init(self, rows):
-        counts["TransitionMatrix"] += 1
-        true_init(self, rows)
-
-    monkeypatch.setattr(chains.TransitionMatrix, "__init__", counting_init)
-    assert verify.suite_thm1(limit_behavior=False)["pass"]
-    assert counts == {"TransitionMatrix": 0}
-    assert verify.suite_thm1(dominance=False)["pass"]
 
 
 def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
@@ -984,6 +965,14 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"rate": {"c_alpha": 0.5, "gamma_alpha": 0.6, "gama_alpha": 0.8}},
      "unknown rate fields: ['gama_alpha']"),
     ({"noise": {"kind": "zero", "eps": 0.1}}, "unknown noise fields: ['eps']"),
+    # matrices enter through a schedule's anchors, validated there
+    ({"schedule": {**BASE_CONFIG["schedule"], "p": [[0.5, 0.5]]}},
+     "expected square matrix, got shape (1, 2)"),
+    ({"schedule": {"kind": "cyclic", "n": 2, "params": {**ACCEPTANCE_ANCHORS["params"],
+                                                        "gamma_p": 0.3},
+                   "mats": [[[0.9, 0.1], [0.2, 0.8]],
+                            [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]]}},
+     "anchor matrices must share a dimension"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -1026,6 +1015,11 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
                  SWEEP_GRID, "unknown params fields: ['c_pii']", id="params-typo"),
     pytest.param({"reward": {"r": [1.0, "0"], "beta": 0.5}}, SWEEP_GRID,
                  "r[1] must be a number, got '0'", id="reward-string-entry"),
+    # the cells copy only n, the anchors and params: any other base key is refused
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_ende": [[0.5, 0.5], [0.5, 0.5]]}},
+                 SWEEP_GRID, "unknown schedule fields: ['p_ende']", id="schedule-p_ende"),
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "kind": "mystery"}}, SWEEP_GRID,
+                 "unknown schedule kind 'mystery'", id="schedule-kind-mystery"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}

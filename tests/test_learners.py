@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiatrack.chains import (
-    TransitionMatrix,
     simulate,
     stationary_distribution,
     stream,
@@ -32,8 +31,8 @@ from adiatrack.schedules import (
 
 from conftest import matrix_tv
 
-A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-B = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
+A = np.array([[0.9, 0.1], [0.2, 0.8]])
+B = np.array([[0.1, 0.9], [0.8, 0.2]])
 SPEC = RewardSpec([1.0, 0.0], 0.5)
 RATE = LearningRate(0.5, 0.6)
 ZERO_NOISE = NoiseModel("zero", 0.0)
@@ -73,7 +72,7 @@ def _update(table, x, f_value, alpha_t, eps_t=0.0):
 def test_td0_step_moves_only_the_visited_component(noise):
     # the component offset by 1000 dominates sup_error, so sup_error pins it
     # bit for bit: the visited one to the update, the others to their start
-    p = TransitionMatrix([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
+    p = np.array([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]])
     spec = RewardSpec([1.0, 0.5, -0.25], 0.5)
     rate = LearningRate(0.3, 0.5)
     star = exact_reward(p, spec)
@@ -163,7 +162,7 @@ def test_trace_diagnostics_at_checkpoints():
         assert trace.checkpoint_ts().tolist() == cps
         for row in trace.rows:
             assert row.alpha_t == RATE.alpha(row.t)
-            assert row.pi_min_t == stationary_distribution(sched.matrix_at(row.t)).min_prob()
+            assert row.pi_min_t == stationary_distribution(sched.matrix_at(row.t)).min()
             assert row.drift_t == matrix_tv(sched.matrix_at(row.t + 1), sched.matrix_at(row.t))
 
 
@@ -197,7 +196,7 @@ def _product_chain():
         for sp in range(2):
             for ap in range(2):
                 rows[2 * s + a, 2 * sp + ap] = row[sp] * 0.5
-    return TransitionMatrix(rows)
+    return rows
 
 
 def test_q_zero_rewards_zero_error():
@@ -230,7 +229,7 @@ def test_q_track_follows_drifting_product_schedule():
     p_start = _product_chain()
     rng = np.random.default_rng(41)
     raw = rng.random((4, 4))
-    p_end = TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))
+    p_end = raw / raw.sum(axis=1, keepdims=True)
     sched = InterpolationSchedule(p_start, p_end, DriftParams(0.02, 1.0, 0.05, 0.0))
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
     cps = [10, 300, 3000]
@@ -238,7 +237,7 @@ def test_q_track_follows_drifting_product_schedule():
     assert [row.t for row in trace.rows] == cps
     assert trace.rows[-1].sup_error < trace.rows[0].sup_error
     assert trace.max_abs_value <= spec.r_max / (1 - spec.beta) + 1e-9
-    star = exact_q(sched.matrix_at(3000).rows[None], spec.r[None], np.array([spec.beta]), 2)[0]
+    star = exact_q(sched.matrix_at(3000)[None], spec.r[None], np.array([spec.beta]), 2)[0]
     assert np.isfinite(star).all()
     assert trace.rows[-1].drift_t > 0.0  # schedule still moving at T
 
@@ -282,10 +281,10 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
         if t in cps:
             mat, nxt = schedule.matrix_at(t), schedule.matrix_at(t + 1)
             target = (exact_reward(mat, spec) if n_actions is None
-                      else exact_q(mat.rows[None], spec.r[None], np.array([spec.beta]),
+                      else exact_q(mat[None], spec.r[None], np.array([spec.beta]),
                                    n_actions)[0])
             rows.append(TraceRow(t, float(np.abs(table - target).max()), alpha_t,
-                                 stationary_distribution(mat).min_prob(),
+                                 float(stationary_distribution(mat).min()),
                                  matrix_tv(nxt, mat)))
     return rows, max_abs
 
@@ -297,7 +296,7 @@ def _kernel_cases(draw):
     kind = draw(st.sampled_from(["constant", "interpolation", "cyclic"]))
     raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=3 * n * n,
                                  max_size=3 * n * n))).reshape(3, n, n)
-    mats = [TransitionMatrix(m / m.sum(axis=1, keepdims=True)) for m in raw]
+    mats = [m / m.sum(axis=1, keepdims=True) for m in raw]
     if kind == "constant":
         sched = ConstantSchedule(mats[0])
     elif kind == "interpolation":
@@ -336,7 +335,7 @@ def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max):
     # several blocks: each seed's uniforms and noise, drawn block by block, must
     # continue one stream, and the checkpoints at the edges see the right matrix;
     # at t_max = 3 * 2048 the walk's last block holds P^(t_max+1) alone
-    sched = InterpolationSchedule(_product_chain(), TransitionMatrix(np.full((4, 4), 0.25)),
+    sched = InterpolationSchedule(_product_chain(), np.full((4, 4), 0.25),
                                   DriftParams(0.02, 1.0, 0.05, 0.0))
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
     noise = NoiseModel("uniform-iid", 0.3)
@@ -354,7 +353,7 @@ def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max):
 def test_track_at_two_rates_equals_two_one_rate_calls(n_actions):
     # every rate's run of a seed reads that seed's one set of path and noise
     # draws per block: sharing them changes no bit of any trace
-    sched = InterpolationSchedule(_product_chain(), TransitionMatrix(np.full((4, 4), 0.25)),
+    sched = InterpolationSchedule(_product_chain(), np.full((4, 4), 0.25),
                                   DriftParams(0.02, 1.0, 0.05, 0.0))
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
     noise = NoiseModel("uniform-iid", 0.3)
@@ -374,7 +373,7 @@ def test_track_at_two_rates_equals_two_one_rate_calls(n_actions):
 def test_track_solves_each_blocks_q_targets_in_one_call(monkeypatch):
     # one dp.exact_q call per block of the walk, on the stack of that block's
     # checkpoint matrices; a block with no checkpoint passes an empty stack
-    sched = InterpolationSchedule(_product_chain(), TransitionMatrix(np.full((4, 4), 0.25)),
+    sched = InterpolationSchedule(_product_chain(), np.full((4, 4), 0.25),
                                   DriftParams(0.02, 1.0, 0.05, 0.0))
     spec, cps, t_max = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5), [1, 2, 2047, 6000], 3 * 2048
     calls, real = [], dp.exact_q

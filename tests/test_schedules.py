@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from adiatrack import schedules
 from adiatrack.chains import (
     InvariantError,
-    TransitionMatrix,
     ergodicity_coefficient,
     stationary_distribution,
 )
@@ -26,17 +25,17 @@ from adiatrack.schedules import (
     verify_drift,
 )
 
-from conftest import matrix_tv
+from conftest import matrix_tv, stochastic
 
-A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-B = TransitionMatrix([[0.1, 0.9], [0.8, 0.2]])
-FLAT = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+A = np.array([[0.9, 0.1], [0.2, 0.8]])
+B = np.array([[0.1, 0.9], [0.8, 0.2]])
+FLAT = np.array([[0.5, 0.5], [0.5, 0.5]])
 
 
 def restart_wrap1(p, beta, beta_hat, x_restart):
-    """restart_wraps at k = 1, validated as a TransitionMatrix."""
-    return TransitionMatrix(restart_wraps(p.rows[None], np.array([beta]), np.array([beta_hat]),
-                                          np.array([x_restart]))[0])
+    """restart_wraps at k = 1, its rows validated (chains._check_rows)."""
+    return stochastic(restart_wraps(p[None], np.array([beta]), np.array([beta_hat]),
+                                    np.array([x_restart]))[0])
 
 
 def test_drift_params_validation():
@@ -56,7 +55,7 @@ def test_time_index_starts_at_one():
 
 def test_constant_schedule_same_matrix_every_t():
     sched = ConstantSchedule(A)
-    np.testing.assert_array_equal(sched.matrix_at(1).rows, sched.matrix_at(123456).rows)
+    np.testing.assert_array_equal(sched.matrix_at(1), sched.matrix_at(123456))
     assert sched.rho_cap == pytest.approx(0.7)
     # default floor is the exact stationary minimum
     assert sched.params.c_pi == pytest.approx(1 / 3, abs=1e-12)
@@ -64,8 +63,8 @@ def test_constant_schedule_same_matrix_every_t():
 
 def test_matrix_at_is_pure():
     sched = InterpolationSchedule(A, FLAT, DriftParams(0.1, 1.0, 0.2, 0.0))
-    m1 = sched.matrix_at(17).rows
-    m2 = sched.matrix_at(17).rows
+    m1 = sched.matrix_at(17)
+    m2 = sched.matrix_at(17)
     np.testing.assert_array_equal(m1, m2)
 
 
@@ -76,13 +75,13 @@ def test_interpolation_first_increment_matches_certificate():
     sched = InterpolationSchedule(A, FLAT, DriftParams(0.1, 1.0, 0.2, 0.0))
     assert matrix_tv(sched.matrix_at(1), sched.matrix_at(2)) == \
         pytest.approx(0.1, abs=1e-14)
-    np.testing.assert_array_equal(sched.matrix_at(1).rows, A.rows)
+    np.testing.assert_array_equal(sched.matrix_at(1), A)
 
 
 def test_interpolation_one_step_arrival_clamps():
     sched = InterpolationSchedule(A, FLAT, DriftParams(0.9, 1.0, 0.2, 0.0))
-    np.testing.assert_array_equal(sched.matrix_at(2).rows, sched.p_end.rows)
-    np.testing.assert_array_equal(sched.matrix_at(50).rows, sched.p_end.rows)
+    np.testing.assert_array_equal(sched.matrix_at(2), sched.p_end)
+    np.testing.assert_array_equal(sched.matrix_at(50), sched.p_end)
 
 
 def test_interpolation_equal_endpoints_is_constant():
@@ -93,7 +92,7 @@ def test_interpolation_equal_endpoints_is_constant():
 
 def test_interpolation_rejects_reducible_endpoint():
     with pytest.raises(ValueError, match="reducible"):
-        InterpolationSchedule(TransitionMatrix(np.eye(2)), A,
+        InterpolationSchedule(np.eye(2), A,
                               DriftParams(0.1, 1.0, 0.2, 0.0))
 
 
@@ -142,8 +141,8 @@ def test_shrinking_min_mass_values():
     assert sched.params.pi_floor(16) == pytest.approx(0.05)
     # stationary solve agrees with the designed vector
     pi16 = stationary_distribution(sched.matrix_at(16))
-    np.testing.assert_allclose(pi16.probs, [0.475, 0.475, 0.05], atol=1e-12)
-    assert pi16.min_prob() == pytest.approx(0.05, abs=1e-12)
+    np.testing.assert_allclose(pi16, [0.475, 0.475, 0.05], atol=1e-12)
+    assert pi16.min() == pytest.approx(0.05, abs=1e-12)
 
 
 def test_shrinking_rho_is_half_everywhere():
@@ -174,14 +173,14 @@ def test_shrinking_requires_positive_gamma_pi():
 # -------------------------------------------------------------------- restart
 
 def test_restart_wrap_example_matrix():
-    swap = TransitionMatrix([[0, 1], [1, 0]])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     wrapped = restart_wrap1(swap, beta=0.5, beta_hat=0.8, x_restart=0)
-    np.testing.assert_allclose(wrapped.rows, [[0.375, 0.625], [1.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(wrapped, [[0.375, 0.625], [1.0, 0.0]], atol=1e-15)
     assert ergodicity_coefficient(wrapped) == pytest.approx(0.625, abs=1e-15)
 
 
 def test_restart_wrap_rejects_bad_discounts():
-    swap = TransitionMatrix([[0, 1], [1, 0]])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         restart_wrap1(swap, beta=0.8, beta_hat=0.8, x_restart=0)
     with pytest.raises(ValueError):
@@ -255,7 +254,7 @@ def test_verify_drift_checks_stationary_floor_at_every_t():
     report = verify_drift(sched, t_max=t_max)
     assert report.pi_argmin_t == t_max
     assert report.min_scaled_pi_floor == \
-        stationary_distribution(sched.matrix_at(t_max)).min_prob()
+        stationary_distribution(sched.matrix_at(t_max)).min()
 
 
 def test_verify_drift_names_floor_violation_off_the_log_grid():
@@ -263,8 +262,8 @@ def test_verify_drift_names_floor_violation_off_the_log_grid():
     # is t* + 1 exactly, a t a logarithmic checkpoint grid beyond 1e4 skips
     t_star = 10_500
     probe = _decreasing_floor_schedule()
-    above = stationary_distribution(probe.matrix_at(t_star)).min_prob()
-    below = stationary_distribution(probe.matrix_at(t_star + 1)).min_prob()
+    above = stationary_distribution(probe.matrix_at(t_star)).min()
+    below = stationary_distribution(probe.matrix_at(t_star + 1)).min()
     assert above - below > 1e-7
     c_pi = 0.5 * (above + below) + schedules._CERT_FUZZ
     with pytest.raises(DriftCertificateError) as err:
@@ -287,7 +286,7 @@ def _per_t_report(s, t_max):
             rho_max, rho_t = rho, t
         if rho > s.rho_cap + 1e-12:
             first.setdefault("rho_cap", (t, rho, s.rho_cap))
-        floor = stationary_distribution(prev).min_prob()
+        floor = stationary_distribution(prev).min()
         scaled = floor * t ** params.gamma_pi
         if scaled < pi_min:
             pi_min, pi_t = scaled, t
@@ -311,8 +310,8 @@ def _per_t_report(s, t_max):
                                  violations)
 
 
-P4 = TransitionMatrix([[0.4, 0.3, 0.2, 0.1], [0.1, 0.5, 0.3, 0.1],
-                       [0.25, 0.25, 0.25, 0.25], [0.3, 0.1, 0.1, 0.5]])
+P4 = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.5, 0.3, 0.1],
+               [0.25, 0.25, 0.25, 0.25], [0.3, 0.1, 0.1, 0.5]])
 
 
 def _scan_cases():
@@ -356,7 +355,7 @@ class _Switch(schedules.Schedule):
 
     def _block(self, t_lo, t_hi):
         ts = np.arange(t_lo, t_hi)[:, None, None]
-        return np.where(ts <= self.t_switch, A.rows, B.rows)
+        return np.where(ts <= self.t_switch, A, B)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -389,7 +388,7 @@ class _Kicked(InterpolationSchedule):
         mats = super()._block(t_lo, t_hi)
         ts = np.arange(t_lo, t_hi)[:, None, None]
         return np.where(ts > self.t_kick,
-                        mats + self.kick / self.segment_length * (B.rows - A.rows), mats)
+                        mats + self.kick / self.segment_length * (B - A), mats)
 
 
 def test_verify_drift_rejects_true_excess_of_1e12_at_gamma_p_two():
@@ -432,20 +431,20 @@ def _arc(c_p, gamma_p, k):
 def _matrix_formula(s, t):
     """Each family's P^(t), written out per t with Python scalars."""
     if s.kind == "constant":
-        return s.p.rows
+        return s.p
     if s.kind == "interpolation":
         c_p, gamma_p = s.params.c_p, s.params.gamma_p
         if s.segment_length == 0.0 or gamma_p == GAMMA_INF:
-            return s.p_start.rows
+            return s.p_start
         w = min(1.0, _arc(c_p, gamma_p, t - 1) / s.segment_length)
         if w == 0.0:
-            return s.p_start.rows
+            return s.p_start
         if w == 1.0:
-            return s.p_end.rows
-        return (1.0 - w) * s.p_start.rows + w * s.p_end.rows
+            return s.p_end
+        return (1.0 - w) * s.p_start + w * s.p_end
     if s.kind == "cyclic":
-        segs = [(m.rows, nxt.rows, matrix_tv(m, nxt))
-                for m, nxt in zip(s.mats, s.mats[1:] + s.mats[:1])]
+        segs = [(m, nxt, matrix_tv(m, nxt))
+                for m, nxt in zip(s.mats, [*s.mats[1:], s.mats[0]])]
         segs = [seg for seg in segs if seg[2] > 0.0]
         offsets = np.concatenate([[0.0], np.cumsum([seg[2] for seg in segs])])
         pos = math.fmod(_arc(s.params.c_p, s.params.gamma_p, t - 1), float(offsets[-1]))
@@ -517,7 +516,7 @@ def test_restart_probe_floor_matches_per_t_solves():
     inner = InterpolationSchedule(A, B, DriftParams(0.05, 0.7, 0.25, 0.3))
     sched = RestartWrappedSchedule(inner, 0.5, 0.8, 0)
     floor = min(stationary_distribution(restart_wrap1(inner.matrix_at(t), 0.5, 0.8, 0))
-                .min_prob() * t ** 0.3 for t in range(1, 65))
+                .min() * t ** 0.3 for t in range(1, 65))
     assert sched.params.c_pi == 0.999 * floor
 
 
@@ -540,7 +539,7 @@ def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
     for lo, block in sched.blocks(1, _EDGE + 7):
         assert not block.flags.writeable
         for i, mat in enumerate(block):
-            assert mat.tobytes() == sched.matrix_at(lo + i).rows.tobytes()
+            assert mat.tobytes() == sched.matrix_at(lo + i).tobytes()
     with pytest.raises(ValueError):
         sched.block(1, 3)[0, 0, 0] = 0.5
 
@@ -558,7 +557,7 @@ def test_walk_blocks_share_their_edge_matrix(sched):
             assert after[0] == lo + len(block) - 1
             assert after[1][0].tobytes() == block[-1].tobytes()
         for i, mat in enumerate(block):
-            assert mat.tobytes() == sched.matrix_at(lo + i).rows.tobytes(), lo + i
+            assert mat.tobytes() == sched.matrix_at(lo + i).tobytes(), lo + i
     assert lo + len(block) - 1 == t_max + 1
 
 
@@ -586,7 +585,7 @@ def test_computed_block_is_still_checked(make):
 # ----------------------------------------------------------------- json specs
 
 def test_schedule_from_spec_builds_every_kind():
-    a, b = A.rows.tolist(), B.rows.tolist()
+    a, b = A.tolist(), B.tolist()
     interp = {"kind": "interpolation", "n": 2,
               "params": {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0},
               "p_start": a, "p_end": b}
@@ -610,19 +609,19 @@ def test_schedule_from_spec_builds_every_kind():
         assert (type(built), built.kind, built.n, built.params, built.rho_cap) == \
             (type(sched), sched.kind, sched.n, sched.params, sched.rho_cap)
         for t in (1, 2, 13, 400):
-            np.testing.assert_array_equal(built.matrix_at(t).rows, sched.matrix_at(t).rows)
+            np.testing.assert_array_equal(built.matrix_at(t), sched.matrix_at(t))
 
 
 def test_gamma_inf_json_encoding():
     params = {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.3, "gamma_pi": 0.0}
-    built = schedule_from_spec({"kind": "constant", "n": 2, "p": A.rows.tolist(),
+    built = schedule_from_spec({"kind": "constant", "n": 2, "p": A.tolist(),
                                 "params": params})
     assert built.params == DriftParams(1.0, math.inf, 0.3, 0.0)
     assert built.params.gamma_p == math.inf and built.params.drift_bound(7) == 0.0
 
 
 @pytest.mark.parametrize("spec", [
-    {"kind": "constant", "n": 7, "p": A.rows.tolist()},
+    {"kind": "constant", "n": 7, "p": A.tolist()},
     {"kind": "shrinking-state", "n": 2,
      "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}},
 ], ids=["constant", "shrinking-state"])
@@ -633,15 +632,15 @@ def test_schedule_spec_n_must_match_its_matrices(spec):
 
 SPEC_PARAMS = {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0}
 INTERP_SPEC = {"kind": "interpolation", "n": 2, "params": SPEC_PARAMS,
-               "p_start": A.rows.tolist(), "p_end": B.rows.tolist()}
+               "p_start": A.tolist(), "p_end": B.tolist()}
 
 
 # a constant schedule's misspelt "params", matrix entries that are booleans
 # or strings: test_harness's CLI config-error cases
 @pytest.mark.parametrize("spec, named", [
-    ({**INTERP_SPEC, "mats": [A.rows.tolist()]}, "unknown schedule fields: ['mats']"),
+    ({**INTERP_SPEC, "mats": [A.tolist()]}, "unknown schedule fields: ['mats']"),
     ({"kind": "cyclic", "n": 2, "params": {**SPEC_PARAMS, "gamma_p": 0.5},
-      "mats": [A.rows.tolist(), B.rows.tolist()], "p": A.rows.tolist()},
+      "mats": [A.tolist(), B.tolist()], "p": A.tolist()},
      "unknown schedule fields: ['p']"),
     ({"kind": "shrinking-state", "n": 3, "x_restart": 0,
       "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}},
@@ -666,7 +665,7 @@ def test_schedule_spec_refuses_keys_it_does_not_read(spec, named):
     ({**INTERP_SPEC, "p_end": [[0.1, 0.9], [0.8, None]]},
      "p_end[1][1] must be a number, got None"),
     ({"kind": "cyclic", "n": 2, "params": {**SPEC_PARAMS, "gamma_p": 0.5},
-      "mats": [A.rows.tolist(), [0.1, 0.9]]}, "mats[1][0] must be a list, got 0.1"),
+      "mats": [A.tolist(), [0.1, 0.9]]}, "mats[1][0] must be a list, got 0.1"),
 ])
 def test_schedule_spec_matrices_are_lists_of_json_number_rows(spec, named):
     with pytest.raises(ValueError) as err:
@@ -674,7 +673,7 @@ def test_schedule_spec_matrices_are_lists_of_json_number_rows(spec, named):
     assert str(err.value) == named
     # JSON integers are numbers
     built = schedule_from_spec({"kind": "constant", "n": 2, "p": [[0.5, 0.5], [1, 0]]})
-    assert built.matrix_at(1).rows.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+    assert built.matrix_at(1).tolist() == [[0.5, 0.5], [1.0, 0.0]]
 
 
 def test_unknown_kind_rejected():
