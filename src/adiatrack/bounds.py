@@ -410,11 +410,6 @@ class CoverageResult:
     n_reps: int
     n_violating: int
 
-    def to_json(self) -> dict:
-        return {"violation_fraction": self.violation_fraction,
-                "threshold": self.threshold, "pass": self.passed,
-                "n_reps": self.n_reps, "n_violating": self.n_violating}
-
 
 def noise_envelope_coverage(alpha, pi, eps_max: float, delta: float, tau: int,
                             t_max: int, n_reps: int, seed: int) -> CoverageResult:

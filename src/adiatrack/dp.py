@@ -92,9 +92,6 @@ class CheckResult:
     passed: bool
     detail: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
-
 
 def exact_reward(p: np.ndarray, spec: RewardSpec) -> np.ndarray:
     """Solve (I - beta P) R = r directly for an (n, n) p: the one-matrix call of exact_rewards."""

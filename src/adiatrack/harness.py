@@ -14,7 +14,9 @@ declared certificate, and a failing one raises before the learners take a
 step, so no trace is written for it.  Each group then walks its schedule
 once (learners.track at all its rates): every seed, rate and checkpoint
 target shares each block, so memory does not grow with the horizon, and
-whether cells share a walk changes no output bit.
+whether cells share a walk changes no output bit.  A sweep reads its base's
+anchors (schedules._spec_anchors), params and n as track does, before any
+cell, so a cell is skipped only for a reason of its own.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ def log_checkpoints(t_max: int, per_decade: int = 8) -> list:
     """Logarithmically spaced integer checkpoints on [1, t_max], endpoints kept."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be >= 1, got {per_decade}")
     k = max(1, int(round(per_decade * math.log10(max(t_max, 2)))))
     grid = {int(round(10 ** e)) for e in np.linspace(0.0, math.log10(t_max), k + 1)}
     grid.add(t_max)
@@ -84,9 +88,6 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("schedule", "reward", "rate", "noise"):
             chains._json_object(getattr(self, name), name)
-        # a sweep's cells copy it into their own specs: a bad key is the base's error
-        chains._known_keys(chains._json_object(self.schedule.get("params", {}), "params"),
-                           "params", schedules._PARAM_KEYS)
         if self.learner not in ("td0", "q"):
             raise ValueError(f"unknown learner {self.learner!r}")
         for name in ("t_max", "x0", "n_actions"):
@@ -96,6 +97,7 @@ class ExperimentConfig:
         if self.n_actions < 1:
             raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
         if isinstance(self.seeds, dict):
+            chains._known_keys(self.seeds, "seeds", ("base", "count"))
             base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
             self.seeds = [base + k for k in range(count)]
         self.seeds = chains._read_list(self.seeds, "seeds", chains.integer)
@@ -107,6 +109,7 @@ class ExperimentConfig:
             if seed < 0:  # a stream's SeedSequence takes none
                 raise ValueError(f"seeds[{i}] must be non-negative, got {seed}")
         if isinstance(self.checkpoints, dict):
+            chains._known_keys(self.checkpoints, "checkpoints", ("per_decade",))
             self.checkpoints = log_checkpoints(
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))
         if not self.checkpoints:
@@ -129,10 +132,8 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(chains._json_object(json.load(fh), "config"))
 
     def canonical_dict(self) -> dict:
-        return {"schedule": self.schedule, "reward": self.reward, "rate": self.rate,
-                "noise": self.noise, "learner": self.learner,
-                "n_actions": self.n_actions, "t_max": self.t_max,
-                "checkpoints": self.checkpoints, "seeds": self.seeds, "x0": self.x0}
+        """Every field, so none drops out of the hash; shallow, as asdict copies per hash."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.canonical_dict()).encode()).hexdigest()[:12]
@@ -268,22 +269,19 @@ def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     return _run(config, [(schedule, [(config, out_dir)])])[0]
 
 
-def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict:
+def _cell_schedule(base_schedule: dict, anchors: list, gamma_p: float, gamma_pi: float) -> dict:
     """Realize one sweep cell's (gamma_p, gamma_pi) as a schedule spec.
 
-    gamma_pi = 0 cells reuse the base anchors: constant for gamma_p = inf,
-    never-arriving interpolation for gamma_p >= 1, cyclic for gamma_p in
-    (0,1).  gamma_pi > 0 cells map to the 3-state shrinking family, which
-    couples gamma_p = gamma_pi + 1; anything else has no realizing family
-    and raises ValueError naming the reason.
+    gamma_pi = 0 cells copy the base's n and anchors as spelt: constant for
+    gamma_p = inf, never-arriving interpolation for gamma_p >= 1, cyclic for
+    gamma_p in (0,1).  gamma_pi > 0 cells map to the 3-state shrinking
+    family, which couples gamma_p = gamma_pi + 1; anything else has no
+    realizing family and raises ValueError naming the reason.
     """
-    anchors = base_schedule.get("mats")
-    if anchors is None:
-        anchors = [base_schedule.get("p_start"), base_schedule.get("p_end")]
-    if not anchors or anchors[0] is None or anchors[-1] is None:
-        raise ValueError("base schedule carries no anchor matrices")
     params = dict(base_schedule["params"])
     if gamma_pi == 0.0:
+        if not anchors:
+            raise ValueError("base schedule carries no anchor matrices")
         params["gamma_pi"] = 0.0
         if gamma_p == schedules.GAMMA_INF:
             return {"kind": "constant", "n": base_schedule["n"],
@@ -297,7 +295,7 @@ def _cell_schedule(base_schedule: dict, gamma_p: float, gamma_pi: float) -> dict
     if gamma_p == gamma_pi + 1.0:
         return {"kind": "shrinking-state", "n": 3,
                 "params": {**params, "gamma_p": gamma_p, "gamma_pi": gamma_pi,
-                           "c_pi": min(params.get("c_pi", 0.2), 1.0 / 3.0)}}
+                           "c_pi": min(chains.number(params, "c_pi"), 1.0 / 3.0)}}
     raise ValueError(f"no schedule family realizes gamma_p={gamma_p} with gamma_pi="
                      f"{gamma_pi} (shrinking family forces gamma_p = gamma_pi + 1)")
 
@@ -306,8 +304,10 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     """Run one tracking experiment per exponent-triple cell; emit a merged CSV.
 
     grid: {"gamma_p": [...], "gamma_alpha": [...], "gamma_pi": [...]}, with
-    "inf" accepted in gamma_p.  Cells violating standing assumptions or
-    with no realizing schedule family are recorded as skipped, not errors.
+    "inf" accepted in gamma_p.  The base's anchors, n and params are checked
+    as track checks them, before any cell.  Cells violating standing
+    assumptions, with no realizing family or refused by it are recorded as
+    skipped, not errors.
     Cells with the same schedule spec are one group of _run: one build, one
     certificate scan and one walk at every cell's rate; each cell's files
     are those run_tracking writes for it.  A bad input or a failing
@@ -317,16 +317,13 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = chains._read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = chains._read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
-    # cells copy only the base's n, anchors and params, so any other key would be
-    # dropped unread: refuse it by name (the base itself is not built)
-    schedules._spec_kind(base.schedule)
-    # the gamma_pi = 0 cells copy the base's n and anchors: a bad one is the base's error
-    mats = base.schedule.get("mats")
-    if mats is not None and not isinstance(mats, list):
-        raise ValueError(f"mats must be a list, got {mats!r}")  # as the cyclic family says
-    first = (mats or [base.schedule.get("p_start")])[0]
-    if isinstance(first, list) and len(first) != chains.integer(base.schedule, "n"):
-        raise ValueError(f"schedule spec n={base.schedule['n']} vs its {len(first)}-state matrices")
+    # the base is read and its anchors checked as track does it, though it is not built
+    anchors = schedules._spec_anchors(base.schedule)
+    params = schedules.DriftParams.from_spec(base.schedule["params"])
+    if anchors:
+        n = schedules._ArcWalk(anchors, params, closed=False).n
+        if chains.integer(base.schedule, "n") != n:
+            raise ValueError(f"schedule spec n={base.schedule['n']} vs its {n}-state matrices")
     rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, cell config)])
     for gp in gps:
         for ga in gas:
@@ -340,7 +337,7 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                 # its family refuses the constants
                 try:
                     bounds.ExponentTriple(gp, ga, gpi)
-                    sched_spec = _cell_schedule(base.schedule, gp, gpi)
+                    sched_spec = _cell_schedule(base.schedule, anchors, gp, gpi)
                     # json.dumps, not canonical_json: a NaN constant is the family's to refuse
                     spec_key = json.dumps(sched_spec, sort_keys=True)
                     schedule = (groups[spec_key][0] if spec_key in groups

@@ -532,6 +532,19 @@ def _spec_kind(doc: dict) -> str:
     return kind
 
 
+def _spec_anchors(doc: dict) -> list:
+    """The anchor matrices of schedule spec doc in path order, each entry a
+    JSON number as spelt: [p] for constant, [p_start, p_end] for
+    interpolation, mats for cyclic, [] for the families that read none.
+    Checks the kind and key names first (_spec_kind)."""
+    kind = _spec_kind(doc)
+    if kind == "cyclic":
+        return chains._read_list(doc["mats"], "mats", chains._json_number, 3)
+    if kind in ("constant", "interpolation"):
+        return [chains._read_list(doc[k], k, chains._json_number, 2) for k in _SPEC_KEYS[kind]]
+    return []
+
+
 def schedule_from_spec(doc: dict) -> Schedule:
     """Build a schedule from its JSON spec: {"kind", "n", "params"} and the
     family's own keys (_SPEC_KEYS: "p" for constant, whose params are
@@ -540,19 +553,16 @@ def schedule_from_spec(doc: dict) -> Schedule:
     restart-wrapped).  Gamma values may be "inf"; any other key, a matrix
     entry that is not a JSON number, or an "n" that differs from the built
     schedule's raises."""
-    kind = _spec_kind(doc)
+    anchors = _spec_anchors(doc)
+    kind = doc["kind"]
     params = (DriftParams.from_spec(doc["params"])
               if kind != "constant" or "params" in doc else None)
     if kind == "constant":
-        schedule = ConstantSchedule(chains._read_list(doc["p"], "p", chains._json_number, 2),
-                                    params)
+        schedule = ConstantSchedule(*anchors, params)
     elif kind == "interpolation":
-        schedule = InterpolationSchedule(
-            *(chains._read_list(doc[k], k, chains._json_number, 2) for k in ("p_start", "p_end")),
-            params)
+        schedule = InterpolationSchedule(*anchors, params)
     elif kind == "cyclic":
-        schedule = CyclicSchedule(chains._read_list(doc["mats"], "mats", chains._json_number, 3),
-                                  params)
+        schedule = CyclicSchedule(anchors, params)
     elif kind == "shrinking-state":
         schedule = ShrinkingStateSchedule(params)
     else:

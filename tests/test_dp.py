@@ -475,9 +475,3 @@ def test_restart_identity_random_sweep(rng):
 def test_restart_identity_rejects_bad_discounts():
     with pytest.raises(ValueError):
         restart_identity1(P_REF, RewardSpec([1.0, 0.0], 0.5), 0.4, 0)
-
-
-def test_check_result_json_shape():
-    res = lipschitz_reward1(P_REF, FLAT, RewardSpec([1.0, 0.0], 0.5))
-    doc = res.to_json()
-    assert set(doc) == {"lhs", "rhs", "pass"}

@@ -269,19 +269,45 @@ def test_sweep_table_is_plain_csv(tmp_path):
     assert all(len(r) == len(rows[0]) for r in rows)  # no embedded separators
 
 
-def test_sweep_shrinking_cell_runs(tmp_path):
+SHRINK_PARAMS = {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.0}
+
+
+@pytest.mark.parametrize("schedule", [
+    {"kind": "interpolation", "n": 2, "params": SHRINK_PARAMS,
+     "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.1, 0.9], [0.8, 0.2]]},
+    # a base whose family reads no anchors serves the gamma_pi > 0 cells
+    {"kind": "shrinking-state", "n": 3, "params": {**SHRINK_PARAMS, "gamma_pi": 0.5}},
+    # params read as numbers where track reads them so, a string c_pi included
+    {"kind": "interpolation", "n": 2, "params": {**SHRINK_PARAMS, "c_pi": "0.2"},
+     "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.1, 0.9], [0.8, 0.2]]},
+], ids=["interpolation", "shrinking-state", "string-c_pi"])
+def test_sweep_shrinking_cell_runs(tmp_path, schedule):
     base = make_config(t_max=400, seeds={"base": 5, "count": 3},
                        reward={"r": [1.0, 0.0, -0.5], "beta": 0.5},
-                       rate={"c_alpha": 0.5, "gamma_alpha": 0.4},
-                       schedule={"kind": "interpolation", "n": 2,
-                                 "params": {"c_p": 0.2, "gamma_p": 1.5,
-                                            "c_pi": 0.2, "gamma_pi": 0.0},
-                                 "p_start": [[0.9, 0.1], [0.2, 0.8]],
-                                 "p_end": [[0.1, 0.9], [0.8, 0.2]]})
+                       rate={"c_alpha": 0.5, "gamma_alpha": 0.4}, schedule=schedule)
     rows = run_sweep({"gamma_p": [1.5], "gamma_alpha": [0.4], "gamma_pi": [0.5]},
                      base, tmp_path)
     assert rows[0]["status"] == "ok"
     assert rows[0]["regime"] == "boundary"  # 0.4 <= 3*0.5 blocks adiabatic
+
+
+def test_sweep_runs_a_constant_base(tmp_path):
+    # a constant base's one anchor is p: its gamma_p = inf cell is the base
+    # itself, byte for byte, and its gamma_p = 1 cell an interpolation of p to p
+    schedule = {**BASE_CONFIG["schedule"],
+                "params": {"c_p": 0.05, "gamma_p": "inf", "c_pi": 0.25, "gamma_pi": 0.0}}
+    base = make_config(schedule=schedule, t_max=300)
+    rows = run_sweep({"gamma_p": [1.0, "inf"], "gamma_alpha": [0.6]}, base,
+                     tmp_path / "sweep")
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    direct = run_tracking(base, tmp_path / "direct")
+    chash = direct["config_hash"]
+    assert rows[1]["cell"] == "gp=inf|ga=0.6|gpi=0.0" and rows[1]["config_hash"] == chash
+    names = sorted(os.listdir(tmp_path / "direct"))
+    assert names == sorted(os.listdir(tmp_path / "sweep" / chash))
+    for name in names:
+        assert ((tmp_path / "sweep" / chash / name).read_bytes()
+                == (tmp_path / "direct" / name).read_bytes())
 
 
 def test_sweep_records_unconstructible_cell_as_skipped(tmp_path):
@@ -973,6 +999,12 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
                    "mats": [[[0.9, 0.1], [0.2, 0.8]],
                             [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]]}},
      "anchor matrices must share a dimension"),
+    # seeds and checkpoints objects refuse keys they do not read
+    ({"seeds": {"base": 1, "count": 2, "cuont": 5}}, "unknown seeds fields: ['cuont']"),
+    ({"checkpoints": {"per_decade": 8, "per_decde": 2}},
+     "unknown checkpoints fields: ['per_decde']"),
+    ({"checkpoints": {"per_decade": 0}}, "per_decade must be >= 1, got 0"),
+    ({"checkpoints": {"per_decade": -5}}, "per_decade must be >= 1, got -5"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -1020,6 +1052,21 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
                  SWEEP_GRID, "unknown schedule fields: ['p_ende']", id="schedule-p_ende"),
     pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "kind": "mystery"}}, SWEEP_GRID,
                  "unknown schedule kind 'mystery'", id="schedule-kind-mystery"),
+    # the base's anchors and params are read and checked as track reads them,
+    # before any cell, not left for each cell to skip on
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_start": [[0.9, "0.1"], [0.2, 0.8]]}},
+                 SWEEP_GRID, "p_start[0][1] must be a number, got '0.1'",
+                 id="schedule-p_start-string-entry"),
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_end": [[0.2, 0.9], [0.8, 0.2]]}},
+                 SWEEP_GRID, "row 0 sums to", id="schedule-p_end-row-sum-1.1"),
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_start": [[1.0, 0.0], [0.2, 0.8]]}},
+                 SWEEP_GRID, "anchor matrix 0 is reducible", id="schedule-p_start-reducible"),
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_end": [[0.1, 0.9]]}},
+                 {**SWEEP_GRID, "gamma_p": [1.0, "inf"]},
+                 "expected square matrix, got shape (1, 2)", id="schedule-p_end-non-square"),
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS,
+                               "params": {**ACCEPTANCE_ANCHORS["params"], "c_p": -1}}},
+                 SWEEP_GRID, "c_p must be positive", id="params-c_p-negative"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
