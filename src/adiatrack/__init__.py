@@ -23,7 +23,6 @@ from .learners import (
     LearningRate,
     NoiseModel,
     TrackingTrace,
-    check_boundedness,
     q_track,
     td0_track,
 )

@@ -184,11 +184,10 @@ def default_bound_constants(spec: RewardSpec, schedule) -> bounds.Thm2Constants:
     return bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
 
 
-def _summary(config: ExperimentConfig, schedule, spec, traces) -> dict:
+def _summary(config: ExperimentConfig, chash: str, schedule, spec, traces) -> dict:
     errs = np.stack([t.errors() for t in traces])  # seeds x checkpoints
     med = np.median(errs, axis=0)
-    q1 = np.quantile(errs, 0.25, axis=0)
-    q3 = np.quantile(errs, 0.75, axis=0)
+    q1, q3 = np.quantile(errs, [0.25, 0.75], axis=0)
     exps = bounds.ExponentTriple(schedule.params.gamma_p, float(config.rate["gamma_alpha"]),
                                  schedule.params.gamma_pi)
     label = bounds.classify_regime(exps)
@@ -198,7 +197,7 @@ def _summary(config: ExperimentConfig, schedule, spec, traces) -> dict:
     slope = fit_slope(ts, med, max(1, config.t_max // 100), config.t_max)
     return {
         "spec_version": SPEC_VERSION,
-        "config_hash": config.config_hash(),
+        "config_hash": chash,
         "config": config.canonical_dict(),
         "checkpoints": [int(t) for t in ts],
         "median_sup_error": med.tolist(),
@@ -218,9 +217,10 @@ def _write_run(config: ExperimentConfig, schedule, spec, traces, out_dir) -> dic
     """Write one CSV per seed plus the summary JSON of a run; return the summary."""
     os.makedirs(out_dir, exist_ok=True)
     chash = config.config_hash()
+    tails = traces[0].csv_tails()  # a function of t and the rate: every seed's alike
     for trace in traces:
-        trace.write_csv(os.path.join(out_dir, f"{chash}_{trace.seed}.csv"))
-    summary = _summary(config, schedule, spec, traces)
+        trace.write_csv(os.path.join(out_dir, f"{chash}_{trace.seed}.csv"), tails)
+    summary = _summary(config, chash, schedule, spec, traces)
     with open(os.path.join(out_dir, f"summary_{chash}.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return summary
@@ -282,16 +282,15 @@ def _cell_schedule(base_schedule: dict, anchors: list, gamma_p: float, gamma_pi:
     if gamma_pi == 0.0:
         if not anchors:
             raise ValueError("base schedule carries no anchor matrices")
-        params["gamma_pi"] = 0.0
+        params["gamma_pi"], n = 0.0, len(anchors[0])  # run_sweep checked the base's n
         if gamma_p == schedules.GAMMA_INF:
-            return {"kind": "constant", "n": base_schedule["n"],
+            return {"kind": "constant", "n": n,
                     "params": {**params, "gamma_p": "inf"}, "p": anchors[0]}
         params["gamma_p"] = gamma_p
         if gamma_p >= 1.0:
-            return {"kind": "interpolation", "n": base_schedule["n"], "params": params,
+            return {"kind": "interpolation", "n": n, "params": params,
                     "p_start": anchors[0], "p_end": anchors[-1]}
-        return {"kind": "cyclic", "n": base_schedule["n"], "params": params,
-                "mats": anchors}
+        return {"kind": "cyclic", "n": n, "params": params, "mats": anchors}
     if gamma_p == gamma_pi + 1.0:
         return {"kind": "shrinking-state", "n": 3,
                 "params": {**params, "gamma_p": gamma_p, "gamma_pi": gamma_pi,
@@ -319,11 +318,13 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     gpis = chains._read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
     # the base is read and its anchors checked as track does it, though it is not built
     anchors = schedules._spec_anchors(base.schedule)
+    if "params" not in base.schedule:  # a constant spec may omit them; every cell reads them
+        raise ValueError(f"{base.schedule['kind']} schedule spec lacks ['params'] a sweep needs")
     params = schedules.DriftParams.from_spec(base.schedule["params"])
     if anchors:
         n = schedules._ArcWalk(anchors, params, closed=False).n
-        if chains.integer(base.schedule, "n") != n:
-            raise ValueError(f"schedule spec n={base.schedule['n']} vs its {n}-state matrices")
+        if (spec_n := chains.integer(base.schedule, "n", n)) != n:
+            raise ValueError(f"schedule spec n={spec_n} vs its {n}-state matrices")
     rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, cell config)])
     for gp in gps:
         for ga in gas:

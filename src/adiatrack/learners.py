@@ -19,17 +19,21 @@ checkpoint only, once per block for every rate.  Per seed and block,
 chains.next_states draws the block's successor table in one numpy pass,
 and that table and the seed's noise draws are read by every rate's run
 of the seed.  The step loop runs on Python floats only (the successor
-table, step sizes and noise draws as lists, the table).  Memory is
-O(block * n^2 + rates * seeds * n).  Indexing a list and arithmetic on
-Python floats cost a fraction of indexing an array and arithmetic on numpy
-scalars, and IEEE arithmetic is the same on both, so the loop is several
-times faster and bit-identical to a numpy per-step loop.  Q-learning's
-bootstrap, the max over the next state's action block, is kept per state
-and recomputed only when the updated entry held it, since a builtin max
-over a fresh slice costs about a third of a step.  Advancing all seeds per
-step as one numpy table was measured too: bit-identical, but slower (0.7x)
-at the four seeds of a sweep cell and ahead only from about 20 seeds on,
-while the Python-float loop wins at every seed count.
+table, step sizes and noise draws as lists, the table), one loop per
+learner from checkpoint to checkpoint: no step tests for a checkpoint, and
+no TD(0) step keeps action blocks.  A rate's step sizes are
+LearningRate.alpha's c_alpha / t**gamma_alpha, one comprehension per
+block.  Memory is O(block * n^2 + rates * seeds * n).  Indexing a list and
+arithmetic on Python floats cost a fraction of indexing an array and
+arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so
+the loop is several times faster and bit-identical to a numpy per-step
+loop.  Q-learning's bootstrap, the max over the next state's action block,
+is kept per state and recomputed only when the updated entry held it,
+since a builtin max over a fresh slice costs about a third of a step.
+Advancing all seeds per step as one numpy table was measured too:
+bit-identical, but slower (0.7x) at the four seeds of a sweep cell and
+ahead only from about 20 seeds on, while the Python-float loop wins at
+every seed count.
 
 Determinism contract: a run is a pure function of (schedule, specs, seed).
 The path uniforms are chains.stream(seed, 0), drawn into states by
@@ -43,8 +47,9 @@ share a walk changes no output bit.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -59,7 +64,6 @@ __all__ = [
     "track",
     "td0_track",
     "q_track",
-    "check_boundedness",
 ]
 
 
@@ -139,7 +143,7 @@ class TrackingTrace:
         ts = [row.t for row in self.rows]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("checkpoints must be strictly increasing in t")
-        if any(not np.isfinite(row.sup_error) or row.sup_error < 0 for row in self.rows):
+        if any(not 0.0 <= row.sup_error < math.inf for row in self.rows):  # NaN fails too
             raise ValueError("sup_error must be finite and non-negative")
 
     @property
@@ -152,14 +156,18 @@ class TrackingTrace:
     def checkpoint_ts(self) -> np.ndarray:
         return np.array([row.t for row in self.rows])
 
-    def write_csv(self, path):
-        # RFC-4180-plain: comma separated, LF line endings, header row.
+    def csv_tails(self) -> list:
+        """Each row's alpha_t, pi_min_t and drift_t CSV columns, which every
+        seed of a rate shares."""
+        return [f"{row.alpha_t!r},{row.pi_min_t!r},{row.drift_t!r}" for row in self.rows]
+
+    def write_csv(self, path, tails=None):
+        """RFC-4180-plain: comma separated, LF line endings, header row; the
+        rows' tails are csv_tails() unless given."""
+        tails = self.csv_tails() if tails is None else tails
         with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow([row.t, repr(row.sup_error), repr(row.alpha_t),
-                                 repr(row.pi_min_t), repr(row.drift_t)])
+            fh.write(",".join(self.CSV_COLUMNS) + "\n" + "".join(
+                f"{row.t},{row.sup_error!r},{tail}\n" for row, tail in zip(self.rows, tails)))
 
 
 def materialize(schedule, t_max: int):
@@ -189,23 +197,36 @@ class _Run:
                 beta: float):
         """Take one block's steps, step j with alphas[j], noise eps[j] and
         successor nxt[x][j] of state x; targets lists (j, t, target) for the
-        block's checkpoints, in order."""
-        na = self.na
-        table, vmax, x, max_abs = self.table, self.vmax, self.x, self.max_abs
-        cp_iter = iter(targets + [(-1, 0, None)])
-        cp, t_cp, target = next(cp_iter)
-        for j, e, alpha_t in zip(range(len(alphas)), eps, alphas):
-            xn, old = nxt[x][j], table[x]
-            v = table[x] = old + alpha_t * (r_vec[x] + beta * vmax[xn // na] - old + e)
-            if na > 1 and (v > vmax[s := x // na] or old == vmax[s]):  # keep vmax[s] exact
-                vmax[s] = v if v > vmax[s] else max(table[s * na:s * na + na])
-            if v > max_abs or -v > max_abs:
-                max_abs = abs(v)
-            x = xn
-            if j == cp:
+        block's checkpoints, in order.  Each segment of steps up to and
+        including a checkpoint's j is one loop, and its hit is recorded after."""
+        na, table, vmax, x, max_abs = self.na, self.table, self.vmax, self.x, self.max_abs
+        steps, done = zip(range(len(alphas)), eps, alphas), 0
+        for cp, t_cp, target in targets + [(len(alphas) - 1, None, None)]:
+            if na == 1:  # vmax is the table: no action blocks to keep
+                for j, e, alpha_t in islice(steps, cp + 1 - done):
+                    xn, old = nxt[x][j], table[x]
+                    v = table[x] = old + alpha_t * (r_vec[x] + beta * table[xn] - old + e)
+                    if v > max_abs or -v > max_abs:
+                        max_abs = abs(v)
+                    x = xn
+            else:
+                s = x // na
+                for j, e, alpha_t in islice(steps, cp + 1 - done):
+                    xn, old = nxt[x][j], table[x]
+                    sn = xn // na
+                    v = table[x] = old + alpha_t * (r_vec[x] + beta * vmax[sn] - old + e)
+                    m = vmax[s]
+                    if v > m:  # keep vmax[s] exact
+                        vmax[s] = v
+                    elif old == m:
+                        vmax[s] = max(table[s * na:s * na + na])
+                    if v > max_abs or -v > max_abs:
+                        max_abs = abs(v)
+                    x, s = xn, sn
+            done = cp + 1
+            if target is not None:
                 self.hits.append((t_cp, max(abs(a - b) for a, b in zip(table, target)),
-                                  alpha_t))
-                cp, t_cp, target = next(cp_iter)
+                                  alphas[cp]))
         self.x, self.max_abs = x, max_abs
 
 
@@ -245,6 +266,7 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
     streams = [(chains.stream(seed, 0), None if noise.kind == "zero" else chains.stream(seed, 1))
                for seed in seeds]
     r_vec, diagnostics = spec.r.tolist(), {}
+    powers = [(rate.c_alpha, rate.gamma_alpha) for rate in rates]  # LearningRate.alpha's
     for lo, block, cums in materialize(schedule, t_max):
         k = len(cums)
         at = [t for t in cps if lo <= t < lo + k]
@@ -253,7 +275,7 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
         solved = (dp.exact_rewards(mats, r, beta) if n_actions is None
                   else dp.exact_q(mats, r, beta, n_actions))
         targets = [(t - lo, t, target.tolist()) for t, target in zip(at, solved)]
-        alphas = [[rate.alpha(t) for t in range(lo, lo + k)] for rate in rates]
+        alphas = [[c / t ** g for t in range(lo, lo + k)] for c, g in powers]
         for i, (path, noise_stream) in enumerate(streams):
             # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
             nxt = chains.next_states(cums, path.random(k)).T.tolist()
@@ -296,16 +318,3 @@ def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
     """
     return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0,
                  int(n_actions), table_init)[0][0]
-
-
-def check_boundedness(trace: TrackingTrace, f_max: float, eps_max: float,
-                      beta: float, slack: float = 1e-9) -> dp.CheckResult:
-    """All iterates stay inside the ball of radius (f_max + eps_max)/(1 - beta).
-
-    Uses the running max of |table| recorded over every step of the run,
-    not just the checkpoints.
-    """
-    radius = (f_max + eps_max) / (1.0 - beta)
-    return dp.CheckResult(lhs=trace.max_abs_value, rhs=radius,
-                          passed=trace.max_abs_value <= radius + slack,
-                          detail={"seed": trace.seed})

@@ -523,12 +523,16 @@ _SPEC_KEYS = {"constant": ("p",), "interpolation": ("p_start", "p_end"), "cyclic
 
 
 def _spec_kind(doc: dict) -> str:
-    """The kind of schedule spec doc, once it names a family and holds no key
-    besides "kind", "n", "params" and the family's own (_SPEC_KEYS)."""
-    kind = chains._json_object(doc, "schedule")["kind"]
+    """The kind of schedule spec doc, once it names a family, holds the
+    family's own keys (_SPEC_KEYS) and "params" (optional for constant), and
+    no key besides those, "kind" and "n"."""
+    kind = chains._json_object(doc, "schedule").get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ValueError(f"unknown schedule kind {kind!r}")
     chains._known_keys(doc, "schedule", ("kind", "n", "params", *_SPEC_KEYS[kind]))
+    required = _SPEC_KEYS[kind] if kind == "constant" else ("params", *_SPEC_KEYS[kind])
+    if missing := [k for k in required if k not in doc]:
+        raise ValueError(f"{kind} schedule spec lacks {missing}")
     return kind
 
 

@@ -345,6 +345,21 @@ def test_sweep_cells_equal_their_own_runs(tmp_path):
             assert (cell / name).read_bytes() == (tmp_path / "alone" / chash / name).read_bytes()
 
 
+def test_sweep_reads_a_base_without_n_as_track_does(tmp_path):
+    # n defaults to the anchors' size, as schedule_from_spec reads it: every
+    # cell writes the files of the same base with "n": 2
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    grid = {"gamma_p": [1.0, 0.3, "inf"], "gamma_alpha": [0.6]}
+    bare = {k: v for k, v in ACCEPTANCE_ANCHORS.items() if k != "n"}
+    rows = run_sweep(grid, make_config(schedule=bare, t_max=300), tmp_path / "bare")
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    assert rows == run_sweep(grid, make_config(schedule=ACCEPTANCE_ANCHORS, t_max=300),
+                             tmp_path / "spelt")
+    assert files(tmp_path / "bare") == files(tmp_path / "spelt")
+
+
 def test_sweep_still_raises_on_failed_certificate(tmp_path, monkeypatch):
     # constructible cell whose declared floor c_pi = 0.9 fails verify_drift
     from adiatrack.schedules import DriftCertificateError
@@ -949,6 +964,7 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"checkpoints": 7}, "checkpoints must be a list, got 7"),
     ({"rate": [0.5]}, "rate must be an object, got [0.5]"),
     ({"schedule": "constant"}, "schedule must be an object, got 'constant'"),
+    ({"schedule": {"n": 2, "p": [[0.9, 0.1], [0.2, 0.8]]}}, "unknown schedule kind None"),
     ({"schedule": {**ACCEPTANCE_ANCHORS, "params": None}}, "params must be an object, got None"),
     ({"seeds": [-1]}, "seeds[0] must be non-negative, got -1"),
     ({"schedule": {"kind": "cyclic", "n": 2, "params": {**ACCEPTANCE_ANCHORS["params"],
@@ -1067,6 +1083,9 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
     pytest.param({"schedule": {**ACCEPTANCE_ANCHORS,
                                "params": {**ACCEPTANCE_ANCHORS["params"], "c_p": -1}}},
                  SWEEP_GRID, "c_p must be positive", id="params-c_p-negative"),
+    # params are optional for a constant spec under track, but every cell reads them
+    pytest.param({"schedule": BASE_CONFIG["schedule"]}, SWEEP_GRID,
+                 "constant schedule spec lacks ['params']", id="constant-base-without-params"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
@@ -1078,6 +1097,34 @@ def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, chang
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "out").exists()
+
+
+CYCLIC_ANCHORS = {"kind": "cyclic", "n": 2,
+                  "params": {**ACCEPTANCE_ANCHORS["params"], "gamma_p": 0.3},
+                  "mats": [ACCEPTANCE_ANCHORS["p_start"], ACCEPTANCE_ANCHORS["p_end"]]}
+
+
+@pytest.mark.parametrize("command", ["track", "sweep"])
+@pytest.mark.parametrize("schedule, drop", [
+    (ACCEPTANCE_ANCHORS, "params"),
+    (BASE_CONFIG["schedule"], "p"),
+    (ACCEPTANCE_ANCHORS, "p_start"),
+    (ACCEPTANCE_ANCHORS, "p_end"),
+    (CYCLIC_ANCHORS, "mats"),
+], ids=["params", "p", "p_start", "p_end", "mats"])
+def test_cli_spec_missing_a_required_key_is_config_error(tmp_path, capsys, command, schedule,
+                                                         drop):
+    # the error names the missing field and the schedule kind, not a bare KeyError
+    spec = {k: v for k, v in schedule.items() if k != drop}
+    (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200,
+                                                   "schedule": spec}))
+    (tmp_path / "grid.json").write_text(json.dumps(SWEEP_GRID))
+    args = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    args += ["--grid", str(tmp_path / "grid.json")] if command == "sweep" else []
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err == (f"config error: {schedule['kind']} schedule spec "
+                                       f"lacks ['{drop}']\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,6 @@ from adiatrack.learners import (
     NoiseModel,
     TrackingTrace,
     TraceRow,
-    check_boundedness,
     materialize,
     q_track,
     td0_track,
@@ -199,6 +198,13 @@ def _product_chain():
     return rows
 
 
+def _three_action_chain():
+    """A 2-state, 3-action product chain: rows (s, a), columns (s', a'), each
+    next state's mass spread evenly over its actions."""
+    trans = [(0.9, 0.1), (0.6, 0.4), (0.2, 0.8), (0.7, 0.3), (0.4, 0.6), (0.5, 0.5)]
+    return np.array([[row[j // 3] / 3 for j in range(6)] for row in trans])
+
+
 def test_q_zero_rewards_zero_error():
     sched = ConstantSchedule(_product_chain())
     trace = q_track(sched, RewardSpec([0.0] * 4, 0.5), 2, RATE, ZERO_NOISE,
@@ -329,22 +335,37 @@ def test_kernel_equals_per_step_numpy_loop(case):
     assert trace.max_abs_value == max_abs
 
 
-@pytest.mark.parametrize("n_actions", [None, 2])
-@pytest.mark.parametrize("t_max", [10_007, 3 * 2048])
-def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max):
+def _tied_table(n, n_actions):
+    """A start table whose every action block holds one value throughout, so
+    Q-learning's block max is both raised and recomputed."""
+    return [0.5 if (i // (n_actions or 2)) % 2 else -0.25 for i in range(n)]
+
+
+@pytest.mark.parametrize("n_actions", [None, 2, 3])
+@pytest.mark.parametrize("t_max, cps, tied", [
+    pytest.param(10_007, [1, 2047, 2048, 2049, 6000, 10_007], False, id="10007"),
+    pytest.param(3 * 2048, [1, 2047, 2048, 2049, 6000, 3 * 2048], False, id="6144"),
+    # the last checkpoint is the first block's last step: its tail segment is empty
+    pytest.param(2048, [1, 2047, 2048], False, id="2048"),
+    # a checkpoint at every step: segments of one step, back to back
+    pytest.param(2500, [*range(1, 301), 2047, 2048, 2049], False, id="every-t"),
+    pytest.param(4500, [1, 300, 2048, 2049, 4500], True, id="tied"),
+])
+def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max, cps, tied):
     # several blocks: each seed's uniforms and noise, drawn block by block, must
     # continue one stream, and the checkpoints at the edges see the right matrix;
     # at t_max = 3 * 2048 the walk's last block holds P^(t_max+1) alone
-    sched = InterpolationSchedule(_product_chain(), np.full((4, 4), 0.25),
+    p = _product_chain() if n_actions != 3 else _three_action_chain()
+    sched = InterpolationSchedule(p, np.full(p.shape, 1.0 / len(p)),
                                   DriftParams(0.02, 1.0, 0.05, 0.0))
-    spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
+    spec = RewardSpec([1.0, 0.0, 0.5, 0.25, -0.5, 0.75][:len(p)], 0.5)
     noise = NoiseModel("uniform-iid", 0.3)
-    cps = [1, 2047, 2048, 2049, 6000, t_max]
-    kwargs = dict(t_max=t_max, seed=5, checkpoint_grid=cps, x0=3)
+    table_init = _tied_table(len(p), n_actions) if tied else None
+    kwargs = dict(t_max=t_max, seed=5, checkpoint_grid=cps, x0=3, table_init=table_init)
     trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions is None
              else q_track(sched, spec, n_actions, RATE, noise, **kwargs))
     rows, max_abs = _per_step_track(sched, spec, n_actions, RATE, noise, t_max, 5,
-                                    set(cps), 3, None)
+                                    set(cps), 3, table_init)
     assert trace.rows == rows
     assert trace.max_abs_value == max_abs
 
@@ -391,8 +412,9 @@ def test_boundedness_ball_zero_case():
     sched = ConstantSchedule(A)
     trace = td0_track(sched, RewardSpec([0.0, 0.0], 0.5), RATE, ZERO_NOISE,
                       200, 8, [200])
-    res = check_boundedness(trace, f_max=0.0, eps_max=0.0, beta=0.5)
-    assert res.passed and res.lhs == 0.0
+    # the ball of radius (f_max + eps_max) / (1 - beta): f_max = eps_max = 0, beta = 0.5
+    assert trace.max_abs_value <= (0.0 + 0.0) / (1 - 0.5) + 1e-9
+    assert trace.max_abs_value == 0.0
 
 
 def test_boundedness_ball_radius_two():
@@ -401,16 +423,14 @@ def test_boundedness_ball_radius_two():
     for seed in range(6):
         trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, 20_000, seed,
                           [1, 100, 20_000])
-        res = check_boundedness(trace, f_max=SPEC.r_max, eps_max=0.0, beta=0.5)
-        assert res.passed, res
+        assert trace.max_abs_value <= (SPEC.r_max + 0.0) / (1 - 0.5) + 1e-9, seed
 
 
 def test_boundedness_with_explicit_noise():
     sched = ConstantSchedule(A)
     noise = NoiseModel("uniform-iid", 0.5)
     trace = td0_track(sched, SPEC, RATE, noise, 20_000, 17, [20_000])
-    res = check_boundedness(trace, f_max=SPEC.r_max, eps_max=0.5, beta=0.5)
-    assert res.passed
+    assert trace.max_abs_value <= (SPEC.r_max + 0.5) / (1 - 0.5) + 1e-9
 
 
 def test_adversarial_start_reenters_ball_and_stays():
@@ -436,8 +456,8 @@ def test_adversarial_run_via_table_init_records_excursion():
     trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, 5_000, 2, [5_000],
                       table_init=[10.0, -10.0])
     assert trace.max_abs_value == 10.0  # never exceeds the initial excursion
-    res = check_boundedness(trace, f_max=SPEC.r_max, eps_max=0.0, beta=0.5)
-    assert not res.passed  # the ball criterion is for runs started at zero
+    # the ball criterion is for runs started at zero
+    assert not trace.max_abs_value <= (SPEC.r_max + 0.0) / (1 - 0.5) + 1e-9
 
 
 # ------------------------------------------------- static-chain median decay
