@@ -964,7 +964,6 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"checkpoints": 7}, "checkpoints must be a list, got 7"),
     ({"rate": [0.5]}, "rate must be an object, got [0.5]"),
     ({"schedule": "constant"}, "schedule must be an object, got 'constant'"),
-    ({"schedule": {"n": 2, "p": [[0.9, 0.1], [0.2, 0.8]]}}, "unknown schedule kind None"),
     ({"schedule": {**ACCEPTANCE_ANCHORS, "params": None}}, "params must be an object, got None"),
     ({"seeds": [-1]}, "seeds[0] must be non-negative, got -1"),
     ({"schedule": {"kind": "cyclic", "n": 2, "params": {**ACCEPTANCE_ANCHORS["params"],
@@ -1021,6 +1020,8 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
      "unknown checkpoints fields: ['per_decde']"),
     ({"checkpoints": {"per_decade": 0}}, "per_decade must be >= 1, got 0"),
     ({"checkpoints": {"per_decade": -5}}, "per_decade must be >= 1, got -5"),
+    # a spec without a kind names the missing kind
+    ({"schedule": {"n": 2, "p": [[0.9, 0.1], [0.2, 0.8]]}}, "unknown schedule kind None"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
