@@ -6,10 +6,13 @@ Conventions shared by every evaluator here:
     reject rho >= 1 (the bounds go vacuous there)
   * gamma_p = inf is the static-chain sentinel: drift-driven terms vanish
     exactly instead of needing a separate caller code path
-  * horizons written T/2 floor for odd T; the Theorem 1 evaluators take
-    arrays and give one bound per start
+  * horizons written T/2 floor for odd T
+  * stacks only, one case a row: (m, n) starts or (m,) initial gaps give
+    (m,) Theorem 1 bounds, and the lemma oracles take (k, T) stacks
+  * a check returns its sides, never a verdict: the caller judges
+    lhs <= rhs at its own tolerance, as with dp's checks
   * every damped recursion z <- m z + c runs through the one step-major
-    _linear_scan; the lemma oracles also take (k, T) stacks, one case a row
+    _linear_scan
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import chains
-from .dp import CheckResult
 from .schedules import GAMMA_INF
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "conditional_mixing_check",
     "noise_envelope",
     "noise_envelope_coverage",
-    "CoverageResult",
 ]
 
 
@@ -102,24 +103,24 @@ def homogeneous_comparison_bound(lam, mu, p_ref, block):
     """Upper bound on || lam P^(1)...P^(T) - mu P_ref^T ||, per start.
 
     ||lam - mu|| rho(P_ref)^T + sum_t ||P^(t) - P_ref|| rho(P_ref)^(T-t), from
-    the (T, n, n) block P^(1..T), for one (n,) start lam or each row of an
-    (m, n) stack; the sum runs in Python floats, so a row's bound is its
-    one-row call's bit for bit.
+    the (T, n, n) block P^(1..T), for each row of an (m, n) stack of starts
+    lam: (m,) bounds.  The drift terms are added one t at a time, so a row's
+    bound is its m = 1 call's bit for bit.
     """
     lam, mu, p_ref, block = (np.asarray(a, dtype=float) for a in (lam, mu, p_ref, block))
     if block.ndim != 3 or not len(block):
         raise ValueError("need a non-empty (T, n, n) block of schedule matrices")
     n = block.shape[2]  # broadcasting would pair unrelated states
-    if lam.shape[-1:] != (n,) or mu.shape != (n,) or p_ref.shape != (n, n):
-        raise ValueError(f"dimension mismatch: lam {lam.shape}, mu {mu.shape} and p_ref "
-                         f"{p_ref.shape} vs a block of {n}-state matrices")
-    for arr in (lam, mu, p_ref, block):
-        chains._check_rows(np.atleast_2d(arr))
+    if lam.ndim != 2 or lam.shape[1] != n or mu.shape != (n,) or p_ref.shape != (n, n):
+        raise ValueError(f"dimension mismatch: lam {lam.shape} (an (m, n) stack of starts), "
+                         f"mu {mu.shape} and p_ref {p_ref.shape} vs a block of {n}-state matrices")
+    for arr in (lam, mu[None], p_ref, block):
+        chains._check_rows(arr)
     rho = float(chains.ergodicity_coefficients(p_ref[None])[0])
-    total = 0.5 * np.abs(lam - mu).sum(axis=-1) * rho ** len(block)
+    total = 0.5 * np.abs(lam - mu).sum(axis=1) * rho ** len(block)
     for t, d_t in enumerate(chains.matrix_tv_distances(block, p_ref[None]).tolist(), 1):
         total = total + d_t * rho ** (len(block) - t)
-    return float(total) if lam.ndim == 1 else total
+    return total
 
 
 def stationarity_gap_bound(phi, rho: float, t_horizon: int, init_gap):
@@ -132,9 +133,12 @@ def stationarity_gap_bound(phi, rho: float, t_horizon: int, init_gap):
         phi(T/2) rho/(1-rho)^2 + rho^(T/2+1)/(1-rho) * sum_{t<=T/2} phi(t)
         + init_gap * rho^T
 
-    with T/2 floored for odd T; init_gap is a float or an (m,) array, one
-    bound per entry.  rho >= 1 is rejected (vacuous bound).
+    with T/2 floored for odd T, for each entry of the (m,) init_gap: (m,)
+    bounds.  rho >= 1 is rejected (vacuous bound).
     """
+    init_gap = np.asarray(init_gap, dtype=float)
+    if init_gap.ndim != 1:
+        raise ValueError(f"init_gap must be an (m,) array, got shape {init_gap.shape}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if t_horizon < 2:
@@ -143,9 +147,8 @@ def stationarity_gap_bound(phi, rho: float, t_horizon: int, init_gap):
     phi = list(phi[:half])
     if len(phi) < half:
         raise ValueError(f"need phi(1..{half}), got {len(phi)} values")
-    bound = (phi[-1] * rho / (1.0 - rho) ** 2 + rho ** (half + 1) / (1.0 - rho) * sum(phi)
-             + init_gap * rho ** t_horizon)
-    return bound if np.ndim(bound) else float(bound)
+    return (phi[-1] * rho / (1.0 - rho) ** 2 + rho ** (half + 1) / (1.0 - rho) * sum(phi)
+            + init_gap * rho ** t_horizon)
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,12 @@ class Thm2Constants:
             raise ValueError("beta must lie in (0, 1)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        for name in ("r_max_eff", "d_a", "d_b", "d_b_prime", "k"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 < self.tau_coeff < math.inf:
+            raise ValueError(f"tau_coeff must be finite and positive, got {self.tau_coeff!r}")
 
     @staticmethod
     def from_spec(doc: dict) -> "Thm2Constants":
@@ -266,50 +275,54 @@ def power_sum_bounds(s: int, t: int, gamma: float):
     return lower, s ** -gamma + lower
 
 
-def decaying_sum_check(a, b, t_horizon: int, slack: float = 1e-12) -> CheckResult:
-    """Check sum_t a_t b_t prod_{s>t} (1-a_s) <= b_{T/2} + e^{-sum_{t>=T/2} a_t} sum_{t<=T/2} a_t b_t.
+def _stacks(*arrays, names: str) -> list:
+    """The arrays as float64 (k, T) stacks of one shape, one case a row."""
+    out = [np.asarray(arr, dtype=float) for arr in arrays]
+    if out[0].ndim != 2 or any(arr.shape != out[0].shape for arr in out):
+        raise ValueError(f"{names} must be (k, T) stacks of one shape, got shapes "
+                         f"{[arr.shape for arr in out]}")
+    return out
 
-    a_t in (0,1), b_t positive decreasing; both arrays over t = 1..T, or
-    (k, T) stacks with one lhs, rhs and pass flag per row.  The left side is
-    evaluated by direct recursion.
+
+def decaying_sum_check(a, b, t_horizon: int):
+    """Sides of sum_t a_t b_t prod_{s>t} (1-a_s) <= b_{T/2} + e^{-sum_{t>=T/2} a_t} sum_{t<=T/2} a_t b_t.
+
+    a_t in (0,1), b_t non-negative decreasing, as (k, T) stacks over
+    t = 1..T; returns (lhs, rhs), each (k,).  The left side is evaluated by
+    direct recursion.
     """
-    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a_arr.shape != b_arr.shape or a_arr.shape[-1:] != (t_horizon,) or a_arr.ndim > 2:
-        raise ValueError("need sequences (or (k, T) stacks) of length t_horizon")
+    a_arr, b_arr = _stacks(a, b, names="a and b")
+    if a_arr.shape[1] != t_horizon:
+        raise ValueError(f"need sequences of length t_horizon={t_horizon}, got {a_arr.shape[1]}")
     if not ((a_arr > 0) & (a_arr < 1)).all():
         raise ValueError("a_t must lie in (0, 1)")
     if (b_arr < 0).any() or (np.diff(b_arr) > 0).any():
         raise ValueError("b_t must be non-negative and decreasing")
-    lhs = _linear_scan(0.0, 1.0 - a_arr, a_arr * b_arr)[..., -1]  # (1 - a) lhs + a b
+    lhs = _linear_scan(0.0, 1.0 - a_arr, a_arr * b_arr)[:, -1]  # (1 - a) lhs + a b
     half = max(t_horizon // 2, 1)
     # math.exp per row: np.exp differs from it in the last ulp on some inputs
-    tail = np.vectorize(math.exp, otypes=[float])(-a_arr[..., half - 1:].sum(axis=-1))
-    rhs = b_arr[..., half - 1] + tail * (a_arr[..., :half] * b_arr[..., :half]).sum(axis=-1)
-    if a_arr.ndim == 1:
-        lhs, rhs = float(lhs), float(rhs)
-    return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
+    tail = np.vectorize(math.exp, otypes=[float])(-a_arr[:, half - 1:].sum(axis=1))
+    return lhs, b_arr[:, half - 1] + tail * (a_arr[:, :half] * b_arr[:, :half]).sum(axis=1)
 
 
 def recursion_coefficients(a_big, alpha, verify_tol: float = 1e-10) -> np.ndarray:
     """Invert A_T = sum_t a_t alpha_t prod_{s>t}(1-alpha_s): return the a_t.
 
-    a_t = (A_t - A_{t-1})/alpha_t + A_{t-1} with A_0 = 0, along the last axis
-    of vectors or (k, T) stacks; the reconstruction identity is re-verified
-    at every horizon to verify_tol before returning.
+    a_t = (A_t - A_{t-1})/alpha_t + A_{t-1} with A_0 = 0, along the rows of
+    (k, T) stacks; the reconstruction identity is re-verified at every
+    horizon to verify_tol before returning.
     """
-    a_big, alpha = np.asarray(a_big, dtype=float), np.asarray(alpha, dtype=float)
-    if a_big.shape != alpha.shape or a_big.ndim not in (1, 2):
-        raise ValueError("A and alpha must be equal-length vectors or (k, T) stacks")
+    a_big, alpha = _stacks(a_big, alpha, names="A and alpha")
     if (alpha <= 0).any():
         raise ValueError("alpha_t must be positive")
-    prev = np.concatenate([np.zeros_like(a_big[..., :1]), a_big[..., :-1]], axis=-1)
+    prev = np.concatenate([np.zeros_like(a_big[:, :1]), a_big[:, :-1]], axis=1)
     coeffs = (a_big - prev) / alpha + prev
     drift = np.abs(_linear_scan(0.0, 1.0 - alpha, alpha * coeffs) - a_big)
     bad = np.argwhere(drift > verify_tol)
     if bad.size:  # row-major: the first row that drifts, at its first t
-        row = f" of row {bad[0][0]}" if a_big.ndim == 2 else ""
-        raise ArithmeticError(f"reconstruction drifted to {drift[tuple(bad[0])]!r} "
-                              f"at t={bad[0][-1] + 1}{row}")
+        row, t = bad[0]
+        raise ArithmeticError(f"reconstruction drifted to {drift[row, t]!r} "
+                              f"at t={t + 1} of row {row}")
     return coeffs
 
 
@@ -331,12 +344,10 @@ def unroll_recursion(z0, a, c) -> np.ndarray:
 
     Returns [z_1, ..., z_N]: z_{n+1} = z_0 prod(1-a_k) + sum_j c_j prod_{k>j}(1-a_k).
     When the recursion holds with <= instead of =, the same expression is an
-    upper bound.  a and c may be (k, N) stacks, with z0 a scalar or one
-    start per row.
+    upper bound.  a and c are (k, N) stacks, one case a row, with z0 a
+    scalar or one start per row.
     """
-    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
-    if a.shape != c.shape or a.ndim not in (1, 2):
-        raise ValueError("a and c must be equal-length vectors or (k, N) stacks")
+    a, c = _stacks(a, c, names="a and c")
     return _linear_scan(z0, 1.0 - a, c)
 
 
@@ -344,20 +355,22 @@ def dominating_sequence(z0_tilde, alpha, beta, c) -> np.ndarray:
     """The dominating recursion z~_{t+1} = (1 - alpha_t (1-beta)) z~_t + c_t.
 
     Any positive sequence satisfying the unrolled inequality with an extra
-    beta z_s feedback term stays below this one (given z~_0 >= z_0).  For
-    (k, T) stacks, z0_tilde and beta are scalars or one value per row.
+    beta z_s feedback term stays below this one (given z~_0 >= z_0).  alpha
+    and c are (k, T) stacks; z0_tilde and beta are scalars or one value per
+    row.
     """
-    damping = np.asarray(alpha, dtype=float) * (1.0 - np.asarray(beta, dtype=float))[..., None]
+    alpha, c = _stacks(alpha, c, names="alpha and c")
+    damping = alpha * (1.0 - np.asarray(beta, dtype=float))[..., None]
     return unroll_recursion(z0_tilde, damping, c)
 
 
-def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float,
-                             slack: float = 1e-12) -> CheckResult:
+def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float):
     """Worst-case conditional marginal vs the current stationary distribution.
 
-    With tau = ceil(8 log T / |log rho|) and tau <= t <= T, the exact
-    worst-case gap max_x || e_x P^(t-tau+1)...P^(t) - pi^(t) || must fall
-    below  D_P/((1-rho)^2 t^gamma_p) + 4 log T/((1-rho)^2 T^4) + 1/T^4
+    With tau = ceil(8 log T / |log rho|) and tau <= t <= T, returns (lhs, rhs):
+    the exact worst-case gap max_x || e_x P^(t-tau+1)...P^(t) - pi^(t) || and
+    the bound it must fall below,
+    D_P/((1-rho)^2 t^gamma_p) + 4 log T/((1-rho)^2 T^4) + 1/T^4
     with D_P = c_p 2^gamma_p (first term 0 for static schedules).
     """
     if not 0 < rho < 1:
@@ -382,10 +395,8 @@ def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float,
     else:
         d_p = params.c_p * 2.0 ** params.gamma_p
         drift_term = d_p / ((1.0 - rho) ** 2 * t ** params.gamma_p)
-    rhs = (drift_term + 4.0 * math.log(big_t) / ((1.0 - rho) ** 2 * big_t ** 4)
-           + big_t ** -4)
-    return CheckResult(lhs=lhs, rhs=float(rhs), passed=lhs <= rhs + slack,
-                       detail={"tau": tau, "t": t})
+    return lhs, (drift_term + 4.0 * math.log(big_t) / ((1.0 - rho) ** 2 * big_t ** 4)
+                 + big_t ** -4)
 
 
 def noise_envelope(alpha: np.ndarray, pi: np.ndarray, eps_max: float, delta: float,
@@ -402,23 +413,15 @@ def noise_envelope(alpha: np.ndarray, pi: np.ndarray, eps_max: float, delta: flo
     return eps_max * np.sqrt(2.0 * tau * s_run * log_term)
 
 
-@dataclass
-class CoverageResult:
-    violation_fraction: float
-    threshold: float
-    passed: bool
-    n_reps: int
-    n_violating: int
-
-
 def noise_envelope_coverage(alpha, pi, eps_max: float, delta: float, tau: int,
-                            t_max: int, n_reps: int, seed: int) -> CoverageResult:
+                            t_max: int, n_reps: int, seed: int):
     """Empirical coverage of the noise envelope over seeded replications.
 
     Each replication draws iid bounded zero-mean noise, runs the damped sum
     E_t = sum_{s=tau}^t alpha_s eps_s prod_{u>s}(1-alpha_u pi_u), and counts
-    a violation if |E_t| exceeds the envelope anywhere on [tau, T].  The
-    violating fraction must stay below delta + 2 sqrt(delta(1-delta)/N).
+    a violation if |E_t| exceeds the envelope anywhere on [tau, T].  Returns
+    (violating fraction, threshold, violating count); the fraction must stay
+    below the threshold delta + 2 sqrt(delta(1-delta)/N).
     """
     if n_reps < 1 or not 1 <= tau <= t_max:
         raise ValueError("need n_reps >= 1 and 1 <= tau <= t_max")
@@ -431,8 +434,5 @@ def noise_envelope_coverage(alpha, pi, eps_max: float, delta: float, tau: int,
     lo = tau - 1  # 0-based index of step tau, where E starts from 0
     e_run = _linear_scan(0.0, 1.0 - alpha[lo:] * pi[lo:], alpha[lo:] * eps[:, lo:])
     violated = (np.abs(e_run) > envelope[lo:]).any(axis=1)
-    frac = float(violated.mean())
     threshold = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / n_reps)
-    return CoverageResult(violation_fraction=frac, threshold=float(threshold),
-                          passed=frac <= threshold, n_reps=n_reps,
-                          n_violating=int(violated.sum()))
+    return float(violated.mean()), threshold, int(violated.sum())

@@ -105,12 +105,16 @@ def _cmd_bound(args) -> int:
         else:
             consts = bounds.Thm2Constants(r_max_eff=1.0, rho=0.5, beta=0.5)
         report = bounds.tracking_error_bound(consts, exps, args.T)
+        # strict JSON: a term that overflowed to inf is refused, not printed as Infinity
+        out = json.dumps({**report.to_json(), "spec_version": SPEC_VERSION}, sort_keys=True,
+                         allow_nan=False)
+    except ArithmeticError as exc:
+        print(f"config error: the bound overflows at these constants ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    doc = report.to_json()
-    doc["spec_version"] = SPEC_VERSION
-    print(json.dumps(doc, sort_keys=True))
+    print(out)
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ The fixed-point solves, the Bellman operator G and the Lipschitz and
 restart checks take stacks: (k, n, n) matrices with (k, n) rewards and (k,)
 discounts, solved in one call (policy iteration: one solve per round over
 the rows still iterating).  A one-matrix question is a k = 1 call; the TD
-operator r + beta P v is G with one action per state.  exact_reward, the
-k = 1 call of exact_rewards, stays while the benchmark tracer
-(perfbench/tracer.py) times it by name.
+operator r + beta P v is G with one action per state.  The checks return
+their sides, (k,) each, and no verdict: the caller judges lhs <= rhs at its
+own tolerance, as for the bounds oracles.  exact_reward, the k = 1 call of
+exact_rewards, stays while the benchmark tracer (perfbench/tracer.py) times
+it by name.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.
@@ -19,7 +21,7 @@ object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .schedules import restart_wraps
 
 __all__ = [
     "RewardSpec",
-    "CheckResult",
     "exact_reward",
     "exact_rewards",
     "exact_q",
@@ -81,16 +82,6 @@ def _check_rewards(r: np.ndarray, beta: np.ndarray):
     bad = ~((0.0 < beta) & (beta < 1.0))  # NaN fails too
     if bad.any():
         raise ValueError(f"beta must lie strictly in (0,1), got {beta[bad][0]}")
-
-
-@dataclass
-class CheckResult:
-    """One evaluated inequality: lhs <= rhs (+slack) with pass/fail."""
-
-    lhs: float
-    rhs: float
-    passed: bool
-    detail: dict = field(default_factory=dict)
 
 
 def exact_reward(p: np.ndarray, spec: RewardSpec) -> np.ndarray:

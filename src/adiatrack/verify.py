@@ -252,7 +252,7 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
                 gaps[t] = 0.5 * np.abs(marg - pi_last).sum()
                 bound = bounds.stationarity_gap_bound(
                     phi, float(chains.ergodicity_coefficients(block[t - 1:t])[0]), t,
-                    0.5 * np.abs(np.array([1.0, 0.0]) - pi_last).sum())
+                    [0.5 * np.abs(np.array([1.0, 0.0]) - pi_last).sum()])[0]
                 rec.check("limit_gap_below_bound", gaps[t], bound, tol,
                           lambda: {"T": t, "family": "cyclic"})
         rec.require("limit_gap_strictly_decreasing",
@@ -297,7 +297,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
     a_seq, b_seq, a_big, alpha, a_rec, c_rec, alpha_z, c_z, shrink = map(np.array, zip(*stacks))
     g_big, z0, beta = np.array([case[-3:] for case in cases]).T
 
-    decaying = bounds.decaying_sum_check(a_seq, b_seq, t_horizon, slack=tol)
+    decaying = bounds.decaying_sum_check(a_seq, b_seq, t_horizon)
     coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=tol)
     growth_ok = np.isfinite((np.abs(coeffs) * ts ** g_big[:, None]).max(axis=1))
     closed = bounds.unroll_recursion(z0, a_rec, c_rec)
@@ -315,8 +315,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
         z_prev = shrink[:, k] * w
         bad[2] |= z_prev > tilde[:, k] + tol
 
-    sides = zip(decaying.lhs.tolist(), decaying.rhs.tolist(), growth_ok.tolist(),
-                *(~bad).tolist())
+    sides = zip(*(side.tolist() for side in decaying), growth_ok.tolist(), *(~bad).tolist())
     for (gamma, s, t_hi, c_a, g_a, c_big, g_big, z0, beta), (
             lhs, rhs, growth, unrolled, dominated, feedback) in zip(cases, sides):
         rec.cases += 1
@@ -423,9 +422,9 @@ def suite_mixing(master_seed=DEFAULT_MASTER_SEED, t_horizon=4096, tol=1e-12):
         tau = math.ceil(8.0 * math.log(t_horizon) / abs(math.log(rho)))
         for t in _mixing_checkpoints(tau, t_horizon):
             rec.cases += 1
-            res = bounds.conditional_mixing_check(fam, t, t_horizon, rho, slack=tol)
-            rec.check("conditional_mixing", res.lhs, res.rhs, tol,
-                      lambda: {"family": name, "t": t, "tau": res.detail["tau"]})
+            lhs, rhs = bounds.conditional_mixing_check(fam, t, t_horizon, rho)
+            rec.check("conditional_mixing", lhs, rhs, tol,
+                      lambda: {"family": name, "t": t, "tau": tau})
     return rec.report()
 
 
@@ -436,13 +435,13 @@ def suite_coverage(n_reps=500, master_seed=DEFAULT_MASTER_SEED, t_max=1000,
     ts = np.arange(1, t_max + 1, dtype=float)
     alpha = 0.5 / ts ** 0.6
     pi = np.full(t_max, 0.5)
-    res = bounds.noise_envelope_coverage(alpha, pi, eps_max=1.0, delta=delta,
-                                         tau=tau, t_max=t_max, n_reps=n_reps,
-                                         seed=master_seed)
+    fraction, threshold, n_violating = bounds.noise_envelope_coverage(
+        alpha, pi, eps_max=1.0, delta=delta, tau=tau, t_max=t_max, n_reps=n_reps,
+        seed=master_seed)
     rec.cases = n_reps
-    rec.check("envelope_coverage", res.violation_fraction, res.threshold, 0.0,
+    rec.check("envelope_coverage", fraction, threshold, 0.0,
               lambda: {"delta": delta, "tau": tau, "n_reps": n_reps,
-                       "n_violating": res.n_violating})
+                       "n_violating": n_violating})
     return rec.report()
 
 

@@ -49,12 +49,12 @@ def exact_marginal(lam0, mats):
 
 def test_distribution_rejects_bad_sum():
     with pytest.raises(InvariantError):
-        homogeneous_comparison_bound([0.5, 0.4], [0.5, 0.5], P_REF, P_REF[None])
+        homogeneous_comparison_bound([[0.5, 0.4]], [0.5, 0.5], P_REF, P_REF[None])
 
 
 def test_distribution_rejects_negative_entry():
     with pytest.raises(InvariantError):
-        homogeneous_comparison_bound([1.1, -0.1], [0.5, 0.5], P_REF, P_REF[None])
+        homogeneous_comparison_bound([[1.1, -0.1]], [0.5, 0.5], P_REF, P_REF[None])
 
 
 def test_matrix_rejects_bad_row_and_never_renormalizes():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from adiatrack import chains, dp, verify
 from adiatrack.dp import (
-    CheckResult,
     RewardSpec,
     bellman_g,
     check_lipschitz_q,
@@ -44,22 +43,27 @@ def bellman_g1(p, spec, q_in, n_actions):
                      np.asarray(q_in, dtype=float)[None], n_actions)[0]
 
 
-def lipschitz_reward1(p, q, spec, slack=1e-10):
-    """check_lipschitz_rewards at k = 1, with lhs <= rhs + slack as its verdict."""
+def lipschitz_reward1(p, q, spec):
+    """check_lipschitz_rewards at k = 1: its sides (lhs, rhs) as floats; the
+    check holds when lhs <= rhs + 1e-10."""
     (lhs,), (rhs,) = (side.tolist() for side in check_lipschitz_rewards(
         p[None], q[None], spec.r[None], np.array([spec.beta])))
-    return CheckResult(lhs=lhs, rhs=rhs, passed=lhs <= rhs + slack)
+    return lhs, rhs
 
 
-def restart_identity1(p, spec, beta_hat, x_restart, slack=1e-8):
-    """check_restart_identities at k = 1: passed when both sides agree within
-    slack and the wrapped rho is at most beta/beta_hat + 1e-12."""
+def restart_identity1(p, spec, beta_hat, x_restart):
+    """check_restart_identities at k = 1: its sides (lhs, rhs, rho, rho_bound)
+    as floats; the check holds when |lhs - rhs| <= 1e-8 and
+    rho <= rho_bound + 1e-12 (restart_holds)."""
     (lhs,), (rhs,), (rho,), (rho_bound,) = (side.tolist() for side in check_restart_identities(
         p[None], spec.r[None], np.array([spec.beta]), np.array([beta_hat]),
         np.array([x_restart])))
-    rho_ok = rho <= rho_bound + 1e-12
-    return CheckResult(lhs=lhs, rhs=rhs, passed=abs(lhs - rhs) <= slack and rho_ok,
-                       detail={"rho": rho, "rho_bound": rho_bound, "rho_ok": rho_ok})
+    return lhs, rhs, rho, rho_bound
+
+
+def restart_holds(lhs, rhs, rho, rho_bound):
+    """The restart check's verdict on the sides of restart_identity1."""
+    return abs(lhs - rhs) <= 1e-8 and rho <= rho_bound + 1e-12
 
 
 def backward_induction_q(p, spec, n_actions, horizon):
@@ -398,8 +402,8 @@ def test_bellman_g_is_beta_contraction(p, beta):
 
 def test_lipschitz_reward_identical_matrices():
     spec = RewardSpec([1.0, 0.0], 0.9)
-    res = lipschitz_reward1(P_REF, P_REF, spec)
-    assert res.passed and res.lhs == 0.0 and res.rhs == 0.0
+    lhs, rhs = lipschitz_reward1(P_REF, P_REF, spec)
+    assert lhs <= rhs + 1e-10 and lhs == 0.0 and rhs == 0.0
 
 
 def test_lipschitz_reward_random_sweep(rng):
@@ -410,7 +414,8 @@ def test_lipschitz_reward_random_sweep(rng):
         p = stochastic(raw1 / raw1.sum(axis=1, keepdims=True))
         q = stochastic(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(0, 1, n), float(rng.choice([0.5, 0.9])))
-        assert lipschitz_reward1(p, q, spec).passed
+        lhs, rhs = lipschitz_reward1(p, q, spec)
+        assert lhs <= rhs + 1e-10
 
 
 def test_lipschitz_reward_signed_rewards_need_factor_two():
@@ -423,10 +428,10 @@ def test_lipschitz_reward_signed_rewards_need_factor_two():
         p = stochastic(raw1 / raw1.sum(axis=1, keepdims=True))
         q = stochastic(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(-1, 1, 2), 0.5)
-        res = lipschitz_reward1(p, q, spec)
-        if res.rhs > 0:
-            worst = max(worst, res.lhs / res.rhs)
-        assert res.lhs <= 2 * res.rhs + 1e-10
+        lhs, rhs = lipschitz_reward1(p, q, spec)
+        if rhs > 0:
+            worst = max(worst, lhs / rhs)
+        assert lhs <= 2 * rhs + 1e-10
     assert worst > 1.0  # the one-signed restriction is not vacuous
 
 
@@ -444,19 +449,19 @@ def test_lipschitz_q_random_sweep(rng):
 # ------------------------------------------------------------ restart identity
 
 def test_restart_identity_zero_rewards():
-    res = restart_identity1(P_REF, RewardSpec([0.0, 0.0], 0.5), 0.8, 0)
-    assert res.passed and res.lhs == 0.0 and res.rhs == 0.0
+    sides = restart_identity1(P_REF, RewardSpec([0.0, 0.0], 0.5), 0.8, 0)
+    assert restart_holds(*sides) and sides[:2] == (0.0, 0.0)
 
 
 def test_restart_identity_swap_example():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     spec = RewardSpec([1.0, 0.0], 0.5)
-    res = restart_identity1(swap, spec, beta_hat=0.8, x_restart=0)
-    assert res.passed
+    lhs, rhs, rho, rho_bound = restart_identity1(swap, spec, beta_hat=0.8, x_restart=0)
+    assert restart_holds(lhs, rhs, rho, rho_bound)
     # both sides equal 10/3 at the restart state; rho exactly beta/beta_hat
-    assert res.lhs == pytest.approx(10 / 3, abs=1e-12)
-    assert res.rhs == pytest.approx(10 / 3, abs=1e-12)
-    assert res.detail["rho"] == pytest.approx(0.625, abs=1e-15)
+    assert lhs == pytest.approx(10 / 3, abs=1e-12)
+    assert rhs == pytest.approx(10 / 3, abs=1e-12)
+    assert rho == pytest.approx(0.625, abs=1e-15)
 
 
 def test_restart_identity_random_sweep(rng):
@@ -467,9 +472,9 @@ def test_restart_identity_random_sweep(rng):
         beta = float(rng.uniform(0.2, 0.9))
         beta_hat = beta + (1 - beta) * float(rng.uniform(0.2, 0.9))
         spec = RewardSpec(rng.uniform(-1, 1, n), beta)
-        res = restart_identity1(p, spec, beta_hat, int(rng.integers(n)))
-        assert res.passed
-        assert res.detail["rho"] <= beta / beta_hat + 1e-12
+        sides = restart_identity1(p, spec, beta_hat, int(rng.integers(n)))
+        assert restart_holds(*sides)
+        assert sides[2] <= beta / beta_hat + 1e-12
 
 
 def test_restart_identity_rejects_bad_discounts():

@@ -630,8 +630,9 @@ def test_block_suite_reports_keep_their_bytes(suite, digest):
 
 
 def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
-    """suite_lemmas as a per-case loop: each oracle called on one case, scalar
-    check recursions that stop drawing at a case's first feedback violation."""
+    """suite_lemmas as a per-case loop: each oracle called on one case (a
+    k = 1 stack), scalar check recursions that stop drawing at a case's first
+    feedback violation."""
     rec = verify._Recorder("lemmas", master_seed)
     rng = chains.stream(master_seed, 4)
     for _ in range(n_cases):
@@ -653,14 +654,14 @@ def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
             b_seq = float(rng.uniform(0.1, 3.0)) / ts ** float(rng.uniform(0.0, 1.5))
         else:
             b_seq = np.sort(rng.random(t_horizon))[::-1]
-        res = bounds.decaying_sum_check(a_seq, b_seq, t_horizon, slack=tol)
-        rec.check("decaying_sum", res.lhs, res.rhs, tol, lambda: {"c_a": c_a, "gamma_a": g_a})
+        (lhs,), (rhs,) = bounds.decaying_sum_check(a_seq[None], b_seq[None], t_horizon)
+        rec.check("decaying_sum", lhs, rhs, tol, lambda: {"c_a": c_a, "gamma_a": g_a})
 
         c_big = float(rng.uniform(0.1, 3.0))
         g_big = float(rng.uniform(0.0, 1.5))
         a_big = c_big / ts ** g_big
         alpha = c_a / ts ** float(rng.uniform(0.05, 1.0))
-        coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=tol)
+        (coeffs,) = bounds.recursion_coefficients(a_big[None], alpha[None], verify_tol=tol)
         rec.require("recursion_coefficients_growth",
                     np.isfinite((np.abs(coeffs) * ts ** g_big).max()),
                     lambda: {"c_A": c_big, "gamma_A": g_big})
@@ -668,7 +669,7 @@ def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
         z0 = float(rng.uniform(0.0, 2.0))
         a_rec = rng.uniform(0.01, 0.99, t_horizon)
         c_rec = rng.uniform(0.0, 1.0, t_horizon)
-        closed = bounds.unroll_recursion(z0, a_rec, c_rec)
+        (closed,) = bounds.unroll_recursion(z0, a_rec[None], c_rec[None])
         z = z0
         ok = True
         for n_ in range(t_horizon):  # exact iterate must match the closed form
@@ -689,7 +690,7 @@ def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
         beta = float(rng.uniform(0.1, 0.9))
         alpha_z = rng.uniform(0.01, 0.5, t_horizon)
         c_z = rng.uniform(0.0, 0.5, t_horizon)
-        tilde = bounds.dominating_sequence(z0, alpha_z, beta, c_z)
+        (tilde,) = bounds.dominating_sequence(z0, alpha_z[None], beta, c_z[None])
         w = z0
         z_prev = z0
         ok = True
@@ -942,6 +943,36 @@ def test_cli_bound_malformed_constants_is_config_error(tmp_path, capsys, consts,
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize("change, named", [
+    pytest.param({"r_max_eff": "nan"}, "r_max_eff must be finite and non-negative, got nan",
+                 id="r_max_eff-nan"),
+    pytest.param({"d_a": "inf"}, "d_a must be finite and non-negative, got inf", id="d_a-inf"),
+    pytest.param({"r_max_eff": -1.0}, "r_max_eff must be finite and non-negative, got -1.0",
+                 id="r_max_eff-negative"),
+    pytest.param({"d_b": -0.5}, "d_b must be finite and non-negative, got -0.5", id="d_b-negative"),
+    pytest.param({"d_b_prime": "-inf"}, "d_b_prime must be finite and non-negative, got -inf",
+                 id="d_b_prime-minus-inf"),
+    pytest.param({"k": "nan"}, "k must be finite and non-negative, got nan", id="k-nan"),
+    pytest.param({"tau_coeff": -4.0}, "tau_coeff must be finite and positive, got -4.0",
+                 id="tau_coeff-negative"),
+    # finite constants whose bound leaves the floats: refused, not printed as Infinity
+    pytest.param({"tau_coeff": 1e6}, "the bound overflows at these constants",
+                 id="tau_coeff-1e6-overflows"),
+    pytest.param({"r_max_eff": 1e308}, "Out of range float values are not JSON compliant",
+                 id="r_max_eff-1e308-inf-terms"),
+])
+def test_cli_bound_refuses_constants_it_cannot_trust(tmp_path, capsys, change, named):
+    consts = {"r_max_eff": 1.0, "rho": 0.5, "beta": 0.5, **change}
+    (tmp_path / "consts.json").write_text(json.dumps(consts))
+    rc = cli_main(["bound", "--constants", str(tmp_path / "consts.json"),
+                   "--gamma-p", "1.0", "--gamma-alpha", "0.6", "--gamma-pi", "0",
+                   "--T", "1000"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1 and named in captured.err
+
+
 # Each config fails inside the CLI's run body: in ExperimentConfig.from_dict or later.
 ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
                "params": {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.1, "gamma_pi": 0.0}}
@@ -1087,6 +1118,12 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
     # params are optional for a constant spec under track, but every cell reads them
     pytest.param({"schedule": BASE_CONFIG["schedule"]}, SWEEP_GRID,
                  "constant schedule spec lacks ['params']", id="constant-base-without-params"),
+    # the grid refuses keys it does not read, and names a missing axis
+    pytest.param({}, {**SWEEP_GRID, "gama_pi": [0.5]}, "unknown grid fields: ['gama_pi']",
+                 id="grid-gama_pi-typo"),
+    pytest.param({}, {"gamma_alpha": [0.6]}, "grid lacks ['gamma_p']", id="grid-without-gamma_p"),
+    pytest.param({}, {"gamma_p": [1.0]}, "grid lacks ['gamma_alpha']",
+                 id="grid-without-gamma_alpha"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
