@@ -6,12 +6,12 @@ are measured against machine-precision targets, not simulation estimates.
 The fixed-point solves, the Bellman operator G and the Lipschitz and
 restart checks take stacks: (k, n, n) matrices with (k, n) rewards and (k,)
 discounts, solved in one call (policy iteration: one solve per round over
-the rows still iterating).  A one-matrix question is a k = 1 call; the TD
-operator r + beta P v is G with one action per state.  The checks return
-their sides, (k,) each, and no verdict: the caller judges lhs <= rhs at its
-own tolerance, as for the bounds oracles.  exact_reward, the k = 1 call of
-exact_rewards, stays while the benchmark tracer (perfbench/tracer.py) times
-it by name.
+the rows still iterating; a check's k pairs are one (2k, n, n) call).  A
+one-matrix question is a k = 1 call; the TD operator r + beta P v is G
+with one action per state.  The checks return their sides, (k,) each, and
+no verdict: the caller judges lhs <= rhs at its own tolerance, as for the
+bounds oracles.  exact_reward, the k = 1 call of exact_rewards, stays
+while the benchmark tracer (perfbench/tracer.py) times it by name.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.
@@ -176,7 +176,8 @@ def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
     chains._check_rows(p)
     chains._check_rows(q)
     _check_rewards(r, beta)
-    lhs = np.abs(exact_rewards(p, r, beta) - exact_rewards(q, r, beta)).max(axis=1)
+    both = exact_rewards(np.concatenate([p, q]), np.tile(r, (2, 1)), np.tile(beta, 2))
+    lhs = np.abs(both[:len(p)] - both[len(p):]).max(axis=1)
     rhs = beta * np.abs(r).max(axis=1) / (1.0 - beta) ** 2 * chains.matrix_tv_distances(p, q)
     return lhs, rhs
 
@@ -188,8 +189,8 @@ def check_lipschitz_q(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndar
     chains._check_rows(p)
     chains._check_rows(q)
     _check_rewards(r, beta)
-    star_p, star_q = exact_q(p, r, beta, n_actions, tol), exact_q(q, r, beta, n_actions, tol)
-    lhs = np.abs(star_p - star_q).max(axis=1)
+    both = exact_q(np.concatenate([p, q]), np.tile(r, (2, 1)), np.tile(beta, 2), n_actions, tol)
+    lhs = np.abs(both[:len(p)] - both[len(p):]).max(axis=1)
     rhs = beta * np.abs(r).max(axis=1) / (1.0 - beta) ** 2 * chains.matrix_tv_distances(p, q)
     return lhs, rhs
 
@@ -212,7 +213,8 @@ def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
     _check_rewards(r, beta)
     wrapped = restart_wraps(p, beta, beta_hat, x_restart)
     chains._check_rows(wrapped)
+    both = exact_rewards(np.concatenate([wrapped, p]), np.tile(r, (2, 1)),
+                         np.concatenate([beta_hat, beta]))
     at = np.arange(len(p)), x_restart
-    lhs = exact_rewards(wrapped, r, beta_hat)[at]
-    rhs = (1.0 - beta) / (1.0 - beta_hat) * exact_rewards(p, r, beta)[at]
+    lhs, rhs = both[:len(p)][at], (1.0 - beta) / (1.0 - beta_hat) * both[len(p):][at]
     return lhs, rhs, chains.ergodicity_coefficients(wrapped), beta / beta_hat

@@ -303,15 +303,15 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     """Run one tracking experiment per exponent-triple cell; emit a merged CSV.
 
     grid: {"gamma_p": [...], "gamma_alpha": [...], "gamma_pi": [...]}, with
-    "inf" accepted in gamma_p and gamma_pi optional ([0]); any other key is
-    refused.  The base's anchors, n and params are checked as track checks
-    them, before any cell.  Cells violating standing assumptions, with no
-    realizing family or refused by it are recorded as skipped, not errors.
-    Cells with the same schedule spec are one group of _run: one build, one
-    certificate scan and one walk at every cell's rate; each cell's files
-    are those run_tracking writes for it.  A bad input or a failing
-    certificate raises before out_dir is made; the merged table, sorted by
-    cell key, is written last.
+    "inf" accepted in gamma_p and gamma_pi optional ([0]); any other key, an
+    empty axis and a value an axis lists twice are refused.  The base's
+    anchors, n and params are checked as track checks them, before any cell.
+    Cells violating standing assumptions, with no realizing family or
+    refused by it are recorded as skipped, not errors.  Cells with the same
+    schedule spec are one group of _run: one build, one certificate scan and
+    one walk at every cell's rate; each cell's files are those run_tracking
+    writes for it.  A bad input or a failing certificate raises before
+    out_dir is made; the merged table, sorted by cell key, is written last.
     """
     grid = chains._known_keys(grid, "grid", ("gamma_p", "gamma_alpha", "gamma_pi"))
     if missing := [k for k in ("gamma_p", "gamma_alpha") if k not in grid]:
@@ -319,6 +319,10 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = chains._read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = chains._read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)
+    for name, values in (("gamma_p", gps), ("gamma_alpha", gas), ("gamma_pi", gpis)):
+        twice = [f"lists {v} more than once" for i, v in enumerate(values) if v in values[:i]]
+        if twice or not values:
+            raise ValueError(f"grid axis {name} {(twice or ['is empty'])[0]}")
     # the base is read and its anchors checked as track does it, though it is not built
     anchors = schedules._spec_anchors(base.schedule)
     if "params" not in base.schedule:  # a constant spec may omit them; every cell reads them

@@ -3,12 +3,14 @@
 Each suite runs with a fixed master seed (per-case streams derive from it),
 counts violations, and reports the worst margin, overall and per check name,
 plus full counterexample inputs (matrices verbatim) so a CI failure is
-reproducible from the report alone; a check builds its inputs only when it
-fails.  Every randomized suite draws all its cases first, in the order of
-a per-case loop, then evaluates them as stacks and records the checks in
-case order, so the report equals the per-case loop's: prop1 per matrix
-size (_prop1_pairs) and its 2x2 eigenvalue cases as one stack, Lipschitz
-(reward and optimal Q) and restart per matrix size
+reproducible from the report alone; a check builds its inputs (matrices
+from its case's draws) only when it fails.  Every randomized suite draws
+all its cases first, in the order of a per-case loop, a random matrix as
+its raw draws (_draw), then builds each size's matrices in one pass
+(_rows), evaluates the cases as stacks and records the checks in case
+order, so the report equals the per-case loop's: prop1 per matrix size
+(_prop1_pairs) and its 2x2 eigenvalue cases as one stack, Lipschitz
+(reward and optimal Q) and restart per matrix size, each pair one solve
 (dp.check_lipschitz_rewards, dp.check_lipschitz_q,
 dp.check_restart_identities), and lemmas with each bounds oracle on one
 (cases, T) stack.  The thm1 and mixing suites read each schedule as blocks
@@ -48,7 +50,7 @@ class _Recorder:
         margin = rhs + tol - lhs
         if margin < self.worst_margin_by_check.get(name, np.inf):
             self.worst_margin_by_check[name] = margin
-        if lhs > rhs + tol:
+        if not lhs <= rhs + tol:  # NaN fails too
             entry = {"check": name, "lhs": float(lhs), "rhs": float(rhs),
                      "tol": tol, "case": self.cases}
             if inputs:
@@ -75,40 +77,50 @@ class _Recorder:
                 "spec_version": SPEC_VERSION}
 
 
-def _random_rows(rng, n) -> np.ndarray:
-    """A random (n, n) transition matrix, unvalidated: dense positive rows
-    (hence irreducible), varied skew."""
-    style = rng.integers(3)
-    raw = rng.random((n, n))
-    if style == 1:
-        raw = raw ** 4  # skewed rows, ergodicity coefficient near 1
-    elif style == 2:
-        cycle = np.eye(n)[(np.arange(n) + 1) % n]  # cycle backbone, still dense
-        raw = 0.2 * raw + 0.8 * cycle + 1e-3
-    return raw / raw.sum(axis=1, keepdims=True)
+def _draw(rng, n):
+    """One random (n, n) matrix's draws in draw order, (style, raw); _matrices builds it."""
+    return int(rng.integers(3)), rng.random((n, n))
+
+
+def _rows(styles, raw) -> np.ndarray:
+    """Random (k, n, n) transition matrices, unvalidated, from their draws styles (k,)
+    and raw (k, n, n): dense positive rows (hence irreducible), varied skew."""
+    n, styles = raw.shape[1], np.asarray(styles)[:, None, None]
+    raw = np.where(styles == 1, raw ** 4, raw)  # skewed rows, ergodicity coefficient near 1
+    cycle = np.eye(n)[(np.arange(n) + 1) % n]  # cycle backbone, still dense
+    raw = np.where(styles == 2, 0.2 * raw + 0.8 * cycle + 1e-3, raw)
+    return raw / raw.sum(axis=2, keepdims=True)
+
+
+def _matrices(draws) -> np.ndarray:
+    """The (k, n, n) stack of k (style, raw) draws of one size, in one _rows pass."""
+    return _rows([style for style, _ in draws], np.array([raw for _, raw in draws]))
 
 
 def _by_size(cases, check):
     """check(*stacks) on the cases of each matrix size at once; its per-case
     outputs as tuples of floats, in case order.  A case is a tuple whose
-    first entry is its matrix; column j of a size's cases is stack j."""
+    first entry is a matrix's (style, raw) draw; column j of a size's cases
+    is stack j, built by _matrices where its entries are such draws."""
     out, sizes = [None] * len(cases), {}
     for i, case in enumerate(cases):
-        sizes.setdefault(len(case[0]), []).append(i)
+        sizes.setdefault(len(case[0][1]), []).append(i)
     for idx in sizes.values():
-        stacks = [np.array([cases[i][j] for i in idx]) for j in range(len(cases[idx[0]]))]
+        stacks = [_matrices(col) if isinstance(col[0], tuple) else np.array(col)
+                  for col in ([cases[i][j] for i in idx] for j in range(len(cases[idx[0]])))]
         for i, row in zip(idx, zip(*(side.tolist() for side in check(*stacks)))):
             out[i] = row
     return out
 
 
 def _prop1_pairs(p, q, lam, mu):
-    """The pair checks of suite_prop1 on (k, n, n) stacks p, q and (k, n)
-    stacks lam, mu, each input and product validated as its per-case object
-    would be.  Per case: rho(p), rho(pq), rho(p) rho(q), the TV of lam p and
-    mu p, rho(p) tv(lam, mu), |rho(p) - overlap form|, and where
-    rho(p) < 1 - 1e-6 the stationary gap of p and 0.7 p + 0.3 q with its
-    perturbation bound (NaN elsewhere)."""
+    """The pair checks of suite_prop1 on (k, n, n) stacks p, q and (k, n) uniform
+    draws lam, mu (each made u + 1e-12 over its sum), each input and product
+    validated as its per-case object would be.  Per case: rho(p), rho(pq),
+    rho(p) rho(q), the TV of lam p and mu p, rho(p) tv(lam, mu),
+    |rho(p) - overlap form|, and where rho(p) < 1 - 1e-6 the stationary gap of
+    p and 0.7 p + 0.3 q with its perturbation bound (NaN elsewhere)."""
+    lam, mu = ((u + 1e-12) / (u + 1e-12).sum(axis=1, keepdims=True) for u in (lam, mu))
     prod, lam_p, mu_p = p @ q, (lam[:, None] @ p)[:, 0], (mu[:, None] @ p)[:, 0]
     for arr in (p, q, prod, lam, mu, lam_p, mu_p):
         chains._check_rows(arr)
@@ -141,15 +153,13 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
     cases = []
     for _ in range(n_cases):
         n = int(rng.integers(2, 7))
-        p, q = _random_rows(rng, n), _random_rows(rng, n)
-        lam, mu = rng.random(n) + 1e-12, rng.random(n) + 1e-12
-        cases.append((p, q, lam / lam.sum(), mu / mu.sum()))
+        cases.append((_draw(rng, n), _draw(rng, n), rng.random(n), rng.random(n)))
     for (p, q, *_), sides in zip(cases, _by_size(cases, _prop1_pairs)):
         rec.cases += 1
         rho_p, rho_prod, rho_pq, tv_after, tv_bound, form_gap, gap, bound = sides
 
         def inputs():
-            return {"p": p.tolist(), "q": q.tolist()}
+            return {"p": _matrices([p])[0].tolist(), "q": _matrices([q])[0].tolist()}
         rec.check("submultiplicative", rho_prod, rho_pq, tol, inputs)
         rec.check("tv_contraction", tv_after, tv_bound, tol, inputs)
         rec.check("row_pair_vs_overlap_form", form_gap, 0.0, tol, inputs)
@@ -157,7 +167,7 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
             rec.check("stationary_perturbation", gap, bound, tol, inputs)
 
     rng2 = chains.stream(master_seed, 2)
-    twos = np.array([_random_rows(rng2, 2) for _ in range(n_cases)])
+    twos = _matrices([_draw(rng2, 2) for _ in range(n_cases)])
     chains._check_rows(twos)
     lam2 = np.abs(twos[:, 0, 0] + twos[:, 1, 1] - 1.0)  # the non-unit eigenvalue
     for p, lhs, rhs in zip(twos, lam2.tolist(), chains.ergodicity_coefficients(twos).tolist()):
@@ -174,7 +184,7 @@ _B2 = [[0.1, 0.9], [0.8, 0.2]]
 def scan_families():
     """The schedule-family instances every dominance scan walks (n <= 4)."""
     rng = chains.stream(7, 3)  # the same anchors whatever the master seed
-    a3, b3, a4, b4 = (_random_rows(rng, n) for n in (3, 3, 4, 4))
+    a3, b3, a4, b4 = (_matrices([_draw(rng, n)])[0] for n in (3, 3, 4, 4))
     return [
         schedules.ConstantSchedule(_A2),
         schedules.ConstantSchedule(a4),
@@ -348,24 +358,23 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500,
     cases = []
     for i in range(n_reward_cases):
         n = int(rng.integers(2, 7))
-        cases.append((_random_rows(rng, n), _random_rows(rng, n), rng.uniform(0, 1, n),
-                      betas[i % 3]))
+        cases.append((_draw(rng, n), _draw(rng, n), rng.uniform(0, 1, n), betas[i % 3]))
     sides = _by_size(cases, dp.check_lipschitz_rewards)
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
         rec.check("reward_lipschitz", lhs, rhs, tol,
-                  lambda: {"p": p.tolist(), "q": q.tolist(), "r": r.tolist(), "beta": beta})
+                  lambda: {"p": _matrices([p])[0].tolist(), "q": _matrices([q])[0].tolist(),
+                           "r": r.tolist(), "beta": beta})
     cases = []
     for i in range(n_q_cases):
         nsa = 2 * int(rng.integers(2, 4))  # 2 or 3 states, 2 actions each
-        cases.append((_random_rows(rng, nsa), _random_rows(rng, nsa),
-                      rng.uniform(0, 1, nsa), betas[i % 3]))
+        cases.append((_draw(rng, nsa), _draw(rng, nsa), rng.uniform(0, 1, nsa), betas[i % 3]))
     sides = _by_size(cases, lambda *stacks: dp.check_lipschitz_q(*stacks, 2, tol=1e-12))
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
         rec.check("q_lipschitz", lhs, rhs, tol,
-                  lambda: {"p": p.tolist(), "q": q.tolist(), "r": r.tolist(), "beta": beta,
-                           "n_actions": 2})
+                  lambda: {"p": _matrices([p])[0].tolist(), "q": _matrices([q])[0].tolist(),
+                           "r": r.tolist(), "beta": beta, "n_actions": 2})
     return rec.report()
 
 
@@ -378,7 +387,7 @@ def suite_restart(n_cases=1000, master_seed=DEFAULT_MASTER_SEED,
     cases = []
     for _ in range(n_cases):
         n = int(rng.integers(2, 6))
-        p = _random_rows(rng, n)
+        p = _draw(rng, n)
         beta = float(rng.uniform(0.2, 0.9))
         beta_hat = beta + (1.0 - beta) * float(rng.uniform(0.2, 0.9))
         x_restart = int(rng.integers(n))
@@ -389,7 +398,7 @@ def suite_restart(n_cases=1000, master_seed=DEFAULT_MASTER_SEED,
         rec.cases += 1
 
         def inputs():
-            return {"p": p.tolist(), "r": r.tolist(), "beta": beta,
+            return {"p": _matrices([p])[0].tolist(), "r": r.tolist(), "beta": beta,
                     "beta_hat": beta_hat, "x_restart": x_restart}
         rec.check("restart_value_identity", abs(lhs - rhs), 0.0, value_tol, inputs)
         rec.check("restart_rho_cap", rho, rho_bound, rho_tol, inputs)

@@ -29,6 +29,20 @@ def stochastic(rows):
     return arr
 
 
+def random_rows(rng, n):
+    """One random (n, n) transition matrix, unvalidated, drawn and built per
+    matrix: the oracle for verify's stacked _draw and _rows, in the same draw
+    order (style, then raw entries) and with the same elementwise steps."""
+    style = rng.integers(3)
+    raw = rng.random((n, n))
+    if style == 1:
+        raw = raw ** 4  # skewed rows, ergodicity coefficient near 1
+    elif style == 2:
+        cycle = np.eye(n)[(np.arange(n) + 1) % n]  # cycle backbone, still dense
+        raw = 0.2 * raw + 0.8 * cycle + 1e-3
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
 @pytest.fixture(scope="session")
 def reference():
     """Frozen outputs of scripts/reference_recursion.py, the driver over the one

@@ -16,7 +16,7 @@ from adiatrack.dp import (
     exact_reward,
 )
 
-from conftest import matrices, stochastic
+from conftest import matrices, random_rows, stochastic
 
 P_REF = np.array([[0.9, 0.1], [0.2, 0.8]])
 FLAT = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -305,10 +305,10 @@ def test_exact_q_certifies_where_value_iteration_cycles(monkeypatch):
     rng, betas, cases = chains.stream(verify.DEFAULT_MASTER_SEED, 5), [0.5, 0.9, 0.99], []
     for _ in range(8500):  # the reward cases' draws
         n = int(rng.integers(2, 7))
-        verify._random_rows(rng, n), verify._random_rows(rng, n), rng.uniform(0, 1, n)
+        random_rows(rng, n), random_rows(rng, n), rng.uniform(0, 1, n)
     for k in range(1500):  # the Q cases' draws, as the suite makes them
         nsa = 2 * int(rng.integers(2, 4))
-        sides = verify._random_rows(rng, nsa), verify._random_rows(rng, nsa)
+        sides = random_rows(rng, nsa), random_rows(rng, nsa)
         cases.append((sides, RewardSpec(rng.uniform(0, 1, nsa), betas[k % 3])))
     n_actions, kw = 2, {"tol": 1e-12}
     for i in (113, 196, 389, 917, 953, 2225, 2296, 2999):
@@ -330,13 +330,13 @@ def test_exact_q_stack_equals_each_rows_own_call(monkeypatch):
     rng = np.random.default_rng(16)
     betas = [0.5, 0.9, 0.99] * 4
     groups = [  # (rows, rewards, discounts, n_actions)
-        ([TIED] + [verify._random_rows(rng, 6) for _ in range(11)],
+        ([TIED] + [random_rows(rng, 6) for _ in range(11)],
          [TIED_SPEC.r] + [rng.uniform(0, 1, 6) for _ in range(11)], betas, 3),
-        ([P_REF, FLAT, verify._random_rows(rng, 2)],
+        ([P_REF, FLAT, random_rows(rng, 2)],
          [[1.0, 0.0], [0.0, 1.0], [0.5, 0.25]], [0.9, 0.5, 0.99], 1),
-        ([verify._random_rows(rng, 4) for _ in range(12)],
+        ([random_rows(rng, 4) for _ in range(12)],
          [rng.uniform(0, 1, 4) for _ in range(12)], betas, 2),
-        ([verify._random_rows(rng, 6) for _ in range(12)],
+        ([random_rows(rng, 6) for _ in range(12)],
          [rng.uniform(0, 1, 6) for _ in range(12)], betas, 2),
     ]
     real, solves = np.linalg.solve, []
@@ -444,6 +444,30 @@ def test_lipschitz_q_random_sweep(rng):
         (lhs,), (rhs,) = check_lipschitz_q(p[None], q[None], spec.r[None],
                                            np.array([spec.beta]), n_actions=2)
         assert lhs <= rhs + 1e-10  # the one-pair check's default slack
+
+
+def test_pair_checks_solve_both_members_of_every_pair_in_one_call(monkeypatch):
+    rng, k = np.random.default_rng(23), 5
+    p, q = (np.array([random_rows(rng, 4) for _ in range(k)]) for _ in range(2))
+    r, beta = rng.uniform(0, 1, (k, 4)), np.array([0.5, 0.9, 0.99, 0.5, 0.9])
+    beta_hat, x_restart = beta + (1 - beta) * 0.5, rng.integers(4, size=k)
+    shapes = []
+    for name in ("exact_rewards", "exact_q"):
+        monkeypatch.setattr(dp, name, lambda m, *a, real=getattr(dp, name), **kw:
+                            shapes.append(m.shape) or real(m, *a, **kw))
+
+    def sides(i):  # every check on pairs i (a slice), one call each
+        return [side.tobytes() for side in (
+            *dp.check_lipschitz_rewards(p[i], q[i], r[i], beta[i]),
+            *dp.check_lipschitz_q(p[i], q[i], r[i], beta[i], 2),
+            *dp.check_restart_identities(p[i], r[i], beta[i], beta_hat[i], x_restart[i]))]
+
+    stacked = sides(slice(None))
+    assert shapes == [(2 * k, 4, 4)] * 3  # one solve call per check, both members stacked
+    for i in range(k):  # each pair's sides equal its own k = 1 calls bit for bit
+        one = sides(slice(i, i + 1))
+        assert one == [np.frombuffer(side, dtype=np.float64)[i:i + 1].tobytes()
+                       for side in stacked]
 
 
 # ------------------------------------------------------------ restart identity

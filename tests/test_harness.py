@@ -17,7 +17,7 @@ from adiatrack.harness import (
     run_tracking,
 )
 
-from conftest import matrix_tv, stochastic, tv
+from conftest import matrix_tv, random_rows, stochastic, tv
 
 BASE_CONFIG = {
     "schedule": {"kind": "constant", "n": 2, "p": [[0.9, 0.1], [0.2, 0.8]]},
@@ -403,10 +403,42 @@ def test_verify_suite_detects_corrupted_rho(monkeypatch):
     first = report["violations"][0]
     assert first["check"] == "second_eigenvalue"
     rng2 = chains.stream(verify.DEFAULT_MASTER_SEED, 2)  # redraw the 2x2 cases up to this one
-    p = [verify._random_rows(rng2, 2) for _ in range(first["case"] - n_cases)][-1]
+    p = [random_rows(rng2, 2) for _ in range(first["case"] - n_cases)][-1]
     assert first["inputs"] == {"p": p.tolist()}  # counterexample inputs reported verbatim
     assert (first["lhs"], first["rhs"]) == (abs(p[0, 0] + p[1, 1] - 1.0),
                                             0.5 * true_rhos(p[None])[0])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_rows_equal_the_per_matrix_formula_bit_for_bit(n):
+    oracle_rng, draw_rng = np.random.default_rng(n), np.random.default_rng(n)
+    expected = np.array([random_rows(oracle_rng, n) for _ in range(60)])
+    draws = [verify._draw(draw_rng, n) for _ in range(60)]
+    assert draw_rng.bit_generator.state == oracle_rng.bit_generator.state  # same draw order
+    styles, raw = map(np.array, zip(*draws))
+    assert set(styles.tolist()) == {0, 1, 2}
+    assert verify._rows(styles, raw).tobytes() == expected.tobytes()
+    for style in range(3):  # one style's stack
+        assert (verify._rows(styles[styles == style], raw[styles == style]).tobytes()
+                == expected[styles == style].tobytes())
+    assert verify._matrices(draws).tobytes() == expected.tobytes()
+    for draw, one in zip(draws, expected):  # k = 1 stacks
+        assert verify._rows([draw[0]], draw[1][None]).tobytes() == one[None].tobytes()
+        assert verify._matrices([draw]).tobytes() == one[None].tobytes()
+
+
+def test_verify_check_fails_a_nan_side(monkeypatch):
+    rec = verify._Recorder("demo", 0)
+    rec.check("a", np.nan, 1.0, 0.0)
+    rec.check("b", 0.0, np.nan, 0.0)
+    assert [v["check"] for v in rec.report()["violations"]] == ["a", "b"]
+    # a broken oracle returning NaN fails its suite instead of passing silently
+    monkeypatch.setattr(chains, "ergodicity_coefficients", lambda mats: np.full(len(mats), np.nan))
+    report = verify.suite_restart(n_cases=20)
+    assert not report["pass"]
+    assert {v["check"] for v in report["violations"]} == {"restart_rho_cap"}
+    first = report["violations"][0]
+    assert np.isnan(first["lhs"]) and first["case"] == 1
 
 
 def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
@@ -417,8 +449,8 @@ def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
     for i in range(n_reward_cases):
         rec.cases += 1
         n = int(rng.integers(2, 7))
-        p = stochastic(verify._random_rows(rng, n))
-        q = stochastic(verify._random_rows(rng, n))
+        p = stochastic(random_rows(rng, n))
+        q = stochastic(random_rows(rng, n))
         spec = dp.RewardSpec(rng.uniform(0, 1, n), betas[i % 3])
         (lhs,), (rhs,) = dp.check_lipschitz_rewards(p[None], q[None], spec.r[None],
                                                     np.array([spec.beta]))
@@ -426,8 +458,8 @@ def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
     for i in range(n_q_cases):
         rec.cases += 1
         nsa = 2 * int(rng.integers(2, 4))
-        p = stochastic(verify._random_rows(rng, nsa))
-        q = stochastic(verify._random_rows(rng, nsa))
+        p = stochastic(random_rows(rng, nsa))
+        q = stochastic(random_rows(rng, nsa))
         spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
         (lhs,), (rhs,) = dp.check_lipschitz_q(p[None], q[None], spec.r[None],
                                               np.array([spec.beta]), 2, tol=1e-12)
@@ -442,7 +474,7 @@ def _per_case_restart(n_cases, master_seed, value_tol=1e-8, rho_tol=1e-12):
     for _ in range(n_cases):
         rec.cases += 1
         n = int(rng.integers(2, 6))
-        p = stochastic(verify._random_rows(rng, n))
+        p = stochastic(random_rows(rng, n))
         beta = float(rng.uniform(0.2, 0.9))
         beta_hat = beta + (1.0 - beta) * float(rng.uniform(0.2, 0.9))
         x_restart = int(rng.integers(n))
@@ -468,8 +500,8 @@ def _per_case_prop1(n_cases, master_seed, tol=1e-10):
     for _ in range(n_cases):
         rec.cases += 1
         n = int(rng.integers(2, 7))
-        p = stochastic(verify._random_rows(rng, n))
-        q = stochastic(verify._random_rows(rng, n))
+        p = stochastic(random_rows(rng, n))
+        q = stochastic(random_rows(rng, n))
         rho_p = chains.ergodicity_coefficient(p)
         rho_q = chains.ergodicity_coefficient(q)
         prod = stochastic(p @ q)
@@ -487,7 +519,7 @@ def _per_case_prop1(n_cases, master_seed, tol=1e-10):
     rng2 = chains.stream(master_seed, 2)
     for _ in range(n_cases):
         rec.cases += 1
-        p = stochastic(verify._random_rows(rng2, 2))
+        p = stochastic(random_rows(rng2, 2))
         second = float(p[0, 0] + p[1, 1] - 1.0)  # the non-unit eigenvalue
         rec.check("second_eigenvalue", abs(second), chains.ergodicity_coefficient(p), tol)
     return rec.report()
@@ -532,7 +564,7 @@ def test_prop1_pair_checks_catch_a_corrupted_stack_rho(monkeypatch):
     assert first["check"] == "tv_contraction" and first["case"] == 1
     rng = chains.stream(verify.DEFAULT_MASTER_SEED, 1)  # redraw case 1
     n = int(rng.integers(2, 7))
-    p, q = verify._random_rows(rng, n), verify._random_rows(rng, n)
+    p, q = random_rows(rng, n), random_rows(rng, n)
     lam, mu = rng.random(n) + 1e-12, rng.random(n) + 1e-12
     lam, mu = lam / lam.sum(), mu / mu.sum()
     assert first["inputs"] == {"p": p.tolist(), "q": q.tolist()}
@@ -542,17 +574,17 @@ def test_prop1_pair_checks_catch_a_corrupted_stack_rho(monkeypatch):
 
 
 def test_prop1_pair_checks_reject_a_row_off_by_1e9(monkeypatch):
-    true_rows, calls = verify._random_rows, []
+    true_rows, calls = verify._rows, []
 
-    def one_bad_case(rng, n):
-        rows = true_rows(rng, n)
-        calls.append(n)
-        if len(calls) == 1:  # the case's p: rho(p) = 1, so no stationary solve checks it
-            rows = np.eye(n)
-            rows[1, 0] = 1e-9  # row 1 sums to 1 + 1e-9
+    def one_bad_case(styles, raw):
+        rows = true_rows(styles, raw)
+        calls.append(rows.shape)
+        if len(calls) == 1:  # the case's p stack: rho(p) = 1, so no stationary solve checks it
+            rows[0] = np.eye(rows.shape[1])
+            rows[0, 1, 0] = 1e-9  # row 1 sums to 1 + 1e-9
         return rows
 
-    monkeypatch.setattr(verify, "_random_rows", one_bad_case)
+    monkeypatch.setattr(verify, "_rows", one_bad_case)
     with pytest.raises(chains.InvariantError, match="sums to"):
         verify.suite_prop1(n_cases=1)
 
@@ -626,6 +658,18 @@ def test_block_suite_reports_keep_their_bytes(suite, digest):
     # sha256 of the canonical default-seed report, recorded before the suite's
     # code was refactored onto stacks; the digests assume the numpy pinned in CI
     report = canonical_json(verify.run_suite(suite))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite, digest", [
+    ("lipschitz", "f3fcfc01f5e9f4cefa7ed0ede5775e2e54b3ffc78bd44cc99f41c5420ffbdc7d"),
+    ("prop1", "c4365e6020d4484e65a3ea81e31f21ac7f4758fb0fa38269b42d3ef88b722d3b"),
+    ("restart", "786646c94fd069fa5ad98631d66b0266a8bc117b93d54f2d838e8d3702a9114b"),
+])
+def test_random_matrix_suite_reports_keep_their_bytes_at_seed_1(suite, digest):
+    # sha256 of the canonical master-seed-1 report, recorded before the random
+    # matrices were built as one stack per size; the numpy pinned in CI assumed
+    report = canonical_json(verify.run_suite(suite, master_seed=1))
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
@@ -1124,6 +1168,19 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
     pytest.param({}, {"gamma_alpha": [0.6]}, "grid lacks ['gamma_p']", id="grid-without-gamma_p"),
     pytest.param({}, {"gamma_p": [1.0]}, "grid lacks ['gamma_alpha']",
                  id="grid-without-gamma_alpha"),
+    # a value listed twice would run its cell twice; an empty axis runs no cell
+    pytest.param({}, {**SWEEP_GRID, "gamma_p": [1.0, "inf", 1]},
+                 "grid axis gamma_p lists 1.0 more than once", id="grid-gamma_p-twice"),
+    pytest.param({}, {**SWEEP_GRID, "gamma_alpha": [0.6, 0.8, 0.6]},
+                 "grid axis gamma_alpha lists 0.6 more than once", id="grid-gamma_alpha-twice"),
+    pytest.param({}, {**SWEEP_GRID, "gamma_pi": [0.0, 0.0]},
+                 "grid axis gamma_pi lists 0.0 more than once", id="grid-gamma_pi-twice"),
+    pytest.param({}, {**SWEEP_GRID, "gamma_p": []}, "grid axis gamma_p is empty",
+                 id="grid-gamma_p-empty"),
+    pytest.param({}, {**SWEEP_GRID, "gamma_alpha": []}, "grid axis gamma_alpha is empty",
+                 id="grid-gamma_alpha-empty"),
+    pytest.param({}, {**SWEEP_GRID, "gamma_pi": []}, "grid axis gamma_pi is empty",
+                 id="grid-gamma_pi-empty"),
 ])
 def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
