@@ -13,6 +13,13 @@ tv(a, b) = 0.5 * sum |a_x - b_x|, and between matrices the maximum row TV.
 stationary_distribution and ergodicity_coefficient are the k = 1 calls of
 stationary_stack and ergodicity_coefficients; they stay while the
 benchmark tracer (perfbench/tracer.py) times them by name.
+
+The package's JSON inputs are read here too.  Every JSON object (config,
+schedule spec, params, reward, rate, noise, the seeds and checkpoints
+objects, sweep grid, bound constants) goes through one reader, _object,
+which refuses a non-object, a key the object does not read and a lacking
+key it needs, each by the object's name; number, integer and _read_list
+read the values inside.
 """
 
 from __future__ import annotations
@@ -198,21 +205,19 @@ def simulate(schedule, t_max: int, x0: int, seed: int) -> np.ndarray:
     return states
 
 
-def _json_object(value, name: str) -> dict:
-    """value, where the JSON object name is read; else a ValueError naming it."""
+def _object(value, name: str, keys=None, required=None) -> dict:
+    """value, where the JSON object name is read; else a ValueError naming
+    it.  Given keys, a key outside them is refused by name (a misspelt key is
+    not passed over for a default), and so is a key of required (keys unless
+    given) that value lacks."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, got {value!r}")
+    if keys is not None:
+        if unknown := sorted(set(value) - set(keys)):
+            raise ValueError(f"unknown {name} fields: {unknown}")
+        if missing := [k for k in (keys if required is None else required) if k not in value]:
+            raise ValueError(f"{name} lacks {missing}")
     return value
-
-
-def _known_keys(doc: dict, name: str, keys) -> dict:
-    """doc, the JSON object name is read from, if it holds no key outside keys;
-    else a ValueError naming the unknown ones, so a misspelt key is not
-    silently passed over for a default."""
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {name} fields: {unknown}")
-    return doc
 
 
 def _read_list(values: list, name: str, read, depth: int = 1) -> list:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from . import bounds, chains, verify
+from . import bounds, verify
 from .harness import SPEC_VERSION, ExperimentConfig, run_sweep, run_tracking
 from .schedules import GAMMA_INF, DriftCertificateError
 
@@ -82,7 +83,7 @@ def _cmd_sweep(args) -> int:
     def run():
         config = ExperimentConfig.from_json(args.config)
         with open(args.grid) as fh:
-            grid = chains._json_object(json.load(fh), "grid")
+            grid = json.load(fh)
         rows = run_sweep(grid, config, args.out)
         print(json.dumps({"spec_version": SPEC_VERSION, "cells": rows}, sort_keys=True))
         return EXIT_OK
@@ -106,7 +107,7 @@ def _cmd_bound(args) -> int:
             consts = bounds.Thm2Constants(r_max_eff=1.0, rho=0.5, beta=0.5)
         report = bounds.tracking_error_bound(consts, exps, args.T)
         # strict JSON: a term that overflowed to inf is refused, not printed as Infinity
-        out = json.dumps({**report.to_json(), "spec_version": SPEC_VERSION}, sort_keys=True,
+        out = json.dumps({**asdict(report), "spec_version": SPEC_VERSION}, sort_keys=True,
                          allow_nan=False)
     except ArithmeticError as exc:
         print(f"config error: the bound overflows at these constants ({exc})", file=sys.stderr)

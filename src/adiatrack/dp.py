@@ -70,7 +70,7 @@ class RewardSpec:
 
     @staticmethod
     def from_spec(doc: dict) -> "RewardSpec":
-        doc = chains._known_keys(doc, "reward", ("r", "beta"))
+        doc = chains._object(doc, "reward", ("r", "beta"))
         r = chains._read_list(doc["r"], "r", chains._json_number)
         return RewardSpec(np.asarray(r, dtype=float), chains.number(doc, "beta"))
 

@@ -6,7 +6,8 @@ their streams from listed seeds, and every output byte is fixed by
 (config, seed).  One runner, _run, serves a run (run_tracking: one group
 of one cell) and a sweep (run_sweep: one group per distinct cell
 schedule, holding its grid cells).  It reads every input before the first
-scan: the reward, the noise, each cell's rate, and each group's schedule
+scan: the reward, the noise, each cell's rate and config hash (a NaN or
+Infinity in the config is refused there), and each group's schedule
 against the rewards, x0, n_actions and the checkpoints
 (learners._checked_grid, the checks learners.track makes).  Then the
 certificate gates the run: schedules.verify_drift scans every group's
@@ -26,7 +27,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("schedule", "reward", "rate", "noise"):
-            chains._json_object(getattr(self, name), name)
+            chains._object(getattr(self, name), name)
         if self.learner not in ("td0", "q"):
             raise ValueError(f"unknown learner {self.learner!r}")
         for name in ("t_max", "x0", "n_actions"):
@@ -97,7 +98,7 @@ class ExperimentConfig:
         if self.n_actions < 1:
             raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
         if isinstance(self.seeds, dict):
-            chains._known_keys(self.seeds, "seeds", ("base", "count"))
+            chains._object(self.seeds, "seeds", ("base", "count"))
             base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
             self.seeds = [base + k for k in range(count)]
         self.seeds = chains._read_list(self.seeds, "seeds", chains.integer)
@@ -109,7 +110,7 @@ class ExperimentConfig:
             if seed < 0:  # a stream's SeedSequence takes none
                 raise ValueError(f"seeds[{i}] must be non-negative, got {seed}")
         if isinstance(self.checkpoints, dict):
-            chains._known_keys(self.checkpoints, "checkpoints", ("per_decade",))
+            chains._object(self.checkpoints, "checkpoints", ("per_decade",))
             self.checkpoints = log_checkpoints(
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))
         if not self.checkpoints:
@@ -119,24 +120,27 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        chains._known_keys(doc, "config", [f.name for f in fields(ExperimentConfig)])
-        missing = [f.name for f in fields(ExperimentConfig) if f.name not in doc
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ValueError(f"missing config fields: {missing}")
+        chains._object(doc, "config", [f.name for f in fields(ExperimentConfig)],
+                       [f.name for f in fields(ExperimentConfig)
+                        if f.default is MISSING and f.default_factory is MISSING])
         return ExperimentConfig(**doc)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         with open(path) as fh:
-            return ExperimentConfig.from_dict(chains._json_object(json.load(fh), "config"))
+            return ExperimentConfig.from_dict(json.load(fh))
 
     def canonical_dict(self) -> dict:
         """Every field, so none drops out of the hash; shallow, as asdict copies per hash."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.canonical_dict()).encode()).hexdigest()[:12]
+        try:
+            doc = canonical_json(self.canonical_dict())
+        except ValueError:  # json.load reads these tokens; strict JSON has none
+            raise ValueError('config holds NaN or Infinity, which JSON does not allow; '
+                             'an infinite exponent is written "inf"') from None
+        return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
     def build(self):
         """Instantiate (schedule, reward spec, rate, noise) from the dicts."""
@@ -156,11 +160,6 @@ class SlopeEstimate:
     t_hi: int
     n_points: int
     residual_rms: float
-
-    def to_json(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "t_lo": self.t_lo, "t_hi": self.t_hi,
-                "n_points": self.n_points, "residual_rms": self.residual_rms}
 
 
 def fit_slope(ts, values, t_lo, t_hi) -> SlopeEstimate | None:
@@ -207,16 +206,15 @@ def _summary(config: ExperimentConfig, chash: str, schedule, spec, traces) -> di
         "regime": label.regime,
         "same_rate_as_static": label.same_rate_as_static,
         "adiabatic_under_conjecture": label.adiabatic_under_conjecture,
-        "bound_report": report.to_json(),
-        "slope": slope.to_json() if slope else None,
+        "bound_report": asdict(report),
+        "slope": asdict(slope) if slope else None,
         "max_abs_value": max(t.max_abs_value for t in traces),
     }
 
 
-def _write_run(config: ExperimentConfig, schedule, spec, traces, out_dir) -> dict:
+def _write_run(config: ExperimentConfig, chash: str, schedule, spec, traces, out_dir) -> dict:
     """Write one CSV per seed plus the summary JSON of a run; return the summary."""
     os.makedirs(out_dir, exist_ok=True)
-    chash = config.config_hash()
     tails = traces[0].csv_tails()  # a function of t and the rate: every seed's alike
     for trace in traces:
         trace.write_csv(os.path.join(out_dir, f"{chash}_{trace.seed}.csv"), tails)
@@ -241,12 +239,13 @@ def _run(base: ExperimentConfig, groups: list) -> list:
     at its cells' rates, and write each cell (_write_run); return the
     summaries in order.  Cell configs differ from base only in rate and in
     the schedule spec their group's schedule was built from.  Every input,
-    out dirs included (_check_out_dir), is checked before the first scan and
-    every scan made before the first step, so a bad input or a failing
-    certificate raises with nothing written.
+    out dirs (_check_out_dir) and config hashes included, is checked before
+    the first scan and every scan made before the first step, so a bad input
+    or a failing certificate raises with nothing written.
     """
     spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
     rates = [[LearningRate.from_spec(cfg.rate) for cfg, _ in cells] for _, cells in groups]
+    hashes = [[cfg.config_hash() for cfg, _ in cells] for _, cells in groups]
     n_actions = base.n_actions if base.learner == "q" else None
     for schedule, cells in groups:
         learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0, n_actions)
@@ -255,11 +254,11 @@ def _run(base: ExperimentConfig, groups: list) -> list:
     for schedule, _ in groups:
         schedules.verify_drift(schedule, base.t_max)
     summaries = []
-    for (schedule, cells), group_rates in zip(groups, rates):
+    for (schedule, cells), group_rates, group_hashes in zip(groups, rates, hashes):
         traces = learners.track(schedule, spec, group_rates, noise, base.t_max, base.seeds,
                                 base.checkpoints, x0=base.x0, n_actions=n_actions)
-        summaries += [_write_run(cfg, schedule, spec, cell_traces, out_dir)
-                      for (cfg, out_dir), cell_traces in zip(cells, traces)]
+        summaries += [_write_run(cfg, chash, schedule, spec, cell_traces, out_dir)
+                      for (cfg, out_dir), chash, cell_traces in zip(cells, group_hashes, traces)]
     return summaries
 
 
@@ -313,9 +312,7 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     writes for it.  A bad input or a failing certificate raises before
     out_dir is made; the merged table, sorted by cell key, is written last.
     """
-    grid = chains._known_keys(grid, "grid", ("gamma_p", "gamma_alpha", "gamma_pi"))
-    if missing := [k for k in ("gamma_p", "gamma_alpha") if k not in grid]:
-        raise ValueError(f"grid lacks {missing}")
+    chains._object(grid, "grid", ("gamma_p", "gamma_alpha", "gamma_pi"), ("gamma_p", "gamma_alpha"))
     gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
     gas = chains._read_list(grid["gamma_alpha"], "gamma_alpha", chains.number)
     gpis = chains._read_list(grid.get("gamma_pi", [0.0]), "gamma_pi", chains.number)

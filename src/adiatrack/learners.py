@@ -85,7 +85,7 @@ class LearningRate:
 
     @staticmethod
     def from_spec(doc: dict) -> "LearningRate":
-        doc = chains._known_keys(doc, "rate", ("c_alpha", "gamma_alpha"))
+        doc = chains._object(doc, "rate", ("c_alpha", "gamma_alpha"))
         return LearningRate(chains.number(doc, "c_alpha"), chains.number(doc, "gamma_alpha"))
 
 
@@ -104,8 +104,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("zero", "uniform-iid"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not self.eps_max >= 0:  # NaN fails too
-            raise ValueError("eps_max must be non-negative")
+        if not 0 <= self.eps_max < math.inf:  # NaN fails too
+            raise ValueError(f"eps_max must be finite and non-negative, got {self.eps_max!r}")
         if self.kind == "uniform-iid" and self.eps_max == 0.0:
             raise ValueError("uniform-iid noise needs eps_max > 0")
 
@@ -116,7 +116,7 @@ class NoiseModel:
 
     @staticmethod
     def from_spec(doc: dict) -> "NoiseModel":
-        doc = chains._known_keys(doc, "noise", ("kind", "eps_max"))
+        doc = chains._object(doc, "noise", ("kind", "eps_max"), ("kind",))
         return NoiseModel(str(doc["kind"]), chains.number(doc, "eps_max", 0.0))
 
 

@@ -82,7 +82,7 @@ class DriftParams:
     @staticmethod
     def from_spec(doc: dict) -> "DriftParams":
         # float("inf") is GAMMA_INF, so the "inf" encoding needs no case of its own
-        doc = chains._known_keys(chains._json_object(doc, "params"), "params", _PARAM_KEYS)
+        doc = chains._object(doc, "params", _PARAM_KEYS)
         return DriftParams(*(chains.number(doc, k) for k in _PARAM_KEYS))
 
 
@@ -526,13 +526,12 @@ def _spec_kind(doc: dict) -> str:
     """The kind of schedule spec doc, once it names a family, holds the
     family's own keys (_SPEC_KEYS) and "params" (optional for constant), and
     no key besides those, "kind" and "n"."""
-    kind = chains._json_object(doc, "schedule").get("kind")
+    kind = chains._object(doc, "schedule").get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    chains._known_keys(doc, "schedule", ("kind", "n", "params", *_SPEC_KEYS[kind]))
-    required = _SPEC_KEYS[kind] if kind == "constant" else ("params", *_SPEC_KEYS[kind])
-    if missing := [k for k in required if k not in doc]:
-        raise ValueError(f"{kind} schedule spec lacks {missing}")
+    own = _SPEC_KEYS[kind]
+    chains._object(doc, f"{kind} schedule spec", ("kind", "n", "params", *own),
+                   own if kind == "constant" else ("params", *own))
     return kind
 
 

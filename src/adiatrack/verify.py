@@ -48,7 +48,7 @@ class _Recorder:
         counterexample inputs, called only on a violation."""
         self.checks += 1
         margin = rhs + tol - lhs
-        if margin < self.worst_margin_by_check.get(name, np.inf):
+        if margin < self.worst_margin_by_check.get(name, np.inf) or margin != margin:  # NaN sticks
             self.worst_margin_by_check[name] = margin
         if not lhs <= rhs + tol:  # NaN fails too
             entry = {"check": name, "lhs": float(lhs), "rhs": float(rhs),
@@ -71,7 +71,7 @@ class _Recorder:
                 "cases": self.cases, "checks": self.checks,
                 "violation_count": len(self.violations),
                 "violations": self.violations[:10],
-                "worst_margin": min(margins.values(), default=np.inf),
+                "worst_margin": float(np.min([np.inf, *margins.values()])),  # NaN if any is
                 "worst_margin_by_check": margins,
                 "pass": not self.violations,
                 "spec_version": SPEC_VERSION}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_tracking_bound_tau_definition():
 
 def test_tracking_bound_json_shape():
     rep = tracking_error_bound(_consts(), ExponentTriple(1.0, 0.5, 0.0), 100)
-    assert set(rep.to_json()) == {"ada1", "ada2", "ada3", "ada4", "total", "tau",
+    assert set(dataclasses.asdict(rep)) == {"ada1", "ada2", "ada3", "ada4", "total", "tau",
                                   "regime", "same_rate_as_static"}
 
 

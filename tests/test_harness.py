@@ -441,6 +441,22 @@ def test_verify_check_fails_a_nan_side(monkeypatch):
     assert np.isnan(first["lhs"]) and first["case"] == 1
 
 
+def test_verify_report_keeps_a_nan_margin(monkeypatch):
+    for order in ([0.5, np.nan, 0.25], [np.nan, 0.5, 0.25], [0.5, 0.25, np.nan]):
+        rec = verify._Recorder("demo", 0)
+        rec.check("b", 0.0, 1.0, 0.0)
+        for rhs in order:
+            rec.check("a", 0.0, rhs, 0.0)
+        report = rec.report()
+        assert np.isnan(report["worst_margin_by_check"]["a"]), order
+        assert report["worst_margin_by_check"]["b"] == 1.0
+        assert np.isnan(report["worst_margin"]), order
+    monkeypatch.setattr(chains, "ergodicity_coefficients", lambda mats: np.full(len(mats), np.nan))
+    report = verify.suite_restart(n_cases=20)
+    assert np.isnan(report["worst_margin_by_check"]["restart_rho_cap"])
+    assert np.isnan(report["worst_margin"])
+
+
 def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
     """suite_lipschitz as a per-case loop: a validated draw and one dp check per case."""
     rec = verify._Recorder("lipschitz", master_seed)
@@ -882,15 +898,21 @@ def test_cli_track_nan_exponent_is_config_error(tmp_path, capsys, exponent):
     assert not out.exists() or not os.listdir(out)
 
 
-@pytest.mark.parametrize("kind", ["uniform-iid", "zero"])
-def test_cli_track_nan_eps_max_is_config_error(tmp_path, capsys, kind):
-    cfg = {**BASE_CONFIG, "t_max": 200, "noise": {"kind": kind, "eps_max": "nan"}}
+@pytest.mark.parametrize("kind, eps_max", [
+    pytest.param("uniform-iid", "nan", id="uniform-iid"),
+    pytest.param("zero", "nan", id="zero"),
+    # an infinite envelope would pass a non-negativity check, then fail its draws
+    pytest.param("uniform-iid", "inf", id="uniform-iid-inf"),
+])
+def test_cli_track_nan_eps_max_is_config_error(tmp_path, capsys, kind, eps_max):
+    cfg = {**BASE_CONFIG, "t_max": 200, "noise": {"kind": kind, "eps_max": eps_max}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     out = tmp_path / "out"
     rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "config error: eps_max must be non-negative\n"
+    assert captured.out == "" and captured.err == ("config error: eps_max must be finite and "
+                                                   f"non-negative, got {eps_max}\n")
     assert not out.exists()
 
 
@@ -968,12 +990,15 @@ def test_cli_track_config_missing_field_is_config_error(tmp_path, capsys, drop):
     rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == f"config error: missing config fields: ['{drop}']\n"
+    assert capsys.readouterr().err == f"config error: config lacks ['{drop}']\n"
 
 
 @pytest.mark.parametrize("consts, named", [
-    ({"r_max_eff": 1.0, "rho": 0.5}, "missing keys ['beta']"),
-    ({"r_max_eff": 1.0, "rho": 0.5, "beta": 0.5, "c_alpha": 0.5}, "unknown keys ['c_alpha']"),
+    pytest.param({"r_max_eff": 1.0, "rho": 0.5}, "bound constants lacks ['beta']",
+                 id="consts0-missing keys ['beta']"),
+    pytest.param({"r_max_eff": 1.0, "rho": 0.5, "beta": 0.5, "c_alpha": 0.5},
+                 "unknown bound constants fields: ['c_alpha']",
+                 id="consts1-unknown keys ['c_alpha']"),
     ({"r_max_eff": 1.0, "rho": 0.5, "beta": None}, "beta must be a number, got None"),
     ([0.5], "bound constants must be an object, got [0.5]"),
 ])
@@ -1071,9 +1096,10 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
                    "mats": [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [False, True]]]}},
      "mats[1][1][0] must be a number, got False"),
     # nested objects refuse keys they do not read, as the top level does
-    ({"schedule": {**BASE_CONFIG["schedule"],
-                   "parms": {"c_p": 1.0, "gamma_p": "inf", "c_pi": 0.1, "gamma_pi": 0.0}}},
-     "unknown schedule fields: ['parms']"),
+    pytest.param({"schedule": {**BASE_CONFIG["schedule"], "parms": {
+        "c_p": 1.0, "gamma_p": "inf", "c_pi": 0.1, "gamma_pi": 0.0}}},
+                 "unknown constant schedule spec fields: ['parms']",
+                 id="change35-unknown schedule fields: ['parms']"),
     ({"schedule": {**ACCEPTANCE_ANCHORS,
                    "params": {**ACCEPTANCE_ANCHORS["params"], "c_pii": 0.1}}},
      "unknown params fields: ['c_pii']"),
@@ -1141,7 +1167,8 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
                  "r[1] must be a number, got '0'", id="reward-string-entry"),
     # the cells copy only n, the anchors and params: any other base key is refused
     pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_ende": [[0.5, 0.5], [0.5, 0.5]]}},
-                 SWEEP_GRID, "unknown schedule fields: ['p_ende']", id="schedule-p_ende"),
+                 SWEEP_GRID, "unknown interpolation schedule spec fields: ['p_ende']",
+                 id="schedule-p_ende"),
     pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "kind": "mystery"}}, SWEEP_GRID,
                  "unknown schedule kind 'mystery'", id="schedule-kind-mystery"),
     # the base's anchors and params are read and checked as track reads them,
@@ -1223,6 +1250,67 @@ def test_cli_spec_missing_a_required_key_is_config_error(tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
+CORPUS_CONFIG = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS,
+                 "noise": {"kind": "uniform-iid", "eps_max": 0.1},
+                 "seeds": {"base": 101, "count": 2}, "checkpoints": {"per_decade": 2}}
+CORPUS_CONSTANTS = {"r_max_eff": 1.0, "rho": 0.5, "beta": 0.5}
+
+# every JSON object a command reads: its name in messages, the commands that
+# read it, where it sits (a file, then the keys down to it) and its required keys
+JSON_OBJECTS = [
+    ("config", ("track", "sweep"), ("config",), ["schedule", "reward", "rate"]),
+    ("interpolation schedule spec", ("track", "sweep"), ("config", "schedule"),
+     ["params", "p_start", "p_end"]),
+    ("params", ("track", "sweep"), ("config", "schedule", "params"),
+     ["c_p", "gamma_p", "c_pi", "gamma_pi"]),
+    ("reward", ("track", "sweep"), ("config", "reward"), ["r", "beta"]),
+    ("rate", ("track", "sweep"), ("config", "rate"), ["c_alpha", "gamma_alpha"]),
+    ("noise", ("track", "sweep"), ("config", "noise"), ["kind"]),
+    ("seeds", ("track", "sweep"), ("config", "seeds"), ["base", "count"]),
+    ("checkpoints", ("track", "sweep"), ("config", "checkpoints"), ["per_decade"]),
+    ("grid", ("sweep",), ("grid",), ["gamma_p", "gamma_alpha"]),
+    ("bound constants", ("bound",), ("constants",), ["r_max_eff", "rho", "beta"]),
+]
+
+
+def _corpus_cases():
+    for name, commands, path, required in JSON_OBJECTS:
+        where = ".".join(path)
+        for command in commands:
+            for key in required:
+                if (command, name, key) != ("sweep", "rate", "gamma_alpha"):  # the grid sets it
+                    yield pytest.param(command, path, key, f"{name} lacks ['{key}']",
+                                       id=f"{command}-{where}-lacks-{key}")
+            yield pytest.param(command, path, None, f"unknown {name} fields: ['zz']",
+                               id=f"{command}-{where}-unknown-key")
+
+
+@pytest.mark.parametrize("command, path, drop, named", list(_corpus_cases()))
+def test_cli_json_object_names_a_lacking_or_unknown_key(tmp_path, capsys, command, path, drop,
+                                                        named):
+    docs = json.loads(json.dumps({"config": CORPUS_CONFIG, "grid": SWEEP_GRID,
+                                  "constants": CORPUS_CONSTANTS}))  # a deep copy
+    obj = docs
+    for key in path:
+        obj = obj[key]
+    if drop:
+        del obj[drop]
+    else:
+        obj["zz"] = 0
+    for file, doc in docs.items():
+        (tmp_path / f"{file}.json").write_text(json.dumps(doc))
+    cfg, grid, consts = (str(tmp_path / f"{file}.json") for file in docs)
+    out = ["--out", str(tmp_path / "out")]
+    args = {"track": ["track", "--config", cfg, *out],
+            "sweep": ["sweep", "--grid", grid, "--config", cfg, *out],
+            "bound": ["bound", "--constants", consts, "--gamma-p", "1.0", "--gamma-alpha", "0.6",
+                      "--gamma-pi", "0", "--T", "1000"]}[command]
+    assert cli_main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["track", "sweep"])
 @pytest.mark.parametrize("change, out, named", [
     ({"rate": {"c_alpha": 1.5, "gamma_alpha": 0.6}}, "out", "c_alpha must lie in (0, 1)"),
@@ -1231,8 +1319,13 @@ def test_cli_spec_missing_a_required_key_is_config_error(tmp_path, capsys, comma
     ({"checkpoints": [10**7]}, "out", "checkpoint grid is empty within [1, t_max]"),
     ({"schedule": {**ACCEPTANCE_ANCHORS, "n": 7}}, "out", "schedule spec n=7 vs its 2-state"),
     ({}, "afile/out", "Not a directory"),
+    # json.load reads an Infinity token, which the config hash cannot write back
+    ({"schedule": {**ACCEPTANCE_ANCHORS,
+                   "params": {**ACCEPTANCE_ANCHORS["params"], "c_p": float("inf")}}}, "out",
+     'config holds NaN or Infinity, which JSON does not allow; an infinite exponent is '
+     'written "inf"'),
 ], ids=["c_alpha-1.5", "x0-5", "reward-size-3", "checkpoints-1e7", "schedule-n-7",
-        "out-under-a-file"])
+        "out-under-a-file", "c_p-Infinity"])
 def test_cli_config_error_raises_before_the_certificate_scan(tmp_path, capsys, monkeypatch,
                                                                command, change, out, named):
     def scan(schedule, t_max):

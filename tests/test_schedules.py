@@ -638,19 +638,25 @@ INTERP_SPEC = {"kind": "interpolation", "n": 2, "params": SPEC_PARAMS,
 # a constant schedule's misspelt "params", matrix entries that are booleans
 # or strings: test_harness's CLI config-error cases
 @pytest.mark.parametrize("spec, named", [
-    ({**INTERP_SPEC, "mats": [A.tolist()]}, "unknown schedule fields: ['mats']"),
-    ({"kind": "cyclic", "n": 2, "params": {**SPEC_PARAMS, "gamma_p": 0.5},
-      "mats": [A.tolist(), B.tolist()], "p": A.tolist()},
-     "unknown schedule fields: ['p']"),
-    ({"kind": "shrinking-state", "n": 3, "x_restart": 0,
-      "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}},
-     "unknown schedule fields: ['x_restart']"),
-    ({"kind": "restart-wrapped", "n": 2, "inner": INTERP_SPEC, "beta": 0.5, "beta_hat": 0.8,
-      "x_restart": 0, "params": SPEC_PARAMS, "beta_hatt": 0.9},
-     "unknown schedule fields: ['beta_hatt']"),
-    ({"kind": "restart-wrapped", "n": 2, "inner": {**INTERP_SPEC, "p_ende": []}, "beta": 0.5,
-      "beta_hat": 0.8, "x_restart": 0, "params": SPEC_PARAMS},
-     "unknown schedule fields: ['p_ende']"),
+    pytest.param({**INTERP_SPEC, "mats": [A.tolist()]},
+                 "unknown interpolation schedule spec fields: ['mats']",
+                 id="spec0-unknown schedule fields: ['mats']"),
+    pytest.param({"kind": "cyclic", "n": 2, "params": {**SPEC_PARAMS, "gamma_p": 0.5},
+                  "mats": [A.tolist(), B.tolist()], "p": A.tolist()},
+                 "unknown cyclic schedule spec fields: ['p']",
+                 id="spec1-unknown schedule fields: ['p']"),
+    pytest.param({"kind": "shrinking-state", "n": 3, "x_restart": 0,
+                  "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}},
+                 "unknown shrinking-state schedule spec fields: ['x_restart']",
+                 id="spec2-unknown schedule fields: ['x_restart']"),
+    pytest.param({"kind": "restart-wrapped", "n": 2, "inner": INTERP_SPEC, "beta": 0.5,
+                  "beta_hat": 0.8, "x_restart": 0, "params": SPEC_PARAMS, "beta_hatt": 0.9},
+                 "unknown restart-wrapped schedule spec fields: ['beta_hatt']",
+                 id="spec3-unknown schedule fields: ['beta_hatt']"),
+    pytest.param({"kind": "restart-wrapped", "n": 2, "inner": {**INTERP_SPEC, "p_ende": []},
+                  "beta": 0.5, "beta_hat": 0.8, "x_restart": 0, "params": SPEC_PARAMS},
+                 "unknown interpolation schedule spec fields: ['p_ende']",
+                 id="spec4-unknown schedule fields: ['p_ende']"),
     ({**INTERP_SPEC, "params": {**SPEC_PARAMS, "c_pii": 0.3, "gama_p": 1.0}},
      "unknown params fields: ['c_pii', 'gama_p']"),
 ])
