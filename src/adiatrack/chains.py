@@ -179,28 +179,28 @@ def next_states(cums: np.ndarray, us: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate(schedule, t_max: int, x0: int, seed: int) -> np.ndarray:
-    """Sample a read-only path of t_max + 1 states; states[t] is the state
-    after t transitions, transition t using schedule matrix t.
+def simulate(schedule, t_max: int, x0: int, seeds) -> np.ndarray:
+    """One read-only path of t_max + 1 states per seed, the rows of an
+    (m, t_max + 1) array: states[i, t] is seed i's state after t
+    transitions, transition t using schedule matrix t.
 
-    One uniform draw per step from the path's own seeded stream, so equal
-    (schedule, seed, t_max, x0) reproduce the identical path.  Steps read
-    each block of the schedule's walk (Schedule.blocks) but its last
-    matrix; the uniforms are drawn for the whole horizon at once, which
-    keeps this an independent reference for the learners' block-wise draws.
+    Each seed's uniforms come from its own stream, drawn for the whole
+    horizon at once, so equal (schedule, seed, t_max, x0) reproduce the
+    identical row: an independent reference for the learners' block-wise
+    draws.  Each block of the walk (Schedule.blocks, but its last matrix)
+    is cumsummed once, and all seeds step together through next_states.
     """
     n = schedule.n
     if not 0 <= x0 < n:
         raise ValueError(f"initial state {x0} out of range for n={n}")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    states = np.empty(t_max + 1, dtype=np.int64)
-    states[0] = x = x0
-    uniforms = stream(seed, 0).random(t_max)
+    uniforms = np.array([stream(s, 0).random(t_max) for s in seeds]).reshape(len(seeds), t_max)
+    states = np.empty((len(seeds), t_max + 1), dtype=np.int64)
+    states[:, 0] = x0
     for lo, block in schedule.blocks(1, t_max + 1):
-        nxt = next_states(np.cumsum(block[:-1], axis=2), uniforms[lo - 1:lo + len(block) - 2])
-        for t, row in enumerate(nxt.tolist(), lo):
-            x = states[t] = row[x]
+        for t, cums in enumerate(np.cumsum(block[:-1], axis=2), lo):
+            states[:, t] = next_states(cums[states[:, t - 1], None], uniforms[:, t - 1])[:, 0]
     states.flags.writeable = False
     return states
 

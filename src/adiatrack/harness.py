@@ -5,19 +5,22 @@ canonicalized (key-sorted, resolved) config JSON, per-seed runs derive
 their streams from listed seeds, and every output byte is fixed by
 (config, seed).  One runner, _run, serves a run (run_tracking: one group
 of one cell) and a sweep (run_sweep: one group per distinct cell
-schedule, holding its grid cells).  It reads every input before the first
-scan: the reward, the noise, each cell's rate and config hash (a NaN or
-Infinity in the config is refused there), and each group's schedule
-against the rewards, x0, n_actions and the checkpoints
-(learners._checked_grid, the checks learners.track makes).  Then the
-certificate gates the run: schedules.verify_drift scans every group's
-declared certificate, and a failing one raises before the learners take a
-step, so no trace is written for it.  Each group then walks its schedule
-once (learners.track at all its rates): every seed, rate and checkpoint
-target shares each block, so memory does not grow with the horizon, and
-whether cells share a walk changes no output bit.  A sweep reads its base's
-anchors (schedules._spec_anchors), params and n as track does, before any
-cell, so a cell is skipped only for a reason of its own.
+schedule, holding its grid cells), in four phases.  Settle reads every
+input: the reward, the noise, and per cell its rate, its exponent triple
+(gamma_alpha + gamma_pi >= 1 is refused there), regime and four-term bound
+(null where a term overflows the floats), next to the config hash its
+caller made (refusing a NaN or Infinity in the config); then each group's
+schedule against the rewards, x0, n_actions and the checkpoints
+(learners._checked_grid, the checks learners.track makes) and each out
+path.  Scan: schedules.verify_drift checks every group's declared
+certificate.  Walk: each group walks its schedule once (learners.track at
+all its rates); every seed, rate and checkpoint target shares each block,
+so memory does not grow with the horizon, and whether cells share a walk
+changes no output bit.  Write: the out dirs and files are made only once
+every walk succeeded, so a bad input, a failing certificate or a failed
+walk leaves nothing written.  A sweep reads its base's anchors
+(schedules._spec_anchors), params and n as track does, before any cell,
+so a cell is skipped only for a reason of its own.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "run_tracking",
     "run_sweep",
     "fit_slope",
-    "default_bound_constants",
 ]
 
 
@@ -177,50 +179,51 @@ def fit_slope(ts, values, t_lo, t_hi) -> SlopeEstimate | None:
                          residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def default_bound_constants(spec: RewardSpec, schedule) -> bounds.Thm2Constants:
-    """Constants-of-1 bound inputs with the scales the run actually has."""
+def _settled(cfg: ExperimentConfig, chash: str, schedule, spec: RewardSpec) -> tuple:
+    """A cell's rate and the summary entries its config alone fixes.  The
+    bound takes constants of 1 with the scales the run has (R_max, beta and
+    rho_cap clipped into (0, 1)), and is null where a term overflows."""
+    rate = LearningRate.from_spec(cfg.rate)
+    exps = bounds.ExponentTriple(schedule.params.gamma_p, rate.gamma_alpha,
+                                 schedule.params.gamma_pi)
+    label = bounds.classify_regime(exps)
     rho = min(max(schedule.rho_cap, 1e-6), 1.0 - 1e-6)
-    return bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
+    consts = bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
+    try:
+        report = asdict(bounds.tracking_error_bound(consts, exps, cfg.t_max))
+    except ArithmeticError:  # ada1's exp leaves the floats for rho_cap near 1
+        report = None
+    return rate, {"spec_version": SPEC_VERSION, "config_hash": chash,
+                  "config": cfg.canonical_dict(), "regime": label.regime,
+                  "same_rate_as_static": label.same_rate_as_static,
+                  "adiabatic_under_conjecture": label.adiabatic_under_conjecture,
+                  "bound_report": report}
 
 
-def _summary(config: ExperimentConfig, chash: str, schedule, spec, traces) -> dict:
+def _summary(facts: dict, traces) -> dict:
+    """A cell's settled facts around its traces' reductions: median and IQR
+    of sup_error per checkpoint, the median's slope and max |value|."""
     errs = np.stack([t.errors() for t in traces])  # seeds x checkpoints
     med = np.median(errs, axis=0)
     q1, q3 = np.quantile(errs, [0.25, 0.75], axis=0)
-    exps = bounds.ExponentTriple(schedule.params.gamma_p, float(config.rate["gamma_alpha"]),
-                                 schedule.params.gamma_pi)
-    label = bounds.classify_regime(exps)
-    report = bounds.tracking_error_bound(default_bound_constants(spec, schedule),
-                                         exps, config.t_max)
-    ts = traces[0].checkpoint_ts()
-    slope = fit_slope(ts, med, max(1, config.t_max // 100), config.t_max)
-    return {
-        "spec_version": SPEC_VERSION,
-        "config_hash": chash,
-        "config": config.canonical_dict(),
-        "checkpoints": [int(t) for t in ts],
-        "median_sup_error": med.tolist(),
-        "iqr_lo": q1.tolist(),
-        "iqr_hi": q3.tolist(),
-        "final_median_error": float(med[-1]),
-        "regime": label.regime,
-        "same_rate_as_static": label.same_rate_as_static,
-        "adiabatic_under_conjecture": label.adiabatic_under_conjecture,
-        "bound_report": asdict(report),
-        "slope": asdict(slope) if slope else None,
-        "max_abs_value": max(t.max_abs_value for t in traces),
-    }
+    ts, t_max = traces[0].checkpoint_ts(), facts["config"]["t_max"]
+    slope = fit_slope(ts, med, max(1, t_max // 100), t_max)
+    return {**facts, "checkpoints": [int(t) for t in ts], "median_sup_error": med.tolist(),
+            "iqr_lo": q1.tolist(), "iqr_hi": q3.tolist(), "final_median_error": float(med[-1]),
+            "slope": asdict(slope) if slope else None,
+            "max_abs_value": max(t.max_abs_value for t in traces)}
 
 
-def _write_run(config: ExperimentConfig, chash: str, schedule, spec, traces, out_dir) -> dict:
-    """Write one CSV per seed plus the summary JSON of a run; return the summary."""
+def _write_run(facts: dict, traces, out_dir) -> dict:
+    """Write one CSV per seed plus the summary JSON of a cell; return the summary."""
     os.makedirs(out_dir, exist_ok=True)
+    chash = facts["config_hash"]
     tails = traces[0].csv_tails()  # a function of t and the rate: every seed's alike
     for trace in traces:
         trace.write_csv(os.path.join(out_dir, f"{chash}_{trace.seed}.csv"), tails)
-    summary = _summary(config, chash, schedule, spec, traces)
+    summary = _summary(facts, traces)
     with open(os.path.join(out_dir, f"summary_{chash}.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+        json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
     return summary
 
 
@@ -235,37 +238,32 @@ def _check_out_dir(out_dir):
 
 
 def _run(base: ExperimentConfig, groups: list) -> list:
-    """Run groups [(schedule, [(cell config, out_dir)])], one walk per group
-    at its cells' rates, and write each cell (_write_run); return the
-    summaries in order.  Cell configs differ from base only in rate and in
-    the schedule spec their group's schedule was built from.  Every input,
-    out dirs (_check_out_dir) and config hashes included, is checked before
-    the first scan and every scan made before the first step, so a bad input
-    or a failing certificate raises with nothing written.
-    """
+    """Run groups [(schedule, [(cell config, config hash, out_dir)])] in the
+    four phases of the module docstring; return the cells' summaries in
+    order.  Cell configs differ from base only in rate and in the schedule
+    spec their group's schedule was built from."""
     spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
-    rates = [[LearningRate.from_spec(cfg.rate) for cfg, _ in cells] for _, cells in groups]
-    hashes = [[cfg.config_hash() for cfg, _ in cells] for _, cells in groups]
+    settled = [[_settled(cfg, chash, schedule, spec) for cfg, chash, _ in cells]
+               for schedule, cells in groups]
     n_actions = base.n_actions if base.learner == "q" else None
     for schedule, cells in groups:
         learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0, n_actions)
-        for _, out_dir in cells:
+        for *_, out_dir in cells:
             _check_out_dir(out_dir)
     for schedule, _ in groups:
         schedules.verify_drift(schedule, base.t_max)
-    summaries = []
-    for (schedule, cells), group_rates, group_hashes in zip(groups, rates, hashes):
-        traces = learners.track(schedule, spec, group_rates, noise, base.t_max, base.seeds,
-                                base.checkpoints, x0=base.x0, n_actions=n_actions)
-        summaries += [_write_run(cfg, chash, schedule, spec, cell_traces, out_dir)
-                      for (cfg, out_dir), chash, cell_traces in zip(cells, group_hashes, traces)]
-    return summaries
+    traces = [learners.track(schedule, spec, [rate for rate, _ in group], noise, base.t_max,
+                             base.seeds, base.checkpoints, x0=base.x0, n_actions=n_actions)
+              for (schedule, _), group in zip(groups, settled)]
+    return [_write_run(facts, cell_traces, out_dir)
+            for (_, cells), group, group_traces in zip(groups, settled, traces)
+            for (*_, out_dir), (_, facts), cell_traces in zip(cells, group, group_traces)]
 
 
 def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     """Run all seeds, write one CSV per seed plus a summary JSON; return the summary."""
     schedule = schedules.schedule_from_spec(config.schedule)
-    return _run(config, [(schedule, [(config, out_dir)])])[0]
+    return _run(config, [(schedule, [(config, config.config_hash(), out_dir)])])[0]
 
 
 def _cell_schedule(base_schedule: dict, anchors: list, gamma_p: float, gamma_pi: float) -> dict:
@@ -309,8 +307,8 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     refused by it are recorded as skipped, not errors.  Cells with the same
     schedule spec are one group of _run: one build, one certificate scan and
     one walk at every cell's rate; each cell's files are those run_tracking
-    writes for it.  A bad input or a failing certificate raises before
-    out_dir is made; the merged table, sorted by cell key, is written last.
+    writes for it.  Nothing is written before every walk has succeeded; the
+    merged table, sorted by cell key, is written last.
     """
     chains._object(grid, "grid", ("gamma_p", "gamma_alpha", "gamma_pi"), ("gamma_p", "gamma_alpha"))
     gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
@@ -353,11 +351,12 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                 cfg = ExperimentConfig.from_dict({
                     **base.canonical_dict(), "schedule": sched_spec,
                     "rate": {**base.rate, "gamma_alpha": ga}})
-                groups.setdefault(spec_key, (schedule, []))[1].append((row, cfg))
-    summaries = _run(base, [(schedule, [(cfg, os.path.join(out_dir, cfg.config_hash()))
-                                        for _, cfg in cells])
+                chash = cfg.config_hash()  # its out dir's name
+                groups.setdefault(spec_key, (schedule, []))[1].append((row, cfg, chash))
+    summaries = _run(base, [(schedule, [(cfg, chash, os.path.join(out_dir, chash))
+                                        for _, cfg, chash in cells])
                             for schedule, cells in groups.values()])
-    ok_rows = [row for _, cells in groups.values() for row, _ in cells]
+    ok_rows = [row for _, cells in groups.values() for row, *_ in cells]
     for row, summary in zip(ok_rows, summaries):
         slope = summary["slope"]
         rows.append({**row, "status": "ok", "regime": summary["regime"],

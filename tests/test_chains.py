@@ -17,7 +17,7 @@ from adiatrack.chains import (
     stationary_stack,
 )
 from adiatrack.learners import NoiseModel
-from adiatrack.schedules import ConstantSchedule
+from adiatrack.schedules import ConstantSchedule, CyclicSchedule, DriftParams, InterpolationSchedule
 
 from conftest import distributions, matrices, matrix_tv, stochastic, tv
 
@@ -283,20 +283,20 @@ def test_propagate_single_step():
 # ------------------------------------------------------------------ simulation
 
 def test_simulate_permutation_path():
-    path = simulate(ConstantSchedule(SWAP), t_max=4, x0=0, seed=1)
+    path = simulate(ConstantSchedule(SWAP), t_max=4, x0=0, seeds=[1])[0]
     np.testing.assert_array_equal(path, [0, 1, 0, 1, 0])
 
 
 def test_simulate_zero_steps():
-    path = simulate(ConstantSchedule(P_REF), t_max=0, x0=1, seed=1)
+    path = simulate(ConstantSchedule(P_REF), t_max=0, x0=1, seeds=[1])[0]
     np.testing.assert_array_equal(path, [1])
 
 
 def test_simulate_deterministic_in_seed():
     sched = ConstantSchedule(P_REF)
-    a = simulate(sched, 500, 0, seed=42)
-    b = simulate(sched, 500, 0, seed=42)
-    c = simulate(sched, 500, 0, seed=43)
+    a = simulate(sched, 500, 0, [42])[0]
+    b = simulate(sched, 500, 0, [42])[0]
+    c = simulate(sched, 500, 0, [43])[0]
     np.testing.assert_array_equal(a, b)
     assert (a != c).any()
 
@@ -304,15 +304,14 @@ def test_simulate_deterministic_in_seed():
 def test_simulate_occupation_near_stationary():
     # stationary mass of state 0 is 2/3; long-run occupation at fixed seeds
     sched = ConstantSchedule(P_REF)
-    for seed in (11, 12, 13):
-        path = simulate(sched, 100_000, 0, seed=seed)
+    for path in simulate(sched, 100_000, 0, [11, 12, 13]):
         occ = (path == 0).mean()
         assert abs(occ - 2 / 3) < 0.02
 
 
 def test_simulate_rejects_bad_start():
     with pytest.raises(ValueError):
-        simulate(ConstantSchedule(P_REF), 10, 5, seed=0)
+        simulate(ConstantSchedule(P_REF), 10, 5, [0])
 
 
 def _seed_sequence_stream(seed, k):
@@ -335,7 +334,7 @@ def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
     states = [0]
     for u in uniforms:
         states.append(_sample_from_row(cums[states[-1]], u))
-    np.testing.assert_array_equal(simulate(ConstantSchedule(P_REF), 300, 0, seed),
+    np.testing.assert_array_equal(simulate(ConstantSchedule(P_REF), 300, 0, [seed])[0],
                                   states)
     np.testing.assert_array_equal(NoiseModel("uniform-iid", 0.3).draws(500, seed),
                                   _seed_sequence_stream(seed, 1).uniform(-0.3, 0.3, 500))
@@ -348,10 +347,38 @@ def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
 
 
 def test_simulate_path_is_read_only_int64():
-    path = simulate(ConstantSchedule(P_REF), 5, 0, seed=3)
-    assert path.dtype == np.int64 and path.shape == (6,)
+    paths = simulate(ConstantSchedule(P_REF), 5, 0, [3, 4])
+    assert paths.dtype == np.int64 and paths.shape == (2, 6)
     with pytest.raises(ValueError):
-        path[1] = 0
+        paths[0, 1] = 0
+    with pytest.raises(ValueError):
+        paths[1][1] = 0
+    assert simulate(ConstantSchedule(P_REF), 5, 0, []).shape == (0, 6)
+
+
+def _per_path(schedule, t_max, x0, seed):
+    """One seed's path in the per-path form: the seed's successor table per
+    block (next_states), walked in Python; each row of simulate equals it."""
+    states, uniforms = [x0], chains.stream(seed, 0).random(t_max)
+    for lo, block in schedule.blocks(1, t_max + 1):
+        nxt = next_states(np.cumsum(block[:-1], axis=2), uniforms[lo - 1:lo + len(block) - 2])
+        for row in nxt.tolist():
+            states.append(row[states[-1]])
+    return states
+
+
+@pytest.mark.parametrize("schedule", [
+    ConstantSchedule([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]]),
+    InterpolationSchedule(P_REF, SWAP * 0.9 + 0.05, DriftParams(0.5, 1.0, 0.01, 0.0)),
+    CyclicSchedule([P_REF, SWAP * 0.8 + 0.1, [[0.5, 0.5], [0.5, 0.5]]],
+                   DriftParams(0.5, 0.3, 0.01, 0.0)),
+], ids=["constant", "interpolation", "cyclic"])
+def test_simulate_rows_equal_the_per_path_form(schedule):
+    # 5,000 steps cross two block boundaries of the walk
+    seeds = [0, 7, 101, 2**40]
+    paths = simulate(schedule, 5_000, 1, seeds)
+    for path, seed in zip(paths, seeds):
+        np.testing.assert_array_equal(path, _per_path(schedule, 5_000, 1, seed))
 
 
 def _per_row(cums, us):
@@ -397,7 +424,6 @@ def test_empirical_frequencies_match_exact_marginal(rows, t_max):
     sched = ConstantSchedule(rows)
     n, n_paths = sched.n, 100_000
     exact = exact_marginal(np.eye(n)[0], sched.block(1, t_max + 1))
-    counts = np.zeros(n)
-    for i in range(n_paths):
-        counts[simulate(sched, t_max, 0, seed=1000 + i)[-1]] += 1
+    ends = simulate(sched, t_max, 0, range(1000, 1000 + n_paths))[:, -1]
+    counts = np.bincount(ends, minlength=n)
     np.testing.assert_allclose(counts / n_paths, exact, atol=0.01)

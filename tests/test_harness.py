@@ -360,6 +360,24 @@ def test_sweep_reads_a_base_without_n_as_track_does(tmp_path):
     assert files(tmp_path / "bare") == files(tmp_path / "spelt")
 
 
+def test_sweep_writes_nothing_when_a_later_walk_raises(tmp_path, monkeypatch):
+    # two groups (gamma_p inf and 1.0), one block each at t_max 200: the first
+    # walk succeeds, the second raises, and neither cell's out dir is made
+    calls, solve = [], dp.exact_rewards
+
+    def exact_rewards(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ArithmeticError("second solve")
+        return solve(*args)
+
+    monkeypatch.setattr(dp, "exact_rewards", exact_rewards)
+    base = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=200)
+    with pytest.raises(ArithmeticError, match="second solve"):
+        run_sweep({"gamma_p": ["inf", 1.0], "gamma_alpha": [0.6]}, base, tmp_path / "out")
+    assert len(calls) == 2 and not (tmp_path / "out").exists()
+
+
 def test_sweep_still_raises_on_failed_certificate(tmp_path, monkeypatch):
     # constructible cell whose declared floor c_pi = 0.9 fails verify_drift
     from adiatrack.schedules import DriftCertificateError
@@ -886,6 +904,23 @@ def test_cli_track_and_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("p", [[[0.99, 0.01], [0.01, 0.99]], [[0, 1], [1, 0]]],
+                         ids=["rho-0.98", "periodic"])
+def test_cli_track_slow_mixing_chain_runs_with_a_null_bound(tmp_path, capsys, p):
+    # rho_cap near 1 sends ada1's exp out of the floats: the run still completes
+    cfg = {**BASE_CONFIG, "schedule": {"kind": "constant", "n": 2, "p": p}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["track", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["bound_report"] is None and summary["regime"] == "adiabatic"
+    chash = summary["config_hash"]
+    with open(out / f"summary_{chash}.json") as fh:
+        assert json.load(fh) == summary
+    assert sorted(os.listdir(out)) == sorted([f"summary_{chash}.json"] + [
+        f"{chash}_{seed}.csv" for seed in range(101, 105)])
+
+
 @pytest.mark.parametrize("exponent", ["gamma_p", "gamma_pi"])
 def test_cli_track_nan_exponent_is_config_error(tmp_path, capsys, exponent):
     params = {**ACCEPTANCE_ANCHORS["params"], exponent: "nan"}
@@ -1123,6 +1158,10 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"checkpoints": {"per_decade": -5}}, "per_decade must be >= 1, got -5"),
     # a spec without a kind names the missing kind
     ({"schedule": {"n": 2, "p": [[0.9, 0.1], [0.2, 0.8]]}}, "unknown schedule kind None"),
+    # the standing assumption is a cell's config alone: refused before any walk
+    ({"schedule": {**ACCEPTANCE_ANCHORS,
+                   "params": {**ACCEPTANCE_ANCHORS["params"], "gamma_pi": 0.5}}},
+     "need gamma_alpha + gamma_pi < 1"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))

@@ -75,7 +75,7 @@ def test_td0_step_moves_only_the_visited_component(noise):
     spec = RewardSpec([1.0, 0.5, -0.25], 0.5)
     rate = LearningRate(0.3, 0.5)
     star = exact_reward(p, spec)
-    xn = simulate(ConstantSchedule(p), 1, 1, seed=4)[1]
+    xn = simulate(ConstantSchedule(p), 1, 1, [4])[0, 1]
     eps = 0.0 if noise is ZERO_NOISE else noise.draws(1, 4)[0]
     for k in range(3):
         init = np.array([0.1234567890123, -7.5, np.pi])
@@ -110,7 +110,7 @@ def test_td0_first_update_is_alpha_times_reward():
 
 def _replay_with_simulate_and_sa_step(schedule, spec, rate, noise, t_max, seed, cps):
     """Independent recomposition of the tracker from its documented pieces."""
-    path = simulate(schedule, t_max, 0, seed)
+    path = simulate(schedule, t_max, 0, [seed])[0]
     eps = noise.draws(t_max, seed)
     table = np.zeros(spec.n)
     errors = []
@@ -437,7 +437,7 @@ def test_adversarial_start_reenters_ball_and_stays():
     # start far outside the ball; once any norm snapshot is inside, it stays
     sched = ConstantSchedule(A)
     radius = SPEC.r_max / (1 - SPEC.beta)
-    path = simulate(sched, 30_000, 0, seed=23)
+    path = simulate(sched, 30_000, 0, [23])[0]
     table = np.array([10.0, -10.0])
     reentry = None
     for t in range(1, 30_001):
