@@ -5,20 +5,21 @@ canonicalized (key-sorted, resolved) config JSON, per-seed runs derive
 their streams from listed seeds, and every output byte is fixed by
 (config, seed).  One runner, _run, serves a run (run_tracking: one group
 of one cell) and a sweep (run_sweep: one group per distinct cell
-schedule, holding its grid cells), in four phases.  Settle reads every
+schedule, holding its grid cells), in three phases.  Settle reads every
 input: the reward, the noise, and per cell its rate, its exponent triple
 (gamma_alpha + gamma_pi >= 1 is refused there), regime and four-term bound
 (null where a term overflows the floats), next to the config hash its
 caller made (refusing a NaN or Infinity in the config); then each group's
 schedule against the rewards, x0, n_actions and the checkpoints
 (learners._checked_grid, the checks learners.track makes) and each out
-path.  Scan: schedules.verify_drift checks every group's declared
-certificate.  Walk: each group walks its schedule once (learners.track at
-all its rates); every seed, rate and checkpoint target shares each block,
-so memory does not grow with the horizon, and whether cells share a walk
-changes no output bit.  Write: the out dirs and files are made only once
-every walk succeeded, so a bad input, a failing certificate or a failed
-walk leaves nothing written.  A sweep reads its base's anchors
+path.  Walk: each group walks its schedule once (learners.track at all its
+rates), certifying each block before a learner steps through it, so a
+certificate failing at t stops the run there; every seed, rate and
+checkpoint target shares each block, so memory does not grow with the
+horizon, and whether cells share a walk changes no output bit.  Write: the
+out dirs and files are made only once every walk succeeded, so a bad
+input, a failing certificate or a failed walk leaves nothing written.  A
+sweep reads its base's anchors
 (schedules._spec_anchors), params and n as track does, before any cell,
 so a cell is skipped only for a reason of its own.
 """
@@ -239,7 +240,7 @@ def _check_out_dir(out_dir):
 
 def _run(base: ExperimentConfig, groups: list) -> list:
     """Run groups [(schedule, [(cell config, config hash, out_dir)])] in the
-    four phases of the module docstring; return the cells' summaries in
+    three phases of the module docstring; return the cells' summaries in
     order.  Cell configs differ from base only in rate and in the schedule
     spec their group's schedule was built from."""
     spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
@@ -250,8 +251,6 @@ def _run(base: ExperimentConfig, groups: list) -> list:
         learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0, n_actions)
         for *_, out_dir in cells:
             _check_out_dir(out_dir)
-    for schedule, _ in groups:
-        schedules.verify_drift(schedule, base.t_max)
     traces = [learners.track(schedule, spec, [rate for rate, _ in group], noise, base.t_max,
                              base.seeds, base.checkpoints, x0=base.x0, n_actions=n_actions)
               for (schedule, _), group in zip(groups, settled)]
@@ -305,9 +304,9 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     anchors, n and params are checked as track checks them, before any cell.
     Cells violating standing assumptions, with no realizing family or
     refused by it are recorded as skipped, not errors.  Cells with the same
-    schedule spec are one group of _run: one build, one certificate scan and
-    one walk at every cell's rate; each cell's files are those run_tracking
-    writes for it.  Nothing is written before every walk has succeeded; the
+    schedule spec are one group of _run: one build and one certified walk
+    at every cell's rate; each cell's files are those run_tracking writes
+    for it.  Nothing is written before every walk has succeeded; the
     merged table, sorted by cell key, is written last.
     """
     chains._object(grid, "grid", ("gamma_p", "gamma_alpha", "gamma_pi"), ("gamma_p", "gamma_alpha"))

@@ -10,12 +10,13 @@ matrix, solved at checkpoints: a block's targets in one stacked call
 
 Kernel: track first checks its inputs (_checked_grid: the schedule's size
 against the rewards and n_actions, x0, and a checkpoint in [1, t_max]),
-then materialize walks the schedule once per call (Schedule.blocks),
-yielding each block with the row cumsums of its step matrices, and each
-block advances every (rate, seed) run before the next is made; a sweep's
-cells of one schedule are one call, one rate each.  No certificate is
-scanned here: a trace row's pi floor and drift are solved at its
-checkpoint only, once per block for every rate.  Per seed and block,
+then materialize walks the schedule once per call, the certified walk
+(schedules._certified_blocks), yielding each block with the row cumsums of
+its step matrices and the scan's pi floors and drifts, which a trace row
+reads at its checkpoint; each block advances every (rate, seed) run before
+the next is made, and a sweep's cells of one schedule are one call, one
+rate each.  A failing certificate raises DriftCertificateError, and no run
+steps in or after the failing block.  Per seed and block,
 chains.next_states draws the block's successor table in one numpy pass,
 and that table and the seed's noise draws are read by every rate's run
 of the seed.  The step loop runs on Python floats only (the successor
@@ -53,7 +54,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import chains, dp
+from . import chains, dp, schedules
 
 __all__ = [
     "LearningRate",
@@ -171,15 +172,16 @@ class TrackingTrace:
 
 
 def materialize(schedule, t_max: int):
-    """A run's one walk: Schedule.blocks of P^(1..t_max+1), with cums.
+    """A run's one walk: the certified walk of P^(1..t_max+1), with cums.
 
-    Yields (lo, block, cums) per block: block is P^(lo..hi), whose last
-    matrix is also the next block's first, and cums the (k, n, n) stack of
-    row cumsums of its k = hi - lo step matrices P^(lo..hi-1),
-    chains.next_states' input.
+    Yields (lo, block, cums, pi_min, drift) per certified block: block is
+    P^(lo..hi), whose last matrix is also the next block's first, cums the
+    (k, n, n) row cumsums of its k = hi - lo step matrices P^(lo..hi-1),
+    chains.next_states' input, and the scan's (k,) pi_min and drift at those
+    t (schedules._certified_blocks, which raises after the last such block).
     """
-    for lo, block in schedule.blocks(1, t_max + 1):
-        yield lo, block, np.cumsum(block[:-1], axis=2)
+    for lo, block, pi_min, drift in schedules._certified_blocks(schedule, t_max):
+        yield lo, block, np.cumsum(block[:-1], axis=2), pi_min, drift
 
 
 class _Run:
@@ -255,9 +257,9 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
 
     A seed's path and noise draws are made once per block and read by every
     rate's run of that seed.  Its inputs are checked first (_checked_grid,
-    which a harness run calls before its certificate scans).  Scans no
-    certificate (schedules.verify_drift does): an uncertified schedule is
-    tracked all the same.
+    which a harness run calls before any walk).  The walk certifies the
+    schedule as it goes (materialize): a failing certificate raises
+    DriftCertificateError, with no run stepped in or after the failing block.
     """
     cps = _checked_grid(schedule, spec, t_max, checkpoint_grid, x0, n_actions)
     table = ([0.0] * schedule.n if table_init is None
@@ -267,14 +269,16 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
                for seed in seeds]
     r_vec, diagnostics = spec.r.tolist(), {}
     powers = [(rate.c_alpha, rate.gamma_alpha) for rate in rates]  # LearningRate.alpha's
-    for lo, block, cums in materialize(schedule, t_max):
+    for lo, block, cums, pi_min, drift in materialize(schedule, t_max):
         k = len(cums)
         at = [t for t in cps if lo <= t < lo + k]
-        mats = block[[t - lo for t in at]]
+        idx = [t - lo for t in at]
+        mats = block[idx]
+        diagnostics.update(zip(at, zip(pi_min[idx].tolist(), drift[idx].tolist())))  # the scan's
         r, beta = np.tile(spec.r, (len(at), 1)), np.full(len(at), spec.beta)
         solved = (dp.exact_rewards(mats, r, beta) if n_actions is None
                   else dp.exact_q(mats, r, beta, n_actions))
-        targets = [(t - lo, t, target.tolist()) for t, target in zip(at, solved)]
+        targets = [(j, t, target.tolist()) for j, t, target in zip(idx, at, solved)]
         alphas = [[c / t ** g for t in range(lo, lo + k)] for c, g in powers]
         for i, (path, noise_stream) in enumerate(streams):
             # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
@@ -283,10 +287,6 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
                    else noise_stream.uniform(-noise.eps_max, noise.eps_max, k).tolist())
             for rate_runs, rate_alphas in zip(runs, alphas):
                 rate_runs[i].advance(nxt, eps, rate_alphas, targets, r_vec, spec.beta)
-        if at:  # pi floor and drift at the block's checkpoints: P^(t) and P^(t+1)
-            pi_min = chains.stationary_stack(mats).min(axis=1)
-            drift = chains.matrix_tv_distances(mats, block[[t - lo + 1 for t in at]])
-            diagnostics.update(zip(at, zip(pi_min.tolist(), drift.tolist())))
     return [[TrackingTrace(rows=[TraceRow(t, err, alpha_t, *diagnostics[t])
                                  for t, err, alpha_t in run.hits],
                            seed=run.seed, max_abs_value=run.max_abs)

@@ -5,16 +5,18 @@ change satisfies ||P^(t+1) - P^(t)|| <= c_p / t**gamma_p, a stationary
 floor (c_pi, gamma_pi): pi^(t)_min >= c_pi / t**gamma_pi, and rho_cap, a
 uniform upper bound on the ergodicity coefficient.  gamma_p = inf encodes
 a constant sequence (zero drift).  Certificates are declared, then checked
-at every t of the horizon by verify_drift; construction-time checks catch
-the cheap cases.
+at every t of the horizon by the certified walk (below); construction-time
+checks catch the cheap cases.
 
 A family produces its matrices as validated (k, n, n) float64 blocks of
 P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as an
 (n, n) array, stays while the benchmark tracer (perfbench/tracer.py)
 times it by name.  The restart construction, restart_wraps, acts on stacks.
 Schedule.blocks is the one walk over a horizon, blocks of at most _CHUNK
-steps each ending on the next one's first matrix; verify_drift is the one
-certificate scan, a single pass over that walk.
+steps each ending on the next one's first matrix; _certified_blocks, the
+one certificate scan, rides that walk and hands on each certified block with
+its pi floors and drifts (learners.materialize walks it, so a learner steps
+through certified matrices only; verify_drift drains it for its report).
 The constant, interpolation and cyclic families are one walk along a path
 of anchor matrices (_ArcWalk), its drift metered in matrix-TV arc length
 along the convex segments between anchors: TV is exactly linear there, so
@@ -360,7 +362,7 @@ class RestartWrappedSchedule(Schedule):
     rho_cap = beta/beta_hat holds regardless of the inner family.  The
     stationary floor has no comparably clean transfer, so by default c_pi
     is probed on the first _RESTART_PROBE matrices and certified properly
-    by verify_drift.
+    by the certified walk (_certified_blocks).
     """
 
     kind = "restart-wrapped"
@@ -472,6 +474,46 @@ def _drift_vacuous_from(params: DriftParams, n: int, t_max: int) -> int | None:
     return t
 
 
+def _certified_blocks(s: Schedule, t_max: int):
+    """verify_drift's scan as a walk: yield (lo, block, pi_min, drift) per block
+    of Schedule.blocks(1, t_max + 1) before the first that breaks a bound, with
+    pi_min^(t) and ||P^(t+1) - P^(t)|| at each t of P^(lo..hi-1).  The scan
+    goes on to t_max, so it raises DriftCertificateError with verify_drift's
+    report, or returns that report."""
+    params = s.params
+    drift_b = _Bound("drift c_p", 0.0, 1.0, params.drift_bound)
+    floor_b = _Bound("pi floor c_pi", math.inf, -1.0, params.pi_floor)
+    rho_b = _Bound("rho_cap", 0.0, 1.0, lambda t: s.rho_cap)
+    bounds = (drift_b, floor_b, rho_b)
+    for lo, block in s.blocks(1, t_max + 1):
+        head = block[:-1]
+        drift = chains.matrix_tv_distances(head, block[1:])
+        step = drift[:t_max - lo]
+        if params.gamma_p == GAMMA_INF:
+            scaled = np.where(step <= 1e-15, 0.0, math.inf)
+            bad = scaled > params.c_p + _CERT_FUZZ
+        else:
+            powers = _powers(lo, lo + step.size, params.gamma_p)
+            scaled = step * powers
+            bad = (step - _STEP_ROUNDING * s.n) * powers > params.c_p + _CERT_FUZZ
+        drift_b.update(lo, scaled, step, bad)
+        distinct = head if (head != head[0]).any() else head[:1]  # one solve if constant
+        rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(head))
+        rho_b.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
+        pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(head))
+        scaled = pi_min * _powers(lo, lo + len(head), params.gamma_pi)
+        floor_b.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
+        if not any(b.violation for b in bounds):
+            yield lo, block, pi_min, drift
+    report = DriftReport(t_max, drift_b.value, drift_b.t, floor_b.value, floor_b.t,
+                         rho_b.value, rho_b.t,
+                         [b.violation for b in bounds if b.violation],
+                         _drift_vacuous_from(params, s.n, t_max))
+    if not report.ok:
+        raise DriftCertificateError(report)
+    return report
+
+
 def verify_drift(s: Schedule, t_max: int) -> DriftReport:
     """Scan-certify a schedule's declared (c_p, gamma_p, c_pi, gamma_pi, rho_cap)
     over [1, t_max], walking P^(1..t_max+1) in blocks (Schedule.blocks).
@@ -487,34 +529,12 @@ def verify_drift(s: Schedule, t_max: int) -> DriftReport:
     """
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    params = s.params
-    drift_b = _Bound("drift c_p", 0.0, 1.0, params.drift_bound)
-    floor_b = _Bound("pi floor c_pi", math.inf, -1.0, params.pi_floor)
-    rho_b = _Bound("rho_cap", 0.0, 1.0, lambda t: s.rho_cap)
-    for lo, block in s.blocks(1, t_max + 1):
-        head = block[:-1]
-        step = chains.matrix_tv_distances(head, block[1:])[:t_max - lo]
-        if params.gamma_p == GAMMA_INF:
-            scaled = np.where(step <= 1e-15, 0.0, math.inf)
-            bad = scaled > params.c_p + _CERT_FUZZ
-        else:
-            powers = _powers(lo, lo + step.size, params.gamma_p)
-            scaled = step * powers
-            bad = (step - _STEP_ROUNDING * s.n) * powers > params.c_p + _CERT_FUZZ
-        drift_b.update(lo, scaled, step, bad)
-        distinct = head if (head != head[0]).any() else head[:1]  # one solve if constant
-        rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(head))
-        rho_b.update(lo, rhos, rhos, rhos > s.rho_cap + 1e-12)
-        pi_min = np.broadcast_to(chains.stationary_stack(distinct).min(axis=1), len(head))
-        scaled = pi_min * _powers(lo, lo + len(head), params.gamma_pi)
-        floor_b.update(lo, scaled, pi_min, scaled < params.c_pi - _CERT_FUZZ)
-    report = DriftReport(t_max, drift_b.value, drift_b.t, floor_b.value, floor_b.t,
-                         rho_b.value, rho_b.t,
-                         [b.violation for b in (drift_b, floor_b, rho_b) if b.violation],
-                         _drift_vacuous_from(params, s.n, t_max))
-    if not report.ok:
-        raise DriftCertificateError(report)
-    return report
+    walk = _certified_blocks(s, t_max)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            return done.value
 
 
 # each family's own spec keys, besides "kind", "n" and "params"

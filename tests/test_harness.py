@@ -387,8 +387,9 @@ def test_sweep_still_raises_on_failed_certificate(tmp_path, monkeypatch):
     with pytest.raises(DriftCertificateError):
         run_sweep({"gamma_p": [1.0], "gamma_alpha": [0.6]}, base, tmp_path / "one")
     # a grid whose first schedule, the constant A (pi_min 1/3), keeps the floor
-    # c_pi = 0.3 while the path from A to a chain of pi_min 1/11 breaks it: every
-    # schedule is scanned before a learner steps, so no cell and no table is written
+    # c_pi = 0.3 while the path from A to a chain of pi_min 1/11 breaks it: the
+    # constant group walks its one block (2 rates x 4 seeds), the path's learners
+    # never step, since the floor fails in its first block, and nothing is written
     steps = []
     advance = learners._Run.advance
     monkeypatch.setattr(learners._Run, "advance",
@@ -402,9 +403,47 @@ def test_sweep_still_raises_on_failed_certificate(tmp_path, monkeypatch):
     assert [v.bound for v in err.value.report.violations] == ["pi floor c_pi"]
     assert err.value.report.violations[0].t > 1
     assert not (tmp_path / "one").exists() and not (tmp_path / "grid").exists()
-    assert not steps
+    assert len(steps) == 8
     rows = run_sweep({"gamma_p": ["inf"], "gamma_alpha": [0.6, 0.8]}, base, tmp_path / "ok")
     assert [r["status"] for r in rows] == ["ok", "ok"]  # the constant cells pass alone
+
+
+def test_sweep_builds_each_block_once(tmp_path, monkeypatch):
+    # the certificate scan rides the learners' walk: at T = 2 _CHUNK + 5 each
+    # group's walk is 3 blocks, and each block is built once
+    from adiatrack.schedules import _CHUNK
+    built, block = [], schedules.Schedule.block
+    monkeypatch.setattr(schedules.Schedule, "block",
+                        lambda s, *args: built.append(s.kind) or block(s, *args))
+    base = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=2 * _CHUNK + 5)
+    rows = run_sweep({"gamma_p": [1.0, 0.3], "gamma_alpha": [0.6]}, base, tmp_path)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert sorted(built) == ["cyclic"] * 3 + ["interpolation"] * 3
+
+
+def test_certificate_failing_mid_horizon_stops_the_walk_at_its_block(tmp_path, monkeypatch):
+    # the floor c_pi = 0.3 first fails at t = 91,381, in the walk's 45th block
+    # (lo = 90,113): the learners step through the 44 blocks before it, no further
+    from adiatrack.schedules import DriftCertificateError, verify_drift
+    steps, advance = [], learners._Run.advance
+    monkeypatch.setattr(learners._Run, "advance",
+                        lambda run, *args: steps.append(1) or advance(run, *args))
+    schedule = {"kind": "interpolation", "n": 2,
+                "params": {"c_p": 0.002, "gamma_p": 1.0, "c_pi": 0.3, "gamma_pi": 0.0},
+                "p_start": [[0.9, 0.1], [0.2, 0.8]], "p_end": [[0.95, 0.05], [0.5, 0.5]]}
+    config = make_config(schedule=schedule, t_max=100_000, seeds=[1, 2])
+    sched, spec, rate, noise = config.build()
+    with pytest.raises(DriftCertificateError) as err:
+        learners.track(sched, spec, [rate], noise, config.t_max, config.seeds,
+                       config.checkpoints)
+    with pytest.raises(DriftCertificateError) as scanned:
+        verify_drift(sched, config.t_max)
+    assert err.value.report == scanned.value.report  # every field
+    assert [(v.bound, v.t) for v in err.value.report.violations] == [("pi floor c_pi", 91_381)]
+    assert len(steps) == 88  # 44 blocks x 2 seeds
+    with pytest.raises(DriftCertificateError):
+        run_tracking(config, tmp_path / "out")
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------------ verify CLI
@@ -1368,16 +1407,16 @@ def test_cli_json_object_names_a_lacking_or_unknown_key(tmp_path, capsys, comman
 def test_cli_config_error_raises_before_the_certificate_scan(tmp_path, capsys, monkeypatch,
                                                                command, change, out, named):
     def scan(schedule, t_max):
-        raise AssertionError("verify_drift was called")
+        raise AssertionError("the certificate scan was called")
 
-    monkeypatch.setattr(schedules, "verify_drift", scan)
+    monkeypatch.setattr(schedules, "_certified_blocks", scan)
     (tmp_path / "grid.json").write_text(json.dumps(SWEEP_GRID))
     (tmp_path / "afile").write_text("")
     args = [command, "--config", str(tmp_path / "cfg.json")]
     args += ["--grid", str(tmp_path / "grid.json")] if command == "sweep" else []
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    with pytest.raises(AssertionError, match="verify_drift was called"):
+    with pytest.raises(AssertionError, match="the certificate scan was called"):
         cli_main(args + ["--out", str(tmp_path / "out")])  # the valid config reaches the scan
     (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **change}))
     assert cli_main(args + ["--out", str(tmp_path / out)]) == 2

@@ -26,7 +26,9 @@ from adiatrack.schedules import (
     CyclicSchedule,
     DriftParams,
     InterpolationSchedule,
+    ShrinkingStateSchedule,
 )
+from adiatrack.verify import scan_families
 
 from conftest import matrix_tv
 
@@ -154,10 +156,17 @@ def test_trace_diagnostics_at_checkpoints():
     # checkpoints on both sides of a block edge, and at t_max = 2 _CHUNK + 1,
     # whose P^(t_max+1) closes a one-step block of its own
     t_max = 2 * _CHUNK + 1
+    # the diagnostics are the certified walk's: a constant block's pi_min is one
+    # solve broadcast over the block, the others are solved per matrix
     cps = [10, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1, t_max]
-    for sched in (InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0)),
-                  CyclicSchedule([A, B], DriftParams(0.05, 0.5, 0.25, 0.0))):
-        trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, t_max, 3, cps)
+    restart = next(s for s in scan_families() if s.kind == "restart-wrapped")
+    for sched, spec in ((InterpolationSchedule(A, B, DriftParams(0.05, 1.0, 0.25, 0.0)), SPEC),
+                        (CyclicSchedule([A, B], DriftParams(0.05, 0.5, 0.25, 0.0)), SPEC),
+                        (ConstantSchedule(A), SPEC),
+                        (ShrinkingStateSchedule(DriftParams(0.2, 1.5, 0.2, 0.5)),
+                         RewardSpec([1.0, 0.0, 0.5], 0.5)),
+                        (restart, SPEC)):
+        trace = td0_track(sched, spec, RATE, ZERO_NOISE, t_max, 3, cps)
         assert trace.checkpoint_ts().tolist() == cps
         for row in trace.rows:
             assert row.alpha_t == RATE.alpha(row.t)
@@ -302,13 +311,15 @@ def _kernel_cases(draw):
     kind = draw(st.sampled_from(["constant", "interpolation", "cyclic"]))
     raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=3 * n * n,
                                  max_size=3 * n * n))).reshape(3, n, n)
+    # every entry is at least 1e-3 / 9 after normalising, so every pi_min, blends
+    # included, meets the declared floor c_pi = 1e-4
     mats = [m / m.sum(axis=1, keepdims=True) for m in raw]
     if kind == "constant":
         sched = ConstantSchedule(mats[0])
     elif kind == "interpolation":
-        sched = InterpolationSchedule(mats[0], mats[1], DriftParams(0.05, 0.8, 0.01, 0.0))
+        sched = InterpolationSchedule(mats[0], mats[1], DriftParams(0.05, 0.8, 1e-4, 0.0))
     else:
-        sched = CyclicSchedule(mats, DriftParams(0.05, 0.5, 0.01, 0.0))
+        sched = CyclicSchedule(mats, DriftParams(0.05, 0.5, 1e-4, 0.0))
     spec = RewardSpec(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
                       draw(st.sampled_from([0.5, 0.9])))
     noise = draw(st.sampled_from([ZERO_NOISE, NoiseModel("uniform-iid", 0.3)]))
@@ -402,7 +413,7 @@ def test_track_solves_each_blocks_q_targets_in_one_call(monkeypatch):
                         or real(mats, *a, **k))
     track(sched, spec, [RATE], ZERO_NOISE, t_max, [5], cps, n_actions=2)
     per_block = [sum(lo <= t < lo + len(cums) for t in cps)
-                 for lo, _, cums in materialize(sched, t_max)]
+                 for lo, _, cums, _, _ in materialize(sched, t_max)]
     assert calls == per_block and 0 in per_block and sum(per_block) == len(cps)
 
 
