@@ -5,36 +5,36 @@ inhomogeneous chain: table[x] += alpha_t (r[x] + beta boot - table[x] + eps_t),
 with boot the next state's entry (TD(0)) or the max over its action block
 (Q-learning); every other component is left bit-identical.  Tracking error
 is the sup-norm distance to the exact fixed point of the *current* schedule
-matrix, solved at checkpoints: a block's targets in one stacked call
-(dp.exact_rewards for TD(0), dp.exact_q's policy iteration for Q-learning).
+matrix at each checkpoint, scored after the walk from the kept tables.
 
 Kernel: track first checks its inputs (_checked_grid: the schedule's size
-against the rewards and n_actions, x0, and a checkpoint in [1, t_max]),
-then materialize walks the schedule once per call, the certified walk
-(schedules._certified_blocks), yielding each block with the row cumsums of
-its step matrices and the scan's pi floors and drifts, which a trace row
-reads at its checkpoint; each block advances every (rate, seed) run before
-the next is made, and a sweep's cells of one schedule are one call, one
-rate each.  A failing certificate raises DriftCertificateError, and no run
-steps in or after the failing block.  Per seed and block,
-chains.next_states draws the block's successor table in one numpy pass,
-and that table and the seed's noise draws are read by every rate's run
-of the seed.  The step loop runs on Python floats only (the successor
-table, step sizes and noise draws as lists, the table), one loop per
-learner from checkpoint to checkpoint: no step tests for a checkpoint, and
-no TD(0) step keeps action blocks.  A rate's step sizes are
-LearningRate.alpha's c_alpha / t**gamma_alpha, one comprehension per
-block.  Memory is O(block * n^2 + rates * seeds * n).  Indexing a list and
+against the rewards and n_actions, x0, and a checkpoint in [1, t_max]; then
+table_init), then materialize walks the schedule once per call, the
+certified walk (schedules._certified_blocks), yielding each block with the
+row cumsums of its step matrices and the scan's pi floors and drifts, which
+track keeps at the block's checkpoints with their targets, one stacked call
+(dp.exact_rewards, or dp.exact_q for Q-learning); each block advances every
+(rate, seed) run before the next is made, and a sweep's cells of one
+schedule are one call, one rate each.  A failing certificate raises
+DriftCertificateError, and no run steps in or after the failing block.  Per
+seed and block, chains.next_states draws the block's successor table in one
+numpy pass, and that table and the seed's noise draws are read by every
+rate's run of the seed.  The step loop runs on Python floats only (the
+successor table, step sizes and noise draws as lists, the table), one loop
+per learner from checkpoint to checkpoint, each followed by a copy of the
+table: no step tests for or scores a checkpoint, and no TD(0) step keeps
+action blocks.  A rate's step sizes are LearningRate.alpha's
+c_alpha / t**gamma_alpha, one comprehension per block.  Memory is
+O(block * n^2 + rates * seeds * checkpoints * n).  Indexing a list and
 arithmetic on Python floats cost a fraction of indexing an array and
-arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so
-the loop is several times faster and bit-identical to a numpy per-step
-loop.  Q-learning's bootstrap, the max over the next state's action block,
-is kept per state and recomputed only when the updated entry held it,
-since a builtin max over a fresh slice costs about a third of a step.
-Advancing all seeds per step as one numpy table was measured too:
-bit-identical, but slower (0.7x) at the four seeds of a sweep cell and
-ahead only from about 20 seeds on, while the Python-float loop wins at
-every seed count.
+arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so the
+loop is several times faster and bit-identical to a numpy per-step loop.
+Q-learning's bootstrap, the max over the next state's action block, is kept
+per state and recomputed only when the updated entry held it, since a
+builtin max over a fresh slice costs about a third of a step.  Advancing all
+seeds per step as one numpy table was measured too: bit-identical, but
+slower (0.7x) at the four seeds of a sweep cell and ahead only from about 20
+seeds on, while the Python-float loop wins at every seed count.
 
 Determinism contract: a run is a pure function of (schedule, specs, seed).
 The path uniforms are chains.stream(seed, 0), drawn into states by
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +121,7 @@ class NoiseModel:
         return NoiseModel(str(doc["kind"]), chains.number(doc, "eps_max", 0.0))
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     t: int
     sup_error: float
     alpha_t: float
@@ -185,38 +184,40 @@ def materialize(schedule, t_max: int):
 
 
 class _Run:
-    """One (rate, seed) learner between blocks: table, state, checkpoint errors."""
+    """One (rate, seed) learner between blocks: table, state, kept tables."""
 
-    def __init__(self, seed: int, table: list, x0: int, na: int):
-        self.seed, self.table, self.x, self.na = int(seed), list(table), x0, na
+    def __init__(self, seed: int, table: np.ndarray, x0: int, na: int):
+        self.seed, self.table, self.x, self.na = int(seed), table.tolist(), x0, na
         self.max_abs = max(map(abs, self.table))
         # the bootstrap: vmax[s] is the max of state s's action block (TD(0): the table itself)
         self.vmax = self.table if na == 1 else [max(self.table[s:s + na])
                                                 for s in range(0, len(table), na)]
-        self.hits = []  # (t, sup_error, alpha_t) at each checkpoint
+        self.kept = []  # a copy of the table at each checkpoint
 
-    def advance(self, nxt: list, eps: list, alphas: list, targets: list, r_vec: list,
+    def advance(self, nxt: list, eps: list, alphas: list, stops: list, r_vec: list,
                 beta: float):
         """Take one block's steps, step j with alphas[j], noise eps[j] and
-        successor nxt[x][j] of state x; targets lists (j, t, target) for the
-        block's checkpoints, in order.  Each segment of steps up to and
-        including a checkpoint's j is one loop, and its hit is recorded after."""
+        successor nxt[x][j] of state x, one loop per segment between stops,
+        the block's checkpoint steps j in order; after each stop a copy of
+        the table is kept."""
         na, table, vmax, x, max_abs = self.na, self.table, self.vmax, self.x, self.max_abs
-        steps, done = zip(range(len(alphas)), eps, alphas), 0
-        for cp, t_cp, target in targets + [(len(alphas) - 1, None, None)]:
+        ends = [j + 1 for j in stops] + [len(alphas)]
+        for start, end in zip([0] + ends, ends):
+            if start:  # the segment before ended at a stop
+                self.kept.append(table[:])
             if na == 1:  # vmax is the table: no action blocks to keep
-                for j, e, alpha_t in islice(steps, cp + 1 - done):
+                for j in range(start, end):
                     xn, old = nxt[x][j], table[x]
-                    v = table[x] = old + alpha_t * (r_vec[x] + beta * table[xn] - old + e)
+                    v = table[x] = old + alphas[j] * (r_vec[x] + beta * table[xn] - old + eps[j])
                     if v > max_abs or -v > max_abs:
                         max_abs = abs(v)
                     x = xn
             else:
                 s = x // na
-                for j, e, alpha_t in islice(steps, cp + 1 - done):
+                for j in range(start, end):
                     xn, old = nxt[x][j], table[x]
                     sn = xn // na
-                    v = table[x] = old + alpha_t * (r_vec[x] + beta * vmax[sn] - old + e)
+                    v = table[x] = old + alphas[j] * (r_vec[x] + beta * vmax[sn] - old + eps[j])
                     m = vmax[s]
                     if v > m:  # keep vmax[s] exact
                         vmax[s] = v
@@ -225,10 +226,6 @@ class _Run:
                     if v > max_abs or -v > max_abs:
                         max_abs = abs(v)
                     x, s = xn, sn
-            done = cp + 1
-            if target is not None:
-                self.hits.append((t_cp, max(abs(a - b) for a, b in zip(table, target)),
-                                  alphas[cp]))
         self.x, self.max_abs = x, max_abs
 
 
@@ -256,29 +253,28 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
     rate: TD(0) when n_actions is None, else Q-learning.
 
     A seed's path and noise draws are made once per block and read by every
-    rate's run of that seed.  Its inputs are checked first (_checked_grid,
-    which a harness run calls before any walk).  The walk certifies the
-    schedule as it goes (materialize): a failing certificate raises
-    DriftCertificateError, with no run stepped in or after the failing block.
+    rate's run of that seed.  Its inputs and table_init are checked first
+    (_checked_grid, which a harness run calls before any walk).  The walk
+    certifies the schedule as it goes (materialize): a failing certificate
+    raises DriftCertificateError; no run steps in or after the failing block.
     """
     cps = _checked_grid(schedule, spec, t_max, checkpoint_grid, x0, n_actions)
-    table = ([0.0] * schedule.n if table_init is None
-             else np.array(table_init, dtype=float).tolist())
+    table = np.zeros(schedule.n) if table_init is None else np.array(table_init, dtype=float)
+    if table.shape != (schedule.n,) or not np.isfinite(table).all():
+        raise ValueError(f"table_init must hold {schedule.n} finite numbers")
     runs = [[_Run(seed, table, x0, n_actions or 1) for seed in seeds] for _ in rates]
     streams = [(chains.stream(seed, 0), None if noise.kind == "zero" else chains.stream(seed, 1))
                for seed in seeds]
-    r_vec, diagnostics = spec.r.tolist(), {}
+    r_vec, targets, scans = spec.r.tolist(), [], []
     powers = [(rate.c_alpha, rate.gamma_alpha) for rate in rates]  # LearningRate.alpha's
     for lo, block, cums, pi_min, drift in materialize(schedule, t_max):
         k = len(cums)
-        at = [t for t in cps if lo <= t < lo + k]
-        idx = [t - lo for t in at]
-        mats = block[idx]
-        diagnostics.update(zip(at, zip(pi_min[idx].tolist(), drift[idx].tolist())))  # the scan's
-        r, beta = np.tile(spec.r, (len(at), 1)), np.full(len(at), spec.beta)
-        solved = (dp.exact_rewards(mats, r, beta) if n_actions is None
-                  else dp.exact_q(mats, r, beta, n_actions))
-        targets = [(j, t, target.tolist()) for j, t, target in zip(idx, at, solved)]
+        stops = [t - lo for t in cps if lo <= t < lo + k]
+        mats = block[stops]
+        r, beta = np.tile(spec.r, (len(stops), 1)), np.full(len(stops), spec.beta)
+        targets.append(dp.exact_rewards(mats, r, beta) if n_actions is None
+                       else dp.exact_q(mats, r, beta, n_actions))
+        scans.append(np.stack((pi_min[stops], drift[stops]), axis=1))  # the scan's
         alphas = [[c / t ** g for t in range(lo, lo + k)] for c, g in powers]
         for i, (path, noise_stream) in enumerate(streams):
             # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
@@ -286,12 +282,16 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
             eps = ([0.0] * k if noise_stream is None
                    else noise_stream.uniform(-noise.eps_max, noise.eps_max, k).tolist())
             for rate_runs, rate_alphas in zip(runs, alphas):
-                rate_runs[i].advance(nxt, eps, rate_alphas, targets, r_vec, spec.beta)
-    return [[TrackingTrace(rows=[TraceRow(t, err, alpha_t, *diagnostics[t])
-                                 for t, err, alpha_t in run.hits],
+                rate_runs[i].advance(nxt, eps, rate_alphas, stops, r_vec, spec.beta)
+    kept = np.array([run.kept for rate_runs in runs for run in rate_runs])
+    kept = kept.reshape(len(runs), len(streams), len(cps), schedule.n)
+    errors = np.abs(kept - np.concatenate(targets)).max(axis=-1).tolist()  # in one pass
+    scan = np.concatenate(scans).tolist()  # [pi_min_t, drift_t] per checkpoint
+    return [[TrackingTrace(rows=[TraceRow(t, err, rate.alpha(t), *pi_drift)
+                                 for t, pi_drift, err in zip(cps, scan, run_errors)],
                            seed=run.seed, max_abs_value=run.max_abs)
-             for run in rate_runs]
-            for rate_runs in runs]
+             for run, run_errors in zip(rate_runs, rate_errors)]
+            for rate, rate_runs, rate_errors in zip(rates, runs, errors)]
 
 
 def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,

@@ -8,7 +8,7 @@ from adiatrack.chains import (
     stationary_distribution,
     stream,
 )
-from adiatrack import dp
+from adiatrack import dp, learners
 from adiatrack.dp import RewardSpec, exact_q, exact_reward
 from adiatrack.learners import (
     LearningRate,
@@ -415,6 +415,35 @@ def test_track_solves_each_blocks_q_targets_in_one_call(monkeypatch):
     per_block = [sum(lo <= t < lo + len(cums) for t in cps)
                  for lo, _, cums, _, _ in materialize(sched, t_max)]
     assert calls == per_block and 0 in per_block and sum(per_block) == len(cps)
+
+
+@pytest.mark.parametrize("chain, n_actions, table_init", [
+    (A, None, [0.0, 0.0, 7.0]),  # a phantom third entry
+    (A, None, [0.0, np.nan]),
+    (_product_chain(), 2, [0.0, 0.0, 0.0]),  # one short of the 4 (state, action) pairs
+])
+def test_track_refuses_a_malformed_table_init_before_the_walk(monkeypatch, chain, n_actions,
+                                                               table_init):
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(learners, "materialize", walk)
+    spec = RewardSpec([1.0, 0.0, 0.5, 0.25][:len(chain)], 0.5)
+    with pytest.raises(ValueError, match="table_init"):
+        track(ConstantSchedule(chain), spec, [RATE], ZERO_NOISE, 100, [1], [100],
+              n_actions=n_actions, table_init=table_init)
+
+
+@pytest.mark.parametrize("n_actions", [None, 2])
+def test_track_without_seeds_or_rates(n_actions):
+    # the scores are one stack of (rates, seeds, checkpoints): an empty axis
+    # keeps its place, one empty list per rate, or no list at all
+    chain = A if n_actions is None else _product_chain()
+    spec = RewardSpec([1.0, 0.0, 0.5, 0.25][:len(chain)], 0.5)
+    args = (ConstantSchedule(chain), spec)
+    rates = [RATE, LearningRate(0.3, 0.8)]
+    assert track(*args, rates, ZERO_NOISE, 3000, [], [1, 3000], n_actions=n_actions) == [[], []]
+    assert track(*args, [], ZERO_NOISE, 3000, [4, 5], [1, 3000], n_actions=n_actions) == []
 
 
 # --------------------------------------------------------------- boundedness
