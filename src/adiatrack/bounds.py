@@ -240,10 +240,13 @@ def tracking_error_bound(consts: Thm2Constants, exps: ExponentTriple,
     ada4 = (drift_summand
             + 8.0 * r_max / (1.0 - rho) ** 2 * math.log(big_t) / big_t ** 3
             + 2.0 * r_max / big_t ** 3)
+    terms = {"ada1": ada1, "ada2": ada2, "ada3": ada3, "ada4": ada4,
+             "total": ada1 + ada2 + ada3 + ada4, "tau": tau}
+    lost = [name for name, value in terms.items() if not math.isfinite(value)]
+    if lost:  # a float product overflowed to inf (or inf * 0 to NaN)
+        raise ArithmeticError(f"{', '.join(lost)} not finite")
     label = classify_regime(exps)
-    return BoundReport(ada1=ada1, ada2=ada2, ada3=ada3, ada4=ada4,
-                       total=ada1 + ada2 + ada3 + ada4, tau=tau,
-                       regime=label.regime,
+    return BoundReport(**terms, regime=label.regime,
                        same_rate_as_static=label.same_rate_as_static)
 
 
@@ -310,7 +313,7 @@ def recursion_coefficients(a_big, alpha, verify_tol: float = 1e-10) -> np.ndarra
     bad = np.argwhere(drift > verify_tol)
     if bad.size:  # row-major: the first row that drifts, at its first t
         row, t = bad[0]
-        raise ArithmeticError(f"reconstruction drifted to {drift[row, t]!r} "
+        raise ArithmeticError(f"reconstruction drifted to {float(drift[row, t])!r} "
                               f"at t={t + 1} of row {row}")
     return coeffs
 

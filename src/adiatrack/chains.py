@@ -66,7 +66,7 @@ def _check_rows(arr: np.ndarray):
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)
         where = f" of matrix {at[0]}" if len(at) > 1 else ""
-        raise InvariantError(f"row {at[-1]}{where} sums to {sums[at]!r}, not 1")
+        raise InvariantError(f"row {at[-1]}{where} sums to {float(sums[at])!r}, not 1")
 
 
 def matrix_tv_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -95,8 +95,8 @@ def ergodicity_coefficients(mats: np.ndarray) -> np.ndarray:
     overlap = 1.0 - np.minimum(rows, others).sum(axis=3).min(axis=(1, 2))
     bad = np.abs(rho - overlap) > 1e-12
     if bad.any():
-        raise ArithmeticError(f"row-pair TV maximum {rho[bad][0]!r} disagrees with "
-                              f"overlap form {overlap[bad][0]!r}")
+        raise ArithmeticError(f"row-pair TV maximum {float(rho[bad][0])!r} disagrees with "
+                              f"overlap form {float(overlap[bad][0])!r}")
     return rho
 
 
@@ -148,7 +148,7 @@ def stationary_stack(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     resid = 0.5 * np.abs((pi[:, None, :] @ mats)[:, 0] - pi).sum(axis=1)
     bad = ~(resid <= tol)  # NaN fails too
     if bad.any():
-        raise ValueError(f"stationary residual {resid[bad][0]!r} exceeds tol {tol!r}")
+        raise ValueError(f"stationary residual {float(resid[bad][0])!r} exceeds tol {tol!r}")
     _check_rows(pi)
     return pi
 

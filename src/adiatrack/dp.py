@@ -103,7 +103,7 @@ def exact_rewards(mats: np.ndarray, r: np.ndarray, beta: np.ndarray) -> np.ndarr
     solution = solution[:, :, 0]
     bad = ~(resid <= 1e-10 * (1.0 + np.abs(solution).max(axis=1)))  # NaN fails too
     if bad.any():
-        raise ArithmeticError(f"fixed-point residual {resid[bad][0]!r} too large")
+        raise ArithmeticError(f"fixed-point residual {float(resid[bad][0])!r} too large")
     return solution
 
 

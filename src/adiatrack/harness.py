@@ -13,13 +13,14 @@ caller made (refusing a NaN or Infinity in the config); then each group's
 schedule against the rewards, x0, n_actions and the checkpoints
 (learners._checked_grid, the checks learners.track makes) and each out
 path.  Walk: each group walks its schedule once (learners.track at all its
-rates), certifying each block before a learner steps through it, so a
-certificate failing at t stops the run there; every seed, rate and
-checkpoint target shares each block, so memory does not grow with the
-horizon, and whether cells share a walk changes no output bit.  Write: the
-out dirs and files are made only once every walk succeeded, so a bad
-input, a failing certificate or a failed walk leaves nothing written.  A
-sweep reads its base's anchors
+rates, one TrackingTrace per cell), certifying each block before a
+learner steps through it, so a certificate failing at t stops the run
+there; every seed, rate and checkpoint target shares each block, so memory
+does not grow with the horizon, and whether cells share a walk changes no
+output bit.  Write: each cell's trace writes its seeds' CSVs, and its
+summary reduces trace.sup_error across seeds; the out dirs and files are
+made only once every walk succeeded, so a bad input, a failing certificate
+or a failed walk leaves nothing written.  A sweep reads its base's anchors
 (schedules._spec_anchors), params and n as track does, before any cell,
 so a cell is skipped only for a reason of its own.
 """
@@ -192,7 +193,7 @@ def _settled(cfg: ExperimentConfig, chash: str, schedule, spec: RewardSpec) -> t
     consts = bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
     try:
         report = asdict(bounds.tracking_error_bound(consts, exps, cfg.t_max))
-    except ArithmeticError:  # ada1's exp leaves the floats for rho_cap near 1
+    except ArithmeticError:  # a term leaves the floats: rho_cap near 1, or huge rewards
         report = None
     return rate, {"spec_version": SPEC_VERSION, "config_hash": chash,
                   "config": cfg.canonical_dict(), "regime": label.regime,
@@ -201,28 +202,25 @@ def _settled(cfg: ExperimentConfig, chash: str, schedule, spec: RewardSpec) -> t
                   "bound_report": report}
 
 
-def _summary(facts: dict, traces) -> dict:
-    """A cell's settled facts around its traces' reductions: median and IQR
-    of sup_error per checkpoint, the median's slope and max |value|."""
-    errs = np.stack([t.errors() for t in traces])  # seeds x checkpoints
-    med = np.median(errs, axis=0)
-    q1, q3 = np.quantile(errs, [0.25, 0.75], axis=0)
-    ts, t_max = traces[0].checkpoint_ts(), facts["config"]["t_max"]
-    slope = fit_slope(ts, med, max(1, t_max // 100), t_max)
-    return {**facts, "checkpoints": [int(t) for t in ts], "median_sup_error": med.tolist(),
+def _summary(facts: dict, trace: learners.TrackingTrace) -> dict:
+    """A cell's settled facts around its trace's reductions over the seeds:
+    median and IQR of sup_error per checkpoint, the median's slope and max |value|."""
+    med = np.median(trace.sup_error, axis=0)
+    q1, q3 = np.quantile(trace.sup_error, [0.25, 0.75], axis=0)
+    t_max = facts["config"]["t_max"]
+    slope = fit_slope(trace.t, med, max(1, t_max // 100), t_max)
+    return {**facts, "checkpoints": list(trace.t), "median_sup_error": med.tolist(),
             "iqr_lo": q1.tolist(), "iqr_hi": q3.tolist(), "final_median_error": float(med[-1]),
             "slope": asdict(slope) if slope else None,
-            "max_abs_value": max(t.max_abs_value for t in traces)}
+            "max_abs_value": max(trace.max_abs_value)}
 
 
-def _write_run(facts: dict, traces, out_dir) -> dict:
+def _write_run(facts: dict, trace: learners.TrackingTrace, out_dir) -> dict:
     """Write one CSV per seed plus the summary JSON of a cell; return the summary."""
     os.makedirs(out_dir, exist_ok=True)
     chash = facts["config_hash"]
-    tails = traces[0].csv_tails()  # a function of t and the rate: every seed's alike
-    for trace in traces:
-        trace.write_csv(os.path.join(out_dir, f"{chash}_{trace.seed}.csv"), tails)
-    summary = _summary(facts, traces)
+    trace.write_csv(out_dir, chash)
+    summary = _summary(facts, trace)
     with open(os.path.join(out_dir, f"summary_{chash}.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
     return summary
@@ -254,9 +252,9 @@ def _run(base: ExperimentConfig, groups: list) -> list:
     traces = [learners.track(schedule, spec, [rate for rate, _ in group], noise, base.t_max,
                              base.seeds, base.checkpoints, x0=base.x0, n_actions=n_actions)
               for (schedule, _), group in zip(groups, settled)]
-    return [_write_run(facts, cell_traces, out_dir)
+    return [_write_run(facts, trace, out_dir)
             for (_, cells), group, group_traces in zip(groups, settled, traces)
-            for (*_, out_dir), (_, facts), cell_traces in zip(cells, group, group_traces)]
+            for (*_, out_dir), (_, facts), trace in zip(cells, group, group_traces)]
 
 
 def run_tracking(config: ExperimentConfig, out_dir) -> dict:

@@ -6,6 +6,9 @@ with boot the next state's entry (TD(0)) or the max over its action block
 (Q-learning); every other component is left bit-identical.  Tracking error
 is the sup-norm distance to the exact fixed point of the *current* schedule
 matrix at each checkpoint, scored after the walk from the kept tables.
+track returns one TrackingTrace per rate: the checkpoints and their alpha_t,
+pi_min_t and drift_t columns once, every seed's errors as one (seeds,
+checkpoints) array; td0_track and q_track are its one-rate, one-seed calls.
 
 Kernel: track first checks its inputs (_checked_grid: the schedule's size
 against the rewards and n_actions, x0, and a checkpoint in [1, t_max]; then
@@ -49,8 +52,8 @@ share a walk changes no output bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +62,6 @@ from . import chains, dp, schedules
 __all__ = [
     "LearningRate",
     "NoiseModel",
-    "TraceRow",
     "TrackingTrace",
     "materialize",
     "track",
@@ -107,6 +109,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0 <= self.eps_max < math.inf:  # NaN fails too
             raise ValueError(f"eps_max must be finite and non-negative, got {self.eps_max!r}")
+        if not 2 * self.eps_max < math.inf:  # the draws' span, numpy's uniform needs it finite
+            raise ValueError(f"eps_max={self.eps_max!r} spans more than the floats hold")
         if self.kind == "uniform-iid" and self.eps_max == 0.0:
             raise ValueError("uniform-iid noise needs eps_max > 0")
 
@@ -121,53 +125,40 @@ class NoiseModel:
         return NoiseModel(str(doc["kind"]), chains.number(doc, "eps_max", 0.0))
 
 
-class TraceRow(NamedTuple):
-    t: int
-    sup_error: float
-    alpha_t: float
-    pi_min_t: float
-    drift_t: float
-
-
 @dataclass
 class TrackingTrace:
-    """Checkpointed sup-norm tracking errors plus per-step diagnostics."""
+    """One rate's checkpointed sup-norm tracking errors, every seed's, with
+    the checkpoint diagnostics they share: the checkpoints t and their
+    alpha_t, pi_min_t and drift_t columns, once; a (seeds, checkpoints)
+    sup_error array; one max |table entry| per seed.  An array field makes
+    the generated == raise: compare traces field by field."""
 
-    rows: list
-    seed: int
-    max_abs_value: float = 0.0
+    seeds: list
+    t: list
+    alpha_t: list
+    pi_min_t: list
+    drift_t: list
+    sup_error: np.ndarray
+    max_abs_value: list
 
     CSV_COLUMNS = ("t", "sup_error", "alpha_t", "pi_min_t", "drift_t")
 
     def __post_init__(self):
-        ts = [row.t for row in self.rows]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if any(b <= a for a, b in zip(self.t, self.t[1:])):
             raise ValueError("checkpoints must be strictly increasing in t")
-        if any(not 0.0 <= row.sup_error < math.inf for row in self.rows):  # NaN fails too
+        if not ((self.sup_error >= 0.0) & (self.sup_error < math.inf)).all():  # NaN fails too
             raise ValueError("sup_error must be finite and non-negative")
 
-    @property
-    def final_error(self) -> float:
-        return self.rows[-1].sup_error
-
-    def errors(self) -> np.ndarray:
-        return np.array([row.sup_error for row in self.rows])
-
-    def checkpoint_ts(self) -> np.ndarray:
-        return np.array([row.t for row in self.rows])
-
-    def csv_tails(self) -> list:
-        """Each row's alpha_t, pi_min_t and drift_t CSV columns, which every
-        seed of a rate shares."""
-        return [f"{row.alpha_t!r},{row.pi_min_t!r},{row.drift_t!r}" for row in self.rows]
-
-    def write_csv(self, path, tails=None):
-        """RFC-4180-plain: comma separated, LF line endings, header row; the
-        rows' tails are csv_tails() unless given."""
-        tails = self.csv_tails() if tails is None else tails
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(self.CSV_COLUMNS) + "\n" + "".join(
-                f"{row.t},{row.sup_error!r},{tail}\n" for row, tail in zip(self.rows, tails)))
+    def write_csv(self, out_dir, prefix):
+        """Write each seed's trace to out_dir/{prefix}_{seed}.csv,
+        RFC-4180-plain: comma separated, LF line endings, header row."""
+        header = ",".join(self.CSV_COLUMNS) + "\n"
+        tails = [f",{a!r},{p!r},{d!r}\n"
+                 for a, p, d in zip(self.alpha_t, self.pi_min_t, self.drift_t)]
+        for seed, errors in zip(self.seeds, self.sup_error.tolist()):
+            with open(os.path.join(out_dir, f"{prefix}_{seed}.csv"), "w", newline="\n") as fh:
+                fh.write(header + "".join(f"{t},{err!r}{tail}"
+                                          for t, err, tail in zip(self.t, errors, tails)))
 
 
 def materialize(schedule, t_max: int):
@@ -186,8 +177,8 @@ def materialize(schedule, t_max: int):
 class _Run:
     """One (rate, seed) learner between blocks: table, state, kept tables."""
 
-    def __init__(self, seed: int, table: np.ndarray, x0: int, na: int):
-        self.seed, self.table, self.x, self.na = int(seed), table.tolist(), x0, na
+    def __init__(self, table: np.ndarray, x0: int, na: int):
+        self.table, self.x, self.na = table.tolist(), x0, na
         self.max_abs = max(map(abs, self.table))
         # the bootstrap: vmax[s] is the max of state s's action block (TD(0): the table itself)
         self.vmax = self.table if na == 1 else [max(self.table[s:s + na])
@@ -249,8 +240,8 @@ def _checked_grid(schedule, spec: dp.RewardSpec, t_max: int, checkpoint_grid, x0
 
 def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, seeds,
           checkpoint_grid, x0: int = 0, n_actions: int | None = None, table_init=None):
-    """Traces of every (rate, seed) from one walk, one list of seed traces per
-    rate: TD(0) when n_actions is None, else Q-learning.
+    """Traces of every (rate, seed) from one walk, one TrackingTrace of every
+    seed per rate: TD(0) when n_actions is None, else Q-learning.
 
     A seed's path and noise draws are made once per block and read by every
     rate's run of that seed.  Its inputs and table_init are checked first
@@ -262,7 +253,7 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
     table = np.zeros(schedule.n) if table_init is None else np.array(table_init, dtype=float)
     if table.shape != (schedule.n,) or not np.isfinite(table).all():
         raise ValueError(f"table_init must hold {schedule.n} finite numbers")
-    runs = [[_Run(seed, table, x0, n_actions or 1) for seed in seeds] for _ in rates]
+    runs = [[_Run(table, x0, n_actions or 1) for _ in seeds] for _ in rates]
     streams = [(chains.stream(seed, 0), None if noise.kind == "zero" else chains.stream(seed, 1))
                for seed in seeds]
     r_vec, targets, scans = spec.r.tolist(), [], []
@@ -285,12 +276,10 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
                 rate_runs[i].advance(nxt, eps, rate_alphas, stops, r_vec, spec.beta)
     kept = np.array([run.kept for rate_runs in runs for run in rate_runs])
     kept = kept.reshape(len(runs), len(streams), len(cps), schedule.n)
-    errors = np.abs(kept - np.concatenate(targets)).max(axis=-1).tolist()  # in one pass
-    scan = np.concatenate(scans).tolist()  # [pi_min_t, drift_t] per checkpoint
-    return [[TrackingTrace(rows=[TraceRow(t, err, rate.alpha(t), *pi_drift)
-                                 for t, pi_drift, err in zip(cps, scan, run_errors)],
-                           seed=run.seed, max_abs_value=run.max_abs)
-             for run, run_errors in zip(rate_runs, rate_errors)]
+    errors = np.abs(kept - np.concatenate(targets)).max(axis=-1)  # in one pass
+    pi_min_t, drift_t = np.concatenate(scans).T.tolist()
+    return [TrackingTrace([int(seed) for seed in seeds], cps, [rate.alpha(t) for t in cps],
+                          pi_min_t, drift_t, rate_errors, [run.max_abs for run in rate_runs])
             for rate, rate_runs, rate_errors in zip(rates, runs, errors)]
 
 
@@ -304,7 +293,7 @@ def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseMod
     test overrides table_init.
     """
     return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0, None,
-                 table_init)[0][0]
+                 table_init)[0]
 
 
 def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
@@ -317,4 +306,4 @@ def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
     one value, so the order of the max cannot change a replay.
     """
     return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0,
-                 int(n_actions), table_init)[0][0]
+                 int(n_actions), table_init)[0]

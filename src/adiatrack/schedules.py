@@ -319,8 +319,8 @@ class ShrinkingStateSchedule(Schedule):
         if bad.any():
             t_bad = int(np.argmax(bad)) + 1
             raise ValueError(
-                f"measured drift {drift[t_bad - 1]!r} at t={t_bad} exceeds the "
-                f"declared bound {allowed[t_bad - 1]!r}")
+                f"measured drift {float(drift[t_bad - 1])!r} at t={t_bad} exceeds the "
+                f"declared bound {float(allowed[t_bad - 1])!r}")
         self.max_measured_drift_ratio = float((drift / allowed).max())
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:

@@ -21,6 +21,13 @@ def tv(lam, mu):
     return float(matrix_tv_distances(lam[None, None], mu[None, None])[0])
 
 
+def trace_fields(trace):
+    """A learners.TrackingTrace's fields as plain lists, so == compares every
+    value bit for bit; its sup_error array makes the trace's own == raise."""
+    return (trace.seeds, trace.t, trace.alpha_t, trace.pi_min_t, trace.drift_t,
+            trace.sup_error.tolist(), trace.max_abs_value)
+
+
 def stochastic(rows):
     """rows as a float64 array whose last-axis rows are validated
     (chains._check_rows): a transition matrix, a distribution or a stack."""

@@ -140,7 +140,7 @@ def test_criterion_09_iterate_boundedness(static_td_run, adiabatic_run,
         trace = td0_track(noise_sched, RewardSpec([1.0, 0.0], 0.5),
                           LearningRate(0.5, 0.6), NoiseModel("uniform-iid", 0.5),
                           20_000, seed, [20_000])
-        ok = ok and trace.max_abs_value <= noise_ball
+        ok = ok and trace.max_abs_value[0] <= noise_ball
     elapsed = time.monotonic() - started
     _report(9, "all runs stay in the (F_max+eps_max)/(1-beta) ball", ok, elapsed,
             "max |table| per run: " +

@@ -17,7 +17,7 @@ from adiatrack.harness import (
     run_tracking,
 )
 
-from conftest import matrix_tv, random_rows, stochastic, tv
+from conftest import matrix_tv, random_rows, stochastic, trace_fields, tv
 
 BASE_CONFIG = {
     "schedule": {"kind": "constant", "n": 2, "p": [[0.9, 0.1], [0.2, 0.8]]},
@@ -153,17 +153,19 @@ def test_shared_materialization_equals_per_seed_runs(overrides, tmp_path, monkey
     monkeypatch.setattr(learners, "track",
                         lambda *a, **kw: runs.append(track(*a, **kw)) or runs[-1])
     run_tracking(config, tmp_path)
-    (traces,), = runs
+    (trace,), = runs
     schedule, spec, rate, noise = config.build()
-    for seed, trace in zip(config.seeds, traces):
+    assert trace.seeds == config.seeds
+    for i, seed in enumerate(config.seeds):
         if config.learner == "td0":
             alone = learners.td0_track(schedule, spec, rate, noise, config.t_max, seed,
                                        config.checkpoints, x0=config.x0)
         else:
             alone = learners.q_track(schedule, spec, config.n_actions, rate, noise,
                                      config.t_max, seed, config.checkpoints, x0=config.x0)
-        assert (trace.rows, trace.max_abs_value, trace.seed) == \
-            (alone.rows, alone.max_abs_value, alone.seed)
+        assert trace_fields(alone) == ([seed], trace.t, trace.alpha_t, trace.pi_min_t,
+                                       trace.drift_t, trace.sup_error[i:i + 1].tolist(),
+                                       trace.max_abs_value[i:i + 1])
 
 
 def test_run_memory_does_not_grow_with_the_horizon(tmp_path):
@@ -317,8 +319,8 @@ def test_sweep_records_unconstructible_cell_as_skipped(tmp_path):
     rows = run_sweep({"gamma_p": [1.2], "gamma_alpha": [0.7], "gamma_pi": [0.2]},
                      base, tmp_path)
     assert len(rows) == 1
-    assert rows[0]["status"].startswith("skipped: measured drift")
-    assert "exceeds the declared bound" in rows[0]["status"]
+    assert rows[0]["status"] == ("skipped: measured drift 0.055153231400438596 at t=1 "
+                                 "exceeds the declared bound 0.05")
     assert (tmp_path / "sweep.csv").read_text().count("skipped") == 1
 
 
@@ -960,6 +962,22 @@ def test_cli_track_slow_mixing_chain_runs_with_a_null_bound(tmp_path, capsys, p)
         f"{chash}_{seed}.csv" for seed in range(101, 105)])
 
 
+def test_cli_track_overflowing_bound_runs_with_a_null_bound(tmp_path, capsys):
+    # rewards of 1e300 send ada4's products out of the floats: the bound is
+    # null, the summary strict JSON and every seed's CSV written
+    cfg = {**BASE_CONFIG, "reward": {"r": [1e300, -1e300], "beta": 0.999999}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_main(["track", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["bound_report"] is None
+    chash = summary["config_hash"]
+    with open(out / f"summary_{chash}.json") as fh:
+        assert json.loads(fh.read(), parse_constant=pytest.fail) == summary
+    assert sorted(os.listdir(out)) == sorted([f"summary_{chash}.json"] + [
+        f"{chash}_{seed}.csv" for seed in range(101, 105)])
+
+
 @pytest.mark.parametrize("exponent", ["gamma_p", "gamma_pi"])
 def test_cli_track_nan_exponent_is_config_error(tmp_path, capsys, exponent):
     params = {**ACCEPTANCE_ANCHORS["params"], exponent: "nan"}
@@ -1101,7 +1119,8 @@ def test_cli_bound_malformed_constants_is_config_error(tmp_path, capsys, consts,
     # finite constants whose bound leaves the floats: refused, not printed as Infinity
     pytest.param({"tau_coeff": 1e6}, "the bound overflows at these constants",
                  id="tau_coeff-1e6-overflows"),
-    pytest.param({"r_max_eff": 1e308}, "Out of range float values are not JSON compliant",
+    pytest.param({"r_max_eff": 1e308},
+                 "the bound overflows at these constants (ada1, ada4, total not finite)",
                  id="r_max_eff-1e308-inf-terms"),
 ])
 def test_cli_bound_refuses_constants_it_cannot_trust(tmp_path, capsys, change, named):
@@ -1201,6 +1220,9 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"schedule": {**ACCEPTANCE_ANCHORS,
                    "params": {**ACCEPTANCE_ANCHORS["params"], "gamma_pi": 0.5}}},
      "need gamma_alpha + gamma_pi < 1"),
+    # the draws span [-eps_max, eps_max]: a span beyond the floats is refused up front
+    ({"noise": {"kind": "uniform-iid", "eps_max": 1e308}},
+     "eps_max=1e+308 spans more than the floats hold"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
@@ -1255,7 +1277,7 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
                  SWEEP_GRID, "p_start[0][1] must be a number, got '0.1'",
                  id="schedule-p_start-string-entry"),
     pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_end": [[0.2, 0.9], [0.8, 0.2]]}},
-                 SWEEP_GRID, "row 0 sums to", id="schedule-p_end-row-sum-1.1"),
+                 SWEEP_GRID, "row 0 sums to 1.1, not 1", id="schedule-p_end-row-sum-1.1"),
     pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_start": [[1.0, 0.0], [0.2, 0.8]]}},
                  SWEEP_GRID, "anchor matrix 0 is reducible", id="schedule-p_start-reducible"),
     pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "p_end": [[0.1, 0.9]]}},

@@ -14,7 +14,6 @@ from adiatrack.learners import (
     LearningRate,
     NoiseModel,
     TrackingTrace,
-    TraceRow,
     materialize,
     q_track,
     td0_track,
@@ -30,7 +29,7 @@ from adiatrack.schedules import (
 )
 from adiatrack.verify import scan_families
 
-from conftest import matrix_tv
+from conftest import matrix_tv, trace_fields
 
 A = np.array([[0.9, 0.1], [0.2, 0.8]])
 B = np.array([[0.1, 0.9], [0.8, 0.2]])
@@ -86,15 +85,15 @@ def test_td0_step_moves_only_the_visited_component(noise):
                           checkpoint_grid=[1], x0=1, table_init=init)
         table = _update(init, 1, spec.r[1] + spec.beta * init[xn], rate.alpha(1), eps)
         assert table[1] != init[1]
-        assert trace.rows[0].sup_error == np.abs(table - star).max()
+        assert trace.sup_error[0, 0] == np.abs(table - star).max()
 
 
 def test_td0_zero_rewards_zero_error():
     sched = ConstantSchedule(A)
     trace = td0_track(sched, RewardSpec([0.0, 0.0], 0.5), RATE, ZERO_NOISE,
                       t_max=500, seed=5, checkpoint_grid=[1, 10, 100, 500])
-    assert all(row.sup_error == 0.0 for row in trace.rows)
-    assert trace.max_abs_value == 0.0
+    assert (trace.sup_error == 0.0).all()
+    assert trace.max_abs_value == [0.0]
 
 
 def test_td0_first_update_is_alpha_times_reward():
@@ -106,8 +105,7 @@ def test_td0_first_update_is_alpha_times_reward():
     expected = np.zeros(2)
     expected[x0] = RATE.alpha(1) * SPEC.r[x0]
     star = exact_reward(A, SPEC)
-    assert trace.rows[0].sup_error == pytest.approx(np.abs(expected - star).max(),
-                                                    abs=0.0)
+    assert trace.sup_error[0, 0] == pytest.approx(np.abs(expected - star).max(), abs=0.0)
 
 
 def _replay_with_simulate_and_sa_step(schedule, spec, rate, noise, t_max, seed, cps):
@@ -133,7 +131,7 @@ def test_td0_trace_equals_simulate_plus_sa_step_composition(noise):
     trace = td0_track(sched, SPEC, RATE, noise, t_max=800, seed=21,
                       checkpoint_grid=cps)
     replay = _replay_with_simulate_and_sa_step(sched, SPEC, RATE, noise, 800, 21, set(cps))
-    assert [row.sup_error for row in trace.rows] == replay
+    assert trace.sup_error[0].tolist() == replay
 
 
 def test_td0_bit_identical_across_calls():
@@ -141,7 +139,7 @@ def test_td0_bit_identical_across_calls():
     kwargs = dict(t_max=3000, seed=77, checkpoint_grid=[10, 100, 3000])
     t1 = td0_track(sched, SPEC, RATE, NoiseModel("uniform-iid", 0.2), **kwargs)
     t2 = td0_track(sched, SPEC, RATE, NoiseModel("uniform-iid", 0.2), **kwargs)
-    assert [r.sup_error for r in t1.rows] == [r.sup_error for r in t2.rows]
+    assert t1.sup_error.tolist() == t2.sup_error.tolist()
     assert t1.max_abs_value == t2.max_abs_value
 
 
@@ -149,7 +147,7 @@ def test_td0_seeds_differ():
     sched = ConstantSchedule(A)
     t1 = td0_track(sched, SPEC, RATE, ZERO_NOISE, 2000, 1, [2000])
     t2 = td0_track(sched, SPEC, RATE, ZERO_NOISE, 2000, 2, [2000])
-    assert t1.final_error != t2.final_error
+    assert t1.sup_error[0, -1] != t2.sup_error[0, -1]
 
 
 def test_trace_diagnostics_at_checkpoints():
@@ -167,31 +165,46 @@ def test_trace_diagnostics_at_checkpoints():
                          RewardSpec([1.0, 0.0, 0.5], 0.5)),
                         (restart, SPEC)):
         trace = td0_track(sched, spec, RATE, ZERO_NOISE, t_max, 3, cps)
-        assert trace.checkpoint_ts().tolist() == cps
-        for row in trace.rows:
-            assert row.alpha_t == RATE.alpha(row.t)
-            assert row.pi_min_t == stationary_distribution(sched.matrix_at(row.t)).min()
-            assert row.drift_t == matrix_tv(sched.matrix_at(row.t + 1), sched.matrix_at(row.t))
+        assert trace.t == cps
+        for t, alpha_t, pi_min_t, drift_t in zip(trace.t, trace.alpha_t, trace.pi_min_t,
+                                                 trace.drift_t):
+            assert alpha_t == RATE.alpha(t)
+            assert pi_min_t == stationary_distribution(sched.matrix_at(t)).min()
+            assert drift_t == matrix_tv(sched.matrix_at(t + 1), sched.matrix_at(t))
 
 
 def test_tracking_trace_rejects_unordered_checkpoints():
-    rows = [TraceRow(5, 0.1, 0.5, 0.3, 0.0), TraceRow(5, 0.1, 0.5, 0.3, 0.0)]
     with pytest.raises(ValueError):
-        TrackingTrace(rows=rows, seed=0)
+        TrackingTrace(seeds=[0], t=[5, 5], alpha_t=[0.5, 0.5], pi_min_t=[0.3, 0.3],
+                      drift_t=[0.0, 0.0], sup_error=np.array([[0.1, 0.1]]),
+                      max_abs_value=[1.0])
 
 
 def test_trace_csv_format(tmp_path):
     sched = ConstantSchedule(A)
     trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, 50, 4, [1, 50])
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    raw = path.read_bytes()
+    trace.write_csv(tmp_path, "trace")
+    raw = (tmp_path / "trace_4.csv").read_bytes()
     assert b"\r" not in raw  # RFC-4180-plain with LF endings
     lines = raw.decode().splitlines()
     assert lines[0] == "t,sup_error,alpha_t,pi_min_t,drift_t"
     assert len(lines) == 3
     values = [float(v) for v in lines[1].split(",")]
     assert values[0] == 1.0
+
+
+def test_write_csv_writes_one_file_per_seed(tmp_path):
+    # the shared columns once, each seed's sup_error row in its own file
+    trace = TrackingTrace(seeds=[3, 8], t=[1, 10], alpha_t=[0.5, 0.1], pi_min_t=[0.3, 0.25],
+                          drift_t=[0.0, 0.01], sup_error=np.array([[0.1, 0.2], [0.3, 1 / 3]]),
+                          max_abs_value=[1.0, 2.0])
+    trace.write_csv(tmp_path, "abc")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abc_3.csv", "abc_8.csv"]
+    header = b"t,sup_error,alpha_t,pi_min_t,drift_t\n"
+    assert (tmp_path / "abc_3.csv").read_bytes() == \
+        header + b"1,0.1,0.5,0.3,0.0\n10,0.2,0.1,0.25,0.01\n"
+    assert (tmp_path / "abc_8.csv").read_bytes() == \
+        header + b"1,0.3,0.5,0.3,0.0\n10,0.3333333333333333,0.1,0.25,0.01\n"
 
 
 # -------------------------------------------------------------------- q_track
@@ -218,7 +231,7 @@ def test_q_zero_rewards_zero_error():
     sched = ConstantSchedule(_product_chain())
     trace = q_track(sched, RewardSpec([0.0] * 4, 0.5), 2, RATE, ZERO_NOISE,
                     300, 6, [300])
-    assert trace.rows[0].sup_error == 0.0
+    assert trace.sup_error[0, 0] == 0.0
 
 
 def test_q_single_action_matches_td0_step_for_step():
@@ -229,8 +242,7 @@ def test_q_single_action_matches_td0_step_for_step():
     # identical recursions: the running table norm agrees bit for bit, and so
     # do the errors: with one action, exact_q's one policy solve is exact_reward's
     assert td.max_abs_value == q.max_abs_value
-    for a, b in zip(td.rows, q.rows):
-        assert a.sup_error == b.sup_error
+    assert td.sup_error.tolist() == q.sup_error.tolist()
 
 
 def test_q_track_requires_product_space():
@@ -249,12 +261,12 @@ def test_q_track_follows_drifting_product_schedule():
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
     cps = [10, 300, 3000]
     trace = q_track(sched, spec, 2, RATE, ZERO_NOISE, 3000, 13, cps)
-    assert [row.t for row in trace.rows] == cps
-    assert trace.rows[-1].sup_error < trace.rows[0].sup_error
-    assert trace.max_abs_value <= spec.r_max / (1 - spec.beta) + 1e-9
+    assert trace.t == cps
+    assert trace.sup_error[0, -1] < trace.sup_error[0, 0]
+    assert trace.max_abs_value[0] <= spec.r_max / (1 - spec.beta) + 1e-9
     star = exact_q(sched.matrix_at(3000)[None], spec.r[None], np.array([spec.beta]), 2)[0]
     assert np.isfinite(star).all()
-    assert trace.rows[-1].drift_t > 0.0  # schedule still moving at T
+    assert trace.drift_t[-1] > 0.0  # schedule still moving at T
 
 
 # ------------------------------------------------ kernel vs a per-step loop
@@ -272,7 +284,7 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
     """The tracking recursion as a straight numpy loop, one step at a time.
 
     n_actions None is TD(0); otherwise Q-learning with the max over the next
-    state's action block.  Returns (rows, max_abs_value).
+    state's action block.  Returns trace_fields of its one-seed trace.
     """
     n = schedule.n
     cums = np.cumsum(schedule.block(1, t_max + 1), axis=2)
@@ -298,10 +310,10 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
             target = (exact_reward(mat, spec) if n_actions is None
                       else exact_q(mat[None], spec.r[None], np.array([spec.beta]),
                                    n_actions)[0])
-            rows.append(TraceRow(t, float(np.abs(table - target).max()), alpha_t,
-                                 float(stationary_distribution(mat).min()),
-                                 matrix_tv(nxt, mat)))
-    return rows, max_abs
+            rows.append((t, float(np.abs(table - target).max()), alpha_t,
+                         float(stationary_distribution(mat).min()), matrix_tv(nxt, mat)))
+    t, sup_error, alpha_t, pi_min_t, drift_t = map(list, zip(*rows))
+    return [seed], t, alpha_t, pi_min_t, drift_t, [sup_error], [max_abs]
 
 
 @st.composite
@@ -340,10 +352,8 @@ def test_kernel_equals_per_step_numpy_loop(case):
                   table_init=table_init)
     trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions is None
              else q_track(sched, spec, n_actions, RATE, noise, **kwargs))
-    rows, max_abs = _per_step_track(sched, spec, n_actions, RATE, noise, t_max, seed,
-                                    set(cps), x0, table_init)
-    assert trace.rows == rows  # every TraceRow field, bit for bit
-    assert trace.max_abs_value == max_abs
+    assert trace_fields(trace) == _per_step_track(sched, spec, n_actions, RATE, noise, t_max,
+                                                  seed, set(cps), x0, table_init)  # bit for bit
 
 
 def _tied_table(n, n_actions):
@@ -375,10 +385,8 @@ def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max, 
     kwargs = dict(t_max=t_max, seed=5, checkpoint_grid=cps, x0=3, table_init=table_init)
     trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions is None
              else q_track(sched, spec, n_actions, RATE, noise, **kwargs))
-    rows, max_abs = _per_step_track(sched, spec, n_actions, RATE, noise, t_max, 5,
-                                    set(cps), 3, table_init)
-    assert trace.rows == rows
-    assert trace.max_abs_value == max_abs
+    assert trace_fields(trace) == _per_step_track(sched, spec, n_actions, RATE, noise, t_max,
+                                                  5, set(cps), 3, table_init)
 
 
 @pytest.mark.parametrize("n_actions", [None, 2])
@@ -390,16 +398,12 @@ def test_track_at_two_rates_equals_two_one_rate_calls(n_actions):
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
     noise = NoiseModel("uniform-iid", 0.3)
     rates, seeds, cps = [RATE, LearningRate(0.3, 0.8)], [5, 6, 7], [1, 2048, 2049, 4500]
-
-    def fields(traces):
-        return [(t.rows, t.max_abs_value, t.seed) for t in traces]
-
     shared = track(sched, spec, rates, noise, 4500, seeds, cps, x0=3, n_actions=n_actions)
-    assert len(shared) == 2 and fields(shared[0]) != fields(shared[1])
-    for rate, traces in zip(rates, shared):
+    assert len(shared) == 2 and trace_fields(shared[0]) != trace_fields(shared[1])
+    for rate, trace in zip(rates, shared):
         alone, = track(sched, spec, [rate], noise, 4500, seeds, cps, x0=3,
                        n_actions=n_actions)
-        assert fields(traces) == fields(alone)
+        assert trace_fields(trace) == trace_fields(alone)
 
 
 def test_track_solves_each_blocks_q_targets_in_one_call(monkeypatch):
@@ -437,12 +441,14 @@ def test_track_refuses_a_malformed_table_init_before_the_walk(monkeypatch, chain
 @pytest.mark.parametrize("n_actions", [None, 2])
 def test_track_without_seeds_or_rates(n_actions):
     # the scores are one stack of (rates, seeds, checkpoints): an empty axis
-    # keeps its place, one empty list per rate, or no list at all
+    # keeps its place, a trace of no seeds per rate, or no trace at all
     chain = A if n_actions is None else _product_chain()
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25][:len(chain)], 0.5)
     args = (ConstantSchedule(chain), spec)
     rates = [RATE, LearningRate(0.3, 0.8)]
-    assert track(*args, rates, ZERO_NOISE, 3000, [], [1, 3000], n_actions=n_actions) == [[], []]
+    traces = track(*args, rates, ZERO_NOISE, 3000, [], [1, 3000], n_actions=n_actions)
+    assert [(trace.seeds, trace.sup_error.shape, trace.max_abs_value) for trace in traces] \
+        == [([], (0, 2), [])] * 2
     assert track(*args, [], ZERO_NOISE, 3000, [4, 5], [1, 3000], n_actions=n_actions) == []
 
 
@@ -453,8 +459,8 @@ def test_boundedness_ball_zero_case():
     trace = td0_track(sched, RewardSpec([0.0, 0.0], 0.5), RATE, ZERO_NOISE,
                       200, 8, [200])
     # the ball of radius (f_max + eps_max) / (1 - beta): f_max = eps_max = 0, beta = 0.5
-    assert trace.max_abs_value <= (0.0 + 0.0) / (1 - 0.5) + 1e-9
-    assert trace.max_abs_value == 0.0
+    assert trace.max_abs_value[0] <= (0.0 + 0.0) / (1 - 0.5) + 1e-9
+    assert trace.max_abs_value == [0.0]
 
 
 def test_boundedness_ball_radius_two():
@@ -463,14 +469,14 @@ def test_boundedness_ball_radius_two():
     for seed in range(6):
         trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, 20_000, seed,
                           [1, 100, 20_000])
-        assert trace.max_abs_value <= (SPEC.r_max + 0.0) / (1 - 0.5) + 1e-9, seed
+        assert trace.max_abs_value[0] <= (SPEC.r_max + 0.0) / (1 - 0.5) + 1e-9, seed
 
 
 def test_boundedness_with_explicit_noise():
     sched = ConstantSchedule(A)
     noise = NoiseModel("uniform-iid", 0.5)
     trace = td0_track(sched, SPEC, RATE, noise, 20_000, 17, [20_000])
-    assert trace.max_abs_value <= (SPEC.r_max + 0.5) / (1 - 0.5) + 1e-9
+    assert trace.max_abs_value[0] <= (SPEC.r_max + 0.5) / (1 - 0.5) + 1e-9
 
 
 def test_adversarial_start_reenters_ball_and_stays():
@@ -495,9 +501,9 @@ def test_adversarial_run_via_table_init_records_excursion():
     sched = ConstantSchedule(A)
     trace = td0_track(sched, SPEC, RATE, ZERO_NOISE, 5_000, 2, [5_000],
                       table_init=[10.0, -10.0])
-    assert trace.max_abs_value == 10.0  # never exceeds the initial excursion
+    assert trace.max_abs_value == [10.0]  # never exceeds the initial excursion
     # the ball criterion is for runs started at zero
-    assert not trace.max_abs_value <= (SPEC.r_max + 0.0) / (1 - 0.5) + 1e-9
+    assert not trace.max_abs_value[0] <= (SPEC.r_max + 0.0) / (1 - 0.5) + 1e-9
 
 
 # ------------------------------------------------- static-chain median decay
