@@ -30,6 +30,7 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12
 ENTRY_TOL = 1e-12
+STATIONARY_TOL = 1e-12  # the TV residual a stationary solve may leave
 
 __all__ = [
     "InvariantError",
@@ -121,19 +122,19 @@ def check_stack(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def stationary_distribution(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(p: np.ndarray) -> np.ndarray:
     """Unique pi with pi P = pi of an (n, n) p: the one-matrix case of stationary_stack."""
     if not _strongly_connected((p > 0.0).tobytes(), len(p)):
         raise ValueError("transition matrix is reducible; no unique stationary distribution")
-    return stationary_stack(p[None], tol)[0]
+    return stationary_stack(p[None])[0]
 
 
-def stationary_stack(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def stationary_stack(mats: np.ndarray) -> np.ndarray:
     """Stationary vectors (k, n) of a stack of irreducible matrices, by direct solve.
 
     Per matrix: (P^T - I) pi = 0 with the last equation replaced by
     sum(pi) = 1; one step of iterative refinement; the TV residual of pi P
-    vs pi must come out below tol or this raises.
+    vs pi must come out below STATIONARY_TOL or this raises.
     """
     k, n, _ = mats.shape
     a = np.swapaxes(mats, 1, 2) - np.eye(n)
@@ -146,9 +147,10 @@ def stationary_stack(mats: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"singular stationary system: {exc}") from exc
     pi = pi[:, :, 0]
     resid = 0.5 * np.abs((pi[:, None, :] @ mats)[:, 0] - pi).sum(axis=1)
-    bad = ~(resid <= tol)  # NaN fails too
+    bad = ~(resid <= STATIONARY_TOL)  # NaN fails too
     if bad.any():
-        raise ValueError(f"stationary residual {float(resid[bad][0])!r} exceeds tol {tol!r}")
+        raise ValueError(f"stationary residual {float(resid[bad][0])!r} exceeds tol "
+                         f"{STATIONARY_TOL!r}")
     _check_rows(pi)
     return pi
 

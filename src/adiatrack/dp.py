@@ -183,13 +183,13 @@ def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
 
 
 def check_lipschitz_q(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndarray,
-                      n_actions: int, tol: float = 1e-12) -> tuple:
-    """The same two sides for optimal Q-functions (exact_q at tol) on
+                      n_actions: int) -> tuple:
+    """The same two sides for optimal Q-functions (exact_q at tol 1e-12) on
     product-space stacks; validates as check_lipschitz_rewards does."""
     chains._check_rows(p)
     chains._check_rows(q)
     _check_rewards(r, beta)
-    both = exact_q(np.concatenate([p, q]), np.tile(r, (2, 1)), np.tile(beta, 2), n_actions, tol)
+    both = exact_q(np.concatenate([p, q]), np.tile(r, (2, 1)), np.tile(beta, 2), n_actions, 1e-12)
     lhs = np.abs(both[:len(p)] - both[len(p):]).max(axis=1)
     rhs = beta * np.abs(r).max(axis=1) / (1.0 - beta) ** 2 * chains.matrix_tv_distances(p, q)
     return lhs, rhs

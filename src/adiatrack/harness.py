@@ -227,8 +227,10 @@ def _write_run(facts: dict, trace: learners.TrackingTrace, out_dir) -> dict:
 
 
 def _check_out_dir(out_dir):
-    """Raise NotADirectoryError, as making out_dir would, unless the nearest
-    existing ancestor of out_dir is a directory; creates nothing."""
+    """Raise what making out_dir would: FileNotFoundError for an empty path,
+    NotADirectoryError if its nearest existing ancestor is no directory; creates nothing."""
+    if not os.fspath(out_dir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
     path = missing = os.path.normpath(out_dir)
     while not os.path.exists(path):
         missing, path = path, os.path.dirname(path) or os.curdir
@@ -350,6 +352,7 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                     "rate": {**base.rate, "gamma_alpha": ga}})
                 chash = cfg.config_hash()  # its out dir's name
                 groups.setdefault(spec_key, (schedule, []))[1].append((row, cfg, chash))
+    _check_out_dir(out_dir)  # a cell's dir joined to an empty root would pass its own check
     summaries = _run(base, [(schedule, [(cfg, chash, os.path.join(out_dir, chash))
                                         for _, cfg, chash in cells])
                             for schedule, cells in groups.values()])

@@ -113,6 +113,8 @@ class NoiseModel:
             raise ValueError(f"eps_max={self.eps_max!r} spans more than the floats hold")
         if self.kind == "uniform-iid" and self.eps_max == 0.0:
             raise ValueError("uniform-iid noise needs eps_max > 0")
+        if self.kind == "zero" and self.eps_max != 0.0:  # it would draw nothing
+            raise ValueError(f"zero noise needs eps_max = 0, got {self.eps_max!r}")
 
     def draws(self, t_max: int, seed: int) -> np.ndarray | None:
         if self.kind == "zero":

@@ -5,8 +5,8 @@ change satisfies ||P^(t+1) - P^(t)|| <= c_p / t**gamma_p, a stationary
 floor (c_pi, gamma_pi): pi^(t)_min >= c_pi / t**gamma_pi, and rho_cap, a
 uniform upper bound on the ergodicity coefficient.  gamma_p = inf encodes
 a constant sequence (zero drift).  Certificates are declared, then checked
-at every t of the horizon by the certified walk (below); construction-time
-checks catch the cheap cases.
+at every t of the horizon by the certified walk (below), which shrinking-state
+also runs over its first _SHRINK_DRIFT_CHECK steps at construction.
 
 A family produces its matrices as validated (k, n, n) float64 blocks of
 P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as an
@@ -89,7 +89,7 @@ class DriftParams:
 
 
 _CHUNK = 2048  # steps per block of the walk (Schedule.blocks)
-_SHRINK_DRIFT_CHECK = 10_000  # steps of the shrinking family's construction drift scan
+_SHRINK_DRIFT_CHECK = 10_000  # steps the shrinking family scans (verify_drift) at construction
 _RESTART_PROBE = 64  # matrices a restart-wrapped schedule probes for its default c_pi
 
 
@@ -296,10 +296,10 @@ class ShrinkingStateSchedule(Schedule):
          [ 0 , 1/2,  1/2]]
 
     Only the middle row moves, so the per-step drift is exactly
-    h_t - h_{t+1}; construction scans it against the declared c_p/t^gamma_p
-    and refuses parameter combinations that violate it (up to
-    _SHRINK_DRIFT_CHECK steps).  The ergodicity coefficient is exactly 1/2
-    for all t (h <= 1/2 when c_pi <= 1/3).
+    h_t - h_{t+1}.  Construction runs the one certificate scan (verify_drift)
+    over the first _SHRINK_DRIFT_CHECK steps and raises its
+    DriftCertificateError for constants it breaks.  The ergodicity
+    coefficient is exactly 1/2 for all t (h <= 1/2 when c_pi <= 1/3).
     """
 
     kind = "shrinking-state"
@@ -312,16 +312,7 @@ class ShrinkingStateSchedule(Schedule):
         if params.gamma_p == GAMMA_INF:
             raise ValueError("drifting family cannot declare gamma_p = inf")
         super().__init__(3, params, 0.5)
-        h = self._block(1, _SHRINK_DRIFT_CHECK + 1)[:, 1, 2]
-        drift = h[:-1] - h[1:]
-        allowed = params.c_p / _powers(1, _SHRINK_DRIFT_CHECK, params.gamma_p)
-        bad = drift > allowed + 1e-15
-        if bad.any():
-            t_bad = int(np.argmax(bad)) + 1
-            raise ValueError(
-                f"measured drift {float(drift[t_bad - 1])!r} at t={t_bad} exceeds the "
-                f"declared bound {float(allowed[t_bad - 1])!r}")
-        self.max_measured_drift_ratio = float((drift / allowed).max())
+        verify_drift(self, _SHRINK_DRIFT_CHECK)
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
         m = self.params.c_pi / _powers(t_lo, t_hi, self.params.gamma_pi)

@@ -1,23 +1,24 @@
 """Randomized and exhaustive property suites behind `adiatrack verify`.
 
-Each suite runs with a fixed master seed (per-case streams derive from it),
-counts violations, and reports the worst margin, overall and per check name,
-plus full counterexample inputs (matrices verbatim) so a CI failure is
-reproducible from the report alone; a check builds its inputs (matrices
-from its case's draws) only when it fails.  Every randomized suite draws
-all its cases first, in the order of a per-case loop, a random matrix as
-its raw draws (_draw), then builds each size's matrices in one pass
-(_rows), evaluates the cases as stacks and records the checks in case
-order, so the report equals the per-case loop's: prop1 per matrix size
-(_prop1_pairs) and its 2x2 eigenvalue cases as one stack, Lipschitz
-(reward and optimal Q) and restart per matrix size, each pair one solve
-(dp.check_lipschitz_rewards, dp.check_lipschitz_q,
+Each suite runs with a fixed master seed (per-case streams derive from it)
+and tolerances and sizes fixed in its code (TOL for every prop1, thm1,
+lemmas and lipschitz check), counts violations, and reports the worst
+margin, overall and per check name, plus full counterexample inputs
+(matrices verbatim) so a CI failure is reproducible from the report alone; a
+check builds its inputs (matrices from its case's draws) only when it fails.
+Every randomized suite draws all its cases first, in the order of a per-case
+loop, a random matrix as its raw draws (_draw), then builds each size's
+matrices in one pass (_rows), evaluates the cases as stacks and records the
+checks in case order, so the report equals the per-case loop's: prop1 per
+matrix size (_prop1_pairs) and its 2x2 eigenvalue cases as one stack,
+Lipschitz (reward and optimal Q) and restart per matrix size, each pair one
+solve (dp.check_lipschitz_rewards, dp.check_lipschitz_q,
 dp.check_restart_identities), and lemmas with each bounds oracle on one
 (cases, T) stack.  The thm1 and mixing suites read each schedule as blocks
 of matrices, never one t at a time, and thm1 evaluates every start of a
 horizon as one row of the bounds evaluators' stacked calls.  The ergodicity
-coefficient is always looked up through the chains module at call time, so
-a corrupted implementation is caught rather than silently trusted.
+coefficient is always looked up through the chains module at call time, so a
+corrupted implementation is caught rather than silently trusted.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .harness import SPEC_VERSION
 __all__ = ["SUITES", "run_suite"]
 
 DEFAULT_MASTER_SEED = 20240809
+TOL = 1e-10  # the slack of every prop1, thm1, lemmas and lipschitz check
 
 
 class _Recorder:
@@ -139,14 +141,14 @@ def _prop1_pairs(p, q, lam, mu):
             rho_p * (0.5 * np.abs(lam - mu).sum(axis=1)), np.abs(rho_p - overlap), gap, bound)
 
 
-def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
+def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED):
     """Ergodicity-coefficient properties on random irreducible matrix pairs.
 
     Per pair (n in 2..6): sub-multiplicativity over products, contraction of
     TV under right multiplication, agreement of the row-pair and overlap
     forms, and the stationary perturbation bound, on the pairs of each size
     as one stack (_prop1_pairs).  Plus, on random 2x2 matrices drawn as one
-    stack, |second eigenvalue| <= rho.
+    stack, |second eigenvalue| <= rho.  Every check holds within TOL.
     """
     rec = _Recorder("prop1", master_seed)
     rng = chains.stream(master_seed, 1)
@@ -160,11 +162,11 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
 
         def inputs():
             return {"p": _matrices([p])[0].tolist(), "q": _matrices([q])[0].tolist()}
-        rec.check("submultiplicative", rho_prod, rho_pq, tol, inputs)
-        rec.check("tv_contraction", tv_after, tv_bound, tol, inputs)
-        rec.check("row_pair_vs_overlap_form", form_gap, 0.0, tol, inputs)
+        rec.check("submultiplicative", rho_prod, rho_pq, TOL, inputs)
+        rec.check("tv_contraction", tv_after, tv_bound, TOL, inputs)
+        rec.check("row_pair_vs_overlap_form", form_gap, 0.0, TOL, inputs)
         if rho_p < 1.0 - 1e-6:
-            rec.check("stationary_perturbation", gap, bound, tol, inputs)
+            rec.check("stationary_perturbation", gap, bound, TOL, inputs)
 
     rng2 = chains.stream(master_seed, 2)
     twos = _matrices([_draw(rng2, 2) for _ in range(n_cases)])
@@ -172,7 +174,7 @@ def suite_prop1(n_cases=10_000, master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
     lam2 = np.abs(twos[:, 0, 0] + twos[:, 1, 1] - 1.0)  # the non-unit eigenvalue
     for p, lhs, rhs in zip(twos, lam2.tolist(), chains.ergodicity_coefficients(twos).tolist()):
         rec.cases += 1
-        rec.check("second_eigenvalue", lhs, rhs, tol, lambda: {"p": p.tolist()})
+        rec.check("second_eigenvalue", lhs, rhs, TOL, lambda: {"p": p.tolist()})
     return rec.report()
 
 
@@ -207,16 +209,15 @@ def scan_families():
 THM1_HORIZONS = [2 ** k for k in range(1, 10)]  # T in {2, 4, ..., 512}
 
 
-def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
-               limit_behavior=True):
+def suite_thm1(master_seed=DEFAULT_MASTER_SEED, dominance=True, limit_behavior=True):
     """Dominance of the comparison and stationarity-gap bounds on exact marginals.
 
     For every schedule family (one block each), horizons T in THM1_HORIZONS
     and every point-mass start (one row of the stacked evaluator calls), the
     exact marginal gap (matrix propagation, direct stationary solves) must
-    not exceed the bounds, with phi(t) = drift_bound(max(t - 1, 1)).  The
-    non-convergent cyclic family's gap at T = 1e2, 1e3, 1e4 must decrease
-    strictly to witness the limit behavior.
+    not exceed the bounds (within TOL), with phi(t) = drift_bound(max(t - 1,
+    1)).  The non-convergent cyclic family's gap at T = 1e2, 1e3, 1e4 must
+    decrease strictly to witness the limit behavior.
     """
     rec = _Recorder("thm1", master_seed)
     for fam in scan_families() if dominance else []:
@@ -239,12 +240,12 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
                 sides = zip(0.5 * np.abs(marg - pi_last).sum(axis=1),
                             bounds.stationarity_gap_bound(phi, rho_last, t, init_gaps))
                 for x, (gap, bound) in enumerate(sides):
-                    rec.check("stationarity_gap_dominance", gap, bound, tol,
+                    rec.check("stationarity_gap_dominance", gap, bound, TOL,
                               lambda: {**inputs, "x": x})
             sides = zip(0.5 * np.abs(marg - mu @ ref_pow).sum(axis=1),
                         bounds.homogeneous_comparison_bound(starts, mu, block[0], block[:t]))
             for x, (gap, bound) in enumerate(sides):
-                rec.check("homogeneous_comparison_dominance", gap, bound, tol,
+                rec.check("homogeneous_comparison_dominance", gap, bound, TOL,
                           lambda: {**inputs, "x": x})
 
     if limit_behavior:
@@ -263,7 +264,7 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
                 bound = bounds.stationarity_gap_bound(
                     phi, float(chains.ergodicity_coefficients(block[t - 1:t])[0]), t,
                     [0.5 * np.abs(np.array([1.0, 0.0]) - pi_last).sum()])[0]
-                rec.check("limit_gap_below_bound", gaps[t], bound, tol,
+                rec.check("limit_gap_below_bound", gaps[t], bound, TOL,
                           lambda: {"T": t, "family": "cyclic"})
         rec.require("limit_gap_strictly_decreasing",
                     gaps[100] > gaps[1000] > gaps[10_000],
@@ -271,9 +272,8 @@ def suite_thm1(master_seed=DEFAULT_MASTER_SEED, tol=1e-10, dominance=True,
     return rec.report()
 
 
-def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
-                 t_horizon=1000):
-    """Sequence-lemma oracles on randomized power-law inputs.
+def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED):
+    """Sequence-lemma oracles on randomized power-law inputs (T = 1000, within TOL).
 
     Every case is drawn first, in the order of a per-case loop, the feedback
     recursion's per-step draws included (they depend on no data).  Each
@@ -281,6 +281,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
     own check recursions run as T vector steps over all cases.
     """
     rec = _Recorder("lemmas", master_seed)
+    t_horizon = 1000
     rng = chains.stream(master_seed, 4)
     ts = np.arange(1, t_horizon + 1, dtype=float)
     cases, stacks = [], []
@@ -308,7 +309,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
     g_big, z0, beta = np.array([case[-3:] for case in cases]).T
 
     decaying = bounds.decaying_sum_check(a_seq, b_seq, t_horizon)
-    coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=tol)
+    coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=TOL)
     growth_ok = np.isfinite((np.abs(coeffs) * ts ** g_big[:, None]).max(axis=1))
     closed = bounds.unroll_recursion(z0, a_rec, c_rec)
     tilde = bounds.dominating_sequence(z0, alpha_z, beta, c_z)
@@ -318,12 +319,12 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
     z = slackened = w = z_prev = z0
     for k in range(t_horizon):
         z = z * (1.0 - a_rec[:, k]) + c_rec[:, k]
-        bad[0] |= np.abs(z - closed[:, k]) > tol * (1.0 + np.abs(z))
+        bad[0] |= np.abs(z - closed[:, k]) > TOL * (1.0 + np.abs(z))
         slackened = slackened * (1.0 - a_rec[:, k]) + c_rec[:, k] * 0.7
-        bad[1] |= slackened > closed[:, k] + tol
+        bad[1] |= slackened > closed[:, k] + TOL
         w = (1.0 - alpha_z[:, k]) * w + alpha_z[:, k] * beta * z_prev + c_z[:, k]
         z_prev = shrink[:, k] * w
-        bad[2] |= z_prev > tilde[:, k] + tol
+        bad[2] |= z_prev > tilde[:, k] + TOL
 
     sides = zip(*(side.tolist() for side in decaying), growth_ok.tolist(), *(~bad).tolist())
     for (gamma, s, t_hi, c_a, g_a, c_big, g_big, z0, beta), (
@@ -331,9 +332,9 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
         rec.cases += 1
         direct = float((np.arange(s, t_hi + 1, dtype=float) ** -gamma).sum())
         lo, hi = bounds.power_sum_bounds(s, t_hi, gamma)
-        rec.check("power_sum_lower", lo, direct, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
-        rec.check("power_sum_upper", direct, hi, tol, lambda: {"gamma": gamma, "s": s, "t": t_hi})
-        rec.check("decaying_sum", lhs, rhs, tol, lambda: {"c_a": c_a, "gamma_a": g_a})
+        rec.check("power_sum_lower", lo, direct, TOL, lambda: {"gamma": gamma, "s": s, "t": t_hi})
+        rec.check("power_sum_upper", direct, hi, TOL, lambda: {"gamma": gamma, "s": s, "t": t_hi})
+        rec.check("decaying_sum", lhs, rhs, TOL, lambda: {"c_a": c_a, "gamma_a": g_a})
         rec.require("recursion_coefficients_growth", growth,
                     lambda: {"c_A": c_big, "gamma_A": g_big})
         rec.require("recursion_unroll_identity", unrolled, lambda: {"z0": z0})
@@ -342,15 +343,14 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED, tol=1e-10,
     return rec.report()
 
 
-def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500,
-                    master_seed=DEFAULT_MASTER_SEED, tol=1e-10):
+def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500, master_seed=DEFAULT_MASTER_SEED):
     """Fixed-point Lipschitz continuity in the transition matrix.
 
     Reward version on random pairs (n in 2..6), optimal-Q version on random
     product-space pairs; beta drawn from {0.5, 0.9, 0.99}.  Rewards are
     non-negative: the TV-metered Lipschitz constant pairs a zero-mass row
     difference with the reward span, so one-signed rewards are the bound's
-    domain (signed rewards break it by up to a factor of two).
+    domain (signed rewards break it by up to a factor of two); within TOL.
     """
     rec = _Recorder("lipschitz", master_seed)
     rng = chains.stream(master_seed, 5)
@@ -362,27 +362,27 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500,
     sides = _by_size(cases, dp.check_lipschitz_rewards)
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
-        rec.check("reward_lipschitz", lhs, rhs, tol,
+        rec.check("reward_lipschitz", lhs, rhs, TOL,
                   lambda: {"p": _matrices([p])[0].tolist(), "q": _matrices([q])[0].tolist(),
                            "r": r.tolist(), "beta": beta})
     cases = []
     for i in range(n_q_cases):
         nsa = 2 * int(rng.integers(2, 4))  # 2 or 3 states, 2 actions each
         cases.append((_draw(rng, nsa), _draw(rng, nsa), rng.uniform(0, 1, nsa), betas[i % 3]))
-    sides = _by_size(cases, lambda *stacks: dp.check_lipschitz_q(*stacks, 2, tol=1e-12))
+    sides = _by_size(cases, lambda *stacks: dp.check_lipschitz_q(*stacks, 2))
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
-        rec.check("q_lipschitz", lhs, rhs, tol,
+        rec.check("q_lipschitz", lhs, rhs, TOL,
                   lambda: {"p": _matrices([p])[0].tolist(), "q": _matrices([q])[0].tolist(),
                            "r": r.tolist(), "beta": beta, "n_actions": 2})
     return rec.report()
 
 
-def suite_restart(n_cases=1000, master_seed=DEFAULT_MASTER_SEED,
-                  value_tol=1e-8, rho_tol=1e-12):
-    """Restart construction: value rescaling at the restart state and the
-    beta/beta_hat ergodicity cap, on randomized instances."""
+def suite_restart(n_cases=1000, master_seed=DEFAULT_MASTER_SEED):
+    """Restart construction on randomized instances: value rescaling at the
+    restart state (within 1e-8) and the beta/beta_hat rho cap (within 1e-12)."""
     rec = _Recorder("restart", master_seed)
+    value_tol, rho_tol = 1e-8, 1e-12
     rng = chains.stream(master_seed, 6)
     cases = []
     for _ in range(n_cases):
@@ -414,11 +414,12 @@ def _mixing_checkpoints(tau, t_horizon):
     return sorted(grid)
 
 
-def suite_mixing(master_seed=DEFAULT_MASTER_SEED, t_horizon=4096, tol=1e-12):
+def suite_mixing(master_seed=DEFAULT_MASTER_SEED):
     """Conditional-marginal mixing on 3-state interpolation and constant
-    schedules: worst-case propagated gap vs the closed-form right side, at
-    log-spaced t across [tau, T]."""
+    schedules: worst-case propagated gap vs the closed-form right side
+    (within 1e-12), at log-spaced t across [tau, T], T = 4096."""
     rec = _Recorder("mixing", master_seed)
+    t_horizon, tol = 4096, 1e-12
     a3 = [[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]]
     b3 = [[0.3, 0.4, 0.3], [0.4, 0.3, 0.3], [0.25, 0.35, 0.4]]
     fams = [
@@ -437,10 +438,10 @@ def suite_mixing(master_seed=DEFAULT_MASTER_SEED, t_horizon=4096, tol=1e-12):
     return rec.report()
 
 
-def suite_coverage(n_reps=500, master_seed=DEFAULT_MASTER_SEED, t_max=1000,
-                   delta=0.05, tau=4):
-    """Empirical coverage of the noise envelope at the configured delta."""
+def suite_coverage(master_seed=DEFAULT_MASTER_SEED):
+    """Empirical noise-envelope coverage: 500 repetitions of T = 1000, delta 0.05, tau 4."""
     rec = _Recorder("coverage", master_seed)
+    n_reps, t_max, delta, tau = 500, 1000, 0.05, 4
     ts = np.arange(1, t_max + 1, dtype=float)
     alpha = 0.5 / ts ** 0.6
     pi = np.full(t_max, 0.5)

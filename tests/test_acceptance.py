@@ -40,7 +40,7 @@ def _decade_median(ts, med, t_lo, t_hi):
 
 def test_criterion_01_ergodicity_coefficient_properties():
     started = time.monotonic()
-    report = verify.suite_prop1(n_cases=10_000, tol=1e-10)
+    report = verify.suite_prop1(n_cases=10_000)
     elapsed = time.monotonic() - started
     _report(1, "ergodicity-coefficient properties (1e4 pairs)",
             report["pass"] and elapsed < 30.0, elapsed,
@@ -49,7 +49,7 @@ def test_criterion_01_ergodicity_coefficient_properties():
 
 def test_criterion_02_marginal_bound_dominance():
     started = time.monotonic()
-    report = verify.suite_thm1(tol=1e-10, limit_behavior=False)
+    report = verify.suite_thm1(limit_behavior=False)
     elapsed = time.monotonic() - started
     _report(2, "comparison/stationarity bound dominance (T<=512)",
             report["pass"] and elapsed < 120.0, elapsed,
@@ -58,7 +58,7 @@ def test_criterion_02_marginal_bound_dominance():
 
 def test_criterion_03_nonconvergent_limit_behavior():
     started = time.monotonic()
-    report = verify.suite_thm1(tol=1e-10, dominance=False, limit_behavior=True)
+    report = verify.suite_thm1(dominance=False, limit_behavior=True)
     elapsed = time.monotonic() - started
     _report(3, "cyclic non-convergent gap decreases under the bound",
             report["pass"] and elapsed < 60.0, elapsed,
@@ -67,8 +67,8 @@ def test_criterion_03_nonconvergent_limit_behavior():
 
 def test_criterion_04_lipschitz_and_restart():
     started = time.monotonic()
-    lip = verify.suite_lipschitz(n_reward_cases=8500, n_q_cases=1500, tol=1e-10)
-    res = verify.suite_restart(n_cases=1000, value_tol=1e-8, rho_tol=1e-12)
+    lip = verify.suite_lipschitz(n_reward_cases=8500, n_q_cases=1500)
+    res = verify.suite_restart(n_cases=1000)
     elapsed = time.monotonic() - started
     _report(4, "fixed-point Lipschitz + restart identity sweeps",
             lip["pass"] and res["pass"] and elapsed < 60.0, elapsed,
@@ -100,7 +100,7 @@ def test_criterion_05_operator_contraction():
 
 def test_criterion_06_sequence_lemma_oracles():
     started = time.monotonic()
-    report = verify.suite_lemmas(n_cases=400, tol=1e-10, t_horizon=1000)
+    report = verify.suite_lemmas(n_cases=400)
     elapsed = time.monotonic() - started
     _report(6, "sequence-lemma oracles on power-law inputs",
             report["pass"], elapsed,
@@ -109,7 +109,7 @@ def test_criterion_06_sequence_lemma_oracles():
 
 def test_criterion_07_conditional_mixing():
     started = time.monotonic()
-    report = verify.suite_mixing(t_horizon=4096)
+    report = verify.suite_mixing()
     elapsed = time.monotonic() - started
     _report(7, "conditional-marginal mixing bound (T=4096)",
             report["pass"] and elapsed < 60.0, elapsed,
@@ -118,7 +118,7 @@ def test_criterion_07_conditional_mixing():
 
 def test_criterion_08_noise_envelope_coverage():
     started = time.monotonic()
-    report = verify.suite_coverage(n_reps=500, t_max=1000, delta=0.05, tau=4)
+    report = verify.suite_coverage()
     elapsed = time.monotonic() - started
     _report(8, "noise envelope coverage (500 reps, delta=0.05)",
             report["pass"], elapsed,

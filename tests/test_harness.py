@@ -319,9 +319,27 @@ def test_sweep_records_unconstructible_cell_as_skipped(tmp_path):
     rows = run_sweep({"gamma_p": [1.2], "gamma_alpha": [0.7], "gamma_pi": [0.2]},
                      base, tmp_path)
     assert len(rows) == 1
-    assert rows[0]["status"] == ("skipped: measured drift 0.055153231400438596 at t=1 "
-                                 "exceeds the declared bound 0.05")
+    assert rows[0]["status"] == ("skipped: drift c_p violated at t=1: "
+                                 "observed 0.055153231400438596 vs allowed 0.05")
     assert (tmp_path / "sweep.csv").read_text().count("skipped") == 1
+
+
+def test_empty_out_path_is_refused_before_any_walk(tmp_path, monkeypatch):
+    # os.makedirs("") raises; "" must not read as the working directory, where
+    # a sweep's cell dirs would land before its sweep.csv failed
+    monkeypatch.chdir(tmp_path)
+    base = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=200)
+    with pytest.raises(FileNotFoundError, match="No such file or directory: ''"):
+        run_sweep({"gamma_p": [1.0], "gamma_alpha": [0.6]}, base, "")
+    assert os.listdir(tmp_path) == []
+
+    def walk(schedule, t_max):
+        raise AssertionError("the walk was started")
+
+    monkeypatch.setattr(learners, "materialize", walk)
+    with pytest.raises(FileNotFoundError, match="No such file or directory: ''"):
+        run_tracking(base, "")
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_cells_equal_their_own_runs(tmp_path):
@@ -537,7 +555,7 @@ def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
         q = stochastic(random_rows(rng, nsa))
         spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
         (lhs,), (rhs,) = dp.check_lipschitz_q(p[None], q[None], spec.r[None],
-                                              np.array([spec.beta]), 2, tol=1e-12)
+                                              np.array([spec.beta]), 2)
         rec.check("q_lipschitz", lhs, rhs, tol)
     return rec.report()
 
@@ -1223,6 +1241,8 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     # the draws span [-eps_max, eps_max]: a span beyond the floats is refused up front
     ({"noise": {"kind": "uniform-iid", "eps_max": 1e308}},
      "eps_max=1e+308 spans more than the floats hold"),
+    # zero noise draws nothing, so an envelope it declares would go unused
+    ({"noise": {"kind": "zero", "eps_max": 0.5}}, "zero noise needs eps_max = 0, got 0.5"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))

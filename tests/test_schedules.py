@@ -153,7 +153,7 @@ def test_shrinking_rho_is_half_everywhere():
 
 def test_shrinking_measured_drift_below_declared():
     sched = ShrinkingStateSchedule(DriftParams(0.2, 1.5, 0.2, 0.5))
-    assert sched.max_measured_drift_ratio <= 1.0
+    assert verify_drift(sched, 10_000).max_scaled_drift <= 0.2
     params = sched.params
     for t in (1, 2, 10, 500, 9_999):
         drift = matrix_tv(sched.matrix_at(t + 1), sched.matrix_at(t))
@@ -161,8 +161,26 @@ def test_shrinking_measured_drift_below_declared():
 
 
 def test_shrinking_rejects_undeclared_drift():
-    with pytest.raises(ValueError, match="exceeds the declared"):
+    with pytest.raises(ValueError, match="drift c_p violated at t=1: observed "):
         ShrinkingStateSchedule(DriftParams(1e-4, 1.5, 0.2, 0.5))
+
+
+def test_shrinking_constructs_exactly_what_the_scan_passes():
+    # 0.10579... is the scan's max_scaled_drift of c_p = 0.2 (at t = 12): a c_p
+    # just below it is within the scan's rounding allowance, so it constructs
+    for gap in (5e-10, 5e-11, 5e-13):
+        params = DriftParams(0.10579196397463546 - gap, 1.5, 0.2, 0.5)
+        assert verify_drift(ShrinkingStateSchedule(params), 10_000).ok
+    # a refusal is the scan's own report on the same matrices
+    params = DriftParams(1e-4, 1.5, 0.2, 0.5)
+    with pytest.raises(DriftCertificateError) as refused:
+        ShrinkingStateSchedule(params)
+    bare = ShrinkingStateSchedule.__new__(ShrinkingStateSchedule)
+    schedules.Schedule.__init__(bare, 3, params, 0.5)  # the family, unscanned
+    with pytest.raises(DriftCertificateError) as scanned:
+        verify_drift(bare, schedules._SHRINK_DRIFT_CHECK)
+    assert refused.value.report == scanned.value.report
+    assert refused.value.report.violations[0].t == 1
 
 
 def test_shrinking_requires_positive_gamma_pi():
