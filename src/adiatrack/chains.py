@@ -84,16 +84,31 @@ def ergodicity_coefficient(p: np.ndarray) -> float:
     return float(ergodicity_coefficients(p[None])[0])
 
 
+@functools.lru_cache(maxsize=64)
+def _row_pairs(n: int) -> tuple:
+    """The row pairs x1 < x2 of an n-state matrix as two read-only index
+    arrays, built once per n: np.triu_indices costs more than a small block's
+    coefficients."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def ergodicity_coefficients(mats: np.ndarray) -> np.ndarray:
     """Per-matrix maximum row-pair TV distance of a (k, n, n) stack.
 
-    Computed brute-force over row pairs (k n^3 temporaries); cross-checked
-    against the equivalent overlap form 1 - min_{x1,x2} sum_y min(P[x1,y],
-    P[x2,y]), which must agree to 1e-12 for every matrix.
+    Computed brute-force over the unordered row pairs x1 < x2 (k n^2 (n-1)/2
+    temporaries; a pair and its mirror give the same value, and a row with
+    itself neither raises the max nor lowers the min); cross-checked against
+    the equivalent overlap form 1 - min_{x1,x2} sum_y min(P[x1,y], P[x2,y]),
+    which must agree to 1e-12 for every matrix.  At n = 1 there is no pair
+    and both forms give 0.
     """
-    rows, others = mats[:, :, None, :], mats[:, None, :, :]
-    rho = (0.5 * np.abs(rows - others).sum(axis=3)).max(axis=(1, 2))
-    overlap = 1.0 - np.minimum(rows, others).sum(axis=3).min(axis=(1, 2))
+    i, j = _row_pairs(mats.shape[1])
+    rows, others = mats[:, i, :], mats[:, j, :]
+    rho = (0.5 * np.abs(rows - others).sum(axis=2)).max(axis=1, initial=0.0)
+    overlap = 1.0 - np.minimum(rows, others).sum(axis=2).min(axis=1, initial=1.0)
     bad = np.abs(rho - overlap) > 1e-12
     if bad.any():
         raise ArithmeticError(f"row-pair TV maximum {float(rho[bad][0])!r} disagrees with "

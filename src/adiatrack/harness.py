@@ -71,6 +71,36 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _with_n(spec: dict) -> dict:
+    """Schedule spec with its "n" filled in, read without building the
+    schedule: its anchors' size, 3 for shrinking-state, the inner spec's for
+    restart-wrapped (whose inner spec gets its own filled in)."""
+    kind = schedules._spec_kind(spec)
+    if kind == "restart-wrapped":
+        spec = {**spec, "inner": _with_n(spec["inner"])}
+    if "n" in spec:
+        return spec
+    anchors = schedules._spec_anchors(spec)
+    n = len(anchors[0]) if anchors else 3 if kind == "shrinking-state" else spec["inner"]["n"]
+    return {**spec, "n": n}
+
+
+def _numbers_read(value, key=None):
+    """value with each JSON number in it as the run reads it: through
+    chains.integer under the keys "n" and "x_restart", else as a float (what
+    chains.number makes of a number), -0.0 as 0.0.  Strings ("inf" and the
+    kinds) and booleans stay as spelt."""
+    if isinstance(value, dict):
+        return {k: _numbers_read(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_numbers_read(v, key) for v in value]
+    if type(value) not in (int, float):  # a bool is an int, but no JSON number
+        return value
+    if key in ("n", "x_restart"):
+        return chains.integer({key: value}, key)
+    return float(value) + 0.0
+
+
 @dataclass
 class ExperimentConfig:
     """A fully resolved tracking experiment.
@@ -135,8 +165,17 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
     def canonical_dict(self) -> dict:
-        """Every field, so none drops out of the hash; shallow, as asdict copies per hash."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every field as the run reads it, so spellings of one run hash alike:
+        each number of the four spec objects read (_numbers_read: a schedule's
+        n and x_restart as integers, the rest as floats, -0.0 as 0.0), the
+        noise's eps_max and the schedule's n filled in.  "inf" stays "inf" and
+        a constant spec's omitted params stay omitted."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["noise"] = {"eps_max": 0.0, **self.noise}
+        doc["schedule"] = _with_n(self.schedule)
+        for name in ("schedule", "reward", "rate", "noise"):
+            doc[name] = _numbers_read(doc[name])
+        return doc
 
     def config_hash(self) -> str:
         try:
@@ -348,7 +387,7 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                     rows.append({**row, "status": f"skipped: {exc}"})
                     continue
                 cfg = ExperimentConfig.from_dict({
-                    **base.canonical_dict(), "schedule": sched_spec,
+                    **vars(base), "schedule": sched_spec,
                     "rate": {**base.rate, "gamma_alpha": ga}})
                 chash = cfg.config_hash()  # its out dir's name
                 groups.setdefault(spec_key, (schedule, []))[1].append((row, cfg, chash))

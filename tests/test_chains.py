@@ -19,7 +19,7 @@ from adiatrack.chains import (
 from adiatrack.learners import NoiseModel
 from adiatrack.schedules import ConstantSchedule, CyclicSchedule, DriftParams, InterpolationSchedule
 
-from conftest import distributions, matrices, matrix_tv, stochastic, tv
+from conftest import distributions, matrices, matrix_tv, random_rows, stochastic, tv
 
 P_REF = stochastic([[0.9, 0.1], [0.2, 0.8]])
 SWAP = stochastic([[0.0, 1.0], [1.0, 0.0]])
@@ -243,6 +243,15 @@ def test_ergodicity_coefficients_equal_per_matrix_row_pairs(mats):
     for m, rho in zip(mats, rhos):
         pair_tv = 0.5 * np.abs(m[:, None, :] - m[None, :, :]).sum(axis=2)
         assert rho == float(pair_tv.max()) == ergodicity_coefficient(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_ergodicity_coefficients_over_unordered_pairs_equal_the_all_pairs_form(rng, n):
+    # the oracle: every ordered row pair, a row with itself included
+    mats = np.array([random_rows(rng, n) for _ in range(300)])
+    rows, others = mats[:, :, None, :], mats[:, None, :, :]
+    all_pairs = (0.5 * np.abs(rows - others).sum(axis=3)).max(axis=(1, 2))
+    assert ergodicity_coefficients(mats).tobytes() == all_pairs.tobytes()
 
 
 def test_check_stack_rejects_what_transition_matrix_rejects():

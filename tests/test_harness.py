@@ -17,6 +17,7 @@ from adiatrack.harness import (
     run_tracking,
 )
 
+import conftest
 from conftest import matrix_tv, random_rows, stochastic, trace_fields, tv
 
 BASE_CONFIG = {
@@ -53,6 +54,34 @@ def test_config_hash_is_pure_and_order_insensitive():
 
 def test_config_hash_changes_with_content():
     assert make_config().config_hash() != make_config(t_max=2001).config_hash()
+
+
+def test_config_hash_is_one_per_resolved_run():
+    # five spellings of the adiabatic run: as committed, noise without its
+    # eps_max or with -0.0, an integral gamma_p and the schedule's n left out
+    doc = conftest.adiabatic_config_dict()
+    spec = doc["schedule"]
+    spellings = [doc, {**doc, "noise": {"kind": "zero"}},
+                 {**doc, "noise": {"kind": "zero", "eps_max": -0.0}},
+                 {**doc, "schedule": {**spec, "params": {**spec["params"], "gamma_p": 1}}},
+                 {**doc, "schedule": {k: v for k, v in spec.items() if k != "n"}}]
+    configs = [ExperimentConfig.from_dict(d) for d in spellings]
+    assert {c.config_hash() for c in configs} == {"cfd3500f67d0"}
+    assert all(c.canonical_dict() == configs[0].canonical_dict() for c in configs)
+    # "inf" stays a string, and a constant spec's omitted params stay omitted
+    static = ExperimentConfig.from_dict({**doc, "schedule": {
+        "kind": "constant", "p": conftest.A_ROWS, "params": {**spec["params"], "gamma_p": "inf"}}})
+    assert static.canonical_dict()["schedule"]["params"]["gamma_p"] == "inf"
+    assert make_config().canonical_dict()["schedule"] == BASE_CONFIG["schedule"]
+
+
+def test_acceptance_config_hashes_are_pinned(reference):
+    # the out dir and file names of the four acceptance runs and of the
+    # recorded benchmark outputs
+    docs = [conftest.static_td_config_dict(), conftest.adiabatic_config_dict(),
+            conftest.diabatic_config_dict(), conftest.static_q_config_dict(reference)]
+    assert [ExperimentConfig.from_dict(d).config_hash() for d in docs] == [
+        "dcf8ee043d52", "cfd3500f67d0", "a1ce077f2fd5", "57365d580392"]
 
 
 def test_config_rejects_unknown_fields_and_empty_seeds():
