@@ -5,9 +5,13 @@ each printing that step's lines of the run's summary; none gates CI.
     python scripts/oracle.py bytes REV        # byte oracle: this tree against revision REV
     python scripts/oracle.py files ROOT OUT   # the byte oracle's files for the tree at ROOT
 
-`bytes HEAD^1` checks a commit, `bytes HEAD` uncommitted work.  The functions
-take their sizes as arguments; the command line runs CI's, in COMMANDS."""
+`bytes HEAD^1` checks a commit, `bytes HEAD` uncommitted work; both sides read
+configs/ from this script's tree.  The functions take their sizes as arguments;
+the command line runs CI's, in COMMANDS."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -36,19 +40,28 @@ def _sci(t):
     return f"{t:.0e}".replace("e+0", "e").replace("e+", "e")
 
 
-def _reference():
-    import conftest
-    with open(os.path.join(conftest.FIXTURES, "tracking_reference.json")) as fh:
+def _cli(*args):
+    """adiatrack.cli.main(args) in this process, its output swallowed: the exit code."""
+    from adiatrack import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(args))
+
+
+def _config(name):
+    """configs/<name>.json of this script's tree."""
+    with open(os.path.join(ROOT, "configs", f"{name}.json")) as fh:
         return json.load(fh)
 
 
 def size():
-    """wc -l of the modules, then of scripts/*.py and the workflow; per module its
-    __all__'s size and the parameters with a default of the public functions and
-    classes it defines and of their public methods; the root's re-exports."""
+    """wc -l of the modules, of scripts/*.py and the workflow, and of configs/*.json;
+    per module its __all__'s size and the parameters with a default of the public
+    functions and classes it defines and of their public methods; the root's
+    re-exports."""
     import adiatrack, glob, importlib, inspect, pkgutil, types
     for files in (glob.glob("src/adiatrack/*.py", root_dir=ROOT),
-                  glob.glob("scripts/*.py", root_dir=ROOT) + [".github/workflows/tests.yml"]):
+                  glob.glob("scripts/*.py", root_dir=ROOT) + [".github/workflows/tests.yml"],
+                  glob.glob("configs/*.json", root_dir=ROOT)):
         print(subprocess.run(["wc", "-l", *sorted(files)], stdout=subprocess.PIPE, text=True,
                              cwd=ROOT).stdout, end="")
 
@@ -88,9 +101,9 @@ def memory(t_max, n_seeds):
     """One adiabatic run at T = t_max with n_seeds seeds in this process, and
     its peak RSS: a run's memory should not grow with its horizon."""
     import resource
-    from conftest import adiabatic_config_dict
     from adiatrack.harness import ExperimentConfig, run_tracking
-    doc = {**adiabatic_config_dict(), "t_max": t_max, "seeds": {"base": 101, "count": n_seeds}}
+    doc = _config("adiabatic")
+    doc = {**doc, "t_max": t_max, "seeds": {**doc["seeds"], "count": n_seeds}}
     with tempfile.TemporaryDirectory() as out:
         _, wall = _timed(run_tracking, ExperimentConfig.from_dict(doc), out)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -98,14 +111,12 @@ def memory(t_max, n_seeds):
 
 
 def rate():
-    """Steps/s (T x seeds) of one learners.track call, no output, on conftest's
+    """Steps/s (T x seeds) of one learners.track call, no output, on the
     adiabatic TD(0) and static Q configs (T = 1e5, 20 seeds)."""
-    import conftest
     from adiatrack import learners
     from adiatrack.harness import ExperimentConfig
-    for name, doc in [("adiabatic TD(0)", conftest.adiabatic_config_dict()),
-                      ("static Q", conftest.static_q_config_dict(_reference()))]:
-        cfg = ExperimentConfig.from_dict(doc)
+    for name, file in [("adiabatic TD(0)", "adiabatic"), ("static Q", "static_q")]:
+        cfg = ExperimentConfig.from_dict(_config(file))
         schedule, spec, rate, noise = cfg.build()
         _, wall = _timed(learners.track, schedule, spec, [rate], noise, cfg.t_max, cfg.seeds,
                          cfg.checkpoints, cfg.x0, cfg.n_actions if cfg.learner == "q" else None)
@@ -114,9 +125,9 @@ def rate():
 
 
 def gate(t_max):
-    """Ten runs at T = t_max with 20 seeds through the CLI: exit code, wall
-    seconds, and whether the out dir was written (none should be).  `track` and
-    `sweep` on a certificate failing at t = 1 (c_pi = 0.9) exit 2 after the
+    """Ten runs at T = t_max with 20 seeds through cli.main in this process: exit
+    code, wall seconds, and whether the out dir was written (none should be).
+    `track` and `sweep` on a certificate failing at t = 1 (c_pi = 0.9) exit 2 after the
     scan alone.  `track` on a floor c_pi = 0.3 first failing at t = 91,381, in
     the walk's 45th block, times a mid-horizon failure (the walk of 44 blocks,
     the scan on to T) and exits 2; a shorter horizon exits 0.  `track` and
@@ -125,8 +136,7 @@ def gate(t_max):
     against gamma_alpha = 0.6, uniform-iid noise of eps_max = 1e308 (a draw
     span beyond the floats) or zero noise of eps_max = 0.5 (an envelope that
     draws nothing) are refused before the scan: exit 2 at once."""
-    from conftest import adiabatic_config_dict, static_td_config_dict
-    static, adiabatic = ({**d(), "t_max": t_max} for d in (static_td_config_dict, adiabatic_config_dict))
+    static, adiabatic = ({**_config(name), "t_max": t_max} for name in ("static_td", "adiabatic"))
     params = adiabatic["schedule"]["params"]
     edit = lambda doc=adiabatic, **kw: {**doc, "schedule": {**doc["schedule"], **kw}}
     noise = lambda kind, eps_max: {**adiabatic, "noise": {"kind": kind, "eps_max": eps_max}}
@@ -148,26 +158,24 @@ def gate(t_max):
                 with open(path, "w") as fh:
                     json.dump(content, fh)
             args = [command, "--config", cfg, "--out", out, *(["--grid", grid] * (command == "sweep"))]
-            proc, wall = _timed(_python, "-m", "adiatrack.cli", *args, stderr=subprocess.DEVNULL)
+            code, wall = _timed(_cli, *args)
             print(f"{command} {name}, T = {_sci(t_max)}, {static['seeds']['count']} seeds: exit "
-                  f"{proc.returncode}, {wall:.2f} s wall, out dir written: {os.path.exists(out)}")
+                  f"{code}, {wall:.2f} s wall, out dir written: {os.path.exists(out)}")
 
 
 def files(out, log, t_max, noisy_t_max, sweep_t_max):
     """The byte oracle's files, written into out by the adiatrack on sys.path: the
-    four acceptance configs (conftest's, T = t_max, 20 seeds); the adiabatic and
+    four acceptance configs (configs/, T = t_max, 20 seeds); the adiabatic and
     static Q ones with uniform-iid noise (eps_max = 0.3, x0 = 1, T = noisy_t_max,
     5 seeds), the only runs through the noise draws; sweep-short's grid (gamma_p
     in {1.0, 0.3, inf} x gamma_alpha in {0.6, 0.8}) around the adiabatic and the
     diabatic config (T = sweep_t_max, 4 seeds); the verify reports at master
     seed 1.  Each verify.run_suite call logs a "suite seconds" line."""
-    import conftest
     from adiatrack import verify
     from adiatrack.harness import ExperimentConfig, run_sweep, run_tracking
-    adiabatic, diabatic = conftest.adiabatic_config_dict(), conftest.diabatic_config_dict()
-    static_q = conftest.static_q_config_dict(_reference())
-    for name, doc in [("static_td", conftest.static_td_config_dict()), ("adiabatic", adiabatic),
-                      ("diabatic", diabatic), ("static_q", static_q)]:
+    docs = {name: _config(name) for name in ("static_td", "adiabatic", "diabatic", "static_q")}
+    adiabatic, diabatic, static_q = docs["adiabatic"], docs["diabatic"], docs["static_q"]
+    for name, doc in docs.items():
         run_tracking(ExperimentConfig.from_dict({**doc, "t_max": t_max}), os.path.join(out, name))
     for name, doc in [("adiabatic-noisy", adiabatic), ("static_q-noisy", static_q)]:
         doc = {**doc, "noise": {"kind": "uniform-iid", "eps_max": 0.3}, "x0": 1,
@@ -222,14 +230,24 @@ def bytes_oracle(rev):
     return 0 if same and not failed else 1
 
 
-def separation():
-    """scripts/run_separation.py end to end, so it cannot go stale unnoticed:
-    its three cell lines and its wall seconds, a record of sweep time."""
+def separation(t_max):
+    """The separation experiment, `adiatrack sweep` of configs/separation_grid.json
+    around configs/adiabatic.json at T = t_max through cli.main: each cell's
+    regime, final median error and slope from its sweep.csv, then the exit code
+    and wall seconds, a record of sweep time."""
     with tempfile.TemporaryDirectory() as tmp:
-        proc, wall = _timed(_python, os.path.join(ROOT, "scripts", "run_separation.py"), tmp, text=True)
-    cells = [line for line in proc.stdout.splitlines() if line.startswith("gp=")]
-    print("\n".join(cells) if cells and not proc.returncode else "run_separation.py failed")
-    print(f"run_separation.py: {wall:.1f} s wall")
+        cfg, out, rows = os.path.join(tmp, "adiabatic.json"), os.path.join(tmp, "out"), []
+        with open(cfg, "w") as fh:
+            json.dump({**_config("adiabatic"), "t_max": t_max}, fh)
+        grid = os.path.join(ROOT, "configs", "separation_grid.json")
+        code, wall = _timed(_cli, "sweep", "--grid", grid, "--config", cfg, "--out", out)
+        if not code:
+            with open(os.path.join(out, "sweep.csv")) as fh:
+                rows = list(csv.DictReader(fh))
+    for row in rows:
+        print(f"{row['cell']}  regime={row['regime']:<9} final_median="
+              f"{float(row['final_median_error']):.5f} slope={float(row['slope']):+.3f}")
+    print(f"adiatrack sweep: exit {code}, {wall:.1f} s wall")
 
 
 def fixture():
@@ -245,7 +263,8 @@ def fixture():
         print(f"reference_recursion.py: {wall:.1f} s wall")
         with open(path) as fh:
             fresh = json.load(fh)
-    frozen = _reference()
+    with open(os.path.join(ROOT, "tests", "fixtures", "tracking_reference.json")) as fh:
+        frozen = json.load(fh)
     differ = sorted(k for k in fresh.keys() | frozen.keys() if fresh.get(k) != frozen.get(k))
     gap = max(abs(a - b) for a, b in zip(fresh["static_q"]["checkpoint_medians"],
                                          frozen["static_q"]["checkpoint_medians"]))
@@ -255,8 +274,8 @@ def fixture():
 
 # CI's sizes; files: T of the acceptance runs, the noisy runs and the sweeps
 COMMANDS = {"size": size, "verify": verify_suites, "memory": lambda: memory(1_000_000, 4),
-            "rate": rate, "gate": lambda: gate(1_000_000), "separation": separation,
-            "fixture": fixture, "bytes": bytes_oracle,
+            "rate": rate, "gate": lambda: gate(1_000_000),
+            "separation": lambda: separation(100_000), "fixture": fixture, "bytes": bytes_oracle,
             "files": lambda root, out: files(out, sys.stdout, 100_000, 5_000, 500)}
 
 if __name__ == "__main__":
@@ -264,5 +283,5 @@ if __name__ == "__main__":
     if command not in COMMANDS or len(args) != COMMANDS[command].__code__.co_argcount:
         sys.exit(__doc__)
     root = args[0] if command == "files" else ROOT
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
+    sys.path.insert(0, os.path.join(root, "src"))
     sys.exit(COMMANDS[command](*args))

@@ -3,9 +3,9 @@
 The per-checkpoint medians come from perfbench/reference.py, the straight-line
 recursion (no package imports) that also checks the benchmark's tracking
 results, so the frozen thresholds rest on a code path independent of
-adiatrack.  This driver holds only the four acceptance configs (the keys the
-reference reads), the statistics derived from their medians and the fixture's
-layout; the fixture's hand-frozen "thresholds" block is not written.
+adiatrack.  This driver reads the four acceptance configs from configs/ as
+plain JSON, and holds only the statistics derived from their medians and the
+fixture's layout; the fixture's hand-frozen "thresholds" block is not written.
 
 Run:  python scripts/reference_recursion.py out.json   (about 7 s), then diff
 out.json against the frozen fixture, which is never rewritten.
@@ -17,24 +17,22 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import reference  # noqa: E402  (perfbench/reference.py)
 
-A, B = [[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.8, 0.2]]
-# Q on (state, action) pairs, flat index 2 s + a, behavior uniform over the two actions
-Q_P = [[0.45, 0.45, 0.05, 0.05], [0.1, 0.1, 0.4, 0.4],
-       [0.35, 0.35, 0.15, 0.15], [0.2, 0.2, 0.3, 0.3]]
-Q_R = [1.0, 0.0, 0.5, 0.25]
-BETA, C_ALPHA, G_ALPHA, T_MAX, N_SEEDS = 0.5, 0.5, 0.6, 100_000, 20
-TD_BASE_SEED, Q_BASE_SEED = 101, 211
+
+def load(name):
+    """configs/<name>.json with its {"base", "count"} seeds expanded to the list
+    the reference reads."""
+    with open(os.path.join(ROOT, "configs", f"{name}.json")) as fh:
+        config = json.load(fh)
+    base, count = config["seeds"]["base"], config["seeds"]["count"]
+    return {**config, "seeds": list(range(base, base + count))}
 
 
-def medians(schedule, base_seed, r=(1.0, 0.0), learner="td0", n_actions=1):
+def medians(config):
     """The checkpoints and per-checkpoint median sup errors of one config."""
-    config = {"schedule": schedule, "reward": {"r": list(r), "beta": BETA},
-              "rate": {"c_alpha": C_ALPHA, "gamma_alpha": G_ALPHA}, "t_max": T_MAX,
-              "seeds": [base_seed + k for k in range(N_SEEDS)],
-              "checkpoints": {"per_decade": 8}, "learner": learner, "n_actions": n_actions}
     result = reference.tracking_medians(config)
     return result["checkpoints"], np.array(result["median_sup_error"])
 
@@ -49,35 +47,39 @@ def decade_median(ts, med, t_lo, t_hi):
     return float(np.median(med[(ts >= t_lo) & (ts <= t_hi)]))
 
 
+def drift(config):
+    """The fixture's fields naming a drifting config's schedule."""
+    schedule = config["schedule"]
+    return {"c_p": schedule["params"]["c_p"], "gamma_p": schedule["params"]["gamma_p"],
+            "family": schedule["kind"]}
+
+
 def main(out_path):
-    cps, static = medians({"kind": "constant", "n": 2, "p": A}, TD_BASE_SEED)
-    _, adia = medians({"kind": "interpolation", "n": 2, "p_start": A, "p_end": B,
-                       "params": {"c_p": 0.05, "gamma_p": 1.0}}, TD_BASE_SEED)
-    _, dia = medians({"kind": "cyclic", "n": 2, "mats": [A, B],
-                      "params": {"c_p": 0.05, "gamma_p": 0.3}}, TD_BASE_SEED)
-    _, q = medians({"kind": "constant", "n": 4, "p": Q_P}, Q_BASE_SEED, Q_R, "q", 2)
+    td, adia_cfg, dia_cfg, q_cfg = map(load, ("static_td", "adiabatic", "diabatic", "static_q"))
+    (cps, static), (_, adia), (_, dia), (_, q) = map(medians, (td, adia_cfg, dia_cfg, q_cfg))
+    t_max = td["t_max"]
     ts = np.array(cps, dtype=float)
     ups = [(cps[i], float(static[i]), float(static[i + 1])) for i in range(len(cps) - 1)
            if cps[i] >= 1000 and static[i + 1] > static[i]]  # rises after t = 1e3
-    adia_last = decade_median(ts, adia, T_MAX // 10, T_MAX)
-    dia_last = decade_median(ts, dia, T_MAX // 10, T_MAX)
-    out = {"t_max": T_MAX, "n_seeds": N_SEEDS, "checkpoints": cps,
-           "c_alpha": C_ALPHA, "gamma_alpha": G_ALPHA, "beta": BETA,
-           "static_td": {"base_seed": TD_BASE_SEED, "median_final": float(static[-1]),
-                         "slope_1e3_1e5": fit_slope(ts, static, 1e3, T_MAX),
+    adia_last = decade_median(ts, adia, t_max // 10, t_max)
+    dia_last = decade_median(ts, dia, t_max // 10, t_max)
+    out = {"t_max": t_max, "n_seeds": len(td["seeds"]), "checkpoints": cps,
+           "c_alpha": td["rate"]["c_alpha"], "gamma_alpha": td["rate"]["gamma_alpha"],
+           "beta": td["reward"]["beta"],
+           "static_td": {"base_seed": td["seeds"][0], "median_final": float(static[-1]),
+                         "slope_1e3_1e5": fit_slope(ts, static, 1e3, t_max),
                          "checkpoint_medians": static.tolist(),
                          "monotonicity": {"violations_after_1e3": ups, "max_up_ratio": max(
                              [b / a for (_, a, b) in ups], default=1.0)}},
-           "adiabatic": {"c_p": 0.05, "gamma_p": 1.0, "family": "interpolation",
-                         "median_final": float(adia[-1]),
+           "adiabatic": {**drift(adia_cfg), "median_final": float(adia[-1]),
                          "first_decade": decade_median(ts, adia, 1, 10),
                          "last_decade": adia_last, "checkpoint_medians": adia.tolist()},
-           "diabatic": {"c_p": 0.05, "gamma_p": 0.3, "family": "cyclic",
-                        "median_final": float(dia[-1]), "last_decade": dia_last,
+           "diabatic": {**drift(dia_cfg), "median_final": float(dia[-1]), "last_decade": dia_last,
                         "checkpoint_medians": dia.tolist()},
            "separation": {"final_ratio": float(dia[-1] / adia[-1]),
                           "last_decade_ratio": dia_last / adia_last},
-           "static_q": {"base_seed": Q_BASE_SEED, "p": Q_P, "r": Q_R, "n_actions": 2,
+           "static_q": {"base_seed": q_cfg["seeds"][0], "p": q_cfg["schedule"]["p"],
+                        "r": q_cfg["reward"]["r"], "n_actions": q_cfg["n_actions"],
                         "median_final": float(q[-1]), "checkpoint_medians": q.tolist()}}
     with open(out_path, "w") as fh:
         json.dump(out, fh, indent=1)

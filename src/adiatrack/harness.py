@@ -101,12 +101,22 @@ def _numbers_read(value, key=None):
     return float(value) + 0.0
 
 
+def _hash(doc: dict) -> str:
+    """The config hash of a resolved config (ExperimentConfig.canonical_dict)."""
+    try:
+        text = canonical_json(doc)
+    except ValueError:  # json.load reads these tokens; strict JSON has none
+        raise ValueError('config holds NaN or Infinity, which JSON does not allow; '
+                         'an infinite exponent is written "inf"') from None
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 @dataclass
 class ExperimentConfig:
     """A fully resolved tracking experiment.
 
-    seeds may be given as an explicit list or {"base": b, "count": k}
-    (resolved to b..b+k-1); checkpoints as a list or {"per_decade": m}.
+    seeds may be given as a list or {"base": b, "count": k} (resolved to
+    b..b+k-1); checkpoints as a list (its points in [1, t_max] kept) or {"per_decade": m}.
     """
 
     schedule: dict
@@ -131,6 +141,8 @@ class ExperimentConfig:
             raise ValueError("t_max must be >= 2")
         if self.n_actions < 1:
             raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
+        if self.n_actions != 1 and self.learner == "td0":
+            raise ValueError(f"n_actions={self.n_actions} needs learner 'q', not 'td0'")
         if isinstance(self.seeds, dict):
             chains._object(self.seeds, "seeds", ("base", "count"))
             base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
@@ -147,10 +159,11 @@ class ExperimentConfig:
             chains._object(self.checkpoints, "checkpoints", ("per_decade",))
             self.checkpoints = log_checkpoints(
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))
-        if not self.checkpoints:
-            self.checkpoints = log_checkpoints(self.t_max)
-        self.checkpoints = sorted(set(chains._read_list(self.checkpoints, "checkpoints",
-                                                          chains.integer)))
+        self.checkpoints = sorted({t for t in chains._read_list(
+            self.checkpoints or log_checkpoints(self.t_max), "checkpoints", chains.integer)
+            if 1 <= t <= self.t_max})  # the points a run reads
+        if not self.checkpoints:  # a given grid: no fallback to the default one
+            raise ValueError("checkpoint grid is empty within [1, t_max]")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -178,12 +191,7 @@ class ExperimentConfig:
         return doc
 
     def config_hash(self) -> str:
-        try:
-            doc = canonical_json(self.canonical_dict())
-        except ValueError:  # json.load reads these tokens; strict JSON has none
-            raise ValueError('config holds NaN or Infinity, which JSON does not allow; '
-                             'an infinite exponent is written "inf"') from None
-        return hashlib.sha256(doc.encode()).hexdigest()[:12]
+        return _hash(self.canonical_dict())
 
     def build(self):
         """Instantiate (schedule, reward spec, rate, noise) from the dicts."""
@@ -220,23 +228,22 @@ def fit_slope(ts, values, t_lo, t_hi) -> SlopeEstimate | None:
                          residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def _settled(cfg: ExperimentConfig, chash: str, schedule, spec: RewardSpec) -> tuple:
-    """A cell's rate and the summary entries its config alone fixes.  The
+def _settled(doc: dict, chash: str, schedule, spec: RewardSpec) -> tuple:
+    """A cell's rate and the summary entries its resolved config alone fixes.  The
     bound takes constants of 1 with the scales the run has (R_max, beta and
     rho_cap clipped into (0, 1)), and is null where a term overflows."""
-    rate = LearningRate.from_spec(cfg.rate)
+    rate = LearningRate.from_spec(doc["rate"])
     exps = bounds.ExponentTriple(schedule.params.gamma_p, rate.gamma_alpha,
                                  schedule.params.gamma_pi)
     label = bounds.classify_regime(exps)
     rho = min(max(schedule.rho_cap, 1e-6), 1.0 - 1e-6)
     consts = bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
     try:
-        report = asdict(bounds.tracking_error_bound(consts, exps, cfg.t_max))
+        report = asdict(bounds.tracking_error_bound(consts, exps, doc["t_max"]))
     except ArithmeticError:  # a term leaves the floats: rho_cap near 1, or huge rewards
         report = None
-    return rate, {"spec_version": SPEC_VERSION, "config_hash": chash,
-                  "config": cfg.canonical_dict(), "regime": label.regime,
-                  "same_rate_as_static": label.same_rate_as_static,
+    return rate, {"spec_version": SPEC_VERSION, "config_hash": chash, "config": doc,
+                  "regime": label.regime, "same_rate_as_static": label.same_rate_as_static,
                   "adiabatic_under_conjecture": label.adiabatic_under_conjecture,
                   "bound_report": report}
 
@@ -278,12 +285,12 @@ def _check_out_dir(out_dir):
 
 
 def _run(base: ExperimentConfig, groups: list) -> list:
-    """Run groups [(schedule, [(cell config, config hash, out_dir)])] in the
-    three phases of the module docstring; return the cells' summaries in
-    order.  Cell configs differ from base only in rate and in the schedule
+    """Run groups [(schedule, [(cell's resolved config, its hash, out_dir)])]
+    in the three phases of the module docstring; return the cells' summaries
+    in order.  Cell configs differ from base only in rate and in the schedule
     spec their group's schedule was built from."""
     spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
-    settled = [[_settled(cfg, chash, schedule, spec) for cfg, chash, _ in cells]
+    settled = [[_settled(doc, chash, schedule, spec) for doc, chash, _ in cells]
                for schedule, cells in groups]
     n_actions = base.n_actions if base.learner == "q" else None
     for schedule, cells in groups:
@@ -300,8 +307,8 @@ def _run(base: ExperimentConfig, groups: list) -> list:
 
 def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     """Run all seeds, write one CSV per seed plus a summary JSON; return the summary."""
-    schedule = schedules.schedule_from_spec(config.schedule)
-    return _run(config, [(schedule, [(config, config.config_hash(), out_dir)])])[0]
+    schedule, doc = schedules.schedule_from_spec(config.schedule), config.canonical_dict()
+    return _run(config, [(schedule, [(doc, _hash(doc), out_dir)])])[0]
 
 
 def _cell_schedule(base_schedule: dict, anchors: list, gamma_p: float, gamma_pi: float) -> dict:
@@ -386,14 +393,13 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                 except ValueError as exc:
                     rows.append({**row, "status": f"skipped: {exc}"})
                     continue
-                cfg = ExperimentConfig.from_dict({
+                doc = ExperimentConfig.from_dict({  # resolved once, hashed to its out dir's name
                     **vars(base), "schedule": sched_spec,
-                    "rate": {**base.rate, "gamma_alpha": ga}})
-                chash = cfg.config_hash()  # its out dir's name
-                groups.setdefault(spec_key, (schedule, []))[1].append((row, cfg, chash))
+                    "rate": {**base.rate, "gamma_alpha": ga}}).canonical_dict()
+                groups.setdefault(spec_key, (schedule, []))[1].append((row, doc, _hash(doc)))
     _check_out_dir(out_dir)  # a cell's dir joined to an empty root would pass its own check
-    summaries = _run(base, [(schedule, [(cfg, chash, os.path.join(out_dir, chash))
-                                        for _, cfg, chash in cells])
+    summaries = _run(base, [(schedule, [(doc, chash, os.path.join(out_dir, chash))
+                                        for _, doc, chash in cells])
                             for schedule, cells in groups.values()])
     ok_rows = [row for _, cells in groups.values() for row, *_ in cells]
     for row, summary in zip(ok_rows, summaries):

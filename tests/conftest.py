@@ -1,11 +1,13 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from adiatrack.chains import _check_rows, matrix_tv_distances
+from adiatrack.harness import ExperimentConfig, run_tracking
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -88,59 +90,24 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
-# Session-scoped tracking runs shared by the learners invariants and the
-# acceptance criteria.  Constants mirror scripts/reference_recursion.py, which
-# runs them through the one reference recursion (perfbench/reference.py); the
-# medians and thresholds asserted against them are frozen in
+# Session-scoped tracking runs of the four acceptance configs, shared by the
+# learners invariants and the acceptance criteria.  scripts/reference_recursion.py
+# runs the same files through the one reference recursion (perfbench/reference.py);
+# the medians and thresholds asserted against them are frozen in
 # tracking_reference.json.
 
-A_ROWS = [[0.9, 0.1], [0.2, 0.8]]
-B_ROWS = [[0.1, 0.9], [0.8, 0.2]]
-RATE = {"c_alpha": 0.5, "gamma_alpha": 0.6}
-REWARD = {"r": [1.0, 0.0], "beta": 0.5}
-T_MAX = 100_000
-SEEDS_TD = {"base": 101, "count": 20}
-SEEDS_Q = {"base": 211, "count": 20}
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def static_td_config_dict():
-    return {"schedule": {"kind": "constant", "n": 2, "p": A_ROWS},
-            "reward": REWARD, "rate": RATE, "t_max": T_MAX,
-            "seeds": SEEDS_TD, "checkpoints": {"per_decade": 8}}
+def config_dict(name):
+    """configs/<name>.json, an acceptance config or the separation grid, as a
+    fresh dict on every call."""
+    with open(os.path.join(CONFIGS, f"{name}.json")) as fh:
+        return json.load(fh)
 
 
-def adiabatic_config_dict():
-    return {"schedule": {"kind": "interpolation", "n": 2,
-                         "params": {"c_p": 0.05, "gamma_p": 1.0,
-                                    "c_pi": 0.25, "gamma_pi": 0.0},
-                         "p_start": A_ROWS, "p_end": B_ROWS},
-            "reward": REWARD, "rate": RATE, "t_max": T_MAX,
-            "seeds": SEEDS_TD, "checkpoints": {"per_decade": 8}}
-
-
-def diabatic_config_dict():
-    return {"schedule": {"kind": "cyclic", "n": 2,
-                         "params": {"c_p": 0.05, "gamma_p": 0.3,
-                                    "c_pi": 0.25, "gamma_pi": 0.0},
-                         "mats": [A_ROWS, B_ROWS]},
-            "reward": REWARD, "rate": RATE, "t_max": T_MAX,
-            "seeds": SEEDS_TD, "checkpoints": {"per_decade": 8}}
-
-
-def static_q_config_dict(reference):
-    doc = reference["static_q"]
-    return {"schedule": {"kind": "constant", "n": 4, "p": doc["p"]},
-            "reward": {"r": doc["r"], "beta": 0.5}, "rate": RATE,
-            "learner": "q", "n_actions": doc["n_actions"], "t_max": T_MAX,
-            "seeds": SEEDS_Q, "checkpoints": {"per_decade": 8}}
-
-
-def _run(config_dict, out_dir):
-    import time
-
-    from adiatrack.harness import ExperimentConfig, run_tracking
-
-    config = ExperimentConfig.from_dict(config_dict)
+def _run(name, tmp_path_factory):
+    config, out_dir = ExperimentConfig.from_dict(config_dict(name)), tmp_path_factory.mktemp(name)
     started = time.monotonic()
     summary = run_tracking(config, out_dir)
     return config, summary, out_dir, time.monotonic() - started
@@ -148,19 +115,19 @@ def _run(config_dict, out_dir):
 
 @pytest.fixture(scope="session")
 def static_td_run(tmp_path_factory):
-    return _run(static_td_config_dict(), tmp_path_factory.mktemp("static_td"))
+    return _run("static_td", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
 def adiabatic_run(tmp_path_factory):
-    return _run(adiabatic_config_dict(), tmp_path_factory.mktemp("adiabatic"))
+    return _run("adiabatic", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
 def diabatic_run(tmp_path_factory):
-    return _run(diabatic_config_dict(), tmp_path_factory.mktemp("diabatic"))
+    return _run("diabatic", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
-def static_q_run(reference, tmp_path_factory):
-    return _run(static_q_config_dict(reference), tmp_path_factory.mktemp("static_q"))
+def static_q_run(tmp_path_factory):
+    return _run("static_q", tmp_path_factory)

@@ -17,12 +17,7 @@ from adiatrack.harness import ExperimentConfig, fit_slope, run_tracking
 from adiatrack.learners import LearningRate, NoiseModel, td0_track
 from adiatrack.schedules import ConstantSchedule
 
-from conftest import (
-    adiabatic_config_dict,
-    diabatic_config_dict,
-    static_td_config_dict,
-    stochastic,
-)
+from conftest import config_dict, stochastic
 
 
 def _report(number, name, passed, elapsed, detail=""):
@@ -187,12 +182,11 @@ def test_criterion_12_byte_identical_reruns(static_td_run, adiabatic_run,
                                             diabatic_run, tmp_path):
     started = time.monotonic()
     ok = True
-    for (config, _, out_dir, _), rebuild in (
-            (static_td_run, static_td_config_dict),
-            (adiabatic_run, adiabatic_config_dict),
-            (diabatic_run, diabatic_config_dict)):
+    for (config, _, out_dir, _), name in ((static_td_run, "static_td"),
+                                          (adiabatic_run, "adiabatic"),
+                                          (diabatic_run, "diabatic")):
         redo_dir = tmp_path / config.config_hash()
-        run_tracking(ExperimentConfig.from_dict(rebuild()), redo_dir)
+        run_tracking(ExperimentConfig.from_dict(config_dict(name)), redo_dir)
         for fresh in sorted(redo_dir.iterdir()):
             original = out_dir / fresh.name
             ok = ok and original.exists() and \

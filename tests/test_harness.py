@@ -57,31 +57,41 @@ def test_config_hash_changes_with_content():
 
 
 def test_config_hash_is_one_per_resolved_run():
-    # five spellings of the adiabatic run: as committed, noise without its
-    # eps_max or with -0.0, an integral gamma_p and the schedule's n left out
-    doc = conftest.adiabatic_config_dict()
+    # six spellings of the adiabatic run: as committed, noise without its
+    # eps_max or with -0.0, an integral gamma_p, the schedule's n left out and
+    # its checkpoints listed with points outside [1, t_max], which no run reads
+    doc = conftest.config_dict("adiabatic")
     spec = doc["schedule"]
+    checkpoints = log_checkpoints(doc["t_max"], doc["checkpoints"]["per_decade"])
     spellings = [doc, {**doc, "noise": {"kind": "zero"}},
                  {**doc, "noise": {"kind": "zero", "eps_max": -0.0}},
                  {**doc, "schedule": {**spec, "params": {**spec["params"], "gamma_p": 1}}},
-                 {**doc, "schedule": {k: v for k, v in spec.items() if k != "n"}}]
+                 {**doc, "schedule": {k: v for k, v in spec.items() if k != "n"}},
+                 {**doc, "checkpoints": [-3, 0, *checkpoints, 5 * doc["t_max"]]}]
     configs = [ExperimentConfig.from_dict(d) for d in spellings]
     assert {c.config_hash() for c in configs} == {"cfd3500f67d0"}
     assert all(c.canonical_dict() == configs[0].canonical_dict() for c in configs)
     # "inf" stays a string, and a constant spec's omitted params stay omitted
     static = ExperimentConfig.from_dict({**doc, "schedule": {
-        "kind": "constant", "p": conftest.A_ROWS, "params": {**spec["params"], "gamma_p": "inf"}}})
+        "kind": "constant", "p": spec["p_start"], "params": {**spec["params"], "gamma_p": "inf"}}})
     assert static.canonical_dict()["schedule"]["params"]["gamma_p"] == "inf"
     assert make_config().canonical_dict()["schedule"] == BASE_CONFIG["schedule"]
 
 
-def test_acceptance_config_hashes_are_pinned(reference):
+def test_acceptance_config_hashes_are_pinned():
     # the out dir and file names of the four acceptance runs and of the
     # recorded benchmark outputs
-    docs = [conftest.static_td_config_dict(), conftest.adiabatic_config_dict(),
-            conftest.diabatic_config_dict(), conftest.static_q_config_dict(reference)]
-    assert [ExperimentConfig.from_dict(d).config_hash() for d in docs] == [
+    names = ["static_td", "adiabatic", "diabatic", "static_q"]
+    assert [ExperimentConfig.from_dict(conftest.config_dict(n)).config_hash() for n in names] == [
         "dcf8ee043d52", "cfd3500f67d0", "a1ce077f2fd5", "57365d580392"]
+
+
+def test_static_q_config_is_the_frozen_fixture_chain(reference):
+    # the fixture's static_q medians were computed on this chain and reward
+    doc = conftest.config_dict("static_q")
+    assert (doc["schedule"]["p"], doc["reward"]["r"], doc["n_actions"], doc["reward"]["beta"]) == (
+        reference["static_q"]["p"], reference["static_q"]["r"], reference["static_q"]["n_actions"],
+        reference["beta"])
 
 
 def test_config_rejects_unknown_fields_and_empty_seeds():
@@ -468,6 +478,20 @@ def test_sweep_builds_each_block_once(tmp_path, monkeypatch):
     rows = run_sweep({"gamma_p": [1.0, 0.3], "gamma_alpha": [0.6]}, base, tmp_path)
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert sorted(built) == ["cyclic"] * 3 + ["interpolation"] * 3
+
+
+def test_sweep_resolves_each_cell_once(tmp_path, monkeypatch):
+    # the resolved config names a cell's out dir and is its summary's config;
+    # a skipped cell is never resolved
+    resolved, canonical = [], ExperimentConfig.canonical_dict
+    monkeypatch.setattr(ExperimentConfig, "canonical_dict",
+                        lambda cfg: resolved.append(1) or canonical(cfg))
+    base = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=200)
+    rows = run_sweep({"gamma_p": [1.0, 0.3, "inf"], "gamma_alpha": [0.6],
+                      "gamma_pi": [0.0, 0.7]}, base, tmp_path)
+    assert [r["status"] for r in rows].count("ok") == 3 == len(resolved)
+    run_tracking(base, tmp_path / "run")
+    assert len(resolved) == 4
 
 
 def test_certificate_failing_mid_horizon_stops_the_walk_at_its_block(tmp_path, monkeypatch):
@@ -1272,6 +1296,8 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
      "eps_max=1e+308 spans more than the floats hold"),
     # zero noise draws nothing, so an envelope it declares would go unused
     ({"noise": {"kind": "zero", "eps_max": 0.5}}, "zero noise needs eps_max = 0, got 0.5"),
+    # TD(0) learns on states alone: an action count would only move the hash
+    ({"n_actions": 2}, "n_actions=2 needs learner 'q', not 'td0'"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))

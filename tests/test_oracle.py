@@ -1,6 +1,6 @@
 """scripts/oracle.py, the oracles CI reports, at horizons small enough for
-Tier-1: the certificate gate, and the byte oracle's side for this tree (no
-git worktree) with its comparison lines."""
+Tier-1: the certificate gate, the separation experiment, and the byte
+oracle's side for this tree (no git worktree) with its comparison lines."""
 
 import importlib.util
 import io
@@ -26,6 +26,16 @@ def test_gate_cases_exit_2_and_write_nothing_but_the_mid_horizon_one(capsys):
         exit_code, written = ("0", "True") if mid_horizon else ("2", "False")
         assert re.fullmatch(rf"(track|sweep) .+, T = 2e3, 20 seeds: exit {exit_code}, "
                             rf"\d+\.\d\d s wall, out dir written: {written}", line), line
+
+
+def test_separation_prints_one_line_per_grid_cell(capsys):
+    oracle.separation(2000)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and re.fullmatch(r"adiatrack sweep: exit 0, \d+\.\d s wall", lines[3])
+    for line, (gp, regime) in zip(lines, [("0.3", "diabatic "), ("1.0", "adiabatic"),
+                                          ("inf", "adiabatic")]):
+        assert re.fullmatch(rf"gp={gp}\|ga=0\.6\|gpi=0\.0  regime={regime} "
+                            r"final_median=0\.\d{5} slope=[+-]\d\.\d{3}", line), line
 
 
 def test_byte_oracle_side_writes_every_file_and_compares(tmp_path, capsys, monkeypatch):
