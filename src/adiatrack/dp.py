@@ -7,10 +7,12 @@ The fixed-point solves, the Bellman operator G and the Lipschitz and
 restart checks take stacks: (k, n, n) matrices with (k, n) rewards and (k,)
 discounts, solved in one call (policy iteration: one solve per round over
 the rows still iterating; a check's k pairs are one (2k, n, n) call).  A
-one-matrix question is a k = 1 call; the TD operator r + beta P v is G
-with one action per state.  The checks return their sides, (k,) each, and
-no verdict: the caller judges lhs <= rhs at its own tolerance, as for the
-bounds oracles.  exact_reward, the k = 1 call of exact_rewards, stays
+one-matrix question is a k = 1 call.  The TD operator r + beta P v is G
+with one action per state, so exact_q is the one fixed-point entry for
+TD(0) and Q-learning alike: at one action it is exact_rewards' solve, and
+check_lipschitz holds for both.  The checks return their sides, (k,) each,
+and no verdict: the caller judges lhs <= rhs at its own tolerance, as for
+the bounds oracles.  exact_reward, the k = 1 call of exact_rewards, stays
 while the benchmark tracer (perfbench/tracer.py) times it by name.
 
 Q-learning instances live on the product state space: a single transition
@@ -34,8 +36,7 @@ __all__ = [
     "exact_rewards",
     "exact_q",
     "bellman_g",
-    "check_lipschitz_rewards",
-    "check_lipschitz_q",
+    "check_lipschitz",
     "check_restart_identities",
 ]
 
@@ -134,25 +135,30 @@ _G_ROUNDING = np.finfo(float).eps / 2
 def exact_q(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, n_actions: int,
             tol: float = 1e-10) -> np.ndarray:
     """Optimal Q (k, N) of a (k, N, N) product-space stack with rewards r (k, N)
-    and discounts beta (k,), by Howard policy iteration (Puterman 1994, sec.
-    6.4) per row: from the all-zeros policy pi, solve (I - beta P F_pi) Q = r,
-    F_pi sending pair y to (state(y), pi(state(y))), set pi = argmax Q (lowest
-    action on ties), and stop the row when pi repeats (an earlier pi if
-    rounding flips tied actions); a round is one solve of the rows still
-    iterating.  Raises ArithmeticError unless every row has
+    and discounts beta (k,): the one fixed-point entry, for TD(0) at one
+    action (exact_rewards' solve) and for Q-learning.  Above one action by
+    Howard policy iteration (Puterman 1994, sec. 6.4) per row: from the
+    all-zeros policy pi, solve (I - beta P F_pi) Q = r, F_pi sending pair y
+    to (state(y), pi(state(y))), set pi = argmax Q (lowest action on ties),
+    and stop the row when pi repeats (an earlier pi if rounding flips tied
+    actions); a round is one solve of the rows still iterating.  Raises
+    ArithmeticError unless every row has
     ||GQ - Q|| <= (1-beta) tol + (N + 5) u max|Q|.
     """
     k, n = r.shape
-    eye, s_of = np.eye(n), _state_of_product(n, n_actions)
-    policies, q, seen = np.zeros((k, n // n_actions), dtype=int), np.empty((k, n)), []
-    live = np.arange(k)
-    while live.size:
-        seen.append(policies.copy())
-        follow = eye[s_of * n_actions + policies[live][:, s_of]]  # F_pi of each live row
-        q[live] = np.linalg.solve(eye - beta[live, None, None] * (mats[live] @ follow),
-                                  r[live, :, None])[:, :, 0]
-        policies[live] = q[live].reshape(live.size, n // n_actions, n_actions).argmax(axis=2)
-        live = live[~(np.array(seen)[:, live] == policies[live]).all(axis=2).any(axis=0)]
+    if n_actions == 1:
+        q = exact_rewards(mats, r, beta)
+    else:
+        eye, s_of = np.eye(n), _state_of_product(n, n_actions)
+        policies, q, seen = np.zeros((k, n // n_actions), dtype=int), np.empty((k, n)), []
+        live = np.arange(k)
+        while live.size:
+            seen.append(policies.copy())
+            follow = eye[s_of * n_actions + policies[live][:, s_of]]  # F_pi of each live row
+            q[live] = np.linalg.solve(eye - beta[live, None, None] * (mats[live] @ follow),
+                                      r[live, :, None])[:, :, 0]
+            policies[live] = q[live].reshape(live.size, n // n_actions, n_actions).argmax(axis=2)
+            live = live[~(np.array(seen)[:, live] == policies[live]).all(axis=2).any(axis=0)]
     resid = np.abs(bellman_g(mats, r, beta, q, n_actions) - q).max(axis=1)
     bound = (1.0 - beta) * tol + _G_ROUNDING * (n + 5) * np.abs(q).max(axis=1)
     bad = ~(resid <= bound)  # NaN fails too
@@ -162,30 +168,19 @@ def exact_q(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, n_actions: int,
     return q
 
 
-def check_lipschitz_rewards(p: np.ndarray, q: np.ndarray, r: np.ndarray,
-                            beta: np.ndarray) -> tuple:
+def check_lipschitz(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndarray,
+                    n_actions: int) -> tuple:
     """Both sides (lhs, rhs), each (k,), of
-    ||R(.;P) - R(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q|| for each pair
-    of (k, n, n) stacks p, q with rewards r (k, n) and discounts beta (k,).
-    Validates the stacks' rows (chains._check_rows) and the rewards as RewardSpec does.
+    ||Q*(.;P) - Q*(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q|| for each pair
+    of (k, N, N) product-space stacks p, q with rewards r (k, N) and discounts
+    beta (k,), Q* the optimal Q-function (exact_q at tol 1e-12): at one
+    action the reward function R.  Validates the stacks' rows
+    (chains._check_rows) and the rewards as RewardSpec does.
 
     Holds for one-signed rewards: the TV-metered right side pairs each
     zero-mass row difference with the reward span, which equals r_max only
     when rewards do not change sign.
     """
-    chains._check_rows(p)
-    chains._check_rows(q)
-    _check_rewards(r, beta)
-    both = exact_rewards(np.concatenate([p, q]), np.tile(r, (2, 1)), np.tile(beta, 2))
-    lhs = np.abs(both[:len(p)] - both[len(p):]).max(axis=1)
-    rhs = beta * np.abs(r).max(axis=1) / (1.0 - beta) ** 2 * chains.matrix_tv_distances(p, q)
-    return lhs, rhs
-
-
-def check_lipschitz_q(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndarray,
-                      n_actions: int) -> tuple:
-    """The same two sides for optimal Q-functions (exact_q at tol 1e-12) on
-    product-space stacks; validates as check_lipschitz_rewards does."""
     chains._check_rows(p)
     chains._check_rows(q)
     _check_rewards(r, beta)

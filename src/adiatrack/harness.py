@@ -60,7 +60,12 @@ def log_checkpoints(t_max: int, per_decade: int = 8) -> list:
         raise ValueError("t_max must be >= 1")
     if per_decade < 1:
         raise ValueError(f"per_decade must be >= 1, got {per_decade}")
-    k = max(1, int(round(per_decade * math.log10(max(t_max, 2)))))
+    # per_decade capped at 40 t_max, refused below at any t_max, so that no int
+    # beyond the floats overflows the product
+    k = max(1, int(round(min(per_decade, 40 * t_max) * math.log10(max(t_max, 2)))))
+    if k + 1 > 10 * t_max:  # the grid holds at most t_max distinct checkpoints
+        raise ValueError(f"per_decade={per_decade} asks for more than 10 * t_max = "
+                         f"{10 * t_max} grid points")
     grid = {int(round(10 ** e)) for e in np.linspace(0.0, math.log10(t_max), k + 1)}
     grid.add(t_max)
     return sorted(t for t in grid if 1 <= t <= t_max)

@@ -16,9 +16,10 @@ table_init), then materialize walks the schedule once per call, the
 certified walk (schedules._certified_blocks), yielding each block with the
 row cumsums of its step matrices and the scan's pi floors and drifts, which
 track keeps at the block's checkpoints with their targets, one stacked call
-(dp.exact_rewards, or dp.exact_q for Q-learning); each block advances every
-(rate, seed) run before the next is made, and a sweep's cells of one
-schedule are one call, one rate each.  A failing certificate raises
+(dp.exact_q at n_actions or 1: dp.exact_rewards for TD(0), policy
+iteration for Q-learning); each block advances every (rate, seed) run
+before the next is made, and a sweep's cells of one schedule are one call,
+one rate each.  A failing certificate raises
 DriftCertificateError, and no run steps in or after the failing block.  Per
 seed and block, chains.next_states draws the block's successor table in one
 numpy pass, and that table and the seed's noise draws are read by every
@@ -265,8 +266,7 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
         stops = [t - lo for t in cps if lo <= t < lo + k]
         mats = block[stops]
         r, beta = np.tile(spec.r, (len(stops), 1)), np.full(len(stops), spec.beta)
-        targets.append(dp.exact_rewards(mats, r, beta) if n_actions is None
-                       else dp.exact_q(mats, r, beta, n_actions))
+        targets.append(dp.exact_q(mats, r, beta, n_actions or 1))
         scans.append(np.stack((pi_min[stops], drift[stops]), axis=1))  # the scan's
         alphas = [[c / t ** g for t in range(lo, lo + k)] for c, g in powers]
         for i, (path, noise_stream) in enumerate(streams):

@@ -11,12 +11,12 @@ loop, a random matrix as its raw draws (_draw), then builds each size's
 matrices in one pass (_rows), evaluates the cases as stacks and records the
 checks in case order, so the report equals the per-case loop's: prop1 per
 matrix size (_prop1_pairs) and its 2x2 eigenvalue cases as one stack,
-Lipschitz (reward and optimal Q) and restart per matrix size, each pair one
-solve (dp.check_lipschitz_rewards, dp.check_lipschitz_q,
-dp.check_restart_identities), and lemmas with each bounds oracle on one
-(cases, T) stack.  The thm1 and mixing suites read each schedule as blocks
-of matrices, never one t at a time, and thm1 evaluates every start of a
-horizon as one row of the bounds evaluators' stacked calls.  The ergodicity
+Lipschitz (reward and optimal Q: dp.check_lipschitz at one action and at
+two) and restart (dp.check_restart_identities) per matrix size, each pair
+one solve, and lemmas with each bounds oracle on one (cases, T) stack.  The
+thm1 and mixing suites read each schedule as blocks of matrices, never one
+t at a time, and thm1 evaluates every start of a horizon as one row of the
+bounds evaluators' stacked calls.  The ergodicity
 coefficient is always looked up through the chains module at call time, so a
 corrupted implementation is caught rather than silently trusted.
 """
@@ -359,7 +359,7 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500, master_seed=DEFAULT_MAS
     for i in range(n_reward_cases):
         n = int(rng.integers(2, 7))
         cases.append((_draw(rng, n), _draw(rng, n), rng.uniform(0, 1, n), betas[i % 3]))
-    sides = _by_size(cases, dp.check_lipschitz_rewards)
+    sides = _by_size(cases, lambda *stacks: dp.check_lipschitz(*stacks, 1))
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
         rec.check("reward_lipschitz", lhs, rhs, TOL,
@@ -369,7 +369,7 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500, master_seed=DEFAULT_MAS
     for i in range(n_q_cases):
         nsa = 2 * int(rng.integers(2, 4))  # 2 or 3 states, 2 actions each
         cases.append((_draw(rng, nsa), _draw(rng, nsa), rng.uniform(0, 1, nsa), betas[i % 3]))
-    sides = _by_size(cases, lambda *stacks: dp.check_lipschitz_q(*stacks, 2))
+    sides = _by_size(cases, lambda *stacks: dp.check_lipschitz(*stacks, 2))
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
         rec.check("q_lipschitz", lhs, rhs, TOL,

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,3 +441,18 @@ def test_empirical_frequencies_match_exact_marginal(rows, t_max):
     ends = simulate(sched, t_max, 0, range(1000, 1000 + n_paths))[:, -1]
     counts = np.bincount(ends, minlength=n)
     np.testing.assert_allclose(counts / n_paths, exact, atol=0.01)
+
+
+def test_the_root_loads_no_module_and_chains_only_itself():
+    # a fresh process: the package root re-exports nothing, and chains sits
+    # at the bottom of the layers (chains -> schedules -> dp -> learners)
+    probe = ("import json, sys\n"
+             "def loaded(): return sorted(m for m in sys.modules if m.startswith('adiatrack.'))\n"
+             "import adiatrack\n"
+             "root = loaded()\n"
+             "import adiatrack.chains\n"
+             "print(json.dumps([root, loaded()]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chains.__file__))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert json.loads(out) == [[], ["adiatrack.chains"]]

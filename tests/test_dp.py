@@ -9,8 +9,7 @@ from adiatrack import chains, dp, verify
 from adiatrack.dp import (
     RewardSpec,
     bellman_g,
-    check_lipschitz_q,
-    check_lipschitz_rewards,
+    check_lipschitz,
     check_restart_identities,
     exact_q,
     exact_reward,
@@ -44,10 +43,10 @@ def bellman_g1(p, spec, q_in, n_actions):
 
 
 def lipschitz_reward1(p, q, spec):
-    """check_lipschitz_rewards at k = 1: its sides (lhs, rhs) as floats; the
-    check holds when lhs <= rhs + 1e-10."""
-    (lhs,), (rhs,) = (side.tolist() for side in check_lipschitz_rewards(
-        p[None], q[None], spec.r[None], np.array([spec.beta])))
+    """check_lipschitz at one action and k = 1: its sides (lhs, rhs) as floats;
+    the check holds when lhs <= rhs + 1e-10."""
+    (lhs,), (rhs,) = (side.tolist() for side in check_lipschitz(
+        p[None], q[None], spec.r[None], np.array([spec.beta]), 1))
     return lhs, rhs
 
 
@@ -299,8 +298,10 @@ def test_exact_q_certifies_where_value_iteration_cycles(monkeypatch):
     case i // 2, side i % 2): value iteration started from the solve falls
     into a float limit cycle there and never meets (1 - beta) * 1e-12.
     Policy iteration certifies and returns on each."""
-    monkeypatch.setattr(dp, "check_lipschitz_rewards",
-                        lambda p, *a: (np.zeros(len(p)), np.zeros(len(p))))  # draws only
+    real = dp.check_lipschitz
+    monkeypatch.setattr(dp, "check_lipschitz",  # the reward cases: draws only
+                        lambda p, *a: (np.zeros(len(p)), np.zeros(len(p))) if a[-1] == 1
+                        else real(p, *a))
     assert verify.suite_lipschitz(n_reward_cases=8500, n_q_cases=1500)["pass"]
     rng, betas, cases = chains.stream(verify.DEFAULT_MASTER_SEED, 5), [0.5, 0.9, 0.99], []
     for _ in range(8500):  # the reward cases' draws
@@ -441,8 +442,8 @@ def test_lipschitz_q_random_sweep(rng):
         p = stochastic(raw1 / raw1.sum(axis=1, keepdims=True))
         q = stochastic(raw2 / raw2.sum(axis=1, keepdims=True))
         spec = RewardSpec(rng.uniform(0, 1, 4), 0.9)
-        (lhs,), (rhs,) = check_lipschitz_q(p[None], q[None], spec.r[None],
-                                           np.array([spec.beta]), n_actions=2)
+        (lhs,), (rhs,) = check_lipschitz(p[None], q[None], spec.r[None],
+                                         np.array([spec.beta]), n_actions=2)
         assert lhs <= rhs + 1e-10  # the one-pair check's default slack
 
 
@@ -453,17 +454,20 @@ def test_pair_checks_solve_both_members_of_every_pair_in_one_call(monkeypatch):
     beta_hat, x_restart = beta + (1 - beta) * 0.5, rng.integers(4, size=k)
     shapes = []
     for name in ("exact_rewards", "exact_q"):
-        monkeypatch.setattr(dp, name, lambda m, *a, real=getattr(dp, name), **kw:
-                            shapes.append(m.shape) or real(m, *a, **kw))
+        monkeypatch.setattr(dp, name, lambda m, *a, name=name, real=getattr(dp, name), **kw:
+                            shapes.append((name, m.shape)) or real(m, *a, **kw))
 
     def sides(i):  # every check on pairs i (a slice), one call each
         return [side.tobytes() for side in (
-            *dp.check_lipschitz_rewards(p[i], q[i], r[i], beta[i]),
-            *dp.check_lipschitz_q(p[i], q[i], r[i], beta[i], 2),
+            *dp.check_lipschitz(p[i], q[i], r[i], beta[i], 1),
+            *dp.check_lipschitz(p[i], q[i], r[i], beta[i], 2),
             *dp.check_restart_identities(p[i], r[i], beta[i], beta_hat[i], x_restart[i]))]
 
     stacked = sides(slice(None))
-    assert shapes == [(2 * k, 4, 4)] * 3  # one solve call per check, both members stacked
+    # one solve call per check, both members stacked; at one action exact_q's is exact_rewards'
+    solve = (2 * k, 4, 4)
+    assert shapes == [("exact_q", solve), ("exact_rewards", solve), ("exact_q", solve),
+                      ("exact_rewards", solve)]
     for i in range(k):  # each pair's sides equal its own k = 1 calls bit for bit
         one = sides(slice(i, i + 1))
         assert one == [np.frombuffer(side, dtype=np.float64)[i:i + 1].tobytes()

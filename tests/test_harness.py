@@ -598,8 +598,8 @@ def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
         p = stochastic(random_rows(rng, n))
         q = stochastic(random_rows(rng, n))
         spec = dp.RewardSpec(rng.uniform(0, 1, n), betas[i % 3])
-        (lhs,), (rhs,) = dp.check_lipschitz_rewards(p[None], q[None], spec.r[None],
-                                                    np.array([spec.beta]))
+        (lhs,), (rhs,) = dp.check_lipschitz(p[None], q[None], spec.r[None],
+                                            np.array([spec.beta]), 1)
         rec.check("reward_lipschitz", lhs, rhs, tol)
     for i in range(n_q_cases):
         rec.cases += 1
@@ -607,8 +607,8 @@ def _per_case_lipschitz(n_reward_cases, n_q_cases, master_seed, tol=1e-10):
         p = stochastic(random_rows(rng, nsa))
         q = stochastic(random_rows(rng, nsa))
         spec = dp.RewardSpec(rng.uniform(0, 1, nsa), betas[i % 3])
-        (lhs,), (rhs,) = dp.check_lipschitz_q(p[None], q[None], spec.r[None],
-                                              np.array([spec.beta]), 2)
+        (lhs,), (rhs,) = dp.check_lipschitz(p[None], q[None], spec.r[None],
+                                            np.array([spec.beta]), 2)
         rec.check("q_lipschitz", lhs, rhs, tol)
     return rec.report()
 
@@ -932,10 +932,11 @@ def test_stacked_fixed_point_suites_equal_per_case_loops(monkeypatch, master_see
 
 
 def test_lipschitz_suite_checks_each_matrix_size_in_one_call(monkeypatch):
-    sizes, real = [], dp.check_lipschitz_q
-    monkeypatch.setattr(dp, "check_lipschitz_q",
-                        lambda p, *a, **k: sizes.append(p.shape) or real(p, *a, **k))
+    calls, real = [], dp.check_lipschitz
+    monkeypatch.setattr(dp, "check_lipschitz",
+                        lambda p, *a: calls.append((a[-1], p.shape)) or real(p, *a))
     assert verify.suite_lipschitz(n_reward_cases=30, n_q_cases=40)["pass"]
+    sizes = [shape for n_actions, shape in calls if n_actions == 2]  # the Q cases'
     assert sorted(shape[1] for shape in sizes) == [4, 6]  # 2 or 3 states, 2 actions
     assert sum(shape[0] for shape in sizes) == 40
 
@@ -1298,6 +1299,11 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"noise": {"kind": "zero", "eps_max": 0.5}}, "zero noise needs eps_max = 0, got 0.5"),
     # TD(0) learns on states alone: an action count would only move the hash
     ({"n_actions": 2}, "n_actions=2 needs learner 'q', not 'td0'"),
+    # more grid points than 10 * t_max: refused before the grid is allocated, and before
+    # an int beyond the floats overflows (last, so that the ids of the rows above stay)
+    ({"checkpoints": {"per_decade": 10**12}},
+     "per_decade=1000000000000 asks for more than 10 * t_max = 2000 grid points"),
+    ({"checkpoints": {"per_decade": 10**400}}, "asks for more than 10 * t_max = 2000 grid points"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))

@@ -1,7 +1,9 @@
 """scripts/oracle.py, the oracles CI reports, at horizons small enough for
-Tier-1: the certificate gate, the separation experiment, and the byte
-oracle's side for this tree (no git worktree) with its comparison lines."""
+Tier-1: the source size, the certificate gate, the separation experiment, and
+the byte oracle's side for this tree (no git worktree) with its comparison
+lines."""
 
+import glob
 import importlib.util
 import io
 import os
@@ -14,6 +16,15 @@ _SPEC = importlib.util.spec_from_file_location(
     "oracle", os.path.join(os.path.dirname(__file__), "..", "scripts", "oracle.py"))
 oracle = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(oracle)
+
+
+def test_size_prints_the_source_total_and_no_root_re_exports(capsys):
+    oracle.size()
+    lines = capsys.readouterr().out.splitlines()
+    modules = glob.glob(os.path.join(oracle.ROOT, "src", "adiatrack", "*.py"))
+    total = sum(open(path).read().count("\n") for path in modules)
+    assert [line.split() for line in lines if line.endswith(" total")][0] == [str(total), "total"]
+    assert lines[-1] == "package root re-exports 0 public names"
 
 
 def test_gate_cases_exit_2_and_write_nothing_but_the_mid_horizon_one(capsys):
