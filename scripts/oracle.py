@@ -40,10 +40,12 @@ def _sci(t):
     return f"{t:.0e}".replace("e+0", "e").replace("e+", "e")
 
 
-def _cli(*args):
-    """adiatrack.cli.main(args) in this process, its output swallowed: the exit code."""
+def _cli(*args, stdout=None):
+    """adiatrack.cli.main(args) in this process, its stderr swallowed and its stdout
+    too unless written to the open file stdout: the exit code."""
     from adiatrack import cli
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(stdout or io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         return cli.main(list(args))
 
 
@@ -169,8 +171,10 @@ def files(out, log, t_max, noisy_t_max, sweep_t_max):
     static Q ones with uniform-iid noise (eps_max = 0.3, x0 = 1, T = noisy_t_max,
     5 seeds), the only runs through the noise draws; sweep-short's grid (gamma_p
     in {1.0, 0.3, inf} x gamma_alpha in {0.6, 0.8}) around the adiabatic and the
-    diabatic config (T = sweep_t_max, 4 seeds); the verify reports at master
-    seed 1.  Each verify.run_suite call logs a "suite seconds" line."""
+    diabatic config (T = sweep_t_max, 4 seeds); what `adiatrack bound` prints at
+    gamma_p in {1.0, 0.3, inf} (gamma_alpha 0.6, gamma_pi 0, T = 1e5) and at
+    gamma_p 1.0 with a constants file kept outside out; the verify reports at
+    master seed 1.  Each verify.run_suite call logs a "suite seconds" line."""
     from adiatrack import verify
     from adiatrack.harness import ExperimentConfig, run_sweep, run_tracking
     docs = {name: _config(name) for name in ("static_td", "adiabatic", "diabatic", "static_q")}
@@ -185,6 +189,16 @@ def files(out, log, t_max, noisy_t_max, sweep_t_max):
         base = {**doc, "t_max": sweep_t_max, "seeds": {"base": 101, "count": 4}}
         run_sweep({"gamma_p": [1.0, 0.3, "inf"], "gamma_alpha": [0.6, 0.8]},
                   ExperimentConfig.from_dict(base), os.path.join(out, name))
+    bound = ["bound", "--gamma-alpha", "0.6", "--gamma-pi", "0", "--T", "100000", "--gamma-p"]
+    with tempfile.TemporaryDirectory() as tmp:
+        consts = os.path.join(tmp, "consts.json")
+        with open(consts, "w") as fh:
+            json.dump({"r_max_eff": 2.0, "rho": 0.8, "beta": 0.9, "d_a": 0.5, "k": 3.0,
+                       "delta": 0.01, "tau_coeff": 8.0}, fh)
+        for name, args in [("1.0", ["1.0"]), ("0.3", ["0.3"]), ("inf", ["inf"]),
+                           ("1.0-constants", ["1.0", "--constants", consts])]:
+            with open(os.path.join(out, f"bound-gp{name}.json"), "w") as fh:
+                _cli(*bound, *args, stdout=fh)
     for suite in sorted(verify.SUITES):
         report, wall = _timed(verify.run_suite, suite, 1)
         print(suite, wall, file=log, flush=True)

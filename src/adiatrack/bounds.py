@@ -28,8 +28,6 @@ from .schedules import GAMMA_INF
 __all__ = [
     "ExponentTriple",
     "Thm2Constants",
-    "BoundReport",
-    "RegimeLabel",
     "homogeneous_comparison_bound",
     "stationarity_gap_bound",
     "tracking_error_bound",
@@ -68,15 +66,10 @@ class ExponentTriple:
             raise ValueError("gamma_p must be non-negative (inf allowed)")
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
-    regime: str  # "adiabatic" | "diabatic" | "boundary"
-    same_rate_as_static: bool
-    adiabatic_under_conjecture: bool
+def classify_regime(exps: ExponentTriple) -> dict:
+    """{"regime", "same_rate_as_static", "adiabatic_under_conjecture"}.
 
-
-def classify_regime(exps: ExponentTriple) -> RegimeLabel:
-    """Adiabatic iff gamma_p > gamma_alpha + gamma_pi and gamma_alpha > 3 gamma_pi;
+    regime: adiabatic iff gamma_p > gamma_alpha + gamma_pi and gamma_alpha > 3 gamma_pi;
     diabatic iff gamma_p < gamma_alpha + gamma_pi; boundary otherwise.
 
     same_rate_as_static: gamma_p - gamma_alpha - gamma_pi > (gamma_alpha - 3 gamma_pi)/2,
@@ -92,11 +85,9 @@ def classify_regime(exps: ExponentTriple) -> RegimeLabel:
         regime = "diabatic"
     else:
         regime = "boundary"
-    return RegimeLabel(
-        regime=regime,
-        same_rate_as_static=bool(drift_margin > (ga - 3 * gpi) / 2.0),
-        adiabatic_under_conjecture=bool(drift_margin > 0 and ga > gpi),
-    )
+    return {"regime": regime,
+            "same_rate_as_static": bool(drift_margin > (ga - 3 * gpi) / 2.0),
+            "adiabatic_under_conjecture": bool(drift_margin > 0 and ga > gpi)}
 
 
 def homogeneous_comparison_bound(lam, mu, p_ref, block):
@@ -192,23 +183,11 @@ class Thm2Constants:
         return Thm2Constants(**{k: chains.number(doc, k) for k in doc})
 
 
-@dataclass
-class BoundReport:
-    """Evaluated right-hand side of the four-term tracking bound."""
-
-    ada1: float
-    ada2: float
-    ada3: float
-    ada4: float
-    total: float
-    tau: float
-    regime: str
-    same_rate_as_static: bool
-
-
 def tracking_error_bound(consts: Thm2Constants, exps: ExponentTriple,
-                         t_horizon: int) -> BoundReport:
-    """Evaluate the four-term high-probability tracking bound at horizon T.
+                         t_horizon: int) -> dict:
+    """Evaluate the four-term high-probability tracking bound at horizon T: its
+    terms, total and tau, with the regime and same_rate_as_static of
+    classify_regime.
 
     ada1: stretched-exponential forgetting of the initial condition
     ada2: martingale-noise term, sqrt(tau log(2 T tau / delta)) / T^((ga-3gpi)/2)
@@ -246,8 +225,8 @@ def tracking_error_bound(consts: Thm2Constants, exps: ExponentTriple,
     if lost:  # a float product overflowed to inf (or inf * 0 to NaN)
         raise ArithmeticError(f"{', '.join(lost)} not finite")
     label = classify_regime(exps)
-    return BoundReport(**terms, regime=label.regime,
-                       same_rate_as_static=label.same_rate_as_static)
+    return {**terms, "regime": label["regime"],
+            "same_rate_as_static": label["same_rate_as_static"]}
 
 
 def power_sum_bounds(s: int, t: int, gamma: float):

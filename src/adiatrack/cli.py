@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import bounds, verify
 from .harness import SPEC_VERSION, ExperimentConfig, run_sweep, run_tracking
@@ -112,7 +111,7 @@ def _cmd_bound(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(json.dumps({**asdict(report), "spec_version": SPEC_VERSION}, sort_keys=True))
+    print(json.dumps({**report, "spec_version": SPEC_VERSION}, sort_keys=True))
     return EXIT_OK
 
 

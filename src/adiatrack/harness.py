@@ -27,12 +27,13 @@ so a cell is skipped only for a reason of its own.
 
 from __future__ import annotations
 
+import csv
 import errno
 import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -45,7 +46,6 @@ SPEC_VERSION = "0.1.0"
 __all__ = [
     "SPEC_VERSION",
     "ExperimentConfig",
-    "SlopeEstimate",
     "log_checkpoints",
     "canonical_json",
     "run_tracking",
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def log_checkpoints(t_max: int, per_decade: int = 8) -> list:
+def log_checkpoints(t_max: int, per_decade: int) -> list:
     """Logarithmically spaced integer checkpoints on [1, t_max], endpoints kept."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -93,12 +93,22 @@ def _with_n(spec: dict) -> dict:
 def _numbers_read(value, key=None):
     """value with each JSON number in it as the run reads it: through
     chains.integer under the keys "n" and "x_restart", else as a float (what
-    chains.number makes of a number), -0.0 as 0.0.  Strings ("inf" and the
-    kinds) and booleans stay as spelt."""
+    chains.number makes of a number or a numeric string), -0.0 as 0.0.  Away
+    from those two keys a string float reads as a finite number is that float
+    and one it reads as +inf is "inf"; the kinds, "nan", "-inf", other
+    strings and booleans stay as spelt."""
     if isinstance(value, dict):
         return {k: _numbers_read(v, k) for k, v in value.items()}
     if isinstance(value, list):
         return [_numbers_read(v, key) for v in value]
+    if isinstance(value, str) and key not in ("n", "x_restart"):
+        try:
+            read = float(value)
+        except ValueError:  # a kind
+            return value
+        if math.isfinite(read):
+            return read + 0.0
+        return "inf" if read > 0 else value  # "nan" and "-inf" for their readers to name
     if type(value) not in (int, float):  # a bool is an int, but no JSON number
         return value
     if key in ("n", "x_restart"):
@@ -121,7 +131,8 @@ class ExperimentConfig:
     """A fully resolved tracking experiment.
 
     seeds may be given as a list or {"base": b, "count": k} (resolved to
-    b..b+k-1); checkpoints as a list (its points in [1, t_max] kept) or {"per_decade": m}.
+    b..b+k-1); checkpoints as a list (its points in [1, t_max] kept) or
+    {"per_decade": m}, by default {"per_decade": 8}.
     """
 
     schedule: dict
@@ -131,7 +142,7 @@ class ExperimentConfig:
     learner: str = "td0"
     n_actions: int = 1
     t_max: int = 1000
-    checkpoints: list = field(default_factory=list)
+    checkpoints: list | dict = field(default_factory=lambda: {"per_decade": 8})
     seeds: list = field(default_factory=list)
     x0: int = 0
 
@@ -164,10 +175,9 @@ class ExperimentConfig:
             chains._object(self.checkpoints, "checkpoints", ("per_decade",))
             self.checkpoints = log_checkpoints(
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))
-        self.checkpoints = sorted({t for t in chains._read_list(
-            self.checkpoints or log_checkpoints(self.t_max), "checkpoints", chains.integer)
-            if 1 <= t <= self.t_max})  # the points a run reads
-        if not self.checkpoints:  # a given grid: no fallback to the default one
+        read = chains._read_list(self.checkpoints, "checkpoints", chains.integer)
+        self.checkpoints = sorted({t for t in read if 1 <= t <= self.t_max})  # what a run reads
+        if not self.checkpoints:
             raise ValueError("checkpoint grid is empty within [1, t_max]")
 
     @staticmethod
@@ -185,9 +195,10 @@ class ExperimentConfig:
     def canonical_dict(self) -> dict:
         """Every field as the run reads it, so spellings of one run hash alike:
         each number of the four spec objects read (_numbers_read: a schedule's
-        n and x_restart as integers, the rest as floats, -0.0 as 0.0), the
-        noise's eps_max and the schedule's n filled in.  "inf" stays "inf" and
-        a constant spec's omitted params stay omitted."""
+        n and x_restart as integers, the rest and numeric strings as floats,
+        -0.0 as 0.0, a string read as +inf as "inf"), the noise's eps_max and
+        the schedule's n filled in.  A constant spec's omitted params stay
+        omitted."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["noise"] = {"eps_max": 0.0, **self.noise}
         doc["schedule"] = _with_n(self.schedule)
@@ -206,20 +217,9 @@ class ExperimentConfig:
                 NoiseModel.from_spec(self.noise))
 
 
-@dataclass
-class SlopeEstimate:
-    """Least-squares slope of log(median sup_error) against log t."""
-
-    slope: float
-    intercept: float
-    t_lo: int
-    t_hi: int
-    n_points: int
-    residual_rms: float
-
-
-def fit_slope(ts, values, t_lo, t_hi) -> SlopeEstimate | None:
-    """Fit on checkpoints in [t_lo, t_hi] with positive values; None if < 2 points."""
+def fit_slope(ts, values, t_lo, t_hi) -> dict | None:
+    """Least-squares slope of log(values) against log(ts), fit on the checkpoints
+    in [t_lo, t_hi] with positive values; None if < 2 points."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = (ts >= t_lo) & (ts <= t_hi) & (values > 0)
@@ -228,9 +228,9 @@ def fit_slope(ts, values, t_lo, t_hi) -> SlopeEstimate | None:
     x, y = np.log(ts[mask]), np.log(values[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    return SlopeEstimate(slope=float(slope), intercept=float(intercept),
-                         t_lo=int(t_lo), t_hi=int(t_hi), n_points=int(mask.sum()),
-                         residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+    return {"slope": float(slope), "intercept": float(intercept), "t_lo": int(t_lo),
+            "t_hi": int(t_hi), "n_points": int(mask.sum()),
+            "residual_rms": float(np.sqrt(np.mean(resid ** 2)))}
 
 
 def _settled(doc: dict, chash: str, schedule, spec: RewardSpec) -> tuple:
@@ -240,17 +240,14 @@ def _settled(doc: dict, chash: str, schedule, spec: RewardSpec) -> tuple:
     rate = LearningRate.from_spec(doc["rate"])
     exps = bounds.ExponentTriple(schedule.params.gamma_p, rate.gamma_alpha,
                                  schedule.params.gamma_pi)
-    label = bounds.classify_regime(exps)
     rho = min(max(schedule.rho_cap, 1e-6), 1.0 - 1e-6)
     consts = bounds.Thm2Constants(r_max_eff=spec.value_cap, rho=rho, beta=spec.beta)
     try:
-        report = asdict(bounds.tracking_error_bound(consts, exps, doc["t_max"]))
+        report = bounds.tracking_error_bound(consts, exps, doc["t_max"])
     except ArithmeticError:  # a term leaves the floats: rho_cap near 1, or huge rewards
         report = None
     return rate, {"spec_version": SPEC_VERSION, "config_hash": chash, "config": doc,
-                  "regime": label.regime, "same_rate_as_static": label.same_rate_as_static,
-                  "adiabatic_under_conjecture": label.adiabatic_under_conjecture,
-                  "bound_report": report}
+                  **bounds.classify_regime(exps), "bound_report": report}
 
 
 def _summary(facts: dict, trace: learners.TrackingTrace) -> dict:
@@ -259,10 +256,9 @@ def _summary(facts: dict, trace: learners.TrackingTrace) -> dict:
     med = np.median(trace.sup_error, axis=0)
     q1, q3 = np.quantile(trace.sup_error, [0.25, 0.75], axis=0)
     t_max = facts["config"]["t_max"]
-    slope = fit_slope(trace.t, med, max(1, t_max // 100), t_max)
     return {**facts, "checkpoints": list(trace.t), "median_sup_error": med.tolist(),
             "iqr_lo": q1.tolist(), "iqr_hi": q3.tolist(), "final_median_error": float(med[-1]),
-            "slope": asdict(slope) if slope else None,
+            "slope": fit_slope(trace.t, med, max(1, t_max // 100), t_max),
             "max_abs_value": max(trace.max_abs_value)}
 
 
@@ -381,7 +377,7 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     for gp in gps:
         for ga in gas:
             for gpi in gpis:
-                # comma-free key: the merged table stays plain CSV
+                # comma-free key: the table's cell column is never quoted
                 key = f"gp={'inf' if gp == schedules.GAMMA_INF else gp}|ga={ga}|gpi={gpi}"
                 row = {"cell": key,
                        "gamma_p": "inf" if gp == schedules.GAMMA_INF else gp,
@@ -418,8 +414,8 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     columns = ["cell", "gamma_p", "gamma_alpha", "gamma_pi", "status", "regime",
                "same_rate_as_static", "final_median_error", "slope", "config_hash"]
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a status holding a comma
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "") for c in columns] for row in rows)
     return rows

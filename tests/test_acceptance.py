@@ -147,11 +147,11 @@ def test_criterion_10_static_chain_rate(static_td_run, reference):
     thresholds = reference["thresholds"]
     slope = fit_slope(summary["checkpoints"], summary["median_sup_error"],
                       1000, config.t_max)
-    slope_ok = slope is not None and slope.slope <= thresholds["static_slope_max"]
+    slope_ok = slope is not None and slope["slope"] <= thresholds["static_slope_max"]
     final_ok = summary["final_median_error"] < thresholds["static_final_error"]
     _report(10, "static-chain rate (20 seeds, T=1e5)",
             slope_ok and final_ok and elapsed < 120.0, elapsed,
-            f"slope={slope.slope:.3f} [frozen<=-0.2] "
+            f"slope={slope['slope']:.3f} [frozen<=-0.2] "
             f"final={summary['final_median_error']:.4f} [frozen<0.05]")
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -76,6 +77,22 @@ def test_config_hash_is_one_per_resolved_run():
         "kind": "constant", "p": spec["p_start"], "params": {**spec["params"], "gamma_p": "inf"}}})
     assert static.canonical_dict()["schedule"]["params"]["gamma_p"] == "inf"
     assert make_config().canonical_dict()["schedule"] == BASE_CONFIG["schedule"]
+
+
+def test_numeric_strings_hash_as_the_numbers_they_read_as():
+    # chains.number reads "0.5" as 0.5 and "Infinity" as inf: one run, one hash
+    doc = conftest.config_dict("adiabatic")
+    spec = doc["schedule"]
+    gamma_p = lambda value: {**doc, "schedule": {**spec, "params": {**spec["params"],
+                                                                   "gamma_p": value}}}
+    hashes = lambda docs: {ExperimentConfig.from_dict(d).config_hash() for d in docs}
+    assert hashes([doc, {**doc, "rate": {**doc["rate"], "c_alpha": "0.5"}},
+                   {**doc, "reward": {**doc["reward"], "beta": "0.5"}}]) == {"cfd3500f67d0"}
+    assert len(hashes(gamma_p(s) for s in ("inf", "Infinity", "INF", "+inf"))) == 1
+    # what no reader takes as a number stays as spelt, for the reader to name
+    for value in ("nan", "-inf"):
+        params = ExperimentConfig.from_dict(gamma_p(value)).canonical_dict()["schedule"]["params"]
+        assert params["gamma_p"] == value
 
 
 def test_acceptance_config_hashes_are_pinned():
@@ -228,10 +245,10 @@ def test_run_memory_does_not_grow_with_the_horizon(tmp_path):
 # ---------------------------------------------------------------------- slope
 
 def test_fit_slope_recovers_power_law():
-    ts = np.array(log_checkpoints(100_000))
+    ts = np.array(log_checkpoints(100_000, 8))
     est = fit_slope(ts, 3.0 * ts ** -0.3, 100, 100_000)
-    assert est.slope == pytest.approx(-0.3, abs=1e-9)
-    assert est.residual_rms < 1e-9
+    assert est["slope"] == pytest.approx(-0.3, abs=1e-9)
+    assert est["residual_rms"] < 1e-9
 
 
 def test_fit_slope_needs_two_positive_points():
@@ -299,7 +316,6 @@ def test_sweep_cells_are_independent(tmp_path):
 
 
 def test_sweep_table_is_plain_csv(tmp_path):
-    import csv
     base = make_config(schedule={
         "kind": "interpolation", "n": 2,
         "params": {"c_p": 0.05, "gamma_p": 1.0, "c_pi": 0.25, "gamma_pi": 0.0},
@@ -308,6 +324,17 @@ def test_sweep_table_is_plain_csv(tmp_path):
     run_sweep({"gamma_p": [1.0, "inf"], "gamma_alpha": [0.6]}, base, tmp_path)
     rows = list(csv.reader((tmp_path / "sweep.csv").open()))
     assert all(len(r) == len(rows[0]) for r in rows)  # no embedded separators
+
+
+def test_sweep_table_quotes_a_status_holding_a_comma(tmp_path):
+    # gamma_p = 0 and gamma_alpha = 1 are skipped with messages naming intervals
+    base = ExperimentConfig.from_dict({**conftest.config_dict("adiabatic"), "t_max": 300,
+                                       "seeds": {"base": 101, "count": 2}})
+    rows = run_sweep({"gamma_p": [0.0, 1.0], "gamma_alpha": [0.6, 1.0]}, base, tmp_path)
+    header, *table = csv.reader((tmp_path / "sweep.csv").read_text().splitlines())
+    assert len(header) == 10 and all(len(r) == 10 for r in table)
+    assert [r[header.index("status")] for r in table] == [r["status"] for r in rows]
+    assert sum("," in r["status"] for r in rows) == 3
 
 
 SHRINK_PARAMS = {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.0}
@@ -1304,6 +1331,9 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     ({"checkpoints": {"per_decade": 10**12}},
      "per_decade=1000000000000 asks for more than 10 * t_max = 2000 grid points"),
     ({"checkpoints": {"per_decade": 10**400}}, "asks for more than 10 * t_max = 2000 grid points"),
+    # a given grid, even an empty or null one, is never replaced by the default one
+    ({"checkpoints": []}, "checkpoint grid is empty within [1, t_max]"),
+    ({"checkpoints": None}, "checkpoints must be a list, got None"),
 ])
 def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))

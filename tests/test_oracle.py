@@ -51,7 +51,7 @@ def test_separation_prints_one_line_per_grid_cell(capsys):
 
 def test_byte_oracle_side_writes_every_file_and_compares(tmp_path, capsys, monkeypatch):
     # two cheap suites stand for the seven: the side's files are 158 run
-    # files plus one report per suite
+    # files, four bound reports and one report per suite
     monkeypatch.setattr(verify, "SUITES", {s: verify.SUITES[s] for s in ("coverage", "mixing")})
     log = io.StringIO()
     oracle.files(tmp_path / "head", log, 1000, 100, 100)
@@ -62,7 +62,7 @@ def test_byte_oracle_side_writes_every_file_and_compares(tmp_path, capsys, monke
     (tmp_path / "parent" / "verify-mixing-seed1.json").write_text("{}")
     assert not oracle.compare(("HEAD", tmp_path / "head", log.getvalue()), parent)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["files written: HEAD 160, HEAD^1 160", "diff -r HEAD^1 HEAD: identical"]
+    assert lines[:2] == ["files written: HEAD 164, HEAD^1 164", "diff -r HEAD^1 HEAD: identical"]
     assert re.fullmatch(r"verify coverage   master seed 1: HEAD +\d+\.\d\d s  HEAD\^1   0\.50 s",
                         lines[2])
     assert re.fullmatch(r"verify mixing     master seed 1: HEAD +\d+\.\d\d s  HEAD\^1      -  ",
