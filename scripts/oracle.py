@@ -121,7 +121,7 @@ def rate():
         cfg = ExperimentConfig.from_dict(_config(file))
         schedule, spec, rate, noise = cfg.build()
         _, wall = _timed(learners.track, schedule, spec, [rate], noise, cfg.t_max, cfg.seeds,
-                         cfg.checkpoints, cfg.x0, cfg.n_actions if cfg.learner == "q" else None)
+                         cfg.checkpoints, cfg.x0, cfg.n_actions)
         print(f"{name}, T = {cfg.t_max}, {len(cfg.seeds)} seeds: "
               f"{cfg.t_max * len(cfg.seeds) / wall:,.0f} steps/s ({wall:.2f} s wall)")
 
@@ -224,23 +224,26 @@ def compare(new, old):
 
 def bytes_oracle(rev):
     """The byte oracle's files at CI's sizes for this working tree (labelled
-    HEAD) and for a detached git worktree of rev, each from its own source in
-    its own process, then compare's lines; the worktree goes even when a side
-    fails.  Exit 1 when a side fails or the files differ."""
+    HEAD, or "working tree" when rev is HEAD) and for a detached git worktree
+    of rev, each from its own source in its own process, then compare's lines;
+    the worktree goes even when a side fails.  Exit 1 when a side fails or
+    the files differ."""
     with tempfile.TemporaryDirectory() as tmp:
         head, parent, tree = (os.path.join(tmp, d) for d in ("head", "parent", "tree"))
-        sides = {"HEAD": _python(__file__, "files", ROOT, head, text=True)}
+        label = "working tree" if rev == "HEAD" else "HEAD"
+        sides = [(label, head, _python(__file__, "files", ROOT, head, text=True))]
         git = lambda *args: subprocess.run(["git", "-C", ROOT, "worktree", *args],
                                            stdout=subprocess.DEVNULL)
         try:
-            sides[rev] = git("add", "--detach", tree, rev)
-            if not sides[rev].returncode:
-                sides[rev] = _python(__file__, "files", tree, parent, text=True)
+            proc = git("add", "--detach", tree, rev)
+            if not proc.returncode:
+                proc = _python(__file__, "files", tree, parent, text=True)
+            sides.append((rev, parent, proc))
         finally:
             git("remove", "--force", tree)
-        failed = [label for label, proc in sides.items() if proc.returncode]
+        failed = [label for label, _, proc in sides if proc.returncode]
         print("".join(f"the run at {label} failed\n" for label in failed), end="")
-        same = compare(("HEAD", head, sides["HEAD"].stdout), (rev, parent, sides[rev].stdout or ""))
+        same = compare(*[(label, out, proc.stdout or "") for label, out, proc in sides])
     return 0 if same and not failed else 1
 
 

@@ -10,9 +10,9 @@ float; the stated tolerances absorb rounding.
 The unsubscripted distance between distributions is total variation,
 tv(a, b) = 0.5 * sum |a_x - b_x|, and between matrices the maximum row TV.
 
-stationary_distribution and ergodicity_coefficient are the k = 1 calls of
-stationary_stack and ergodicity_coefficients; they stay while the
-benchmark tracer (perfbench/tracer.py) times them by name.
+stationary_distribution and ergodicity_coefficient, the k = 1 calls of
+stationary_stack and ergodicity_coefficients, have no caller in the package:
+they stay only while the benchmark tracer (perfbench/tracer.py) names them.
 
 The package's JSON inputs are read here too.  Every JSON object (config,
 schedule spec, params, reward, rate, noise, the seeds and checkpoints
@@ -173,9 +173,10 @@ def stationary_stack(mats: np.ndarray) -> np.ndarray:
 def stream(seed: int, k: int) -> np.random.Generator:
     """Random stream k of a seed: PCG64 seeded by SeedSequence([seed, k]).
 
-    Keys in use: 0 a run's path uniforms, 1 its noise draws, 2 the
-    noise-envelope coverage draws; the verify suites key their cases 1-6
-    off the master seed and their scan anchors off (7, 3).
+    Keys in use: 0 a run's path uniforms, 1 its noise draws (made in
+    learners.track alone), 2 the noise-envelope coverage draws; the verify
+    suites key their cases 1-6 off the master seed and their scan anchors
+    off (7, 3).
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(k)])))
 

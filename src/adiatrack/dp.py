@@ -9,11 +9,11 @@ discounts, solved in one call (policy iteration: one solve per round over
 the rows still iterating; a check's k pairs are one (2k, n, n) call).  A
 one-matrix question is a k = 1 call.  The TD operator r + beta P v is G
 with one action per state, so exact_q is the one fixed-point entry for
-TD(0) and Q-learning alike: at one action it is exact_rewards' solve, and
-check_lipschitz holds for both.  The checks return their sides, (k,) each,
-and no verdict: the caller judges lhs <= rhs at its own tolerance, as for
-the bounds oracles.  exact_reward, the k = 1 call of exact_rewards, stays
-while the benchmark tracer (perfbench/tracer.py) times it by name.
+TD(0) and Q-learning alike: n_actions = 1 is TD(0) and exact_rewards' solve,
+and check_lipschitz holds for both.  The checks return their sides, (k,)
+each, and no verdict: the caller judges lhs <= rhs at its own tolerance.
+exact_reward, the k = 1 call of exact_rewards, has no caller in the package:
+it stays only while the benchmark tracer (perfbench/tracer.py) names it.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.

@@ -176,9 +176,7 @@ class ExperimentConfig:
             self.checkpoints = log_checkpoints(
                 self.t_max, chains.integer(self.checkpoints, "per_decade"))
         read = chains._read_list(self.checkpoints, "checkpoints", chains.integer)
-        self.checkpoints = sorted({t for t in read if 1 <= t <= self.t_max})  # what a run reads
-        if not self.checkpoints:
-            raise ValueError("checkpoint grid is empty within [1, t_max]")
+        self.checkpoints = learners._checkpoints(read, self.t_max)  # what a run reads
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -293,13 +291,13 @@ def _run(base: ExperimentConfig, groups: list) -> list:
     spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
     settled = [[_settled(doc, chash, schedule, spec) for doc, chash, _ in cells]
                for schedule, cells in groups]
-    n_actions = base.n_actions if base.learner == "q" else None
     for schedule, cells in groups:
-        learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0, n_actions)
+        learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0,
+                               base.n_actions)
         for *_, out_dir in cells:
             _check_out_dir(out_dir)
     traces = [learners.track(schedule, spec, [rate for rate, _ in group], noise, base.t_max,
-                             base.seeds, base.checkpoints, x0=base.x0, n_actions=n_actions)
+                             base.seeds, base.checkpoints, x0=base.x0, n_actions=base.n_actions)
               for (schedule, _), group in zip(groups, settled)]
     return [_write_run(facts, trace, out_dir)
             for (_, cells), group, group_traces in zip(groups, settled, traces)

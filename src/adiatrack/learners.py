@@ -8,42 +8,51 @@ is the sup-norm distance to the exact fixed point of the *current* schedule
 matrix at each checkpoint, scored after the walk from the kept tables.
 track returns one TrackingTrace per rate: the checkpoints and their alpha_t,
 pi_min_t and drift_t columns once, every seed's errors as one (seeds,
-checkpoints) array; td0_track and q_track are its one-rate, one-seed calls.
+checkpoints) array.  n_actions picks the learner: 1 is TD(0), above 1
+Q-learning on the (state, action) product space.  td0_track and q_track,
+its one-rate, one-seed calls, have no caller in the package and stay only
+while the benchmark tracer (perfbench/tracer.py) names them.
 
-Kernel: track first checks its inputs (_checked_grid: the schedule's size
-against the rewards and n_actions, x0, and a checkpoint in [1, t_max]; then
-table_init), then materialize walks the schedule once per call, the
-certified walk (schedules._certified_blocks), yielding each block with the
-row cumsums of its step matrices and the scan's pi floors and drifts, which
-track keeps at the block's checkpoints with their targets, one stacked call
-(dp.exact_q at n_actions or 1: dp.exact_rewards for TD(0), policy
-iteration for Q-learning); each block advances every (rate, seed) run
-before the next is made, and a sweep's cells of one schedule are one call,
-one rate each.  A failing certificate raises
-DriftCertificateError, and no run steps in or after the failing block.  Per
-seed and block, chains.next_states draws the block's successor table in one
-numpy pass, and that table and the seed's noise draws are read by every
+Kernel: track first checks its inputs (_checked_grid: n_actions >= 1, the
+schedule's size against the rewards and n_actions, x0, and the checkpoint rule
+_checkpoints, which ExperimentConfig applies too; then table_init), then
+materialize walks the schedule once per call, the certified walk
+(schedules._certified_blocks), yielding each block with the row cumsums of its
+step matrices and the scan's pi floors and drifts, which track keeps at the
+block's checkpoints with their targets, one stacked call (dp.exact_q at
+n_actions: dp.exact_rewards for TD(0), policy iteration for Q-learning); each
+block advances every (rate, seed) run before the next is made, and a sweep's
+cells of one schedule are one call, one rate each.  A failing certificate
+raises DriftCertificateError, and no run steps in or after the failing block.
+Per seed and block, chains.next_states draws the block's successor table in
+one numpy pass, and that table and the seed's noise draws are read by every
 rate's run of the seed.  The step loop runs on Python floats only (the
-successor table, step sizes and noise draws as lists, the table), one loop
-per learner from checkpoint to checkpoint, each followed by a copy of the
-table: no step tests for or scores a checkpoint, and no TD(0) step keeps
-action blocks.  A rate's step sizes are LearningRate.alpha's
+successor table, step sizes and noise draws as lists, the table), one loop per
+learner from checkpoint to checkpoint, each followed by a copy of the table:
+no step tests for or scores a checkpoint, and no TD(0) step keeps action
+blocks.  A rate's step sizes are LearningRate.alpha's
 c_alpha / t**gamma_alpha, one comprehension per block.  Memory is
 O(block * n^2 + rates * seeds * checkpoints * n).  Indexing a list and
 arithmetic on Python floats cost a fraction of indexing an array and
 arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so the
 loop is several times faster and bit-identical to a numpy per-step loop.
 Q-learning's bootstrap, the max over the next state's action block, is kept
-per state and recomputed only when the updated entry held it, since a
-builtin max over a fresh slice costs about a third of a step.  Advancing all
-seeds per step as one numpy table was measured too: bit-identical, but
-slower (0.7x) at the four seeds of a sweep cell and ahead only from about 20
-seeds on, while the Python-float loop wins at every seed count.
+per state and recomputed only when the updated entry held it, since a builtin
+max over a fresh slice costs about a third of a step.  Advancing all seeds per
+step as one numpy table was measured too: bit-identical, but slower (0.7x) at
+the four seeds of a sweep cell and ahead only from about 20 seeds on, while
+the Python-float loop wins at every seed count.  Two more layouts were
+measured and left out (perfbench, alternating pairs, two shared cores): one
+chains.next_states call over all seeds per block took track-q from 25.0 to
+28.8 ms; the seeds split over two forked processes took track-q from 33.4 to
+27.7 ms (74 of 80 pairs) but track-adiabatic from 22.1 to 23.9 ms, a bare fork
+and reap costing 3.4 ms.  _Run.advance, half of either, is at CPython's floor.
 
 Determinism contract: a run is a pure function of (schedule, specs, seed).
 The path uniforms are chains.stream(seed, 0), drawn into states by
 chains.next_states, the stream and the sampler chains.simulate uses;
-explicit noise draws are chains.stream(seed, 1), so zero-noise runs
+explicit noise draws are chains.stream(seed, 1), drawn in track alone
+(NoiseModel holds the envelope and draws nothing), so zero-noise runs
 reproduce the bare simulated path exactly.  Both are drawn block by block,
 which gives the same numbers as one draw of the whole horizon.  Batch
 seeds derive as base_seed + index.  Whether seeds, rates or sweep cells
@@ -116,11 +125,6 @@ class NoiseModel:
             raise ValueError("uniform-iid noise needs eps_max > 0")
         if self.kind == "zero" and self.eps_max != 0.0:  # it would draw nothing
             raise ValueError(f"zero noise needs eps_max = 0, got {self.eps_max!r}")
-
-    def draws(self, t_max: int, seed: int) -> np.ndarray | None:
-        if self.kind == "zero":
-            return None
-        return chains.stream(seed, 1).uniform(-self.eps_max, self.eps_max, t_max)
 
     @staticmethod
     def from_spec(doc: dict) -> "NoiseModel":
@@ -223,28 +227,34 @@ class _Run:
         self.x, self.max_abs = x, max_abs
 
 
-def _checked_grid(schedule, spec: dp.RewardSpec, t_max: int, checkpoint_grid, x0: int,
-                  n_actions: int | None) -> list:
-    """The checks track makes before its walk, on the schedule's size against
-    the rewards and n_actions, on x0 and on the grid; returns the grid's
-    points in [1, t_max], sorted, of which there must be one."""
-    n = schedule.n
-    if n != spec.n:
-        raise ValueError(f"schedule n={n} vs rewards n={spec.n}")
-    if n_actions is not None and n % n_actions != 0:
-        raise ValueError("schedule must live on the (state, action) product space")
-    if not 0 <= x0 < n:
-        raise ValueError(f"x0={x0} out of range")
+def _checkpoints(checkpoint_grid, t_max: int) -> list:
+    """The checkpoint rule of a config and a run: the grid's points in [1, t_max], sorted."""
     cps = sorted({int(t) for t in checkpoint_grid if 1 <= int(t) <= t_max})
     if not cps:
         raise ValueError("checkpoint grid is empty within [1, t_max]")
     return cps
 
 
+def _checked_grid(schedule, spec: dp.RewardSpec, t_max: int, checkpoint_grid, x0: int,
+                  n_actions: int) -> list:
+    """track's checks before its walk: n_actions, the schedule's size against the
+    rewards and n_actions, x0; returns the grid's _checkpoints."""
+    n = schedule.n
+    if n_actions < 1:
+        raise ValueError(f"n_actions must be >= 1, got {n_actions}")
+    if n != spec.n:
+        raise ValueError(f"schedule n={n} vs rewards n={spec.n}")
+    if n % n_actions != 0:
+        raise ValueError("schedule must live on the (state, action) product space")
+    if not 0 <= x0 < n:
+        raise ValueError(f"x0={x0} out of range")
+    return _checkpoints(checkpoint_grid, t_max)
+
+
 def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, seeds,
-          checkpoint_grid, x0: int = 0, n_actions: int | None = None, table_init=None):
+          checkpoint_grid, x0: int = 0, n_actions: int = 1, table_init=None):
     """Traces of every (rate, seed) from one walk, one TrackingTrace of every
-    seed per rate: TD(0) when n_actions is None, else Q-learning.
+    seed per rate: TD(0) at n_actions = 1, Q-learning above.
 
     A seed's path and noise draws are made once per block and read by every
     rate's run of that seed.  Its inputs and table_init are checked first
@@ -256,7 +266,7 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
     table = np.zeros(schedule.n) if table_init is None else np.array(table_init, dtype=float)
     if table.shape != (schedule.n,) or not np.isfinite(table).all():
         raise ValueError(f"table_init must hold {schedule.n} finite numbers")
-    runs = [[_Run(table, x0, n_actions or 1) for _ in seeds] for _ in rates]
+    runs = [[_Run(table, x0, n_actions) for _ in seeds] for _ in rates]
     streams = [(chains.stream(seed, 0), None if noise.kind == "zero" else chains.stream(seed, 1))
                for seed in seeds]
     r_vec, targets, scans = spec.r.tolist(), [], []
@@ -266,7 +276,7 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
         stops = [t - lo for t in cps if lo <= t < lo + k]
         mats = block[stops]
         r, beta = np.tile(spec.r, (len(stops), 1)), np.full(len(stops), spec.beta)
-        targets.append(dp.exact_q(mats, r, beta, n_actions or 1))
+        targets.append(dp.exact_q(mats, r, beta, n_actions))
         scans.append(np.stack((pi_min[stops], drift[stops]), axis=1))  # the scan's
         alphas = [[c / t ** g for t in range(lo, lo + k)] for c, g in powers]
         for i, (path, noise_stream) in enumerate(streams):
@@ -288,24 +298,15 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
 def td0_track(schedule, spec: dp.RewardSpec, rate: LearningRate, noise: NoiseModel,
               t_max: int, seed: int, checkpoint_grid, x0: int = 0,
               table_init=None) -> TrackingTrace:
-    """Track the discounted reward of the drifting chain with TD(0): one seed of track.
-
-    The sampled next state supplies the bootstrap (realized operator value
-    plus its implicit martingale noise); the table starts at zero unless a
-    test overrides table_init.
-    """
-    return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0, None,
+    """TD(0), track at one rate, one seed and n_actions = 1."""
+    return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0, 1,
                  table_init)[0]
 
 
 def q_track(schedule, spec: dp.RewardSpec, n_actions: int, rate: LearningRate,
             noise: NoiseModel, t_max: int, seed: int, checkpoint_grid, x0: int = 0,
             table_init=None) -> TrackingTrace:
-    """Q-learning on the product-space chain, one seed of track; only the
-    visited (s,a) cell moves.
-
-    The bootstrap is the max over the next state's action block; ties have
-    one value, so the order of the max cannot change a replay.
-    """
+    """Q-learning, track at one rate and one seed; ties in the bootstrap's max
+    have one value, so the order of the max cannot change a replay."""
     return track(schedule, spec, [rate], noise, t_max, [seed], checkpoint_grid, x0,
-                 int(n_actions), table_init)[0]
+                 n_actions, table_init)[0]

@@ -10,19 +10,19 @@ also runs over its first _SHRINK_DRIFT_CHECK steps at construction.
 
 A family produces its matrices as validated (k, n, n) float64 blocks of
 P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as an
-(n, n) array, stays while the benchmark tracer (perfbench/tracer.py)
-times it by name.  The restart construction, restart_wraps, acts on stacks.
-Schedule.blocks is the one walk over a horizon, blocks of at most _CHUNK
-steps each ending on the next one's first matrix; _certified_blocks, the
-one certificate scan, rides that walk and hands on each certified block with
-its pi floors and drifts (learners.materialize walks it, so a learner steps
-through certified matrices only; verify_drift drains it for its report).
-The constant, interpolation and cyclic families are one walk along a path
-of anchor matrices (_ArcWalk), its drift metered in matrix-TV arc length
-along the convex segments between anchors: TV is exactly linear there, so
-the certificates are exact rather than estimated; its constructor is where
-every matrix enters the program, validated once.  Time indexing starts at
-t = 1 (the power laws divide by t).
+(n, n) array, has no caller in the package and stays only while the benchmark
+tracer (perfbench/tracer.py) names it.  The restart construction,
+restart_wraps, acts on stacks.  Schedule.blocks is the one walk over a
+horizon, blocks of at most _CHUNK steps each ending on the next one's first
+matrix; _certified_blocks, the one certificate scan, rides that walk and
+hands on each certified block with its pi floors and drifts
+(learners.materialize walks it, so a learner steps through certified matrices
+only; verify_drift drains it for its report).  The constant, interpolation
+and cyclic families are one walk along a path of anchor matrices (_ArcWalk),
+its drift metered in matrix-TV arc length along the convex segments between
+anchors: TV is exactly linear there, so the certificates are exact rather
+than estimated; its constructor is where every matrix enters the program,
+validated once.  Time indexing starts at t = 1 (the power laws divide by t).
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ class _ArcWalk(Schedule):
                 _require_irreducible(_blend(rows[i], nxt[i], 0.5),
                                      f"blend of anchor matrices {i},{(i + 1) % len(anchors)}")
                 segs.append((rows[i], nxt[i], length))
-        super().__init__(len(rows[0]), params, max(map(chains.ergodicity_coefficient, rows)))
+        super().__init__(len(rows[0]), params, float(chains.ergodicity_coefficients(rows).max()))
         self._anchors, self._closed = rows, closed
         starts, ends, lengths = zip(*segs) if segs else ((), (), ())
         self._starts, self._ends = np.array(starts), np.array(ends)
@@ -238,7 +238,7 @@ class ConstantSchedule(_ArcWalk):
         super().__init__([p], params or DriftParams(1.0, GAMMA_INF, 1.0, 0.0), closed=False)
         self.p = self._anchors[0]
         if params is None:  # zero drift and the exact stationary floor
-            pi_min = float(chains.stationary_distribution(self.p).min())
+            pi_min = float(chains.stationary_stack(self.p[None]).min())
             self.params = DriftParams(c_p=1.0, gamma_p=GAMMA_INF, c_pi=pi_min, gamma_pi=0.0)
 
 

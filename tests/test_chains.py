@@ -21,7 +21,6 @@ from adiatrack.chains import (
     stationary_distribution,
     stationary_stack,
 )
-from adiatrack.learners import NoiseModel
 from adiatrack.schedules import ConstantSchedule, CyclicSchedule, DriftParams, InterpolationSchedule
 
 from conftest import distributions, matrices, matrix_tv, random_rows, stochastic, tv
@@ -350,7 +349,7 @@ def test_stream_keys_pin_path_noise_and_coverage_draws(monkeypatch):
         states.append(_sample_from_row(cums[states[-1]], u))
     np.testing.assert_array_equal(simulate(ConstantSchedule(P_REF), 300, 0, [seed])[0],
                                   states)
-    np.testing.assert_array_equal(NoiseModel("uniform-iid", 0.3).draws(500, seed),
+    np.testing.assert_array_equal(chains.stream(seed, 1).uniform(-0.3, 0.3, 500),
                                   _seed_sequence_stream(seed, 1).uniform(-0.3, 0.3, 500))
     np.testing.assert_array_equal(chains.stream(seed, 2).random(50),
                                   _seed_sequence_stream(seed, 2).random(50))

@@ -38,6 +38,14 @@ RATE = LearningRate(0.5, 0.6)
 ZERO_NOISE = NoiseModel("zero", 0.0)
 
 
+def _noise_draws(noise, t_max, seed):
+    """A run's explicit noise at steps 1..t_max as the determinism contract
+    states it: none for zero noise, else stream 1 of the seed."""
+    if noise.kind == "zero":
+        return None
+    return stream(seed, 1).uniform(-noise.eps_max, noise.eps_max, t_max)
+
+
 def test_learning_rate_validation():
     with pytest.raises(ValueError):
         LearningRate(1.5, 0.6)
@@ -53,10 +61,9 @@ def test_noise_model_validation_and_bounds():
         NoiseModel("gaussian", 1.0)
     with pytest.raises(ValueError):
         NoiseModel("uniform-iid", 0.0)
-    draws = NoiseModel("uniform-iid", 0.25).draws(10_000, seed=3)
+    draws = _noise_draws(NoiseModel("uniform-iid", 0.25), 10_000, seed=3)
     assert np.abs(draws).max() <= 0.25
     assert abs(draws.mean()) < 0.01
-    assert NoiseModel("zero", 0.0).draws(100, seed=3) is None
 
 
 # ------------------------------------------------------------------ td0_track
@@ -77,7 +84,7 @@ def test_td0_step_moves_only_the_visited_component(noise):
     rate = LearningRate(0.3, 0.5)
     star = exact_reward(p, spec)
     xn = simulate(ConstantSchedule(p), 1, 1, [4])[0, 1]
-    eps = 0.0 if noise is ZERO_NOISE else noise.draws(1, 4)[0]
+    eps = 0.0 if noise is ZERO_NOISE else _noise_draws(noise, 1, 4)[0]
     for k in range(3):
         init = np.array([0.1234567890123, -7.5, np.pi])
         init[k] += 1000.0
@@ -111,7 +118,7 @@ def test_td0_first_update_is_alpha_times_reward():
 def _replay_with_simulate_and_sa_step(schedule, spec, rate, noise, t_max, seed, cps):
     """Independent recomposition of the tracker from its documented pieces."""
     path = simulate(schedule, t_max, 0, [seed])[0]
-    eps = noise.draws(t_max, seed)
+    eps = _noise_draws(noise, t_max, seed)
     table = np.zeros(spec.n)
     errors = []
     for t in range(1, t_max + 1):
@@ -283,19 +290,19 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
                     table_init):
     """The tracking recursion as a straight numpy loop, one step at a time.
 
-    n_actions None is TD(0); otherwise Q-learning with the max over the next
+    n_actions 1 is TD(0); above 1 Q-learning with the max over the next
     state's action block.  Returns trace_fields of its one-seed trace.
     """
     n = schedule.n
     cums = np.cumsum(schedule.block(1, t_max + 1), axis=2)
     uniforms = stream(seed, 0).random(t_max)
-    eps = noise.draws(t_max, seed)
+    eps = _noise_draws(noise, t_max, seed)
     table = np.zeros(n) if table_init is None else np.array(table_init, dtype=float)
     max_abs = float(np.abs(table).max())
     x, rows = x0, []
     for t in range(1, t_max + 1):
         xn = _sample_from_row(cums[t - 1, x], uniforms[t - 1])
-        if n_actions is None:
+        if n_actions == 1:
             boot = table[xn]
         else:
             sp = xn // n_actions
@@ -307,7 +314,7 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
         x = xn
         if t in cps:
             mat, nxt = schedule.matrix_at(t), schedule.matrix_at(t + 1)
-            target = (exact_reward(mat, spec) if n_actions is None
+            target = (exact_reward(mat, spec) if n_actions == 1
                       else exact_q(mat[None], spec.r[None], np.array([spec.beta]),
                                    n_actions)[0])
             rows.append((t, float(np.abs(table - target).max()), alpha_t,
@@ -318,8 +325,9 @@ def _per_step_track(schedule, spec, n_actions, rate, noise, t_max, seed, cps, x0
 
 @st.composite
 def _kernel_cases(draw):
-    n_actions = draw(st.sampled_from([None, 1, 2, 3]))
-    n = draw(st.integers(2, 3)) * (n_actions or 1)
+    # one action through td0_track, then q_track at each number of actions
+    via_td0, n_actions = draw(st.sampled_from([(True, 1), (False, 1), (False, 2), (False, 3)]))
+    n = draw(st.integers(2, 3)) * n_actions
     kind = draw(st.sampled_from(["constant", "interpolation", "cyclic"]))
     raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=3 * n * n,
                                  max_size=3 * n * n))).reshape(3, n, n)
@@ -340,29 +348,30 @@ def _kernel_cases(draw):
                  | {2048, 2049, t_max})
     x0 = draw(st.integers(0, n - 1))
     table_init = draw(st.none() | st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
-    return sched, spec, n_actions, noise, t_max, draw(st.integers(0, 2**31)), cps, x0, \
-        table_init
+    return sched, spec, via_td0, n_actions, noise, t_max, draw(st.integers(0, 2**31)), cps, \
+        x0, table_init
 
 
 @settings(max_examples=25, deadline=None)
 @given(_kernel_cases())
 def test_kernel_equals_per_step_numpy_loop(case):
-    sched, spec, n_actions, noise, t_max, seed, cps, x0, table_init = case
+    sched, spec, via_td0, n_actions, noise, t_max, seed, cps, x0, table_init = case
     kwargs = dict(t_max=t_max, seed=seed, checkpoint_grid=cps, x0=x0,
                   table_init=table_init)
-    trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions is None
+    trace = (td0_track(sched, spec, RATE, noise, **kwargs) if via_td0
              else q_track(sched, spec, n_actions, RATE, noise, **kwargs))
     assert trace_fields(trace) == _per_step_track(sched, spec, n_actions, RATE, noise, t_max,
                                                   seed, set(cps), x0, table_init)  # bit for bit
 
 
 def _tied_table(n, n_actions):
-    """A start table whose every action block holds one value throughout, so
-    Q-learning's block max is both raised and recomputed."""
-    return [0.5 if (i // (n_actions or 2)) % 2 else -0.25 for i in range(n)]
+    """A start table whose every action block (at one action, every pair of
+    entries) holds one value throughout, so Q-learning's block max is both
+    raised and recomputed."""
+    return [0.5 if (i // max(n_actions, 2)) % 2 else -0.25 for i in range(n)]
 
 
-@pytest.mark.parametrize("n_actions", [None, 2, 3])
+@pytest.mark.parametrize("n_actions", [1, 2, 3])
 @pytest.mark.parametrize("t_max, cps, tied", [
     pytest.param(10_007, [1, 2047, 2048, 2049, 6000, 10_007], False, id="10007"),
     pytest.param(3 * 2048, [1, 2047, 2048, 2049, 6000, 3 * 2048], False, id="6144"),
@@ -383,13 +392,13 @@ def test_kernel_equals_per_step_numpy_loop_across_many_blocks(n_actions, t_max, 
     noise = NoiseModel("uniform-iid", 0.3)
     table_init = _tied_table(len(p), n_actions) if tied else None
     kwargs = dict(t_max=t_max, seed=5, checkpoint_grid=cps, x0=3, table_init=table_init)
-    trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions is None
+    trace = (td0_track(sched, spec, RATE, noise, **kwargs) if n_actions == 1
              else q_track(sched, spec, n_actions, RATE, noise, **kwargs))
     assert trace_fields(trace) == _per_step_track(sched, spec, n_actions, RATE, noise, t_max,
                                                   5, set(cps), 3, table_init)
 
 
-@pytest.mark.parametrize("n_actions", [None, 2])
+@pytest.mark.parametrize("n_actions", [1, 2])
 def test_track_at_two_rates_equals_two_one_rate_calls(n_actions):
     # every rate's run of a seed reads that seed's one set of path and noise
     # draws per block: sharing them changes no bit of any trace
@@ -422,8 +431,8 @@ def test_track_solves_each_blocks_q_targets_in_one_call(monkeypatch):
 
 
 @pytest.mark.parametrize("chain, n_actions, table_init", [
-    (A, None, [0.0, 0.0, 7.0]),  # a phantom third entry
-    (A, None, [0.0, np.nan]),
+    (A, 1, [0.0, 0.0, 7.0]),  # a phantom third entry
+    (A, 1, [0.0, np.nan]),
     (_product_chain(), 2, [0.0, 0.0, 0.0]),  # one short of the 4 (state, action) pairs
 ])
 def test_track_refuses_a_malformed_table_init_before_the_walk(monkeypatch, chain, n_actions,
@@ -438,11 +447,25 @@ def test_track_refuses_a_malformed_table_init_before_the_walk(monkeypatch, chain
               n_actions=n_actions, table_init=table_init)
 
 
-@pytest.mark.parametrize("n_actions", [None, 2])
+@pytest.mark.parametrize("n_actions", [0, -2])
+def test_track_refuses_n_actions_below_one_before_the_walk(monkeypatch, n_actions):
+    # 0 divided n by zero; -2 divides the 4 pairs and failed inside the first
+    # block's target solve, after the scan
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(learners, "materialize", walk)
+    spec = RewardSpec([1.0, 0.0, 0.5, 0.25], 0.5)
+    with pytest.raises(ValueError, match=rf"^n_actions must be >= 1, got {n_actions}$"):
+        track(ConstantSchedule(_product_chain()), spec, [RATE], ZERO_NOISE, 100, [1], [100],
+              n_actions=n_actions)
+
+
+@pytest.mark.parametrize("n_actions", [1, 2])
 def test_track_without_seeds_or_rates(n_actions):
     # the scores are one stack of (rates, seeds, checkpoints): an empty axis
     # keeps its place, a trace of no seeds per rate, or no trace at all
-    chain = A if n_actions is None else _product_chain()
+    chain = A if n_actions == 1 else _product_chain()
     spec = RewardSpec([1.0, 0.0, 0.5, 0.25][:len(chain)], 0.5)
     args = (ConstantSchedule(chain), spec)
     rates = [RATE, LearningRate(0.3, 0.8)]

@@ -9,6 +9,8 @@ import io
 import os
 import re
 import shutil
+import subprocess
+import types
 
 from adiatrack import verify
 
@@ -68,3 +70,25 @@ def test_byte_oracle_side_writes_every_file_and_compares(tmp_path, capsys, monke
     assert re.fullmatch(r"verify mixing     master seed 1: HEAD +\d+\.\d\d s  HEAD\^1      -  ",
                         lines[3])
     assert lines[5] == "diff -r HEAD^1 HEAD: 1 files differ or are missing"
+
+
+def test_byte_oracle_against_head_keeps_the_working_tree_side_apart(monkeypatch, capsys):
+    # both sides write the same file; the working tree's run fails, the run
+    # at HEAD's worktree passes: each side keeps its own exit status and log
+    def python(script, command, root, out, text):
+        os.makedirs(out)
+        with open(os.path.join(out, "run.csv"), "w") as fh:
+            fh.write("t\n")
+        here = root == oracle.ROOT
+        return subprocess.CompletedProcess([], int(here), f"coverage {0.5 if here else 0.25}\n")
+
+    git = lambda args, **kw: (subprocess.CompletedProcess(args, 0) if args[0] == "git"
+                              else subprocess.run(args, **kw))
+    monkeypatch.setattr(oracle, "_python", python)
+    monkeypatch.setattr(oracle, "subprocess", types.SimpleNamespace(
+        run=git, PIPE=subprocess.PIPE, DEVNULL=subprocess.DEVNULL))
+    assert oracle.bytes_oracle("HEAD") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "the run at working tree failed", "files written: working tree 1, HEAD 1",
+        "diff -r HEAD working tree: identical",
+        "verify coverage   master seed 1: working tree   0.50 s  HEAD   0.25 s"]

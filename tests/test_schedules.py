@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiatrack import schedules
+from adiatrack import schedules, verify
 from adiatrack.chains import (
     InvariantError,
     ergodicity_coefficient,
@@ -25,7 +25,7 @@ from adiatrack.schedules import (
     verify_drift,
 )
 
-from conftest import matrix_tv, stochastic
+from conftest import config_dict, matrix_tv, stochastic
 
 A = np.array([[0.9, 0.1], [0.2, 0.8]])
 B = np.array([[0.1, 0.9], [0.8, 0.2]])
@@ -59,6 +59,20 @@ def test_constant_schedule_same_matrix_every_t():
     assert sched.rho_cap == pytest.approx(0.7)
     # default floor is the exact stationary minimum
     assert sched.params.c_pi == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_anchor_solves_equal_their_one_matrix_calls_bit_for_bit():
+    # rho_cap and a constant path's default floor are stacked solves; the
+    # one-matrix calls they replaced must give the same bits on every anchor
+    # set the acceptance configs and the verify scans build
+    walks = [schedule_from_spec(config_dict(name)["schedule"])
+             for name in ("static_td", "adiabatic", "diabatic", "static_q")]
+    walks += [s for s in verify.scan_families() if isinstance(s, schedules._ArcWalk)]
+    assert len(walks) == 11
+    for walk in walks:
+        assert walk.rho_cap == max(ergodicity_coefficient(p) for p in walk._anchors)
+        for p in walk._anchors:
+            assert ConstantSchedule(p).params.c_pi == stationary_distribution(p).min()
 
 
 def test_matrix_at_is_pure():
