@@ -86,17 +86,20 @@ def size():
 
 def verify_suites():
     """Each verify suite at its default counts through the CLI: its pass flag,
-    wall seconds and the sha256 of its report (16 hex digits)."""
+    wall seconds, the sha256 of its report (16 hex digits) and the report's
+    worst_margin, so a digest that moves shows whether the margin moved."""
     import hashlib
     from adiatrack import verify
     for suite in sorted(verify.SUITES):
         proc, wall = _timed(_python, "-m", "adiatrack.cli", "verify", "--suite", suite)
         try:
-            passed = json.loads(proc.stdout)["pass"]
+            report = json.loads(proc.stdout)
+            passed, margin = report["pass"], repr(report["worst_margin"])
             digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
         except (ValueError, KeyError):
-            passed, digest = "error", "-"
-        print(f"{suite:<10} pass={passed!s:<5} {wall:6.1f} s  sha256={digest}")
+            passed, digest, margin = "error", "-", "-"
+        print(f"{suite:<10} pass={passed!s:<5} {wall:6.1f} s  sha256={digest}  "
+              f"worst_margin={margin}")
 
 
 def memory(t_max, n_seeds):
@@ -271,13 +274,16 @@ def fixture():
     """scripts/reference_recursion.py rerun (about 7 s): the top-level fields that
     differ from the frozen fixture ("thresholds" is frozen by hand; "static_q"
     may move by rounding, its frozen targets came from value iteration) and
-    static_q's largest difference."""
+    static_q's largest difference.  Exit 1, after the wall line, when the rerun
+    fails."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "reference.json")
         proc, wall = _timed(_python, os.path.join(ROOT, "scripts", "reference_recursion.py"), path)
         if proc.returncode:
             print("reference_recursion.py failed")
         print(f"reference_recursion.py: {wall:.1f} s wall")
+        if proc.returncode:
+            return 1
         with open(path) as fh:
             fresh = json.load(fh)
     with open(os.path.join(ROOT, "tests", "fixtures", "tracking_reference.json")) as fh:

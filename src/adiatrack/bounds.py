@@ -311,12 +311,12 @@ def _linear_scan(z0, m, c) -> np.ndarray:
 
 
 def unroll_recursion(z0, a, c) -> np.ndarray:
-    """Closed-form unroll of z_{n+1} = (1 - a_n) z_n + c_n.
-
-    Returns [z_1, ..., z_N]: z_{n+1} = z_0 prod(1-a_k) + sum_j c_j prod_{k>j}(1-a_k).
-    When the recursion holds with <= instead of =, the same expression is an
-    upper bound.  a and c are (k, N) stacks, one case a row, with z0 a
-    scalar or one start per row.
+    """Iterates [z_1, ..., z_N] of z_{n+1} = (1 - a_n) z_n + c_n, run step by
+    step (_linear_scan); they equal the closed form
+    z_{n+1} = z_0 prod_{k<=n}(1-a_k) + sum_{j<=n} c_j prod_{j<k<=n}(1-a_k).
+    When the recursion holds with <= instead of =, they are an upper bound.
+    a and c are (k, N) stacks, one case a row, with z0 a scalar or one start
+    per row.
     """
     a, c = _stacks(a, c, names="a and c")
     return _linear_scan(z0, 1.0 - a, c)

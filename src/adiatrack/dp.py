@@ -1,19 +1,18 @@
-"""Exact ground truth for the moving fixed points.
+"""Exact ground truth for the moving fixed points: one solve, one certificate.
 
-Discounted reward functions come from direct linear solves and optimal
-Q-functions from policy iteration, one solve per policy, so tracking errors
-are measured against machine-precision targets, not simulation estimates.
-The fixed-point solves, the Bellman operator G and the Lipschitz and
-restart checks take stacks: (k, n, n) matrices with (k, n) rewards and (k,)
-discounts, solved in one call (policy iteration: one solve per round over
-the rows still iterating; a check's k pairs are one (2k, n, n) call).  A
-one-matrix question is a k = 1 call.  The TD operator r + beta P v is G
-with one action per state, so exact_q is the one fixed-point entry for
-TD(0) and Q-learning alike: n_actions = 1 is TD(0) and exact_rewards' solve,
-and check_lipschitz holds for both.  The checks return their sides, (k,)
-each, and no verdict: the caller judges lhs <= rhs at its own tolerance.
-exact_reward, the k = 1 call of exact_rewards, has no caller in the package:
-it stays only while the benchmark tracer (perfbench/tracer.py) names it.
+exact_q is the one place a fixed point is solved and certified, TD(0)'s
+and Q-learning's alike: one solve expression, R = (I - beta M)^-1 r, with
+M = P at one action per state and M = P F_pi in each policy-iteration round,
+then one Bellman-residual bound per row, so tracking errors are measured
+against machine-precision targets.  The solves, the Bellman operator G and
+the Lipschitz and restart checks take stacks: (k, n, n) matrices with (k, n)
+rewards and (k,) discounts, solved in one call (a check's k pairs are one
+(2k, n, n) call); a one-matrix question is a k = 1 call.  The TD operator
+r + beta P v is G at one action, and check_lipschitz holds for both
+learners.  The checks return their sides, (k,) each, and no verdict: the
+caller judges lhs <= rhs at its own tolerance.  exact_reward, exact_q's
+k = 1 call at one action, has no caller in the package: it stays only while
+the benchmark tracer (perfbench/tracer.py) names it.
 
 Q-learning instances live on the product state space: a single transition
 matrix over (state, action) pairs with flat index x = s * n_actions + a.
@@ -33,7 +32,6 @@ from .schedules import restart_wraps
 __all__ = [
     "RewardSpec",
     "exact_reward",
-    "exact_rewards",
     "exact_q",
     "bellman_g",
     "check_lipschitz",
@@ -86,26 +84,16 @@ def _check_rewards(r: np.ndarray, beta: np.ndarray):
 
 
 def exact_reward(p: np.ndarray, spec: RewardSpec) -> np.ndarray:
-    """Solve (I - beta P) R = r directly for an (n, n) p: the one-matrix call of exact_rewards."""
+    """R of (I - beta P) R = r for an (n, n) p: exact_q's one-matrix call at one action."""
     if len(p) != spec.n:
         raise ValueError(f"dimension mismatch: matrix n={len(p)}, rewards n={spec.n}")
-    return exact_rewards(p[None], spec.r[None], np.array([spec.beta]))[0]
+    return exact_q(p[None], spec.r[None], np.array([spec.beta]), 1)[0]
 
 
-def exact_rewards(mats: np.ndarray, r: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Solve (I - beta_i P_i) R_i = r_i for a (k, n, n) stack in one call; (k, n).
-
-    Always solvable for beta < 1.  Raises ArithmeticError unless every
-    ||r_i + beta_i P_i R_i - R_i||_inf <= 1e-10 (1 + max|R_i|).
-    """
-    scaled = beta[:, None, None] * mats
-    solution = np.linalg.solve(np.eye(mats.shape[1]) - scaled, r[:, :, None])
-    resid = np.abs(solution - (r[:, :, None] + scaled @ solution)).max(axis=(1, 2))
-    solution = solution[:, :, 0]
-    bad = ~(resid <= 1e-10 * (1.0 + np.abs(solution).max(axis=1)))  # NaN fails too
-    if bad.any():
-        raise ArithmeticError(f"fixed-point residual {float(resid[bad][0])!r} too large")
-    return solution
+def _solve(mats: np.ndarray, r: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """R_i of (I - beta_i M_i) R_i = r_i for a (k, n, n) stack; (k, n)."""
+    return np.linalg.solve(np.eye(mats.shape[1]) - beta[:, None, None] * mats,
+                           r[:, :, None])[:, :, 0]
 
 
 def _state_of_product(nsa: int, n_actions: int) -> np.ndarray:
@@ -135,19 +123,19 @@ _G_ROUNDING = np.finfo(float).eps / 2
 def exact_q(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, n_actions: int,
             tol: float = 1e-10) -> np.ndarray:
     """Optimal Q (k, N) of a (k, N, N) product-space stack with rewards r (k, N)
-    and discounts beta (k,): the one fixed-point entry, for TD(0) at one
-    action (exact_rewards' solve) and for Q-learning.  Above one action by
+    and discounts beta (k,): the one fixed-point solve, for TD(0) and
+    Q-learning.  At one action it solves (I - beta P) Q = r.  Above one, by
     Howard policy iteration (Puterman 1994, sec. 6.4) per row: from the
-    all-zeros policy pi, solve (I - beta P F_pi) Q = r, F_pi sending pair y
-    to (state(y), pi(state(y))), set pi = argmax Q (lowest action on ties),
+    all-zeros policy pi, the same solve with P F_pi for P, F_pi sending pair
+    y to (state(y), pi(state(y))), set pi = argmax Q (lowest action on ties),
     and stop the row when pi repeats (an earlier pi if rounding flips tied
-    actions); a round is one solve of the rows still iterating.  Raises
-    ArithmeticError unless every row has
+    actions); a round is one solve of the rows still iterating.  The one
+    certificate: raises ArithmeticError unless every row has
     ||GQ - Q|| <= (1-beta) tol + (N + 5) u max|Q|.
     """
     k, n = r.shape
     if n_actions == 1:
-        q = exact_rewards(mats, r, beta)
+        q = _solve(mats, r, beta)
     else:
         eye, s_of = np.eye(n), _state_of_product(n, n_actions)
         policies, q, seen = np.zeros((k, n // n_actions), dtype=int), np.empty((k, n)), []
@@ -155,16 +143,15 @@ def exact_q(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, n_actions: int,
         while live.size:
             seen.append(policies.copy())
             follow = eye[s_of * n_actions + policies[live][:, s_of]]  # F_pi of each live row
-            q[live] = np.linalg.solve(eye - beta[live, None, None] * (mats[live] @ follow),
-                                      r[live, :, None])[:, :, 0]
+            q[live] = _solve(mats[live] @ follow, r[live], beta[live])
             policies[live] = q[live].reshape(live.size, n // n_actions, n_actions).argmax(axis=2)
             live = live[~(np.array(seen)[:, live] == policies[live]).all(axis=2).any(axis=0)]
     resid = np.abs(bellman_g(mats, r, beta, q, n_actions) - q).max(axis=1)
     bound = (1.0 - beta) * tol + _G_ROUNDING * (n + 5) * np.abs(q).max(axis=1)
     bad = ~(resid <= bound)  # NaN fails too
     if bad.any():
-        raise ArithmeticError(
-            f"policy iteration ends with Bellman residual {float(resid[bad][0])!r}")
+        raise ArithmeticError(f"fixed point fails its certificate: Bellman residual "
+                              f"{float(resid[bad][0])!r} above {float(bound[bad][0])!r}")
     return q
 
 
@@ -208,8 +195,8 @@ def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
     _check_rewards(r, beta)
     wrapped = restart_wraps(p, beta, beta_hat, x_restart)
     chains._check_rows(wrapped)
-    both = exact_rewards(np.concatenate([wrapped, p]), np.tile(r, (2, 1)),
-                         np.concatenate([beta_hat, beta]))
+    both = exact_q(np.concatenate([wrapped, p]), np.tile(r, (2, 1)),
+                   np.concatenate([beta_hat, beta]), 1)
     at = np.arange(len(p)), x_restart
     lhs, rhs = both[:len(p)][at], (1.0 - beta) / (1.0 - beta_hat) * both[len(p):][at]
     return lhs, rhs, chains.ergodicity_coefficients(wrapped), beta / beta_hat

@@ -19,8 +19,8 @@ _checkpoints, which ExperimentConfig applies too; then table_init), then
 materialize walks the schedule once per call, the certified walk
 (schedules._certified_blocks), yielding each block with the row cumsums of its
 step matrices and the scan's pi floors and drifts, which track keeps at the
-block's checkpoints with their targets, one stacked call (dp.exact_q at
-n_actions: dp.exact_rewards for TD(0), policy iteration for Q-learning); each
+block's checkpoints with their targets, one stacked dp.exact_q call at
+n_actions (one solve, one certificate, for TD(0) and Q-learning alike); each
 block advances every (rate, seed) run before the next is made, and a sweep's
 cells of one schedule are one call, one rate each.  A failing certificate
 raises DriftCertificateError, and no run steps in or after the failing block.

@@ -419,6 +419,9 @@ class DriftCertificateError(ValueError):
         self.report = report
         super().__init__("; ".join(str(v) for v in report.violations))
 
+    def __reduce__(self):  # rebuilt from the report, not the message: pickle and copy
+        return type(self), (self.report,)
+
 
 _CERT_FUZZ = 1e-9
 # Rounding bound of one measured drift step, in TV, per state.  The scan

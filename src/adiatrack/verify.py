@@ -312,9 +312,13 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED):
     coeffs = bounds.recursion_coefficients(a_big, alpha, verify_tol=TOL)
     growth_ok = np.isfinite((np.abs(coeffs) * ts ** g_big[:, None]).max(axis=1))
     closed = bounds.unroll_recursion(z0, a_rec, c_rec)
+    # the lemma's closed form at t = T, z0 prod_k (1-a_k) + sum_j c_j prod_{k>j} (1-a_k),
+    # from one reversed cumprod: tail[:, j] = prod_{k>=j} (1-a_k)
+    tail = np.cumprod((1.0 - a_rec)[:, ::-1], axis=1)[:, ::-1]
+    closed_t = z0 * tail[:, 0] + (c_rec[:, :-1] * tail[:, 1:]).sum(axis=1) + c_rec[:, -1]
     tilde = bounds.dominating_sequence(z0, alpha_z, beta, c_z)
-    # per case: the exact iterate leaves the closed form, the <= version
-    # rises above it, the feedback z rises above the dominating recursion
+    # per case: the exact iterate leaves the unroll (or at T the closed form),
+    # the <= version rises above it, the feedback z rises above the dominating recursion
     bad = np.zeros((3, n_cases), dtype=bool)
     z = slackened = w = z_prev = z0
     for k in range(t_horizon):
@@ -325,6 +329,7 @@ def suite_lemmas(n_cases=300, master_seed=DEFAULT_MASTER_SEED):
         w = (1.0 - alpha_z[:, k]) * w + alpha_z[:, k] * beta * z_prev + c_z[:, k]
         z_prev = shrink[:, k] * w
         bad[2] |= z_prev > tilde[:, k] + TOL
+    bad[0] |= np.abs(z - closed_t) > TOL * (1.0 + np.abs(z))
 
     sides = zip(*(side.tolist() for side in decaying), growth_ok.tolist(), *(~bad).tolist())
     for (gamma, s, t_hi, c_a, g_a, c_big, g_big, z0, beta), (

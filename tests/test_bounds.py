@@ -325,6 +325,10 @@ def test_unroll_recursion_matches_direct_iteration(seed):
     for k in range(n):
         z = z * (1 - a[k]) + c[k]
         assert abs(z - closed[k]) <= 1e-10 * (1 + abs(z))
+    # the closed form z0 prod_k (1-a_k) + sum_j c_j prod_{k>j} (1-a_k) at N
+    tail = np.cumprod((1 - a)[::-1])[::-1]  # prod_{k>=j}
+    assert abs(z0 * tail[0] + (c[:-1] * tail[1:]).sum() + c[-1] - closed[-1]) \
+        <= 1e-10 * (1 + abs(z))
     starts, a_k = rng.uniform(0, 3, 3), rng.uniform(0.01, 0.99, (3, n))
     c_k = rng.uniform(0, 1, (3, n))
     rows = unroll_recursion(starts, a_k, c_k)  # a (k, N) stack is k k = 1 calls, bit for bit

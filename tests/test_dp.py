@@ -138,25 +138,31 @@ def test_exact_reward_respects_value_cap(p, beta):
     assert np.abs(exact_reward(p, spec)).max() <= spec.value_cap + 1e-12
 
 
-def test_exact_rewards_equals_per_matrix_exact_reward(rng):
+def test_exact_q_at_one_action_equals_per_matrix_exact_reward(rng):
     betas = np.array([0.5, 0.9, 0.99])[np.arange(9) % 3]
     for n in range(2, 7):
         raw = rng.random((9, n, n))
         mats = raw / raw.sum(axis=2, keepdims=True)
         r = rng.uniform(-1, 1, (9, n))
         np.testing.assert_array_equal(
-            dp.exact_rewards(mats, r, betas),
+            exact_q(mats, r, betas, 1),
             [exact_reward(stochastic(m), RewardSpec(ri, b))
              for m, ri, b in zip(mats, r, betas)])
 
 
 @pytest.mark.parametrize("error", [1e-9, np.nan])
-def test_exact_rewards_certificate_rejects_an_inexact_solve(monkeypatch, error):
+def test_exact_q_at_one_action_certificate_rejects_an_inexact_solve(monkeypatch, error):
+    # every one-action solve goes through exact_q's one certificate: the stack,
+    # both members of a restart check and the one-matrix exact_reward
     real = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: real(a, b) + error)
-    with pytest.raises(ArithmeticError, match="fixed-point residual"):
-        dp.exact_rewards(np.stack([P_REF, FLAT]), np.array([[1.0, 0.0], [0.0, 0.0]]),
-                         np.array([0.5, 0.5]))
+    with pytest.raises(ArithmeticError, match="Bellman residual"):
+        exact_q(np.stack([P_REF, FLAT]), np.array([[1.0, 0.0], [0.0, 0.0]]),
+                np.array([0.5, 0.5]), 1)
+    with pytest.raises(ArithmeticError, match="Bellman residual"):
+        restart_identity1(P_REF, RewardSpec([1.0, 0.0], 0.5), 0.8, 0)
+    with pytest.raises(ArithmeticError, match="Bellman residual"):
+        exact_reward(P_REF, RewardSpec([1.0, 0.0], 0.5))
 
 
 # ------------------------------------------- the TD operator F (G at one action)
@@ -452,10 +458,9 @@ def test_pair_checks_solve_both_members_of_every_pair_in_one_call(monkeypatch):
     p, q = (np.array([random_rows(rng, 4) for _ in range(k)]) for _ in range(2))
     r, beta = rng.uniform(0, 1, (k, 4)), np.array([0.5, 0.9, 0.99, 0.5, 0.9])
     beta_hat, x_restart = beta + (1 - beta) * 0.5, rng.integers(4, size=k)
-    shapes = []
-    for name in ("exact_rewards", "exact_q"):
-        monkeypatch.setattr(dp, name, lambda m, *a, name=name, real=getattr(dp, name), **kw:
-                            shapes.append((name, m.shape)) or real(m, *a, **kw))
+    shapes, real = [], dp.exact_q
+    monkeypatch.setattr(dp, "exact_q", lambda m, *a, **kw: shapes.append(m.shape)
+                        or real(m, *a, **kw))
 
     def sides(i):  # every check on pairs i (a slice), one call each
         return [side.tobytes() for side in (
@@ -464,10 +469,8 @@ def test_pair_checks_solve_both_members_of_every_pair_in_one_call(monkeypatch):
             *dp.check_restart_identities(p[i], r[i], beta[i], beta_hat[i], x_restart[i]))]
 
     stacked = sides(slice(None))
-    # one solve call per check, both members stacked; at one action exact_q's is exact_rewards'
-    solve = (2 * k, 4, 4)
-    assert shapes == [("exact_q", solve), ("exact_rewards", solve), ("exact_q", solve),
-                      ("exact_rewards", solve)]
+    # one exact_q call per check, both members stacked
+    assert shapes == [(2 * k, 4, 4)] * 3
     for i in range(k):  # each pair's sides equal its own k = 1 calls bit for bit
         one = sides(slice(i, i + 1))
         assert one == [np.frombuffer(side, dtype=np.float64)[i:i + 1].tobytes()

@@ -449,15 +449,15 @@ def test_sweep_reads_a_base_without_n_as_track_does(tmp_path):
 def test_sweep_writes_nothing_when_a_later_walk_raises(tmp_path, monkeypatch):
     # two groups (gamma_p inf and 1.0), one block each at t_max 200: the first
     # walk succeeds, the second raises, and neither cell's out dir is made
-    calls, solve = [], dp.exact_rewards
+    calls, solve = [], dp.exact_q
 
-    def exact_rewards(*args):
+    def exact_q(*args):
         calls.append(1)
         if len(calls) > 1:
             raise ArithmeticError("second solve")
         return solve(*args)
 
-    monkeypatch.setattr(dp, "exact_rewards", exact_rewards)
+    monkeypatch.setattr(dp, "exact_q", exact_q)
     base = make_config(schedule=ACCEPTANCE_ANCHORS, t_max=200)
     with pytest.raises(ArithmeticError, match="second solve"):
         run_sweep({"gamma_p": ["inf", 1.0], "gamma_alpha": [0.6]}, base, tmp_path / "out")

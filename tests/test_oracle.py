@@ -92,3 +92,25 @@ def test_byte_oracle_against_head_keeps_the_working_tree_side_apart(monkeypatch,
         "the run at working tree failed", "files written: working tree 1, HEAD 1",
         "diff -r HEAD working tree: identical",
         "verify coverage   master seed 1: working tree   0.50 s  HEAD   0.25 s"]
+
+
+def test_verify_prints_each_suites_worst_margin_next_to_its_digest(monkeypatch, capsys):
+    # two cheap suites stand for the seven; each margin is its report's, at the default seed
+    monkeypatch.setattr(verify, "SUITES", {s: verify.SUITES[s] for s in ("coverage", "mixing")})
+    oracle.verify_suites()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line, suite in zip(lines, ("coverage", "mixing")):
+        margin = verify.run_suite(suite)["worst_margin"]
+        assert re.fullmatch(rf"{suite} +pass=True +\d+\.\d s  sha256=[0-9a-f]{{16}}  "
+                            rf"worst_margin={re.escape(repr(margin))}", line), line
+
+
+def test_fixture_exits_1_when_the_rerun_fails(monkeypatch, capsys):
+    # the rerun writes nothing: no traceback from reading its missing output
+    monkeypatch.setattr(oracle, "_python",
+                        lambda *args, **kw: subprocess.CompletedProcess(args, 1, b""))
+    assert oracle.fixture() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "reference_recursion.py failed"
+    assert re.fullmatch(r"reference_recursion.py: \d+\.\d s wall", lines[1]) and len(lines) == 2

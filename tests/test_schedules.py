@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -272,6 +275,20 @@ def test_verify_drift_catches_overdeclared_pi_floor():
     with pytest.raises(DriftCertificateError) as err:
         verify_drift(sched, t_max=20)
     assert any(v.bound == "pi floor c_pi" for v in err.value.report.violations)
+
+
+@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_drift_certificate_error_survives_pickle_and_copy(clone):
+    # rebuilt from its report, not from its message, so it can cross a process boundary
+    sched = ConstantSchedule(A, DriftParams(1.0, GAMMA_INF, 0.9, 0.0))
+    with pytest.raises(DriftCertificateError) as err:
+        verify_drift(sched, t_max=20)
+    twin = clone(err.value)
+    assert type(twin) is DriftCertificateError and str(twin) == str(err.value)
+    assert twin.report.violations
+    for f in dataclasses.fields(schedules.DriftReport):
+        assert getattr(twin.report, f.name) == getattr(err.value.report, f.name), f.name
 
 
 def _decreasing_floor_schedule(c_pi=0.2):
