@@ -115,18 +115,27 @@ def memory(t_max, n_seeds):
     print(f"adiabatic, T = {_sci(t_max)}, {n_seeds} seeds: {wall:.1f} s wall, ru_maxrss {rss:.0f} MB")
 
 
-def rate():
+def rate(t_max):
     """Steps/s (T x seeds) of one learners.track call, no output, on the
-    adiabatic TD(0) and static Q configs (T = 1e5, 20 seeds)."""
-    from adiatrack import learners
+    adiabatic TD(0) and static Q configs (20 seeds) at T = t_max, and the
+    sampling layer beside it: the least of five timings of the first block's
+    successor tables for every seed (its learners.materialize cols, then
+    chains.next_states and .tolist() per seed, as track makes them)."""
+    from adiatrack import chains, learners
     from adiatrack.harness import ExperimentConfig
     for name, file in [("adiabatic TD(0)", "adiabatic"), ("static Q", "static_q")]:
-        cfg = ExperimentConfig.from_dict(_config(file))
+        cfg = ExperimentConfig.from_dict({**_config(file), "t_max": t_max})
         schedule, spec, rate, noise = cfg.build()
         _, wall = _timed(learners.track, schedule, spec, [rate], noise, cfg.t_max, cfg.seeds,
                          cfg.checkpoints, cfg.x0, cfg.n_actions)
+        _, _, cols, _, _ = next(learners.materialize(schedule, cfg.t_max))
+        uniforms = [chains.stream(seed, 0).random(cols.shape[2]) for seed in cfg.seeds]
+        tables = min(_timed(lambda: [chains.next_states(cols, u).tolist() for u in uniforms])[1]
+                     for _ in range(5))
         print(f"{name}, T = {cfg.t_max}, {len(cfg.seeds)} seeds: "
-              f"{cfg.t_max * len(cfg.seeds) / wall:,.0f} steps/s ({wall:.2f} s wall)")
+              f"{cfg.t_max * len(cfg.seeds) / wall:,.0f} steps/s ({wall:.2f} s wall), "
+              f"first block's successor tables {tables * 1e3:.2f} ms "
+              f"({cols.shape[2]} steps)")
 
 
 def gate(t_max):
@@ -297,7 +306,7 @@ def fixture():
 
 # CI's sizes; files: T of the acceptance runs, the noisy runs and the sweeps
 COMMANDS = {"size": size, "verify": verify_suites, "memory": lambda: memory(1_000_000, 4),
-            "rate": rate, "gate": lambda: gate(1_000_000),
+            "rate": lambda: rate(100_000), "gate": lambda: gate(1_000_000),
             "separation": lambda: separation(100_000), "fixture": fixture, "bytes": bytes_oracle,
             "files": lambda root, out: files(out, sys.stdout, 100_000, 5_000, 500)}
 

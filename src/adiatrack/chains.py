@@ -181,18 +181,21 @@ def stream(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(k)])))
 
 
-def next_states(cums: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws of a block: entry (j, x) is the first index whose
-    cumulative mass in row x of cums[j] (k, n, n) exceeds us[j], else n - 1.
+def next_states(cols: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of a block: entry (x, j) of the int64 (n, k) table is
+    the first column i whose mass cols[i, x, j] exceeds us[j], else n - 1, for
+    the block's (n, n, k) column-layout row cumsums (learners.materialize).
 
     A column at or below u keeps the search going, so a cumsum left
     non-monotone by a -1e-12 entry gives the index a left-to-right scan
-    gives.  One pass per column over (k, n) slices.
+    gives.  One pass per contiguous cols[i], i < n - 1, broadcast against us
+    (simulate passes one step's (n, m) gather of m rows and m uniforms); the
+    last column is never compared, so a one-state chain draws 0.
     """
-    searching = np.ones(cums.shape[:2], dtype=bool)
-    out = np.zeros(cums.shape[:2], dtype=np.int64)
-    for i in range(cums.shape[2] - 1):
-        searching &= cums[:, :, i] <= us[:, None]
+    searching = np.ones(cols.shape[1:], dtype=bool)
+    out = np.zeros(cols.shape[1:], dtype=np.int64)
+    for col in cols[:-1]:
+        searching &= col <= us
         out += searching
     return out
 
@@ -218,7 +221,7 @@ def simulate(schedule, t_max: int, x0: int, seeds) -> np.ndarray:
     states[:, 0] = x0
     for lo, block in schedule.blocks(1, t_max + 1):
         for t, cums in enumerate(np.cumsum(block[:-1], axis=2), lo):
-            states[:, t] = next_states(cums[states[:, t - 1], None], uniforms[:, t - 1])[:, 0]
+            states[:, t] = next_states(cums[states[:, t - 1]].T, uniforms[:, t - 1])
     states.flags.writeable = False
     return states
 

@@ -25,7 +25,8 @@ block advances every (rate, seed) run before the next is made, and a sweep's
 cells of one schedule are one call, one rate each.  A failing certificate
 raises DriftCertificateError, and no run steps in or after the failing block.
 Per seed and block, chains.next_states draws the block's successor table in
-one numpy pass, and that table and the seed's noise draws are read by every
+one numpy pass over materialize's contiguous (n, n, k) cumsum, as lists made
+just before the seed's steps and read, with the seed's noise draws, by every
 rate's run of the seed.  The step loop runs on Python floats only (the
 successor table, step sizes and noise draws as lists, the table), one loop per
 learner from checkpoint to checkpoint, each followed by a copy of the table:
@@ -39,12 +40,14 @@ loop is several times faster and bit-identical to a numpy per-step loop.
 Q-learning's bootstrap, the max over the next state's action block, is kept
 per state and recomputed only when the updated entry held it, since a builtin
 max over a fresh slice costs about a third of a step.  Advancing all seeds per
-step as one numpy table was measured too: bit-identical, but slower (0.7x) at
-the four seeds of a sweep cell and ahead only from about 20 seeds on, while
-the Python-float loop wins at every seed count.  Two more layouts were
-measured and left out (perfbench, alternating pairs, two shared cores): one
-chains.next_states call over all seeds per block took track-q from 25.0 to
-28.8 ms; the seeds split over two forked processes took track-q from 33.4 to
+step as one numpy table was measured too: bit-identical, but at about 0.1x,
+0.5x and 0.9x the Python-float loop's speed at 4, 20 and 40 seeds (TD(0),
+n = 2, one 2,000-step block).  Two more layouts were left out (alternating
+pairs, two shared cores): all seeds' successor lists built before any seed
+steps (1.3 MB at 40 seeds) took track from 13.7 to 14.8 ms at track-q's size
+(10 of 10 pairs) and from 9.9 to 10.7 ms at track-adiabatic's (9 of 10), about
+what the contiguous cumsum saves, so each seed's lists are built just before
+its steps; the seeds split over two forked processes took track-q from 33.4 to
 27.7 ms (74 of 80 pairs) but track-adiabatic from 22.1 to 23.9 ms, a bare fork
 and reap costing 3.4 ms.  _Run.advance, half of either, is at CPython's floor.
 
@@ -169,16 +172,19 @@ class TrackingTrace:
 
 
 def materialize(schedule, t_max: int):
-    """A run's one walk: the certified walk of P^(1..t_max+1), with cums.
+    """A run's one walk: the certified walk of P^(1..t_max+1), with cols.
 
-    Yields (lo, block, cums, pi_min, drift) per certified block: block is
-    P^(lo..hi), whose last matrix is also the next block's first, cums the
-    (k, n, n) row cumsums of its k = hi - lo step matrices P^(lo..hi-1),
-    chains.next_states' input, and the scan's (k,) pi_min and drift at those
-    t (schedules._certified_blocks, which raises after the last such block).
+    Yields (lo, block, cols, pi_min, drift) per certified block: block is
+    P^(lo..hi), whose last matrix is also the next block's first; cols, the
+    input of chains.next_states, the row cumsums of its k = hi - lo step
+    matrices P^(lo..hi-1) as one C-contiguous (n, n, k) array built in place,
+    cols[i, x, j] the mass of columns <= i in row x at step j; and the scan's
+    (k,) pi_min and drift at those t (schedules._certified_blocks, which
+    raises after the last such block).
     """
     for lo, block, pi_min, drift in schedules._certified_blocks(schedule, t_max):
-        yield lo, block, np.cumsum(block[:-1], axis=2), pi_min, drift
+        steps = block[:-1].transpose(2, 1, 0)
+        yield lo, block, np.cumsum(steps, axis=0, out=np.empty(steps.shape)), pi_min, drift
 
 
 class _Run:
@@ -271,18 +277,19 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
                for seed in seeds]
     r_vec, targets, scans = spec.r.tolist(), [], []
     powers = [(rate.c_alpha, rate.gamma_alpha) for rate in rates]  # LearningRate.alpha's
-    for lo, block, cums, pi_min, drift in materialize(schedule, t_max):
-        k = len(cums)
+    for lo, block, cols, pi_min, drift in materialize(schedule, t_max):
+        k = cols.shape[2]
         stops = [t - lo for t in cps if lo <= t < lo + k]
         mats = block[stops]
         r, beta = np.tile(spec.r, (len(stops), 1)), np.full(len(stops), spec.beta)
         targets.append(dp.exact_q(mats, r, beta, n_actions))
         scans.append(np.stack((pi_min[stops], drift[stops]), axis=1))  # the scan's
         alphas = [[c / t ** g for t in range(lo, lo + k)] for c, g in powers]
+        zeros = [0.0] * k
         for i, (path, noise_stream) in enumerate(streams):
-            # nxt[x][j]: x's successor at step j; n lists of k build faster than k lists of n
-            nxt = chains.next_states(cums, path.random(k)).T.tolist()
-            eps = ([0.0] * k if noise_stream is None
+            # nxt[x][j]: x's successor at step j, as lists just before the seed's steps
+            nxt = chains.next_states(cols, path.random(k)).tolist()
+            eps = (zeros if noise_stream is None
                    else noise_stream.uniform(-noise.eps_max, noise.eps_max, k).tolist())
             for rate_runs, rate_alphas in zip(runs, alphas):
                 rate_runs[i].advance(nxt, eps, rate_alphas, stops, r_vec, spec.beta)

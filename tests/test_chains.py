@@ -374,8 +374,9 @@ def _per_path(schedule, t_max, x0, seed):
     block (next_states), walked in Python; each row of simulate equals it."""
     states, uniforms = [x0], chains.stream(seed, 0).random(t_max)
     for lo, block in schedule.blocks(1, t_max + 1):
-        nxt = next_states(np.cumsum(block[:-1], axis=2), uniforms[lo - 1:lo + len(block) - 2])
-        for row in nxt.tolist():
+        nxt = next_states(_cols(np.cumsum(block[:-1], axis=2)),
+                          uniforms[lo - 1:lo + len(block) - 2])
+        for row in nxt.T.tolist():
             states.append(row[states[-1]])
     return states
 
@@ -398,18 +399,23 @@ def _per_row(cums, us):
     return [[_sample_from_row(row, u) for row in mat] for mat, u in zip(cums, us)]
 
 
+def _cols(cums):
+    """A (k, n, n) stack of row cumsums in next_states' (n, n, k) column layout."""
+    return np.ascontiguousarray(cums.transpose(2, 1, 0))
+
+
 def test_next_states_equals_per_row_loop():
     rng = np.random.default_rng(17)
-    for n in range(2, 7):
+    for n in range(1, 7):
         raw = rng.random((300, n, n)) * (rng.random((300, n, n)) < 0.7)  # zero columns
         raw[raw.sum(axis=2) == 0.0] = 1.0
         cums = np.cumsum(raw / raw.sum(axis=2, keepdims=True), axis=2)
         us = rng.random(300)
         hit = rng.integers(0, n, (2, 100))  # u exactly at a cumsum value
         us[:100] = cums[np.arange(100), hit[0], hit[1]]
-        out = next_states(cums, us)
-        assert out.dtype == np.int64 and out.shape == (300, n)
-        np.testing.assert_array_equal(out, _per_row(cums, us))
+        out = next_states(_cols(cums), us)
+        assert out.dtype == np.int64 and out.shape == (n, 300)
+        np.testing.assert_array_equal(out.T, _per_row(cums, us))
     edges = [
         ([0.3, 0.2, -1e-12, 0.5 + 1e-12], 0.5 - 0.5e-12),  # non-monotone cumsum
         ([0.3, 0.2, -1e-12, 0.5 + 1e-12], 0.5),
@@ -420,10 +426,11 @@ def test_next_states_equals_per_row_loop():
         ([0.0, 0.0, 1.0], 0.0),  # zero columns
         ([0.5, 0.0, 0.0, 0.5], 0.5),
         ([1.0, 0.0, 0.0], 0.999),
+        ([1.0 - 1e-12], 1.0 - 0.5e-12),  # one state: the last column is never compared
     ]
     for row, u in edges:
         cums = np.cumsum(np.tile(row, (len(row), 1)), axis=1)[None]
-        np.testing.assert_array_equal(next_states(cums, np.array([u])),
+        np.testing.assert_array_equal(next_states(_cols(cums), np.array([u])).T,
                                       _per_row(cums, [u]))
 
 

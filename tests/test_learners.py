@@ -425,9 +425,21 @@ def test_track_solves_each_blocks_q_targets_in_one_call(monkeypatch):
     monkeypatch.setattr(dp, "exact_q", lambda mats, *a, **k: calls.append(len(mats))
                         or real(mats, *a, **k))
     track(sched, spec, [RATE], ZERO_NOISE, t_max, [5], cps, n_actions=2)
-    per_block = [sum(lo <= t < lo + len(cums) for t in cps)
-                 for lo, _, cums, _, _ in materialize(sched, t_max)]
+    per_block = [sum(lo <= t < lo + cols.shape[2] for t in cps)
+                 for lo, _, cols, _, _ in materialize(sched, t_max)]
     assert calls == per_block and 0 in per_block and sum(per_block) == len(cps)
+
+
+@pytest.mark.parametrize("chain", [A, _product_chain()], ids=["n=2", "n=4"])
+def test_materialize_yields_the_row_cumsums_in_column_layout(chain):
+    # cols[i, x, j]: the mass of columns <= i in row x at step j, contiguous,
+    # bit for bit the (k, n, n) row cumsum of the block's step matrices
+    sched = InterpolationSchedule(chain, np.full(chain.shape, 1 / len(chain)),
+                                  DriftParams(0.02, 1.0, 0.05, 0.0))
+    for _, block, cols, _, _ in materialize(sched, 3000):
+        assert cols.flags.c_contiguous and cols.shape == (len(chain), len(chain), len(block) - 1)
+        rows = np.cumsum(block[:-1], axis=2)
+        assert cols.tobytes() == np.ascontiguousarray(rows.transpose(2, 1, 0)).tobytes()
 
 
 @pytest.mark.parametrize("chain, n_actions, table_init", [

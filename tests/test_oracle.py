@@ -29,6 +29,16 @@ def test_size_prints_the_source_total_and_no_root_re_exports(capsys):
     assert lines[-1] == "package root re-exports 0 public names"
 
 
+def test_rate_prints_steps_per_second_and_the_first_blocks_tables(capsys):
+    oracle.rate(2000)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line, name in zip(lines, ["adiabatic TD(0)", "static Q"]):
+        assert re.fullmatch(re.escape(name) + r", T = 2000, 20 seeds: [\d,]+ steps/s "
+                            r"\(\d+\.\d\d s wall\), "
+                            r"first block's successor tables \d+\.\d\d ms \(\d+ steps\)", line), line
+
+
 def test_gate_cases_exit_2_and_write_nothing_but_the_mid_horizon_one(capsys):
     # below t = 91,381 the path whose floor fails there runs to T and exits 0
     oracle.gate(2000)
