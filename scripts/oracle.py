@@ -86,20 +86,23 @@ def size():
 
 def verify_suites():
     """Each verify suite at its default counts through the CLI: its pass flag,
-    wall seconds, the sha256 of its report (16 hex digits) and the report's
-    worst_margin, so a digest that moves shows whether the margin moved."""
+    the call's wall seconds (interpreter start-up included) beside the suite's
+    own seconds, run again in this process, the sha256 of its report (16 hex
+    digits) and the report's worst_margin, so a digest that moves shows
+    whether the margin moved."""
     import hashlib
     from adiatrack import verify
     for suite in sorted(verify.SUITES):
         proc, wall = _timed(_python, "-m", "adiatrack.cli", "verify", "--suite", suite)
+        _, own = _timed(verify.run_suite, suite)
         try:
             report = json.loads(proc.stdout)
             passed, margin = report["pass"], repr(report["worst_margin"])
             digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
         except (ValueError, KeyError):
             passed, digest, margin = "error", "-", "-"
-        print(f"{suite:<10} pass={passed!s:<5} {wall:6.1f} s  sha256={digest}  "
-              f"worst_margin={margin}")
+        print(f"{suite:<10} pass={passed!s:<5} {wall:6.1f} s  in-process {own:5.2f} s  "
+              f"sha256={digest}  worst_margin={margin}")
 
 
 def memory(t_max, n_seeds):

@@ -76,7 +76,7 @@ class RewardSpec:
 
 def _check_rewards(r: np.ndarray, beta: np.ndarray):
     """The RewardSpec contract for (k, n) rewards and their (k,) discounts."""
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("rewards must be a finite vector")
     bad = ~((0.0 < beta) & (beta < 1.0))  # NaN fails too
     if bad.any():
@@ -111,7 +111,8 @@ def bellman_g(mats: np.ndarray, r: np.ndarray, beta: np.ndarray, q: np.ndarray,
     q = np.asarray(q, dtype=float)
     if q.shape != (k, n):
         raise ValueError(f"Q table shape {q.shape} does not match ({k}, {n})")
-    v = q.reshape(k, n // n_actions, n_actions).max(axis=2)[:, _state_of_product(n, n_actions)]
+    v = q if n_actions == 1 else (  # at one action the max and the gather are identities
+        q.reshape(k, n // n_actions, n_actions).max(axis=2)[:, _state_of_product(n, n_actions)])
     return r + beta[:, None] * (mats @ v[:, :, None])[:, :, 0]
 
 
@@ -161,17 +162,17 @@ def check_lipschitz(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndarra
     ||Q*(.;P) - Q*(.;Q)||_inf <= beta r_max/(1-beta)^2 ||P - Q|| for each pair
     of (k, N, N) product-space stacks p, q with rewards r (k, N) and discounts
     beta (k,), Q* the optimal Q-function (exact_q at tol 1e-12): at one
-    action the reward function R.  Validates the stacks' rows
-    (chains._check_rows) and the rewards as RewardSpec does.
+    action the reward function R.  Validates the (2k, N, N) stack (p; q) once
+    (chains._check_rows), the rewards as RewardSpec does, and solves it.
 
     Holds for one-signed rewards: the TV-metered right side pairs each
     zero-mass row difference with the reward span, which equals r_max only
     when rewards do not change sign.
     """
-    chains._check_rows(p)
-    chains._check_rows(q)
+    stack = np.concatenate([p, q])
+    chains._check_rows(stack)
     _check_rewards(r, beta)
-    both = exact_q(np.concatenate([p, q]), np.tile(r, (2, 1)), np.tile(beta, 2), n_actions, 1e-12)
+    both = exact_q(stack, np.concatenate([r, r]), np.concatenate([beta, beta]), n_actions, 1e-12)
     lhs = np.abs(both[:len(p)] - both[len(p):]).max(axis=1)
     rhs = beta * np.abs(r).max(axis=1) / (1.0 - beta) ** 2 * chains.matrix_tv_distances(p, q)
     return lhs, rhs
@@ -195,7 +196,7 @@ def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
     _check_rewards(r, beta)
     wrapped = restart_wraps(p, beta, beta_hat, x_restart)
     chains._check_rows(wrapped)
-    both = exact_q(np.concatenate([wrapped, p]), np.tile(r, (2, 1)),
+    both = exact_q(np.concatenate([wrapped, p]), np.concatenate([r, r]),
                    np.concatenate([beta_hat, beta]), 1)
     at = np.arange(len(p)), x_restart
     lhs, rhs = both[:len(p)][at], (1.0 - beta) / (1.0 - beta_hat) * both[len(p):][at]

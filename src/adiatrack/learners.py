@@ -177,14 +177,16 @@ def materialize(schedule, t_max: int):
     Yields (lo, block, cols, pi_min, drift) per certified block: block is
     P^(lo..hi), whose last matrix is also the next block's first; cols, the
     input of chains.next_states, the row cumsums of its k = hi - lo step
-    matrices P^(lo..hi-1) as one C-contiguous (n, n, k) array built in place,
-    cols[i, x, j] the mass of columns <= i in row x at step j; and the scan's
-    (k,) pi_min and drift at those t (schedules._certified_blocks, which
-    raises after the last such block).
+    matrices P^(lo..hi-1) as one C-contiguous (n, n, k) array, cols[i, x, j]
+    the mass of columns <= i in row x at step j, summed in place by one
+    np.add per column i; and the scan's (k,) pi_min and drift at those t
+    (schedules._certified_blocks, which raises after the last such block).
     """
     for lo, block, pi_min, drift in schedules._certified_blocks(schedule, t_max):
-        steps = block[:-1].transpose(2, 1, 0)
-        yield lo, block, np.cumsum(steps, axis=0, out=np.empty(steps.shape)), pi_min, drift
+        cols = np.ascontiguousarray(block[:-1].transpose(2, 1, 0))
+        for i in range(1, len(cols)):
+            np.add(cols[i - 1], cols[i], out=cols[i])
+        yield lo, block, cols, pi_min, drift
 
 
 class _Run:

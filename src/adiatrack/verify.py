@@ -7,8 +7,8 @@ margin, overall and per check name, plus full counterexample inputs
 (matrices verbatim) so a CI failure is reproducible from the report alone; a
 check builds its inputs (matrices from its case's draws) only when it fails.
 Every randomized suite draws all its cases first, in the order of a per-case
-loop, a random matrix as its raw draws (_draw), then builds each size's
-matrices in one pass (_rows), evaluates the cases as stacks and records the
+loop, a random matrix as its raw draws (_draw), then builds every matrix of
+a size in one _rows pass, evaluates the cases as stacks and records the
 checks in case order, so the report equals the per-case loop's: prop1 per
 matrix size (_prop1_pairs) and its 2x2 eigenvalue cases as one stack,
 Lipschitz (reward and optimal Q: dp.check_lipschitz at one action and at
@@ -101,15 +101,17 @@ def _matrices(draws) -> np.ndarray:
 
 def _by_size(cases, check):
     """check(*stacks) on the cases of each matrix size at once; its per-case
-    outputs as tuples of floats, in case order.  A case is a tuple whose
-    first entry is a matrix's (style, raw) draw; column j of a size's cases
-    is stack j, built by _matrices where its entries are such draws."""
+    outputs as tuples of floats, in case order.  A case is a tuple whose first
+    entry is a matrix's (style, raw) draw; column j of a size's cases is stack
+    j, every column of such draws built in one _matrices pass and sliced."""
     out, sizes = [None] * len(cases), {}
     for i, case in enumerate(cases):
         sizes.setdefault(len(case[0][1]), []).append(i)
     for idx in sizes.values():
-        stacks = [_matrices(col) if isinstance(col[0], tuple) else np.array(col)
-                  for col in ([cases[i][j] for i in idx] for j in range(len(cases[idx[0]])))]
+        cols = [[cases[i][j] for i in idx] for j in range(len(cases[idx[0]]))]
+        draws = [draw for col in cols if isinstance(col[0], tuple) for draw in col]
+        built = iter(_matrices(draws).reshape(-1, len(idx), *draws[0][1].shape))
+        stacks = [next(built) if isinstance(col[0], tuple) else np.array(col) for col in cols]
         for i, row in zip(idx, zip(*(side.tolist() for side in check(*stacks)))):
             out[i] = row
     return out
@@ -363,7 +365,7 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500, master_seed=DEFAULT_MAS
     cases = []
     for i in range(n_reward_cases):
         n = int(rng.integers(2, 7))
-        cases.append((_draw(rng, n), _draw(rng, n), rng.uniform(0, 1, n), betas[i % 3]))
+        cases.append((_draw(rng, n), _draw(rng, n), rng.random(n), betas[i % 3]))
     sides = _by_size(cases, lambda *stacks: dp.check_lipschitz(*stacks, 1))
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1
@@ -373,7 +375,7 @@ def suite_lipschitz(n_reward_cases=8500, n_q_cases=1500, master_seed=DEFAULT_MAS
     cases = []
     for i in range(n_q_cases):
         nsa = 2 * int(rng.integers(2, 4))  # 2 or 3 states, 2 actions each
-        cases.append((_draw(rng, nsa), _draw(rng, nsa), rng.uniform(0, 1, nsa), betas[i % 3]))
+        cases.append((_draw(rng, nsa), _draw(rng, nsa), rng.random(nsa), betas[i % 3]))
     sides = _by_size(cases, lambda *stacks: dp.check_lipschitz(*stacks, 2))
     for (p, q, r, beta), (lhs, rhs) in zip(cases, sides):
         rec.cases += 1

@@ -184,6 +184,19 @@ def test_bellman_f_is_beta_contraction(p, beta):
     assert gap <= beta * np.abs(a - b).max() + 1e-12
 
 
+def test_bellman_g_at_one_action_is_r_plus_beta_p_q_bit_for_bit():
+    # the singleton action max and the state gather are identities: G at one
+    # action is the TD operator on the stack, and each row's own r + beta P q
+    rng, k = np.random.default_rng(31), 9
+    for n in range(1, 7):
+        mats = np.array([random_rows(rng, n) for _ in range(k)])
+        r, q = rng.uniform(-1, 1, (k, n)), rng.uniform(-5, 5, (k, n))
+        beta = rng.uniform(0.1, 0.99, k)
+        g = bellman_g(mats, r, beta, q, 1)
+        assert g.tobytes() == (r + beta[:, None] * (mats @ q[:, :, None])[:, :, 0]).tobytes()
+        assert g.tolist() == [(r[i] + beta[i] * (mats[i] @ q[i])).tolist() for i in range(k)]
+
+
 # -------------------------------------------------------------------- exact_q
 
 def test_exact_q_zero_rewards():
@@ -451,6 +464,18 @@ def test_lipschitz_q_random_sweep(rng):
         (lhs,), (rhs,) = check_lipschitz(p[None], q[None], spec.r[None],
                                          np.array([spec.beta]), n_actions=2)
         assert lhs <= rhs + 1e-10  # the one-pair check's default slack
+
+
+@pytest.mark.parametrize("side, matrix", [(0, 1), (1, 4)], ids=["p", "q"])
+@pytest.mark.parametrize("n_actions", [1, 2])
+def test_check_lipschitz_names_a_bad_row_of_either_stack(side, matrix, n_actions):
+    # p and q are validated as the one (2k, N, N) stack (p; q): a bad row 2 of
+    # matrix 1 of p or of q is named, q's matrix j as matrix k + j (k = 3)
+    rng, k = np.random.default_rng(29), 3
+    pair = [np.array([random_rows(rng, 4) for _ in range(k)]) for _ in range(2)]
+    pair[side][1, 2] = [0.5, 0.25, 0.125, 0.0625]
+    with pytest.raises(chains.InvariantError, match=rf"^row 2 of matrix {matrix} sums to 0\.9375,"):
+        check_lipschitz(*pair, rng.uniform(0, 1, (k, 4)), np.full(k, 0.9), n_actions)
 
 
 def test_pair_checks_solve_both_members_of_every_pair_in_one_call(monkeypatch):

@@ -846,6 +846,21 @@ def test_random_matrix_suite_reports_keep_their_bytes_at_seed_1(suite, digest):
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (0, "419584ecb77b5c7549e178d83131d11d2c6251e5d8b665668611b391af0159b2"),
+    (1, "6599f0a77c269cba7fc5554624f5428ee0e0bd96f913038d5eed66b8ed433f27"),
+    (2, "529b5eb5fd0783a1f94c19db3164654975097f6f907502a8edd74bfdb3cd089b"),
+])
+def test_reduced_fixed_point_reports_keep_their_bytes(seed, digest):
+    # sha256 of the canonical [lipschitz, restart] reports at 85 reward, 15 Q and
+    # 10 restart cases, master seed 20240809 + seed: the benchmark's
+    # verify-fixedpoint operation, recorded before its array passes were merged
+    master_seed = verify.DEFAULT_MASTER_SEED + seed
+    reports = [verify.suite_lipschitz(n_reward_cases=85, n_q_cases=15, master_seed=master_seed),
+               verify.suite_restart(n_cases=10, master_seed=master_seed)]
+    assert hashlib.sha256(canonical_json(reports).encode()).hexdigest() == digest
+
+
 def _per_case_lemmas(n_cases, master_seed, tol=1e-10, t_horizon=1000):
     """suite_lemmas as a per-case loop: each oracle called on one case (a
     k = 1 stack), scalar check recursions that stop drawing at a case's first

@@ -105,15 +105,17 @@ def test_byte_oracle_against_head_keeps_the_working_tree_side_apart(monkeypatch,
 
 
 def test_verify_prints_each_suites_worst_margin_next_to_its_digest(monkeypatch, capsys):
-    # two cheap suites stand for the seven; each margin is its report's, at the default seed
+    # two cheap suites stand for the seven; each margin is its report's, at the
+    # default seed, and the CLI call's wall stands beside the suite's in-process seconds
     monkeypatch.setattr(verify, "SUITES", {s: verify.SUITES[s] for s in ("coverage", "mixing")})
     oracle.verify_suites()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     for line, suite in zip(lines, ("coverage", "mixing")):
         margin = verify.run_suite(suite)["worst_margin"]
-        assert re.fullmatch(rf"{suite} +pass=True +\d+\.\d s  sha256=[0-9a-f]{{16}}  "
-                            rf"worst_margin={re.escape(repr(margin))}", line), line
+        assert re.fullmatch(rf"{suite} +pass=True +\d+\.\d s  in-process +\d+\.\d\d s  "
+                            rf"sha256=[0-9a-f]{{16}}  worst_margin={re.escape(repr(margin))}",
+                            line), line
 
 
 def test_fixture_exits_1_when_the_rerun_fails(monkeypatch, capsys):
