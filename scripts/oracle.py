@@ -57,10 +57,11 @@ def _config(name):
 
 def size():
     """wc -l of the modules, of scripts/*.py and the workflow, and of configs/*.json;
-    per module its __all__'s size and the parameters with a default of the public
-    functions and classes it defines and of their public methods; the root's
+    per module its __all__'s size, the parameters with a default of the public
+    functions and classes it defines and of their public methods, and the package's
+    modules its import statements name, so an edge up a layer shows; the root's
     re-exports."""
-    import adiatrack, glob, importlib, inspect, pkgutil, types
+    import adiatrack, ast, glob, importlib, inspect, pkgutil, types
     for files in (glob.glob("src/adiatrack/*.py", root_dir=ROOT),
                   glob.glob("scripts/*.py", root_dir=ROOT) + [".github/workflows/tests.yml"],
                   glob.glob("configs/*.json", root_dir=ROOT)):
@@ -72,14 +73,28 @@ def size():
             return sum(p.default is not p.empty for p in inspect.signature(f).parameters.values())
         except ValueError:  # a class with a builtin constructor
             return 0
-    for m in pkgutil.iter_modules(adiatrack.__path__):
-        mod = importlib.import_module("adiatrack." + m.name)
+    names = sorted(m.name for m in pkgutil.iter_modules(adiatrack.__path__))
+
+    def imports(mod):
+        """The package's modules that mod's import statements name, sorted."""
+        dotted = []
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(node, ast.Import):
+                dotted += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):  # the package is flat: level 0 or 1
+                base = ".".join(filter(None, ["adiatrack" * node.level, node.module]))
+                dotted += [f"{base}.{alias.name}" for alias in node.names]
+        heads = (path.split(".")[:2] for path in dotted)
+        return sorted({head[-1] for head in heads if head[0] == "adiatrack" and head[-1] in names})
+    for name in names:
+        mod = importlib.import_module("adiatrack." + name)
         own = [v for n, v in vars(mod).items() if not n.startswith("_")
                and (inspect.isclass(v) or inspect.isfunction(v)) and v.__module__ == mod.__name__]
         own += [f for c in own if inspect.isclass(c) for n, f in vars(c).items()
                 if not n.startswith("_") and inspect.isfunction(f)]
-        print(m.name, len(getattr(mod, "__all__", [])), "names in __all__,",
-              sum(map(knobs, own)), "parameters with a default")
+        print(name, len(getattr(mod, "__all__", [])), "names in __all__,",
+              sum(map(knobs, own)), "parameters with a default; imports",
+              ", ".join(imports(mod)) or "none")
     print("package root re-exports", sum(not n.startswith("_") and not isinstance(v, types.ModuleType)
                                          for n, v in vars(adiatrack).items()), "public names")
 

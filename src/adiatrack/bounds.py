@@ -4,8 +4,9 @@ sequence-lemma oracles the test suite leans on.
 Conventions shared by every evaluator here:
   * rho is the uniform ergodicity-coefficient bound in (0, 1); evaluators
     reject rho >= 1 (the bounds go vacuous there)
-  * gamma_p = inf is the static-chain sentinel: drift-driven terms vanish
+  * gamma_p = math.inf is the static chain: drift-driven terms vanish
     exactly instead of needing a separate caller code path
+  * the mixing window tau = ceil(8 log T / |log rho|) is _mixing_window's
   * horizons written T/2 floor for odd T
   * stacks only, one case a row: (m, n) starts or (m,) initial gaps give
     (m,) Theorem 1 bounds, and the lemma oracles take (k, T) stacks
@@ -23,7 +24,6 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import chains
-from .schedules import GAMMA_INF
 
 __all__ = [
     "ExponentTriple",
@@ -209,9 +209,8 @@ def tracking_error_bound(consts: Thm2Constants, exps: ExponentTriple,
     ada2 = (consts.d_a / (1.0 - beta)
             * math.sqrt(tau * math.log(2.0 * big_t * tau / consts.delta))
             / big_t ** ((ga - 3.0 * gpi) / 2.0))
-    if gp == GAMMA_INF:
-        ada3 = 0.0
-        drift_summand = 0.0
+    if gp == math.inf:
+        ada3 = drift_summand = 0.0
     else:
         ada3 = consts.d_b * consts.k / (1.0 - beta) / big_t ** (gp - ga - gpi)
         drift_summand = (2.0 * r_max * consts.d_b_prime
@@ -335,6 +334,11 @@ def dominating_sequence(z0_tilde, alpha, beta, c) -> np.ndarray:
     return unroll_recursion(z0_tilde, damping, c)
 
 
+def _mixing_window(t_horizon: int, rho: float) -> int:
+    """tau = ceil(8 log T / |log rho|), the steps a conditional marginal mixes over."""
+    return math.ceil(8.0 * math.log(t_horizon) / abs(math.log(rho)))
+
+
 def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float):
     """Worst-case conditional marginal vs the current stationary distribution.
 
@@ -349,7 +353,7 @@ def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float):
     if schedule.rho_cap > rho + 1e-12:
         raise ValueError(f"schedule rho_cap {schedule.rho_cap} exceeds supplied rho {rho}")
     big_t = float(t_horizon)
-    tau = math.ceil(8.0 * math.log(big_t) / abs(math.log(rho)))
+    tau = _mixing_window(t_horizon, rho)
     if not tau <= t <= t_horizon:
         raise ValueError(f"need tau={tau} <= t <= T={t_horizon}")
 
@@ -361,7 +365,7 @@ def conditional_mixing_check(schedule, t: int, t_horizon: int, rho: float):
     lhs = float(0.5 * np.abs(marginals - pi).sum(axis=1).max())
 
     params = schedule.params
-    if params.gamma_p == GAMMA_INF:
+    if params.gamma_p == math.inf:
         drift_term = 0.0
     else:
         d_p = params.c_p * 2.0 ** params.gamma_p

@@ -6,7 +6,9 @@
     adiatrack bound  --constants consts.json --gamma-p X --gamma-alpha Y \
                      --gamma-pi Z --T N
 
-Exit codes: 0 pass, 1 property violation, 2 config error.
+Exit codes: 0 pass, 1 property violation, 2 config error, which track, sweep
+and bound print through one handler (_run_config), a bound term beyond the
+floats included.  Every JSON printed has spec_version, the package's __version__.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import argparse
 import json
 import sys
 
-from . import bounds, verify
-from .harness import SPEC_VERSION, ExperimentConfig, run_sweep, run_tracking
-from .schedules import GAMMA_INF, DriftCertificateError
+from . import __version__, bounds, verify
+from .harness import ExperimentConfig, run_sweep, run_tracking
+from .schedules import DriftCertificateError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -58,11 +60,12 @@ def _build_parser():
     return parser
 
 
-def _run_config(run) -> int:
-    """Run a track/sweep body: the errors caught here stem from the config,
-    the grid or the paths given, wherever in the run they surface."""
+def _run_config(handler, args) -> int:
+    """handler(args) for track, sweep or bound: the errors caught here stem from
+    the config, the grid, the constants or the paths given, wherever in the
+    run they surface."""
     try:
-        return run()
+        return handler(args)
     except DriftCertificateError as exc:
         print(f"schedule certificate failed, no trace written: {exc}", file=sys.stderr)
     except (OSError, ValueError, KeyError) as exc:
@@ -71,22 +74,18 @@ def _run_config(run) -> int:
 
 
 def _cmd_track(args) -> int:
-    def run():
-        summary = run_tracking(ExperimentConfig.from_json(args.config), args.out)
-        print(json.dumps(summary, sort_keys=True))
-        return EXIT_OK
-    return _run_config(run)
+    summary = run_tracking(ExperimentConfig.from_json(args.config), args.out)
+    print(json.dumps(summary, sort_keys=True))
+    return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    def run():
-        config = ExperimentConfig.from_json(args.config)
-        with open(args.grid) as fh:
-            grid = json.load(fh)
-        rows = run_sweep(grid, config, args.out)
-        print(json.dumps({"spec_version": SPEC_VERSION, "cells": rows}, sort_keys=True))
-        return EXIT_OK
-    return _run_config(run)
+    config = ExperimentConfig.from_json(args.config)
+    with open(args.grid) as fh:
+        grid = json.load(fh)
+    rows = run_sweep(grid, config, args.out)
+    print(json.dumps({"spec_version": __version__, "cells": rows}, sort_keys=True))
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -97,29 +96,25 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     try:
-        gamma_p = GAMMA_INF if args.gamma_p == "inf" else float(args.gamma_p)
-        exps = bounds.ExponentTriple(gamma_p, args.gamma_alpha, args.gamma_pi)
+        exps = bounds.ExponentTriple(float(args.gamma_p), args.gamma_alpha, args.gamma_pi)
         if args.constants:
             with open(args.constants) as fh:
                 consts = bounds.Thm2Constants.from_spec(json.load(fh))
         else:
             consts = bounds.Thm2Constants(r_max_eff=1.0, rho=0.5, beta=0.5)
         report = bounds.tracking_error_bound(consts, exps, args.T)
-    except ArithmeticError as exc:
-        print(f"config error: the bound overflows at these constants ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(json.dumps({**report, "spec_version": SPEC_VERSION}, sort_keys=True))
+    except ArithmeticError as exc:  # a config error like any other, named as an overflow
+        raise ValueError(f"the bound overflows at these constants ({exc})") from None
+    print(json.dumps({**report, "spec_version": __version__}, sort_keys=True))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"track": _cmd_track, "sweep": _cmd_sweep,
-               "verify": _cmd_verify, "bound": _cmd_bound}[args.command]
-    return handler(args)
+    if args.command == "verify":
+        return _cmd_verify(args)
+    return _run_config({"track": _cmd_track, "sweep": _cmd_sweep,
+                        "bound": _cmd_bound}[args.command], args)
 
 
 if __name__ == "__main__":

@@ -37,14 +37,11 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import bounds, chains, learners, schedules
+from . import __version__, bounds, chains, learners, schedules
 from .dp import RewardSpec
 from .learners import LearningRate, NoiseModel
 
-SPEC_VERSION = "0.1.0"
-
 __all__ = [
-    "SPEC_VERSION",
     "ExperimentConfig",
     "log_checkpoints",
     "canonical_json",
@@ -132,7 +129,8 @@ class ExperimentConfig:
 
     seeds may be given as a list or {"base": b, "count": k} (resolved to
     b..b+k-1); checkpoints as a list (its points in [1, t_max] kept) or
-    {"per_decade": m}, by default {"per_decade": 8}.
+    {"per_decade": m}, by default {"per_decade": 8}.  learner follows
+    n_actions: "td0" at 1, "q" above ("td0" with more actions is refused).
     """
 
     schedule: dict
@@ -159,6 +157,7 @@ class ExperimentConfig:
             raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
         if self.n_actions != 1 and self.learner == "td0":
             raise ValueError(f"n_actions={self.n_actions} needs learner 'q', not 'td0'")
+        self.learner = "td0" if self.n_actions == 1 else "q"  # what learners.track runs
         if isinstance(self.seeds, dict):
             chains._object(self.seeds, "seeds", ("base", "count"))
             base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
@@ -244,7 +243,7 @@ def _settled(doc: dict, chash: str, schedule, spec: RewardSpec) -> tuple:
         report = bounds.tracking_error_bound(consts, exps, doc["t_max"])
     except ArithmeticError:  # a term leaves the floats: rho_cap near 1, or huge rewards
         report = None
-    return rate, {"spec_version": SPEC_VERSION, "config_hash": chash, "config": doc,
+    return rate, {"spec_version": __version__, "config_hash": chash, "config": doc,
                   **bounds.classify_regime(exps), "bound_report": report}
 
 
@@ -324,7 +323,7 @@ def _cell_schedule(base_schedule: dict, anchors: list, gamma_p: float, gamma_pi:
         if not anchors:
             raise ValueError("base schedule carries no anchor matrices")
         params["gamma_pi"], n = 0.0, len(anchors[0])  # run_sweep checked the base's n
-        if gamma_p == schedules.GAMMA_INF:
+        if gamma_p == math.inf:
             return {"kind": "constant", "n": n,
                     "params": {**params, "gamma_p": "inf"}, "p": anchors[0]}
         params["gamma_p"] = gamma_p
@@ -347,8 +346,9 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     "inf" accepted in gamma_p and gamma_pi optional ([0]); any other key, an
     empty axis and a value an axis lists twice are refused.  The base's
     anchors, n and params are checked as track checks them, before any cell.
-    Cells violating standing assumptions, with no realizing family or
-    refused by it are recorded as skipped, not errors.  Cells with the same
+    Cells violating standing assumptions, with no realizing family (a
+    gamma_pi > 0 cell over rewards of other than 3 entries too) or refused
+    by it are recorded as skipped, not errors.  Cells with the same
     schedule spec are one group of _run: one build and one certified walk
     at every cell's rate; each cell's files are those run_tracking writes
     for it.  Nothing is written before every walk has succeeded; the
@@ -371,17 +371,18 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
         n = schedules._ArcWalk(anchors, params, closed=False).n
         if (spec_n := chains.integer(base.schedule, "n", n)) != n:
             raise ValueError(f"schedule spec n={spec_n} vs its {n}-state matrices")
+    n_rewards = RewardSpec.from_spec(base.reward).n
     rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, cell config)])
     for gp in gps:
         for ga in gas:
             for gpi in gpis:
                 # comma-free key: the table's cell column is never quoted
-                key = f"gp={'inf' if gp == schedules.GAMMA_INF else gp}|ga={ga}|gpi={gpi}"
+                key = f"gp={'inf' if gp == math.inf else gp}|ga={ga}|gpi={gpi}"
                 row = {"cell": key,
-                       "gamma_p": "inf" if gp == schedules.GAMMA_INF else gp,
+                       "gamma_p": "inf" if gp == math.inf else gp,
                        "gamma_alpha": ga, "gamma_pi": gpi}
                 # a standing assumption fails, no family realizes the cell, or
-                # its family refuses the constants
+                # its family refuses the constants or the rewards
                 try:
                     bounds.ExponentTriple(gp, ga, gpi)
                     sched_spec = _cell_schedule(base.schedule, anchors, gp, gpi)
@@ -389,6 +390,8 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                     spec_key = json.dumps(sched_spec, sort_keys=True)
                     schedule = (groups[spec_key][0] if spec_key in groups
                                 else schedules.schedule_from_spec(sched_spec))
+                    if gpi and schedule.n != n_rewards:  # _run checks the base's own n
+                        raise ValueError(f"the 3-state shrinking family vs rewards n={n_rewards}")
                 except ValueError as exc:
                     rows.append({**row, "status": f"skipped: {exc}"})
                     continue

@@ -3,10 +3,11 @@
 Every schedule declares a drift certificate (c_p, gamma_p): the per-step
 change satisfies ||P^(t+1) - P^(t)|| <= c_p / t**gamma_p, a stationary
 floor (c_pi, gamma_pi): pi^(t)_min >= c_pi / t**gamma_pi, and rho_cap, a
-uniform upper bound on the ergodicity coefficient.  gamma_p = inf encodes
-a constant sequence (zero drift).  Certificates are declared, then checked
-at every t of the horizon by the certified walk (below), which shrinking-state
-also runs over its first _SHRINK_DRIFT_CHECK steps at construction.
+uniform upper bound on the ergodicity coefficient.  gamma_p = math.inf,
+spelt "inf" in a spec, encodes a constant sequence (zero drift).
+Certificates are declared, then checked at every t of the horizon by the
+certified walk (below), which shrinking-state also runs over its first
+_SHRINK_DRIFT_CHECK steps at construction.
 
 A family produces its matrices as validated (k, n, n) float64 blocks of
 P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as an
@@ -34,10 +35,7 @@ import numpy as np
 
 from . import chains
 
-GAMMA_INF = math.inf
-
 __all__ = [
-    "GAMMA_INF",
     "DriftParams",
     "Schedule",
     "ConstantSchedule",
@@ -74,7 +72,7 @@ class DriftParams:
             raise ValueError("drift exponents must be non-negative")
 
     def drift_bound(self, t: int) -> float:
-        if self.gamma_p == GAMMA_INF:
+        if self.gamma_p == math.inf:
             return 0.0
         return self.c_p / t ** self.gamma_p
 
@@ -83,7 +81,7 @@ class DriftParams:
 
     @staticmethod
     def from_spec(doc: dict) -> "DriftParams":
-        # float("inf") is GAMMA_INF, so the "inf" encoding needs no case of its own
+        # chains.number reads "inf" as math.inf: that encoding needs no case of its own
         doc = chains._object(doc, "params", _PARAM_KEYS)
         return DriftParams(*(chains.number(doc, k) for k in _PARAM_KEYS))
 
@@ -217,7 +215,7 @@ class _ArcWalk(Schedule):
         return arc[k_lo - start:k_hi - start]
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
-        if not self._lengths.size or self._rate[1] == GAMMA_INF:
+        if not self._lengths.size or self._rate[1] == math.inf:
             return np.broadcast_to(self._anchors[0], (t_hi - t_lo, self.n, self.n))
         pos = self._arc(t_lo - 1, t_hi - 1)
         if self._closed:
@@ -235,11 +233,11 @@ class ConstantSchedule(_ArcWalk):
 
     def __init__(self, p, params: DriftParams | None = None):
         # p is validated as an anchor before its default floor is solved from it
-        super().__init__([p], params or DriftParams(1.0, GAMMA_INF, 1.0, 0.0), closed=False)
+        super().__init__([p], params or DriftParams(1.0, math.inf, 1.0, 0.0), closed=False)
         self.p = self._anchors[0]
         if params is None:  # zero drift and the exact stationary floor
             pi_min = float(chains.stationary_stack(self.p[None]).min())
-            self.params = DriftParams(c_p=1.0, gamma_p=GAMMA_INF, c_pi=pi_min, gamma_pi=0.0)
+            self.params = DriftParams(c_p=1.0, gamma_p=math.inf, c_pi=pi_min, gamma_pi=0.0)
 
 
 class InterpolationSchedule(_ArcWalk):
@@ -309,7 +307,7 @@ class ShrinkingStateSchedule(Schedule):
             raise ValueError("shrinking-state family needs gamma_pi > 0")
         if not 0 < params.c_pi <= 1.0 / 3.0:
             raise ValueError("c_pi must lie in (0, 1/3] so the third state is the minimum")
-        if params.gamma_p == GAMMA_INF:
+        if params.gamma_p == math.inf:
             raise ValueError("drifting family cannot declare gamma_p = inf")
         super().__init__(3, params, 0.5)
         verify_drift(self, _SHRINK_DRIFT_CHECK)
@@ -460,7 +458,7 @@ def _drift_vacuous_from(params: DriftParams, n: int, t_max: int) -> int | None:
     from there on a step twice the certified one passes.  The float root is
     settled against drift_bound itself, which falls with t."""
     allowance, gamma_p = _STEP_ROUNDING * n, params.gamma_p
-    if gamma_p == GAMMA_INF or params.drift_bound(t_max) > allowance:
+    if gamma_p == math.inf or params.drift_bound(t_max) > allowance:
         return None
     t = max(1, math.ceil((params.c_p / allowance) ** (1 / gamma_p)) - 2) if gamma_p else 1
     while params.drift_bound(t) > allowance:
@@ -483,7 +481,7 @@ def _certified_blocks(s: Schedule, t_max: int):
         head = block[:-1]
         drift = chains.matrix_tv_distances(head, block[1:])
         step = drift[:t_max - lo]
-        if params.gamma_p == GAMMA_INF:
+        if params.gamma_p == math.inf:
             scaled = np.where(step <= 1e-15, 0.0, math.inf)
             bad = scaled > params.c_p + _CERT_FUZZ
         else:

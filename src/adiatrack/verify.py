@@ -23,12 +23,9 @@ corrupted implementation is caught rather than silently trusted.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import bounds, chains, dp, schedules
-from .harness import SPEC_VERSION
+from . import __version__, bounds, chains, dp, schedules
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -76,7 +73,7 @@ class _Recorder:
                 "worst_margin": float(np.min([np.inf, *margins.values()])),  # NaN if any is
                 "worst_margin_by_check": margins,
                 "pass": not self.violations,
-                "spec_version": SPEC_VERSION}
+                "spec_version": __version__}
 
 
 def _draw(rng, n):
@@ -436,7 +433,7 @@ def suite_mixing(master_seed=DEFAULT_MASTER_SEED):
     ]
     for name, fam in fams:
         rho = min(max(fam.rho_cap, 0.05), 0.95)
-        tau = math.ceil(8.0 * math.log(t_horizon) / abs(math.log(rho)))
+        tau = bounds._mixing_window(t_horizon, rho)
         for t in _mixing_checkpoints(tau, t_horizon):
             rec.cases += 1
             lhs, rhs = bounds.conditional_mixing_check(fam, t, t_horizon, rho)

@@ -462,3 +462,20 @@ def test_the_root_loads_no_module_and_chains_only_itself():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
     assert json.loads(out) == [[], ["adiatrack.chains"]]
+
+
+def test_bounds_and_verify_load_no_layer_above_their_own():
+    # a fresh process: bounds reads gamma_p = inf as math.inf, not through
+    # schedules, and verify stamps the package's __version__, not harness's
+    probe = ("import json, sys\n"
+             "def loaded(): return sorted(m for m in sys.modules if m.startswith('adiatrack.'))\n"
+             "import adiatrack.bounds\n"
+             "after_bounds = loaded()\n"
+             "import adiatrack.verify\n"
+             "print(json.dumps([after_bounds, loaded()]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chains.__file__))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    after_bounds, after_verify = json.loads(out)
+    assert after_bounds == ["adiatrack.bounds", "adiatrack.chains"]
+    assert "adiatrack.harness" not in after_verify and "adiatrack.learners" not in after_verify

@@ -6,10 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from adiatrack import bounds, chains, dp, learners, schedules, verify
+from adiatrack import __version__, bounds, chains, dp, learners, schedules, verify
 from adiatrack.cli import main as cli_main
 from adiatrack.harness import (
-    SPEC_VERSION,
     ExperimentConfig,
     canonical_json,
     fit_slope,
@@ -58,9 +57,10 @@ def test_config_hash_changes_with_content():
 
 
 def test_config_hash_is_one_per_resolved_run():
-    # six spellings of the adiabatic run: as committed, noise without its
-    # eps_max or with -0.0, an integral gamma_p, the schedule's n left out and
-    # its checkpoints listed with points outside [1, t_max], which no run reads
+    # seven spellings of the adiabatic run: as committed, noise without its
+    # eps_max or with -0.0, an integral gamma_p, the schedule's n left out, its
+    # checkpoints listed with points outside [1, t_max], which no run reads, and
+    # learner "q" at one action, which runs TD(0) as n_actions picks it
     doc = conftest.config_dict("adiabatic")
     spec = doc["schedule"]
     checkpoints = log_checkpoints(doc["t_max"], doc["checkpoints"]["per_decade"])
@@ -68,7 +68,8 @@ def test_config_hash_is_one_per_resolved_run():
                  {**doc, "noise": {"kind": "zero", "eps_max": -0.0}},
                  {**doc, "schedule": {**spec, "params": {**spec["params"], "gamma_p": 1}}},
                  {**doc, "schedule": {k: v for k, v in spec.items() if k != "n"}},
-                 {**doc, "checkpoints": [-3, 0, *checkpoints, 5 * doc["t_max"]]}]
+                 {**doc, "checkpoints": [-3, 0, *checkpoints, 5 * doc["t_max"]]},
+                 {**doc, "learner": "q"}]
     configs = [ExperimentConfig.from_dict(d) for d in spellings]
     assert {c.config_hash() for c in configs} == {"cfd3500f67d0"}
     assert all(c.canonical_dict() == configs[0].canonical_dict() for c in configs)
@@ -131,7 +132,7 @@ def test_zero_reward_pipeline_all_zero(tmp_path):
     summary = run_tracking(config, tmp_path)
     assert summary["final_median_error"] == 0.0
     assert set(summary["median_sup_error"]) == {0.0}
-    assert summary["spec_version"] == SPEC_VERSION
+    assert summary["spec_version"] == __version__
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -388,6 +389,32 @@ def test_sweep_records_unconstructible_cell_as_skipped(tmp_path):
     assert rows[0]["status"] == ("skipped: drift c_p violated at t=1: "
                                  "observed 0.055153231400438596 vs allowed 0.05")
     assert (tmp_path / "sweep.csv").read_text().count("skipped") == 1
+
+
+def test_sweep_skips_a_gamma_pi_cell_its_rewards_cannot_run(tmp_path):
+    # gamma_pi > 0 cells run the 3-state shrinking family: over the adiabatic
+    # config's 2 rewards such a cell is skipped and its gamma_pi = 0 cells run;
+    # over a 3-state base with 3 rewards it runs
+    doc = conftest.config_dict("adiabatic")
+    params = {**doc["schedule"]["params"], "c_p": 0.1}
+    doc = {**doc, "t_max": 200, "seeds": {"base": 101, "count": 4},
+           "schedule": {**doc["schedule"], "params": params}}
+    grid = {"gamma_p": [1.0, 1.2], "gamma_alpha": [0.6], "gamma_pi": [0.0, 0.2]}
+    rows = run_sweep(grid, ExperimentConfig.from_dict(doc), tmp_path / "two")
+    no_family = ("skipped: no schedule family realizes gamma_p=1.0 with gamma_pi=0.2 "
+                 "(shrinking family forces gamma_p = gamma_pi + 1)")
+    assert [(r["cell"], r["status"]) for r in rows] == [
+        ("gp=1.0|ga=0.6|gpi=0.0", "ok"), ("gp=1.0|ga=0.6|gpi=0.2", no_family),
+        ("gp=1.2|ga=0.6|gpi=0.0", "ok"),
+        ("gp=1.2|ga=0.6|gpi=0.2",
+         "skipped: the 3-state shrinking family vs rewards n=2")]
+    assert len(os.listdir(tmp_path / "two")) == 3  # two cell dirs and sweep.csv
+    three = {**doc, "reward": {"r": [1.0, 0.0, 0.5], "beta": 0.5},
+             "schedule": {"kind": "interpolation", "n": 3, "params": {**params, "c_pi": 0.1},
+                          "p_start": [[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]],
+                          "p_end": [[0.3, 0.4, 0.3], [0.4, 0.3, 0.3], [0.25, 0.35, 0.4]]}}
+    rows = run_sweep(grid, ExperimentConfig.from_dict(three), tmp_path / "three")
+    assert [r["status"] for r in rows] == ["ok", no_family, "ok", "ok"]
 
 
 def test_empty_out_path_is_refused_before_any_walk(tmp_path, monkeypatch):
@@ -1029,7 +1056,7 @@ def test_cli_bound_matches_regime(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["regime"] == "diabatic"
-    assert doc["spec_version"] == SPEC_VERSION
+    assert doc["spec_version"] == __version__
 
 
 def test_cli_bound_static_prints_zero_drift_term(capsys):
@@ -1045,7 +1072,7 @@ def test_cli_track_and_exit_codes(tmp_path, capsys):
     rc = cli_main(["track", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["spec_version"] == SPEC_VERSION
+    assert doc["spec_version"] == __version__
 
     rc = cli_main(["track", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out2")])

@@ -27,6 +27,15 @@ def test_size_prints_the_source_total_and_no_root_re_exports(capsys):
     total = sum(open(path).read().count("\n") for path in modules)
     assert [line.split() for line in lines if line.endswith(" total")][0] == [str(total), "total"]
     assert lines[-1] == "package root re-exports 0 public names"
+    # one line per module, in name order, with the package's modules it imports
+    names = sorted(os.path.basename(path)[:-3] for path in modules if "__init__" not in path)
+    rows = [re.fullmatch(r"(\w+) \d+ names in __all__, \d+ parameters with a default; "
+                         r"imports (none|\w+(?:, \w+)*)", line)
+            for line in lines[-1 - len(names):-1]]
+    assert all(rows) and [row[1] for row in rows] == names
+    imported = {row[1]: row[2] for row in rows}
+    assert (imported["chains"], imported["bounds"]) == ("none", "chains")
+    assert imported["verify"] == "bounds, chains, dp, schedules"
 
 
 def test_rate_prints_steps_per_second_and_the_first_blocks_tables(capsys):

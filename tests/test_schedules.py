@@ -15,7 +15,6 @@ from adiatrack.chains import (
     stationary_distribution,
 )
 from adiatrack.schedules import (
-    GAMMA_INF,
     ConstantSchedule,
     CyclicSchedule,
     DriftCertificateError,
@@ -46,7 +45,7 @@ def test_drift_params_validation():
         DriftParams(c_p=0.0, gamma_p=1.0, c_pi=0.2, gamma_pi=0.0)
     with pytest.raises(ValueError):
         DriftParams(c_p=0.1, gamma_p=1.0, c_pi=1.5, gamma_pi=0.0)
-    p = DriftParams(0.1, GAMMA_INF, 0.2, 0.0)
+    p = DriftParams(0.1, math.inf, 0.2, 0.0)
     assert p.drift_bound(1) == 0.0 and p.drift_bound(7) == 0.0
 
 
@@ -271,7 +270,7 @@ def test_verify_drift_catches_underdeclared_cp_at_t1():
 
 
 def test_verify_drift_catches_overdeclared_pi_floor():
-    sched = ConstantSchedule(A, DriftParams(1.0, GAMMA_INF, 0.9, 0.0))
+    sched = ConstantSchedule(A, DriftParams(1.0, math.inf, 0.9, 0.0))
     with pytest.raises(DriftCertificateError) as err:
         verify_drift(sched, t_max=20)
     assert any(v.bound == "pi floor c_pi" for v in err.value.report.violations)
@@ -281,7 +280,7 @@ def test_verify_drift_catches_overdeclared_pi_floor():
                                    copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
 def test_drift_certificate_error_survives_pickle_and_copy(clone):
     # rebuilt from its report, not from its message, so it can cross a process boundary
-    sched = ConstantSchedule(A, DriftParams(1.0, GAMMA_INF, 0.9, 0.0))
+    sched = ConstantSchedule(A, DriftParams(1.0, math.inf, 0.9, 0.0))
     with pytest.raises(DriftCertificateError) as err:
         verify_drift(sched, t_max=20)
     twin = clone(err.value)
@@ -344,7 +343,7 @@ def _per_t_report(s, t_max):
         if t < t_max:
             nxt = s.matrix_at(t + 1)
             drift = matrix_tv(nxt, prev)
-            if params.gamma_p == GAMMA_INF:
+            if params.gamma_p == math.inf:
                 scaled = 0.0 if drift <= 1e-15 else math.inf
             else:
                 scaled = drift * t ** params.gamma_p
@@ -372,7 +371,7 @@ def _scan_cases():
     refuted.rho_cap = 0.65
     # B from t = 5 on: its first block varies, every later one repeats B
     arriving = InterpolationSchedule(A, B, DriftParams(0.3, 0.5, 0.25, 0.0))
-    refuted_constant = ConstantSchedule(A, DriftParams(1.0, GAMMA_INF, 0.9, 0.0))
+    refuted_constant = ConstantSchedule(A, DriftParams(1.0, math.inf, 0.9, 0.0))
     refuted_constant.rho_cap = 0.6
     return [ConstantSchedule(A), inner, cyclic,
             ShrinkingStateSchedule(DriftParams(0.2, 1.5, 0.2, 0.5)),
@@ -399,7 +398,7 @@ class _Switch(schedules.Schedule):
     kind = "switch"
 
     def __init__(self, t_switch):
-        super().__init__(2, DriftParams(1.0, GAMMA_INF, 0.25, 0.0), 0.7)
+        super().__init__(2, DriftParams(1.0, math.inf, 0.25, 0.0), 0.7)
         self.t_switch = t_switch
 
     def _block(self, t_lo, t_hi):
@@ -483,7 +482,7 @@ def _matrix_formula(s, t):
         return s.p
     if s.kind == "interpolation":
         c_p, gamma_p = s.params.c_p, s.params.gamma_p
-        if s.segment_length == 0.0 or gamma_p == GAMMA_INF:
+        if s.segment_length == 0.0 or gamma_p == math.inf:
             return s.p_start
         w = min(1.0, _arc(c_p, gamma_p, t - 1) / s.segment_length)
         if w == 0.0:
@@ -581,7 +580,7 @@ def test_block_rejects_empty_and_nonpositive_ranges():
 @pytest.mark.parametrize("sched", [
     ConstantSchedule(A),
     CyclicSchedule([A, A], DriftParams(0.05, 0.5, 0.25, 0.0)),
-    InterpolationSchedule(A, B, DriftParams(0.05, GAMMA_INF, 0.25, 0.0)),
+    InterpolationSchedule(A, B, DriftParams(0.05, math.inf, 0.25, 0.0)),
     InterpolationSchedule(A, A, DriftParams(0.05, 0.5, 0.25, 0.0)),
 ], ids=["constant", "degenerate-cyclic", "gamma-p-inf-interpolation", "A-to-A-interpolation"])
 def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
