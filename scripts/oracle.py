@@ -157,14 +157,15 @@ def rate(t_max):
 
 
 def gate(t_max):
-    """Ten runs at T = t_max with 20 seeds through cli.main in this process: exit
+    """Twelve runs at T = t_max with 20 seeds through cli.main in this process: exit
     code, wall seconds, and whether the out dir was written (none should be).
     `track` and `sweep` on a certificate failing at t = 1 (c_pi = 0.9) exit 2 after the
     scan alone.  `track` on a floor c_pi = 0.3 first failing at t = 91,381, in
     the walk's 45th block, times a mid-horizon failure (the walk of 44 blocks,
     the scan on to T) and exits 2; a shorter horizon exits 0.  `track` and
     `sweep` with x0 = 5 on a 2-state chain, `track` with a rate lacking
-    c_alpha, "c_p": Infinity (a token the hash cannot write), gamma_pi = 0.5
+    c_alpha, "c_p": Infinity or "inf" (a drift bound that certifies any
+    step), a 401-digit c_alpha (an integer beyond the floats), gamma_pi = 0.5
     against gamma_alpha = 0.6, uniform-iid noise of eps_max = 1e308 (a draw
     span beyond the floats) or zero noise of eps_max = 0.5 (an envelope that
     draws nothing) are refused before the scan: exit 2 at once."""
@@ -180,6 +181,9 @@ def gate(t_max):
              ("track", "x0 = 5", {**adiabatic, "x0": 5}), ("sweep", "x0 = 5", {**adiabatic, "x0": 5}),
              ("track", "rate without c_alpha", {**adiabatic, "rate": {"gamma_alpha": 0.6}}),
              ("track", "c_p Infinity", edit(params={**params, "c_p": float("inf")})),
+             ("track", 'c_p "inf"', edit(params={**params, "c_p": "inf"})),
+             ("track", "401-digit c_alpha", {**adiabatic, "rate": {**adiabatic["rate"],
+                                                                  "c_alpha": 10 ** 400}}),
              ("track", "gamma_pi = 0.5", edit(params={**params, "gamma_pi": 0.5})),
              ("track", "eps_max = 1e308", noise("uniform-iid", 1e308)),
              ("track", "zero noise, eps_max = 0.5", noise("zero", 0.5))]

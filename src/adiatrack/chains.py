@@ -19,7 +19,7 @@ schedule spec, params, reward, rate, noise, the seeds and checkpoints
 objects, sweep grid, bound constants) goes through one reader, _object,
 which refuses a non-object, a key the object does not read and a lacking
 key it needs, each by the object's name; number, integer and _read_list
-read the values inside.
+read the values inside, and _resolved every number for the config hash.
 """
 
 from __future__ import annotations
@@ -254,23 +254,26 @@ def _read_list(values: list, name: str, read, depth: int = 1) -> list:
 
 
 def _json_number(doc: dict, key: str):
-    """doc[key] if it is a JSON number; a boolean, string or null raises a
+    """doc[key] if it is a JSON number (number reads it); a string raises a
     ValueError naming the key.  Matrix and reward entries are read so, where
     number would take a numeric string (as gamma_p takes "inf")."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return value
+    if isinstance(doc[key], str):
+        raise ValueError(f"{key} must be a number, got {doc[key]!r}")
+    number(doc, key)
+    return doc[key]
 
 
 def number(doc: dict, key: str, *default) -> float:
     """doc[key] (or the default, given and the key absent) as a float; a raw
-    JSON null, list or boolean raises a ValueError naming the key, not a
-    TypeError or a silent 0/1."""
+    JSON null, list or boolean, and an integer beyond the floats, raise a
+    ValueError naming the key, not a TypeError, an OverflowError or a silent 0/1."""
     value = doc.get(key, *default) if default else doc[key]
     try:
         if not isinstance(value, bool):
             return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must fit a float, got an integer of "
+                         f"{len(str(abs(value)))} digits") from None
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{key} must be a number, got {value!r}")
@@ -288,3 +291,26 @@ def integer(doc: dict, key: str, *default) -> int:
         pass
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
+
+def _resolved(value, integers: tuple, key=None):
+    """value with each JSON number in it as a run reads it (an entry named as
+    _read_list names it): by integer under a key of integers, else by number,
+    -0.0 as 0.0, a string number reads as +inf as "inf".  Kinds, "nan", "-inf",
+    booleans, nulls and other strings stay as spelt, for their readers to name."""
+    if isinstance(value, dict):
+        return {k: _resolved(v, integers, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_resolved(v, integers, f"{key}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return value
+    if key in integers:
+        return value if isinstance(value, str) else integer({key: value}, key)
+    if type(value) is float:  # what number reads it as: itself
+        return value + 0.0
+    if not isinstance(value, str):
+        return number({key: value}, key) + 0.0
+    try:
+        read = number({key: value}, key)
+    except ValueError:  # a kind
+        return value
+    return read + 0.0 if np.isfinite(read) else "inf" if read > 0 else value

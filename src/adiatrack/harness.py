@@ -20,9 +20,9 @@ does not grow with the horizon, and whether cells share a walk changes no
 output bit.  Write: each cell's trace writes its seeds' CSVs, and its
 summary reduces trace.sup_error across seeds; the out dirs and files are
 made only once every walk succeeded, so a bad input, a failing certificate
-or a failed walk leaves nothing written.  A sweep reads its base's anchors
-(schedules._spec_anchors), params and n as track does, before any cell,
-so a cell is skipped only for a reason of its own.
+or a failed walk leaves nothing written.  No family is named here: the
+schedules module reads a spec (resolve_spec, for the hash) and realizes a
+sweep's cells (sweep_cells, which checks the base as track does first).
 """
 
 from __future__ import annotations
@@ -73,46 +73,6 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _with_n(spec: dict) -> dict:
-    """Schedule spec with its "n" filled in, read without building the
-    schedule: its anchors' size, 3 for shrinking-state, the inner spec's for
-    restart-wrapped (whose inner spec gets its own filled in)."""
-    kind = schedules._spec_kind(spec)
-    if kind == "restart-wrapped":
-        spec = {**spec, "inner": _with_n(spec["inner"])}
-    if "n" in spec:
-        return spec
-    anchors = schedules._spec_anchors(spec)
-    n = len(anchors[0]) if anchors else 3 if kind == "shrinking-state" else spec["inner"]["n"]
-    return {**spec, "n": n}
-
-
-def _numbers_read(value, key=None):
-    """value with each JSON number in it as the run reads it: through
-    chains.integer under the keys "n" and "x_restart", else as a float (what
-    chains.number makes of a number or a numeric string), -0.0 as 0.0.  Away
-    from those two keys a string float reads as a finite number is that float
-    and one it reads as +inf is "inf"; the kinds, "nan", "-inf", other
-    strings and booleans stay as spelt."""
-    if isinstance(value, dict):
-        return {k: _numbers_read(v, k) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_numbers_read(v, key) for v in value]
-    if isinstance(value, str) and key not in ("n", "x_restart"):
-        try:
-            read = float(value)
-        except ValueError:  # a kind
-            return value
-        if math.isfinite(read):
-            return read + 0.0
-        return "inf" if read > 0 else value  # "nan" and "-inf" for their readers to name
-    if type(value) not in (int, float):  # a bool is an int, but no JSON number
-        return value
-    if key in ("n", "x_restart"):
-        return chains.integer({key: value}, key)
-    return float(value) + 0.0
-
-
 def _hash(doc: dict) -> str:
     """The config hash of a resolved config (ExperimentConfig.canonical_dict)."""
     try:
@@ -136,12 +96,12 @@ class ExperimentConfig:
     schedule: dict
     reward: dict
     rate: dict
+    seeds: list | dict
     noise: dict = field(default_factory=lambda: {"kind": "zero", "eps_max": 0.0})
     learner: str = "td0"
     n_actions: int = 1
     t_max: int = 1000
     checkpoints: list | dict = field(default_factory=lambda: {"per_decade": 8})
-    seeds: list = field(default_factory=list)
     x0: int = 0
 
     def __post_init__(self):
@@ -151,6 +111,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         for name in ("t_max", "x0", "n_actions"):
             setattr(self, name, chains.integer(vars(self), name))
+        chains.number(vars(self), "t_max")  # an integer beyond the floats is refused
         if self.t_max < 2:  # the drift certificate needs one step
             raise ValueError("t_max must be >= 2")
         if self.n_actions < 1:
@@ -191,16 +152,15 @@ class ExperimentConfig:
 
     def canonical_dict(self) -> dict:
         """Every field as the run reads it, so spellings of one run hash alike:
-        each number of the four spec objects read (_numbers_read: a schedule's
-        n and x_restart as integers, the rest and numeric strings as floats,
-        -0.0 as 0.0, a string read as +inf as "inf"), the noise's eps_max and
-        the schedule's n filled in.  A constant spec's omitted params stay
-        omitted."""
+        each number of the four spec objects read (chains._resolved: numeric
+        strings as floats, -0.0 as 0.0, a string read as +inf as "inf"), the
+        schedule's as schedules.resolve_spec reads it (its n filled in), and the
+        noise's eps_max filled in.  A constant spec's omitted params stay omitted."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["noise"] = {"eps_max": 0.0, **self.noise}
-        doc["schedule"] = _with_n(self.schedule)
-        for name in ("schedule", "reward", "rate", "noise"):
-            doc[name] = _numbers_read(doc[name])
+        for name in ("reward", "rate", "noise"):
+            doc[name] = chains._resolved(doc[name], ())
+        doc["schedule"] = schedules.resolve_spec(self.schedule)
         return doc
 
     def config_hash(self) -> str:
@@ -309,50 +269,20 @@ def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     return _run(config, [(schedule, [(doc, _hash(doc), out_dir)])])[0]
 
 
-def _cell_schedule(base_schedule: dict, anchors: list, gamma_p: float, gamma_pi: float) -> dict:
-    """Realize one sweep cell's (gamma_p, gamma_pi) as a schedule spec.
-
-    gamma_pi = 0 cells copy the base's n and anchors as spelt: constant for
-    gamma_p = inf, never-arriving interpolation for gamma_p >= 1, cyclic for
-    gamma_p in (0,1).  gamma_pi > 0 cells map to the 3-state shrinking
-    family, which couples gamma_p = gamma_pi + 1; anything else has no
-    realizing family and raises ValueError naming the reason.
-    """
-    params = dict(base_schedule["params"])
-    if gamma_pi == 0.0:
-        if not anchors:
-            raise ValueError("base schedule carries no anchor matrices")
-        params["gamma_pi"], n = 0.0, len(anchors[0])  # run_sweep checked the base's n
-        if gamma_p == math.inf:
-            return {"kind": "constant", "n": n,
-                    "params": {**params, "gamma_p": "inf"}, "p": anchors[0]}
-        params["gamma_p"] = gamma_p
-        if gamma_p >= 1.0:
-            return {"kind": "interpolation", "n": n, "params": params,
-                    "p_start": anchors[0], "p_end": anchors[-1]}
-        return {"kind": "cyclic", "n": n, "params": params, "mats": anchors}
-    if gamma_p == gamma_pi + 1.0:
-        return {"kind": "shrinking-state", "n": 3,
-                "params": {**params, "gamma_p": gamma_p, "gamma_pi": gamma_pi,
-                           "c_pi": min(chains.number(params, "c_pi"), 1.0 / 3.0)}}
-    raise ValueError(f"no schedule family realizes gamma_p={gamma_p} with gamma_pi="
-                     f"{gamma_pi} (shrinking family forces gamma_p = gamma_pi + 1)")
-
-
 def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     """Run one tracking experiment per exponent-triple cell; emit a merged CSV.
 
     grid: {"gamma_p": [...], "gamma_alpha": [...], "gamma_pi": [...]}, with
     "inf" accepted in gamma_p and gamma_pi optional ([0]); any other key, an
     empty axis and a value an axis lists twice are refused.  The base's
-    anchors, n and params are checked as track checks them, before any cell.
-    Cells violating standing assumptions, with no realizing family (a
-    gamma_pi > 0 cell over rewards of other than 3 entries too) or refused
-    by it are recorded as skipped, not errors.  Cells with the same
-    schedule spec are one group of _run: one build and one certified walk
-    at every cell's rate; each cell's files are those run_tracking writes
-    for it.  Nothing is written before every walk has succeeded; the
-    merged table, sorted by cell key, is written last.
+    anchors, n and params are checked as track checks them, before any cell
+    (schedules.sweep_cells, which realizes each cell).  Cells violating
+    standing assumptions, with no realizing family or refused by it (its
+    constants or the rewards' n) are recorded as skipped, not errors.  Cells
+    with the same schedule spec are one group of _run: one build and one
+    certified walk at every cell's rate; each cell's files are those
+    run_tracking writes for it.  Nothing is written before every walk has
+    succeeded; the merged table, sorted by cell key, is written last.
     """
     chains._object(grid, "grid", ("gamma_p", "gamma_alpha", "gamma_pi"), ("gamma_p", "gamma_alpha"))
     gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
@@ -362,48 +292,32 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
         twice = [f"lists {v} more than once" for i, v in enumerate(values) if v in values[:i]]
         if twice or not values:
             raise ValueError(f"grid axis {name} {(twice or ['is empty'])[0]}")
-    # the base is read and its anchors checked as track does it, though it is not built
-    anchors = schedules._spec_anchors(base.schedule)
-    if "params" not in base.schedule:  # a constant spec may omit them; every cell reads them
-        raise ValueError(f"{base.schedule['kind']} schedule spec lacks ['params'] a sweep needs")
-    params = schedules.DriftParams.from_spec(base.schedule["params"])
-    if anchors:
-        n = schedules._ArcWalk(anchors, params, closed=False).n
-        if (spec_n := chains.integer(base.schedule, "n", n)) != n:
-            raise ValueError(f"schedule spec n={spec_n} vs its {n}-state matrices")
+    realize = schedules.sweep_cells(base.schedule)  # the base read and checked as track does
     n_rewards = RewardSpec.from_spec(base.reward).n
-    rows, groups = [], {}  # schedule spec JSON -> (schedule, [(row, cell config)])
+    rows, groups = [], {}  # a cell's schedule -> [(row, cell config, its hash)]
     for gp in gps:
         for ga in gas:
             for gpi in gpis:
-                # comma-free key: the table's cell column is never quoted
-                key = f"gp={'inf' if gp == math.inf else gp}|ga={ga}|gpi={gpi}"
-                row = {"cell": key,
-                       "gamma_p": "inf" if gp == math.inf else gp,
+                spelt = "inf" if gp == math.inf else gp  # a comma-free key: never quoted
+                row = {"cell": f"gp={spelt}|ga={ga}|gpi={gpi}", "gamma_p": spelt,
                        "gamma_alpha": ga, "gamma_pi": gpi}
                 # a standing assumption fails, no family realizes the cell, or
                 # its family refuses the constants or the rewards
                 try:
                     bounds.ExponentTriple(gp, ga, gpi)
-                    sched_spec = _cell_schedule(base.schedule, anchors, gp, gpi)
-                    # json.dumps, not canonical_json: a NaN constant is the family's to refuse
-                    spec_key = json.dumps(sched_spec, sort_keys=True)
-                    schedule = (groups[spec_key][0] if spec_key in groups
-                                else schedules.schedule_from_spec(sched_spec))
-                    if gpi and schedule.n != n_rewards:  # _run checks the base's own n
-                        raise ValueError(f"the 3-state shrinking family vs rewards n={n_rewards}")
+                    sched_spec, schedule = realize(gp, gpi, n_rewards)
                 except ValueError as exc:
                     rows.append({**row, "status": f"skipped: {exc}"})
                     continue
                 doc = ExperimentConfig.from_dict({  # resolved once, hashed to its out dir's name
                     **vars(base), "schedule": sched_spec,
                     "rate": {**base.rate, "gamma_alpha": ga}}).canonical_dict()
-                groups.setdefault(spec_key, (schedule, []))[1].append((row, doc, _hash(doc)))
+                groups.setdefault(schedule, []).append((row, doc, _hash(doc)))
     _check_out_dir(out_dir)  # a cell's dir joined to an empty root would pass its own check
     summaries = _run(base, [(schedule, [(doc, chash, os.path.join(out_dir, chash))
                                         for _, doc, chash in cells])
-                            for schedule, cells in groups.values()])
-    ok_rows = [row for _, cells in groups.values() for row, *_ in cells]
+                            for schedule, cells in groups.items()])
+    ok_rows = [row for cells in groups.values() for row, *_ in cells]
     for row, summary in zip(ok_rows, summaries):
         slope = summary["slope"]
         rows.append({**row, "status": "ok", "regime": summary["regime"],

@@ -24,6 +24,8 @@ its drift metered in matrix-TV arc length along the convex segments between
 anchors: TV is exactly linear there, so the certificates are exact rather
 than estimated; its constructor is where every matrix enters the program,
 validated once.  Time indexing starts at t = 1 (the power laws divide by t).
+A JSON spec is read here alone (_spec_kind, _read_spec): built, hashed
+(resolve_spec, its n filled in unbuilt) and realized as a sweep's cells (sweep_cells).
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ __all__ = [
     "verify_drift",
     "DriftReport",
     "DriftCertificateError",
+    "resolve_spec",
     "schedule_from_spec",
+    "sweep_cells",
 ]
 
 
@@ -64,8 +68,8 @@ class DriftParams:
     gamma_pi: float
 
     def __post_init__(self):
-        if not self.c_p > 0:
-            raise ValueError("c_p must be positive")
+        if not 0 < self.c_p < math.inf:  # an infinite drift bound would certify any step
+            raise ValueError(f"c_p must be {'finite, got inf' if self.c_p > 0 else 'positive'}")
         if not (0 < self.c_pi <= 1):
             raise ValueError("c_pi must lie in (0, 1]")
         if not (self.gamma_p >= 0 and self.gamma_pi >= 0):  # NaN fails too
@@ -281,8 +285,8 @@ class CyclicSchedule(_ArcWalk):
 
 
 class ShrinkingStateSchedule(Schedule):
-    """3-state birth-death family whose third state's stationary mass is
-    exactly c_pi/t^gamma_pi.
+    """Birth-death family on STATES states whose third state's stationary mass
+    is exactly c_pi/t^gamma_pi, for c_pi up to C_PI_MAX.
 
     Built in reverse: fix the target pi^(t) = ((1-m)/2, (1-m)/2, m) with
     m = c_pi/t^gamma_pi and assemble the reversible nearest-neighbour
@@ -297,19 +301,20 @@ class ShrinkingStateSchedule(Schedule):
     h_t - h_{t+1}.  Construction runs the one certificate scan (verify_drift)
     over the first _SHRINK_DRIFT_CHECK steps and raises its
     DriftCertificateError for constants it breaks.  The ergodicity
-    coefficient is exactly 1/2 for all t (h <= 1/2 when c_pi <= 1/3).
+    coefficient is exactly 1/2 for all t (h <= 1/2 when c_pi <= C_PI_MAX).
     """
 
     kind = "shrinking-state"
+    STATES, C_PI_MAX = 3, 1.0 / 3.0
 
     def __init__(self, params: DriftParams):
         if not params.gamma_pi > 0:
             raise ValueError("shrinking-state family needs gamma_pi > 0")
-        if not 0 < params.c_pi <= 1.0 / 3.0:
+        if not 0 < params.c_pi <= self.C_PI_MAX:
             raise ValueError("c_pi must lie in (0, 1/3] so the third state is the minimum")
         if params.gamma_p == math.inf:
             raise ValueError("drifting family cannot declare gamma_p = inf")
-        super().__init__(3, params, 0.5)
+        super().__init__(self.STATES, params, 0.5)
         verify_drift(self, _SHRINK_DRIFT_CHECK)
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
@@ -547,31 +552,44 @@ def _spec_kind(doc: dict) -> str:
     return kind
 
 
-def _spec_anchors(doc: dict) -> list:
-    """The anchor matrices of schedule spec doc in path order, each entry a
-    JSON number as spelt: [p] for constant, [p_start, p_end] for
-    interpolation, mats for cyclic, [] for the families that read none.
-    Checks the kind and key names first (_spec_kind)."""
-    kind = _spec_kind(doc)
-    if kind == "cyclic":
-        return chains._read_list(doc["mats"], "mats", chains._json_number, 3)
-    if kind in ("constant", "interpolation"):
-        return [chains._read_list(doc[k], k, chains._json_number, 2) for k in _SPEC_KEYS[kind]]
-    return []
+def _read_spec(doc: dict) -> tuple:
+    """(kind, anchors) of schedule spec doc (_spec_kind), unbuilt: its anchor matrices,
+    each entry a JSON number as spelt: [p], [p_start, p_end], mats, or []."""
+    kind, own = _spec_kind(doc), _SPEC_KEYS[doc["kind"]]
+    anchors = ([chains._read_list(doc[k], k, chains._json_number, 2) for k in own]
+               if kind in ("constant", "interpolation") else
+               chains._read_list(doc["mats"], "mats", chains._json_number, 3)
+               if kind == "cyclic" else [])
+    return kind, anchors
+
+
+def _same_n(doc: dict, n: int):
+    """Refuse schedule spec doc if its "n", given, is not n, its matrices' size."""
+    if (spec_n := chains.integer(doc, "n", n)) != n:
+        raise ValueError(f"schedule spec n={spec_n} vs its {n}-state matrices")
+
+
+def resolve_spec(doc: dict) -> dict:
+    """Schedule spec doc as a run reads it, for the config hash: "n" filled in where
+    absent, without building (the anchors' size, STATES, or the resolved inner
+    spec's), and each number read (chains._resolved), "n" and "x_restart" as integers."""
+    kind = _spec_kind(doc)  # the anchors are read only for an n left out
+    if kind == "restart-wrapped":
+        doc = {**doc, "inner": resolve_spec(doc["inner"])}
+    if "n" not in doc:
+        doc = {**doc, "n": doc["inner"]["n"] if kind == "restart-wrapped" else
+               ShrinkingStateSchedule.STATES if kind == "shrinking-state"
+               else len(_read_spec(doc)[1][0])}
+    return chains._resolved(doc, ("n", "x_restart"))
 
 
 def schedule_from_spec(doc: dict) -> Schedule:
-    """Build a schedule from its JSON spec: {"kind", "n", "params"} and the
-    family's own keys (_SPEC_KEYS: "p" for constant, whose params are
-    optional; "p_start", "p_end" for interpolation; "mats" for cyclic; none
-    for shrinking-state; "inner", "beta", "beta_hat", "x_restart" for
-    restart-wrapped).  Gamma values may be "inf"; any other key, a matrix
-    entry that is not a JSON number, or an "n" that differs from the built
-    schedule's raises."""
-    anchors = _spec_anchors(doc)
-    kind = doc["kind"]
-    params = (DriftParams.from_spec(doc["params"])
-              if kind != "constant" or "params" in doc else None)
+    """Build a schedule from its JSON spec, read by _read_spec: {"kind", "n",
+    "params"} and the family's own keys (_SPEC_KEYS), params optional for
+    constant only.  Gamma values may be "inf"; an "n" that differs from the
+    built schedule's raises."""
+    kind, anchors = _read_spec(doc)
+    params = DriftParams.from_spec(doc["params"]) if "params" in doc else None
     if kind == "constant":
         schedule = ConstantSchedule(*anchors, params)
     elif kind == "interpolation":
@@ -585,7 +603,49 @@ def schedule_from_spec(doc: dict) -> Schedule:
                                           chains.number(doc, "beta"),
                                           chains.number(doc, "beta_hat"),
                                           chains.integer(doc, "x_restart"), params)
-    n = chains.integer(doc, "n", schedule.n)
-    if n != schedule.n:
-        raise ValueError(f"schedule spec n={n} vs its {schedule.n}-state matrices")
+    _same_n(doc, schedule.n)
     return schedule
+
+
+def sweep_cells(base: dict):
+    """The cell realizer of a sweep over schedule spec base, which is read and checked
+    first as schedule_from_spec checks it, unbuilt, with the params every cell reads.
+    The realizer maps a cell's (gamma_p, gamma_pi) and the run's n_rewards to the
+    cell's spec and schedule, building each cell once.  A gamma_pi = 0 cell copies
+    the base's n and anchors as spelt: constant at gamma_p = inf, interpolation at
+    gamma_p >= 1, cyclic below.  A gamma_pi > 0 cell is the shrinking family's, which
+    couples gamma_p = gamma_pi + 1, caps c_pi at C_PI_MAX and needs STATES rewards.
+    A cell no family realizes, or that its family or the rewards refuse, raises a
+    ValueError naming why; the base's own n against the rewards is the run's to check."""
+    kind, anchors = _read_spec(base)
+    if "params" not in base:
+        raise ValueError(f"{kind} schedule spec lacks ['params'] a sweep needs")
+    params = DriftParams.from_spec(base["params"])
+    if anchors:  # n is read only where anchors are
+        _same_n(base, n := _ArcWalk(anchors, params, closed=False).n)
+    built = {}  # (gamma_p, gamma_pi) -> (the cell's spec, its schedule)
+
+    def realize(gamma_p: float, gamma_pi: float, n_rewards: int) -> tuple:
+        if (gamma_p, gamma_pi) not in built:
+            cell = {**base["params"], "gamma_p": "inf" if gamma_p == math.inf else gamma_p,
+                    "gamma_pi": gamma_pi + 0.0}
+            if gamma_pi == 0.0:
+                if not anchors:
+                    raise ValueError("base schedule carries no anchor matrices")
+                doc = ({"kind": "constant", "n": n, "params": cell, "p": anchors[0]}
+                       if gamma_p == math.inf else
+                       {"kind": "interpolation", "n": n, "params": cell,
+                        "p_start": anchors[0], "p_end": anchors[-1]} if gamma_p >= 1.0 else
+                       {"kind": "cyclic", "n": n, "params": cell, "mats": anchors})
+            elif gamma_p == gamma_pi + 1.0:
+                doc = {"kind": "shrinking-state", "n": ShrinkingStateSchedule.STATES, "params":
+                       {**cell, "c_pi": min(params.c_pi, ShrinkingStateSchedule.C_PI_MAX)}}
+            else:
+                raise ValueError(f"no schedule family realizes gamma_p={gamma_p} with gamma_pi="
+                                 f"{gamma_pi} (shrinking family forces gamma_p = gamma_pi + 1)")
+            built[gamma_p, gamma_pi] = doc, schedule_from_spec(doc)
+        doc, schedule = built[gamma_p, gamma_pi]
+        if gamma_pi and schedule.n != n_rewards:
+            raise ValueError(f"the {schedule.n}-state shrinking family vs rewards n={n_rewards}")
+        return doc, schedule
+    return realize

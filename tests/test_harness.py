@@ -57,10 +57,11 @@ def test_config_hash_changes_with_content():
 
 
 def test_config_hash_is_one_per_resolved_run():
-    # seven spellings of the adiabatic run: as committed, noise without its
-    # eps_max or with -0.0, an integral gamma_p, the schedule's n left out, its
-    # checkpoints listed with points outside [1, t_max], which no run reads, and
-    # learner "q" at one action, which runs TD(0) as n_actions picks it
+    # eight spellings of the adiabatic run: as committed, noise without its
+    # eps_max or with -0.0, an integral gamma_p, the schedule's n left out or
+    # written 2.0, its checkpoints listed with points outside [1, t_max], which
+    # no run reads, and learner "q" at one action, which runs TD(0) as
+    # n_actions picks it
     doc = conftest.config_dict("adiabatic")
     spec = doc["schedule"]
     checkpoints = log_checkpoints(doc["t_max"], doc["checkpoints"]["per_decade"])
@@ -68,6 +69,7 @@ def test_config_hash_is_one_per_resolved_run():
                  {**doc, "noise": {"kind": "zero", "eps_max": -0.0}},
                  {**doc, "schedule": {**spec, "params": {**spec["params"], "gamma_p": 1}}},
                  {**doc, "schedule": {k: v for k, v in spec.items() if k != "n"}},
+                 {**doc, "schedule": {**spec, "n": 2.0}},
                  {**doc, "checkpoints": [-3, 0, *checkpoints, 5 * doc["t_max"]]},
                  {**doc, "learner": "q"}]
     configs = [ExperimentConfig.from_dict(d) for d in spellings]
@@ -1216,7 +1218,7 @@ def test_cli_sweep_failed_certificate_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "pi floor c_pi violated at t=1" in err
 
 
-@pytest.mark.parametrize("drop", ["schedule", "reward", "rate"])
+@pytest.mark.parametrize("drop", ["schedule", "reward", "rate", "seeds"])
 def test_cli_track_config_missing_field_is_config_error(tmp_path, capsys, drop):
     cfg = {k: v for k, v in BASE_CONFIG.items() if k != drop}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -1573,12 +1575,17 @@ def test_cli_json_object_names_a_lacking_or_unknown_key(tmp_path, capsys, comman
     ({"schedule": {**ACCEPTANCE_ANCHORS, "n": 7}}, "out", "schedule spec n=7 vs its 2-state"),
     ({}, "afile/out", "Not a directory"),
     # json.load reads an Infinity token, which the config hash cannot write back
-    ({"schedule": {**ACCEPTANCE_ANCHORS,
-                   "params": {**ACCEPTANCE_ANCHORS["params"], "c_p": float("inf")}}}, "out",
+    ({"rate": {"c_alpha": float("inf"), "gamma_alpha": 0.6}}, "out",
      'config holds NaN or Infinity, which JSON does not allow; an infinite exponent is '
      'written "inf"'),
+    # a drift bound of inf, as a token or as a string, would certify any step
+    ({"schedule": {**ACCEPTANCE_ANCHORS,
+                   "params": {**ACCEPTANCE_ANCHORS["params"], "c_p": float("inf")}}}, "out",
+     "c_p must be finite, got inf"),
+    ({"schedule": {**ACCEPTANCE_ANCHORS, "params": {**ACCEPTANCE_ANCHORS["params"], "c_p": "inf"}}},
+     "out", "c_p must be finite, got inf"),
 ], ids=["c_alpha-1.5", "x0-5", "reward-size-3", "checkpoints-1e7", "schedule-n-7",
-        "out-under-a-file", "c_p-Infinity"])
+        "out-under-a-file", "c_alpha-Infinity", "c_p-Infinity", "c_p-inf"])
 def test_cli_config_error_raises_before_the_certificate_scan(tmp_path, capsys, monkeypatch,
                                                                command, change, out, named):
     def scan(schedule, t_max):
@@ -1598,3 +1605,38 @@ def test_cli_config_error_raises_before_the_certificate_scan(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and named in err
     assert not (tmp_path / "out").exists() and (tmp_path / "afile").is_file()
+
+
+HUGE = 10 ** 400  # a JSON integer no float holds
+HUGE_CASES = [  # (id, config change, grid change, the key named)
+    ("c_alpha", {"rate": {"c_alpha": HUGE, "gamma_alpha": 0.6}}, {}, "c_alpha"),
+    ("c_p", {"schedule": {**ACCEPTANCE_ANCHORS,
+                          "params": {**ACCEPTANCE_ANCHORS["params"], "c_p": HUGE}}}, {}, "c_p"),
+    ("beta", {"reward": {"r": [1.0, 0.0], "beta": HUGE}}, {}, "beta"),
+    ("reward-entry", {"reward": {"r": [HUGE, 0.0], "beta": 0.5}}, {}, "r[0]"),
+    ("matrix-entry", {"schedule": {**ACCEPTANCE_ANCHORS, "p_end": [[0.1, 0.9], [0.8, HUGE]]}},
+     {}, "p_end[1][1]"),
+    ("t_max", {"t_max": HUGE}, {}, "t_max"),
+    ("grid-value", {}, {"gamma_alpha": [HUGE]}, "gamma_alpha[0]"),  # read by sweep alone
+]
+
+
+@pytest.mark.parametrize("command, change, grid, named", [
+    pytest.param(command, change, grid, named, id=f"{case}-{command}")
+    for case, change, grid, named in HUGE_CASES for command in ("track", "sweep")
+    if command == "sweep" or not grid])
+def test_cli_refuses_a_number_beyond_the_floats_by_name(tmp_path, capsys, monkeypatch, command,
+                                                         change, grid, named):
+    def scan(schedule, t_max):
+        raise AssertionError("the certificate scan was called")
+
+    monkeypatch.setattr(schedules, "_certified_blocks", scan)
+    cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    (tmp_path / "grid.json").write_text(json.dumps({**SWEEP_GRID, **grid}))
+    args = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    assert cli_main(args + ["--grid", str(tmp_path / "grid.json")] * (command == "sweep")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"config error: {named} must fit a float, got an integer of 401 digits\n")
+    assert not (tmp_path / "out").exists()

@@ -52,7 +52,7 @@ def test_gate_cases_exit_2_and_write_nothing_but_the_mid_horizon_one(capsys):
     # below t = 91,381 the path whose floor fails there runs to T and exits 0
     oracle.gate(2000)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 12
     for line in lines:
         mid_horizon = "certificate failing at t = 91,381" in line
         exit_code, written = ("0", "True") if mid_horizon else ("2", "False")

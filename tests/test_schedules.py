@@ -733,3 +733,83 @@ def test_schedule_spec_matrices_are_lists_of_json_number_rows(spec, named):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown schedule kind"):
         schedule_from_spec({"kind": "mystery"})
+
+
+# ----------------------------------------------------------------- sweep cells
+
+P0, P1 = [[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.8, 0.2]]  # the configs' anchors
+NO_FAMILY = ("no schedule family realizes gamma_p={} with gamma_pi={} "
+             "(shrinking family forces gamma_p = gamma_pi + 1)")
+
+
+def _cell_params(gamma_p, gamma_pi, c_p=0.05, c_pi=0.25):
+    return {"c_p": c_p, "gamma_p": gamma_p, "c_pi": c_pi, "gamma_pi": gamma_pi}
+
+
+# each cell's spec as the realizer gave it while it lived in harness
+@pytest.mark.parametrize("params, gamma_p, gamma_pi, expected", [
+    ({}, math.inf, 0.0,
+     {"kind": "constant", "n": 2, "params": _cell_params("inf", 0.0), "p": P0}),
+    ({}, 1.0, 0.0, {"kind": "interpolation", "n": 2, "params": _cell_params(1.0, 0.0),
+                    "p_start": P0, "p_end": P1}),
+    ({}, 2.0, 0.0, {"kind": "interpolation", "n": 2, "params": _cell_params(2.0, 0.0),
+                    "p_start": P0, "p_end": P1}),
+    ({}, 0.3, 0.0, {"kind": "cyclic", "n": 2, "params": _cell_params(0.3, 0.0), "mats": [P0, P1]}),
+    ({}, 1.1, 0.1, {"kind": "shrinking-state", "n": 3, "params": _cell_params(1.1, 0.1)}),
+    ({"c_p": 0.5, "c_pi": 0.5}, 1.5, 0.5,
+     {"kind": "shrinking-state", "n": 3,
+      "params": _cell_params(1.5, 0.5, c_p=0.5, c_pi=0.3333333333333333)}),
+    ({}, 1.0, 0.2, NO_FAMILY.format(1.0, 0.2)),
+    ({}, math.inf, 0.5, NO_FAMILY.format(math.inf, 0.5)),
+], ids=["constant", "interpolation", "interpolation-gp2", "cyclic", "shrinking",
+        "shrinking-c_pi-capped", "no-family", "no-family-gp-inf"])
+@pytest.mark.parametrize("name", ["adiabatic", "diabatic"])
+def test_sweep_cells_realize_each_cell_over_the_base_as_written(name, params, gamma_p, gamma_pi,
+                                                                 expected):
+    base = config_dict(name)["schedule"]
+    realize = schedules.sweep_cells({**base, "params": {**base["params"], **params}})
+    n_rewards = ShrinkingStateSchedule.STATES if gamma_pi else 2
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            realize(gamma_p, gamma_pi, n_rewards)
+        assert str(err.value) == expected
+        return
+    spec, schedule = realize(gamma_p, gamma_pi, n_rewards)
+    assert spec == expected
+    assert (schedule.kind, schedule.n) == (expected["kind"], expected["n"])
+    assert realize(gamma_p, gamma_pi, n_rewards)[1] is schedule  # built once
+    if gamma_pi:
+        with pytest.raises(ValueError) as err:
+            realize(gamma_p, gamma_pi, 2)
+        assert str(err.value) == "the 3-state shrinking family vs rewards n=2"
+
+
+_SHRINKING = {"kind": "shrinking-state", "n": 3,
+              "params": {"c_p": 0.2, "gamma_p": 1.5, "c_pi": 0.2, "gamma_pi": 0.5}}
+_WRAPPED = {"kind": "restart-wrapped", "n": 2, "inner": INTERP_SPEC, "beta": 0.5,
+            "beta_hat": 0.8, "x_restart": 0, "params": SPEC_PARAMS}
+
+
+def _without_n(spec):
+    inner = {"inner": _without_n(spec["inner"])} if "inner" in spec else {}
+    return {**{k: v for k, v in spec.items() if k != "n"}, **inner}
+
+
+@pytest.mark.parametrize("spec", [
+    *(config_dict(name)["schedule"] for name in ("static_td", "adiabatic", "diabatic", "static_q")),
+    {"kind": "constant", "n": 2, "p": A.tolist()}, INTERP_SPEC,
+    {"kind": "cyclic", "n": 2, "params": {**SPEC_PARAMS, "gamma_p": 0.5},
+     "mats": [A.tolist(), B.tolist()]}, _SHRINKING, _WRAPPED,
+    {**_WRAPPED, "n": 3, "inner": _SHRINKING, "x_restart": 2},
+], ids=["static_td", "adiabatic", "diabatic", "static_q", "constant", "interpolation", "cyclic",
+        "shrinking-state", "restart-wrapped", "restart-wrapped-shrinking"])
+def test_resolve_spec_fills_in_the_n_its_schedule_builds(spec, monkeypatch):
+    n = schedule_from_spec(spec).n
+
+    def build(*args, **kwargs):
+        raise AssertionError("a schedule was built")
+
+    monkeypatch.setattr(schedules.Schedule, "__init__", build)
+    outer = {k: v for k, v in spec.items() if k != "n"}
+    for written in (spec, outer, _without_n(spec)):  # n written, left out, left out throughout
+        assert schedules.resolve_spec(written)["n"] == n
