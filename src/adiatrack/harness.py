@@ -22,7 +22,7 @@ summary reduces trace.sup_error across seeds; the out dirs and files are
 made only once every walk succeeded, so a bad input, a failing certificate
 or a failed walk leaves nothing written.  No family is named here: the
 schedules module reads a spec (resolve_spec, for the hash) and realizes a
-sweep's cells (sweep_cells, which checks the base as track does first).
+sweep's cells (sweep_cells, over a base schedule built as track builds it).
 """
 
 from __future__ import annotations
@@ -91,8 +91,11 @@ class ExperimentConfig:
     b..b+k-1); checkpoints as a list (its points in [1, t_max] kept) or
     {"per_decade": m}, by default {"per_decade": 8}.  learner follows
     n_actions: "td0" at 1, "q" above ("td0" with more actions is refused).
+    t_max lies in [2, 2**53), so each t walked (to t_max + 1) is an exact float; a seeds
+    count is at most SEED_COUNT_MAX, each seed holding about 4 KB of tables through a walk.
     """
 
+    SEED_COUNT_MAX = 100_000
     schedule: dict
     reward: dict
     rate: dict
@@ -111,9 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         for name in ("t_max", "x0", "n_actions"):
             setattr(self, name, chains.integer(vars(self), name))
-        chains.number(vars(self), "t_max")  # an integer beyond the floats is refused
-        if self.t_max < 2:  # the drift certificate needs one step
-            raise ValueError("t_max must be >= 2")
+        if not 2 <= chains.number(vars(self), "t_max") < 2 ** 53:  # names an int no float holds
+            raise ValueError("t_max must lie in [2, 2**53)")
         if self.n_actions < 1:
             raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
         if self.n_actions != 1 and self.learner == "td0":
@@ -122,6 +124,8 @@ class ExperimentConfig:
         if isinstance(self.seeds, dict):
             chains._object(self.seeds, "seeds", ("base", "count"))
             base, count = chains.integer(self.seeds, "base"), chains.integer(self.seeds, "count")
+            if count > self.SEED_COUNT_MAX:
+                raise ValueError(f"seeds count must be at most {self.SEED_COUNT_MAX}, got {count}")
             self.seeds = [base + k for k in range(count)]
         self.seeds = chains._read_list(self.seeds, "seeds", chains.integer)
         if not self.seeds:
@@ -129,8 +133,9 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):  # one CSV per seed
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         for i, seed in enumerate(self.seeds):
-            if seed < 0:  # a stream's SeedSequence takes none
-                raise ValueError(f"seeds[{i}] must be non-negative, got {seed}")
+            if not 0 <= seed < 2 ** 64:  # SeedSequence takes no negative; a CSV name has 20 digits
+                raise ValueError(f"seeds[{i}] must be "
+                                 f"{'non-negative' if seed < 0 else 'below 2**64'}, got {seed}")
         if isinstance(self.checkpoints, dict):
             chains._object(self.checkpoints, "checkpoints", ("per_decade",))
             self.checkpoints = log_checkpoints(
@@ -272,17 +277,16 @@ def run_tracking(config: ExperimentConfig, out_dir) -> dict:
 def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     """Run one tracking experiment per exponent-triple cell; emit a merged CSV.
 
-    grid: {"gamma_p": [...], "gamma_alpha": [...], "gamma_pi": [...]}, with
-    "inf" accepted in gamma_p and gamma_pi optional ([0]); any other key, an
-    empty axis and a value an axis lists twice are refused.  The base's
-    anchors, n and params are checked as track checks them, before any cell
-    (schedules.sweep_cells, which realizes each cell).  Cells violating
-    standing assumptions, with no realizing family or refused by it (its
-    constants or the rewards' n) are recorded as skipped, not errors.  Cells
-    with the same schedule spec are one group of _run: one build and one
-    certified walk at every cell's rate; each cell's files are those
-    run_tracking writes for it.  Nothing is written before every walk has
-    succeeded; the merged table, sorted by cell key, is written last.
+    grid: {"gamma_p": [...], "gamma_alpha": [...], "gamma_pi": [...]}, with "inf" accepted
+    in gamma_p and gamma_pi optional ([0]); any other key, an empty axis and a value an
+    axis lists twice are refused.  The base schedule is built as track builds it, before
+    any cell (schedules.sweep_cells, which realizes each cell); its n against the rewards
+    is checked by the runs of the cells that copy it.  Cells violating standing
+    assumptions, with no realizing family or refused by it (its constants or the rewards'
+    n) are recorded as skipped.  Cells with the same schedule spec are one group of _run:
+    one build and one certified walk at every cell's rate; each cell's files are those
+    run_tracking writes for it.  Nothing is written before every walk has succeeded; the
+    merged table, sorted by cell key, is written last.
     """
     chains._object(grid, "grid", ("gamma_p", "gamma_alpha", "gamma_pi"), ("gamma_p", "gamma_alpha"))
     gps = chains._read_list(grid["gamma_p"], "gamma_p", chains.number)  # "inf" reads as inf
@@ -292,7 +296,7 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
         twice = [f"lists {v} more than once" for i, v in enumerate(values) if v in values[:i]]
         if twice or not values:
             raise ValueError(f"grid axis {name} {(twice or ['is empty'])[0]}")
-    realize = schedules.sweep_cells(base.schedule)  # the base read and checked as track does
+    realize = schedules.sweep_cells(base.schedule)  # the base built as track builds it
     n_rewards = RewardSpec.from_spec(base.reward).n
     rows, groups = [], {}  # a cell's schedule -> [(row, cell config, its hash)]
     for gp in gps:

@@ -24,8 +24,8 @@ its drift metered in matrix-TV arc length along the convex segments between
 anchors: TV is exactly linear there, so the certificates are exact rather
 than estimated; its constructor is where every matrix enters the program,
 validated once.  Time indexing starts at t = 1 (the power laws divide by t).
-A JSON spec is read here alone (_spec_kind, _read_spec): built, hashed
-(resolve_spec, its n filled in unbuilt) and realized as a sweep's cells (sweep_cells).
+A JSON spec is read here alone (_spec_kind, _read_spec): built (a sweep's base too, by
+sweep_cells, before it realizes the cells) and hashed (resolve_spec, n filled in unbuilt).
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class DriftParams:
             raise ValueError("c_pi must lie in (0, 1]")
         if not (self.gamma_p >= 0 and self.gamma_pi >= 0):  # NaN fails too
             raise ValueError("drift exponents must be non-negative")
+        if 19 < max(self.gamma_p, self.gamma_pi) < math.inf:  # t**19 is finite for t <= 2**53
+            raise ValueError("a finite drift exponent must be at most 19")
 
     def drift_bound(self, t: int) -> float:
         if self.gamma_p == math.inf:
@@ -563,12 +565,6 @@ def _read_spec(doc: dict) -> tuple:
     return kind, anchors
 
 
-def _same_n(doc: dict, n: int):
-    """Refuse schedule spec doc if its "n", given, is not n, its matrices' size."""
-    if (spec_n := chains.integer(doc, "n", n)) != n:
-        raise ValueError(f"schedule spec n={spec_n} vs its {n}-state matrices")
-
-
 def resolve_spec(doc: dict) -> dict:
     """Schedule spec doc as a run reads it, for the config hash: "n" filled in where
     absent, without building (the anchors' size, STATES, or the resolved inner
@@ -603,26 +599,26 @@ def schedule_from_spec(doc: dict) -> Schedule:
                                           chains.number(doc, "beta"),
                                           chains.number(doc, "beta_hat"),
                                           chains.integer(doc, "x_restart"), params)
-    _same_n(doc, schedule.n)
+    if (spec_n := chains.integer(doc, "n", schedule.n)) != schedule.n:
+        raise ValueError(f"schedule spec n={spec_n} vs its {schedule.n}-state matrices")
     return schedule
 
 
 def sweep_cells(base: dict):
-    """The cell realizer of a sweep over schedule spec base, which is read and checked
-    first as schedule_from_spec checks it, unbuilt, with the params every cell reads.
-    The realizer maps a cell's (gamma_p, gamma_pi) and the run's n_rewards to the
-    cell's spec and schedule, building each cell once.  A gamma_pi = 0 cell copies
-    the base's n and anchors as spelt: constant at gamma_p = inf, interpolation at
-    gamma_p >= 1, cyclic below.  A gamma_pi > 0 cell is the shrinking family's, which
-    couples gamma_p = gamma_pi + 1, caps c_pi at C_PI_MAX and needs STATES rewards.
-    A cell no family realizes, or that its family or the rewards refuse, raises a
-    ValueError naming why; the base's own n against the rewards is the run's to check."""
+    """The cell realizer of a sweep over schedule spec base, which must give params and is
+    built once first, as track builds it (schedule_from_spec), so a base its own family
+    refuses stops the sweep.  The realizer maps a cell's (gamma_p, gamma_pi) and the run's
+    n_rewards to the cell's spec and schedule, each built once: at gamma_pi = 0 the built
+    base's n and the anchors as spelt, as constant at gamma_p = inf, interpolation at
+    gamma_p >= 1, cyclic below; at gamma_pi > 0 the shrinking family, which couples gamma_p
+    = gamma_pi + 1, caps c_pi at C_PI_MAX and needs STATES rewards.  A cell no family
+    realizes, or that its family or the rewards refuse, raises a ValueError naming why;
+    the base's own n against the rewards is the run's to check."""
     kind, anchors = _read_spec(base)
     if "params" not in base:
         raise ValueError(f"{kind} schedule spec lacks ['params'] a sweep needs")
-    params = DriftParams.from_spec(base["params"])
-    if anchors:  # n is read only where anchors are
-        _same_n(base, n := _ArcWalk(anchors, params, closed=False).n)
+    base_schedule = schedule_from_spec(base)
+    n, params = base_schedule.n, base_schedule.params
     built = {}  # (gamma_p, gamma_pi) -> (the cell's spec, its schedule)
 
     def realize(gamma_p: float, gamma_pi: float, n_rewards: int) -> tuple:

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiatrack import __version__, bounds, chains, dp, learners, schedules, verify
 from adiatrack.cli import main as cli_main
@@ -1216,6 +1221,16 @@ def test_cli_sweep_failed_certificate_is_config_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "pi floor c_pi violated at t=1" in err
+    # a shrinking base whose own params break its construction scan stops the sweep too
+    shrinking = {"kind": "shrinking-state", "params": {**SHRINK_PARAMS, "c_p": 0.01,
+                                                       "gamma_pi": 0.5}}
+    (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "schedule": shrinking}))
+    rc = cli_main(["sweep", "--grid", str(tmp_path / "grid.json"),
+                   "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc == 2 and capsys.readouterr().err == (
+        "schedule certificate failed, no trace written: drift c_p violated at t=1: "
+        "observed 0.08528433037009236 vs allowed 0.01\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("drop", ["schedule", "reward", "rate", "seeds"])
@@ -1276,6 +1291,29 @@ def test_cli_bound_refuses_constants_it_cannot_trust(tmp_path, capsys, change, n
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1 and named in captured.err
+
+
+def _no_walk(schedule, t_max):
+    raise AssertionError("the walk was started")
+
+
+# a horizon, seed or exponent beyond what the floats hold exactly or finitely, and a seeds
+# count above its bound, are refused before any seed list is built or walk starts
+BOUND_ROWS = [
+    pytest.param({"t_max": 1e300}, "t_max must lie in [2, 2**53)", id="t_max-1e300"),
+    pytest.param({"t_max": 2**53 + 1}, "t_max must lie in [2, 2**53)", id="t_max-2**53+1"),
+    pytest.param({"t_max": 2**53}, "t_max must lie in [2, 2**53)", id="t_max-2**53"),
+    pytest.param({"seeds": {"base": 0, "count": ExperimentConfig.SEED_COUNT_MAX + 1}},
+                 f"seeds count must be at most {ExperimentConfig.SEED_COUNT_MAX}, got "
+                 f"{ExperimentConfig.SEED_COUNT_MAX + 1}", id="seeds-count-bound+1"),
+    pytest.param({"seeds": {"base": 10**300, "count": 2}},
+                 f"seeds[0] must be below 2**64, got {10**300}", id="seeds-base-1e300"),
+    pytest.param({"seeds": [2**64 - 1, 2**64]}, f"seeds[1] must be below 2**64, got {2**64}",
+                 id="seeds-2**64"),
+    pytest.param({"schedule": {**ACCEPTANCE_ANCHORS, "params": {**ACCEPTANCE_ANCHORS["params"],
+                                                                "gamma_p": 1e300}}},
+                 "a finite drift exponent must be at most 19", id="gamma_p-1e300"),
+]
 
 
 # Each config fails inside the CLI's run body: in ExperimentConfig.from_dict or later.
@@ -1378,8 +1416,11 @@ ROW_SUM_1_1 = {"kind": "constant", "n": 2, "p": [[0.5, 0.6], [0.2, 0.8]],
     # a given grid, even an empty or null one, is never replaced by the default one
     ({"checkpoints": []}, "checkpoint grid is empty within [1, t_max]"),
     ({"checkpoints": None}, "checkpoints must be a list, got None"),
+    *BOUND_ROWS,
 ])
-def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, change, named):
+def test_cli_track_invalid_config_in_run_is_config_error(tmp_path, capsys, monkeypatch, change,
+                                                         named):
+    monkeypatch.setattr(learners, "materialize", _no_walk)
     (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200, **change}))
     rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"),
                    "--out", str(tmp_path / "out")])
@@ -1444,6 +1485,18 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
     # params are optional for a constant spec under track, but every cell reads them
     pytest.param({"schedule": BASE_CONFIG["schedule"]}, SWEEP_GRID,
                  "constant schedule spec lacks ['params']", id="constant-base-without-params"),
+    # the base is built as track builds it: a base its own family refuses stops the sweep
+    pytest.param({"schedule": {"kind": "restart-wrapped", "n": 2,
+                               "inner": {**ACCEPTANCE_ANCHORS, "kind": "x"},
+                               "params": ACCEPTANCE_ANCHORS["params"], "beta": 0.5,
+                               "beta_hat": 0.8, "x_restart": 0}}, SWEEP_GRID,
+                 "unknown schedule kind 'x'", id="restart-wrapped-base-inner-kind-x"),
+    pytest.param({"schedule": {"kind": "cyclic", "n": 2,
+                               "params": {**ACCEPTANCE_ANCHORS["params"], "gamma_p": 1.0},
+                               "mats": [ACCEPTANCE_ANCHORS["p_start"],
+                                        ACCEPTANCE_ANCHORS["p_end"]]}}, SWEEP_GRID,
+                 "cyclic schedule needs gamma_p in (0, 1)", id="cyclic-base-gamma_p-1.0"),
+    *(pytest.param(row.values[0], SWEEP_GRID, row.values[1], id=row.id) for row in BOUND_ROWS),
     # the grid refuses keys it does not read, and names a missing axis
     pytest.param({}, {**SWEEP_GRID, "gama_pi": [0.5]}, "unknown grid fields: ['gama_pi']",
                  id="grid-gama_pi-typo"),
@@ -1464,7 +1517,9 @@ SWEEP_GRID = {"gamma_p": [1.0], "gamma_alpha": [0.6]}
     pytest.param({}, {**SWEEP_GRID, "gamma_pi": []}, "grid axis gamma_pi is empty",
                  id="grid-gamma_pi-empty"),
 ])
-def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, change, grid, named):
+def test_cli_sweep_invalid_config_in_run_is_config_error(tmp_path, capsys, monkeypatch, change,
+                                                         grid, named):
+    monkeypatch.setattr(learners, "materialize", _no_walk)
     cfg = {**BASE_CONFIG, "t_max": 200, "schedule": ACCEPTANCE_ANCHORS, **change}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     (tmp_path / "grid.json").write_text(json.dumps(grid))
@@ -1640,3 +1695,56 @@ def test_cli_refuses_a_number_beyond_the_floats_by_name(tmp_path, capsys, monkey
     assert captured.out == "" and captured.err == (
         f"config error: {named} must fit a float, got an integer of 401 digits\n")
     assert not (tmp_path / "out").exists()
+
+
+# a leaf's mutants: each t_max among them is <= 200 or refused by ExperimentConfig, and a
+# seeds count takes the bound + 1 for 1e300 and HUGE, so a broken check cannot hang the suite
+MUTANTS = [None, True, "x", -1, 0, 0.5, "inf", 1e300, HUGE, [], {}]
+
+
+def _leaves(doc, path=()):
+    """The path of every leaf of JSON doc: a value that is no object and no list."""
+    if not isinstance(doc, (dict, list)):
+        yield path
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield from _leaves(value, (*path, key))
+
+
+@given(st.data())
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def test_cli_mutated_configs_run_or_are_refused_whole(data):
+    # one or two leaves of an acceptance config (at T = 200) and the separation grid
+    # take a mutant: track and sweep each exit 0, or exit 2 with one line and no out
+    # dir, never 1 or a traceback; sweep refuses a base that schedule_from_spec refuses
+    name = data.draw(st.sampled_from(["static_td", "adiabatic", "diabatic", "static_q"]))
+    docs = {"cfg": {**conftest.config_dict(name), "t_max": 200},
+            "grid": conftest.config_dict("separation_grid")}
+    for *parents, key in data.draw(st.lists(st.sampled_from(list(_leaves(docs))),
+                                            min_size=1, max_size=2)):
+        obj = docs
+        for parent in parents:
+            obj = obj[parent]
+        obj[key] = data.draw(st.sampled_from(MUTANTS))
+        if key == "count" and obj[key] in (1e300, HUGE):
+            obj[key] = ExperimentConfig.SEED_COUNT_MAX + 1
+    try:
+        schedules.schedule_from_spec(docs["cfg"]["schedule"])
+        base_refused = False
+    except Exception:
+        base_refused = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, doc in docs.items():
+            with open(os.path.join(tmp, f"{file}.json"), "w") as fh:
+                json.dump(doc, fh)
+        cfg, grid = (os.path.join(tmp, f"{file}.json") for file in docs)
+        for command in ("track", "sweep"):
+            out, err = os.path.join(tmp, f"out-{command}"), io.StringIO()
+            args = [command, "--config", cfg, "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli_main(args + ["--grid", grid] * (command == "sweep"))
+            if rc == 0 and not (command == "sweep" and base_refused):
+                continue
+            assert rc == 2, (command, docs)
+            assert err.getvalue().startswith(("config error: ", "schedule certificate failed"))
+            assert err.getvalue().count("\n") == 1 and not os.path.exists(out)
