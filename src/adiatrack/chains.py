@@ -1,11 +1,11 @@
 """Finite-state probability primitives.
 
 A distribution is a float64 (n,) array and a transition matrix a float64
-(n, n) array; the primitives take (k, n, n) stacks of them.  Rows are
-validated (_check_rows, check_stack) and never silently repaired: a row sum
-off by more than 1e-12 is a bug in the caller (usually a schedule), not
-something to renormalize away.  All probability arithmetic is 64-bit
-float; the stated tolerances absorb rounding.
+(n, n) array; the primitives, restart_wraps too, take (k, n, n) stacks of
+them.  Rows are validated (_check_rows, check_stack) and never silently
+repaired: a row sum off by more than 1e-12 is a bug in the caller (usually a
+schedule), not something to renormalize away.  All probability arithmetic is
+64-bit float; the stated tolerances absorb rounding.
 
 The unsubscripted distance between distributions is total variation,
 tv(a, b) = 0.5 * sum |a_x - b_x|, and between matrices the maximum row TV.
@@ -40,6 +40,7 @@ __all__ = [
     "stationary_distribution",
     "stationary_stack",
     "check_stack",
+    "restart_wraps",
     "simulate",
     "stream",
     "next_states",
@@ -114,6 +115,29 @@ def ergodicity_coefficients(mats: np.ndarray) -> np.ndarray:
         raise ArithmeticError(f"row-pair TV maximum {float(rho[bad][0])!r} disagrees with "
                               f"overlap form {float(overlap[bad][0])!r}")
     return rho
+
+
+def restart_wraps(mats: np.ndarray, beta: np.ndarray, beta_hat: np.ndarray,
+                  x_restart: np.ndarray) -> np.ndarray:
+    """Mix each matrix P of a (k, n, n) stack with a deterministic jump to
+    x_restart, matrix i with its own beta[i], beta_hat[i] and x_restart[i].
+
+    P~ = (beta/beta_hat) P + (1 - beta/beta_hat) * (all mass to x_restart),
+    which forces every row-pair overlap >= 1 - beta/beta_hat and hence an
+    ergodicity coefficient <= beta/beta_hat.  The caller validates the rows.
+    """
+    bad = ~((0 < beta) & (beta < beta_hat) & (beta_hat < 1))
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"need 0 < beta < beta_hat < 1, got beta={beta[i]}, "
+                         f"beta_hat={beta_hat[i]}")
+    bad = ~((0 <= x_restart) & (x_restart < mats.shape[1]))
+    if bad.any():
+        raise ValueError(f"restart state {x_restart[np.argmax(bad)]} out of range")
+    ratio = beta / beta_hat
+    out = ratio[:, None, None] * mats
+    out[np.arange(len(out)), :, x_restart] += (1.0 - ratio)[:, None]
+    return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -219,7 +243,7 @@ def simulate(schedule, t_max: int, x0: int, seeds) -> np.ndarray:
     uniforms = np.array([stream(s, 0).random(t_max) for s in seeds]).reshape(len(seeds), t_max)
     states = np.empty((len(seeds), t_max + 1), dtype=np.int64)
     states[:, 0] = x0
-    for lo, block in schedule.blocks(1, t_max + 1):
+    for lo, block in schedule.blocks(t_max):
         for t, cums in enumerate(np.cumsum(block[:-1], axis=2), lo):
             states[:, t] = next_states(cums[states[:, t - 1]].T, uniforms[:, t - 1])
     states.flags.writeable = False

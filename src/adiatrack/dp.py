@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chains
-from .schedules import restart_wraps
 
 __all__ = [
     "RewardSpec",
@@ -180,9 +179,9 @@ def check_lipschitz(p: np.ndarray, q: np.ndarray, r: np.ndarray, beta: np.ndarra
 
 def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
                              beta_hat: np.ndarray, x_restart: np.ndarray) -> tuple:
-    """Restart construction: wrap each matrix P (restart_wraps) so rho drops
-    below beta/beta_hat while the discounted value at the restart state
-    rescales by (1-beta)/(1-beta_hat).
+    """Restart construction: wrap each matrix P (chains.restart_wraps) so
+    rho drops below beta/beta_hat while the discounted value at the restart
+    state rescales by (1-beta)/(1-beta_hat).
 
     For a (k, n, n) stack with rewards r (k, n) and per-matrix beta, beta_hat
     and x_restart (k,), returns (lhs, rhs, rho, rho_bound), each (k,): the
@@ -190,11 +189,11 @@ def check_restart_identities(p: np.ndarray, r: np.ndarray, beta: np.ndarray,
     the restart state to the evaluation state), the wrapped matrix's
     ergodicity coefficient and beta/beta_hat.  Validates the stack's rows
     (chains._check_rows), the rewards as RewardSpec does, the constants as
-    restart_wraps does, and the wrapped rows.
+    chains.restart_wraps does, and the wrapped rows.
     """
     chains._check_rows(p)
     _check_rewards(r, beta)
-    wrapped = restart_wraps(p, beta, beta_hat, x_restart)
+    wrapped = chains.restart_wraps(p, beta, beta_hat, x_restart)
     chains._check_rows(wrapped)
     both = exact_q(np.concatenate([wrapped, p]), np.concatenate([r, r]),
                    np.concatenate([beta_hat, beta]), 1)

@@ -20,19 +20,23 @@ does not grow with the horizon, and whether cells share a walk changes no
 output bit.  Write: each cell's trace writes its seeds' CSVs, and its
 summary reduces trace.sup_error across seeds; the out dirs and files are
 made only once every walk succeeded, so a bad input, a failing certificate
-or a failed walk leaves nothing written.  No family is named here: the
+or a failed walk leaves nothing written; an OSError while writing (sweep.csv's
+too) removes the directories the call made, but a file written into a
+directory that already existed is not restored.  No family is named here: the
 schedules module reads a spec (resolve_spec, for the hash) and realizes a
 sweep's cells (sweep_cells, over a base schedule built as track builds it).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
 import hashlib
 import json
 import math
 import os
+import shutil
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -235,9 +239,10 @@ def _write_run(facts: dict, trace: learners.TrackingTrace, out_dir) -> dict:
     return summary
 
 
-def _check_out_dir(out_dir):
+def _check_out_dir(out_dir) -> str | None:
     """Raise what making out_dir would: FileNotFoundError for an empty path,
-    NotADirectoryError if its nearest existing ancestor is no directory; creates nothing."""
+    NotADirectoryError if its nearest existing ancestor is no directory; creates nothing.
+    Returns the topmost directory making out_dir would create, None if it exists."""
     if not os.fspath(out_dir):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
     path = missing = os.path.normpath(out_dir)
@@ -245,33 +250,46 @@ def _check_out_dir(out_dir):
         missing, path = path, os.path.dirname(path) or os.curdir
     if not os.path.isdir(path):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
+    return None if missing == path else missing
 
 
-def _run(base: ExperimentConfig, groups: list) -> list:
+@contextlib.contextmanager
+def _writing(made: list):
+    """A write phase: an OSError in it removes each directory of made, then propagates."""
+    try:
+        yield
+    except OSError:
+        for top in filter(None, made):
+            shutil.rmtree(top, ignore_errors=True)
+        raise
+
+
+def _run(base: ExperimentConfig, groups: list, made: list) -> list:
     """Run groups [(schedule, [(cell's resolved config, its hash, out_dir)])]
     in the three phases of the module docstring; return the cells' summaries
     in order.  Cell configs differ from base only in rate and in the schedule
-    spec their group's schedule was built from."""
+    spec their group's schedule was built from.  made gains each out dir's top
+    (_check_out_dir), which a failing write removes (_writing)."""
     spec, noise = RewardSpec.from_spec(base.reward), NoiseModel.from_spec(base.noise)
     settled = [[_settled(doc, chash, schedule, spec) for doc, chash, _ in cells]
                for schedule, cells in groups]
     for schedule, cells in groups:
         learners._checked_grid(schedule, spec, base.t_max, base.checkpoints, base.x0,
                                base.n_actions)
-        for *_, out_dir in cells:
-            _check_out_dir(out_dir)
+        made += [_check_out_dir(out_dir) for *_, out_dir in cells]
     traces = [learners.track(schedule, spec, [rate for rate, _ in group], noise, base.t_max,
                              base.seeds, base.checkpoints, x0=base.x0, n_actions=base.n_actions)
               for (schedule, _), group in zip(groups, settled)]
-    return [_write_run(facts, trace, out_dir)
-            for (_, cells), group, group_traces in zip(groups, settled, traces)
-            for (*_, out_dir), (_, facts), trace in zip(cells, group, group_traces)]
+    with _writing(made):
+        return [_write_run(facts, trace, out_dir)
+                for (_, cells), group, group_traces in zip(groups, settled, traces)
+                for (*_, out_dir), (_, facts), trace in zip(cells, group, group_traces)]
 
 
 def run_tracking(config: ExperimentConfig, out_dir) -> dict:
     """Run all seeds, write one CSV per seed plus a summary JSON; return the summary."""
     schedule, doc = schedules.schedule_from_spec(config.schedule), config.canonical_dict()
-    return _run(config, [(schedule, [(doc, _hash(doc), out_dir)])])[0]
+    return _run(config, [(schedule, [(doc, _hash(doc), out_dir)])], [])[0]
 
 
 def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
@@ -317,10 +335,10 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
                     **vars(base), "schedule": sched_spec,
                     "rate": {**base.rate, "gamma_alpha": ga}}).canonical_dict()
                 groups.setdefault(schedule, []).append((row, doc, _hash(doc)))
-    _check_out_dir(out_dir)  # a cell's dir joined to an empty root would pass its own check
+    made = [_check_out_dir(out_dir)]  # a cell's dir under an empty root passes its check
     summaries = _run(base, [(schedule, [(doc, chash, os.path.join(out_dir, chash))
                                         for _, doc, chash in cells])
-                            for schedule, cells in groups.items()])
+                            for schedule, cells in groups.items()], made)
     ok_rows = [row for cells in groups.values() for row, *_ in cells]
     for row, summary in zip(ok_rows, summaries):
         slope = summary["slope"]
@@ -332,9 +350,10 @@ def run_sweep(grid: dict, base: ExperimentConfig, out_dir) -> list:
     rows.sort(key=lambda r: r["cell"])
     columns = ["cell", "gamma_p", "gamma_alpha", "gamma_pi", "status", "regime",
                "same_rate_as_static", "final_median_error", "slope", "config_hash"]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # quotes a status holding a comma
-        writer.writerow(columns)
-        writer.writerows([row.get(c, "") for c in columns] for row in rows)
+    with _writing(made):
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")  # quotes a status holding a comma
+            writer.writerow(columns)
+            writer.writerows([row.get(c, "") for c in columns] for row in rows)
     return rows

@@ -31,25 +31,16 @@ rate's run of the seed.  The step loop runs on Python floats only (the
 successor table, step sizes and noise draws as lists, the table), one loop per
 learner from checkpoint to checkpoint, each followed by a copy of the table:
 no step tests for or scores a checkpoint, and no TD(0) step keeps action
-blocks.  A rate's step sizes are LearningRate.alpha's
-c_alpha / t**gamma_alpha, one comprehension per block.  Memory is
-O(block * n^2 + rates * seeds * checkpoints * n).  Indexing a list and
-arithmetic on Python floats cost a fraction of indexing an array and
-arithmetic on numpy scalars, and IEEE arithmetic is the same on both, so the
-loop is several times faster and bit-identical to a numpy per-step loop.
-Q-learning's bootstrap, the max over the next state's action block, is kept
-per state and recomputed only when the updated entry held it, since a builtin
-max over a fresh slice costs about a third of a step.  Advancing all seeds per
-step as one numpy table was measured too: bit-identical, but at about 0.1x,
-0.5x and 0.9x the Python-float loop's speed at 4, 20 and 40 seeds (TD(0),
-n = 2, one 2,000-step block).  Two more layouts were left out (alternating
-pairs, two shared cores): all seeds' successor lists built before any seed
-steps (1.3 MB at 40 seeds) took track from 13.7 to 14.8 ms at track-q's size
-(10 of 10 pairs) and from 9.9 to 10.7 ms at track-adiabatic's (9 of 10), about
-what the contiguous cumsum saves, so each seed's lists are built just before
-its steps; the seeds split over two forked processes took track-q from 33.4 to
-27.7 ms (74 of 80 pairs) but track-adiabatic from 22.1 to 23.9 ms, a bare fork
-and reap costing 3.4 ms.  _Run.advance, half of either, is at CPython's floor.
+blocks.  A rate's step sizes over a block are c_alpha divided by the
+schedules._powers table of the block's t**gamma_alpha, the scalar
+LearningRate.alpha bit for bit.  Memory is O(block * n^2 + rates * seeds *
+checkpoints * n).  Indexing a list and arithmetic on Python floats cost a
+fraction of indexing an array and arithmetic on numpy scalars, and IEEE
+arithmetic is the same on both, so the loop is several times faster and
+bit-identical to a numpy per-step loop.  Q-learning's bootstrap, the max over
+the next state's action block, is kept per state and recomputed only when the
+updated entry held it, since a builtin max over a fresh slice costs about a
+third of a step.  The layouts measured and left out are listed in CHANGES.md.
 
 Determinism contract: a run is a pure function of (schedule, specs, seed).
 The path uniforms are chains.stream(seed, 0), drawn into states by
@@ -278,7 +269,6 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
     streams = [(chains.stream(seed, 0), None if noise.kind == "zero" else chains.stream(seed, 1))
                for seed in seeds]
     r_vec, targets, scans = spec.r.tolist(), [], []
-    powers = [(rate.c_alpha, rate.gamma_alpha) for rate in rates]  # LearningRate.alpha's
     for lo, block, cols, pi_min, drift in materialize(schedule, t_max):
         k = cols.shape[2]
         stops = [t - lo for t in cps if lo <= t < lo + k]
@@ -286,7 +276,8 @@ def track(schedule, spec: dp.RewardSpec, rates, noise: NoiseModel, t_max: int, s
         r, beta = np.tile(spec.r, (len(stops), 1)), np.full(len(stops), spec.beta)
         targets.append(dp.exact_q(mats, r, beta, n_actions))
         scans.append(np.stack((pi_min[stops], drift[stops]), axis=1))  # the scan's
-        alphas = [[c / t ** g for t in range(lo, lo + k)] for c, g in powers]
+        alphas = [(rate.c_alpha / schedules._powers(lo, lo + k, rate.gamma_alpha)).tolist()
+                  for rate in rates]
         zeros = [0.0] * k
         for i, (path, noise_stream) in enumerate(streams):
             # nxt[x][j]: x's successor at step j, as lists just before the seed's steps

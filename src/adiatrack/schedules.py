@@ -12,18 +12,20 @@ _SHRINK_DRIFT_CHECK steps at construction.
 A family produces its matrices as validated (k, n, n) float64 blocks of
 P^(t_lo..t_hi-1), block(t_lo, t_hi); matrix_at(t), the k = 1 case as an
 (n, n) array, has no caller in the package and stays only while the benchmark
-tracer (perfbench/tracer.py) names it.  The restart construction,
-restart_wraps, acts on stacks.  Schedule.blocks is the one walk over a
-horizon, blocks of at most _CHUNK steps each ending on the next one's first
-matrix; _certified_blocks, the one certificate scan, rides that walk and
-hands on each certified block with its pi floors and drifts
+tracer (perfbench/tracer.py) names it.  The restart family wraps its inner
+blocks by chains.restart_wraps.  Schedule.blocks(t_max) is the one walk, of
+P^(1..t_max+1) in blocks of at most _CHUNK steps, each ending on the next
+one's first matrix; _certified_blocks, the one certificate scan, rides that
+walk and hands on each certified block with its pi floors and drifts
 (learners.materialize walks it, so a learner steps through certified matrices
-only; verify_drift drains it for its report).  The constant, interpolation
-and cyclic families are one walk along a path of anchor matrices (_ArcWalk),
-its drift metered in matrix-TV arc length along the convex segments between
-anchors: TV is exactly linear there, so the certificates are exact rather
-than estimated; its constructor is where every matrix enters the program,
-validated once.  Time indexing starts at t = 1 (the power laws divide by t).
+only; verify_drift drains it for its report).  _powers is the one table of a
+power law over a range of t, the learners' step sizes included; the scan's
+give the report's vacuous-drift t too.  The constant, interpolation and cyclic
+families are one walk along a path of anchor matrices (_ArcWalk), its drift
+metered in matrix-TV arc length along the convex segments between anchors: TV
+is exactly linear there, so the certificates are exact rather than estimated;
+its constructor is where every matrix enters the program, validated once.
+Time starts at t = 1: the power laws divide by t.
 A JSON spec is read here alone (_spec_kind, _read_spec): built (a sweep's base too, by
 sweep_cells, before it realizes the cells) and hashed (resolve_spec, n filled in unbuilt).
 """
@@ -45,7 +47,6 @@ __all__ = [
     "CyclicSchedule",
     "ShrinkingStateSchedule",
     "RestartWrappedSchedule",
-    "restart_wraps",
     "verify_drift",
     "DriftReport",
     "DriftCertificateError",
@@ -132,12 +133,12 @@ class Schedule:
         mats = self._block(int(t_lo), int(t_hi))
         return chains.check_stack(mats) if mats.flags.writeable else mats
 
-    def blocks(self, t_lo: int, t_hi: int):
-        """The walk of P^(t_lo..t_hi): yield (lo, P^(lo..hi)) with hi = min(lo +
-        _CHUNK, t_hi) for lo = t_lo, t_lo + _CHUNK, ... below t_hi, so each
+    def blocks(self, t_max: int):
+        """The walk of P^(1..t_max+1): yield (lo, P^(lo..hi)) with hi = min(lo +
+        _CHUNK, t_max + 1) for lo = 1, 1 + _CHUNK, ... up to t_max, so each
         block's last matrix is the next block's first."""
-        for lo in range(t_lo, t_hi, _CHUNK):
-            yield lo, self.block(lo, min(lo + _CHUNK, t_hi) + 1)
+        for lo in range(1, t_max + 1, _CHUNK):
+            yield lo, self.block(lo, min(lo + _CHUNK, t_max + 1) + 1)
 
     def matrix_at(self, t: int) -> np.ndarray:
         return self.block(t, t + 1)[0]
@@ -328,31 +329,8 @@ class ShrinkingStateSchedule(Schedule):
         return mats
 
 
-def restart_wraps(mats: np.ndarray, beta: np.ndarray, beta_hat: np.ndarray,
-                  x_restart: np.ndarray) -> np.ndarray:
-    """Mix each matrix P of a (k, n, n) stack with a deterministic jump to
-    x_restart, matrix i with its own beta[i], beta_hat[i] and x_restart[i].
-
-    P~ = (beta/beta_hat) P + (1 - beta/beta_hat) * (all mass to x_restart),
-    which forces every row-pair overlap >= 1 - beta/beta_hat and hence an
-    ergodicity coefficient <= beta/beta_hat.  The caller validates the rows.
-    """
-    bad = ~((0 < beta) & (beta < beta_hat) & (beta_hat < 1))
-    if bad.any():
-        i = np.argmax(bad)
-        raise ValueError(f"need 0 < beta < beta_hat < 1, got beta={beta[i]}, "
-                         f"beta_hat={beta_hat[i]}")
-    bad = ~((0 <= x_restart) & (x_restart < mats.shape[1]))
-    if bad.any():
-        raise ValueError(f"restart state {x_restart[np.argmax(bad)]} out of range")
-    ratio = beta / beta_hat
-    out = ratio[:, None, None] * mats
-    out[np.arange(len(out)), :, x_restart] += (1.0 - ratio)[:, None]
-    return out
-
-
 class RestartWrappedSchedule(Schedule):
-    """Applies restart_wraps to every matrix of an inner schedule.
+    """Applies chains.restart_wraps to every matrix of an inner schedule.
 
     Row scaling makes the drift shrink by exactly beta/beta_hat, and
     rho_cap = beta/beta_hat holds regardless of the inner family.  The
@@ -365,8 +343,8 @@ class RestartWrappedSchedule(Schedule):
 
     def __init__(self, inner: Schedule, beta: float, beta_hat: float, x_restart: int,
                  params: DriftParams | None = None):
-        restart_wraps(inner.block(1, 2), np.array([beta]), np.array([beta_hat]),
-                      np.array([x_restart]))  # checks the constants
+        chains.restart_wraps(inner.block(1, 2), np.array([beta]), np.array([beta_hat]),
+                             np.array([x_restart]))  # checks the constants
         ratio = beta / beta_hat
         self.inner = inner
         self.beta = float(beta)
@@ -383,8 +361,8 @@ class RestartWrappedSchedule(Schedule):
 
     def _block(self, t_lo: int, t_hi: int) -> np.ndarray:
         k = t_hi - t_lo
-        return restart_wraps(self.inner.block(t_lo, t_hi), np.full(k, self.beta),
-                             np.full(k, self.beta_hat), np.full(k, self.x_restart))
+        return chains.restart_wraps(self.inner.block(t_lo, t_hi), np.full(k, self.beta),
+                                    np.full(k, self.beta_hat), np.full(k, self.x_restart))
 
 
 @dataclass(frozen=True)
@@ -411,7 +389,8 @@ class DriftReport:
     max_rho: float
     rho_argmax_t: int
     violations: list = field(default_factory=list)
-    # first t where the rounding allowance covers the whole certified step
+    # first t <= t_max where the rounding allowance covers the whole certified step
+    # c_p/t**gamma_p, else None: from there on a step twice the certified one passes
     drift_vacuous_from_t: int | None = None
 
     @property
@@ -460,31 +439,18 @@ class _Bound:
                                                   self.allowed(t_lo + i))
 
 
-def _drift_vacuous_from(params: DriftParams, n: int, t_max: int) -> int | None:
-    """First t <= t_max with _STEP_ROUNDING * n >= drift_bound(t), else None:
-    from there on a step twice the certified one passes.  The float root is
-    settled against drift_bound itself, which falls with t."""
-    allowance, gamma_p = _STEP_ROUNDING * n, params.gamma_p
-    if gamma_p == math.inf or params.drift_bound(t_max) > allowance:
-        return None
-    t = max(1, math.ceil((params.c_p / allowance) ** (1 / gamma_p)) - 2) if gamma_p else 1
-    while params.drift_bound(t) > allowance:
-        t += 1
-    return t
-
-
 def _certified_blocks(s: Schedule, t_max: int):
     """verify_drift's scan as a walk: yield (lo, block, pi_min, drift) per block
-    of Schedule.blocks(1, t_max + 1) before the first that breaks a bound, with
+    of Schedule.blocks(t_max) before the first that breaks a bound, with
     pi_min^(t) and ||P^(t+1) - P^(t)|| at each t of P^(lo..hi-1).  The scan
     goes on to t_max, so it raises DriftCertificateError with verify_drift's
     report, or returns that report."""
-    params = s.params
+    params, allowance, vacuous = s.params, _STEP_ROUNDING * s.n, None
     drift_b = _Bound("drift c_p", 0.0, 1.0, params.drift_bound)
     floor_b = _Bound("pi floor c_pi", math.inf, -1.0, params.pi_floor)
     rho_b = _Bound("rho_cap", 0.0, 1.0, lambda t: s.rho_cap)
     bounds = (drift_b, floor_b, rho_b)
-    for lo, block in s.blocks(1, t_max + 1):
+    for lo, block in s.blocks(t_max):
         head = block[:-1]
         drift = chains.matrix_tv_distances(head, block[1:])
         step = drift[:t_max - lo]
@@ -492,9 +458,11 @@ def _certified_blocks(s: Schedule, t_max: int):
             scaled = np.where(step <= 1e-15, 0.0, math.inf)
             bad = scaled > params.c_p + _CERT_FUZZ
         else:
-            powers = _powers(lo, lo + step.size, params.gamma_p)
-            scaled = step * powers
-            bad = (step - _STEP_ROUNDING * s.n) * powers > params.c_p + _CERT_FUZZ
+            powers = _powers(lo, lo + len(head), params.gamma_p)  # to t_max: vacuous may be it
+            if vacuous is None and (covered := params.c_p / powers <= allowance).any():
+                vacuous = lo + int(covered.argmax())
+            scaled = step * powers[:step.size]
+            bad = (step - allowance) * powers[:step.size] > params.c_p + _CERT_FUZZ
         drift_b.update(lo, scaled, step, bad)
         distinct = head if (head != head[0]).any() else head[:1]  # one solve if constant
         rhos = np.broadcast_to(chains.ergodicity_coefficients(distinct), len(head))
@@ -506,8 +474,7 @@ def _certified_blocks(s: Schedule, t_max: int):
             yield lo, block, pi_min, drift
     report = DriftReport(t_max, drift_b.value, drift_b.t, floor_b.value, floor_b.t,
                          rho_b.value, rho_b.t,
-                         [b.violation for b in bounds if b.violation],
-                         _drift_vacuous_from(params, s.n, t_max))
+                         [b.violation for b in bounds if b.violation], vacuous)
     if not report.ok:
         raise DriftCertificateError(report)
     return report

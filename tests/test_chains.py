@@ -373,7 +373,7 @@ def _per_path(schedule, t_max, x0, seed):
     """One seed's path in the per-path form: the seed's successor table per
     block (next_states), walked in Python; each row of simulate equals it."""
     states, uniforms = [x0], chains.stream(seed, 0).random(t_max)
-    for lo, block in schedule.blocks(1, t_max + 1):
+    for lo, block in schedule.blocks(t_max):
         nxt = next_states(_cols(np.cumsum(block[:-1], axis=2)),
                           uniforms[lo - 1:lo + len(block) - 2])
         for row in nxt.T.tolist():
@@ -451,7 +451,7 @@ def test_empirical_frequencies_match_exact_marginal(rows, t_max):
 
 def test_the_root_loads_no_module_and_chains_only_itself():
     # a fresh process: the package root re-exports nothing, and chains sits
-    # at the bottom of the layers (chains -> schedules -> dp -> learners)
+    # at the bottom of the layers (chains -> schedules and dp -> learners)
     probe = ("import json, sys\n"
              "def loaded(): return sorted(m for m in sys.modules if m.startswith('adiatrack.'))\n"
              "import adiatrack\n"
@@ -466,16 +466,20 @@ def test_the_root_loads_no_module_and_chains_only_itself():
 
 def test_bounds_and_verify_load_no_layer_above_their_own():
     # a fresh process: bounds reads gamma_p = inf as math.inf, not through
-    # schedules, and verify stamps the package's __version__, not harness's
+    # schedules, dp takes restart_wraps from chains, not schedules, and verify
+    # stamps the package's __version__, not harness's
     probe = ("import json, sys\n"
              "def loaded(): return sorted(m for m in sys.modules if m.startswith('adiatrack.'))\n"
              "import adiatrack.bounds\n"
              "after_bounds = loaded()\n"
+             "import adiatrack.dp\n"
+             "after_dp = loaded()\n"
              "import adiatrack.verify\n"
-             "print(json.dumps([after_bounds, loaded()]))")
+             "print(json.dumps([after_bounds, after_dp, loaded()]))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chains.__file__))}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout
-    after_bounds, after_verify = json.loads(out)
+    after_bounds, after_dp, after_verify = json.loads(out)
     assert after_bounds == ["adiatrack.bounds", "adiatrack.chains"]
+    assert after_dp == ["adiatrack.bounds", "adiatrack.chains", "adiatrack.dp"]
     assert "adiatrack.harness" not in after_verify and "adiatrack.learners" not in after_verify

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -496,6 +497,62 @@ def test_sweep_writes_nothing_when_a_later_walk_raises(tmp_path, monkeypatch):
     with pytest.raises(ArithmeticError, match="second solve"):
         run_sweep({"gamma_p": ["inf", 1.0], "gamma_alpha": [0.6]}, base, tmp_path / "out")
     assert len(calls) == 2 and not (tmp_path / "out").exists()
+
+
+def _dump_failing_at(monkeypatch, nth):
+    """json.dump, which writes each cell's summary, raising an OSError on its nth call."""
+    calls, dump = [], json.dump
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == nth:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return dump(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dump", failing)
+
+
+def test_cli_track_failing_write_leaves_no_out_dir(tmp_path, capsys, monkeypatch):
+    # the seeds' CSVs are written before the summary fails: they go, and so do
+    # the out dir and the missing parent the run made
+    (tmp_path / "cfg.json").write_text(json.dumps({**BASE_CONFIG, "t_max": 200}))
+    _dump_failing_at(monkeypatch, 1)
+    rc = cli_main(["track", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "fresh" / "out")])
+    assert rc == 2
+    no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"config error: {no_space}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_sweep_failing_write_leaves_no_root_dir(tmp_path, monkeypatch):
+    # the second cell's summary fails after the first cell's files are written
+    grid, base = {"gamma_p": [1.0, 0.3], "gamma_alpha": [0.6]}, make_config(
+        schedule=ACCEPTANCE_ANCHORS, t_max=200)
+    with monkeypatch.context() as patch:
+        _dump_failing_at(patch, 2)
+        with pytest.raises(OSError):
+            run_sweep(grid, base, tmp_path / "out")
+    assert os.listdir(tmp_path) == []
+
+    # sweep.csv, written last, fails after every cell's files are written
+    def failing_writer(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(csv, "writer", failing_writer)
+    with pytest.raises(OSError):
+        run_sweep(grid, base, tmp_path / "out")
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_failing_write_into_an_existing_root_leaves_no_cell_dir(tmp_path, monkeypatch):
+    # the root existed: it stays, with what it held, and neither cell's dir is left
+    (tmp_path / "keep.txt").write_text("kept")
+    _dump_failing_at(monkeypatch, 2)
+    with pytest.raises(OSError):
+        run_sweep({"gamma_p": [1.0, 0.3], "gamma_alpha": [0.6]},
+                  make_config(schedule=ACCEPTANCE_ANCHORS, t_max=200), tmp_path)
+    assert os.listdir(tmp_path) == ["keep.txt"]
 
 
 def test_sweep_still_raises_on_failed_certificate(tmp_path, monkeypatch):

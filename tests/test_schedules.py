@@ -12,6 +12,7 @@ from adiatrack import schedules, verify
 from adiatrack.chains import (
     InvariantError,
     ergodicity_coefficient,
+    restart_wraps,
     stationary_distribution,
 )
 from adiatrack.schedules import (
@@ -22,7 +23,6 @@ from adiatrack.schedules import (
     InterpolationSchedule,
     RestartWrappedSchedule,
     ShrinkingStateSchedule,
-    restart_wraps,
     schedule_from_spec,
     verify_drift,
 )
@@ -462,6 +462,34 @@ def test_drift_report_names_where_the_rounding_allowance_takes_over():
     assert verify_drift(ConstantSchedule(A), 100).drift_vacuous_from_t is None  # gamma_p inf
 
 
+def _vacuous_by_definition(c_p, gamma_p, n, t_max):
+    """The first t <= t_max with c_p / t**gamma_p <= 4 n eps, one t at a time."""
+    eps = np.finfo(float).eps
+    return next((t for t in range(1, t_max + 1) if c_p / t ** gamma_p <= 4 * n * eps), None)
+
+
+@pytest.mark.parametrize("gamma_p", [0.0, 0.3, 1.0, 2.0, 5.0, 19.0])
+def test_drift_vacuous_t_is_its_definition(gamma_p):
+    # c_p puts the vacuous t at about 3 and about the walk's first block edge;
+    # each t_max sits on both sides of it and of that edge
+    edge, allowance = schedules._CHUNK, schedules._STEP_ROUNDING
+    three = [[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]], np.full((3, 3), 1 / 3)
+    for n, (a, b) in {2: (A, B), 3: three}.items():
+        for at in (3, edge + 1):
+            c_p = allowance * n * at ** gamma_p
+            sched = InterpolationSchedule(a, b, DriftParams(c_p, gamma_p, 0.01, 0.0))
+            v = _vacuous_by_definition(c_p, gamma_p, n, 2 * edge)
+            for t_max in sorted({max(2, v - 1), max(2, v), edge, edge + 1}):
+                assert (verify_drift(sched, t_max).drift_vacuous_from_t
+                        == _vacuous_by_definition(c_p, gamma_p, n, t_max)), (n, c_p, t_max)
+    # a failing scan reports it too: the floor c_pi = 0.9 breaks at t = 1
+    c_p = allowance * 2 * 40 ** gamma_p
+    with pytest.raises(DriftCertificateError) as err:
+        verify_drift(InterpolationSchedule(A, B, DriftParams(c_p, gamma_p, 0.9, 0.0)), 100)
+    assert err.value.report.violations[0].bound == "pi floor c_pi"
+    assert err.value.report.drift_vacuous_from_t == _vacuous_by_definition(c_p, gamma_p, 2, 100)
+
+
 # ------------------------------------------------------------ block equivalence
 
 _ARC = {}
@@ -555,7 +583,7 @@ def test_block_arc_crosses_chunk_edges_sequentially():
     # one long block and piecewise blocks give the same bits on both sides of edges
     sched = CyclicSchedule([A, B], DriftParams(0.05, 0.3, 0.2, 0.0))
     whole = CyclicSchedule([A, B], DriftParams(0.05, 0.3, 0.2, 0.0)).block(1, 3 * _EDGE + 7)
-    pieces = np.concatenate([blk[:-1] for _, blk in sched.blocks(1, 3 * _EDGE + 7)])
+    pieces = np.concatenate([blk[:-1] for _, blk in sched.blocks(3 * _EDGE + 6)])
     assert whole.tobytes() == pieces.tobytes()
     assert sched.cycle_length < _arc(0.05, 0.3, 3 * _EDGE)  # the walk wrapped
 
@@ -584,7 +612,7 @@ def test_block_rejects_empty_and_nonpositive_ranges():
     InterpolationSchedule(A, A, DriftParams(0.05, 0.5, 0.25, 0.0)),
 ], ids=["constant", "degenerate-cyclic", "gamma-p-inf-interpolation", "A-to-A-interpolation"])
 def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
-    for lo, block in sched.blocks(1, _EDGE + 7):
+    for lo, block in sched.blocks(_EDGE + 6):
         assert not block.flags.writeable
         for i, mat in enumerate(block):
             assert mat.tobytes() == sched.matrix_at(lo + i).tobytes()
@@ -598,7 +626,7 @@ def test_constant_block_is_a_read_only_view_of_matrix_at(sched):
 ], ids=["interpolation", "cyclic"])
 def test_walk_blocks_share_their_edge_matrix(sched):
     t_max = 2 * _EDGE  # walks P^(1..2 * _EDGE + 1): two full blocks and no trailing one
-    walked = list(sched.blocks(1, t_max + 1))
+    walked = list(sched.blocks(t_max))
     assert [lo for lo, _ in walked] == [1, _EDGE + 1]
     for (lo, block), after in zip(walked, walked[1:] + [None]):
         if after is not None:
